@@ -6,10 +6,8 @@ from .moments import (
     InsufficientSamplesError,
     MomentAccumulator,
     MomentSet,
-    SliceMoments,
     accumulate_moments,
     error_cross_moment,
-    slice_moments,
 )
 from .oracle import (
     BruteForceResult,
@@ -43,7 +41,6 @@ from .weight_quant import (
     LayerWeightResult,
     RoundingState,
     WeightQuantConfig,
-    correct_remainder,
     halving_splits,
     init_rounding,
     proxy_gradient,

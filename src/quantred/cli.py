@@ -14,17 +14,8 @@ import click
 
 from . import pipeline
 from . import verify as verify_suites
-from .linalg import SingularSystemError
-from .moments import InsufficientSamplesError
-from .pipeline import ConfigError, RunConfig
+from .pipeline import NUMERICAL_ERRORS, ConfigError, RunConfig
 from .tensorfile import ManifestError, TensorFormatError, load_manifest
-
-_RUN_ERRORS = (
-    SingularSystemError,
-    InsufficientSamplesError,
-    FloatingPointError,
-    ValueError,
-)
 
 
 def _common_options(fn):
@@ -32,7 +23,6 @@ def _common_options(fn):
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON file with RunConfig fields; flags override it."),
         click.option("--jobs", type=int, default=None, help="Worker threads."),
-        click.option("--seed", type=int, default=None, help="Run seed."),
         click.option("--stages", type=str, default=None,
                      help="Comma list from {aqer,wqer_rounding,wqer_ridge}, or all/none."),
         click.option("--bits-w", type=int, default=None, help="Weight bit width override."),
@@ -59,7 +49,7 @@ def _build_config(config_path, **flags) -> RunConfig:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from None
     cfg = RunConfig.from_dict(doc)
     overrides = {}
-    for key in ("jobs", "seed", "bits_w", "bits_a", "lambda1", "lambda2", "k", "max_iter"):
+    for key in ("jobs", "bits_w", "bits_a", "lambda1", "lambda2", "k", "max_iter"):
         if flags.get(key) is not None:
             overrides[key] = flags[key]
     if flags.get("stages") is not None:
@@ -108,14 +98,16 @@ def quantize(manifest_path, out_dir, config_path, **flags):
 @main.command("verify")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Optional directory for the summary JSON.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the suites' random instances.")
 @_common_options
-def verify_command(out_dir, config_path, **flags):
+def verify_command(out_dir, seed, config_path, **flags):
     """Run the internal consistency suites against the oracles."""
     try:
-        cfg = _build_config(config_path, **flags)
+        _build_config(config_path, **flags)
     except ConfigError as exc:
         _fail_validation(exc)
-    results = verify_suites.run_all(cfg.seed)
+    results = verify_suites.run_all(seed)
     summary = []
     for suite in results:
         doc = {"suite": suite.name, "passed": suite.passed, "metrics": suite.metrics}
@@ -148,7 +140,7 @@ def ablate(manifest_path, out_dir, config_path, **flags):
     try:
         layers = pipeline.load_layers(entries, cfg)
         rows = pipeline.run_ablation(layers, cfg)
-    except _RUN_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     out = Path(out_dir)
@@ -184,7 +176,7 @@ def sweep(manifest_path, out_dir, param, values, config_path, **flags):
         rows = pipeline.run_sweep(param, parsed, layers, cfg)
     except ConfigError as exc:
         _fail_validation(exc)
-    except _RUN_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     out = Path(out_dir)

@@ -2,8 +2,9 @@
 
 Keeps both normalizations in play: `sigma` is the unbiased covariance
 (1/(N-1) centered sum) used by the rounding proxy, while `raw2` is the
-uncentered 1/N second moment E[x x^T] whose sub-blocks feed the ridge
-corrections. The identity raw2 == sigma * (N-1)/N + mu mu^T holds by
+uncentered 1/N second moment E[x x^T]. Split-specific blocks are sliced
+from the finished matrices by `weight_quant.LayerMomentCache`, never
+re-summed from data. The identity raw2 == sigma * (N-1)/N + mu mu^T holds by
 construction.
 """
 
@@ -25,18 +26,6 @@ class MomentSet:
     sigma: np.ndarray
     raw2: np.ndarray
     n: int
-
-
-@dataclass(frozen=True)
-class SliceMoments:
-    """raw2 blocks for a (quantize-now, remainder) column split."""
-
-    s_idx: np.ndarray
-    r_idx: np.ndarray
-    e_ss: np.ndarray
-    e_sr: np.ndarray
-    e_rr: np.ndarray
-    mu_s: np.ndarray
 
 
 class MomentAccumulator:
@@ -132,30 +121,6 @@ def accumulate_moments(
     if buffer:
         acc.update(np.asarray(buffer))
     return acc.finalize()
-
-
-def slice_moments(moments: MomentSet, s_idx, r_idx) -> SliceMoments:
-    """Extract raw2 blocks for a column split.
-
-    Blocks are sliced out of the already-accumulated full matrix, never
-    re-summed from data. The two index sets must be disjoint.
-    """
-    s_idx = np.asarray(s_idx, dtype=np.int64)
-    r_idx = np.asarray(r_idx, dtype=np.int64)
-    if np.intersect1d(s_idx, r_idx).size:
-        raise ValueError("slice index sets overlap")
-    dim = moments.mu.size
-    for idx in (s_idx, r_idx):
-        if idx.size and (idx.min() < 0 or idx.max() >= dim):
-            raise ValueError("slice index out of range")
-    return SliceMoments(
-        s_idx=s_idx,
-        r_idx=r_idx,
-        e_ss=moments.raw2[np.ix_(s_idx, s_idx)],
-        e_sr=moments.raw2[np.ix_(s_idx, r_idx)],
-        e_rr=moments.raw2[np.ix_(r_idx, r_idx)],
-        mu_s=moments.mu[s_idx],
-    )
 
 
 def error_cross_moment(a_fp: np.ndarray, a_q: np.ndarray) -> np.ndarray:

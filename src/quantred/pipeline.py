@@ -8,7 +8,7 @@ Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
 report.json, traces.csv, and the code tensors are deterministic for a
-given config and seed, byte for byte, regardless of --jobs. Wall times go
+given config and input, byte for byte, regardless of --jobs. Wall times go
 to a separate timings.json; the run configuration echo goes to
 run_config.json. Neither is part of the deterministic output contract.
 """
@@ -81,9 +81,7 @@ class RunConfig:
     bits_w: int | None = None
     bits_a: int | None = None
     stages: frozenset = frozenset(ALL_STAGES)
-    seed: int = 0
     jobs: int = 1
-    recalibrate: bool = False
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -188,7 +186,7 @@ def quantize_layer(
     All arithmetic is float64 regardless of the on-disk dtype. The
     baseline MSE is always computed against plain round-to-nearest on
     scales calibrated from the original weights; stage MSEs are appended
-    as stages run. Weight scales are recalibrated after the activation
+    as stages run. Weight scales are calibrated again after the activation
     correction step when it is enabled, since the update shifts rows.
 
     `eval_batch` switches MSE evaluation to a separate activation batch
@@ -247,7 +245,6 @@ def quantize_layer(
             lambda2=cfg.lambda2,
             rounding=rounding_on,
             ridge=ridge_on,
-            recalibrate=cfg.recalibrate,
         )
         wres = quantize_layer_weights(
             current, weight_scheme.params, a_q, wq_cfg, jobs=cfg.jobs
@@ -322,35 +319,27 @@ def layer_report_entry(result: LayerResult, codes_path: str | None) -> dict:
     }
 
 
-def trace_rows(result: LayerResult) -> list[tuple]:
+def trace_rows(result: LayerResult) -> list[dict]:
+    """One dict per refinement iteration, keyed by TRACE_COLUMNS."""
     rows = []
     for channel_idx, channel in enumerate(result.channels):
         for row in channel.trace:
             rows.append(
-                (
-                    result.layer_id,
-                    channel_idx,
-                    row.iteration,
-                    row.slice_size,
-                    row.proxy_before,
-                    row.proxy_after,
-                    row.mse,
-                )
+                {
+                    "layer_id": result.layer_id,
+                    "channel": channel_idx,
+                    "iteration": row.iteration,
+                    "slice_size": row.slice_size,
+                    "proxy_before": row.proxy_before,
+                    "proxy_after": row.proxy_after,
+                    "mse": row.mse,
+                }
             )
     return rows
 
 
 def _dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_traces(path: Path, rows: list[tuple]) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-        )
-    path.write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -417,7 +406,7 @@ def run_manifest(
 
     report_path = out_dir / "report.json"
     _dump_json(report_path, {"layers": report_entries})
-    _write_traces(out_dir / "traces.csv", all_traces)
+    write_csv(out_dir / "traces.csv", all_traces, TRACE_COLUMNS)
     _dump_json(out_dir / "timings.json", {"layers": timings})
     _dump_json(out_dir / "run_config.json", cfg.to_dict())
     return ManifestRunResult(

@@ -4,8 +4,9 @@ Each suite exercises one invariant family against the oracle module:
 proxy fidelity versus Monte Carlo, refinement dominance versus exhaustive
 enumeration and every single flip, analytic gradients versus finite
 differences, and ridge optimality of both closed forms. Suites call
-through the module objects (weight_quant.proxy_gradient and friends) so an
-injected fault in the engine is visible to them.
+through the module objects (weight_quant.proxy_gradient,
+weight_quant.LayerMomentCache and friends), the same code a run executes,
+so an injected fault in the engine is visible to them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import act_correct, oracle, weight_quant
-from .moments import accumulate_moments, slice_moments
+from .moments import accumulate_moments
 from .quantizers import UniformParams, calibrate_scale, quantize_with_scheme
 
 
@@ -180,21 +181,24 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
 
 
 def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
-    """FD gradient of the remainder objective vanishes at the closed form."""
+    """FD gradient of the remainder objective vanishes at the cache's update.
+
+    Each draw builds the production moment cache on a fresh batch and
+    checks `remainder_update` on one of its halving splits.
+    """
     rng = np.random.default_rng([seed, 4])
     max_err = 0.0
     for _ in range(splits):
         dim = int(rng.integers(4, 24))
-        cut = int(rng.integers(1, dim))
         n = 128
         _, _, batch = _gaussian_batch(rng, dim, n)
-        ms = accumulate_moments(batch)
-        slices = slice_moments(ms, np.arange(cut), np.arange(cut, dim))
-        delta_s = rng.normal(0.0, 0.2, cut)
         lam = 0.5
-        delta_r = weight_quant.correct_remainder(delta_s, slices, lam)
-        xs = batch[:, :cut]
-        xr = batch[:, cut:]
+        cache = weight_quant.LayerMomentCache(batch, lam)
+        lo, mid, hi = cache.splits[int(rng.integers(0, len(cache.splits) - 1))]
+        delta_s = rng.normal(0.0, 0.2, mid - lo)
+        delta_r = cache.remainder_update(lo, mid, delta_s)
+        xs = batch[:, lo:mid]
+        xr = batch[:, mid:hi]
 
         def objective(dr):
             resid = xs @ delta_s + xr @ dr

@@ -17,7 +17,9 @@ just committed:
      (E[x_r x_r^T] + lambda2 I)^{-1}, added onto the remaining columns.
 
 Moment blocks and ridge factorizations depend only on the column split,
-so they are computed once per layer and shared read-only across channels.
+so they are computed once per layer by `LayerMomentCache` and shared
+read-only across channels; `LayerMomentCache.remainder_update` is the one
+implementation of step 3, also exercised by `quantred verify`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import solve_spd, spd_factor
-from .moments import MomentSet, SliceMoments, accumulate_moments
-from .quantizers import UniformParams, calibrate_uniform, dequantize_uniform
+from .moments import MomentSet, accumulate_moments
+from .quantizers import UniformParams, dequantize_uniform, uniform_codes
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class WeightQuantConfig:
     lambda2: float = 1e4
     rounding: bool = True
     ridge: bool = True
-    recalibrate: bool = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -82,7 +83,6 @@ class ChannelResult:
     codes: np.ndarray
     w_bar: np.ndarray
     trace: tuple[ChannelTraceRow, ...]
-    slice_params: tuple[UniformParams, ...] | None
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,11 @@ def init_rounding(
 ) -> RoundingState:
     """Floor/ceil candidates plus the round-to-nearest starting choice."""
     w_slice = np.asarray(w_slice, dtype=np.float64)
-    qmax = (1 << params.bits) - 1
-    t = w_slice / params.scale
-    code_down = np.clip(np.floor(t).astype(np.int64) + params.zero_point, 0, qmax)
-    code_up = np.clip(np.ceil(t).astype(np.int64) + params.zero_point, 0, qmax)
-    code_near = np.clip(np.rint(t).astype(np.int64) + params.zero_point, 0, qmax)
-    delta_down = params.scale * (code_down - params.zero_point) - w_slice
-    delta_up = params.scale * (code_up - params.zero_point) - w_slice
-    up_mask = code_near == code_up
+    code_down = uniform_codes(w_slice, params, "floor")
+    code_up = uniform_codes(w_slice, params, "ceil")
+    delta_down = dequantize_uniform(code_down, params) - w_slice
+    delta_up = dequantize_uniform(code_up, params) - w_slice
+    up_mask = uniform_codes(w_slice, params) == code_up
     flippable = code_down != code_up
     delta = np.where(up_mask, delta_up, delta_down)
     return RoundingState(
@@ -209,20 +206,6 @@ def refine_rounding(
     return replace(state, delta=delta, up_mask=up_mask), committed
 
 
-def correct_remainder(
-    delta_s: np.ndarray, slices: SliceMoments, lambda2: float
-) -> np.ndarray:
-    """Ridge-optimal update of the remainder columns given committed error delta_s."""
-    delta_s = np.asarray(delta_s, dtype=np.float64)
-    r = slices.r_idx.size
-    if r == 0:
-        raise ValueError("remainder part is empty")
-    if delta_s.shape != (slices.s_idx.size,):
-        raise ValueError("delta_s does not match the slice index set")
-    factor = spd_factor(slices.e_rr + lambda2 * np.eye(r))
-    return -solve_spd(factor, slices.e_sr.T @ delta_s)
-
-
 class LayerMomentCache:
     """Per-layer moment blocks and ridge factorizations, keyed by column split.
 
@@ -251,8 +234,15 @@ class LayerMomentCache:
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
         return self._proxy[(lo, mid)]
 
-    def remainder_system(self, lo: int, mid: int):
-        return self._remainder[(lo, mid)]
+    def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
+        """Ridge-optimal update of columns mid:hi given the committed error delta_s.
+
+        Minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2 over the
+        remainder update dW_r. Raises KeyError for the final split, which
+        leaves no remainder.
+        """
+        e_sr, factor = self._remainder[(lo, mid)]
+        return -solve_spd(factor, e_sr.T @ delta_s)
 
 
 def quantize_channel(
@@ -261,11 +251,8 @@ def quantize_channel(
     cache: LayerMomentCache,
     cfg: WeightQuantConfig,
 ) -> ChannelResult:
-    """Run the progressive loop for one output channel.
+    """Run the progressive loop for one output channel on the fixed lattice `params`.
 
-    The channel lattice is fixed by `params` unless cfg.recalibrate grid
-    searches a fresh scale per slice (experimental; per-slice params are
-    then returned since one (scale, zero) no longer describes the codes).
     The trace records, per iteration, the slice size, the proxy before and
     after refinement, and the empirical squared output error of the
     partially quantized row.
@@ -281,14 +268,9 @@ def quantize_channel(
     w_bar = np.zeros(dim, dtype=np.float64)
     err = np.zeros(dim, dtype=np.float64)
     trace = []
-    slice_params = [] if cfg.recalibrate else None
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
-        qp = params
-        if cfg.recalibrate:
-            qp = calibrate_uniform(current[lo:mid], params.bits)
-            slice_params.append(qp)
-        state = init_rounding(current[lo:mid], qp, cache.proxy_matrix(lo, mid))
+        state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
         proxy_before = proxy_value(state.delta, state.proxy_matrix)
         if cfg.rounding and cfg.k > 0:
             state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
@@ -296,11 +278,10 @@ def quantize_channel(
         else:
             proxy_after = proxy_before
         codes[lo:mid] = state.codes
-        w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], qp)
+        w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
         err[lo:mid] = w_bar[lo:mid] - original[lo:mid]
         if cfg.ridge and mid < hi:
-            e_sr, factor = cache.remainder_system(lo, mid)
-            current[mid:hi] += -solve_spd(factor, e_sr.T @ state.delta)
+            current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
         err[mid:hi] = current[mid:hi] - original[mid:hi]
         mse = float(err @ (raw2 @ err))
         trace.append(
@@ -312,9 +293,7 @@ def quantize_channel(
                 mse=mse,
             )
         )
-    if cfg.recalibrate:
-        return ChannelResult(codes, w_bar, tuple(trace), tuple(slice_params))
-    return ChannelResult(codes, w_bar, tuple(trace), None)
+    return ChannelResult(codes, w_bar, tuple(trace))
 
 
 def quantize_layer_weights(

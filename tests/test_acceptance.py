@@ -289,7 +289,6 @@ def _quantize_run(runner, manifest, out_dir, extra):
         "--out", str(out_dir),
         "--lambda1", "1.0",
         "--lambda2", "1.0",
-        "--seed", "0",
     ] + extra
     result = runner.invoke(cli_main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output

@@ -233,6 +233,18 @@ class TestVerify:
         assert saved["all_passed"] is True
         assert len(saved["suites"]) == 4
 
+    def test_seed_is_a_verify_option_only(self, runner, manifest, tmp_path):
+        result = _run(runner, ["verify", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output.strip().splitlines()[-1]) == {"all_passed": True}
+        rejected = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+             "--seed", "0"],
+        )
+        assert rejected.exit_code == 2
+        assert "No such option" in rejected.output
+
     def test_fault_injection_fails_with_exit_3(self, runner, monkeypatch):
         # breaking the gradient direction must be caught by the suites
         real = weight_quant.proxy_gradient

@@ -1,4 +1,4 @@
-"""Streaming moment accumulation: hand cases, merge laws, slice extraction."""
+"""Streaming moment accumulation: hand cases, merge laws, error cross-moments."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from quantred.moments import (
     MomentAccumulator,
     accumulate_moments,
     error_cross_moment,
-    slice_moments,
 )
 
 
@@ -109,35 +108,6 @@ class TestOutputs:
         m = accumulate_moments(np.random.default_rng(1).normal(0, 1, (200, 12)))
         np.testing.assert_array_equal(m.sigma, m.sigma.T)
         np.testing.assert_array_equal(m.raw2, m.raw2.T)
-
-
-class TestSliceMoments:
-    def test_blocks_match_direct_submatrices(self):
-        rng = np.random.default_rng(12)
-        batch = rng.normal(0, 1, (50, 6))
-        m = accumulate_moments(batch)
-        s_idx, r_idx = [1, 4], [0, 2, 5]
-        sm = slice_moments(m, s_idx, r_idx)
-        np.testing.assert_array_equal(sm.e_ss, m.raw2[np.ix_(s_idx, s_idx)])
-        np.testing.assert_array_equal(sm.e_sr, m.raw2[np.ix_(s_idx, r_idx)])
-        np.testing.assert_array_equal(sm.e_rr, m.raw2[np.ix_(r_idx, r_idx)])
-        np.testing.assert_array_equal(sm.mu_s, m.mu[s_idx])
-
-    def test_overlapping_index_sets_rejected(self):
-        m = accumulate_moments(np.random.default_rng(0).normal(0, 1, (8, 4)))
-        with pytest.raises(ValueError, match="overlap"):
-            slice_moments(m, [0, 1], [1, 2])
-
-    def test_out_of_range_index_rejected(self):
-        m = accumulate_moments(np.random.default_rng(0).normal(0, 1, (8, 4)))
-        with pytest.raises(ValueError, match="range"):
-            slice_moments(m, [0], [4])
-
-    def test_empty_remainder_allowed(self):
-        m = accumulate_moments(np.random.default_rng(0).normal(0, 1, (8, 4)))
-        sm = slice_moments(m, [0, 1, 2, 3], [])
-        assert sm.e_rr.shape == (0, 0)
-        assert sm.e_sr.shape == (4, 0)
 
 
 class TestErrorCrossMoment:

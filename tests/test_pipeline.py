@@ -288,8 +288,8 @@ class TestManifestRun:
         rows = trace_rows(result)
         assert rows, "stages were on, trace must be nonempty"
         for row in rows:
-            assert len(row) == len(TRACE_COLUMNS)
-            assert row[0] == layer_id
+            assert tuple(row) == TRACE_COLUMNS
+            assert row["layer_id"] == layer_id
 
 
 class TestAblation:

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantred.moments import SliceMoments, accumulate_moments
-from quantred.oracle import brute_force_rounding
+from quantred.moments import accumulate_moments
+from quantred.oracle import brute_force_rounding, single_flip_proxies
 from quantred.quantizers import UniformParams, calibrate_uniform, quantize_uniform
+from quantred.verify import suite_ridge_optimality
 from quantred.weight_quant import (
     LayerMomentCache,
     WeightQuantConfig,
-    correct_remainder,
     halving_splits,
     init_rounding,
     proxy_gradient,
@@ -146,19 +146,21 @@ class TestRefinement:
             brute_force_rounding(state.delta_down, state.delta_up, matrix).best_proxy
         )
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_committed_values_match_direct_proxy(self, k):
-        # the loop updates gradient and proxy incrementally; every committed
-        # value must still be the proxy of the rounding it belongs to. Nearest
-        # rounds every weight down by 0.3-0.45 steps against a shared mean,
-        # so refinement commits many flips before it stops.
-        rng = np.random.default_rng(10 + k)
-        dim = 40
+    @staticmethod
+    def _many_flip_instance(rng, dim=40):
+        # nearest rounds every weight down by 0.3-0.45 steps against a shared
+        # mean, so refinement commits many flips before it stops
         scale = 0.1
         params = UniformParams(scale=scale, zero_point=7, bits=4)
         w = scale * (rng.integers(1, 14, dim) + rng.uniform(0.3, 0.45, dim) - 7)
         mu = 1.0 + 0.1 * rng.normal(0, 1, dim)
-        state = init_rounding(w, params, np.outer(mu, mu) + _psd(rng, dim))
+        return w, params, init_rounding(w, params, np.outer(mu, mu) + _psd(rng, dim))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_committed_values_match_direct_proxy(self, k):
+        # the loop updates gradient and proxy incrementally; every committed
+        # value must still be the proxy of the rounding it belongs to
+        _, _, state = self._many_flip_instance(np.random.default_rng(10 + k))
         _, committed = refine_rounding(state, k, 100)
         assert len(committed) > 5
         for steps in range(len(committed)):
@@ -166,6 +168,25 @@ class TestRefinement:
             assert prefix == committed[: steps + 1]
             direct = proxy_value(partial.delta, state.proxy_matrix)
             assert abs(prefix[-1] - direct) <= 1e-12 * direct
+
+    def test_max_iter_can_stop_short_of_a_single_flip_optimum(self):
+        # k = 1 ends at a single-flip optimum only when it stops before the
+        # cap: capped at m iterations it returns at most m + 1 values and
+        # may leave a flip that lowers the proxy; m = 0 keeps nearest rounding
+        w, params, state = self._many_flip_instance(np.random.default_rng(11))
+        for m in range(5):
+            capped, committed = refine_rounding(state, 1, m)
+            assert len(committed) <= m + 1
+            flipped = single_flip_proxies(
+                capped.delta,
+                state.delta_down,
+                state.delta_up,
+                state.flippable,
+                state.proxy_matrix,
+            )
+            assert flipped.min() < committed[-1]
+        unchanged, _ = refine_rounding(state, 1, 0)
+        np.testing.assert_array_equal(unchanged.codes, quantize_uniform(w, params)[0])
 
     def test_zero_iterations_returns_start(self):
         rng = np.random.default_rng(2)
@@ -240,78 +261,49 @@ class TestSplits:
 
 
 class TestRemainderCorrection:
-    @staticmethod
-    def _slices(e_ss, e_sr, e_rr, mu_s=None):
-        e_ss = np.atleast_2d(np.asarray(e_ss, dtype=np.float64))
-        e_sr = np.atleast_2d(np.asarray(e_sr, dtype=np.float64))
-        e_rr = np.atleast_2d(np.asarray(e_rr, dtype=np.float64))
-        s, r = e_sr.shape
-        return SliceMoments(
-            s_idx=np.arange(s),
-            r_idx=np.arange(s, s + r),
-            e_ss=e_ss,
-            e_sr=e_sr,
-            e_rr=e_rr,
-            mu_s=np.zeros(s) if mu_s is None else np.asarray(mu_s),
-        )
-
     def test_scalar_hand_case(self):
-        sm = self._slices([[1.0]], [[0.8]], [[1.0]])
+        # raw2 = [[1, .8], [.8, 1]], lambda2 = 1: dr = -0.8 * 0.5 / (1 + 1)
+        batch = np.array([[1.0, 1.4], [1.0, 0.2], [-1.0, -1.4], [-1.0, -0.2]])
+        cache = LayerMomentCache(batch, 1.0)
         np.testing.assert_allclose(
-            correct_remainder(np.array([0.5]), sm, 1.0), [-0.2], atol=1e-14
+            cache.moments.raw2, [[1.0, 0.8], [0.8, 1.0]], atol=1e-15
+        )
+        np.testing.assert_allclose(
+            cache.remainder_update(0, 1, np.array([0.5])), [-0.2], atol=1e-14
         )
 
     def test_zero_committed_error_gives_zero_update(self):
         rng = np.random.default_rng(4)
-        sm = self._slices(_psd(rng, 2), rng.normal(0, 1, (2, 3)), _psd(rng, 3))
-        np.testing.assert_array_equal(
-            correct_remainder(np.zeros(2), sm, 0.5), np.zeros(3)
-        )
-
-    def test_empty_remainder_rejected(self):
-        sm = SliceMoments(
-            s_idx=np.array([0, 1]),
-            r_idx=np.array([], dtype=np.int64),
-            e_ss=np.eye(2),
-            e_sr=np.zeros((2, 0)),
-            e_rr=np.zeros((0, 0)),
-            mu_s=np.zeros(2),
-        )
-        with pytest.raises(ValueError, match="empty"):
-            correct_remainder(np.array([0.1, 0.2]), sm, 1.0)
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(5)
-        sm = self._slices(_psd(rng, 2), rng.normal(0, 1, (2, 3)), _psd(rng, 3))
-        with pytest.raises(ValueError, match="slice"):
-            correct_remainder(np.array([0.1, 0.2, 0.3]), sm, 1.0)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (64, 5)), 0.5)
+        for lo, mid, hi in cache.splits[:-1]:
+            np.testing.assert_array_equal(
+                cache.remainder_update(lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
+            )
 
     def test_minimizes_joint_error_objective(self):
-        # objective: [ds, dr] raw2 [ds, dr]^T + lambda2 ||dr||^2, dr free
+        # objective: [ds, dr] raw2 [ds, dr]^T + lambda2 ||dr||^2, dr free,
+        # with raw2 restricted to the split's columns lo:hi
         rng = np.random.default_rng(6)
-        batch = rng.normal(0.3, 1.0, (200, 7))
-        m = accumulate_moments(batch)
-        s_idx, r_idx = np.arange(3), np.arange(3, 7)
-        from quantred.moments import slice_moments
-
-        sm = slice_moments(m, s_idx, r_idx)
-        delta_s = rng.normal(0, 0.1, 3)
         lam = 0.5
-        dr = correct_remainder(delta_s, sm, lam)
+        cache = LayerMomentCache(rng.normal(0.3, 1.0, (200, 7)), lam)
+        for lo, mid, hi in cache.splits[:-1]:
+            raw2 = cache.moments.raw2[lo:hi, lo:hi]
+            delta_s = rng.normal(0, 0.1, mid - lo)
+            dr = cache.remainder_update(lo, mid, delta_s)
 
-        def objective(dr_val):
-            full = np.concatenate([delta_s, dr_val])
-            return float(full @ m.raw2 @ full + lam * dr_val @ dr_val)
+            def objective(dr_val):
+                full = np.concatenate([delta_s, dr_val])
+                return float(full @ raw2 @ full + lam * dr_val @ dr_val)
 
-        base = objective(dr)
-        eps = 1e-6
-        for j in range(4):
-            bump = np.zeros(4)
-            bump[j] = eps
-            fd = (objective(dr + bump) - objective(dr - bump)) / (2 * eps)
-            assert abs(fd) < 1e-6 * (1 + base)
-        for _ in range(50):
-            assert objective(dr + rng.normal(0, 0.01, 4)) >= base - 1e-12
+            base = objective(dr)
+            eps = 1e-6
+            for j in range(hi - mid):
+                bump = np.zeros(hi - mid)
+                bump[j] = eps
+                fd = (objective(dr + bump) - objective(dr - bump)) / (2 * eps)
+                assert abs(fd) < 1e-6 * (1 + base)
+            for _ in range(50):
+                assert objective(dr + rng.normal(0, 0.01, hi - mid)) >= base - 1e-12
 
 
 class TestChannelQuantization:
@@ -463,15 +455,6 @@ class TestChannelQuantization:
         with pytest.raises(ValueError, match="lambda2"):
             WeightQuantConfig(lambda2=-0.1)
 
-    def test_recalibrate_returns_per_slice_params(self):
-        rng = np.random.default_rng(19)
-        w, params, a_q = self._setup(rng, 2, 8)
-        cfg = WeightQuantConfig(lambda2=1.0, recalibrate=True)
-        result = quantize_layer_weights(w, params, a_q, cfg)
-        for channel in result.channels:
-            assert channel.slice_params is not None
-            assert len(channel.slice_params) == len(halving_splits(8))
-
 
 class TestMomentCache:
     def test_proxy_matrix_is_mean_outer_plus_covariance(self):
@@ -484,12 +467,24 @@ class TestMomentCache:
             expected = np.outer(mu_s, mu_s) + m.sigma[lo:mid, lo:mid]
             np.testing.assert_allclose(cache.proxy_matrix(lo, mid), expected, atol=1e-12)
 
-    def test_remainder_system_only_for_nonfinal_splits(self):
+    def test_remainder_update_only_for_nonfinal_splits(self):
         rng = np.random.default_rng(21)
         cache = LayerMomentCache(rng.normal(0, 1, (64, 8)), 1.0)
         *head, last = cache.splits
         for lo, mid, _ in head:
-            e_sr, _ = cache.remainder_system(lo, mid)
-            assert e_sr.shape == (mid - lo, 8 - mid)
+            update = cache.remainder_update(lo, mid, np.ones(mid - lo))
+            assert update.shape == (8 - mid,)
         with pytest.raises(KeyError):
-            cache.remainder_system(last[0], last[1])
+            cache.remainder_update(last[0], last[1], np.ones(last[1] - last[0]))
+
+    def test_verify_ridge_suite_checks_the_cache(self, monkeypatch):
+        # the verify suite must run the update a quantization run uses, so a
+        # 1% error injected into it fails the suite
+        assert suite_ridge_optimality(splits=5).passed
+        real = LayerMomentCache.remainder_update
+        monkeypatch.setattr(
+            LayerMomentCache,
+            "remainder_update",
+            lambda self, lo, mid, delta_s: 1.01 * real(self, lo, mid, delta_s),
+        )
+        assert not suite_ridge_optimality(splits=5).passed
