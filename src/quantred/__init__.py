@@ -19,6 +19,7 @@ from .oracle import (
 from .pipeline import RunConfig, quantize_layer, run_manifest
 from .quantizers import (
     LogSqrt2Params,
+    NonFiniteInputError,
     QuantScheme,
     UniformParams,
     calibrate_scale,

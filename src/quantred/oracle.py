@@ -2,9 +2,10 @@
 
 Everything here is deliberately simple and O(2^D), O(D^3) or O(N D):
 exhaustive enumeration of rounding choices, direct evaluation of every
-single flip, Monte Carlo output error, direct layer MSE, and central finite
-differences. These are the oracles the engine is tested against, not
-targets to be optimized.
+single flip, Monte Carlo output error, direct layer MSE, central finite
+differences, and the scale grid quantizing the whole tensor per candidate.
+These are the oracles the engine is tested against, not targets to be
+optimized.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .quantizers import (
+    ALPHA_GRID,
+    LogSqrt2Params,
+    UniformParams,
+    quantize_log_sqrt2,
+    quantize_uniform,
+)
 
 MAX_ENUM_DIM = 20
 _CHUNK = 1 << 14
@@ -135,3 +144,43 @@ def finite_diff_gradient(
         x_lo[index] -= h
         grad[index] = (f(x_hi) - f(x_lo)) / (2.0 * h)
     return grad
+
+
+def grid_calibrate(values: np.ndarray, family: str, bits: int):
+    """Calibrated params by quantizing all values under each of the 141 scales.
+
+    Candidates are ALPHA_GRID times max - min over 2^b - 1 (uniform, with
+    zero-point clip(rint(-min / s), 0, 2^b - 1)) or times max (log-sqrt2);
+    ties go to the larger scale (last minimum). Empty input, and input
+    whose smallest candidate scale is zero in float64 (constant uniform or
+    all-zero log-sqrt2 input included), give degenerate unit-scale params.
+    For finite input; one full pass over the values per candidate.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    qmax = (1 << bits) - 1
+    if family == "uniform":
+        lo = float(values.min()) if values.size else 0.0
+        s_base = (float(values.max()) - lo) / qmax if values.size else 0.0
+        if float(ALPHA_GRID[0] * s_base) == 0.0:
+            return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
+        candidates = []
+        for alpha in ALPHA_GRID:
+            scale = float(alpha * s_base)
+            zero = int(np.clip(np.rint(-lo / scale), 0, qmax))
+            candidates.append(UniformParams(scale=scale, zero_point=zero, bits=bits))
+        quantize = quantize_uniform
+    elif family == "log_sqrt2":
+        hi = float(values.max()) if values.size else 0.0
+        if float(ALPHA_GRID[0] * hi) == 0.0:
+            return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
+        candidates = [LogSqrt2Params(scale=float(a * hi), bits=bits) for a in ALPHA_GRID]
+        quantize = quantize_log_sqrt2
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    best, best_mse = None, None
+    for params in candidates:
+        _, deq = quantize(values, params)
+        mse = float(np.mean((values - deq) ** 2))
+        if best_mse is None or mse <= best_mse:
+            best, best_mse = params, mse
+    return best

@@ -9,8 +9,10 @@ round-to-nearest on the calibrated lattices.
 
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte, regardless of --jobs. Wall times go
-to a separate timings.json; the run configuration echo goes to
-run_config.json. Neither is part of the deterministic output contract.
+to a separate timings.json, per layer under the stage names act_calib,
+weight_calib (including the re-calibration after aqer), aqer, wqer and
+total; the run configuration echo goes to run_config.json. Neither is
+part of the deterministic output contract.
 """
 
 from __future__ import annotations
@@ -202,10 +204,12 @@ def quantize_layer(
     timings = {}
     t0 = time.perf_counter()
     act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
+    timings["act_calib"] = time.perf_counter() - t0
     _, a_q = quantize_with_scheme(a_fp, act_scheme)
+    t0 = time.perf_counter()
     base_scheme = calibrate_scale(w, "uniform", bits_w, "per_channel")
+    timings["weight_calib"] = time.perf_counter() - t0
     base_codes, base_w_bar = quantize_with_scheme(w, base_scheme)
-    timings["calibrate"] = time.perf_counter() - t0
 
     if eval_batch is None:
         eval_fp, eval_q = a_fp, a_q
@@ -230,11 +234,14 @@ def quantize_layer(
         t0 = time.perf_counter()
         correction = solve_activation_correction(w, a_fp, a_q, cfg.lambda1)
         current = correction.updated_w
+        t1 = time.perf_counter()
         weight_scheme = calibrate_scale(current, "uniform", bits_w, "per_channel")
+        t2 = time.perf_counter()
         codes, w_bar = quantize_with_scheme(current, weight_scheme)
         mse["after_aqer"] = layer_mse(w, eval_fp, w_bar, eval_q)
         reduction["aqer"] = _ratio(mse["baseline"], mse["after_aqer"])
-        timings["aqer"] = time.perf_counter() - t0
+        timings["weight_calib"] += t2 - t1
+        timings["aqer"] = (t1 - t0) + (time.perf_counter() - t2)
 
     channels: tuple[ChannelResult, ...] = ()
     if rounding_on or ridge_on:

@@ -6,6 +6,15 @@ covers post-softmax activations: codes are clip(round(-2 * log2(x / s)),
 0, 2^b - 1) and dequantize to s * 2^floor(-q / 2) * ((sqrt(2) - 1) * odd(q)
 + 1), so even codes land on powers of two and odd codes halfway between
 them in log space.
+
+Calibration picks, from 141 candidate scales, the one whose lattice
+minimizes reconstruction MSE. Codes are monotone in x, so each candidate
+splits the sorted values into 2^b contiguous bins, and a bin's squared
+error follows from its count, sum x and sum x^2. One sort and two prefix
+sums therefore score every candidate with (141, 2^b - 1) binary searches;
+only candidates whose approximate score is within a float error bound of
+the best are quantized in full and compared, which keeps the choice equal
+to the brute-force grid (oracle.grid_calibrate), ties included.
 """
 
 from __future__ import annotations
@@ -112,60 +121,210 @@ def quantize_log_sqrt2(x: np.ndarray, params: LogSqrt2Params):
     return codes, dequantize_log_sqrt2(codes, params)
 
 
-def _grid_search(x, bits, s_base, quant_fn):
-    # ties go to the larger scale: ascending grid with <= replacement
-    best_scale = None
-    best_mse = None
-    best_extra = None
-    for alpha in ALPHA_GRID:
-        scale = float(alpha * s_base)
-        mse, extra = quant_fn(x, scale)
+class NonFiniteInputError(ValueError):
+    """Calibration input holds NaN or +/-Inf.
+
+    `index` locates the first bad element in the array as passed; `row` is
+    the channel for per-channel calibration and None otherwise.
+    """
+
+    def __init__(self, value: float, index: tuple, row: int | None = None):
+        self.index = index
+        self.row = row
+        where = f"index {index}" if row is None else f"row {row}, column {index[-1]}"
+        super().__init__(f"non-finite calibration value {value} at {where}")
+
+
+def _check_finite(x: np.ndarray, per_row: bool = False) -> None:
+    finite = np.isfinite(x)
+    if not finite.all():
+        index = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), x.shape))
+        raise NonFiniteInputError(float(x[index]), index, index[0] if per_row else None)
+
+
+# Relative half-width of the window around a bin edge inside which the fast
+# scan does not trust its bin assignment. Float division and log2 move a
+# value's position against an edge by a few ulps (2^-52 relative), far
+# inside this window.
+_EDGE_WINDOW = 2.0**-40
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _candidate_sse(xs, p1, p2, edges, levels):
+    """Approximate SSE of every candidate lattice from sorted prefix sums.
+
+    xs is sorted and p1/p2 are the prefix sums of x and x^2 with a leading
+    zero. Row c of `edges` holds the ascending bin edges of candidate c and
+    row c of `levels` the dequantized value of each of its bins, so a bin's
+    SSE is S2 - 2 d S1 + n d^2. Also returns, per candidate, how far the
+    values within _EDGE_WINDOW of an edge can move its SSE: such a value
+    belongs to one of the two adjacent bins, and moving x from level a to
+    level b changes its squared error by (b - a)(a + b - 2x).
+    """
+    n = xs.size
+    width = _EDGE_WINDOW * np.abs(edges)
+    lo = np.searchsorted(xs, edges - width, side="left")
+    hi = np.searchsorted(xs, edges + width, side="right")
+    rows = edges.shape[0]
+    bounds = np.hstack(
+        [np.zeros((rows, 1), dtype=np.int64), lo, np.full((rows, 1), n, dtype=np.int64)]
+    )
+    count = np.diff(bounds, axis=1)
+    s1 = np.diff(p1[bounds], axis=1)
+    s2 = np.diff(p2[bounds], axis=1)
+    sse = (s2 - 2.0 * levels * s1 + count * levels * levels).sum(axis=1)
+    below, above = levels[:, :-1], levels[:, 1:]
+    swing = np.abs(above - below) * (np.abs(below + above - 2.0 * edges) + 2.0 * width)
+    return sse, ((hi - lo) * swing).sum(axis=1)
+
+
+def _shortlist(values: np.ndarray, edges: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Candidates that can attain the smallest exact MSE, ascending.
+
+    Each fast SSE is within `slack` of n times the exact evaluator's MSE:
+    the first term bounds the rounding of the prefix sums, the per-bin
+    sums and the exact evaluator itself (B bounds |x| and |level|), the
+    second gradual underflow, the third the values the scan cannot place
+    (doubled to cover its own rounding). A candidate whose lower end lies
+    above the smallest upper end is strictly worse than the exact optimum,
+    so the shortlist holds every candidate tied at it. If the scan
+    overflows, every candidate is kept.
+    """
+    n = values.size
+    xs = np.sort(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = np.zeros(n + 1)
+        np.cumsum(xs, out=p1[1:])
+        p2 = np.zeros(n + 1)
+        np.square(xs, out=p2[1:])
+        np.cumsum(p2[1:], out=p2[1:])
+        sse, unplaced = _candidate_sse(xs, p1, p2, edges, levels)
+        bound = max(abs(float(xs[0])), abs(float(xs[-1])), float(np.abs(levels).max()))
+        slack = (
+            16.0 * n * _EPS * (p2[-1] + n * bound * bound)
+            + 16.0 * n * _TINY
+            + 2.0 * unplaced
+        )
+    if not (np.isfinite(sse).all() and np.isfinite(slack).all()):
+        return np.arange(edges.shape[0])
+    return np.flatnonzero(sse - slack <= (sse + slack).min())
+
+
+def _last_minimum(shortlist: np.ndarray, exact_mse) -> int:
+    # ties go to the larger scale: ascending candidates with <= replacement
+    if shortlist.size == 1:
+        return int(shortlist[0])
+    best, best_mse = None, None
+    for c in shortlist:
+        mse = exact_mse(int(c))
         if best_mse is None or mse <= best_mse:
-            best_mse, best_scale, best_extra = mse, scale, extra
-    return best_scale, best_extra
+            best, best_mse = int(c), mse
+    return best
+
+
+def _exact_mse(x: np.ndarray, params) -> float:
+    if isinstance(params, UniformParams):
+        _, deq = quantize_uniform(x, params)
+    else:
+        _, deq = quantize_log_sqrt2(x, params)
+    return float(np.mean((x - deq) ** 2))
+
+
+def _uniform_candidates(values: np.ndarray, bits: int):
+    """Scales, zero-points, bin edges and levels of the 141 uniform candidates.
+
+    Code k holds x with x / s in [k - z - 1/2, k - z + 1/2), so the edges
+    sit at (k - z - 1/2) s, and saturation is the first and last bin.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    qmax = (1 << bits) - 1
+    scales = ALPHA_GRID * ((hi - lo) / qmax)
+    zeros = np.clip(np.rint(-lo / scales), 0, qmax).astype(np.int64)
+    steps = (np.arange(qmax + 1) - zeros[:, None]).astype(np.float64)
+    return scales, zeros, scales[:, None] * (steps[:, 1:] - 0.5), scales[:, None] * steps
+
+
+def _log_sqrt2_candidates(values: np.ndarray, bits: int):
+    """Scales, bin edges and levels of the 141 log-sqrt2 candidates.
+
+    Codes fall as x rises; code q holds -2 log2(x / s) in
+    [q - 1/2, q + 1/2), so in ascending x the bins run from code 2^b - 1
+    (which also takes zero) down to code 0, with edges s 2^(-(q + 1/2) / 2).
+    """
+    qmax = (1 << bits) - 1
+    scales = ALPHA_GRID * float(values.max())
+    codes = np.arange(qmax, -1, -1)
+    unit = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=1.0, bits=bits))
+    edges = 2.0 ** (-(codes[1:] + 0.5) / 2.0)
+    return scales, scales[:, None] * edges, scales[:, None] * unit
+
+
+def calibration_shortlist(values: np.ndarray, family: str, bits: int) -> np.ndarray:
+    """Indices into ALPHA_GRID that calibration re-scores exactly.
+
+    For finite, non-degenerate input of either family; a shortlist of one
+    is the choice itself.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if family == "uniform":
+        _, _, edges, levels = _uniform_candidates(values, bits)
+    else:
+        _, edges, levels = _log_sqrt2_candidates(values, bits)
+    return _shortlist(values, edges, levels)
 
 
 def calibrate_uniform(values: np.ndarray, bits: int) -> UniformParams:
-    """Grid-search the uniform scale/zero-point minimizing reconstruction MSE."""
-    values = np.asarray(values, dtype=np.float64).ravel()
+    """Uniform scale/zero-point minimizing reconstruction MSE over the grid.
+
+    Equal, ties included, to quantizing the values under each of the 141
+    candidates and keeping the last minimum (oracle.grid_calibrate): only
+    the candidates the prefix-sum scan cannot separate are quantized.
+    Empty input, and a range whose smallest candidate scale is zero in
+    float64 (constant input included), give degenerate unit-scale params.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    _check_finite(values)
+    values = values.ravel()
     if bits < 2:
         raise ValueError("bit width must be >= 2")
-    if values.size == 0:
-        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi == lo:
-        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
     qmax = (1 << bits) - 1
-    s_base = (hi - lo) / qmax
+    if values.size == 0 or ALPHA_GRID[0] * ((values.max() - values.min()) / qmax) == 0.0:
+        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
+    scales, zeros, edges, levels = _uniform_candidates(values, bits)
 
-    def eval_scale(x, scale):
-        z = int(np.clip(np.rint(-lo / scale), 0, qmax))
-        p = UniformParams(scale=scale, zero_point=z, bits=bits)
-        _, deq = quantize_uniform(x, p)
-        return float(np.mean((x - deq) ** 2)), z
+    def candidate(c):
+        return UniformParams(scale=float(scales[c]), zero_point=int(zeros[c]), bits=bits)
 
-    scale, z = _grid_search(values, bits, s_base, eval_scale)
-    return UniformParams(scale=scale, zero_point=z, bits=bits)
+    best = _last_minimum(
+        _shortlist(values, edges, levels), lambda c: _exact_mse(values, candidate(c))
+    )
+    return candidate(best)
 
 
 def calibrate_log_sqrt2(values: np.ndarray, bits: int) -> LogSqrt2Params:
-    values = np.asarray(values, dtype=np.float64).ravel()
+    """Log-sqrt2 scale minimizing reconstruction MSE over the grid (as uniform).
+
+    Degenerate when the smallest candidate scale (half the maximum) is zero.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    _check_finite(values)
+    values = values.ravel()
     if bits < 2:
         raise ValueError("bit width must be >= 2")
     if values.size and float(values.min()) < 0.0:
         raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
-    hi = float(values.max()) if values.size else 0.0
-    if hi <= 0.0:
+    if values.size == 0 or ALPHA_GRID[0] * values.max() == 0.0:
         return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
+    scales, edges, levels = _log_sqrt2_candidates(values, bits)
 
-    def eval_scale(x, scale):
-        p = LogSqrt2Params(scale=scale, bits=bits)
-        _, deq = quantize_log_sqrt2(x, p)
-        return float(np.mean((x - deq) ** 2)), None
+    def candidate(c):
+        return LogSqrt2Params(scale=float(scales[c]), bits=bits)
 
-    scale, _ = _grid_search(values, bits, hi, eval_scale)
-    return LogSqrt2Params(scale=scale, bits=bits)
+    best = _last_minimum(
+        _shortlist(values, edges, levels), lambda c: _exact_mse(values, candidate(c))
+    )
+    return candidate(best)
 
 
 def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> QuantScheme:
@@ -183,6 +342,7 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
             raise ValueError("per_channel calibration is uniform only")
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
+        _check_finite(x, per_row=True)
         params = tuple(calibrate_uniform(row, bits) for row in x)
     else:
         raise ValueError(f"unknown granularity {granularity!r}")

@@ -3,10 +3,11 @@
 Each suite exercises one invariant family against the oracle module:
 proxy fidelity versus Monte Carlo, refinement dominance versus exhaustive
 enumeration and every single flip, analytic gradients versus finite
-differences, and ridge optimality of both closed forms. Suites call
-through the module objects (weight_quant.proxy_gradient,
-weight_quant.LayerMomentCache and friends), the same code a run executes,
-so an injected fault in the engine is visible to them.
+differences, ridge optimality of both closed forms, and calibration
+versus the brute-force scale grid. Suites call through the module objects
+(weight_quant.proxy_gradient, weight_quant.LayerMomentCache,
+quantizers.calibrate_scale and friends), the same code a run executes, so
+an injected fault in the engine is visible to them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import act_correct, oracle, weight_quant
+from . import act_correct, oracle, quantizers, weight_quant
 from .moments import accumulate_moments
-from .quantizers import UniformParams, calibrate_scale, quantize_with_scheme
+from .quantizers import (
+    LogSqrt2Params,
+    UniformParams,
+    calibrate_scale,
+    dequantize_log_sqrt2,
+    dequantize_uniform,
+    quantize_with_scheme,
+)
 
 
 @dataclass(frozen=True)
@@ -213,10 +221,88 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     )
 
 
+CALIBRATION_KINDS = (
+    "gaussian",
+    "float32",
+    "relu",
+    "lattice",
+    "half_step",
+    "softmax",
+    "log_lattice",
+    "per_channel",
+)
+
+
+def calibration_instance(rng, kind: str, max_n: int = 4096):
+    """Seeded (values, family, bits, granularity) of one calibration kind.
+
+    Lattice kinds lie exactly on a 2^b-level lattice, which the grid can
+    reach at MSE 0; half-step values sit on the rounding edges of some
+    candidates; float32 values repeat; ReLU output is about half zeros;
+    n runs log-uniformly from 1 to max_n.
+    """
+    bits = int(rng.choice([2, 3, 4, 8]))
+    qmax = (1 << bits) - 1
+    n = int(np.exp(rng.uniform(0.0, np.log(max_n))))
+    if kind == "per_channel":
+        x = rng.normal(0.0, rng.uniform(0.01, 2.0), (int(rng.integers(1, 9)), n % 64 + 1))
+        return x, "uniform", bits, "per_channel"
+    if kind == "softmax":
+        logits = rng.normal(0.0, rng.uniform(0.5, 4.0), (max(n // 16, 1), 16))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True), "log_sqrt2", bits, "per_tensor"
+    if kind == "log_lattice":
+        scale = float(rng.uniform(0.1, 2.0))
+        codes = rng.integers(0, qmax + 1, n)
+        x = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=scale, bits=bits))
+        return x, "log_sqrt2", bits, "per_tensor"
+    if kind in ("lattice", "half_step"):
+        p = UniformParams(
+            scale=float(rng.uniform(0.01, 1.0)),
+            zero_point=int(rng.integers(0, qmax + 1)),
+            bits=bits,
+        )
+        x = dequantize_uniform(rng.integers(0, qmax + 1, n), p)
+        if kind == "half_step":
+            x = x + 0.5 * p.scale
+        return x, "uniform", bits, "per_tensor"
+    x = rng.normal(rng.normal(0.0, 1.0), rng.uniform(0.01, 3.0), n)
+    if kind == "float32":
+        x = x.astype(np.float32).astype(np.float64)
+    elif kind == "relu":
+        x = np.maximum(x, 0.0)
+    return x, "uniform", bits, "per_tensor"
+
+
+def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
+    """Shipped calibration equals the brute-force 141-point grid, ties included."""
+    rng = np.random.default_rng([seed, 5])
+    mismatches = 0
+    max_shortlist = 0
+    for i in range(instances):
+        x, family, bits, granularity = calibration_instance(
+            rng, CALIBRATION_KINDS[i % len(CALIBRATION_KINDS)]
+        )
+        got = quantizers.calibrate_scale(x, family, bits, granularity).params
+        rows = x if granularity == "per_channel" else [x]
+        want = tuple(oracle.grid_calibrate(row, family, bits) for row in rows)
+        mismatches += int(got != want)
+        for row, params in zip(rows, want):
+            if not params.degenerate:
+                size = quantizers.calibration_shortlist(row, family, bits).size
+                max_shortlist = max(max_shortlist, size)
+    return SuiteResult(
+        "calibration",
+        mismatches == 0,
+        {"instances": instances, "mismatches": mismatches, "max_shortlist": max_shortlist},
+    )
+
+
 def run_all(seed: int = 0) -> list[SuiteResult]:
     return [
         suite_proxy_fidelity(seed),
         suite_brute_force_dominance(seed),
         suite_gradient_checks(seed),
         suite_ridge_optimality(seed),
+        suite_calibration(seed),
     ]

@@ -226,12 +226,19 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         lines = [json.loads(l) for l in result.output.strip().splitlines()]
         suites = [l for l in lines if "suite" in l]
-        assert len(suites) == 4
+        assert [s["suite"] for s in suites] == [
+            "proxy_fidelity",
+            "brute_force_dominance",
+            "gradient_checks",
+            "ridge_optimality",
+            "calibration",
+        ]
         assert all(s["passed"] for s in suites)
+        assert suites[-1]["metrics"]["mismatches"] == 0
         assert lines[-1] == {"all_passed": True}
         saved = json.loads((out / "verify.json").read_text())
         assert saved["all_passed"] is True
-        assert len(saved["suites"]) == 4
+        assert len(saved["suites"]) == 5
 
     def test_seed_is_a_verify_option_only(self, runner, manifest, tmp_path):
         result = _run(runner, ["verify", "--seed", "3"])
@@ -244,6 +251,14 @@ class TestVerify:
         )
         assert rejected.exit_code == 2
         assert "No such option" in rejected.output
+
+    @pytest.mark.parametrize(
+        "flag", [["--lambda1", "5"], ["--jobs", "4"], ["--stages", "none"], ["--config", "c.json"]]
+    )
+    def test_run_flags_are_unknown_options(self, runner, flag):
+        result = runner.invoke(main, ["verify", *flag])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_fault_injection_fails_with_exit_3(self, runner, monkeypatch):
         # breaking the gradient direction must be caught by the suites

@@ -28,7 +28,7 @@ from quantred.pipeline import (
 )
 from quantred.quantizers import calibrate_scale, quantize_with_scheme
 from quantred.synth import SynthSpec, write_manifest_files
-from quantred.tensorfile import TensorFile, load_manifest, write_tensor
+from quantred.tensorfile import TensorFile, load_manifest, read_tensor, write_tensor
 
 
 def _layer(rng, d_out=6, d_in=10, n=96):
@@ -278,6 +278,37 @@ class TestManifestRun:
         assert (out / "good_codes.npy").is_file()
         assert "InsufficientSamplesError" in by_id["bad"]["error"]
         assert not (out / "bad_codes.npy").exists()
+
+    @pytest.mark.parametrize(
+        ("tensor", "bad"), [("weight", np.nan), ("calib", np.inf), ("calib", -np.inf)]
+    )
+    def test_non_finite_layer_is_a_per_layer_failure(self, tmp_path, tensor, bad):
+        entries = self._entries(tmp_path)
+        path = entries[1].weight_path if tensor == "weight" else entries[1].calib_path
+        data = read_tensor(path).data.copy()
+        data[1, 2] = bad
+        write_tensor(path, TensorFile.from_array(data))
+        out = tmp_path / "out"
+        result = run_manifest(entries, RunConfig(lambda1=1.0, lambda2=1.0), out)
+        assert result.failures == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["layers"][0]["error"] is None
+        error = report["layers"][1]["error"]
+        assert error.startswith("NonFiniteInputError: ")
+        assert ("row 1, column 2" if tensor == "weight" else "index (1, 2)") in error
+
+    def test_timings_use_the_tracer_stage_names(self, tmp_path):
+        entries = self._entries(tmp_path)
+        for stages, keys in (
+            (frozenset(ALL_STAGES), {"act_calib", "weight_calib", "aqer", "wqer", "total"}),
+            (frozenset(), {"act_calib", "weight_calib", "total"}),
+        ):
+            out = tmp_path / f"out{len(stages)}"
+            run_manifest(entries, RunConfig(stages=stages), out)
+            timings = json.loads((out / "timings.json").read_text())["layers"]
+            assert list(timings) == ["layer0", "layer1"]
+            for layer in timings.values():
+                assert set(layer) == keys
 
     def test_trace_rows_match_columns(self, tmp_path):
         entries = self._entries(tmp_path)

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantred import oracle, quantizers, verify
 from quantred.quantizers import (
     ALPHA_GRID,
+    FAMILIES,
     SQRT2,
     LogSqrt2Params,
+    NonFiniteInputError,
     QuantScheme,
     UniformParams,
     calibrate_log_sqrt2,
     calibrate_scale,
     calibrate_uniform,
+    calibration_shortlist,
     dequantize_log_sqrt2,
     dequantize_uniform,
     log_sqrt2_codes,
@@ -209,6 +213,124 @@ class TestCalibration:
     def test_bits_below_two_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             calibrate_uniform(np.arange(4.0), 1)
+
+
+def _grid(x, family, granularity, bits):
+    rows = x if granularity == "per_channel" else [x]
+    return tuple(oracle.grid_calibrate(row, family, bits) for row in rows)
+
+
+class TestCalibrationKernel:
+    """The sorted prefix-sum kernel chooses what the brute-force grid chooses."""
+
+    @pytest.mark.parametrize("kind", verify.CALIBRATION_KINDS)
+    def test_seeded_corpus_matches_grid(self, kind):
+        rng = np.random.default_rng([17, verify.CALIBRATION_KINDS.index(kind)])
+        for _ in range(25):
+            x, family, bits, granularity = verify.calibration_instance(rng, kind, 20_000)
+            got = calibrate_scale(x, family, bits, granularity).params
+            assert got == _grid(x, family, granularity, bits)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "x",
+        [[0.7], [0.0, 0.7], [0.7, 0.2], [0.0, 0.0, 0.0], [0.0, 5e-324], [1e-310, 3e-310]],
+    )
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_tiny_inputs_match_grid(self, family, x, bits):
+        got = calibrate_scale(np.array(x), family, bits, "per_tensor").params
+        assert got == _grid(np.array(x), family, "per_tensor", bits)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_scale_underflow_is_degenerate(self, family):
+        # half the range is below the smallest subnormal: every candidate
+        # scale would be zero
+        p = calibrate_scale(np.array([0.0, 5e-324]), family, 4, "per_tensor").params[0]
+        assert p.degenerate
+        assert p.scale == 1.0
+
+    def test_values_exactly_on_rounding_edges(self):
+        # at 4 bits 1.0 is a half step of alpha = 1.2 (s = 0.08) and 0.3 of
+        # alpha = 0.6 (s = 0.04): those candidates cannot place the value
+        # by its sorted position, which must not widen the shortlist
+        x = np.array([0.0, 0.3, 1.0])
+        assert calibrate_uniform(x, 4) == oracle.grid_calibrate(x, "uniform", 4)
+        assert calibration_shortlist(x, "uniform", 4).size == 1
+
+    def test_zero_mse_ties_go_to_the_larger_scale(self):
+        # 0 and 1 lie on the 8-bit lattices of alpha = 1.00 (s = 1/255)
+        # and alpha = 1.02 (s = 1/250), both exactly in float64
+        x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        p = calibrate_uniform(x, 8)
+        assert p.scale == float(ALPHA_GRID[104] * (1.0 / 255))
+        _, deq = quantize_uniform(x, p)
+        np.testing.assert_array_equal(deq, x)
+        assert {100, 104} <= set(calibration_shortlist(x, "uniform", 8).tolist())
+        assert p == oracle.grid_calibrate(x, "uniform", 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-1e150, 1e150, allow_subnormal=True), min_size=2, max_size=40
+        ),
+        bits=st.sampled_from([2, 3, 4, 8]),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_shortlist_nonempty_and_choice_matches_grid(self, values, bits, family):
+        x = np.array(values)
+        if family == "log_sqrt2":
+            x = np.abs(x)
+        got = calibrate_scale(x, family, bits, "per_tensor").params
+        assert got == _grid(x, family, "per_tensor", bits)
+        if not got[0].degenerate:
+            assert calibration_shortlist(x, family, bits).size >= 1
+
+    def test_overflowing_scan_rescores_every_candidate(self):
+        x = np.array([-3e160, 1e160, 2e160])
+        assert calibration_shortlist(x, "uniform", 4).size == ALPHA_GRID.size
+        with np.errstate(over="ignore"):
+            assert calibrate_uniform(x, 4) == oracle.grid_calibrate(x, "uniform", 4)
+
+    def test_verify_suite_catches_a_kernel_fault(self, monkeypatch):
+        # reversed fast scores make a wrong candidate the lone shortlist entry,
+        # so nothing is re-scored and the shipped calibration drifts from the grid
+        real = quantizers._candidate_sse
+
+        def reversed_scores(*args):
+            sse, unplaced = real(*args)
+            return sse[::-1], unplaced[::-1]
+
+        monkeypatch.setattr(quantizers, "_candidate_sse", reversed_scores)
+        result = verify.suite_calibration(seed=0, instances=16)
+        assert not result.passed
+        assert result.metrics["mismatches"] > 0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_per_tensor_names_first_bad_index(self, bad, family):
+        x = np.abs(np.random.default_rng(0).normal(size=(4, 5)))
+        x[2, 3] = bad
+        x[3, 0] = bad
+        with pytest.raises(NonFiniteInputError, match=r"at index \(2, 3\)") as info:
+            calibrate_scale(x, family, 4, "per_tensor")
+        assert info.value.index == (2, 3)
+        assert info.value.row is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_per_channel_names_row_and_column(self, bad):
+        w = np.random.default_rng(1).normal(size=(3, 6))
+        w[1, 4] = bad
+        with pytest.raises(NonFiniteInputError, match="at row 1, column 4") as info:
+            calibrate_scale(w, "uniform", 4, "per_channel")
+        assert info.value.row == 1
+        assert info.value.index == (1, 4)
+
+    @pytest.mark.parametrize("calibrate", [calibrate_uniform, calibrate_log_sqrt2])
+    def test_is_a_value_error_from_either_calibrator(self, calibrate):
+        with pytest.raises(ValueError, match="non-finite calibration value nan at index \\(1,\\)"):
+            calibrate(np.array([0.5, np.nan, 0.2]), 4)
 
 
 class TestSchemes:
