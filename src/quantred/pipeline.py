@@ -31,6 +31,7 @@ from .moments import InsufficientSamplesError
 from .oracle import layer_mse
 from .quantizers import (
     LogSqrt2Params,
+    NonFiniteInputError,
     QuantScheme,
     UniformParams,
     calibrate_scale,
@@ -52,6 +53,8 @@ TRACE_COLUMNS = (
     "proxy_before",
     "proxy_after",
     "mse",
+    "stop_reason",
+    "flips_committed",
 )
 
 ABLATION_GRID = (
@@ -340,6 +343,8 @@ def trace_rows(result: LayerResult) -> list[dict]:
                     "proxy_before": row.proxy_before,
                     "proxy_after": row.proxy_after,
                     "mse": row.mse,
+                    "stop_reason": row.stop_reason,
+                    "flips_committed": row.flips_committed,
                 }
             )
     return rows
@@ -356,11 +361,13 @@ class ManifestRunResult:
     failures: int
 
 
+# Programming errors (a bare ValueError, TypeError, ...) propagate; config
+# and manifest problems are rejected as ConfigError/ManifestError up front.
 NUMERICAL_ERRORS = (
     SingularSystemError,
     InsufficientSamplesError,
     FloatingPointError,
-    ValueError,
+    NonFiniteInputError,
 )
 
 

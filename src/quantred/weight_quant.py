@@ -20,6 +20,13 @@ Moment blocks and ridge factorizations depend only on the column split,
 so they are computed once per layer by `LayerMomentCache` and shared
 read-only across channels; `LayerMomentCache.remainder_update` is the one
 implementation of step 3, also exercised by `quantred verify`.
+
+Refinement updates its state as it commits flips, O(k) for the flipped
+steps and sides plus one rank-k gradient update, instead of rebuilding it
+from the candidates every iteration. The trace MSE of a channel, one value
+per split, comes from one matrix product of all the split error vectors
+with E[x x^T] after the split loop, so that matrix is read once per
+channel rather than once per split.
 """
 
 from __future__ import annotations
@@ -53,7 +60,13 @@ class WeightQuantConfig:
 
 @dataclass(frozen=True)
 class RoundingState:
-    """Rounding candidates and the current choice for one channel slice."""
+    """Rounding candidates and the current choice for one channel slice.
+
+    `stop_reason` and `flips_committed` describe the refinement that
+    produced the choice: "off" and 0 until `refine_rounding` has run, then
+    why it stopped ("no_eligible", "uphill" or "max_iter") and how many
+    coordinates its committed steps flipped.
+    """
 
     delta_down: np.ndarray
     delta_up: np.ndarray
@@ -63,6 +76,8 @@ class RoundingState:
     code_down: np.ndarray
     code_up: np.ndarray
     proxy_matrix: np.ndarray
+    stop_reason: str = "off"
+    flips_committed: int = 0
 
     @property
     def codes(self) -> np.ndarray:
@@ -76,6 +91,8 @@ class ChannelTraceRow:
     proxy_before: float
     proxy_after: float
     mse: float
+    stop_reason: str
+    flips_committed: int
 
 
 @dataclass(frozen=True)
@@ -126,17 +143,27 @@ def select_flip_set(
     opposite rounding exists) are excluded via `flippable`. Ties resolve
     toward the lowest index; fewer than k candidates returns them all.
     """
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
     grad = np.asarray(grad, dtype=np.float64)
     eligible = grad * np.asarray(delta, dtype=np.float64) >= 0.0
     if flippable is not None:
-        eligible = eligible & flippable
-    idx = np.flatnonzero(eligible)
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(-np.abs(grad[idx]), kind="stable")
-    return np.sort(idx[order[:k]])
+        eligible &= flippable
+    return _largest(np.where(eligible, np.abs(grad), -1.0), k)
+
+
+def _largest(score: np.ndarray, k: int) -> np.ndarray:
+    """Sorted indices of the k largest nonnegative entries of score (consumed).
+
+    k masked argmax picks, O(k D): argmax returns the first maximum, so ties
+    go to the lowest index; negative entries are never picked.
+    """
+    picks = []
+    for _ in range(min(k, score.size)):
+        j = int(score.argmax())
+        if score[j] < 0.0:
+            break
+        picks.append(j)
+        score[j] = -1.0
+    return np.array(sorted(picks), dtype=np.int64)
 
 
 def init_rounding(
@@ -168,10 +195,15 @@ def refine_rounding(
 ) -> tuple[RoundingState, list[float]]:
     """Greedy flip refinement; returns the state and committed proxy values.
 
+    committed[0] is the proxy of the starting rounding and each later entry
+    the proxy after one committed step. The returned state records why the
+    loop stopped: "no_eligible" (no flip lowers the proxy on its own),
+    "uphill" (the chosen flips together would raise it) or "max_iter".
+
     Flipping coordinate j moves it by t_j (the step to its other candidate)
     and changes the proxy by exactly t_j g_j + t_j^2 M_jj, with g = 2 M delta.
     Only flips whose exact change is negative are eligible; among them the
-    k largest |g_j| that agree in sign with delta are chosen. Their joint
+    k largest |g_j| are chosen, as `select_flip_set` would. Their joint
     change, exact from the k x k block of M, is committed unless it is
     positive, in which case refinement stops. The committed sequence is
     therefore non-increasing, the final delta never scores worse than
@@ -179,31 +211,53 @@ def refine_rounding(
     when no single flip lowers the proxy. Global optimality over all 2^D
     roundings is not promised.
 
-    The gradient and proxy are updated incrementally, O(D k) per iteration.
+    Each iteration costs O(D k): the gradient and proxy are updated
+    incrementally, and a committed flip negates the step t_j at the flipped
+    coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
+    delta is read off the final sides. This needs M to be a proxy matrix:
+    symmetric, so the gradient update can read the flipped rows of M as its
+    columns, with a nonnegative diagonal. A candidate pair brackets the
+    weight (delta_down <= 0 <= delta_up), so a negative change
+    t_j g_j + t_j^2 M_jj needs g_j of the sign of delta_j (or delta_j = 0):
+    every eligible flip is sign-consistent. A coordinate without a second
+    candidate has t_j = 0 and is never eligible.
     """
     matrix = state.proxy_matrix
-    diag = np.diagonal(matrix)
-    delta = state.delta.copy()
     up_mask = state.up_mask.copy()
-    grad = proxy_gradient(delta, matrix)
-    committed = [proxy_value(delta, matrix)]
+    step = np.where(up_mask, state.delta_down, state.delta_up) - state.delta
+    curvature = step * step * np.diagonal(matrix)
+    half_grad = matrix @ state.delta
+    committed = [float(state.delta @ half_grad)]
+    grad = 2.0 * half_grad
+    stop_reason = "max_iter"
+    flips_committed = 0
     for _ in range(max_iter):
-        other = np.where(up_mask, state.delta_down, state.delta_up)
-        step = other - delta
-        downhill = step * grad + step * step * diag < 0.0
-        flips = select_flip_set(delta, grad, k, state.flippable & downhill)
+        downhill = step * grad + curvature < 0.0
+        flips = _largest(np.where(downhill, np.abs(grad), -1.0), k)
         if flips.size == 0:
+            stop_reason = "no_eligible"
             break
         t = step[flips]
-        m_cols = matrix[:, flips]
-        change = float(t @ grad[flips] + t @ (m_cols[flips] @ t))
+        m_rows = matrix[flips]
+        # np.take keeps the k x k block C-ordered: BLAS may round the product
+        # of an F-ordered block differently, moving the values traces record
+        change = float(t @ grad[flips] + t @ (np.take(m_rows, flips, axis=1) @ t))
         if change > 0.0:
+            stop_reason = "uphill"
             break
-        delta[flips] = other[flips]
+        step[flips] = -t
         up_mask[flips] = ~up_mask[flips]
-        grad += 2.0 * (m_cols @ t)
+        grad += 2.0 * np.dot(t, m_rows)
         committed.append(committed[-1] + change)
-    return replace(state, delta=delta, up_mask=up_mask), committed
+        flips_committed += flips.size
+    refined = replace(
+        state,
+        delta=np.where(up_mask, state.delta_up, state.delta_down),
+        up_mask=up_mask,
+        stop_reason=stop_reason,
+        flips_committed=flips_committed,
+    )
+    return refined, committed
 
 
 class LayerMomentCache:
@@ -254,46 +308,50 @@ def quantize_channel(
     """Run the progressive loop for one output channel on the fixed lattice `params`.
 
     The trace records, per iteration, the slice size, the proxy before and
-    after refinement, and the empirical squared output error of the
-    partially quantized row.
+    after refinement, why refinement stopped and how many coordinates it
+    flipped, and the empirical squared output error of the partially
+    quantized row. Those errors are evaluated together after the loop, from
+    one product of the per-split error vectors with E[x x^T].
     """
     w_row = np.asarray(w_row, dtype=np.float64)
     dim = w_row.size
     if dim != cache.dim:
         raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
-    raw2 = cache.moments.raw2
     original = w_row.copy()
     current = w_row.copy()
     codes = np.zeros(dim, dtype=np.int64)
     w_bar = np.zeros(dim, dtype=np.float64)
     err = np.zeros(dim, dtype=np.float64)
-    trace = []
+    errs = np.empty((len(cache.splits), dim), dtype=np.float64)
+    rows = []
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
-        proxy_before = proxy_value(state.delta, state.proxy_matrix)
         if cfg.rounding and cfg.k > 0:
             state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
-            proxy_after = committed[-1]
+            proxy_before, proxy_after = committed[0], committed[-1]
         else:
-            proxy_after = proxy_before
+            proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
         codes[lo:mid] = state.codes
         w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
         err[lo:mid] = w_bar[lo:mid] - original[lo:mid]
         if cfg.ridge and mid < hi:
             current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
         err[mid:hi] = current[mid:hi] - original[mid:hi]
-        mse = float(err @ (raw2 @ err))
-        trace.append(
-            ChannelTraceRow(
+        errs[iteration] = err
+        rows.append(
+            dict(
                 iteration=iteration,
                 slice_size=mid - lo,
                 proxy_before=proxy_before,
                 proxy_after=proxy_after,
-                mse=mse,
+                stop_reason=state.stop_reason,
+                flips_committed=state.flips_committed,
             )
         )
-    return ChannelResult(codes, w_bar, tuple(trace))
+    mses = np.einsum("ij,ij->i", errs @ cache.moments.raw2, errs)
+    trace = tuple(ChannelTraceRow(mse=float(m), **row) for row, m in zip(rows, mses))
+    return ChannelResult(codes, w_bar, trace)
 
 
 def quantize_layer_weights(

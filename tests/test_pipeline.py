@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from quantred import pipeline
 from quantred.pipeline import (
     ABLATION_COLUMNS,
     ABLATION_GRID,
@@ -297,6 +298,18 @@ class TestManifestRun:
         assert error.startswith("NonFiniteInputError: ")
         assert ("row 1, column 2" if tensor == "weight" else "index (1, 2)") in error
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only numerical failures are filed per layer; a bare ValueError is
+        # a bug and must surface instead of becoming a layer failure
+        entries = self._entries(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(pipeline, "quantize_layer", broken)
+        with pytest.raises(ValueError, match="broken invariant"):
+            run_manifest(entries, RunConfig(lambda1=1.0, lambda2=1.0), tmp_path / "out")
+
     def test_timings_use_the_tracer_stage_names(self, tmp_path):
         entries = self._entries(tmp_path)
         for stages, keys in (
@@ -321,6 +334,20 @@ class TestManifestRun:
         for row in rows:
             assert tuple(row) == TRACE_COLUMNS
             assert row["layer_id"] == layer_id
+
+    def test_trace_rows_say_why_refinement_stopped(self, tmp_path):
+        entries = self._entries(tmp_path)
+        cfg = RunConfig(lambda1=1.0, lambda2=1.0, k=2)
+        layers = load_layers(entries, cfg)
+        refined = []
+        for layer_id, w, a_fp, fam, bw, ba in layers:
+            refined += trace_rows(quantize_layer(w, a_fp, fam, bw, ba, cfg))
+        assert {r["stop_reason"] for r in refined} <= {"no_eligible", "uphill", "max_iter"}
+        assert sum(r["flips_committed"] for r in refined) > 0
+        for off_cfg in (cfg.replace(stages=frozenset({STAGE_RIDGE})), cfg.replace(k=0)):
+            rows = trace_rows(quantize_layer(w, a_fp, fam, bw, ba, off_cfg))
+            assert rows
+            assert {(r["stop_reason"], r["flips_committed"]) for r in rows} == {("off", 0)}
 
 
 class TestAblation:

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from quantred.moments import accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
-from quantred.quantizers import UniformParams, calibrate_uniform, quantize_uniform
+from quantred.quantizers import (
+    UniformParams,
+    calibrate_uniform,
+    dequantize_uniform,
+    quantize_uniform,
+)
 from quantred.verify import suite_ridge_optimality
 from quantred.weight_quant import (
     LayerMomentCache,
@@ -26,6 +31,78 @@ from quantred.weight_quant import (
 def _psd(rng, dim):
     a = rng.normal(0, 1, (dim, dim))
     return a @ a.T / dim + 0.05 * np.eye(dim)
+
+
+def _reference_select(delta, grad, k, flippable):
+    # reference selection: eligible indices, stable sort by -|g|, then sort
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    idx = np.flatnonzero((grad * delta >= 0.0) & flippable)
+    if idx.size == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-np.abs(grad[idx]), kind="stable")
+    return np.sort(idx[order[:k]])
+
+
+def _reference_refine(state, k, max_iter):
+    # reference refinement loop: rebuilds the candidate arrays from the
+    # current sides every iteration and applies the sign check and the
+    # flippable mask explicitly; returns (delta, up_mask, committed)
+    matrix = state.proxy_matrix
+    diag = np.diagonal(matrix)
+    delta = state.delta.copy()
+    up_mask = state.up_mask.copy()
+    grad = proxy_gradient(delta, matrix)
+    committed = [proxy_value(delta, matrix)]
+    for _ in range(max_iter):
+        other = np.where(up_mask, state.delta_down, state.delta_up)
+        step = other - delta
+        downhill = step * grad + step * step * diag < 0.0
+        flips = _reference_select(delta, grad, k, state.flippable & downhill)
+        if flips.size == 0:
+            break
+        t = step[flips]
+        m_cols = matrix[:, flips]
+        change = float(t @ grad[flips] + t @ (m_cols[flips] @ t))
+        if change > 0.0:
+            break
+        delta[flips] = other[flips]
+        up_mask[flips] = ~up_mask[flips]
+        grad += 2.0 * (m_cols @ t)
+        committed.append(committed[-1] + change)
+    return delta, up_mask, committed
+
+
+def _proxy_matrix(rng, dim):
+    # mean-dominated like a layer's proxy (many flips); exactly symmetric
+    mu = 1.0 + 0.3 * rng.normal(0, 1, dim)
+    m = np.outer(mu, mu) + _psd(rng, dim)
+    return 0.5 * (m + m.T)
+
+
+def _reference_instances():
+    """Seeded refinement instances: slices of 1-64 columns, k in 1-3.
+
+    Weights cover the whole lattice and beyond it (clip-saturated, not
+    flippable) and include values one ulp off a lattice point. The last
+    instance is an exact tie: equal weights under a permutation-symmetric
+    matrix give every coordinate the same |gradient|.
+    """
+    rng = np.random.default_rng(2024)
+    for dim in range(1, 65):
+        for k in (1, 2, 3):
+            scale = float(rng.uniform(0.05, 0.3))
+            params = UniformParams(scale=scale, zero_point=7, bits=4)
+            w = scale * (rng.uniform(-3.0, 18.0, dim) - 7)
+            on_lattice = rng.random(dim) < 0.15
+            levels = scale * (rng.integers(0, 16, dim) - 7).astype(np.float64)
+            nudged = np.nextafter(levels, np.where(rng.random(dim) < 0.5, -1.0, 1.0))
+            w = np.where(on_lattice, nudged, w)
+            yield k, init_rounding(w, params, _proxy_matrix(rng, dim))
+    params = UniformParams(scale=1.0, zero_point=0, bits=4)
+    matrix = 0.9 * np.ones((6, 6)) + 0.1 * np.eye(6)
+    for k in (1, 2, 3):
+        yield k, init_rounding(np.full(6, 0.6), params, matrix)
 
 
 class TestProxy:
@@ -69,6 +146,19 @@ class TestProxy:
 
 
 class TestFlipSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(0, 12), k=st.integers(-1, 14), seed=st.integers(0, 10_000))
+    def test_matches_sorted_selection_for_every_k(self, dim, k, seed):
+        # small integers make exact ties and zero products common
+        rng = np.random.default_rng(seed)
+        delta = rng.integers(-2, 3, dim).astype(np.float64)
+        grad = rng.integers(-3, 4, dim).astype(np.float64)
+        flippable = rng.random(dim) < 0.8
+        np.testing.assert_array_equal(
+            select_flip_set(delta, grad, k, flippable),
+            _reference_select(delta, grad, k, flippable),
+        )
+
     def test_hand_case_top1(self):
         flips = select_flip_set(np.array([1.0, 1.0, 1.0]), np.array([3.0, -2.0, 1.0]), 1)
         np.testing.assert_array_equal(flips, [0])
@@ -188,6 +278,65 @@ class TestRefinement:
         unchanged, _ = refine_rounding(state, 1, 0)
         np.testing.assert_array_equal(unchanged.codes, quantize_uniform(w, params)[0])
 
+    def test_matches_reference_loop_bit_for_bit(self):
+        # the incremental loop must choose and commit exactly what the loop
+        # that rebuilds its arrays every iteration does
+        count = 0
+        for k, state in _reference_instances():
+            refined, committed = refine_rounding(state, k, 100)
+            delta, up_mask, ref_committed = _reference_refine(state, k, 100)
+            np.testing.assert_array_equal(refined.delta.view(np.int64), delta.view(np.int64))
+            np.testing.assert_array_equal(refined.up_mask, up_mask)
+            assert committed == ref_committed
+            assert refined.flips_committed >= len(committed) - 1
+            count += 1
+        assert count == 64 * 3 + 3
+
+    def test_reference_grid_exercises_saturation_and_ties(self):
+        instances = list(_reference_instances())
+        assert any(not s.flippable.all() for _, s in instances)
+        *_, (_, tie) = instances
+        refined, committed = refine_rounding(tie, 3, 100)
+        # all six start up with one shared |gradient|; the lowest indices flip
+        np.testing.assert_array_equal(refined.up_mask, [False] * 3 + [True] * 3)
+        assert len(committed) == 2
+
+    def test_proxy_before_is_the_proxy_of_nearest_rounding(self):
+        for k, state in _reference_instances():
+            _, committed = refine_rounding(state, k, 100)
+            assert committed[0] == proxy_value(state.delta, state.proxy_matrix)
+
+    def test_max_iter_cap_is_reported(self):
+        _, _, state = self._many_flip_instance(np.random.default_rng(11))
+        capped, committed = refine_rounding(state, 1, 2)
+        assert capped.stop_reason == "max_iter"
+        assert capped.flips_committed == len(committed) - 1 == 2
+
+    def test_natural_stop_at_k1_reports_no_eligible(self):
+        _, _, state = self._many_flip_instance(np.random.default_rng(11))
+        refined, committed = refine_rounding(state, 1, 1000)
+        assert refined.stop_reason == "no_eligible"
+        assert refined.flips_committed == len(committed) - 1 > 5
+        # flips_committed counts flipped coordinates, not steps
+        refined, committed = refine_rounding(state, 3, 1000)
+        assert refined.flips_committed > len(committed) - 1
+
+    def test_joint_uphill_step_is_reported(self):
+        # nearest rounds both up (proxy 0.624); either flip alone lowers the
+        # proxy to 0.064, but k = 2 tries both together, which raises it to 1.404
+        params = UniformParams(scale=1.0, zero_point=0, bits=4)
+        matrix = np.array([[1.0, 0.95], [0.95, 1.0]])
+        state = init_rounding(np.array([0.6, 0.6]), params, matrix)
+        refined, committed = refine_rounding(state, 2, 100)
+        assert refined.stop_reason == "uphill"
+        assert refined.flips_committed == 0 and len(committed) == 1
+        assert refine_rounding(state, 1, 100)[0].stop_reason == "no_eligible"
+
+    def test_unrefined_state_reports_off(self):
+        params = UniformParams(scale=1.0, zero_point=0, bits=4)
+        state = init_rounding(np.array([0.6, 0.2]), params, np.eye(2))
+        assert (state.stop_reason, state.flips_committed) == ("off", 0)
+
     def test_zero_iterations_returns_start(self):
         rng = np.random.default_rng(2)
         params = UniformParams(scale=0.2, zero_point=4, bits=4)
@@ -306,6 +455,29 @@ class TestRemainderCorrection:
                 assert objective(dr + rng.normal(0, 0.01, hi - mid)) >= base - 1e-12
 
 
+def _reference_channel(w_row, params, cache, cfg):
+    # reference channel loop: the trace MSE of each split from its own
+    # matrix-vector product with E[x x^T]
+    raw2 = cache.moments.raw2
+    current = w_row.copy()
+    codes = np.zeros(w_row.size, dtype=np.int64)
+    err = np.zeros(w_row.size)
+    rows = []
+    for lo, mid, hi in cache.splits:
+        state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
+        proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
+        if cfg.rounding and cfg.k > 0:
+            state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+            proxy_after = committed[-1]
+        codes[lo:mid] = state.codes
+        err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
+        if cfg.ridge and mid < hi:
+            current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
+        err[mid:hi] = current[mid:hi] - w_row[mid:hi]
+        rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
+    return codes, rows
+
+
 class TestChannelQuantization:
     @staticmethod
     def _setup(rng, d_out, d_in, n=64):
@@ -313,6 +485,28 @@ class TestChannelQuantization:
         a_q = rng.normal(0.1, 1.0, (n, d_in))
         params = tuple(calibrate_uniform(w[i], 4) for i in range(d_out))
         return w, params, a_q
+
+    @pytest.mark.parametrize("d_in", [1, 2, 7, 33])
+    @pytest.mark.parametrize("rounding", [True, False])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_trace_matches_per_split_reference(self, d_in, rounding, ridge, k):
+        rng = np.random.default_rng(100 + d_in)
+        w, params, a_q = self._setup(rng, 3, d_in, n=48)
+        cfg = WeightQuantConfig(lambda2=0.5, k=k, rounding=rounding, ridge=ridge)
+        cache = LayerMomentCache(a_q, cfg.lambda2)
+        for i in range(3):
+            result = quantize_channel(w[i], params[i], cache, cfg)
+            codes, rows = _reference_channel(w[i], params[i], cache, cfg)
+            np.testing.assert_array_equal(result.codes, codes)
+            assert len(result.trace) == len(rows)
+            for row, (before, after, mse) in zip(result.trace, rows):
+                assert (row.proxy_before, row.proxy_after) == (before, after)
+                assert abs(row.mse - mse) <= 1e-12 * abs(mse)
+                if rounding and k > 0:
+                    assert row.stop_reason in ("no_eligible", "uphill", "max_iter")
+                else:
+                    assert (row.stop_reason, row.flips_committed) == ("off", 0)
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
