@@ -12,6 +12,16 @@ over the weight update dW is
 with both expectations taken as 1/N sums over the calibration batch. The
 updated weights W + dW* then feed weight quantization, whose channel
 scales are calibrated after this step.
+
+When the batch has fewer samples than inputs (N < D_in), the D_in x D_in
+system has rank at most N plus the ridge, and the same update comes from
+an N x N system through the push-through identity
+(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}:
+
+    dW* = -(W dA^T / N) (A A^T / N + lambda1 I)^{-1} A
+
+with A the quantized batch and dA = A - A_fp, so no D_in x D_in matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_rows, spd_factor
+from .linalg import require_regularized, solve_rows, spd_factor
 from .moments import InsufficientSamplesError, error_cross_moment
 
 
@@ -36,8 +46,10 @@ def solve_activation_correction(
     """Solve for the optimal weight update given a paired calibration batch.
 
     The system matrix is factored once and shared across all output
-    channels (one right-hand side per row of W). Raises
-    SingularSystemError when lambda1 = 0 leaves the system rank deficient.
+    channels (one right-hand side per row of W): D_in x D_in in the input
+    space, or N x N in the sample space when N < D_in. Raises
+    SingularSystemError when lambda1 = 0 leaves the D_in x D_in system rank
+    deficient, which N < D_in always does.
     """
     w = np.asarray(w, dtype=np.float64)
     a_fp = np.asarray(a_fp, dtype=np.float64)
@@ -54,11 +66,16 @@ def solve_activation_correction(
     if lambda1 < 0:
         raise ValueError("lambda1 must be >= 0")
 
-    cross = error_cross_moment(a_fp, a_q)
-    second = a_q.T @ a_q / n
-    system = second + lambda1 * np.eye(w.shape[1])
-    factor = spd_factor(system)
-    delta_w = -solve_rows(factor, w @ cross)
+    if n < w.shape[1]:
+        require_regularized(n, w.shape[1], lambda1)
+        factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
+        delta_w = -solve_rows(factor, w @ (a_q - a_fp).T / n) @ a_q
+    else:
+        cross = error_cross_moment(a_fp, a_q)
+        second = a_q.T @ a_q / n
+        system = second + lambda1 * np.eye(w.shape[1])
+        factor = spd_factor(system)
+        delta_w = -solve_rows(factor, w @ cross)
     return ActivationCorrection(delta_w=delta_w, updated_w=w + delta_w)
 
 

@@ -2,10 +2,15 @@
 
 Keeps both normalizations in play: `sigma` is the unbiased covariance
 (1/(N-1) centered sum) used by the rounding proxy, while `raw2` is the
-uncentered 1/N second moment E[x x^T]. Split-specific blocks are sliced
-from the finished matrices by `weight_quant.LayerMomentCache`, never
-re-summed from data. The identity raw2 == sigma * (N-1)/N + mu mu^T holds by
-construction.
+uncentered 1/N second moment E[x x^T]. The identity
+raw2 == sigma * (N-1)/N + mu mu^T holds by construction, and both matrices
+are exactly symmetric: every co-moment comes from a centred X^T X product
+(symmetric rank-k update) or a sum of outer products of a vector with
+itself. `weight_quant.LayerMomentCache` slices its split-specific blocks
+from these matrices when the batch has at least as many samples N as
+columns D. For a thinner batch it accumulates nothing here: D x D moments
+of rank at most N would cost more than the batch itself, so it forms each
+block from the batch slices instead.
 """
 
 from __future__ import annotations
@@ -84,10 +89,8 @@ class MomentAccumulator:
             )
         n = self._n
         mu = self._mean.copy()
-        m2 = 0.5 * (self._m2 + self._m2.T)
-        sigma = m2 / (n - 1)
-        raw2 = m2 / n + np.outer(mu, mu)
-        raw2 = 0.5 * (raw2 + raw2.T)
+        sigma = self._m2 / (n - 1)
+        raw2 = self._m2 / n + np.outer(mu, mu)
         for a in (mu, sigma, raw2):
             a.setflags(write=False)
         return MomentSet(mu=mu, sigma=sigma, raw2=raw2, n=n)

@@ -153,8 +153,15 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
 
     max_corr_err = 0.0
     improved = True
-    for _ in range(5):
-        d_out, d_in, n = 4, int(rng.integers(6, 24)), 96
+    thin = 0
+    for i in range(6):
+        if i % 2 == 0:
+            d_out, d_in, n = 4, int(rng.integers(6, 24)), 96
+        else:
+            # fewer samples than inputs: the N x N sample-space solve
+            d_out, d_in = 4, int(rng.integers(24, 48))
+            n = int(rng.integers(2, d_in))
+            thin += 1
         w = rng.normal(0.0, 0.5, (d_out, d_in))
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
         scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
@@ -184,6 +191,7 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
             "proxy_gradient_max_rel": max_proxy_err,
             "correction_fd_max_rel": max_corr_err,
             "correction_improves": improved,
+            "correction_thin_batches": thin,
         },
     )
 
@@ -192,17 +200,33 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     """FD gradient of the remainder objective vanishes at the cache's update.
 
     Each draw builds the production moment cache on a fresh batch and
-    checks `remainder_update` on one of its halving splits.
+    checks `remainder_update` on one of its halving splits. Draws cycle
+    through the cache's three forms of the remainder system: sliced from
+    the D x D moments (N >= D), the N x N sample-space system of a remainder
+    wider than a thin batch (N < D_r), and the D_r x D_r system from the
+    slices of a thin batch (D_r <= N < D).
     """
     rng = np.random.default_rng([seed, 4])
     max_err = 0.0
-    for _ in range(splits):
-        dim = int(rng.integers(4, 24))
-        n = 128
+    sample_space = 0
+    for i in range(splits):
+        if i % 3 == 0:
+            dim, n = int(rng.integers(4, 24)), 128
+            nonfinal = weight_quant.halving_splits(dim)[:-1]
+            lo, mid, hi = nonfinal[int(rng.integers(0, len(nonfinal)))]
+        elif i % 3 == 1:
+            dim = int(rng.integers(24, 64))
+            lo, mid, hi = weight_quant.halving_splits(dim)[0]
+            n = int(rng.integers(2, hi - mid))
+            sample_space += 1
+        else:
+            dim = int(rng.integers(24, 64))
+            nonfinal = weight_quant.halving_splits(dim)[:-1]
+            lo, mid, hi = nonfinal[int(rng.integers(0, len(nonfinal)))]
+            n = int(rng.integers(hi - mid, dim))
         _, _, batch = _gaussian_batch(rng, dim, n)
         lam = 0.5
         cache = weight_quant.LayerMomentCache(batch, lam)
-        lo, mid, hi = cache.splits[int(rng.integers(0, len(cache.splits) - 1))]
         delta_s = rng.normal(0.0, 0.2, mid - lo)
         delta_r = cache.remainder_update(lo, mid, delta_s)
         xs = batch[:, lo:mid]
@@ -217,7 +241,9 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
         max_err = max(max_err, err)
     passed = max_err < 1e-6
     return SuiteResult(
-        "ridge_optimality", passed, {"fd_max_rel": max_err, "splits": splits}
+        "ridge_optimality",
+        passed,
+        {"fd_max_rel": max_err, "splits": splits, "sample_space_splits": sample_space},
     )
 
 

@@ -19,13 +19,18 @@ just committed:
 Moment blocks and ridge factorizations depend only on the column split,
 so they are computed once per layer by `LayerMomentCache` and shared
 read-only across channels; `LayerMomentCache.remainder_update` is the one
-implementation of step 3, also exercised by `quantred verify`.
+implementation of step 3, also exercised by `quantred verify`. When the
+batch has fewer samples N than columns, the cache forms no D_in x D_in
+matrix: blocks come from batch slices, and a remainder wider than N is
+solved in sample space, dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1}
+X_r with X the N x D_in batch, an N x N system (push-through identity).
 
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
 from the candidates every iteration. The trace MSE of a channel, one value
 per split, comes from one matrix product of all the split error vectors
-with E[x x^T] after the split loop, so that matrix is read once per
+after the split loop (`LayerMomentCache.trace_mses`): with E[x x^T], or
+with the batch itself when N < D_in, so that matrix is read once per
 channel rather than once per split.
 """
 
@@ -36,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import solve_spd, spd_factor
+from .linalg import require_regularized, solve_spd, spd_factor
 from .moments import MomentSet, accumulate_moments
 from .quantizers import UniformParams, dequantize_uniform, uniform_codes
 
@@ -265,25 +270,46 @@ class LayerMomentCache:
 
     Built once from the quantized calibration activations; all entries are
     read-only afterwards and shared across the channel workers.
+
+    A batch with at least as many samples as columns (N >= D) is reduced to
+    its D x D moments once, and every block is sliced from them. A thinner
+    batch keeps the samples instead (`moments` is None): each proxy block
+    mu_s mu_s^T + C_s^T C_s / (N - 1) comes from the centred slice C_s, and
+    each remainder system is factored in the smaller of its two spaces, so
+    no D x D matrix is formed.
     """
 
     def __init__(self, a_q: np.ndarray, lambda2: float):
         a_q = np.asarray(a_q, dtype=np.float64)
-        self.moments: MomentSet = accumulate_moments(a_q)
-        self.dim = a_q.shape[1]
+        self.n_samples, self.dim = a_q.shape
         self.splits = halving_splits(self.dim)
         self._proxy: dict[tuple[int, int], np.ndarray] = {}
-        self._remainder: dict[tuple[int, int], tuple[np.ndarray, object]] = {}
-        ms = self.moments
-        for lo, mid, hi in self.splits:
-            mu_s = ms.mu[lo:mid]
-            self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + ms.sigma[lo:mid, lo:mid]
-            if mid < hi:
-                e_sr = ms.raw2[lo:mid, mid:hi]
-                factor = spd_factor(
-                    ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
+        self._remainder: dict[tuple[int, int], tuple] = {}
+        self.moments: MomentSet | None = None
+        if self.n_samples >= self.dim:
+            ms = self.moments = accumulate_moments(a_q)
+            for lo, mid, hi in self.splits:
+                mu_s = ms.mu[lo:mid]
+                self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + ms.sigma[lo:mid, lo:mid]
+                if mid < hi:
+                    factor = spd_factor(
+                        ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
+                    )
+                    self._remainder[(lo, mid)] = (ms.raw2[lo:mid, mid:hi].T, factor, None)
+        else:
+            self._batch = a_q
+            mu = a_q.mean(axis=0)
+            centred = a_q - mu
+            for lo, mid, hi in self.splits:
+                mu_s = mu[lo:mid]
+                c_s = centred[:, lo:mid]
+                self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + c_s.T @ c_s / (
+                    self.n_samples - 1
                 )
-                self._remainder[(lo, mid)] = (e_sr, factor)
+                if mid < hi:
+                    self._remainder[(lo, mid)] = _batch_remainder(
+                        a_q[:, lo:mid], a_q[:, mid:hi], lambda2
+                    )
 
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
         return self._proxy[(lo, mid)]
@@ -295,8 +321,36 @@ class LayerMomentCache:
         remainder update dW_r. Raises KeyError for the final split, which
         leaves no remainder.
         """
-        e_sr, factor = self._remainder[(lo, mid)]
-        return -solve_spd(factor, e_sr.T @ delta_s)
+        to_rhs, factor, from_samples = self._remainder[(lo, mid)]
+        solution = solve_spd(factor, to_rhs @ delta_s)
+        if from_samples is not None:
+            solution = from_samples @ solution
+        return -solution
+
+    def trace_mses(self, errs: np.ndarray) -> np.ndarray:
+        """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
+        if self.moments is not None:
+            return np.einsum("ij,ij->i", errs @ self.moments.raw2, errs)
+        outputs = errs @ self._batch.T
+        return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
+
+
+def _batch_remainder(a_s: np.ndarray, a_r: np.ndarray, lambda2: float) -> tuple:
+    """One split's remainder system from its batch slices, as used by remainder_update.
+
+    Returns (to_rhs, factor, from_samples). With fewer samples than
+    remainder columns the N x N system A_r A_r^T + N lambda2 I is factored
+    (push-through identity) and the update is -A_r^T F^{-1} A_s delta_s;
+    otherwise the D_r x D_r system E[x_r x_r^T] + lambda2 I, as from the
+    moments.
+    """
+    n, width = a_r.shape
+    if n < width:
+        require_regularized(n, width, lambda2)
+        factor = spd_factor(a_r @ a_r.T + n * lambda2 * np.eye(n))
+        return a_s, factor, a_r.T
+    factor = spd_factor(a_r.T @ a_r / n + lambda2 * np.eye(width))
+    return a_r.T @ a_s / n, factor, None
 
 
 def quantize_channel(
@@ -310,8 +364,8 @@ def quantize_channel(
     The trace records, per iteration, the slice size, the proxy before and
     after refinement, why refinement stopped and how many coordinates it
     flipped, and the empirical squared output error of the partially
-    quantized row. Those errors are evaluated together after the loop, from
-    one product of the per-split error vectors with E[x x^T].
+    quantized row. Those errors are evaluated together after the loop by
+    `cache.trace_mses`, from one product of the per-split error vectors.
     """
     w_row = np.asarray(w_row, dtype=np.float64)
     dim = w_row.size
@@ -349,7 +403,7 @@ def quantize_channel(
                 flips_committed=state.flips_committed,
             )
         )
-    mses = np.einsum("ij,ij->i", errs @ cache.moments.raw2, errs)
+    mses = cache.trace_mses(errs)
     trace = tuple(ChannelTraceRow(mse=float(m), **row) for row, m in zip(rows, mses))
     return ChannelResult(codes, w_bar, trace)
 

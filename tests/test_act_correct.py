@@ -7,8 +7,8 @@ from quantred.act_correct import (
     activation_correction_objective,
     solve_activation_correction,
 )
-from quantred.linalg import SingularSystemError
-from quantred.moments import InsufficientSamplesError
+from quantred.linalg import SingularSystemError, solve_rows, spd_factor
+from quantred.moments import InsufficientSamplesError, error_cross_moment
 from quantred.oracle import layer_mse
 from quantred.quantizers import calibrate_scale, quantize_with_scheme
 
@@ -18,6 +18,17 @@ def _quantized_batch(rng, n, d, bits=4):
     scheme = calibrate_scale(a_fp, "uniform", bits, "per_tensor")
     _, a_q = quantize_with_scheme(a_fp, scheme)
     return a_fp, a_q
+
+
+def _reference_delta_w(w, a_fp, a_q, lam):
+    # reference: the D_in x D_in input-space solve for any batch size
+    system = a_q.T @ a_q / a_q.shape[0] + lam * np.eye(w.shape[1])
+    return -solve_rows(spd_factor(system), w @ error_cross_moment(a_fp, a_q))
+
+
+# (N, D_in) with N < D_in: two samples, N equal to a halving split's
+# remainder width (16 -> 8 and 4; 24 -> 12 and 6), and N = D_in - 1
+THIN_SHAPES = [(2, 9), (2, 16), (8, 16), (4, 16), (15, 16), (6, 24), (12, 24), (23, 24)]
 
 
 class TestHandCases:
@@ -118,6 +129,15 @@ class TestStructure:
         with pytest.raises(SingularSystemError, match="regularization"):
             solve_activation_correction(rng.normal(0, 1, (2, 4)), a_fp, a_q, 0.0)
 
+    def test_singular_without_regularization_thin_batch(self):
+        # N < D_in: the D_in x D_in system has rank <= N, so lambda1 = 0 is
+        # singular even though the N x N Gram matrix is positive definite
+        rng = np.random.default_rng(8)
+        a_fp, a_q = _quantized_batch(rng, 5, 9)
+        assert np.linalg.matrix_rank(a_q @ a_q.T) == 5
+        with pytest.raises(SingularSystemError, match="regularization"):
+            solve_activation_correction(rng.normal(0, 1, (2, 9)), a_fp, a_q, 0.0)
+
     def test_validation_errors(self):
         w = np.zeros((2, 3))
         batch = np.zeros((4, 3))
@@ -129,3 +149,26 @@ class TestStructure:
             solve_activation_correction(w, batch[:1], batch[:1], 1.0)
         with pytest.raises(ValueError):
             solve_activation_correction(w, batch, np.zeros((5, 3)), 1.0)
+
+
+class TestThinBatch:
+    @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
+    @pytest.mark.parametrize("lam", [0.05, 10.0])
+    def test_matches_input_space_reference(self, n, d_in, lam):
+        rng = np.random.default_rng(1000 * n + d_in)
+        a_fp, a_q = _quantized_batch(rng, n, d_in)
+        w = rng.normal(0, 1, (5, d_in))
+        got = solve_activation_correction(w, a_fp, a_q, lam).delta_w
+        want = _reference_delta_w(w, a_fp, a_q, lam)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_gradient_vanishes_at_thin_batch_solution(self):
+        rng = np.random.default_rng(9)
+        a_fp, a_q = _quantized_batch(rng, 6, 20)
+        w = rng.normal(0, 1, (3, 20))
+        lam = 0.3
+        corr = solve_activation_correction(w, a_fp, a_q, lam)
+        # gradient of the objective: 2 (dW A^T + W dA^T) A / N + 2 lam dW
+        resid = corr.delta_w @ a_q.T + w @ (a_q - a_fp).T
+        grad = 2 * resid @ a_q / 6 + 2 * lam * corr.delta_w
+        assert np.abs(grad).max() < 1e-12 * (1 + np.abs(w).max())

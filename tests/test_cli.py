@@ -111,7 +111,8 @@ class TestQuantize:
         for name in ("report.json", "layer0_codes.npy", "layer1_codes.npy"):
             assert (out_k0 / name).read_bytes() == (out_off / name).read_bytes(), name
 
-    def test_numerical_failure_isolated_with_exit_2(self, runner, tmp_path):
+    @staticmethod
+    def _manifest_with_layer_b(tmp_path, n_b, dead_column=None):
         data = tmp_path / "data"
         data.mkdir()
         rng = np.random.default_rng(0)
@@ -121,8 +122,9 @@ class TestQuantize:
                      TensorFile.from_array(rng.normal(0, 1, (64, 6)).astype(np.float32)))
         write_tensor(data / "b_w.npy",
                      TensorFile.from_array(rng.normal(0, 1, (2, 8)).astype(np.float32)))
-        calib_b = rng.normal(0, 1, (16, 8)).astype(np.float32)
-        calib_b[:, 3] = 0.0  # dead channel: singular without regularization
+        calib_b = rng.normal(0, 1, (n_b, 8)).astype(np.float32)
+        if dead_column is not None:
+            calib_b[:, dead_column] = 0.0
         write_tensor(data / "b_c.npy", TensorFile.from_array(calib_b))
         (data / "m.json").write_text(json.dumps({"layers": [
             {"layer_id": "a", "weight_path": "a_w.npy", "calib_path": "a_c.npy",
@@ -130,12 +132,10 @@ class TestQuantize:
             {"layer_id": "b", "weight_path": "b_w.npy", "calib_path": "b_c.npy",
              "act_quant": "uniform", "bits_w": 4, "bits_a": 4},
         ]}))
-        out = tmp_path / "out"
-        result = _run(
-            runner,
-            ["quantize", "--manifest", str(data / "m.json"), "--out", str(out),
-             "--lambda1", "0", "--stages", "aqer"],
-        )
+        return data / "m.json"
+
+    @staticmethod
+    def _assert_only_b_failed(result, out):
         assert result.exit_code == 2
         status = json.loads(result.output.strip().splitlines()[-1])
         assert status["failures"] == 1
@@ -145,6 +145,33 @@ class TestQuantize:
         assert (out / "a_codes.npy").is_file()
         assert "SingularSystemError" in by_id["b"]["error"]
         assert not (out / "b_codes.npy").exists()
+
+    def test_numerical_failure_isolated_with_exit_2(self, runner, tmp_path):
+        # dead channel: singular without regularization
+        manifest = self._manifest_with_layer_b(tmp_path, 16, dead_column=3)
+        out = tmp_path / "out"
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(out),
+             "--lambda1", "0", "--stages", "aqer"],
+        )
+        self._assert_only_b_failed(result, out)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambda1", "0", "--stages", "aqer"],
+         ["--lambda2", "0", "--stages", "wqer_ridge"]],
+    )
+    def test_thin_batch_failure_isolated_with_exit_2(self, runner, tmp_path, flags):
+        # 3 samples for 8 inputs: the full-width systems have rank <= 3, so an
+        # unregularized solve fails although its 3 x 3 sample-space form would not
+        manifest = self._manifest_with_layer_b(tmp_path, 3)
+        out = tmp_path / "out"
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(out), *flags],
+        )
+        self._assert_only_b_failed(result, out)
 
     def test_validation_errors_exit_1(self, runner, manifest, tmp_path):
         missing = _run(

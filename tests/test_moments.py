@@ -109,6 +109,26 @@ class TestOutputs:
         np.testing.assert_array_equal(m.sigma, m.sigma.T)
         np.testing.assert_array_equal(m.raw2, m.raw2.T)
 
+    @pytest.mark.parametrize("n,dim,chunk", [(1000, 37, 64), (129, 200, 50), (7, 300, 3)])
+    def test_exactly_symmetric_without_symmetrizing(self, n, dim, chunk):
+        # finalize returns its products as computed, so every path into the
+        # accumulator must produce exactly symmetric matrices by itself
+        rng = np.random.default_rng(dim)
+        batch = rng.normal(0.5, 2.0, (n, dim))
+        merged = MomentAccumulator(dim)
+        for part in np.array_split(batch, 3):
+            shard = MomentAccumulator(dim)
+            shard.update(part)
+            merged.merge(shard)
+        for m in (
+            accumulate_moments(batch, chunk=chunk),
+            accumulate_moments(np.asfortranarray(batch)[:, ::-1], chunk=chunk),
+            merged.finalize(),
+            accumulate_moments(iter(batch), dim=dim, chunk=chunk),
+        ):
+            assert np.array_equal(m.sigma, m.sigma.T)
+            assert np.array_equal(m.raw2, m.raw2.T)
+
 
 class TestErrorCrossMoment:
     def test_shape_mismatch_rejected(self):

@@ -1,10 +1,14 @@
 """Progressive weight quantization: proxy, flips, splits, ridge remainder."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantred import act_correct, pipeline, weight_quant
+from quantred.linalg import SingularSystemError, solve_spd, spd_factor
 from quantred.moments import accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
 from quantred.quantizers import (
@@ -682,3 +686,150 @@ class TestMomentCache:
             lambda self, lo, mid, delta_s: 1.01 * real(self, lo, mid, delta_s),
         )
         assert not suite_ridge_optimality(splits=5).passed
+
+    def test_verify_ridge_suite_checks_the_sample_space_form(self, monkeypatch):
+        # the same fault confined to remainders wider than the batch (the
+        # N x N sample-space systems) must fail the suite too
+        suite = suite_ridge_optimality(splits=5)
+        assert suite.passed and suite.metrics["sample_space_splits"] > 0
+        real = LayerMomentCache.remainder_update
+
+        def faulty(self, lo, mid, delta_s):
+            scale = 1.01 if self.n_samples < self.dim - mid else 1.0
+            return scale * real(self, lo, mid, delta_s)
+
+        monkeypatch.setattr(LayerMomentCache, "remainder_update", faulty)
+        assert not suite_ridge_optimality(splits=5).passed
+
+
+class _FullWidthCache:
+    # reference: D x D moments and full-width remainder factors for any
+    # batch size, the cache's own arithmetic when N >= D
+    def __init__(self, a_q, lambda2):
+        self.moments = ms = accumulate_moments(a_q)
+        self.dim = a_q.shape[1]
+        self.splits = halving_splits(self.dim)
+        self._proxy, self._remainder = {}, {}
+        for lo, mid, hi in self.splits:
+            self._proxy[(lo, mid)] = np.outer(ms.mu[lo:mid], ms.mu[lo:mid]) + ms.sigma[
+                lo:mid, lo:mid
+            ]
+            if mid < hi:
+                factor = spd_factor(ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid))
+                self._remainder[(lo, mid)] = (ms.raw2[lo:mid, mid:hi], factor)
+
+    def proxy_matrix(self, lo, mid):
+        return self._proxy[(lo, mid)]
+
+    def remainder_update(self, lo, mid, delta_s):
+        e_sr, factor = self._remainder[(lo, mid)]
+        return -solve_spd(factor, e_sr.T @ delta_s)
+
+    def trace_mses(self, errs):
+        return np.einsum("ij,ij->i", errs @ self.moments.raw2, errs)
+
+
+# (N, D_in) with N < D_in: two samples, N equal to a halving split's
+# remainder width (16 -> 8 and 4; 24 -> 12 and 6), and N = D_in - 1
+THIN_SHAPES = [(2, 9), (2, 16), (8, 16), (4, 16), (15, 16), (6, 24), (12, 24), (23, 24)]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+class TestThinBatch:
+    @staticmethod
+    def _batch(n, d_in):
+        rng = np.random.default_rng(1000 * n + d_in)
+        return rng, rng.normal(0.3, 1.0, (n, d_in))
+
+    def test_forms_no_full_width_moments(self):
+        _, a_q = self._batch(4, 16)
+        cache = LayerMomentCache(a_q, 1.0)
+        assert cache.moments is None
+        assert LayerMomentCache(a_q[:, :4], 1.0).moments is not None
+
+    @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
+    def test_blocks_match_full_width_reference(self, n, d_in):
+        rng, a_q = self._batch(n, d_in)
+        cache = LayerMomentCache(a_q, 0.5)
+        ref = _FullWidthCache(a_q, 0.5)
+        for lo, mid, hi in cache.splits:
+            got, want = cache.proxy_matrix(lo, mid), ref.proxy_matrix(lo, mid)
+            np.testing.assert_array_equal(got, got.T)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+            if mid < hi:
+                delta_s = rng.normal(0, 0.1, mid - lo)
+                got = cache.remainder_update(lo, mid, delta_s)
+                want = ref.remainder_update(lo, mid, delta_s)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        errs = rng.normal(0, 0.1, (3, d_in))
+        for got, want in zip(cache.trace_mses(errs), ref.trace_mses(errs)):
+            assert _rel(got, want) <= 1e-11
+
+    @pytest.mark.parametrize("rounding", [True, False])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_channels_match_full_width_reference(self, rounding, ridge, k):
+        cfg = WeightQuantConfig(lambda2=0.5, k=k, rounding=rounding, ridge=ridge)
+        for n, d_in in THIN_SHAPES:
+            rng, a_q = self._batch(n, d_in)
+            w = rng.normal(0, 0.5, (4, d_in))
+            cache = LayerMomentCache(a_q, cfg.lambda2)
+            ref = _FullWidthCache(a_q, cfg.lambda2)
+            for row in w:
+                params = calibrate_uniform(row, 4)
+                got = quantize_channel(row, params, cache, cfg)
+                want = quantize_channel(row, params, ref, cfg)
+                np.testing.assert_array_equal(got.codes, want.codes)
+                for a, b in zip(got.trace, want.trace, strict=True):
+                    assert (a.stop_reason, a.flips_committed) == (
+                        b.stop_reason,
+                        b.flips_committed,
+                    )
+                    for field in ("proxy_before", "proxy_after", "mse"):
+                        assert _rel(getattr(a, field), getattr(b, field)) <= 1e-11
+
+    def test_singular_without_regularization(self):
+        # N < D_r: the D_r x D_r remainder system has rank <= N, so
+        # lambda2 = 0 is singular even where the N x N form would factor
+        _, a_q = self._batch(3, 10)
+        with pytest.raises(SingularSystemError, match="regularization"):
+            LayerMomentCache(a_q, 0.0)
+        # remainders no wider than the batch still factor without ridge
+        LayerMomentCache(a_q[:, :6], 0.0)
+
+    def test_tracer_wrap_points_and_counts(self, monkeypatch):
+        # the benchmark tracer wraps these module attributes by name and
+        # counts one aqer factor, one ridge factor per split with a
+        # remainder and one ridge solve per channel and non-final split
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, attr in (
+            (weight_quant, "accumulate_moments"),
+            (weight_quant, "spd_factor"),
+            (weight_quant, "solve_spd"),
+            (act_correct, "spd_factor"),
+        ):
+            name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+            monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        d_out, d_in, n = 3, 40, 12
+        rng = np.random.default_rng(5)
+        w = rng.normal(0, 0.5, (d_out, d_in))
+        a_fp = rng.normal(0.2, 1.0, (n, d_in))
+        cfg = pipeline.RunConfig(lambda1=1.0, lambda2=1.0)
+        pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
+        splits = len(halving_splits(d_in))
+        assert calls == {
+            "act_correct.spd_factor": 1,
+            "weight_quant.spd_factor": splits - 1,
+            "weight_quant.solve_spd": d_out * (splits - 1),
+        }
