@@ -2,13 +2,7 @@
 
 from .act_correct import ActivationCorrection, solve_activation_correction
 from .linalg import SingularSystemError
-from .moments import (
-    InsufficientSamplesError,
-    MomentAccumulator,
-    MomentSet,
-    accumulate_moments,
-    error_cross_moment,
-)
+from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
 from .oracle import (
     BruteForceResult,
     brute_force_rounding,

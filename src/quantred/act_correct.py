@@ -13,15 +13,19 @@ with both expectations taken as 1/N sums over the calibration batch. The
 updated weights W + dW* then feed weight quantization, whose channel
 scales are calibrated after this step.
 
-When the batch has fewer samples than inputs (N < D_in), the D_in x D_in
-system has rank at most N plus the ridge, and the same update comes from
-an N x N system through the push-through identity
-(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}:
+With A the quantized batch and dA = A - A_fp, the cross-moment term is
+W E[dx xbar^T] = R A for the right-hand side R = W dA^T / N, so
 
-    dW* = -(W dA^T / N) (A A^T / N + lambda1 I)^{-1} A
+    dW* = -R A (A^T A / N + lambda1 I)^{-1}      (input space)
+        = -R (A A^T / N + lambda1 I)^{-1} A      (sample space)
 
-with A the quantized batch and dA = A - A_fp, so no D_in x D_in matrix is
-formed.
+The two forms associate the same R and A in two orders, by the
+push-through identity
+(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}. The input
+space factors a D_in x D_in system; when the batch has fewer samples than
+inputs (N < D_in) that system has rank at most N plus the ridge, and the
+sample space factors an N x N system instead, so no D_in x D_in matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_regularized, solve_rows, spd_factor
-from .moments import InsufficientSamplesError, error_cross_moment
+from .moments import InsufficientSamplesError
 
 
 @dataclass(frozen=True)
@@ -66,16 +70,14 @@ def solve_activation_correction(
     if lambda1 < 0:
         raise ValueError("lambda1 must be >= 0")
 
+    rhs = w @ (a_q - a_fp).T / n
     if n < w.shape[1]:
         require_regularized(n, w.shape[1], lambda1)
         factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
-        delta_w = -solve_rows(factor, w @ (a_q - a_fp).T / n) @ a_q
+        delta_w = -solve_rows(factor, rhs) @ a_q
     else:
-        cross = error_cross_moment(a_fp, a_q)
-        second = a_q.T @ a_q / n
-        system = second + lambda1 * np.eye(w.shape[1])
-        factor = spd_factor(system)
-        delta_w = -solve_rows(factor, w @ cross)
+        factor = spd_factor(a_q.T @ a_q / n + lambda1 * np.eye(w.shape[1]))
+        delta_w = -solve_rows(factor, rhs @ a_q)
     return ActivationCorrection(delta_w=delta_w, updated_w=w + delta_w)
 
 

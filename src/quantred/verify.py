@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import act_correct, oracle, quantizers, weight_quant
-from .moments import accumulate_moments
 from .quantizers import (
     LogSqrt2Params,
     UniformParams,
@@ -53,28 +52,53 @@ def _random_psd(rng, dim):
 def suite_proxy_fidelity(
     seed: int = 0, dim: int = 64, n: int = 10_000, draws: int = 100
 ) -> SuiteResult:
-    """Proxy vs Monte Carlo correlation, and exactness under exact moments."""
+    """Production proxy blocks vs Monte Carlo, and exactness under exact moments.
+
+    The proxy matrices come from `weight_quant.LayerMomentCache.proxy_matrix`
+    on two batches of one distribution: N = n >= D (blocks sliced from the
+    D x D moments) and its first 3D/4 rows, N < D (blocks from the centred
+    batch slices). Each batch takes `draws` error vectors, cycling through
+    the cache's halving splits. Over the batch a proxy block
+    mu_s mu_s^T + Sigma_s exceeds the Monte Carlo error E[(delta x_s)^2]
+    only by its 1/(N-1) covariance normalization, so
+    0 <= proxy / mc - 1 <= 1/(N-1) must hold draw by draw.
+    """
     rng = np.random.default_rng([seed, 1])
     mu, sigma, batch = _gaussian_batch(rng, dim, n)
-    ms = accumulate_moments(batch)
-    proxy_matrix = np.outer(ms.mu, ms.mu) + ms.sigma
     exact_matrix = np.outer(mu, mu) + sigma
-    proxies = np.empty(draws)
-    mcs = np.empty(draws)
+    thin_n = 3 * dim // 4
+    pearson = {}
+    bound_ok = True
     exact_rel = 0.0
-    for i in range(draws):
-        delta = rng.normal(0.0, 0.1, dim)
-        proxies[i] = weight_quant.proxy_value(delta, proxy_matrix)
-        mcs[i] = oracle.mc_output_error(delta, batch)
-        analytic = float(delta @ sigma @ delta + (delta @ mu) ** 2)
-        got = weight_quant.proxy_value(delta, exact_matrix)
-        exact_rel = max(exact_rel, abs(got - analytic) / max(abs(analytic), 1e-30))
-    pearson = float(np.corrcoef(proxies, mcs)[0, 1])
-    passed = pearson >= 0.9 and exact_rel <= 1e-9
+    for label, rows in (("full", n), ("thin", thin_n)):
+        cache = weight_quant.LayerMomentCache(batch[:rows], None)
+        proxies = np.empty(draws)
+        mcs = np.empty(draws)
+        for i in range(draws):
+            lo, mid, _ = cache.splits[i % len(cache.splits)]
+            delta = rng.normal(0.0, 0.1, mid - lo)
+            proxies[i] = weight_quant.proxy_value(delta, cache.proxy_matrix(lo, mid))
+            mcs[i] = oracle.mc_output_error(delta, batch[:rows, lo:mid])
+            excess = (proxies[i] / mcs[i] - 1.0) * (rows - 1)
+            bound_ok = bound_ok and bool(-1e-9 <= excess <= 1.0 + 1e-9)
+            analytic = float(
+                delta @ sigma[lo:mid, lo:mid] @ delta + (delta @ mu[lo:mid]) ** 2
+            )
+            got = weight_quant.proxy_value(delta, exact_matrix[lo:mid, lo:mid])
+            exact_rel = max(exact_rel, abs(got - analytic) / max(abs(analytic), 1e-30))
+        pearson[label] = float(np.corrcoef(proxies, mcs)[0, 1])
+    passed = min(pearson.values()) >= 0.9 and bound_ok and exact_rel <= 1e-9
     return SuiteResult(
         "proxy_fidelity",
         passed,
-        {"pearson_r": pearson, "exact_moments_max_rel": exact_rel, "draws": draws},
+        {
+            "pearson_r": pearson["full"],
+            "pearson_r_thin": pearson["thin"],
+            "mc_bound_holds": bound_ok,
+            "exact_moments_max_rel": exact_rel,
+            "draws": draws,
+            "thin_n": thin_n,
+        },
     )
 
 
@@ -137,7 +161,10 @@ def suite_brute_force_dominance(
 
 
 def suite_gradient_checks(seed: int = 0) -> SuiteResult:
-    """Analytic gradients against central differences; correction optimality."""
+    """Analytic gradients against central differences; correction optimality.
+
+    `weight_quant.proxy_gradient` is the gradient refinement starts from.
+    """
     rng = np.random.default_rng([seed, 3])
     max_proxy_err = 0.0
     for _ in range(20):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import require_regularized, solve_spd, spd_factor
-from .moments import MomentSet, accumulate_moments
+from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
 from .quantizers import UniformParams, dequantize_uniform, uniform_codes
 
 
@@ -231,9 +231,8 @@ def refine_rounding(
     up_mask = state.up_mask.copy()
     step = np.where(up_mask, state.delta_down, state.delta_up) - state.delta
     curvature = step * step * np.diagonal(matrix)
-    half_grad = matrix @ state.delta
-    committed = [float(state.delta @ half_grad)]
-    grad = 2.0 * half_grad
+    grad = proxy_gradient(state.delta, matrix)
+    committed = [0.5 * float(state.delta @ grad)]
     stop_reason = "max_iter"
     flips_committed = 0
     for _ in range(max_iter):
@@ -276,22 +275,28 @@ class LayerMomentCache:
     batch keeps the samples instead (`moments` is None): each proxy block
     mu_s mu_s^T + C_s^T C_s / (N - 1) comes from the centred slice C_s, and
     each remainder system is factored in the smaller of its two spaces, so
-    no D x D matrix is formed.
+    no D x D matrix is formed. `lambda2` None builds no remainder systems,
+    for a run without the ridge stage.
     """
 
-    def __init__(self, a_q: np.ndarray, lambda2: float):
+    def __init__(self, a_q: np.ndarray, lambda2: float | None):
         a_q = np.asarray(a_q, dtype=np.float64)
         self.n_samples, self.dim = a_q.shape
+        if self.n_samples < 2:
+            raise InsufficientSamplesError(
+                f"need at least 2 samples, got {self.n_samples}"
+            )
         self.splits = halving_splits(self.dim)
         self._proxy: dict[tuple[int, int], np.ndarray] = {}
         self._remainder: dict[tuple[int, int], tuple] = {}
         self.moments: MomentSet | None = None
+        ridge = lambda2 is not None
         if self.n_samples >= self.dim:
             ms = self.moments = accumulate_moments(a_q)
             for lo, mid, hi in self.splits:
                 mu_s = ms.mu[lo:mid]
                 self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + ms.sigma[lo:mid, lo:mid]
-                if mid < hi:
+                if ridge and mid < hi:
                     factor = spd_factor(
                         ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
                     )
@@ -306,7 +311,7 @@ class LayerMomentCache:
                 self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + c_s.T @ c_s / (
                     self.n_samples - 1
                 )
-                if mid < hi:
+                if ridge and mid < hi:
                     self._remainder[(lo, mid)] = _batch_remainder(
                         a_q[:, lo:mid], a_q[:, mid:hi], lambda2
                     )
@@ -319,7 +324,8 @@ class LayerMomentCache:
 
         Minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2 over the
         remainder update dW_r. Raises KeyError for the final split, which
-        leaves no remainder.
+        leaves no remainder, and for every split of a cache built without
+        `lambda2`.
         """
         to_rhs, factor, from_samples = self._remainder[(lo, mid)]
         solution = solve_spd(factor, to_rhs @ delta_s)
@@ -425,7 +431,7 @@ def quantize_layer_weights(
         raise ValueError("expected a 2-D weight matrix")
     if len(channel_params) != w.shape[0]:
         raise ValueError("need one UniformParams per output channel")
-    cache = LayerMomentCache(a_q, cfg.lambda2)
+    cache = LayerMomentCache(a_q, cfg.lambda2 if cfg.ridge else None)
 
     def run(i: int) -> ChannelResult:
         return quantize_channel(w[i], channel_params[i], cache, cfg)

@@ -8,7 +8,7 @@ from quantred.act_correct import (
     solve_activation_correction,
 )
 from quantred.linalg import SingularSystemError, solve_rows, spd_factor
-from quantred.moments import InsufficientSamplesError, error_cross_moment
+from quantred.moments import InsufficientSamplesError
 from quantred.oracle import layer_mse
 from quantred.quantizers import calibrate_scale, quantize_with_scheme
 
@@ -22,8 +22,11 @@ def _quantized_batch(rng, n, d, bits=4):
 
 def _reference_delta_w(w, a_fp, a_q, lam):
     # reference: the D_in x D_in input-space solve for any batch size
-    system = a_q.T @ a_q / a_q.shape[0] + lam * np.eye(w.shape[1])
-    return -solve_rows(spd_factor(system), w @ error_cross_moment(a_fp, a_q))
+    # with the error cross-moment E[dx xbar^T] = (a_q - a_fp)^T a_q / N
+    n = a_q.shape[0]
+    system = a_q.T @ a_q / n + lam * np.eye(w.shape[1])
+    cross = (a_q - a_fp).T @ a_q / n
+    return -solve_rows(spd_factor(system), w @ cross)
 
 
 # (N, D_in) with N < D_in: two samples, N equal to a halving split's
@@ -149,6 +152,19 @@ class TestStructure:
             solve_activation_correction(w, batch[:1], batch[:1], 1.0)
         with pytest.raises(ValueError):
             solve_activation_correction(w, batch, np.zeros((5, 3)), 1.0)
+
+
+class TestInputSpace:
+    @pytest.mark.parametrize("n,d_in", [(9, 9), (16, 8), (96, 24), (2048, 16)])
+    def test_matches_cross_moment_reference(self, n, d_in):
+        # N >= D_in: R = W dA^T / N applied to A before the solve equals
+        # W times the D_in x D_in cross-moment
+        rng = np.random.default_rng(n + d_in)
+        a_fp, a_q = _quantized_batch(rng, n, d_in)
+        w = rng.normal(0, 1, (5, d_in))
+        got = solve_activation_correction(w, a_fp, a_q, 0.5).delta_w
+        want = _reference_delta_w(w, a_fp, a_q, 0.5)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestThinBatch:

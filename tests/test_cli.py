@@ -134,8 +134,22 @@ class TestQuantize:
         ]}))
         return data / "m.json"
 
+    @pytest.mark.parametrize("stages", ["wqer_rounding", "wqer_ridge"])
+    def test_one_sample_layer_fails_with_exit_2(self, runner, tmp_path, stages):
+        # one calibration sample has no covariance; the layer fails instead
+        # of refining against a NaN proxy
+        manifest = self._manifest_with_layer_b(tmp_path, 1)
+        out = tmp_path / "out"
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(out),
+             "--stages", stages],
+        )
+        self._assert_only_b_failed(result, out, "InsufficientSamplesError")
+        assert "nan" not in (out / "traces.csv").read_text()
+
     @staticmethod
-    def _assert_only_b_failed(result, out):
+    def _assert_only_b_failed(result, out, error="SingularSystemError"):
         assert result.exit_code == 2
         status = json.loads(result.output.strip().splitlines()[-1])
         assert status["failures"] == 1
@@ -143,7 +157,7 @@ class TestQuantize:
         by_id = {e["layer_id"]: e for e in report["layers"]}
         assert by_id["a"]["error"] is None
         assert (out / "a_codes.npy").is_file()
-        assert "SingularSystemError" in by_id["b"]["error"]
+        assert error in by_id["b"]["error"]
         assert not (out / "b_codes.npy").exists()
 
     def test_numerical_failure_isolated_with_exit_2(self, runner, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quantred import act_correct, pipeline, weight_quant
 from quantred.linalg import SingularSystemError, solve_spd, spd_factor
-from quantred.moments import accumulate_moments
+from quantred.moments import InsufficientSamplesError, accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
 from quantred.quantizers import (
     UniformParams,
@@ -17,7 +17,11 @@ from quantred.quantizers import (
     dequantize_uniform,
     quantize_uniform,
 )
-from quantred.verify import suite_ridge_optimality
+from quantred.verify import (
+    suite_gradient_checks,
+    suite_proxy_fidelity,
+    suite_ridge_optimality,
+)
 from quantred.weight_quant import (
     LayerMomentCache,
     WeightQuantConfig,
@@ -687,6 +691,36 @@ class TestMomentCache:
         )
         assert not suite_ridge_optimality(splits=5).passed
 
+    @pytest.mark.parametrize("thin", [False, True])
+    def test_verify_proxy_suite_checks_both_proxy_forms(self, monkeypatch, thin):
+        # a 1% error in the proxy blocks of one regime (sliced moments, or
+        # centred batch slices when N < D) fails the suite
+        assert suite_proxy_fidelity().passed
+        real = LayerMomentCache.proxy_matrix
+
+        def faulty(self, lo, mid):
+            scale = 1.01 if (self.moments is None) == thin else 1.0
+            return scale * real(self, lo, mid)
+
+        monkeypatch.setattr(LayerMomentCache, "proxy_matrix", faulty)
+        assert not suite_proxy_fidelity().passed
+
+    def test_refinement_starts_from_the_checked_gradient(self, monkeypatch):
+        # verify's gradient suite checks proxy_gradient; refinement must use
+        # it, so a fault there reaches both
+        rng = np.random.default_rng(8)
+        state = init_rounding(
+            rng.normal(0, 1, 6), calibrate_uniform(rng.normal(0, 1, 6), 4),
+            _proxy_matrix(rng, 6),
+        )
+        _, committed = refine_rounding(state, 1, 100)
+        monkeypatch.setattr(
+            weight_quant, "proxy_gradient", lambda delta, m: 1.01 * proxy_gradient(delta, m)
+        )
+        _, faulty = refine_rounding(state, 1, 100)
+        assert faulty[0] != committed[0]
+        assert not suite_gradient_checks().passed
+
     def test_verify_ridge_suite_checks_the_sample_space_form(self, monkeypatch):
         # the same fault confined to remainders wider than the batch (the
         # N x N sample-space systems) must fail the suite too
@@ -800,10 +834,9 @@ class TestThinBatch:
         # remainders no wider than the batch still factor without ridge
         LayerMomentCache(a_q[:, :6], 0.0)
 
-    def test_tracer_wrap_points_and_counts(self, monkeypatch):
-        # the benchmark tracer wraps these module attributes by name and
-        # counts one aqer factor, one ridge factor per split with a
-        # remainder and one ridge solve per channel and non-final split
+    @staticmethod
+    def _count_wrap_points(monkeypatch):
+        # the benchmark tracer wraps these module attributes by name
         calls = Counter()
 
         def counting(name, fn):
@@ -821,6 +854,12 @@ class TestThinBatch:
         ):
             name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        return calls
+
+    def test_tracer_wrap_points_and_counts(self, monkeypatch):
+        # one aqer factor, one ridge factor per split with a remainder and
+        # one ridge solve per channel and non-final split
+        calls = self._count_wrap_points(monkeypatch)
         d_out, d_in, n = 3, 40, 12
         rng = np.random.default_rng(5)
         w = rng.normal(0, 0.5, (d_out, d_in))
@@ -833,3 +872,46 @@ class TestThinBatch:
             "weight_quant.spd_factor": splits - 1,
             "weight_quant.solve_spd": d_out * (splits - 1),
         }
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_ridge_off_factors_no_remainder(self, monkeypatch, n):
+        # without the ridge stage no remainder system is built, in either
+        # regime; the moments a full-width cache needs are still accumulated
+        calls = self._count_wrap_points(monkeypatch)
+        rng = np.random.default_rng(6)
+        w = rng.normal(0, 0.5, (3, 40))
+        a_fp = rng.normal(0.2, 1.0, (n, 40))
+        cfg = pipeline.RunConfig(
+            lambda1=1.0, lambda2=1.0, stages=frozenset({"aqer", "wqer_rounding"})
+        )
+        pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
+        expected = {"act_correct.spd_factor": 1}
+        if n >= 40:
+            expected["weight_quant.accumulate_moments"] = 1
+        assert calls == expected
+
+    def test_ridge_off_ignores_unregularized_remainder(self):
+        # 3 samples, remainders up to 4 columns wide: with lambda2 = 0 those
+        # systems are singular, but a run without the ridge never builds them
+        rng = np.random.default_rng(7)
+        w = rng.normal(0, 1, (2, 8))
+        a_fp = rng.normal(0, 1, (3, 8))
+        stages = frozenset({"aqer", "wqer_rounding"})
+        got = pipeline.quantize_layer(
+            w, a_fp, "uniform", 4, 4,
+            pipeline.RunConfig(lambda1=1.0, lambda2=0.0, stages=stages),
+        )
+        want = pipeline.quantize_layer(
+            w, a_fp, "uniform", 4, 4,
+            pipeline.RunConfig(lambda1=1.0, lambda2=10.0, stages=stages),
+        )
+        np.testing.assert_array_equal(got.codes, want.codes)
+        with pytest.raises(KeyError):
+            LayerMomentCache(a_fp, None).remainder_update(0, 4, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(1, 8), (1, 1), (0, 3)])
+    @pytest.mark.parametrize("lambda2", [1.0, None])
+    def test_fewer_than_two_samples_rejected(self, shape, lambda2):
+        # one sample would divide the proxy covariance by N - 1 = 0
+        with pytest.raises(InsufficientSamplesError):
+            LayerMomentCache(np.ones(shape), lambda2)
