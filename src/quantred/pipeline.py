@@ -35,6 +35,7 @@ from .quantizers import (
     QuantScheme,
     UniformParams,
     calibrate_scale,
+    check_finite,
     quantize_with_scheme,
 )
 from .tensorfile import LayerManifestEntry, TensorFile, read_tensor, write_tensor
@@ -176,28 +177,51 @@ def _ratio(before: float, after: float) -> float:
     return 1.0 - after / before
 
 
-def quantize_layer(
+@dataclass(frozen=True)
+class LayerPrefix:
+    """The part of one layer's quantization that no stage, lambda or k changes.
+
+    Ablations and sweeps compute it once per layer and run every stage
+    combination or swept value on top of it.
+    """
+
+    w: np.ndarray
+    a_fp: np.ndarray
+    bits_w: int
+    bits_a: int
+    act_scheme: QuantScheme
+    a_q: np.ndarray
+    eval_fp: np.ndarray
+    eval_q: np.ndarray
+    base_scheme: QuantScheme
+    base_codes: np.ndarray
+    base_w_bar: np.ndarray
+    mse_baseline: float
+    timings: dict
+
+
+@dataclass(frozen=True)
+class AqerStep:
+    """The activation correction at one lambda1, re-calibrated and re-quantized."""
+
+    updated_w: np.ndarray
+    scheme: QuantScheme
+    codes: np.ndarray
+    w_bar: np.ndarray
+    mse: float
+    calib_s: float
+    aqer_s: float
+
+
+def layer_prefix(
     w: np.ndarray,
     a_fp: np.ndarray,
     act_family: str,
     bits_w: int,
     bits_a: int,
-    cfg: RunConfig,
-    layer_id: str = "layer",
     eval_batch: np.ndarray | None = None,
-) -> LayerResult:
-    """Calibrate and quantize one linear layer under the configured stages.
-
-    All arithmetic is float64 regardless of the on-disk dtype. The
-    baseline MSE is always computed against plain round-to-nearest on
-    scales calibrated from the original weights; stage MSEs are appended
-    as stages run. Weight scales are calibrated again after the activation
-    correction step when it is enabled, since the update shifts rows.
-
-    `eval_batch` switches MSE evaluation to a separate activation batch
-    (quantized with the calibration-fitted parameters); by default the
-    calibration batch itself is evaluated.
-    """
+) -> LayerPrefix:
+    """Calibrate activations and weights and score plain round-to-nearest."""
     w = np.asarray(w, dtype=np.float64)
     a_fp = np.asarray(a_fp, dtype=np.float64)
     if w.ndim != 2 or a_fp.ndim != 2 or w.shape[1] != a_fp.shape[1]:
@@ -224,27 +248,79 @@ def quantize_layer(
             )
         _, eval_q = quantize_with_scheme(eval_fp, act_scheme)
 
-    mse = {"baseline": layer_mse(w, eval_fp, base_w_bar, eval_q)}
-    reduction = {}
+    return LayerPrefix(
+        w=w,
+        a_fp=a_fp,
+        bits_w=bits_w,
+        bits_a=bits_a,
+        act_scheme=act_scheme,
+        a_q=a_q,
+        eval_fp=eval_fp,
+        eval_q=eval_q,
+        base_scheme=base_scheme,
+        base_codes=base_codes,
+        base_w_bar=base_w_bar,
+        mse_baseline=layer_mse(w, eval_fp, base_w_bar, eval_q),
+        timings=timings,
+    )
+
+
+def aqer_step(prefix: LayerPrefix, lambda1: float) -> AqerStep:
+    """Correct the weights for the activation error, then re-calibrate them.
+
+    The update shifts rows, so the weight scales are calibrated again on
+    the corrected weights.
+    """
+    t0 = time.perf_counter()
+    correction = solve_activation_correction(prefix.w, prefix.a_fp, prefix.a_q, lambda1)
+    updated_w = correction.updated_w
+    t1 = time.perf_counter()
+    scheme = calibrate_scale(updated_w, "uniform", prefix.bits_w, "per_channel")
+    t2 = time.perf_counter()
+    codes, w_bar = quantize_with_scheme(updated_w, scheme)
+    mse = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
+    return AqerStep(
+        updated_w=updated_w,
+        scheme=scheme,
+        codes=codes,
+        w_bar=w_bar,
+        mse=mse,
+        calib_s=t2 - t1,
+        aqer_s=(t1 - t0) + (time.perf_counter() - t2),
+    )
+
+
+def finish_layer(
+    prefix: LayerPrefix,
+    aqer: AqerStep | None,
+    cfg: RunConfig,
+    layer_id: str = "layer",
+) -> LayerResult:
+    """Run the configured stages on top of a prefix and collect the result.
+
+    `aqer` is used only when the aqer stage is on, and must then be the
+    step at `cfg.lambda1`.
+    """
     aqer_on = STAGE_AQER in cfg.stages
     rounding_on = STAGE_ROUNDING in cfg.stages
     ridge_on = STAGE_RIDGE in cfg.stages
+    mse = {"baseline": prefix.mse_baseline}
+    reduction = {}
+    timings = dict(prefix.timings)
 
-    current = w
-    weight_scheme = base_scheme
-    codes, w_bar = base_codes, base_w_bar
+    current = prefix.w
+    weight_scheme = prefix.base_scheme
+    codes, w_bar = prefix.base_codes, prefix.base_w_bar
     if aqer_on:
-        t0 = time.perf_counter()
-        correction = solve_activation_correction(w, a_fp, a_q, cfg.lambda1)
-        current = correction.updated_w
-        t1 = time.perf_counter()
-        weight_scheme = calibrate_scale(current, "uniform", bits_w, "per_channel")
-        t2 = time.perf_counter()
-        codes, w_bar = quantize_with_scheme(current, weight_scheme)
-        mse["after_aqer"] = layer_mse(w, eval_fp, w_bar, eval_q)
+        if aqer is None:
+            raise ValueError("the aqer stage is on but no aqer step was given")
+        current = aqer.updated_w
+        weight_scheme = aqer.scheme
+        codes, w_bar = aqer.codes, aqer.w_bar
+        mse["after_aqer"] = aqer.mse
         reduction["aqer"] = _ratio(mse["baseline"], mse["after_aqer"])
-        timings["weight_calib"] += t2 - t1
-        timings["aqer"] = (t1 - t0) + (time.perf_counter() - t2)
+        timings["weight_calib"] += aqer.calib_s
+        timings["aqer"] = aqer.aqer_s
 
     channels: tuple[ChannelResult, ...] = ()
     if rounding_on or ridge_on:
@@ -257,11 +333,11 @@ def quantize_layer(
             ridge=ridge_on,
         )
         wres = quantize_layer_weights(
-            current, weight_scheme.params, a_q, wq_cfg, jobs=cfg.jobs
+            current, weight_scheme.params, prefix.a_q, wq_cfg, jobs=cfg.jobs
         )
         codes, w_bar = wres.codes, wres.w_bar
         channels = wres.channels
-        mse["after_wqer"] = layer_mse(w, eval_fp, w_bar, eval_q)
+        mse["after_wqer"] = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
         prev = mse["after_aqer"] if aqer_on else mse["baseline"]
         reduction["wqer"] = _ratio(prev, mse["after_wqer"])
         timings["wqer"] = time.perf_counter() - t0
@@ -276,19 +352,49 @@ def quantize_layer(
 
     return LayerResult(
         layer_id=layer_id,
-        n_samples=a_fp.shape[0],
-        bits_w=bits_w,
-        bits_a=bits_a,
-        act_scheme=act_scheme,
+        n_samples=prefix.a_fp.shape[0],
+        bits_w=prefix.bits_w,
+        bits_a=prefix.bits_a,
+        act_scheme=prefix.act_scheme,
         weight_scheme=weight_scheme,
         codes=codes,
         w_bar=w_bar,
-        a_q=a_q,
+        a_q=prefix.a_q,
         mse=mse,
         reduction=reduction,
         channels=channels,
         timings=timings,
     )
+
+
+def quantize_layer(
+    w: np.ndarray,
+    a_fp: np.ndarray,
+    act_family: str,
+    bits_w: int,
+    bits_a: int,
+    cfg: RunConfig,
+    layer_id: str = "layer",
+    eval_batch: np.ndarray | None = None,
+) -> LayerResult:
+    """Calibrate and quantize one linear layer under the configured stages.
+
+    All arithmetic is float64 regardless of the on-disk dtype. The
+    baseline MSE is always computed against plain round-to-nearest on
+    scales calibrated from the original weights; stage MSEs are appended
+    as stages run. Weight scales are calibrated again after the activation
+    correction step when it is enabled, since the update shifts rows.
+
+    `eval_batch` switches MSE evaluation to a separate activation batch
+    (quantized with the calibration-fitted parameters); by default the
+    calibration batch itself is evaluated.
+
+    This is `layer_prefix`, then `aqer_step` when the aqer stage is on,
+    then `finish_layer`.
+    """
+    prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a, eval_batch)
+    aqer = aqer_step(prefix, cfg.lambda1) if STAGE_AQER in cfg.stages else None
+    return finish_layer(prefix, aqer, cfg, layer_id)
 
 
 def _params_dict(p) -> dict:
@@ -371,9 +477,16 @@ NUMERICAL_ERRORS = (
 )
 
 
+def _read_finite(path, per_row: bool = False) -> np.ndarray:
+    data = np.asarray(read_tensor(path).data, dtype=np.float64)
+    check_finite(data, per_row=per_row, path=path)
+    return data
+
+
 def _load_layer(entry: LayerManifestEntry, cfg: RunConfig):
-    w = np.asarray(read_tensor(entry.weight_path).data, dtype=np.float64)
-    a_fp = np.asarray(read_tensor(entry.calib_path).data, dtype=np.float64)
+    """Read a layer's tensors as float64, rejecting NaN/Inf with the file name."""
+    w = _read_finite(entry.weight_path, per_row=True)
+    a_fp = _read_finite(entry.calib_path)
     bits_w = cfg.bits_w if cfg.bits_w is not None else entry.bits_w
     bits_a = cfg.bits_a if cfg.bits_a is not None else entry.bits_a
     return w, a_fp, bits_w, bits_a
@@ -441,15 +554,17 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
     """All eight stage combinations over the given layers.
 
     Returns one row per (combination, layer) with the final MSE and the
-    reduction against that layer's plain round-to-nearest baseline.
+    reduction against that layer's plain round-to-nearest baseline, in
+    combination-major order. Each layer's prefix and aqer step are
+    computed once and shared by all eight combinations.
     """
-    rows = []
-    for combo_name, stages in ABLATION_GRID:
-        combo_cfg = cfg.replace(stages=stages)
-        for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
-            result = quantize_layer(
-                w, a_fp, act_family, bits_w, bits_a, combo_cfg, layer_id=layer_id
-            )
+    combos = [(name, stages, cfg.replace(stages=stages)) for name, stages in ABLATION_GRID]
+    per_combo = [[] for _ in combos]
+    for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
+        prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a)
+        aqer = aqer_step(prefix, cfg.lambda1)
+        for rows, (combo_name, stages, combo_cfg) in zip(per_combo, combos):
+            result = finish_layer(prefix, aqer, combo_cfg, layer_id)
             rows.append(
                 {
                     "combination": combo_name,
@@ -462,7 +577,7 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
                     "reduction_vs_baseline": result.reduction["cumulative"],
                 }
             )
-    return rows
+    return [row for rows in per_combo for row in rows]
 
 
 def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
@@ -472,42 +587,53 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     bit-identical to disabling the rounding stage); `n_images` calibrates
     on the first v rows only while always evaluating MSE on the full
     batch, so rows are comparable across calibration sizes.
+
+    Each layer's prefix is computed once for a `lambda` or `k` sweep, and
+    its aqer step once for a `k` sweep; `n_images` changes the calibration
+    batch, so each value runs the whole layer.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; valid: {SWEEP_PARAMS}")
-    rows = []
-    for value in values:
-        if param == "lambda":
-            run_cfg = cfg.replace(lambda1=float(value), lambda2=float(value))
-        elif param == "k":
-            run_cfg = cfg.replace(k=int(value))
-        else:
-            run_cfg = cfg
-        baselines = []
-        finals = []
-        reductions = []
-        for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
-            batch = a_fp
-            eval_batch = None
-            if param == "n_images":
-                count = int(value)
-                if count < 2:
-                    raise ConfigError("n_images must be >= 2")
-                batch = a_fp[:count]
-                eval_batch = a_fp
-            result = quantize_layer(
-                w,
-                batch,
-                act_family,
-                bits_w,
-                bits_a,
-                run_cfg,
-                layer_id=layer_id,
-                eval_batch=eval_batch,
-            )
+    if param == "lambda":
+        run_cfgs = [cfg.replace(lambda1=float(v), lambda2=float(v)) for v in values]
+    elif param == "k":
+        run_cfgs = [cfg.replace(k=int(v)) for v in values]
+    else:
+        run_cfgs = [cfg for _ in values]
+        counts = [int(v) for v in values]
+        if any(count < 2 for count in counts):
+            raise ConfigError("n_images must be >= 2")
+        largest = max(counts, default=0)
+        for layer_id, _, a_fp, *_ in layers:
+            if largest > a_fp.shape[0]:
+                raise ConfigError(
+                    f"n_images {largest} exceeds the {a_fp.shape[0]} "
+                    f"calibration samples of layer {layer_id!r}"
+                )
+    aqer_on = STAGE_AQER in cfg.stages
+    per_value = [([], [], []) for _ in values]
+    for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
+        shared_prefix = shared_aqer = None
+        if param != "n_images":
+            shared_prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a)
+        if param == "k" and aqer_on:
+            shared_aqer = aqer_step(shared_prefix, cfg.lambda1)
+        for value, run_cfg, (baselines, finals, reductions) in zip(
+            values, run_cfgs, per_value
+        ):
+            prefix, aqer = shared_prefix, shared_aqer
+            if prefix is None:
+                prefix = layer_prefix(
+                    w, a_fp[: int(value)], act_family, bits_w, bits_a, eval_batch=a_fp
+                )
+            if aqer is None and aqer_on:
+                aqer = aqer_step(prefix, run_cfg.lambda1)
+            result = finish_layer(prefix, aqer, run_cfg, layer_id)
             baselines.append(result.mse["baseline"])
             finals.append(result.mse["final"])
             reductions.append(result.reduction["cumulative"])
+    rows = []
+    for value, (baselines, finals, reductions) in zip(values, per_value):
         rows.append(
             {
                 "param": param,

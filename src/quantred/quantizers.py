@@ -125,21 +125,27 @@ class NonFiniteInputError(ValueError):
     """Calibration input holds NaN or +/-Inf.
 
     `index` locates the first bad element in the array as passed; `row` is
-    the channel for per-channel calibration and None otherwise.
+    the channel for per-channel calibration and None otherwise; `path` is
+    the tensor file the array was read from, when it came from one.
     """
 
-    def __init__(self, value: float, index: tuple, row: int | None = None):
+    def __init__(self, value: float, index: tuple, row: int | None = None, path=None):
         self.index = index
         self.row = row
+        self.path = path
         where = f"index {index}" if row is None else f"row {row}, column {index[-1]}"
-        super().__init__(f"non-finite calibration value {value} at {where}")
+        source = "" if path is None else f" in {path}"
+        super().__init__(f"non-finite calibration value {value} at {where}{source}")
 
 
-def _check_finite(x: np.ndarray, per_row: bool = False) -> None:
+def check_finite(x: np.ndarray, per_row: bool = False, path=None) -> None:
+    """Raise NonFiniteInputError at the first NaN/Inf of x (row-major order)."""
     finite = np.isfinite(x)
     if not finite.all():
         index = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), x.shape))
-        raise NonFiniteInputError(float(x[index]), index, index[0] if per_row else None)
+        raise NonFiniteInputError(
+            float(x[index]), index, index[0] if per_row else None, path
+        )
 
 
 # Relative half-width of the window around a bin edge inside which the fast
@@ -284,7 +290,7 @@ def calibrate_uniform(values: np.ndarray, bits: int) -> UniformParams:
     float64 (constant input included), give degenerate unit-scale params.
     """
     values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
+    check_finite(values)
     values = values.ravel()
     if bits < 2:
         raise ValueError("bit width must be >= 2")
@@ -308,7 +314,7 @@ def calibrate_log_sqrt2(values: np.ndarray, bits: int) -> LogSqrt2Params:
     Degenerate when the smallest candidate scale (half the maximum) is zero.
     """
     values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
+    check_finite(values)
     values = values.ravel()
     if bits < 2:
         raise ValueError("bit width must be >= 2")
@@ -342,7 +348,7 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
             raise ValueError("per_channel calibration is uniform only")
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
-        _check_finite(x, per_row=True)
+        check_finite(x, per_row=True)
         params = tuple(calibrate_uniform(row, bits) for row in x)
     else:
         raise ValueError(f"unknown granularity {granularity!r}")

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from quantred import weight_quant
 from quantred.cli import main
 from quantred.synth import SynthSpec, write_manifest_files
-from quantred.tensorfile import TensorFile, write_tensor
+from quantred.tensorfile import TensorFile, read_tensor, write_tensor
 
 
 @pytest.fixture()
@@ -187,6 +187,18 @@ class TestQuantize:
         )
         self._assert_only_b_failed(result, out)
 
+    def test_non_finite_weight_names_the_file(self, runner, tmp_path):
+        manifest = self._manifest_with_layer_b(tmp_path, 16)
+        bad = manifest.parent / "b_w.npy"
+        data = read_tensor(bad).data.copy()
+        data[1, 5] = np.nan
+        write_tensor(bad, TensorFile.from_array(data))
+        out = tmp_path / "out"
+        result = _run(runner, ["quantize", "--manifest", str(manifest), "--out", str(out)])
+        self._assert_only_b_failed(result, out, "NonFiniteInputError")
+        error = json.loads((out / "report.json").read_text())["layers"][1]["error"]
+        assert "at row 1, column 5" in error and str(bad) in error
+
     def test_validation_errors_exit_1(self, runner, manifest, tmp_path):
         missing = _run(
             runner,
@@ -336,6 +348,20 @@ class TestAblate:
         }
 
 
+    def test_non_finite_calibration_names_the_file(self, runner, manifest, tmp_path):
+        bad = manifest.parent / "layer1_calib.npy"
+        assert bad.is_file()
+        data = read_tensor(bad).data.copy()
+        data[3, 2] = np.inf
+        write_tensor(bad, TensorFile.from_array(data))
+        out = tmp_path / "out"
+        result = _run(runner, ["ablate", "--manifest", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "non-finite calibration value inf at index (3, 2)" in result.stderr
+        assert str(bad) in result.stderr
+        assert not (out / "ablation.csv").exists()
+
+
 class TestSweep:
     def test_lambda_sweep_rows(self, runner, manifest, tmp_path):
         out = tmp_path / "out"
@@ -380,3 +406,14 @@ class TestSweep:
              "--param", "n_images", "--values", "1"],
         )
         assert result.exit_code == 1
+
+    def test_n_images_above_layer_samples_exit_1(self, runner, manifest, tmp_path):
+        out = tmp_path / "o"
+        result = _run(
+            runner,
+            ["sweep", "--manifest", str(manifest), "--out", str(out),
+             "--param", "n_images", "--values", "8,100"],
+        )
+        assert result.exit_code == 1
+        assert "exceeds the 48 calibration samples of layer 'layer0'" in result.stderr
+        assert not (out / "sweep.csv").exists()

@@ -10,6 +10,7 @@ from quantred.pipeline import (
     ABLATION_COLUMNS,
     ABLATION_GRID,
     ALL_STAGES,
+    NUMERICAL_ERRORS,
     STAGE_AQER,
     STAGE_RIDGE,
     STAGE_ROUNDING,
@@ -36,6 +37,97 @@ def _layer(rng, d_out=6, d_in=10, n=96):
     w = rng.normal(0, 0.5, (d_out, d_in))
     a_fp = rng.normal(0.2, 1.1, (n, d_in))
     return w, a_fp
+
+
+def _reference_ablation(layers, cfg):
+    """run_ablation as one quantize_layer per (combination, layer)."""
+    rows = []
+    for combo_name, stages in ABLATION_GRID:
+        combo_cfg = cfg.replace(stages=stages)
+        for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
+            result = quantize_layer(
+                w, a_fp, act_family, bits_w, bits_a, combo_cfg, layer_id=layer_id
+            )
+            rows.append(
+                {
+                    "combination": combo_name,
+                    "aqer": int(STAGE_AQER in stages),
+                    "rounding": int(STAGE_ROUNDING in stages),
+                    "ridge": int(STAGE_RIDGE in stages),
+                    "layer_id": layer_id,
+                    "mse_baseline": result.mse["baseline"],
+                    "mse_final": result.mse["final"],
+                    "reduction_vs_baseline": result.reduction["cumulative"],
+                }
+            )
+    return rows
+
+
+def _reference_sweep(param, values, layers, cfg):
+    """run_sweep as one quantize_layer per (value, layer)."""
+    rows = []
+    for value in values:
+        if param == "lambda":
+            run_cfg = cfg.replace(lambda1=float(value), lambda2=float(value))
+        elif param == "k":
+            run_cfg = cfg.replace(k=int(value))
+        else:
+            run_cfg = cfg
+        baselines, finals, reductions = [], [], []
+        for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
+            batch, eval_batch = a_fp, None
+            if param == "n_images":
+                batch, eval_batch = a_fp[: int(value)], a_fp
+            result = quantize_layer(
+                w, batch, act_family, bits_w, bits_a, run_cfg,
+                layer_id=layer_id, eval_batch=eval_batch,
+            )
+            baselines.append(result.mse["baseline"])
+            finals.append(result.mse["final"])
+            reductions.append(result.reduction["cumulative"])
+        rows.append(
+            {
+                "param": param,
+                "value": float(value),
+                "layers": len(layers),
+                "mse_baseline_mean": float(np.mean(baselines)),
+                "mse_final_mean": float(np.mean(finals)),
+                "reduction_mean": float(np.mean(reductions)),
+            }
+        )
+    return rows
+
+
+def _chain(seed, n, act_family="uniform", d_in=12):
+    """Two layers; log_sqrt2 layers get nonnegative activations."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i, d_out in enumerate((5, 3)):
+        w, a_fp = _layer(rng, d_out=d_out, d_in=d_in, n=n)
+        if act_family == "log_sqrt2":
+            a_fp = np.abs(a_fp)
+        layers.append((f"l{i}", w, a_fp, act_family, 4, 4))
+    return layers
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Count calibrations by granularity and aqer solves at pipeline's lookup points."""
+    counts = {"per_tensor": 0, "per_channel": 0, "aqer": 0}
+    calibrate = pipeline.calibrate_scale
+    solve = pipeline.solve_activation_correction
+
+    def counted_calibrate(x, family, bits, granularity):
+        counts[granularity] += 1
+        return calibrate(x, family, bits, granularity)
+
+    def counted_solve(*args, **kwargs):
+        counts["aqer"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "calibrate_scale", counted_calibrate)
+    monkeypatch.setattr(pipeline, "solve_activation_correction", counted_solve)
+    return counts
 
 
 class TestRunConfig:
@@ -171,6 +263,26 @@ class TestQuantizeLayer:
         cfg = RunConfig()
         with pytest.raises(ValueError, match="incompatible"):
             quantize_layer(np.zeros((2, 3)), np.zeros((8, 4)), "uniform", 4, 4, cfg)
+
+    def test_one_activation_and_two_weight_calibrations(self, call_counts):
+        rng = np.random.default_rng(14)
+        w, a_fp = _layer(rng)
+        quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(lambda1=1.0, lambda2=1.0))
+        assert call_counts == {"per_tensor": 1, "per_channel": 2, "aqer": 1}
+
+    def test_composes_prefix_aqer_step_and_tail(self):
+        rng = np.random.default_rng(15)
+        w, a_fp = _layer(rng, n=48)
+        cfg = RunConfig(lambda1=1.0, lambda2=1.0)
+        prefix = pipeline.layer_prefix(w, a_fp, "uniform", 4, 4)
+        aqer = pipeline.aqer_step(prefix, cfg.lambda1)
+        split = pipeline.finish_layer(prefix, aqer, cfg, "x")
+        whole = quantize_layer(w, a_fp, "uniform", 4, 4, cfg, layer_id="x")
+        np.testing.assert_array_equal(split.codes, whole.codes)
+        assert split.mse == whole.mse and split.reduction == whole.reduction
+        assert set(split.timings) == set(whole.timings)
+        with pytest.raises(ValueError, match="aqer step"):
+            pipeline.finish_layer(prefix, None, cfg)
 
     def test_jobs_do_not_change_results(self):
         rng = np.random.default_rng(5)
@@ -323,6 +435,32 @@ class TestManifestRun:
             for layer in timings.values():
                 assert set(layer) == keys
 
+    @pytest.mark.parametrize(("tensor", "per_row"), [("weight", True), ("calib", False)])
+    def test_non_finite_tensor_named_at_load(self, tmp_path, monkeypatch, tensor, per_row):
+        entries = self._entries(tmp_path)
+        path = entries[1].weight_path if tensor == "weight" else entries[1].calib_path
+        data = read_tensor(path).data.copy()
+        data[1, 2] = np.nan
+        data[2, 0] = np.inf
+        write_tensor(path, TensorFile.from_array(data))
+        reads = []
+        real_read = pipeline.read_tensor
+
+        def counted_read(p):
+            reads.append(p)
+            return real_read(p)
+
+        monkeypatch.setattr(pipeline, "read_tensor", counted_read)
+        with pytest.raises(pipeline.NonFiniteInputError) as info:
+            load_layers(entries, RunConfig())
+        assert isinstance(info.value, NUMERICAL_ERRORS)
+        assert info.value.path == path and str(path) in str(info.value)
+        assert info.value.index == (1, 2)
+        assert info.value.row == (1 if per_row else None)
+        # each tensor is read once; the check reuses the loaded array
+        loaded = [entries[0].weight_path, entries[0].calib_path, entries[1].weight_path]
+        assert reads == loaded + ([] if per_row else [entries[1].calib_path])
+
     def test_trace_rows_match_columns(self, tmp_path):
         entries = self._entries(tmp_path)
         cfg = RunConfig(lambda1=1.0, lambda2=1.0)
@@ -388,6 +526,39 @@ class TestAblation:
             )
 
 
+    @pytest.mark.parametrize("lam", [0.1, 10.0])
+    @pytest.mark.parametrize("act_family", ["uniform", "log_sqrt2"])
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_per_combination_reference(self, seed, n, act_family, lam):
+        layers = _chain(seed, n, act_family)
+        cfg = RunConfig(lambda1=lam, lambda2=lam)
+        assert run_ablation(layers, cfg) == _reference_ablation(layers, cfg)
+
+    @pytest.mark.parametrize(
+        ("n_bad", "lam"),
+        [(1, 1.0), (3, 0.0)],
+        ids=["one_sample", "unregularized_thin"],
+    )
+    def test_failing_layer_raises_as_reference(self, n_bad, lam):
+        layers = _chain(3, 32)
+        rng = np.random.default_rng(4)
+        w, a_fp = _layer(rng, d_out=2, d_in=8, n=n_bad)
+        layers.insert(1, ("bad", w, a_fp, "uniform", 4, 4))
+        cfg = RunConfig(lambda1=lam, lambda2=lam)
+        with pytest.raises(NUMERICAL_ERRORS) as reference:
+            _reference_ablation(layers, cfg)
+        with pytest.raises(NUMERICAL_ERRORS) as shared:
+            run_ablation(layers, cfg)
+        assert type(shared.value) is type(reference.value)
+
+    def test_prefix_and_aqer_once_per_layer(self, call_counts):
+        layers = _chain(5, 32) + _chain(6, 16)[:1]
+        run_ablation(layers, RunConfig(lambda1=1.0, lambda2=1.0))
+        count = len(layers)
+        assert call_counts == {"per_tensor": count, "per_channel": 2 * count, "aqer": count}
+
+
 class TestSweep:
     @staticmethod
     def _layers(rng, n=256, d_in=12, d_out=6):
@@ -446,6 +617,55 @@ class TestSweep:
         layers = self._layers(rng)
         with pytest.raises(ConfigError, match="n_images"):
             run_sweep("n_images", [1], layers, RunConfig())
+
+    @pytest.mark.parametrize(
+        "stages", [frozenset(ALL_STAGES), frozenset({STAGE_ROUNDING, STAGE_RIDGE})]
+    )
+    @pytest.mark.parametrize(
+        ("param", "values"),
+        [("lambda", [0.1, 10.0, 1e3]), ("k", [0, 1, 2]), ("n_images", [4, 16, 64])],
+    )
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    def test_rows_equal_per_value_reference(self, param, values, n, stages):
+        layers = _chain(17, 64, "uniform", d_in=12 if n == 64 else 80)
+        cfg = RunConfig(lambda1=2.0, lambda2=2.0, stages=stages)
+        assert run_sweep(param, values, layers, cfg) == _reference_sweep(
+            param, values, layers, cfg
+        )
+
+    @pytest.mark.parametrize("values", [[1], [2, 5, 7]])
+    def test_k_sweep_shares_prefix_and_aqer(self, call_counts, values):
+        layers = _chain(18, 32)
+        run_sweep("k", values, layers, RunConfig(lambda1=1.0, lambda2=1.0))
+        count = len(layers)
+        assert call_counts == {"per_tensor": count, "per_channel": 2 * count, "aqer": count}
+
+    def test_lambda_sweep_shares_prefix(self, call_counts):
+        layers = _chain(19, 32)
+        run_sweep("lambda", [0.5, 5.0, 50.0], layers, RunConfig())
+        count = len(layers)
+        assert call_counts == {
+            "per_tensor": count,
+            "per_channel": count + 3 * count,
+            "aqer": 3 * count,
+        }
+
+    def test_n_images_above_layer_samples_rejected(self, call_counts):
+        rng = np.random.default_rng(20)
+        layers = self._layers(rng, n=256)
+        w, a_fp = _layer(rng, d_out=3, d_in=12, n=64)
+        layers.append(("small", w, a_fp, "uniform", 4, 4))
+        with pytest.raises(ConfigError, match=r"200 exceeds the 64 .*'small'"):
+            run_sweep("n_images", [64, 200], layers, RunConfig())
+        assert call_counts["per_tensor"] == 0  # rejected before any layer ran
+        run_sweep("n_images", [64], layers, RunConfig())
+
+    def test_n_images_checked_before_any_layer(self, call_counts):
+        rng = np.random.default_rng(21)
+        layers = self._layers(rng)
+        with pytest.raises(ConfigError, match="n_images"):
+            run_sweep("n_images", [8, 1], layers, RunConfig())
+        assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
 
     def test_row_schema(self):
         rng = np.random.default_rng(12)
