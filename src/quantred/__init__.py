@@ -1,6 +1,6 @@
 """Post-training quantization for linear layers with two-step error reduction."""
 
-from .act_correct import ActivationCorrection, solve_activation_correction
+from .act_correct import solve_activation_correction
 from .linalg import SingularSystemError
 from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
 from .oracle import (
@@ -26,7 +26,6 @@ from .synth import ChainReport, SynthSpec, generate_layer, run_chain
 from .tensorfile import (
     LayerManifestEntry,
     ManifestError,
-    TensorFile,
     TensorFormatError,
     load_manifest,
     read_tensor,

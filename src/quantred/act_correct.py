@@ -30,24 +30,16 @@ is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import require_regularized, solve_rows, spd_factor
 from .moments import InsufficientSamplesError
 
 
-@dataclass(frozen=True)
-class ActivationCorrection:
-    delta_w: np.ndarray
-    updated_w: np.ndarray
-
-
 def solve_activation_correction(
     w: np.ndarray, a_fp: np.ndarray, a_q: np.ndarray, lambda1: float
-) -> ActivationCorrection:
-    """Solve for the optimal weight update given a paired calibration batch.
+) -> np.ndarray:
+    """The optimal weight update dW* given a paired calibration batch.
 
     The system matrix is factored once and shared across all output
     channels (one right-hand side per row of W): D_in x D_in in the input
@@ -67,18 +59,16 @@ def solve_activation_correction(
     n = a_fp.shape[0]
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
+    if not (np.isfinite(lambda1) and lambda1 >= 0):
+        raise ValueError(f"lambda1 must be finite and >= 0, got {lambda1}")
 
     rhs = w @ (a_q - a_fp).T / n
     if n < w.shape[1]:
         require_regularized(n, w.shape[1], lambda1)
         factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
-        delta_w = -solve_rows(factor, rhs) @ a_q
-    else:
-        factor = spd_factor(a_q.T @ a_q / n + lambda1 * np.eye(w.shape[1]))
-        delta_w = -solve_rows(factor, rhs @ a_q)
-    return ActivationCorrection(delta_w=delta_w, updated_w=w + delta_w)
+        return -solve_rows(factor, rhs) @ a_q
+    factor = spd_factor(a_q.T @ a_q / n + lambda1 * np.eye(w.shape[1]))
+    return -solve_rows(factor, rhs @ a_q)
 
 
 def activation_correction_objective(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ from .linalg import SingularSystemError
 from .moments import InsufficientSamplesError
 from .oracle import layer_mse
 from .quantizers import (
+    MAX_BITS,
     LogSqrt2Params,
     NonFiniteInputError,
     QuantScheme,
@@ -38,25 +40,15 @@ from .quantizers import (
     check_finite,
     quantize_with_scheme,
 )
-from .tensorfile import LayerManifestEntry, TensorFile, read_tensor, write_tensor
-from .weight_quant import ChannelResult, WeightQuantConfig, quantize_layer_weights
+from .tensorfile import LayerManifestEntry, read_tensor, write_tensor
+from .weight_quant import TRACE_FIELDS, WeightQuantConfig, quantize_layer_weights
 
 STAGE_AQER = "aqer"
 STAGE_ROUNDING = "wqer_rounding"
 STAGE_RIDGE = "wqer_ridge"
 ALL_STAGES = (STAGE_AQER, STAGE_ROUNDING, STAGE_RIDGE)
 
-TRACE_COLUMNS = (
-    "layer_id",
-    "channel",
-    "iteration",
-    "slice_size",
-    "proxy_before",
-    "proxy_after",
-    "mse",
-    "stop_reason",
-    "flips_committed",
-)
+TRACE_COLUMNS = ("layer_id", "channel", *TRACE_FIELDS)
 
 ABLATION_GRID = (
     ("baseline", frozenset()),
@@ -90,15 +82,18 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("regularization strengths must be >= 0")
+        for lam in (self.lambda1, self.lambda2):
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ConfigError(
+                    f"regularization strengths must be finite and >= 0, got {lam}"
+                )
         if self.k < 0:
             raise ConfigError("k must be >= 0")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
         for bits in (self.bits_w, self.bits_a):
-            if bits is not None and bits < 2:
-                raise ConfigError("bit widths must be >= 2")
+            if bits is not None and not 2 <= bits <= MAX_BITS:
+                raise ConfigError(f"bit widths must be >= 2 and <= {MAX_BITS}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         unknown = set(self.stages) - set(ALL_STAGES)
@@ -167,7 +162,7 @@ class LayerResult:
     a_q: np.ndarray
     mse: dict
     reduction: dict
-    channels: tuple[ChannelResult, ...]
+    trace: tuple[list[dict], ...]
     timings: dict
 
 
@@ -272,8 +267,9 @@ def aqer_step(prefix: LayerPrefix, lambda1: float) -> AqerStep:
     the corrected weights.
     """
     t0 = time.perf_counter()
-    correction = solve_activation_correction(prefix.w, prefix.a_fp, prefix.a_q, lambda1)
-    updated_w = correction.updated_w
+    updated_w = prefix.w + solve_activation_correction(
+        prefix.w, prefix.a_fp, prefix.a_q, lambda1
+    )
     t1 = time.perf_counter()
     scheme = calibrate_scale(updated_w, "uniform", prefix.bits_w, "per_channel")
     t2 = time.perf_counter()
@@ -322,21 +318,19 @@ def finish_layer(
         timings["weight_calib"] += aqer.calib_s
         timings["aqer"] = aqer.aqer_s
 
-    channels: tuple[ChannelResult, ...] = ()
+    trace = ()
     if rounding_on or ridge_on:
         t0 = time.perf_counter()
         wq_cfg = WeightQuantConfig(
-            k=cfg.k,
+            k=cfg.k if rounding_on else 0,
             max_iter=cfg.max_iter,
             lambda2=cfg.lambda2,
-            rounding=rounding_on,
             ridge=ridge_on,
         )
         wres = quantize_layer_weights(
             current, weight_scheme.params, prefix.a_q, wq_cfg, jobs=cfg.jobs
         )
-        codes, w_bar = wres.codes, wres.w_bar
-        channels = wres.channels
+        codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
         mse["after_wqer"] = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
         prev = mse["after_aqer"] if aqer_on else mse["baseline"]
         reduction["wqer"] = _ratio(prev, mse["after_wqer"])
@@ -362,7 +356,7 @@ def finish_layer(
         a_q=prefix.a_q,
         mse=mse,
         reduction=reduction,
-        channels=channels,
+        trace=trace,
         timings=timings,
     )
 
@@ -437,23 +431,11 @@ def layer_report_entry(result: LayerResult, codes_path: str | None) -> dict:
 
 def trace_rows(result: LayerResult) -> list[dict]:
     """One dict per refinement iteration, keyed by TRACE_COLUMNS."""
-    rows = []
-    for channel_idx, channel in enumerate(result.channels):
-        for row in channel.trace:
-            rows.append(
-                {
-                    "layer_id": result.layer_id,
-                    "channel": channel_idx,
-                    "iteration": row.iteration,
-                    "slice_size": row.slice_size,
-                    "proxy_before": row.proxy_before,
-                    "proxy_after": row.proxy_after,
-                    "mse": row.mse,
-                    "stop_reason": row.stop_reason,
-                    "flips_committed": row.flips_committed,
-                }
-            )
-    return rows
+    return [
+        {"layer_id": result.layer_id, "channel": channel, **row}
+        for channel, rows in enumerate(result.trace)
+        for row in rows
+    ]
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -478,7 +460,7 @@ NUMERICAL_ERRORS = (
 
 
 def _read_finite(path, per_row: bool = False) -> np.ndarray:
-    data = np.asarray(read_tensor(path).data, dtype=np.float64)
+    data = np.asarray(read_tensor(path), dtype=np.float64)
     check_finite(data, per_row=per_row, path=path)
     return data
 
@@ -520,10 +502,7 @@ def run_manifest(
             )
             continue
         codes_name = f"{entry.layer_id}_codes.npy"
-        write_tensor(
-            out_dir / codes_name,
-            TensorFile.from_array(result.codes.astype(np.int32), "int32"),
-        )
+        write_tensor(out_dir / codes_name, result.codes.astype(np.int32))
         report_entries.append(layer_report_entry(result, codes_name))
         all_traces.extend(trace_rows(result))
         result.timings["total"] = time.perf_counter() - t0

@@ -28,6 +28,10 @@ SQRT2 = float(np.sqrt(2.0))
 # scale candidates alpha * s_maxabs, alpha = 0.500 .. 1.200 step 0.005
 ALPHA_GRID = np.arange(100, 241, dtype=np.float64) / 200.0
 
+# widest bit width a manifest or run config may ask for: calibration builds
+# (141, 2^b) candidate arrays, and code files hold int32
+MAX_BITS = 16
+
 FAMILIES = ("uniform", "log_sqrt2")
 GRANULARITIES = ("per_tensor", "per_channel")
 
@@ -93,20 +97,16 @@ def quantize_uniform(x: np.ndarray, params: UniformParams):
     return codes, dequantize_uniform(codes, params)
 
 
-def _log_floor_value(params: LogSqrt2Params) -> float:
-    # smallest representable magnitude, the image of the largest code
-    return params.scale * 2.0 ** (-((1 << params.bits) - 1) / 2.0)
-
-
 def log_sqrt2_codes(x: np.ndarray, params: LogSqrt2Params) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size and float(x.min()) < 0.0:
         raise ValueError("log_sqrt2 quantizer requires nonnegative inputs")
-    # zero and underflowing inputs clamp to the smallest representable value
-    xe = np.maximum(x, _log_floor_value(params))
     qmax = (1 << params.bits) - 1
-    codes = np.rint(-2.0 * np.log2(xe / params.scale)).astype(np.int64)
-    return np.clip(codes, 0, qmax)
+    # zero and underflowing inputs have log2 = -inf: clipped to the largest
+    # code before the integer cast
+    with np.errstate(divide="ignore"):
+        codes = np.rint(-2.0 * np.log2(x / params.scale))
+    return np.clip(codes, 0, qmax).astype(np.int64)
 
 
 def dequantize_log_sqrt2(codes: np.ndarray, params: LogSqrt2Params) -> np.ndarray:

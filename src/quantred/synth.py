@@ -18,7 +18,7 @@ from scipy.special import erf
 
 from . import pipeline
 from .oracle import layer_mse
-from .tensorfile import TensorFile, write_tensor
+from .tensorfile import write_tensor
 
 NONLINEARITIES = ("identity", "gelu", "softmax")
 ACTIVATION_KINDS = ("gaussian", "mixture")
@@ -191,11 +191,8 @@ def write_manifest_files(
     for i, w in enumerate(weights):
         weight_name = f"layer{i}_weight.npy"
         calib_name = f"layer{i}_calib.npy"
-        write_tensor(out_dir / weight_name, TensorFile.from_array(w.astype(np.float32)))
-        write_tensor(
-            out_dir / calib_name,
-            TensorFile.from_array(fp_inputs[i].astype(np.float32)),
-        )
+        write_tensor(out_dir / weight_name, w.astype(np.float32))
+        write_tensor(out_dir / calib_name, fp_inputs[i].astype(np.float32))
         layers.append(
             {
                 "layer_id": f"layer{i}",

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .quantizers import MAX_BITS
+
 MAGIC = b"\x93NUMPY"
 
 # dtype name -> struct descr accepted on disk
 _DTYPES = {"float32": "<f4", "int32": "<i4", "uint8": "|u1"}
-_DESCRS = {v: k for k, v in _DTYPES.items()}
 
 ACT_FAMILIES = ("uniform", "log_sqrt2")
 
@@ -38,27 +39,8 @@ class ManifestError(Exception):
     """Manifest fails validation against the files it references."""
 
 
-@dataclass(frozen=True)
-class TensorFile:
-    """A shaped tensor plus its on-disk dtype name."""
-
-    shape: tuple[int, ...]
-    dtype: str
-    data: np.ndarray
-
-    @staticmethod
-    def from_array(array: np.ndarray, dtype: str | None = None) -> "TensorFile":
-        name = dtype or str(array.dtype)
-        if name not in _DTYPES:
-            raise TensorFormatError(f"unsupported dtype {name!r}", 0)
-        out = np.ascontiguousarray(array, dtype=_DTYPES[name])
-        if out.shape != np.shape(array):  # ascontiguousarray promotes 0-d to (1,)
-            out = out.reshape(np.shape(array))
-        return TensorFile(shape=tuple(out.shape), dtype=name, data=out)
-
-
-def read_tensor(path: str | Path) -> TensorFile:
-    """Read one tensor, validating the header and payload length.
+def read_tensor(path: str | Path) -> np.ndarray:
+    """Read one tensor as a read-only float32, int32 or uint8 array.
 
     Raises TensorFormatError with a byte offset for a bad magic string,
     unsupported version, malformed header dict, unsupported dtype, or a
@@ -89,7 +71,7 @@ def read_tensor(path: str | Path) -> TensorFile:
     } <= set(header):
         raise TensorFormatError("header missing required keys", 10)
     descr = header["descr"]
-    if descr not in _DESCRS:
+    if descr not in _DTYPES.values():
         raise TensorFormatError(f"unsupported dtype {descr!r}", 10)
     if header["fortran_order"] is not False:
         raise TensorFormatError("fortran order payloads are unsupported", 10)
@@ -111,23 +93,18 @@ def read_tensor(path: str | Path) -> TensorFile:
         raise TensorFormatError("trailing bytes after payload", data_start + expected)
     data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     data.setflags(write=False)
-    return TensorFile(shape=tuple(shape), dtype=_DESCRS[descr], data=data)
+    return data
 
 
-def write_tensor(path: str | Path, tensor: TensorFile) -> None:
-    """Write a tensor bit-exactly; output loads with any npy reader."""
-    if tensor.dtype not in _DTYPES:
-        raise TensorFormatError(f"unsupported dtype {tensor.dtype!r}", 0)
-    data = np.ascontiguousarray(tensor.data, dtype=_DTYPES[tensor.dtype])
-    if data.shape != np.shape(tensor.data):  # ascontiguousarray promotes 0-d to (1,)
-        data = data.reshape(np.shape(tensor.data))
-    if tuple(data.shape) != tuple(tensor.shape):
-        raise TensorFormatError(
-            f"shape {tensor.shape} does not match data {data.shape}", 0
-        )
+def write_tensor(path: str | Path, array: np.ndarray) -> None:
+    """Write a float32, int32 or uint8 array bit-exactly; loads with any npy reader."""
+    name = array.dtype.name
+    if name not in _DTYPES:
+        raise TensorFormatError(f"unsupported dtype {name!r}", 0)
+    data = np.asarray(array, dtype=_DTYPES[name])
     header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (
-        _DTYPES[tensor.dtype],
-        repr(tuple(int(d) for d in tensor.shape)),
+        _DTYPES[name],
+        repr(tuple(int(d) for d in data.shape)),
     )
     # pad so the payload starts on a 64-byte boundary, header ends in \n
     unpadded = len(MAGIC) + 2 + 2 + len(header) + 1
@@ -156,11 +133,12 @@ class LayerManifestEntry:
 def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
     """Load and cross-validate a JSON manifest.
 
-    Checks per layer: referenced files exist and parse, weights are 2-D
-    float32 (D_out x D_in), calibration activations are 2-D float32
-    (N x D_in) with matching D_in, bit widths are integers >= 2, the
-    activation quantizer family is known, and a log_sqrt2 layer has
-    nonnegative calibration data. Order is preserved.
+    The manifest must list at least one layer. Checks per layer:
+    referenced files exist and parse, weights are 2-D float32
+    (D_out x D_in), calibration activations are 2-D float32 (N x D_in)
+    with matching D_in, neither tensor is empty, bit widths are integers
+    in [2, MAX_BITS], the activation quantizer family is known, and a
+    log_sqrt2 layer has nonnegative calibration data. Order is preserved.
     """
     path = Path(path)
     try:
@@ -169,6 +147,8 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ManifestError("manifest must be an object with a 'layers' array")
+    if not doc["layers"]:
+        raise ManifestError("manifest lists no layers")
 
     entries = []
     seen_ids: set[str] = set()
@@ -198,8 +178,10 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
             )
         bits_w = field("bits_w", int)
         bits_a = field("bits_a", int)
-        if bits_w < 2 or bits_a < 2:
-            raise ManifestError(f"layers[{i}]: bit widths must be >= 2")
+        if not (2 <= bits_w <= MAX_BITS and 2 <= bits_a <= MAX_BITS):
+            raise ManifestError(
+                f"layers[{i}]: bit widths must be >= 2 and <= {MAX_BITS}"
+            )
 
         weight_path = path.parent / field("weight_path", str)
         calib_path = path.parent / field("calib_path", str)
@@ -212,22 +194,23 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
         except TensorFormatError as exc:
             raise ManifestError(f"layers[{i}]: {exc}") from None
 
-        if weight.dtype != "float32" or calib.dtype != "float32":
+        if weight.dtype != np.float32 or calib.dtype != np.float32:
             raise ManifestError(f"layers[{i}]: tensors must be float32 on disk")
-        if len(weight.shape) != 2:
-            raise ManifestError(
-                f"layers[{i}]: weight must be 2-D, got shape {weight.shape}"
-            )
-        if len(calib.shape) != 2:
-            raise ManifestError(
-                f"layers[{i}]: calibration must be 2-D, got shape {calib.shape}"
-            )
+        for what, tensor in (("weight", weight), ("calibration", calib)):
+            if tensor.ndim != 2:
+                raise ManifestError(
+                    f"layers[{i}]: {what} must be 2-D, got shape {tensor.shape}"
+                )
+            if tensor.size == 0:
+                raise ManifestError(
+                    f"layers[{i}] ({layer_id!r}): {what} is empty, shape {tensor.shape}"
+                )
         if weight.shape[1] != calib.shape[1]:
             raise ManifestError(
                 f"layers[{i}]: weight D_in {weight.shape[1]} != calibration "
                 f"D_in {calib.shape[1]}"
             )
-        if act_quant == "log_sqrt2" and calib.data.size and float(calib.data.min()) < 0.0:
+        if act_quant == "log_sqrt2" and float(calib.min()) < 0.0:
             raise ManifestError(
                 f"layers[{i}]: log_sqrt2 activations require nonnegative "
                 "calibration data"

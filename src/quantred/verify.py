@@ -194,17 +194,17 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
         scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
         _, a_q = quantize_with_scheme(a_fp, scheme)
         lam = 0.5
-        corr = act_correct.solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = act_correct.solve_activation_correction(w, a_fp, a_q, lam)
         fd = oracle.finite_diff_gradient(
             lambda dw: act_correct.activation_correction_objective(
                 w, dw, a_fp, a_q, lam
             ),
-            corr.delta_w,
+            delta_w,
         )
         tol_scale = 1.0 + float(np.linalg.norm(w))
         max_corr_err = max(max_corr_err, float(np.max(np.abs(fd))) / tol_scale)
         at_solution = act_correct.activation_correction_objective(
-            w, corr.delta_w, a_fp, a_q, lam
+            w, delta_w, a_fp, a_q, lam
         )
         at_zero = act_correct.activation_correction_objective(
             w, np.zeros_like(w), a_fp, a_q, lam

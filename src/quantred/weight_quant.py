@@ -36,6 +36,7 @@ channel rather than once per split.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -51,7 +52,6 @@ class WeightQuantConfig:
     k: int = 1
     max_iter: int = 100
     lambda2: float = 1e4
-    rounding: bool = True
     ridge: bool = True
 
     def __post_init__(self):
@@ -59,8 +59,8 @@ class WeightQuantConfig:
             raise ValueError("k must be >= 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.lambda2 < 0:
-            raise ValueError("lambda2 must be >= 0")
+        if not (math.isfinite(self.lambda2) and self.lambda2 >= 0):
+            raise ValueError(f"lambda2 must be finite and >= 0, got {self.lambda2}")
 
 
 @dataclass(frozen=True)
@@ -89,29 +89,25 @@ class RoundingState:
         return np.where(self.up_mask, self.code_up, self.code_down)
 
 
-@dataclass(frozen=True)
-class ChannelTraceRow:
-    iteration: int
-    slice_size: int
-    proxy_before: float
-    proxy_after: float
-    mse: float
-    stop_reason: str
-    flips_committed: int
-
-
-@dataclass(frozen=True)
-class ChannelResult:
-    codes: np.ndarray
-    w_bar: np.ndarray
-    trace: tuple[ChannelTraceRow, ...]
+# keys of one trace row, one row per split of a channel
+TRACE_FIELDS = (
+    "iteration",
+    "slice_size",
+    "proxy_before",
+    "proxy_after",
+    "mse",
+    "stop_reason",
+    "flips_committed",
+)
 
 
 @dataclass(frozen=True)
 class LayerWeightResult:
+    """Codes and dequantized weights, plus `trace[i]`, the trace rows of channel i."""
+
     codes: np.ndarray
     w_bar: np.ndarray
-    channels: tuple[ChannelResult, ...]
+    trace: tuple[list[dict], ...]
 
 
 def halving_splits(dim: int) -> list[tuple[int, int, int]]:
@@ -364,14 +360,16 @@ def quantize_channel(
     params: UniformParams,
     cache: LayerMomentCache,
     cfg: WeightQuantConfig,
-) -> ChannelResult:
+) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Run the progressive loop for one output channel on the fixed lattice `params`.
 
-    The trace records, per iteration, the slice size, the proxy before and
-    after refinement, why refinement stopped and how many coordinates it
-    flipped, and the empirical squared output error of the partially
-    quantized row. Those errors are evaluated together after the loop by
+    Returns the codes, the dequantized row and one trace row per iteration,
+    keyed by TRACE_FIELDS: the slice size, the proxy before and after
+    refinement, why refinement stopped and how many coordinates it flipped,
+    and the empirical squared output error of the partially quantized row.
+    Those errors are evaluated together after the loop by
     `cache.trace_mses`, from one product of the per-split error vectors.
+    Refinement runs only for k > 0.
     """
     w_row = np.asarray(w_row, dtype=np.float64)
     dim = w_row.size
@@ -387,7 +385,7 @@ def quantize_channel(
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
-        if cfg.rounding and cfg.k > 0:
+        if cfg.k > 0:
             state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
             proxy_before, proxy_after = committed[0], committed[-1]
         else:
@@ -405,13 +403,14 @@ def quantize_channel(
                 slice_size=mid - lo,
                 proxy_before=proxy_before,
                 proxy_after=proxy_after,
+                mse=None,  # from one trace_mses product after the loop
                 stop_reason=state.stop_reason,
                 flips_committed=state.flips_committed,
             )
         )
-    mses = cache.trace_mses(errs)
-    trace = tuple(ChannelTraceRow(mse=float(m), **row) for row, m in zip(rows, mses))
-    return ChannelResult(codes, w_bar, trace)
+    for row, mse in zip(rows, cache.trace_mses(errs)):
+        row["mse"] = float(mse)
+    return codes, w_bar, rows
 
 
 def quantize_layer_weights(
@@ -433,7 +432,7 @@ def quantize_layer_weights(
         raise ValueError("need one UniformParams per output channel")
     cache = LayerMomentCache(a_q, cfg.lambda2 if cfg.ridge else None)
 
-    def run(i: int) -> ChannelResult:
+    def run(i: int):
         return quantize_channel(w[i], channel_params[i], cache, cfg)
 
     if jobs > 1 and w.shape[0] > 1:
@@ -442,6 +441,5 @@ def quantize_layer_weights(
     else:
         channels = [run(i) for i in range(w.shape[0])]
 
-    codes = np.stack([c.codes for c in channels])
-    w_bar = np.stack([c.w_bar for c in channels])
-    return LayerWeightResult(codes=codes, w_bar=w_bar, channels=tuple(channels))
+    codes, w_bar, trace = zip(*channels)
+    return LayerWeightResult(codes=np.stack(codes), w_bar=np.stack(w_bar), trace=trace)

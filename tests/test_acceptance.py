@@ -96,17 +96,17 @@ def test_criterion_03_activation_correction_optimality():
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
         scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
         _, a_q = quantize_with_scheme(a_fp, scheme)
-        corr = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
 
         fd = finite_diff_gradient(
             lambda dw: activation_correction_objective(w, dw, a_fp, a_q, lam),
-            corr.delta_w,
+            delta_w,
         )
         bound = 1e-6 * (1.0 + float(np.linalg.norm(w)))
         assert float(np.max(np.abs(fd))) < bound, (
             f"gradient max-norm {np.max(np.abs(fd)):.3e} >= {bound:.3e}"
         )
-        at_solution = activation_correction_objective(w, corr.delta_w, a_fp, a_q, lam)
+        at_solution = activation_correction_objective(w, delta_w, a_fp, a_q, lam)
         at_zero = activation_correction_objective(
             w, np.zeros_like(w), a_fp, a_q, lam
         )

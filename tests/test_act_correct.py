@@ -40,23 +40,21 @@ class TestHandCases:
         # delta = -w * 0.1 / (1 + 1) = -0.1
         a_q = np.array([[1.0], [-1.0]])
         a_fp = np.array([[0.9], [-0.9]])
-        corr = solve_activation_correction(np.array([[2.0]]), a_fp, a_q, 1.0)
-        np.testing.assert_allclose(corr.delta_w, [[-0.1]], atol=1e-14)
-        np.testing.assert_allclose(corr.updated_w, [[1.9]], atol=1e-14)
+        delta_w = solve_activation_correction(np.array([[2.0]]), a_fp, a_q, 1.0)
+        np.testing.assert_allclose(delta_w, [[-0.1]], atol=1e-14)
 
     def test_zero_activation_error_gives_zero_update(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0, 1, (32, 5))
         w = rng.normal(0, 1, (3, 5))
-        corr = solve_activation_correction(w, a, a, 0.5)
-        np.testing.assert_array_equal(corr.delta_w, np.zeros((3, 5)))
-        np.testing.assert_array_equal(corr.updated_w, w)
+        delta_w = solve_activation_correction(w, a, a, 0.5)
+        np.testing.assert_array_equal(delta_w, np.zeros((3, 5)))
 
     def test_huge_regularization_shrinks_update_to_zero(self):
         rng = np.random.default_rng(1)
         a_fp, a_q = _quantized_batch(rng, 64, 6)
         w = rng.normal(0, 1, (4, 6))
-        delta = solve_activation_correction(w, a_fp, a_q, 1e12).delta_w
+        delta = solve_activation_correction(w, a_fp, a_q, 1e12)
         assert np.abs(delta).max() < 1e-9
 
 
@@ -66,10 +64,10 @@ class TestOptimality:
         a_fp, a_q = _quantized_batch(rng, 128, 8)
         w = rng.normal(0, 1, (5, 8))
         lam = 0.7
-        corr = solve_activation_correction(w, a_fp, a_q, lam)
-        at_solution = activation_correction_objective(w, corr.delta_w, a_fp, a_q, lam)
+        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+        at_solution = activation_correction_objective(w, delta_w, a_fp, a_q, lam)
         for _ in range(100):
-            perturbed = corr.delta_w + rng.normal(0, 0.01, corr.delta_w.shape)
+            perturbed = delta_w + rng.normal(0, 0.01, delta_w.shape)
             assert (
                 activation_correction_objective(w, perturbed, a_fp, a_q, lam)
                 >= at_solution - 1e-12
@@ -80,17 +78,17 @@ class TestOptimality:
         a_fp, a_q = _quantized_batch(rng, 96, 6)
         w = rng.normal(0, 1, (4, 6))
         lam = 0.5
-        corr = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
         eps = 1e-6
-        grad = np.zeros_like(corr.delta_w)
+        grad = np.zeros_like(delta_w)
         for i in range(grad.shape[0]):
             for j in range(grad.shape[1]):
                 bump = np.zeros_like(grad)
                 bump[i, j] = eps
-                up = activation_correction_objective(w, corr.delta_w + bump, a_fp, a_q, lam)
-                dn = activation_correction_objective(w, corr.delta_w - bump, a_fp, a_q, lam)
+                up = activation_correction_objective(w, delta_w + bump, a_fp, a_q, lam)
+                dn = activation_correction_objective(w, delta_w - bump, a_fp, a_q, lam)
                 grad[i, j] = (up - dn) / (2 * eps)
-        scale = 1.0 + activation_correction_objective(w, corr.delta_w, a_fp, a_q, lam)
+        scale = 1.0 + activation_correction_objective(w, delta_w, a_fp, a_q, lam)
         assert np.abs(grad).max() < 1e-5 * scale
 
     def test_never_worse_than_no_update(self):
@@ -99,18 +97,18 @@ class TestOptimality:
             a_fp, a_q = _quantized_batch(rng, 64, 7)
             w = rng.normal(0, 1, (3, 7))
             lam = float(rng.uniform(0.01, 5.0))
-            corr = solve_activation_correction(w, a_fp, a_q, lam)
+            delta_w = solve_activation_correction(w, a_fp, a_q, lam)
             at_zero = activation_correction_objective(w, np.zeros_like(w), a_fp, a_q, lam)
-            at_sol = activation_correction_objective(w, corr.delta_w, a_fp, a_q, lam)
+            at_sol = activation_correction_objective(w, delta_w, a_fp, a_q, lam)
             assert at_sol <= at_zero + 1e-12
 
     def test_reduces_layer_output_error(self):
         rng = np.random.default_rng(5)
         a_fp, a_q = _quantized_batch(rng, 256, 12)
         w = rng.normal(0, 1, (8, 12))
-        corr = solve_activation_correction(w, a_fp, a_q, 0.1)
+        delta_w = solve_activation_correction(w, a_fp, a_q, 0.1)
         before = layer_mse(w, a_fp, w, a_q)
-        after = layer_mse(w, a_fp, corr.updated_w, a_q)
+        after = layer_mse(w, a_fp, w + delta_w, a_q)
         assert after < before
 
 
@@ -122,7 +120,7 @@ class TestStructure:
         perm = rng.permutation(4)
         base = solve_activation_correction(w, a_fp, a_q, 0.3)
         permuted = solve_activation_correction(w[perm], a_fp, a_q, 0.3)
-        np.testing.assert_allclose(permuted.delta_w, base.delta_w[perm], atol=1e-12)
+        np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_singular_without_regularization(self):
         rng = np.random.default_rng(7)
@@ -146,8 +144,9 @@ class TestStructure:
         batch = np.zeros((4, 3))
         with pytest.raises(ValueError, match="D_in"):
             solve_activation_correction(w, np.zeros((4, 5)), np.zeros((4, 5)), 1.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            solve_activation_correction(w, batch, batch, -1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                solve_activation_correction(w, batch, batch, lam)
         with pytest.raises(InsufficientSamplesError):
             solve_activation_correction(w, batch[:1], batch[:1], 1.0)
         with pytest.raises(ValueError):
@@ -162,7 +161,7 @@ class TestInputSpace:
         rng = np.random.default_rng(n + d_in)
         a_fp, a_q = _quantized_batch(rng, n, d_in)
         w = rng.normal(0, 1, (5, d_in))
-        got = solve_activation_correction(w, a_fp, a_q, 0.5).delta_w
+        got = solve_activation_correction(w, a_fp, a_q, 0.5)
         want = _reference_delta_w(w, a_fp, a_q, 0.5)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -174,7 +173,7 @@ class TestThinBatch:
         rng = np.random.default_rng(1000 * n + d_in)
         a_fp, a_q = _quantized_batch(rng, n, d_in)
         w = rng.normal(0, 1, (5, d_in))
-        got = solve_activation_correction(w, a_fp, a_q, lam).delta_w
+        got = solve_activation_correction(w, a_fp, a_q, lam)
         want = _reference_delta_w(w, a_fp, a_q, lam)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -183,8 +182,8 @@ class TestThinBatch:
         a_fp, a_q = _quantized_batch(rng, 6, 20)
         w = rng.normal(0, 1, (3, 20))
         lam = 0.3
-        corr = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
         # gradient of the objective: 2 (dW A^T + W dA^T) A / N + 2 lam dW
-        resid = corr.delta_w @ a_q.T + w @ (a_q - a_fp).T
-        grad = 2 * resid @ a_q / 6 + 2 * lam * corr.delta_w
+        resid = delta_w @ a_q.T + w @ (a_q - a_fp).T
+        grad = 2 * resid @ a_q / 6 + 2 * lam * delta_w
         assert np.abs(grad).max() < 1e-12 * (1 + np.abs(w).max())

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from quantred import weight_quant
 from quantred.cli import main
 from quantred.synth import SynthSpec, write_manifest_files
-from quantred.tensorfile import TensorFile, read_tensor, write_tensor
+from quantred.tensorfile import read_tensor, write_tensor
 
 
 @pytest.fixture()
@@ -116,16 +116,13 @@ class TestQuantize:
         data = tmp_path / "data"
         data.mkdir()
         rng = np.random.default_rng(0)
-        write_tensor(data / "a_w.npy",
-                     TensorFile.from_array(rng.normal(0, 1, (3, 6)).astype(np.float32)))
-        write_tensor(data / "a_c.npy",
-                     TensorFile.from_array(rng.normal(0, 1, (64, 6)).astype(np.float32)))
-        write_tensor(data / "b_w.npy",
-                     TensorFile.from_array(rng.normal(0, 1, (2, 8)).astype(np.float32)))
+        write_tensor(data / "a_w.npy", rng.normal(0, 1, (3, 6)).astype(np.float32))
+        write_tensor(data / "a_c.npy", rng.normal(0, 1, (64, 6)).astype(np.float32))
+        write_tensor(data / "b_w.npy", rng.normal(0, 1, (2, 8)).astype(np.float32))
         calib_b = rng.normal(0, 1, (n_b, 8)).astype(np.float32)
         if dead_column is not None:
             calib_b[:, dead_column] = 0.0
-        write_tensor(data / "b_c.npy", TensorFile.from_array(calib_b))
+        write_tensor(data / "b_c.npy", calib_b)
         (data / "m.json").write_text(json.dumps({"layers": [
             {"layer_id": "a", "weight_path": "a_w.npy", "calib_path": "a_c.npy",
              "act_quant": "uniform", "bits_w": 4, "bits_a": 4},
@@ -190,9 +187,9 @@ class TestQuantize:
     def test_non_finite_weight_names_the_file(self, runner, tmp_path):
         manifest = self._manifest_with_layer_b(tmp_path, 16)
         bad = manifest.parent / "b_w.npy"
-        data = read_tensor(bad).data.copy()
+        data = read_tensor(bad).copy()
         data[1, 5] = np.nan
-        write_tensor(bad, TensorFile.from_array(data))
+        write_tensor(bad, data)
         out = tmp_path / "out"
         result = _run(runner, ["quantize", "--manifest", str(manifest), "--out", str(out)])
         self._assert_only_b_failed(result, out, "NonFiniteInputError")
@@ -219,6 +216,55 @@ class TestQuantize:
              "--stages", "warp"],
         )
         assert bad_stages.exit_code == 1
+
+    @pytest.mark.parametrize(("flag", "value"), [("--lambda2", "inf"), ("--lambda1", "nan")])
+    def test_non_finite_lambda_flag_exit_1(self, runner, manifest, tmp_path, flag, value):
+        out = tmp_path / "o"
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(out), flag, value],
+        )
+        assert result.exit_code == 1
+        assert "must be finite" in result.stderr
+        assert not out.exists()
+
+    def test_bits_above_max_exit_1(self, runner, manifest, tmp_path):
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+             "--bits-w", "17"],
+        )
+        assert result.exit_code == 1
+        assert "<= 16" in result.stderr
+
+    @pytest.mark.parametrize("command", ["quantize", "ablate", "sweep"])
+    def test_manifest_without_layers_exit_1(self, runner, tmp_path, command):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"layers": []}))
+        out = tmp_path / "o"
+        args = [command, "--manifest", str(manifest), "--out", str(out)]
+        if command == "sweep":
+            args += ["--param", "lambda", "--values", "1"]
+        result = _run(runner, args)
+        assert result.exit_code == 1
+        assert "no layers" in result.stderr
+        assert not out.exists()
+
+    def test_zero_size_weight_exit_1(self, runner, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_tensor(data / "w.npy", np.zeros((4, 0), dtype=np.float32))
+        write_tensor(data / "c.npy", np.zeros((8, 0), dtype=np.float32))
+        (data / "m.json").write_text(json.dumps({"layers": [
+            {"layer_id": "empty", "weight_path": "w.npy", "calib_path": "c.npy",
+             "act_quant": "uniform", "bits_w": 4, "bits_a": 4},
+        ]}))
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(data / "m.json"), "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert "'empty'): weight is empty, shape (4, 0)" in result.stderr
 
     def test_config_file_with_flag_precedence(self, runner, manifest, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -351,9 +397,9 @@ class TestAblate:
     def test_non_finite_calibration_names_the_file(self, runner, manifest, tmp_path):
         bad = manifest.parent / "layer1_calib.npy"
         assert bad.is_file()
-        data = read_tensor(bad).data.copy()
+        data = read_tensor(bad).copy()
         data[3, 2] = np.inf
-        write_tensor(bad, TensorFile.from_array(data))
+        write_tensor(bad, data)
         out = tmp_path / "out"
         result = _run(runner, ["ablate", "--manifest", str(manifest), "--out", str(out)])
         assert result.exit_code == 2
@@ -390,6 +436,17 @@ class TestSweep:
              "--param", "lambda", "--values", " , "],
         )
         assert empty.exit_code == 1
+
+    def test_non_finite_lambda_value_exit_1(self, runner, manifest, tmp_path):
+        out = tmp_path / "o"
+        result = _run(
+            runner,
+            ["sweep", "--manifest", str(manifest), "--out", str(out),
+             "--param", "lambda", "--values", "1,inf"],
+        )
+        assert result.exit_code == 1
+        assert "must be finite" in result.stderr
+        assert not (out / "sweep.csv").exists()
 
     def test_unknown_param_rejected_by_parser(self, runner, manifest, tmp_path):
         result = runner.invoke(

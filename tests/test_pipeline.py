@@ -28,9 +28,9 @@ from quantred.pipeline import (
     trace_rows,
     write_csv,
 )
-from quantred.quantizers import calibrate_scale, quantize_with_scheme
+from quantred.quantizers import MAX_BITS, calibrate_scale, quantize_with_scheme
 from quantred.synth import SynthSpec, write_manifest_files
-from quantred.tensorfile import TensorFile, load_manifest, read_tensor, write_tensor
+from quantred.tensorfile import load_manifest, read_tensor, write_tensor
 
 
 def _layer(rng, d_out=6, d_in=10, n=96):
@@ -141,10 +141,16 @@ class TestRunConfig:
         [
             {"lambda1": -1.0},
             {"lambda2": -0.5},
+            {"lambda1": float("nan")},
+            {"lambda2": float("nan")},
+            {"lambda1": float("inf")},
+            {"lambda2": float("inf")},
             {"k": -1},
             {"max_iter": -1},
             {"bits_w": 1},
             {"bits_a": 0},
+            {"bits_w": MAX_BITS + 1},
+            {"bits_a": MAX_BITS + 1},
             {"jobs": 0},
             {"stages": frozenset({"warp"})},
         ],
@@ -169,6 +175,14 @@ class TestRunConfig:
             RunConfig.from_dict({"lambda1": 1.0, "momentum": 0.9})
         with pytest.raises(ConfigError, match="JSON object"):
             RunConfig.from_dict([1, 2])
+
+    def test_from_dict_rejects_non_finite_json_literals(self):
+        for text in ('{"lambda1": NaN}', '{"lambda2": Infinity}'):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig.from_dict(json.loads(text))
+
+    def test_widest_bits_accepted(self):
+        assert RunConfig(bits_w=MAX_BITS, bits_a=MAX_BITS).bits_w == MAX_BITS
 
     def test_from_dict_stage_spellings(self):
         as_string = RunConfig.from_dict({"stages": "aqer,wqer_rounding"})
@@ -205,7 +219,7 @@ class TestQuantizeLayer:
         np.testing.assert_array_equal(result.w_bar, w_bar)
         assert result.mse["final"] == result.mse["baseline"]
         assert result.reduction["cumulative"] == 0.0
-        assert result.channels == ()
+        assert result.trace == ()
 
     def test_mse_keys_track_enabled_stages(self):
         rng = np.random.default_rng(1)
@@ -339,23 +353,11 @@ class TestManifestRun:
         data = tmp_path / "data"
         data.mkdir()
         rng = np.random.default_rng(6)
-        write_tensor(
-            data / "good_w.npy",
-            TensorFile.from_array(rng.normal(0, 1, (3, 6)).astype(np.float32)),
-        )
-        write_tensor(
-            data / "good_c.npy",
-            TensorFile.from_array(rng.normal(0, 1, (64, 6)).astype(np.float32)),
-        )
-        write_tensor(
-            data / "bad_w.npy",
-            TensorFile.from_array(rng.normal(0, 1, (2, 8)).astype(np.float32)),
-        )
+        write_tensor(data / "good_w.npy", rng.normal(0, 1, (3, 6)).astype(np.float32))
+        write_tensor(data / "good_c.npy", rng.normal(0, 1, (64, 6)).astype(np.float32))
+        write_tensor(data / "bad_w.npy", rng.normal(0, 1, (2, 8)).astype(np.float32))
         # a single calibration row cannot support the correction stages
-        write_tensor(
-            data / "bad_c.npy",
-            TensorFile.from_array(rng.normal(0, 1, (1, 8)).astype(np.float32)),
-        )
+        write_tensor(data / "bad_c.npy", rng.normal(0, 1, (1, 8)).astype(np.float32))
         manifest = data / "manifest.json"
         manifest.write_text(
             json.dumps(
@@ -398,9 +400,9 @@ class TestManifestRun:
     def test_non_finite_layer_is_a_per_layer_failure(self, tmp_path, tensor, bad):
         entries = self._entries(tmp_path)
         path = entries[1].weight_path if tensor == "weight" else entries[1].calib_path
-        data = read_tensor(path).data.copy()
+        data = read_tensor(path).copy()
         data[1, 2] = bad
-        write_tensor(path, TensorFile.from_array(data))
+        write_tensor(path, data)
         out = tmp_path / "out"
         result = run_manifest(entries, RunConfig(lambda1=1.0, lambda2=1.0), out)
         assert result.failures == 1
@@ -439,10 +441,10 @@ class TestManifestRun:
     def test_non_finite_tensor_named_at_load(self, tmp_path, monkeypatch, tensor, per_row):
         entries = self._entries(tmp_path)
         path = entries[1].weight_path if tensor == "weight" else entries[1].calib_path
-        data = read_tensor(path).data.copy()
+        data = read_tensor(path).copy()
         data[1, 2] = np.nan
         data[2, 0] = np.inf
-        write_tensor(path, TensorFile.from_array(data))
+        write_tensor(path, data)
         reads = []
         real_read = pipeline.read_tensor
 

@@ -105,6 +105,37 @@ class TestLogSqrt2HandCases:
         assert codes[0] == 15
         assert deq[0] == 2.0 ** (-7.5)
 
+    @pytest.mark.parametrize("bits", [12, 16])
+    def test_zero_takes_largest_code_at_wide_bits(self, bits):
+        # the smallest level, scale * 2^-((2^b - 1) / 2), underflows to zero,
+        # while the smallest subnormal, 2^-1074, is level 2148
+        p = LogSqrt2Params(scale=1.0, bits=bits)
+        codes, deq = quantize_log_sqrt2([0.0, 5e-324], p)
+        assert codes.tolist() == [(1 << bits) - 1, 2148]
+        assert deq.tolist() == [0.0, 5e-324]
+
+    @pytest.mark.parametrize("bits", range(2, 12))
+    def test_codes_match_clamp_to_smallest_level(self, bits):
+        # up to 11 bits the smallest level is a nonzero float, and clamping
+        # inputs to it before the log gives the same codes
+        p = LogSqrt2Params(scale=0.73, bits=bits)
+        qmax = (1 << bits) - 1
+        edges = p.scale * 2.0 ** (-(np.arange(qmax) + 0.5) / 2.0)
+        x = np.concatenate(
+            [
+                [0.0, 5e-324, 2.2e-308],
+                np.geomspace(1e-320, 10.0, 20000),
+                dequantize_log_sqrt2(np.arange(qmax + 1), p),
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+            ]
+        )
+        smallest = p.scale * 2.0 ** (-qmax / 2.0)
+        clamped = np.rint(-2.0 * np.log2(np.maximum(x, smallest) / p.scale))
+        want = np.clip(clamped.astype(np.int64), 0, qmax)
+        np.testing.assert_array_equal(log_sqrt2_codes(x, p), want)
+
     def test_negative_input_rejected(self):
         p = LogSqrt2Params(scale=1.0, bits=4)
         with pytest.raises(ValueError, match="nonnegative"):

@@ -188,9 +188,9 @@ class TestManifestExport:
         assert layers[1].act_quant == "log_sqrt2"
         assert layers[0].bits_w == 4
         assert layers[0].bits_a == 8
-        w0 = read_tensor(layers[0].weight_path).data
-        c0 = read_tensor(layers[0].calib_path).data
-        c1 = read_tensor(layers[1].calib_path).data
+        w0 = read_tensor(layers[0].weight_path)
+        c0 = read_tensor(layers[0].calib_path)
+        c1 = read_tensor(layers[1].calib_path)
         assert w0.shape == (6, 8)
         assert c0.shape == (32, 8)
         assert c1.shape == (32, 6)

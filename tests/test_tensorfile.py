@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantred.quantizers import MAX_BITS
 from quantred.tensorfile import (
     MAGIC,
     LayerManifestEntry,
     ManifestError,
-    TensorFile,
     TensorFormatError,
     load_manifest,
     read_tensor,
@@ -20,8 +20,8 @@ from quantred.tensorfile import (
 )
 
 
-def _write(path, array, dtype=None):
-    write_tensor(path, TensorFile.from_array(array, dtype))
+def _write(path, array):
+    write_tensor(path, array)
     return path
 
 
@@ -30,8 +30,8 @@ class TestRoundTrip:
         a = np.arange(12, dtype=np.float32).reshape(3, 4) / 7
         t = read_tensor(_write(tmp_path / "a.npy", a))
         assert t.shape == (3, 4)
-        assert t.dtype == "float32"
-        np.testing.assert_array_equal(t.data, a)
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t, a)
 
     def test_int32_and_uint8(self, tmp_path):
         for arr in (
@@ -39,13 +39,13 @@ class TestRoundTrip:
             np.array([[0, 255], [7, 9]], dtype=np.uint8),
         ):
             t = read_tensor(_write(tmp_path / "b.npy", arr))
-            np.testing.assert_array_equal(t.data, arr)
-            assert t.data.dtype == arr.dtype
+            np.testing.assert_array_equal(t, arr)
+            assert t.dtype == arr.dtype
 
     def test_data_is_read_only(self, tmp_path):
         t = read_tensor(_write(tmp_path / "c.npy", np.zeros(3, dtype=np.float32)))
         with pytest.raises(ValueError):
-            t.data[0] = 1.0
+            t[0] = 1.0
 
     def test_numpy_reads_our_files(self, tmp_path):
         a = np.linspace(-1, 1, 10, dtype=np.float32).reshape(2, 5)
@@ -56,7 +56,15 @@ class TestRoundTrip:
         a = np.linspace(-3, 3, 24, dtype=np.float32).reshape(4, 6)
         p = tmp_path / "e.npy"
         np.save(p, a)
-        np.testing.assert_array_equal(read_tensor(p).data, a)
+        np.testing.assert_array_equal(read_tensor(p), a)
+
+    def test_non_native_layout_written_little_endian_row_major(self, tmp_path):
+        a = np.arange(6, dtype=">f4").reshape(2, 3).T
+        p = _write(tmp_path / "be.npy", a)
+        t = read_tensor(p)
+        assert t.dtype.str == "<f4"
+        np.testing.assert_array_equal(t, a)
+        np.testing.assert_array_equal(np.load(p), a)
 
     def test_payload_starts_on_64_byte_boundary(self, tmp_path):
         p = _write(tmp_path / "f.npy", np.zeros((2, 2), dtype=np.float32))
@@ -82,7 +90,7 @@ class TestRoundTrip:
         t = read_tensor(_write(p, arr))
         assert t.shape == tuple(shape)
         assert t.dtype == dtype
-        np.testing.assert_array_equal(t.data, arr)
+        np.testing.assert_array_equal(t, arr)
 
 
 class TestFormatErrors:
@@ -160,9 +168,11 @@ class TestFormatErrors:
             read_tensor(p)
         assert e.value.offset == 6
 
-    def test_from_array_rejects_unsupported_dtype(self):
-        with pytest.raises(TensorFormatError):
-            TensorFile.from_array(np.zeros(2, dtype=np.float64), "float64")
+    def test_write_rejects_unsupported_dtype(self, tmp_path):
+        p = tmp_path / "f64.npy"
+        with pytest.raises(TensorFormatError, match="float64"):
+            write_tensor(p, np.zeros(2, dtype=np.float64))
+        assert not p.exists()
 
 
 def _manifest(tmp_path, layers):
@@ -213,6 +223,32 @@ class TestManifest:
         with pytest.raises(ManifestError, match=">= 2"):
             load_manifest(_manifest(tmp_path, [a]))
 
+    @pytest.mark.parametrize("field", ["bits_w", "bits_a"])
+    def test_bits_above_max(self, tmp_path, field):
+        a = _layer_files(tmp_path, "l0")
+        a[field] = MAX_BITS + 1
+        with pytest.raises(ManifestError, match=f"<= {MAX_BITS}"):
+            load_manifest(_manifest(tmp_path, [a]))
+        a[field] = MAX_BITS
+        assert load_manifest(_manifest(tmp_path, [a]))[0].layer_id == "l0"
+
+    def test_no_layers_rejected(self, tmp_path):
+        with pytest.raises(ManifestError, match="no layers"):
+            load_manifest(_manifest(tmp_path, []))
+
+    @pytest.mark.parametrize(
+        ("w_shape", "c_shape", "bad"),
+        [((4, 0), (8, 0), "weight"), ((0, 3), (8, 3), "weight"), ((4, 3), (0, 3), "calibration")],
+    )
+    def test_zero_size_tensor_rejected(self, tmp_path, w_shape, c_shape, bad):
+        a = _layer_files(tmp_path, "l0")
+        _write(tmp_path / "l0_w.npy", np.zeros(w_shape, dtype=np.float32))
+        _write(tmp_path / "l0_a.npy", np.zeros(c_shape, dtype=np.float32))
+        shape = w_shape if bad == "weight" else c_shape
+        with pytest.raises(ManifestError) as e:
+            load_manifest(_manifest(tmp_path, [a]))
+        assert f"'l0'): {bad} is empty, shape {shape}" in str(e.value)
+
     def test_missing_file(self, tmp_path):
         a = _layer_files(tmp_path, "l0")
         a["weight_path"] = "nope.npy"
@@ -227,10 +263,7 @@ class TestManifest:
 
     def test_non_float32_rejected(self, tmp_path):
         a = _layer_files(tmp_path, "l0")
-        write_tensor(
-            tmp_path / "l0_w.npy",
-            TensorFile.from_array(np.zeros((3, 4), dtype=np.int32)),
-        )
+        write_tensor(tmp_path / "l0_w.npy", np.zeros((3, 4), dtype=np.int32))
         with pytest.raises(ManifestError, match="float32"):
             load_manifest(_manifest(tmp_path, [a]))
 

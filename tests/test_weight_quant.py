@@ -474,7 +474,7 @@ def _reference_channel(w_row, params, cache, cfg):
     for lo, mid, hi in cache.splits:
         state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
         proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
-        if cfg.rounding and cfg.k > 0:
+        if cfg.k > 0:
             state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
             proxy_after = committed[-1]
         codes[lo:mid] = state.codes
@@ -501,20 +501,22 @@ class TestChannelQuantization:
     def test_trace_matches_per_split_reference(self, d_in, rounding, ridge, k):
         rng = np.random.default_rng(100 + d_in)
         w, params, a_q = self._setup(rng, 3, d_in, n=48)
-        cfg = WeightQuantConfig(lambda2=0.5, k=k, rounding=rounding, ridge=ridge)
+        # the rounding stage off runs the loop at k = 0, as finish_layer does
+        cfg = WeightQuantConfig(lambda2=0.5, k=k if rounding else 0, ridge=ridge)
         cache = LayerMomentCache(a_q, cfg.lambda2)
         for i in range(3):
-            result = quantize_channel(w[i], params[i], cache, cfg)
+            got_codes, _, trace = quantize_channel(w[i], params[i], cache, cfg)
             codes, rows = _reference_channel(w[i], params[i], cache, cfg)
-            np.testing.assert_array_equal(result.codes, codes)
-            assert len(result.trace) == len(rows)
-            for row, (before, after, mse) in zip(result.trace, rows):
-                assert (row.proxy_before, row.proxy_after) == (before, after)
-                assert abs(row.mse - mse) <= 1e-12 * abs(mse)
+            np.testing.assert_array_equal(got_codes, codes)
+            assert len(trace) == len(rows)
+            for row, (before, after, mse) in zip(trace, rows):
+                assert tuple(row) == weight_quant.TRACE_FIELDS
+                assert (row["proxy_before"], row["proxy_after"]) == (before, after)
+                assert abs(row["mse"] - mse) <= 1e-12 * abs(mse)
                 if rounding and k > 0:
-                    assert row.stop_reason in ("no_eligible", "uphill", "max_iter")
+                    assert row["stop_reason"] in ("no_eligible", "uphill", "max_iter")
                 else:
-                    assert (row.stop_reason, row.flips_committed) == ("off", 0)
+                    assert (row["stop_reason"], row["flips_committed"]) == ("off", 0)
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
@@ -525,7 +527,7 @@ class TestChannelQuantization:
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
             np.testing.assert_array_equal(result.w_bar[i], deq)
-            assert len(result.channels[i].trace) == 1
+            assert len(result.trace[i]) == 1
 
     def test_zero_row_maps_to_zero_point_codes(self):
         rng = np.random.default_rng(8)
@@ -566,18 +568,17 @@ class TestChannelQuantization:
         par = quantize_layer_weights(w, params, a_q, cfg, jobs=4)
         np.testing.assert_array_equal(seq.codes, par.codes)
         np.testing.assert_array_equal(seq.w_bar, par.w_bar)
-        for a, b in zip(seq.channels, par.channels):
-            assert a.trace == b.trace
+        assert seq.trace == par.trace
 
     def test_trace_mse_matches_empirical_batch_error(self):
         rng = np.random.default_rng(12)
         w, params, a_q = self._setup(rng, 4, 9, n=128)
         cfg = WeightQuantConfig(lambda2=1.0)
         result = quantize_layer_weights(w, params, a_q, cfg)
-        for i, channel in enumerate(result.channels):
+        for i, rows in enumerate(result.trace):
             err_vec = (result.w_bar[i] - w[i]) @ a_q.T
             empirical = float(np.mean(err_vec**2))
-            assert channel.trace[-1].mse == pytest.approx(empirical, rel=1e-9)
+            assert rows[-1]["mse"] == pytest.approx(empirical, rel=1e-9)
 
     def test_refinement_never_worse_than_nearest_per_slice(self):
         rng = np.random.default_rng(13)
@@ -585,26 +586,14 @@ class TestChannelQuantization:
         result = quantize_layer_weights(
             w, params, a_q, WeightQuantConfig(lambda2=1.0, k=1)
         )
-        for channel in result.channels:
-            for row in channel.trace:
-                assert row.proxy_after <= row.proxy_before + 1e-15
-
-    def test_rounding_disabled_equals_k_zero(self):
-        rng = np.random.default_rng(14)
-        w, params, a_q = self._setup(rng, 4, 10)
-        off = quantize_layer_weights(
-            w, params, a_q, WeightQuantConfig(lambda2=1.0, rounding=False)
-        )
-        k0 = quantize_layer_weights(
-            w, params, a_q, WeightQuantConfig(lambda2=1.0, k=0)
-        )
-        np.testing.assert_array_equal(off.codes, k0.codes)
-        np.testing.assert_array_equal(off.w_bar, k0.w_bar)
+        for rows in result.trace:
+            for row in rows:
+                assert row["proxy_after"] <= row["proxy_before"] + 1e-15
 
     def test_ridge_disabled_leaves_remainder_untouched(self):
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
-        cfg = WeightQuantConfig(lambda2=1.0, ridge=False, rounding=False)
+        cfg = WeightQuantConfig(lambda2=1.0, ridge=False, k=0)
         result = quantize_layer_weights(w, params, a_q, cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
@@ -619,8 +608,8 @@ class TestChannelQuantization:
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
         params = tuple(calibrate_uniform(w[i], 4) for i in range(6))
-        cfg_on = WeightQuantConfig(lambda2=1.0, rounding=False, ridge=True)
-        cfg_off = WeightQuantConfig(lambda2=1.0, rounding=False, ridge=False)
+        cfg_on = WeightQuantConfig(lambda2=1.0, k=0, ridge=True)
+        cfg_off = WeightQuantConfig(lambda2=1.0, k=0, ridge=False)
         on = quantize_layer_weights(w, params, a_q, cfg_on)
         off = quantize_layer_weights(w, params, a_q, cfg_off)
 
@@ -654,8 +643,9 @@ class TestChannelQuantization:
             WeightQuantConfig(k=-1)
         with pytest.raises(ValueError, match="max_iter"):
             WeightQuantConfig(max_iter=-5)
-        with pytest.raises(ValueError, match="lambda2"):
-            WeightQuantConfig(lambda2=-0.1)
+        for lam in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda2 must be finite"):
+                WeightQuantConfig(lambda2=lam)
 
 
 class TestMomentCache:
@@ -806,7 +796,7 @@ class TestThinBatch:
     @pytest.mark.parametrize("ridge", [True, False])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_channels_match_full_width_reference(self, rounding, ridge, k):
-        cfg = WeightQuantConfig(lambda2=0.5, k=k, rounding=rounding, ridge=ridge)
+        cfg = WeightQuantConfig(lambda2=0.5, k=k if rounding else 0, ridge=ridge)
         for n, d_in in THIN_SHAPES:
             rng, a_q = self._batch(n, d_in)
             w = rng.normal(0, 0.5, (4, d_in))
@@ -814,16 +804,16 @@ class TestThinBatch:
             ref = _FullWidthCache(a_q, cfg.lambda2)
             for row in w:
                 params = calibrate_uniform(row, 4)
-                got = quantize_channel(row, params, cache, cfg)
-                want = quantize_channel(row, params, ref, cfg)
-                np.testing.assert_array_equal(got.codes, want.codes)
-                for a, b in zip(got.trace, want.trace, strict=True):
-                    assert (a.stop_reason, a.flips_committed) == (
-                        b.stop_reason,
-                        b.flips_committed,
+                got_codes, _, got = quantize_channel(row, params, cache, cfg)
+                want_codes, _, want = quantize_channel(row, params, ref, cfg)
+                np.testing.assert_array_equal(got_codes, want_codes)
+                for a, b in zip(got, want, strict=True):
+                    assert (a["stop_reason"], a["flips_committed"]) == (
+                        b["stop_reason"],
+                        b["flips_committed"],
                     )
                     for field in ("proxy_before", "proxy_after", "mse"):
-                        assert _rel(getattr(a, field), getattr(b, field)) <= 1e-11
+                        assert _rel(a[field], b[field]) <= 1e-11
 
     def test_singular_without_regularization(self):
         # N < D_r: the D_r x D_r remainder system has rank <= N, so
