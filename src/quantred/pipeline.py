@@ -535,8 +535,11 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
     Returns one row per (combination, layer) with the final MSE and the
     reduction against that layer's plain round-to-nearest baseline, in
     combination-major order. Each layer's prefix and aqer step are
-    computed once and shared by all eight combinations.
+    computed once and shared by all eight combinations. An empty layer
+    list raises ConfigError.
     """
+    if not layers:
+        raise ConfigError("ablation needs at least one layer")
     combos = [(name, stages, cfg.replace(stages=stages)) for name, stages in ABLATION_GRID]
     per_combo = [[] for _ in combos]
     for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
@@ -570,9 +573,18 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     Each layer's prefix is computed once for a `lambda` or `k` sweep, and
     its aqer step once for a `k` sweep; `n_images` changes the calibration
     batch, so each value runs the whole layer.
+
+    Raises ConfigError before any work for an unknown param, no values, no
+    layers, or a `k` or `n_images` value that is not an integer.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; valid: {SWEEP_PARAMS}")
+    if len(values) == 0:
+        raise ConfigError("sweep needs at least one value")
+    if not layers:
+        raise ConfigError("sweep needs at least one layer")
+    if param != "lambda" and not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"{param} values must be integers, got {list(values)}")
     if param == "lambda":
         run_cfgs = [cfg.replace(lambda1=float(v), lambda2=float(v)) for v in values]
     elif param == "k":
@@ -582,7 +594,7 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
         counts = [int(v) for v in values]
         if any(count < 2 for count in counts):
             raise ConfigError("n_images must be >= 2")
-        largest = max(counts, default=0)
+        largest = max(counts)
         for layer_id, _, a_fp, *_ in layers:
             if largest > a_fp.shape[0]:
                 raise ConfigError(

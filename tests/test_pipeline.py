@@ -554,6 +554,10 @@ class TestAblation:
             run_ablation(layers, cfg)
         assert type(shared.value) is type(reference.value)
 
+    def test_empty_layer_list_rejected(self):
+        with pytest.raises(ConfigError, match="at least one layer"):
+            run_ablation([], RunConfig())
+
     def test_prefix_and_aqer_once_per_layer(self, call_counts):
         layers = _chain(5, 32) + _chain(6, 16)[:1]
         run_ablation(layers, RunConfig(lambda1=1.0, lambda2=1.0))
@@ -571,6 +575,26 @@ class TestSweep:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="sweep param"):
             run_sweep("alpha", [1], [], RunConfig())
+
+    def test_empty_values_or_layers_rejected(self):
+        # an empty list would average nothing into a row of nan means
+        layers = self._layers(np.random.default_rng(13), n=16)
+        for param in pipeline.SWEEP_PARAMS:
+            with pytest.raises(ConfigError, match="at least one value"):
+                run_sweep(param, [], layers, RunConfig())
+            with pytest.raises(ConfigError, match="at least one layer"):
+                run_sweep(param, [2], [], RunConfig())
+
+    @pytest.mark.parametrize("param", ["k", "n_images"])
+    def test_non_integral_values_rejected(self, call_counts, param):
+        # truncating would run k = 1.5 as k = 1 and calibrate n_images = 20.9
+        # on 20 rows, each reported under the value asked for
+        layers = self._layers(np.random.default_rng(14), n=32)
+        with pytest.raises(ConfigError, match=f"{param} values must be integers"):
+            run_sweep(param, [2, 20.9], layers, RunConfig())
+        assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
+        rows = run_sweep(param, [2.0, np.int64(3)], layers, RunConfig())
+        assert [row["value"] for row in rows] == [2.0, 3.0]
 
     def test_lambda_rows_couple_both_strengths(self):
         rng = np.random.default_rng(8)

@@ -55,30 +55,36 @@ def _reference_select(delta, grad, k, flippable):
 def _reference_refine(state, k, max_iter):
     # reference refinement loop: rebuilds the candidate arrays from the
     # current sides every iteration and applies the sign check and the
-    # flippable mask explicitly; returns (delta, up_mask, committed)
+    # flippable mask explicitly; returns (delta, up_mask, committed,
+    # stop_reason, flips_committed)
     matrix = state.proxy_matrix
     diag = np.diagonal(matrix)
     delta = state.delta.copy()
     up_mask = state.up_mask.copy()
     grad = proxy_gradient(delta, matrix)
     committed = [proxy_value(delta, matrix)]
+    stop_reason = "max_iter"
+    flips_committed = 0
     for _ in range(max_iter):
         other = np.where(up_mask, state.delta_down, state.delta_up)
         step = other - delta
         downhill = step * grad + step * step * diag < 0.0
         flips = _reference_select(delta, grad, k, state.flippable & downhill)
         if flips.size == 0:
+            stop_reason = "no_eligible"
             break
         t = step[flips]
         m_cols = matrix[:, flips]
         change = float(t @ grad[flips] + t @ (m_cols[flips] @ t))
         if change > 0.0:
+            stop_reason = "uphill"
             break
         delta[flips] = other[flips]
         up_mask[flips] = ~up_mask[flips]
         grad += 2.0 * (m_cols @ t)
         committed.append(committed[-1] + change)
-    return delta, up_mask, committed
+        flips_committed += flips.size
+    return delta, up_mask, committed, stop_reason, flips_committed
 
 
 def _proxy_matrix(rng, dim):
@@ -288,17 +294,32 @@ class TestRefinement:
 
     def test_matches_reference_loop_bit_for_bit(self):
         # the incremental loop must choose and commit exactly what the loop
-        # that rebuilds its arrays every iteration does
-        count = 0
-        for k, state in _reference_instances():
-            refined, committed = refine_rounding(state, k, 100)
-            delta, up_mask, ref_committed = _reference_refine(state, k, 100)
+        # that rebuilds its arrays every iteration does; the wide
+        # mean-dominated slices commit up to hundreds of flips, so they also
+        # stop at the iteration cap, as wide layer slices do; an empty slice
+        # stops with nothing eligible
+        instances = [(k, 100, state) for k, state in _reference_instances()]
+        for dim in (256, 1024):
+            _, _, state = self._many_flip_instance(np.random.default_rng(dim), dim)
+            instances += [(k, m, state) for k in (1, 2, 3) for m in (0, 1, 5, 100)]
+        params = UniformParams(scale=1.0, zero_point=0, bits=4)
+        empty = init_rounding(np.zeros(0), params, np.zeros((0, 0)))
+        instances += [(1, 100, empty), (2, 100, empty)]
+        stops = Counter()
+        for k, max_iter, state in instances:
+            refined, committed = refine_rounding(state, k, max_iter)
+            delta, up_mask, ref_committed, stop_reason, flips = _reference_refine(
+                state, k, max_iter
+            )
             np.testing.assert_array_equal(refined.delta.view(np.int64), delta.view(np.int64))
             np.testing.assert_array_equal(refined.up_mask, up_mask)
             assert committed == ref_committed
-            assert refined.flips_committed >= len(committed) - 1
-            count += 1
-        assert count == 64 * 3 + 3
+            assert (refined.stop_reason, refined.flips_committed) == (stop_reason, flips)
+            stops[k, stop_reason] += 1
+        assert len(instances) == 64 * 3 + 3 + 2 * 3 * 4 + 2
+        # at k = 1: six stops at caps of 0-5 and the 1024-column slice at 100
+        assert stops[1, "max_iter"] == 7 and stops[1, "no_eligible"] == 67
+        assert stops[2, "uphill"] > 0
 
     def test_reference_grid_exercises_saturation_and_ties(self):
         instances = list(_reference_instances())
