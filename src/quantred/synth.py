@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from . import pipeline
 from .oracle import layer_mse
@@ -65,6 +64,13 @@ class SynthSpec:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
+    """Exact gelu, x Phi(x). Needs scipy's erf (the `quantred[synth]` extra)."""
+    try:
+        from scipy.special import erf
+    except ImportError as exc:
+        raise ImportError(
+            "synth.gelu needs scipy; install it with `pip install quantred[synth]`"
+        ) from exc
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

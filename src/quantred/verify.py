@@ -231,11 +231,36 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     through the cache's three forms of the remainder system: sliced from
     the D x D moments (N >= D), the N x N sample-space system of a remainder
     wider than a thin batch (N < D_r), and the D_r x D_r system from the
-    slices of a thin batch (D_r <= N < D).
+    slices of a thin batch (D_r <= N < D). Four more draws take
+    near-collinear batches (a rank-4 signal plus 1e-3 noise) at lambda2 =
+    1e-2 and 1e-4, once in sample space and once from the moments, so the
+    factored systems are ill conditioned; `max_system_cond` is the largest
+    condition number of a factored system.
     """
     rng = np.random.default_rng([seed, 4])
-    max_err = 0.0
     sample_space = 0
+
+    def check(batch, lo, mid, hi, lam):
+        """(FD residual, condition number of the factored system) of one draw."""
+        cache = weight_quant.LayerMomentCache(batch, lam)
+        delta_s = rng.normal(0.0, 0.2, mid - lo)
+        delta_r = cache.remainder_update(lo, mid, delta_s)
+        xs = batch[:, lo:mid]
+        xr = batch[:, mid:hi]
+
+        def objective(dr):
+            resid = xs @ delta_s + xr @ dr
+            return float(np.mean(resid**2) + lam * np.sum(dr**2))
+
+        fd = oracle.finite_diff_gradient(objective, delta_r)
+        err = float(np.max(np.abs(fd))) / (1.0 + float(np.linalg.norm(delta_s)))
+        # either form of the system has eigenvalues s^2/N + lambda over the
+        # min(N, D_r) singular values s of the remainder slice (times N in
+        # sample space)
+        eig = np.linalg.svd(xr, compute_uv=False) ** 2 / len(batch) + lam
+        return err, float(eig.max() / eig.min())
+
+    checks = []
     for i in range(splits):
         if i % 3 == 0:
             dim, n = int(rng.integers(4, 24)), 128
@@ -252,25 +277,30 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
             lo, mid, hi = nonfinal[int(rng.integers(0, len(nonfinal)))]
             n = int(rng.integers(hi - mid, dim))
         _, _, batch = _gaussian_batch(rng, dim, n)
-        lam = 0.5
-        cache = weight_quant.LayerMomentCache(batch, lam)
-        delta_s = rng.normal(0.0, 0.2, mid - lo)
-        delta_r = cache.remainder_update(lo, mid, delta_s)
-        xs = batch[:, lo:mid]
-        xr = batch[:, mid:hi]
-
-        def objective(dr):
-            resid = xs @ delta_s + xr @ dr
-            return float(np.mean(resid**2) + lam * np.sum(dr**2))
-
-        fd = oracle.finite_diff_gradient(objective, delta_r)
-        err = float(np.max(np.abs(fd))) / (1.0 + float(np.linalg.norm(delta_s)))
-        max_err = max(max_err, err)
+        checks.append(check(batch, lo, mid, hi, 0.5))
+    for lam in (1e-2, 1e-4):
+        for thin in (True, False):
+            if thin:
+                dim = int(rng.integers(24, 64))
+                lo, mid, hi = weight_quant.halving_splits(dim)[0]
+                n = int(rng.integers(8, hi - mid))
+                sample_space += 1
+            else:
+                dim, n = int(rng.integers(8, 24)), 128
+                lo, mid, hi = weight_quant.halving_splits(dim)[0]
+            signal = rng.normal(0.0, 1.0, (n, 4)) @ rng.normal(0.0, 1.0, (4, dim))
+            checks.append(check(signal + rng.normal(0.0, 1e-3, (n, dim)), lo, mid, hi, lam))
+    max_err = max(err for err, _ in checks)
     passed = max_err < 1e-6
     return SuiteResult(
         "ridge_optimality",
         passed,
-        {"fd_max_rel": max_err, "splits": splits, "sample_space_splits": sample_space},
+        {
+            "fd_max_rel": max_err,
+            "splits": len(checks),
+            "sample_space_splits": sample_space,
+            "max_system_cond": max(cond for _, cond in checks),
+        },
     )
 
 

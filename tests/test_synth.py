@@ -1,5 +1,7 @@
 """Synthetic chains: determinism, shape, routing, and end-to-end orderings."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ class TestNonlinearities:
         np.testing.assert_allclose(gelu(np.array([0.0])), [0.0], atol=1e-15)
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-9)
         assert abs(gelu(np.array([-10.0]))[0]) < 1e-9
+
+    def test_gelu_without_scipy_names_the_extra(self, monkeypatch):
+        # scipy is the optional `synth` extra; a None entry makes its import fail
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(ImportError, match=r"quantred\[synth\]"):
+            gelu(np.array([0.0]))
 
     def test_softmax_rows_sum_to_one_and_nonnegative(self):
         x = np.random.default_rng(0).normal(0, 3, (8, 5))

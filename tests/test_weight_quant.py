@@ -732,6 +732,15 @@ class TestMomentCache:
         assert faulty[0] != committed[0]
         assert not suite_gradient_checks().passed
 
+    def test_verify_ridge_suite_reaches_ill_conditioned_systems(self):
+        # the near-collinear draws at lambda2 = 1e-2 and 1e-4 factor systems
+        # with condition numbers above 1e5 and still meet the FD bound
+        for seed in range(3):
+            suite = suite_ridge_optimality(seed=seed, splits=5)
+            assert suite.passed
+            assert suite.metrics["max_system_cond"] > 1e5
+            assert suite.metrics["fd_max_rel"] < 1e-6
+
     def test_verify_ridge_suite_checks_the_sample_space_form(self, monkeypatch):
         # the same fault confined to remainders wider than the batch (the
         # N x N sample-space systems) must fail the suite too
