@@ -22,7 +22,9 @@ def _common_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON file with RunConfig fields; flags override it."),
-        click.option("--jobs", type=int, default=None, help="Worker threads."),
+        click.option("--jobs", type=int, default=None,
+                     help="No effect: the weight loop runs all channels together. "
+                          "Still accepted (>= 1) for existing configs; to be removed."),
         click.option("--stages", type=str, default=None,
                      help="Comma list from {aqer,wqer_rounding,wqer_ridge}, or all/none."),
         click.option("--bits-w", type=int, default=None, help="Weight bit width override."),

@@ -8,7 +8,10 @@ Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
 report.json, traces.csv, and the code tensors are deterministic for a
-given config and input, byte for byte, regardless of --jobs. Wall times go
+given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
+accepted and validated but has no effect: the weight loop runs all
+channels of a split together in one thread. It stays until the benchmark
+configuration, which passes "jobs": 1, stops passing it. Wall times go
 to a separate timings.json, per layer under the stage names act_calib,
 weight_calib (including the re-calibration after aqer), aqer, wqer and
 total; the run configuration echo goes to run_config.json. Neither is
@@ -79,7 +82,7 @@ class RunConfig:
     bits_w: int | None = None
     bits_a: int | None = None
     stages: frozenset = frozenset(ALL_STAGES)
-    jobs: int = 1
+    jobs: int = 1  # validated, no effect; see the module docstring
 
     def __post_init__(self):
         for lam in (self.lambda1, self.lambda2):
@@ -223,6 +226,8 @@ def layer_prefix(
         raise ValueError(
             f"incompatible shapes: weights {w.shape}, activations {a_fp.shape}"
         )
+    if w.size == 0:
+        raise ValueError(f"weight matrix of shape {w.shape} is empty")
     timings = {}
     t0 = time.perf_counter()
     act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
@@ -327,9 +332,7 @@ def finish_layer(
             lambda2=cfg.lambda2,
             ridge=ridge_on,
         )
-        wres = quantize_layer_weights(
-            current, weight_scheme.params, prefix.a_q, wq_cfg, jobs=cfg.jobs
-        )
+        wres = quantize_layer_weights(current, weight_scheme.params, prefix.a_q, wq_cfg)
         codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
         mse["after_wqer"] = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
         prev = mse["after_aqer"] if aqer_on else mse["baseline"]

@@ -1,4 +1,4 @@
-"""Progressive per-channel weight quantization.
+"""Progressive per-channel weight quantization, split-outer.
 
 Each output channel is quantized over several iterations. An iteration
 takes the lowest-index half of the remaining columns (ceil(|remaining|/2)
@@ -16,9 +16,30 @@ just committed:
   3. remainder correction: dW_r* = -delta_s E[x_s x_r^T]
      (E[x_r x_r^T] + lambda2 I)^{-1}, added onto the remaining columns.
 
+Every channel uses the same splits, so the loop runs the splits outside
+and the channels inside (`quantize_rows`). Per split, for the whole
+(d_out, D_s) block at once:
+
+  - the candidates of step 1 (`rounding_candidates`): each row's scale,
+    zero point and largest code are broadcast as columns, the same
+    elementwise arithmetic as `uniform_codes` and `dequantize_uniform`
+    row by row, so the codes do not depend on how many rows share a call;
+  - the committed codes, dequantized weights and error rows;
+  - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
+    product of the (d_out, D) error block, with E[x x^T] or with the batch
+    itself when N < D_in. Only the current error block is held, never one
+    per split.
+
+Per row stay step 2, one `refine_rounding` call per (channel, split) on a
+`RoundingState` of row views, and step 3, one
+`LayerMomentCache.remainder_update` (one `solve_spd`) per (channel,
+non-final split). Refinement picks and stops per row; batching it, and the
+per-row solves into one right-hand side per split, would change the
+per-call structure the benchmark's traced call counts pin.
+
 Moment blocks and ridge factorizations depend only on the column split,
-so they are computed once per layer by `LayerMomentCache` and shared
-read-only across channels; `LayerMomentCache.remainder_update` is the one
+so they are computed once per layer by `LayerMomentCache` and shared by
+all channels; `LayerMomentCache.remainder_update` is the one
 implementation of step 3, also exercised by `quantred verify`. When the
 batch has fewer samples N than columns, the cache forms no D_in x D_in
 matrix: blocks come from batch slices, and a remainder wider than N is
@@ -33,24 +54,20 @@ preallocated buffers plus scalar arithmetic, with no index arrays or k x k
 block, and the same choices and values as the general loop bit for bit.
 On 256- and 1024-column slices that is about 7-13 us per iteration
 against 18-24 us for the general loop (2-core x86 VM, BLAS on one
-thread). The trace MSE of a channel, one value
-per split, comes from one matrix product of all the split error vectors
-after the split loop (`LayerMomentCache.trace_mses`): with E[x x^T], or
-with the batch itself when N < D_in, so that matrix is read once per
-channel rather than once per split.
+thread).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import require_regularized, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
-from .quantizers import UniformParams, dequantize_uniform, uniform_codes
+from .quantizers import UniformParams
 
 
 @dataclass(frozen=True)
@@ -72,6 +89,9 @@ class WeightQuantConfig:
 @dataclass(frozen=True)
 class RoundingState:
     """Rounding candidates and the current choice for one channel slice.
+
+    `rounding_candidates` returns one for a block of rows, with (d, D_s)
+    arrays; refinement takes the one-row state of a single slice.
 
     `stop_reason` and `flips_committed` describe the refinement that
     produced the choice: "off" and 0 until `refine_rounding` has run, then
@@ -173,28 +193,73 @@ def _largest(score: np.ndarray, k: int) -> np.ndarray:
     return np.array(sorted(picks), dtype=np.int64)
 
 
-def init_rounding(
-    w_slice: np.ndarray, params: UniformParams, proxy_matrix: np.ndarray
+def row_lattice(
+    channel_params: Sequence[UniformParams],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale, zero point and largest code of each row, as (d, 1) columns."""
+    scale = np.array([[p.scale] for p in channel_params], dtype=np.float64)
+    zero_point = np.array([[p.zero_point] for p in channel_params], dtype=np.int64)
+    qmax = np.array([[(1 << p.bits) - 1] for p in channel_params], dtype=np.int64)
+    return scale, zero_point, qmax
+
+
+def rounding_candidates(
+    block: np.ndarray,
+    lattice: tuple[np.ndarray, np.ndarray, np.ndarray],
+    proxy_matrix: np.ndarray,
 ) -> RoundingState:
-    """Floor/ceil candidates plus the round-to-nearest starting choice."""
-    w_slice = np.asarray(w_slice, dtype=np.float64)
-    code_down = uniform_codes(w_slice, params, "floor")
-    code_up = uniform_codes(w_slice, params, "ceil")
-    delta_down = dequantize_uniform(code_down, params) - w_slice
-    delta_up = dequantize_uniform(code_up, params) - w_slice
-    up_mask = uniform_codes(w_slice, params) == code_up
-    flippable = code_down != code_up
-    delta = np.where(up_mask, delta_up, delta_down)
+    """Floor/ceil candidates plus round-to-nearest for every row of a (d, D_s) block.
+
+    Row i lies on the lattice of row i of `lattice` (see `row_lattice`).
+    Each entry is what `uniform_codes` and `dequantize_uniform` give for
+    that row alone, bit for bit: the same elementwise IEEE operations,
+    broadcast. The returned state holds (d, D_s) arrays and the shared
+    proxy matrix.
+    """
+    scale, zero_point, qmax = lattice
+    t = block / scale
+    code_down = np.clip(np.floor(t).astype(np.int64) + zero_point, 0, qmax)
+    code_up = np.clip(np.ceil(t).astype(np.int64) + zero_point, 0, qmax)
+    nearest = np.clip(np.rint(t).astype(np.int64) + zero_point, 0, qmax)
+    delta_down = scale * (code_down - zero_point).astype(np.float64) - block
+    delta_up = scale * (code_up - zero_point).astype(np.float64) - block
+    up_mask = nearest == code_up
     return RoundingState(
         delta_down=delta_down,
         delta_up=delta_up,
-        delta=delta,
+        delta=np.where(up_mask, delta_up, delta_down),
         up_mask=up_mask,
-        flippable=flippable,
+        flippable=code_down != code_up,
         code_down=code_down,
         code_up=code_up,
         proxy_matrix=proxy_matrix,
     )
+
+
+def _row_state(block: RoundingState, i: int) -> RoundingState:
+    """Row i of a block state, as views into the block's arrays."""
+    return RoundingState(
+        delta_down=block.delta_down[i],
+        delta_up=block.delta_up[i],
+        delta=block.delta[i],
+        up_mask=block.up_mask[i],
+        flippable=block.flippable[i],
+        code_down=block.code_down[i],
+        code_up=block.code_up[i],
+        proxy_matrix=block.proxy_matrix,
+    )
+
+
+def init_rounding(
+    w_slice: np.ndarray, params: UniformParams, proxy_matrix: np.ndarray
+) -> RoundingState:
+    """Floor/ceil candidates plus the round-to-nearest starting choice.
+
+    The one-row case of `rounding_candidates`.
+    """
+    block = np.asarray(w_slice, dtype=np.float64).reshape(1, -1)
+    state = rounding_candidates(block, row_lattice((params,)), proxy_matrix)
+    return _row_state(state, 0)
 
 
 def refine_rounding(
@@ -335,7 +400,7 @@ class LayerMomentCache:
     """Per-layer moment blocks and ridge factorizations, keyed by column split.
 
     Built once from the quantized calibration activations; all entries are
-    read-only afterwards and shared across the channel workers.
+    read-only afterwards and shared by every channel.
 
     A batch with at least as many samples as columns (N >= D) is reduced to
     its D x D moments once, and every block is sliced from them. A thinner
@@ -426,62 +491,84 @@ def _batch_remainder(a_s: np.ndarray, a_r: np.ndarray, lambda2: float) -> tuple:
     return a_r.T @ a_s / n, factor, None
 
 
+def quantize_rows(
+    w: np.ndarray,
+    channel_params: Sequence[UniformParams],
+    cache: LayerMomentCache,
+    cfg: WeightQuantConfig,
+) -> LayerWeightResult:
+    """Run the progressive loop for the rows of w, splits outside, rows inside.
+
+    Row i is quantized on the fixed lattice `channel_params[i]`. Returns
+    the codes, the dequantized rows and, per row, one trace row per
+    iteration keyed by TRACE_FIELDS: the slice size, the proxy before and
+    after refinement, why refinement stopped and how many coordinates it
+    flipped, and the empirical squared output error of the partially
+    quantized row, from one `cache.trace_mses` product per split.
+    Refinement runs only for k > 0. Rows never interact: a row's codes,
+    dequantized values, proxies and stop reasons do not depend on which
+    rows share the call, and its trace MSEs only through the last bits of
+    the block product.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    d_out, dim = w.shape
+    if dim != cache.dim:
+        raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
+    lattice = row_lattice(channel_params)
+    scale, zero_point, _ = lattice
+    current = w.copy()
+    codes = np.zeros((d_out, dim), dtype=np.int64)
+    w_bar = np.zeros((d_out, dim), dtype=np.float64)
+    err = np.zeros((d_out, dim), dtype=np.float64)
+    trace = tuple([] for _ in range(d_out))
+
+    for iteration, (lo, mid, hi) in enumerate(cache.splits):
+        matrix = cache.proxy_matrix(lo, mid)
+        block = rounding_candidates(current[:, lo:mid], lattice, matrix)
+        stats = []
+        for i in range(d_out):
+            state = _row_state(block, i)
+            if cfg.k > 0:
+                state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+                block.up_mask[i] = state.up_mask
+                block.delta[i] = state.delta
+                before, after = committed[0], committed[-1]
+            else:
+                before = after = proxy_value(state.delta, matrix)
+            stats.append((before, after, state.stop_reason, state.flips_committed))
+        codes[:, lo:mid] = block.codes
+        w_bar[:, lo:mid] = scale * (codes[:, lo:mid] - zero_point).astype(np.float64)
+        err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
+        if cfg.ridge and mid < hi:
+            for i in range(d_out):
+                current[i, mid:hi] += cache.remainder_update(lo, mid, block.delta[i])
+            err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
+        for rows, mse, (before, after, stop_reason, flips) in zip(
+            trace, cache.trace_mses(err), stats
+        ):
+            rows.append(
+                dict(
+                    iteration=iteration,
+                    slice_size=mid - lo,
+                    proxy_before=before,
+                    proxy_after=after,
+                    mse=float(mse),
+                    stop_reason=stop_reason,
+                    flips_committed=flips,
+                )
+            )
+    return LayerWeightResult(codes=codes, w_bar=w_bar, trace=trace)
+
+
 def quantize_channel(
     w_row: np.ndarray,
     params: UniformParams,
     cache: LayerMomentCache,
     cfg: WeightQuantConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Run the progressive loop for one output channel on the fixed lattice `params`.
-
-    Returns the codes, the dequantized row and one trace row per iteration,
-    keyed by TRACE_FIELDS: the slice size, the proxy before and after
-    refinement, why refinement stopped and how many coordinates it flipped,
-    and the empirical squared output error of the partially quantized row.
-    Those errors are evaluated together after the loop by
-    `cache.trace_mses`, from one product of the per-split error vectors.
-    Refinement runs only for k > 0.
-    """
-    w_row = np.asarray(w_row, dtype=np.float64)
-    dim = w_row.size
-    if dim != cache.dim:
-        raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
-    original = w_row.copy()
-    current = w_row.copy()
-    codes = np.zeros(dim, dtype=np.int64)
-    w_bar = np.zeros(dim, dtype=np.float64)
-    err = np.zeros(dim, dtype=np.float64)
-    errs = np.empty((len(cache.splits), dim), dtype=np.float64)
-    rows = []
-
-    for iteration, (lo, mid, hi) in enumerate(cache.splits):
-        state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
-        if cfg.k > 0:
-            state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
-            proxy_before, proxy_after = committed[0], committed[-1]
-        else:
-            proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
-        codes[lo:mid] = state.codes
-        w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
-        err[lo:mid] = w_bar[lo:mid] - original[lo:mid]
-        if cfg.ridge and mid < hi:
-            current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
-        err[mid:hi] = current[mid:hi] - original[mid:hi]
-        errs[iteration] = err
-        rows.append(
-            dict(
-                iteration=iteration,
-                slice_size=mid - lo,
-                proxy_before=proxy_before,
-                proxy_after=proxy_after,
-                mse=None,  # from one trace_mses product after the loop
-                stop_reason=state.stop_reason,
-                flips_committed=state.flips_committed,
-            )
-        )
-    for row, mse in zip(rows, cache.trace_mses(errs)):
-        row["mse"] = float(mse)
-    return codes, w_bar, rows
+    """`quantize_rows` on one row: its codes, dequantized row and trace rows."""
+    result = quantize_rows(np.reshape(w_row, (1, -1)), (params,), cache, cfg)
+    return result.codes[0], result.w_bar[0], result.trace[0]
 
 
 def quantize_layer_weights(
@@ -489,28 +576,14 @@ def quantize_layer_weights(
     channel_params: tuple[UniformParams, ...],
     a_q: np.ndarray,
     cfg: WeightQuantConfig,
-    jobs: int = 1,
 ) -> LayerWeightResult:
-    """Quantize all output channels against the shared moment cache.
-
-    Channels are independent, so `jobs` > 1 runs them on a thread pool;
-    results are identical to the sequential order regardless of job count.
-    """
+    """Quantize all output channels against one shared moment cache."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("expected a 2-D weight matrix")
+    if w.size == 0:
+        raise ValueError(f"weight matrix of shape {w.shape} is empty")
     if len(channel_params) != w.shape[0]:
         raise ValueError("need one UniformParams per output channel")
     cache = LayerMomentCache(a_q, cfg.lambda2 if cfg.ridge else None)
-
-    def run(i: int):
-        return quantize_channel(w[i], channel_params[i], cache, cfg)
-
-    if jobs > 1 and w.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            channels = list(pool.map(run, range(w.shape[0])))
-    else:
-        channels = [run(i) for i in range(w.shape[0])]
-
-    codes, w_bar, trace = zip(*channels)
-    return LayerWeightResult(codes=np.stack(codes), w_bar=np.stack(w_bar), trace=trace)
+    return quantize_rows(w, channel_params, cache, cfg)

@@ -16,6 +16,7 @@ from quantred.quantizers import (
     calibrate_uniform,
     dequantize_uniform,
     quantize_uniform,
+    uniform_codes,
 )
 from quantred.verify import (
     suite_gradient_checks,
@@ -24,6 +25,7 @@ from quantred.verify import (
 )
 from quantred.weight_quant import (
     LayerMomentCache,
+    RoundingState,
     WeightQuantConfig,
     halving_splits,
     init_rounding,
@@ -507,6 +509,94 @@ def _reference_channel(w_row, params, cache, cfg):
     return codes, rows
 
 
+def _per_row_init_rounding(w_slice, params, proxy_matrix):
+    # per-row candidates straight from uniform_codes / dequantize_uniform,
+    # as the loop built them before candidates were built per split
+    code_down = uniform_codes(w_slice, params, "floor")
+    code_up = uniform_codes(w_slice, params, "ceil")
+    delta_down = dequantize_uniform(code_down, params) - w_slice
+    delta_up = dequantize_uniform(code_up, params) - w_slice
+    up_mask = uniform_codes(w_slice, params) == code_up
+    return RoundingState(
+        delta_down=delta_down,
+        delta_up=delta_up,
+        delta=np.where(up_mask, delta_up, delta_down),
+        up_mask=up_mask,
+        flippable=code_down != code_up,
+        code_down=code_down,
+        code_up=code_up,
+        proxy_matrix=proxy_matrix,
+    )
+
+
+def _per_row_reference(w, channel_params, cache, cfg):
+    # reference only: the channel-outer loop (one channel through all its
+    # splits, then the next), trace MSEs from one product of each channel's
+    # (splits, D) error block
+    codes_out, w_bar_out, trace = [], [], []
+    for w_row, params in zip(w, channel_params):
+        current = w_row.copy()
+        codes = np.zeros(w_row.size, dtype=np.int64)
+        w_bar = np.zeros(w_row.size)
+        err = np.zeros(w_row.size)
+        errs = np.empty((len(cache.splits), w_row.size))
+        rows = []
+        for iteration, (lo, mid, hi) in enumerate(cache.splits):
+            matrix = cache.proxy_matrix(lo, mid)
+            state = _per_row_init_rounding(current[lo:mid], params, matrix)
+            if cfg.k > 0:
+                state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+                before, after = committed[0], committed[-1]
+            else:
+                before = after = proxy_value(state.delta, state.proxy_matrix)
+            codes[lo:mid] = state.codes
+            w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
+            err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
+            if cfg.ridge and mid < hi:
+                current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
+            err[mid:hi] = current[mid:hi] - w_row[mid:hi]
+            errs[iteration] = err
+            rows.append(
+                dict(
+                    iteration=iteration,
+                    slice_size=mid - lo,
+                    proxy_before=before,
+                    proxy_after=after,
+                    mse=None,
+                    stop_reason=state.stop_reason,
+                    flips_committed=state.flips_committed,
+                )
+            )
+        for row, mse in zip(rows, cache.trace_mses(errs)):
+            row["mse"] = float(mse)
+        codes_out.append(codes)
+        w_bar_out.append(w_bar)
+        trace.append(rows)
+    return np.array(codes_out), np.array(w_bar_out), trace
+
+
+def _mixed_rows(rng, d_in):
+    # five rows on different lattices: two calibrated rows (4 and 3 bits),
+    # a row far outside its lattice so most entries clip at 0 or qmax, a
+    # row of exact half-step ties (and zeros) off a zero zero point, where
+    # half-to-even decides, and an all-zero degenerate row
+    w = np.zeros((5, d_in))
+    w[0] = rng.normal(0, 0.5, d_in)
+    w[1] = rng.normal(0.2, 0.1, d_in)
+    w[2] = rng.normal(0, 3.0, d_in)
+    w[3] = 0.25 * (rng.integers(0, 15, d_in) - 4.5)
+    w[3, ::3] = 0.0
+    params = (
+        calibrate_uniform(w[0], 4),
+        calibrate_uniform(w[1], 3),
+        UniformParams(scale=0.05, zero_point=7, bits=4),
+        UniformParams(scale=0.25, zero_point=5, bits=4),
+        calibrate_uniform(w[4], 4),
+    )
+    assert params[4].degenerate
+    return w, params
+
+
 class TestChannelQuantization:
     @staticmethod
     def _setup(rng, d_out, d_in, n=64):
@@ -538,6 +628,61 @@ class TestChannelQuantization:
                     assert row["stop_reason"] in ("no_eligible", "uphill", "max_iter")
                 else:
                     assert (row["stop_reason"], row["flips_committed"]) == ("off", 0)
+
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_layer_matches_per_row_reference(self, n, ridge, k):
+        # N = 6 < D_in = 16 (sample-space systems) and N = 64 > D_in; the
+        # whole 5-row layer and each row alone (d_out = 1)
+        rng = np.random.default_rng(40 + n + k)
+        w, params = _mixed_rows(rng, 16)
+        a_q = rng.normal(0.2, 1.0, (n, 16))
+        cfg = WeightQuantConfig(lambda2=0.5, k=k, ridge=ridge)
+        cache = LayerMomentCache(a_q, cfg.lambda2 if ridge else None)
+        want_codes, want_w_bar, want_trace = _per_row_reference(w, params, cache, cfg)
+        assert (want_codes == 0).any() and (want_codes == 15).any()
+        runs = [(slice(0, 5), quantize_layer_weights(w, params, a_q, cfg))]
+        for i in range(5):
+            one = quantize_layer_weights(w[i : i + 1], params[i : i + 1], a_q, cfg)
+            runs.append((slice(i, i + 1), one))
+        for rows, got in runs:
+            np.testing.assert_array_equal(got.codes, want_codes[rows])
+            np.testing.assert_array_equal(got.w_bar, want_w_bar[rows])
+            for got_rows, want_rows in zip(got.trace, want_trace[rows], strict=True):
+                assert len(got_rows) == len(want_rows)
+                for a, b in zip(got_rows, want_rows):
+                    assert tuple(a) == weight_quant.TRACE_FIELDS
+                    for field in weight_quant.TRACE_FIELDS:
+                        if field != "mse":
+                            assert a[field] == b[field], field
+                    assert abs(a["mse"] - b["mse"]) <= 1e-12 * abs(b["mse"])
+
+    def test_init_rounding_matches_per_row_candidates(self):
+        # the one-row case of the block candidates equals uniform_codes and
+        # dequantize_uniform entry for entry, clipped and zero rows included
+        rng = np.random.default_rng(41)
+        w, params = _mixed_rows(rng, 9)
+        matrix = _psd(rng, 9)
+        for row, p in zip(w, params):
+            got = init_rounding(row, p, matrix)
+            want = _per_row_init_rounding(row, p, matrix)
+            for field in ("delta_down", "delta_up", "delta", "up_mask", "flippable",
+                          "code_down", "code_up"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert got.proxy_matrix is matrix
+
+    def test_empty_weight_matrix_rejected(self):
+        rng = np.random.default_rng(42)
+        a_q = rng.normal(0, 1, (16, 4))
+        with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
+            quantize_layer_weights(np.zeros((0, 4)), (), a_q, WeightQuantConfig())
+        with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
+            pipeline.quantize_layer(
+                np.zeros((0, 4)), a_q, "uniform", 4, 4, pipeline.RunConfig()
+            )
+        with pytest.raises(ValueError, match=r"shape \(3, 0\) is empty"):
+            quantize_layer_weights(np.zeros((3, 0)), (), a_q[:, :0], WeightQuantConfig())
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
@@ -580,16 +725,6 @@ class TestChannelQuantization:
         )
         np.testing.assert_array_equal(permuted.codes, base.codes[perm])
         np.testing.assert_array_equal(permuted.w_bar, base.w_bar[perm])
-
-    def test_thread_pool_matches_sequential_exactly(self):
-        rng = np.random.default_rng(11)
-        w, params, a_q = self._setup(rng, 12, 16, n=96)
-        cfg = WeightQuantConfig(lambda2=2.0, k=2)
-        seq = quantize_layer_weights(w, params, a_q, cfg, jobs=1)
-        par = quantize_layer_weights(w, params, a_q, cfg, jobs=4)
-        np.testing.assert_array_equal(seq.codes, par.codes)
-        np.testing.assert_array_equal(seq.w_bar, par.w_bar)
-        assert seq.trace == par.trace
 
     def test_trace_mse_matches_empirical_batch_error(self):
         rng = np.random.default_rng(12)
@@ -870,28 +1005,34 @@ class TestThinBatch:
             (weight_quant, "accumulate_moments"),
             (weight_quant, "spd_factor"),
             (weight_quant, "solve_spd"),
+            (weight_quant, "refine_rounding"),
             (act_correct, "spd_factor"),
         ):
             name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return calls
 
-    def test_tracer_wrap_points_and_counts(self, monkeypatch):
-        # one aqer factor, one ridge factor per split with a remainder and
-        # one ridge solve per channel and non-final split
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_tracer_wrap_points_and_counts(self, monkeypatch, k):
+        # one aqer factor, one ridge factor per split with a remainder, one
+        # ridge solve per channel and non-final split, and one refinement
+        # per channel and split when k >= 1
         calls = self._count_wrap_points(monkeypatch)
         d_out, d_in, n = 3, 40, 12
         rng = np.random.default_rng(5)
         w = rng.normal(0, 0.5, (d_out, d_in))
         a_fp = rng.normal(0.2, 1.0, (n, d_in))
-        cfg = pipeline.RunConfig(lambda1=1.0, lambda2=1.0)
+        cfg = pipeline.RunConfig(lambda1=1.0, lambda2=1.0, k=k)
         pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
         splits = len(halving_splits(d_in))
-        assert calls == {
+        expected = {
             "act_correct.spd_factor": 1,
             "weight_quant.spd_factor": splits - 1,
             "weight_quant.solve_spd": d_out * (splits - 1),
         }
+        if k > 0:
+            expected["weight_quant.refine_rounding"] = d_out * splits
+        assert calls == expected
 
     @pytest.mark.parametrize("n", [12, 64])
     def test_ridge_off_factors_no_remainder(self, monkeypatch, n):
@@ -905,7 +1046,10 @@ class TestThinBatch:
             lambda1=1.0, lambda2=1.0, stages=frozenset({"aqer", "wqer_rounding"})
         )
         pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
-        expected = {"act_correct.spd_factor": 1}
+        expected = {
+            "act_correct.spd_factor": 1,
+            "weight_quant.refine_rounding": 3 * len(halving_splits(40)),
+        }
         if n >= 40:
             expected["weight_quant.accumulate_moments"] = 1
         assert calls == expected
