@@ -41,7 +41,6 @@ from .weight_quant import (
     proxy_value,
     quantize_layer_weights,
     refine_rounding,
-    select_flip_set,
 )
 
 __version__ = "0.1.0"

@@ -104,6 +104,8 @@ def quantize(manifest_path, out_dir, config_path, **flags):
               help="Seed of the suites' random instances.")
 def verify_command(out_dir, seed):
     """Run the internal consistency suites against the oracles."""
+    if seed < 0:
+        _fail_validation(f"--seed must be >= 0, got {seed}")
     results = verify_suites.run_all(seed)
     summary = []
     for suite in results:

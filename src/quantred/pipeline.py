@@ -86,10 +86,18 @@ class RunConfig:
 
     def __post_init__(self):
         for lam in (self.lambda1, self.lambda2):
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                raise ConfigError(f"regularization strengths must be numbers, got {lam!r}")
             if not (math.isfinite(lam) and lam >= 0):
                 raise ConfigError(
                     f"regularization strengths must be finite and >= 0, got {lam}"
                 )
+        for name in ("k", "max_iter", "jobs", "bits_w", "bits_a"):
+            value = getattr(self, name)
+            if value is None and name.startswith("bits_"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 0:
             raise ConfigError("k must be >= 0")
         if self.max_iter < 0:

@@ -19,6 +19,7 @@ to the brute-force grid (oracle.grid_calibrate), ties included.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,19 @@ def uniform_codes(x: np.ndarray, params: UniformParams, rounding: str = "nearest
 
 def dequantize_uniform(codes: np.ndarray, params: UniformParams) -> np.ndarray:
     return params.scale * (np.asarray(codes, dtype=np.int64) - params.zero_point).astype(np.float64)
+
+
+def row_lattice(params: Sequence[UniformParams]) -> UniformParams:
+    """The lattices of a (d, D) block's rows, as params whose fields are (d, 1) columns.
+
+    `uniform_codes` and `dequantize_uniform` broadcast them: row i gets the
+    same elementwise operations, bit for bit, as `params[i]` on that row alone.
+    """
+    return UniformParams(
+        scale=np.array([p.scale for p in params], dtype=np.float64)[:, None],
+        zero_point=np.array([p.zero_point for p in params], dtype=np.int64)[:, None],
+        bits=np.array([p.bits for p in params], dtype=np.int64)[:, None],
+    )
 
 
 def quantize_uniform(x: np.ndarray, params: UniformParams):
@@ -368,8 +382,4 @@ def quantize_with_scheme(x: np.ndarray, scheme: QuantScheme):
             f"per_channel scheme with {len(scheme.params)} channels cannot "
             f"quantize shape {x.shape}"
         )
-    codes = np.empty(x.shape, dtype=np.int64)
-    deq = np.empty(x.shape, dtype=np.float64)
-    for i, p in enumerate(scheme.params):
-        codes[i], deq[i] = quantize_uniform(x[i], p)
-    return codes, deq
+    return quantize_uniform(x, row_lattice(scheme.params))

@@ -20,10 +20,10 @@ Every channel uses the same splits, so the loop runs the splits outside
 and the channels inside (`quantize_rows`). Per split, for the whole
 (d_out, D_s) block at once:
 
-  - the candidates of step 1 (`rounding_candidates`): each row's scale,
-    zero point and largest code are broadcast as columns, the same
-    elementwise arithmetic as `uniform_codes` and `dequantize_uniform`
-    row by row, so the codes do not depend on how many rows share a call;
+  - the candidates of step 1 (`rounding_candidates`): `uniform_codes` and
+    `dequantize_uniform` on the block, with each row's lattice broadcast as
+    a column (`quantizers.row_lattice`), so the codes do not depend on how
+    many rows share a call;
   - the committed codes, dequantized weights and error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
@@ -48,18 +48,20 @@ X_r with X the N x D_in batch, an N x N system (push-through identity).
 
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
-from the candidates every iteration. At the default k = 1 an iteration is
-one scalar pick (`_refine_single`): seven passes over the slice into
-preallocated buffers plus scalar arithmetic, with no index arrays or k x k
-block, and the same choices and values as the general loop bit for bit.
-On 256- and 1024-column slices that is about 7-13 us per iteration
-against 18-24 us for the general loop (2-core x86 VM, BLAS on one
+from the candidates every iteration. Every k runs the same loop: four
+passes over the slice into preallocated buffers score the eligible flips,
+and repeated argmax takes up to k of them. A step of one flip (every step
+at the default k = 1) is then scored and applied in scalar arithmetic,
+with no index array or k x k block; a step of several flips takes the
+k x k block of M. Over the refinement calls of a 32 x 2048 and a 64 x 256
+layer a k = 1 iteration averages about 7-10 us (2-core x86 VM, BLAS on one
 thread).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -67,7 +69,7 @@ import numpy as np
 
 from .linalg import require_regularized, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
-from .quantizers import UniformParams
+from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_codes
 
 
 @dataclass(frozen=True)
@@ -161,69 +163,20 @@ def proxy_gradient(delta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return 2.0 * (matrix @ delta)
 
 
-def select_flip_set(
-    delta: np.ndarray, grad: np.ndarray, k: int, flippable: np.ndarray | None = None
-) -> np.ndarray:
-    """Indices of the k largest |grad| with grad * delta >= 0.
-
-    A zero product counts as eligible. Clip-saturated coordinates (no
-    opposite rounding exists) are excluded via `flippable`. Ties resolve
-    toward the lowest index; fewer than k candidates returns them all.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    eligible = grad * np.asarray(delta, dtype=np.float64) >= 0.0
-    if flippable is not None:
-        eligible &= flippable
-    return _largest(np.where(eligible, np.abs(grad), -1.0), k)
-
-
-def _largest(score: np.ndarray, k: int) -> np.ndarray:
-    """Sorted indices of the k largest nonnegative entries of score (consumed).
-
-    k masked argmax picks, O(k D): argmax returns the first maximum, so ties
-    go to the lowest index; negative entries are never picked.
-    """
-    picks = []
-    for _ in range(min(k, score.size)):
-        j = int(score.argmax())
-        if score[j] < 0.0:
-            break
-        picks.append(j)
-        score[j] = -1.0
-    return np.array(sorted(picks), dtype=np.int64)
-
-
-def row_lattice(
-    channel_params: Sequence[UniformParams],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale, zero point and largest code of each row, as (d, 1) columns."""
-    scale = np.array([[p.scale] for p in channel_params], dtype=np.float64)
-    zero_point = np.array([[p.zero_point] for p in channel_params], dtype=np.int64)
-    qmax = np.array([[(1 << p.bits) - 1] for p in channel_params], dtype=np.int64)
-    return scale, zero_point, qmax
-
-
 def rounding_candidates(
-    block: np.ndarray,
-    lattice: tuple[np.ndarray, np.ndarray, np.ndarray],
-    proxy_matrix: np.ndarray,
+    block: np.ndarray, lattice: UniformParams, proxy_matrix: np.ndarray
 ) -> RoundingState:
     """Floor/ceil candidates plus round-to-nearest for every row of a (d, D_s) block.
 
-    Row i lies on the lattice of row i of `lattice` (see `row_lattice`).
-    Each entry is what `uniform_codes` and `dequantize_uniform` give for
-    that row alone, bit for bit: the same elementwise IEEE operations,
-    broadcast. The returned state holds (d, D_s) arrays and the shared
-    proxy matrix.
+    Row i lies on row i of `lattice`, the (d, 1) columns of
+    `quantizers.row_lattice`. The returned state holds (d, D_s) arrays and
+    the shared proxy matrix.
     """
-    scale, zero_point, qmax = lattice
-    t = block / scale
-    code_down = np.clip(np.floor(t).astype(np.int64) + zero_point, 0, qmax)
-    code_up = np.clip(np.ceil(t).astype(np.int64) + zero_point, 0, qmax)
-    nearest = np.clip(np.rint(t).astype(np.int64) + zero_point, 0, qmax)
-    delta_down = scale * (code_down - zero_point).astype(np.float64) - block
-    delta_up = scale * (code_up - zero_point).astype(np.float64) - block
-    up_mask = nearest == code_up
+    code_down = uniform_codes(block, lattice, "floor")
+    code_up = uniform_codes(block, lattice, "ceil")
+    delta_down = dequantize_uniform(code_down, lattice) - block
+    delta_up = dequantize_uniform(code_up, lattice) - block
+    up_mask = uniform_codes(block, lattice) == code_up
     return RoundingState(
         delta_down=delta_down,
         delta_up=delta_up,
@@ -275,7 +228,7 @@ def refine_rounding(
     Flipping coordinate j moves it by t_j (the step to its other candidate)
     and changes the proxy by exactly t_j g_j + t_j^2 M_jj, with g = 2 M delta.
     Only flips whose exact change is negative are eligible; among them the
-    k largest |g_j| are chosen, as `select_flip_set` would. Their joint
+    k largest |g_j| are chosen, ties going to the lowest index. Their joint
     change, exact from the k x k block of M, is committed unless it is
     positive, in which case refinement stops. The committed sequence is
     therefore non-increasing, the final delta never scores worse than
@@ -294,31 +247,59 @@ def refine_rounding(
     every eligible flip is sign-consistent. A coordinate without a second
     candidate has t_j = 0 and is never eligible.
 
-    k = 1 runs `_refine_single`, which picks one scalar per iteration into
-    preallocated buffers and takes no index array, k x k block or
-    `_largest` call; its choices, committed values, stop reason and flip
-    count equal the general loop's bit for bit. Any other k, and an empty
-    slice, runs the general loop.
+    An iteration scores into preallocated buffers: t g, its comparison
+    with -t^2 M_jj (a + c < 0 exactly when a < -c in IEEE arithmetic), |g|,
+    and the zeroing of ineligible scores. An eligible flip has
+    t_j g_j < -t_j^2 M_jj <= 0, so |g_j| > 0: argmax takes the first largest
+    eligible |g_j|, a zero maximum means none is left, and each pick is
+    marked -1 before the next, so the picks of a step of several flips are
+    read back, sorted, as the negative scores. A step of one flip is scored
+    and applied in scalar arithmetic, the one-term case of the k x k form:
+    t_j g_j + t_j (M_jj t_j) and g += M_j (2 t_j), which is 2 (t_j M_j) since
+    scaling by 2 is exact away from the subnormal range.
     """
     matrix = state.proxy_matrix
+    diag = np.diagonal(matrix)
     up_mask = state.up_mask.copy()
     step = np.where(up_mask, state.delta_down, state.delta_up) - state.delta
-    curvature = step * step * np.diagonal(matrix)
+    neg_curvature = -(step * step * diag)
     grad = proxy_gradient(state.delta, matrix)
-    committed = [0.5 * float(state.delta @ grad)]
-    if k == 1 and step.size > 0:  # an empty slice has nothing to argmax over
-        stop_reason, flips_committed = _refine_single(
-            matrix, step, curvature, grad, up_mask, committed, max_iter
-        )
-    else:
-        stop_reason = "max_iter"
-        flips_committed = 0
-        for _ in range(max_iter):
-            downhill = step * grad + curvature < 0.0
-            flips = _largest(np.where(downhill, np.abs(grad), -1.0), k)
-            if flips.size == 0:
-                stop_reason = "no_eligible"
+    proxy = 0.5 * float(state.delta @ grad)
+    committed = [proxy]
+    product = np.empty_like(grad)
+    downhill = np.empty(grad.shape, dtype=bool)
+    score = np.empty_like(grad)
+    budget = min(operator.index(k), step.size)  # a float k is a TypeError
+    stop_reason = "max_iter"
+    flips_committed = 0
+    for _ in range(max_iter):
+        np.multiply(step, grad, out=product)
+        np.less(product, neg_curvature, out=downhill)
+        np.abs(grad, out=score)
+        np.multiply(score, downhill, out=score)
+        picks = 0
+        while picks < budget:
+            i = int(score.argmax())
+            if score[i] <= 0.0:
                 break
+            score[i] = -1.0
+            j = i
+            picks += 1
+        if picks == 0:
+            stop_reason = "no_eligible"
+            break
+        if picks == 1:
+            t = float(step[j])
+            change = t * float(grad[j]) + t * (float(diag[j]) * t)
+            if change > 0.0:
+                stop_reason = "uphill"
+                break
+            step[j] = -t
+            up_mask[j] = not up_mask[j]
+            np.multiply(matrix[j], 2.0 * t, out=product)
+            grad += product
+        else:
+            flips = np.flatnonzero(score < 0.0)
             t = step[flips]
             m_rows = matrix[flips]
             # np.take keeps the k x k block C-ordered: BLAS may round the product
@@ -330,8 +311,9 @@ def refine_rounding(
             step[flips] = -t
             up_mask[flips] = ~up_mask[flips]
             grad += 2.0 * np.dot(t, m_rows)
-            committed.append(committed[-1] + change)
-            flips_committed += flips.size
+        proxy += change
+        committed.append(proxy)
+        flips_committed += picks
     refined = replace(
         state,
         delta=np.where(up_mask, state.delta_up, state.delta_down),
@@ -340,60 +322,6 @@ def refine_rounding(
         flips_committed=flips_committed,
     )
     return refined, committed
-
-
-def _refine_single(
-    matrix: np.ndarray,
-    step: np.ndarray,
-    curvature: np.ndarray,
-    grad: np.ndarray,
-    up_mask: np.ndarray,
-    committed: list[float],
-    max_iter: int,
-) -> tuple[str, int]:
-    """The k = 1 loop of `refine_rounding` on one scalar pick per iteration.
-
-    Updates step, grad, up_mask and committed in place and returns the stop
-    reason and the number of flips. Each iteration makes seven passes over
-    the slice, into preallocated buffers: t g, its comparison with
-    -t^2 M_jj, |g|, the zeroing of ineligible scores, argmax, and the two of
-    the row update of g. The rest is scalar arithmetic on the pick. It
-    chooses and computes what the general loop does at k = 1, bit for bit:
-
-    - a + c < 0 holds exactly when a < -c in IEEE arithmetic;
-    - an eligible flip has t_j g_j < -t_j^2 M_jj <= 0, so |g_j| > 0, and a
-      zeroed ineligible entry never beats it: argmax still takes the first
-      largest eligible |g_j|, and a zero maximum means none is eligible;
-    - the one-term products t_j g_j and t_j (M_jj t_j) are the general
-      loop's one-term dot products;
-    - M_j (2 t_j) is 2 (t_j M_j), since scaling by 2 is exact away from
-      the subnormal range.
-    """
-    diag = np.diagonal(matrix)
-    neg_curvature = -curvature
-    product = np.empty_like(grad)
-    downhill = np.empty(grad.shape, dtype=bool)
-    score = np.empty_like(grad)
-    proxy = committed[-1]
-    for flips in range(max_iter):
-        np.multiply(step, grad, out=product)
-        np.less(product, neg_curvature, out=downhill)
-        np.abs(grad, out=score)
-        np.multiply(score, downhill, out=score)
-        j = int(score.argmax())
-        if score[j] == 0.0:
-            return "no_eligible", flips
-        t = float(step[j])
-        change = t * float(grad[j]) + t * (float(diag[j]) * t)
-        if change > 0.0:
-            return "uphill", flips
-        step[j] = -t
-        up_mask[j] = not up_mask[j]
-        np.multiply(matrix[j], 2.0 * t, out=product)
-        grad += product
-        proxy += change
-        committed.append(proxy)
-    return "max_iter", max_iter
 
 
 class LayerMomentCache:
@@ -515,7 +443,6 @@ def quantize_rows(
     if dim != cache.dim:
         raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
     lattice = row_lattice(channel_params)
-    scale, zero_point, _ = lattice
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
     w_bar = np.zeros((d_out, dim), dtype=np.float64)
@@ -537,7 +464,7 @@ def quantize_rows(
                 before = after = proxy_value(state.delta, matrix)
             stats.append((before, after, state.stop_reason, state.flips_committed))
         codes[:, lo:mid] = block.codes
-        w_bar[:, lo:mid] = scale * (codes[:, lo:mid] - zero_point).astype(np.float64)
+        w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
         if cfg.ridge and mid < hi:
             for i in range(d_out):

@@ -293,6 +293,25 @@ class TestQuantize:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "doc", [{"k": 1.5}, {"k": True}, {"max_iter": 100.0}, {"bits_w": 4.0}, {"jobs": 1.0}]
+    )
+    def test_non_integer_count_in_config_exit_1(self, runner, manifest, tmp_path, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["quantize", "--manifest", str(manifest), "--out", str(out),
+             "--config", str(cfg_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        (name,) = doc
+        assert f"{name} must be an integer" in result.stderr
+        assert not out.exists()
+
     def test_bits_come_from_manifest_unless_overridden(self, runner, tmp_path):
         spec = SynthSpec(seed=43, dims=((4, 6),), n_samples=32)
         manifest = write_manifest_files(spec, tmp_path / "d", bits_w=3, bits_a=5)
@@ -350,6 +369,14 @@ class TestVerify:
         )
         assert rejected.exit_code == 2
         assert "No such option" in rejected.output
+
+    def test_negative_seed_exit_1(self, runner):
+        result = runner.invoke(main, ["verify", "--seed", "-1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "--seed must be >= 0, got -1" in result.stderr
+        assert "suite" not in result.output
 
     @pytest.mark.parametrize(
         "flag", [["--lambda1", "5"], ["--jobs", "4"], ["--stages", "none"], ["--config", "c.json"]]

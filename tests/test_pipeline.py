@@ -153,6 +153,19 @@ class TestRunConfig:
             {"bits_a": MAX_BITS + 1},
             {"jobs": 0},
             {"stages": frozenset({"warp"})},
+            {"k": 1.5},
+            {"k": 1.0},
+            {"k": True},
+            {"k": "1"},
+            {"max_iter": 100.0},
+            {"max_iter": False},
+            {"jobs": 2.0},
+            {"jobs": True},
+            {"bits_w": 4.0},
+            {"bits_a": 8.5},
+            {"bits_w": True},
+            {"lambda1": True},
+            {"lambda2": "10"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -180,6 +193,10 @@ class TestRunConfig:
         for text in ('{"lambda1": NaN}', '{"lambda2": Infinity}'):
             with pytest.raises(ConfigError, match="finite"):
                 RunConfig.from_dict(json.loads(text))
+
+    def test_json_integers_accepted_for_lambda(self):
+        cfg = RunConfig.from_dict(json.loads('{"lambda1": 10, "lambda2": 0}'))
+        assert (cfg.lambda1, cfg.lambda2) == (10, 0)
 
     def test_widest_bits_accepted(self):
         assert RunConfig(bits_w=MAX_BITS, bits_a=MAX_BITS).bits_w == MAX_BITS

@@ -401,8 +401,26 @@ class TestSchemes:
         rng = np.random.default_rng(9)
         w = rng.normal(0, 1, (5, 16))
         scheme = calibrate_scale(w, "uniform", 4, "per_channel")
-        codes, deq = quantize_with_scheme(w, scheme)
-        for i, p in enumerate(scheme.params):
-            c, d = quantize_uniform(w[i], p)
-            np.testing.assert_array_equal(codes[i], c)
-            np.testing.assert_array_equal(deq[i], d)
+        # then rows at 2 and 8 bits, a row five times past its lattice (clipped
+        # at both ends) and an all-zero row on degenerate params
+        mixed_w = np.vstack([w, w[0], w[1], 5.0 * w[2], np.zeros(16)])
+        mixed = QuantScheme(
+            family="uniform",
+            granularity="per_channel",
+            bits=4,
+            params=scheme.params
+            + (
+                calibrate_uniform(w[0], 2),
+                calibrate_uniform(w[1], 8),
+                scheme.params[2],
+                calibrate_uniform(np.zeros(16), 4),
+            ),
+        )
+        for x, s in ((w, scheme), (mixed_w, mixed)):
+            codes, deq = quantize_with_scheme(x, s)
+            for i, p in enumerate(s.params):
+                c, d = quantize_uniform(x[i], p)
+                np.testing.assert_array_equal(codes[i], c)
+                np.testing.assert_array_equal(deq[i].view(np.int64), d.view(np.int64))
+        assert {0, 15} <= set(codes[7].tolist())
+        assert mixed.params[8].degenerate and (codes[8] == 0).all()

@@ -34,7 +34,6 @@ from quantred.weight_quant import (
     quantize_channel,
     quantize_layer_weights,
     refine_rounding,
-    select_flip_set,
 )
 
 
@@ -161,60 +160,6 @@ class TestProxy:
         assert proxy_value(rng.normal(0, 1, dim), m) >= 0.0
 
 
-class TestFlipSelection:
-    @settings(max_examples=200, deadline=None)
-    @given(dim=st.integers(0, 12), k=st.integers(-1, 14), seed=st.integers(0, 10_000))
-    def test_matches_sorted_selection_for_every_k(self, dim, k, seed):
-        # small integers make exact ties and zero products common
-        rng = np.random.default_rng(seed)
-        delta = rng.integers(-2, 3, dim).astype(np.float64)
-        grad = rng.integers(-3, 4, dim).astype(np.float64)
-        flippable = rng.random(dim) < 0.8
-        np.testing.assert_array_equal(
-            select_flip_set(delta, grad, k, flippable),
-            _reference_select(delta, grad, k, flippable),
-        )
-
-    def test_hand_case_top1(self):
-        flips = select_flip_set(np.array([1.0, 1.0, 1.0]), np.array([3.0, -2.0, 1.0]), 1)
-        np.testing.assert_array_equal(flips, [0])
-
-    def test_top2_sorted_indices(self):
-        flips = select_flip_set(
-            np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 4.0, 3.0, 2.0]), 2
-        )
-        np.testing.assert_array_equal(flips, [1, 2])
-
-    def test_ties_resolve_to_lowest_index(self):
-        flips = select_flip_set(np.array([1.0, 1.0, 1.0]), np.array([2.0, -2.0, 2.0]), 1)
-        np.testing.assert_array_equal(flips, [0])
-
-    def test_opposite_signs_ineligible(self):
-        flips = select_flip_set(np.array([1.0, 1.0]), np.array([-5.0, -5.0]), 2)
-        assert flips.size == 0
-
-    def test_zero_gradient_counts_as_eligible(self):
-        flips = select_flip_set(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 2)
-        np.testing.assert_array_equal(flips, [0, 1])
-
-    def test_flippable_mask_excludes_saturated(self):
-        flips = select_flip_set(
-            np.array([1.0, 1.0, 1.0]),
-            np.array([3.0, 2.0, 1.0]),
-            2,
-            flippable=np.array([False, True, True]),
-        )
-        np.testing.assert_array_equal(flips, [1, 2])
-
-    def test_k_nonpositive_returns_empty(self):
-        assert select_flip_set(np.ones(3), np.ones(3), 0).size == 0
-        assert select_flip_set(np.ones(3), np.ones(3), -2).size == 0
-
-    def test_k_exceeding_candidates_returns_all(self):
-        flips = select_flip_set(np.array([1.0, -1.0]), np.array([1.0, 2.0]), 10)
-        np.testing.assert_array_equal(flips, [0])
-
-
 class TestRefinement:
     def test_one_dimensional_slice_keeps_nearest(self):
         params = UniformParams(scale=1.0, zero_point=0, bits=4)
@@ -299,14 +244,18 @@ class TestRefinement:
         # that rebuilds its arrays every iteration does; the wide
         # mean-dominated slices commit up to hundreds of flips, so they also
         # stop at the iteration cap, as wide layer slices do; an empty slice
-        # stops with nothing eligible
-        instances = [(k, 100, state) for k, state in _reference_instances()]
+        # stops with nothing eligible, or at a zero cap; k = 0 picks nothing,
+        # and a k above the slice width may pick every eligible coordinate
+        grid = list(_reference_instances())
+        instances = [(k, 100, state) for k, state in grid]
         for dim in (256, 1024):
             _, _, state = self._many_flip_instance(np.random.default_rng(dim), dim)
-            instances += [(k, m, state) for k in (1, 2, 3) for m in (0, 1, 5, 100)]
+            instances += [(k, m, state) for k in (0, 1, 2, 3, 4) for m in (0, 1, 5, 100)]
+        instances += [(state.delta.size + 2, 100, state) for _, state in grid[::7]]
         params = UniformParams(scale=1.0, zero_point=0, bits=4)
         empty = init_rounding(np.zeros(0), params, np.zeros((0, 0)))
         instances += [(1, 100, empty), (2, 100, empty)]
+        instances += [(k, 0, empty) for k in (0, 1, 4)]
         stops = Counter()
         for k, max_iter, state in instances:
             refined, committed = refine_rounding(state, k, max_iter)
@@ -318,10 +267,14 @@ class TestRefinement:
             assert committed == ref_committed
             assert (refined.stop_reason, refined.flips_committed) == (stop_reason, flips)
             stops[k, stop_reason] += 1
-        assert len(instances) == 64 * 3 + 3 + 2 * 3 * 4 + 2
-        # at k = 1: six stops at caps of 0-5 and the 1024-column slice at 100
-        assert stops[1, "max_iter"] == 7 and stops[1, "no_eligible"] == 67
+        assert len(instances) == 64 * 3 + 3 + 2 * 5 * 4 + 28 + 2 + 3
+        # at k = 1: six stops at caps of 0-5, the 1024-column slice at 100
+        # and the empty slice at cap 0
+        assert stops[1, "max_iter"] == 8 and stops[1, "no_eligible"] == 67
         assert stops[2, "uphill"] > 0
+        # k = 0 stops at once: at the cap when it is 0, else with nothing chosen
+        assert stops[0, "max_iter"] == 3 and stops[0, "no_eligible"] == 6
+        assert stops[4, "max_iter"] > 0
 
     def test_reference_grid_exercises_saturation_and_ties(self):
         instances = list(_reference_instances())
@@ -362,6 +315,13 @@ class TestRefinement:
         assert refined.stop_reason == "uphill"
         assert refined.flips_committed == 0 and len(committed) == 1
         assert refine_rounding(state, 1, 100)[0].stop_reason == "no_eligible"
+
+    def test_non_integral_k_rejected(self):
+        # a float budget would otherwise round up to the next whole pick count
+        params = UniformParams(scale=1.0, zero_point=0, bits=4)
+        state = init_rounding(np.array([0.6, 0.6]), params, np.eye(2))
+        with pytest.raises(TypeError):
+            refine_rounding(state, 1.5, 100)
 
     def test_unrefined_state_reports_off(self):
         params = UniformParams(scale=1.0, zero_point=0, bits=4)
