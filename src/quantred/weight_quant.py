@@ -37,14 +37,18 @@ non-final split). Refinement picks and stops per row; batching it, and the
 per-row solves into one right-hand side per split, would change the
 per-call structure the benchmark's traced call counts pin.
 
-Moment blocks and ridge factorizations depend only on the column split,
-so they are computed once per layer by `LayerMomentCache` and shared by
-all channels; `LayerMomentCache.remainder_update` is the one
-implementation of step 3, also exercised by `quantred verify`. When the
-batch has fewer samples N than columns, the cache forms no D_in x D_in
-matrix: blocks come from batch slices, and a remainder wider than N is
-solved in sample space, dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1}
-X_r with X the N x D_in batch, an N x N system (push-through identity).
+Proxy blocks and ridge factorizations depend only on the column split,
+so all channels share them through one `LayerMomentCache` per layer. The
+ridge factorizations are computed once, when the cache is built;
+`LayerMomentCache.remainder_update` is the one implementation of step 3,
+also exercised by `quantred verify`. A proxy block is built in place when
+its split runs (`LayerMomentCache.proxy_matrix`) and released at the end
+of the split, so the loop holds one block at a time, not one per split.
+When the batch has fewer samples N than columns, the cache forms no
+D_in x D_in matrix: blocks come from centred batch slices, and a remainder
+wider than N is solved in sample space,
+dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1} X_r with X the
+N x D_in batch, an N x N system (push-through identity).
 
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
@@ -68,7 +72,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import require_regularized, solve_spd, spd_factor
-from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
+from .moments import InsufficientSamplesError, MomentSet, accumulate_moments, add_outer
 from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_codes
 
 
@@ -80,6 +84,10 @@ class WeightQuantConfig:
     ridge: bool = True
 
     def __post_init__(self):
+        for name in ("k", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.max_iter < 0:
@@ -325,18 +333,23 @@ def refine_rounding(
 
 
 class LayerMomentCache:
-    """Per-layer moment blocks and ridge factorizations, keyed by column split.
+    """Per-layer ridge factorizations, plus each split's proxy block on request.
 
-    Built once from the quantized calibration activations; all entries are
-    read-only afterwards and shared by every channel.
+    Built once from the quantized calibration activations. The moments (or
+    the batch), the split list and the remainder factorizations are
+    read-only afterwards and shared by every channel. A proxy block is not
+    kept: `proxy_matrix` builds it in place each time it is called, so a
+    caller that drops one split's block before asking for the next holds
+    one block at a time, as `quantize_rows` does.
 
     A batch with at least as many samples as columns (N >= D) is reduced to
-    its D x D moments once, and every block is sliced from them. A thinner
-    batch keeps the samples instead (`moments` is None): each proxy block
-    mu_s mu_s^T + C_s^T C_s / (N - 1) comes from the centred slice C_s, and
-    each remainder system is factored in the smaller of its two spaces, so
-    no D x D matrix is formed. `lambda2` None builds no remainder systems,
-    for a run without the ridge stage.
+    its D x D moments once, and every block is copied out of them. A
+    thinner batch keeps the samples instead (`moments` is None): each proxy
+    block mu_s mu_s^T + C_s^T C_s / (N - 1) comes from the centred slice
+    C_s, formed only while its block is built, and each remainder system is
+    factored in the smaller of its two spaces, so no D x D matrix is
+    formed. `lambda2` None builds no remainder systems, for a run without
+    the ridge stage.
     """
 
     def __init__(self, a_q: np.ndarray, lambda2: float | None):
@@ -347,15 +360,13 @@ class LayerMomentCache:
                 f"need at least 2 samples, got {self.n_samples}"
             )
         self.splits = halving_splits(self.dim)
-        self._proxy: dict[tuple[int, int], np.ndarray] = {}
+        self._slices = {(lo, mid) for lo, mid, _ in self.splits}
         self._remainder: dict[tuple[int, int], tuple] = {}
         self.moments: MomentSet | None = None
         ridge = lambda2 is not None
         if self.n_samples >= self.dim:
             ms = self.moments = accumulate_moments(a_q)
             for lo, mid, hi in self.splits:
-                mu_s = ms.mu[lo:mid]
-                self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + ms.sigma[lo:mid, lo:mid]
                 if ridge and mid < hi:
                     factor = spd_factor(
                         ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
@@ -363,21 +374,29 @@ class LayerMomentCache:
                     self._remainder[(lo, mid)] = (ms.raw2[lo:mid, mid:hi].T, factor, None)
         else:
             self._batch = a_q
-            mu = a_q.mean(axis=0)
-            centred = a_q - mu
+            self._mu = a_q.mean(axis=0)
             for lo, mid, hi in self.splits:
-                mu_s = mu[lo:mid]
-                c_s = centred[:, lo:mid]
-                self._proxy[(lo, mid)] = np.outer(mu_s, mu_s) + c_s.T @ c_s / (
-                    self.n_samples - 1
-                )
                 if ridge and mid < hi:
                     self._remainder[(lo, mid)] = _batch_remainder(
                         a_q[:, lo:mid], a_q[:, mid:hi], lambda2
                     )
 
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
-        return self._proxy[(lo, mid)]
+        """mu_s mu_s^T + Sigma_s for columns lo:mid, a new block on every call.
+
+        Raises KeyError for a (lo, mid) that is not one of `splits`.
+        """
+        if (lo, mid) not in self._slices:
+            raise KeyError((lo, mid))
+        if self.moments is not None:
+            mu_s = self.moments.mu[lo:mid]
+            block = self.moments.sigma[lo:mid, lo:mid].copy()
+        else:
+            mu_s = self._mu[lo:mid]
+            centred = self._batch[:, lo:mid] - mu_s
+            block = centred.T @ centred
+            block /= self.n_samples - 1
+        return add_outer(block, mu_s)
 
     def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
         """Ridge-optimal update of columns mid:hi given the committed error delta_s.
@@ -470,6 +489,9 @@ def quantize_rows(
             for i in range(d_out):
                 current[i, mid:hi] += cache.remainder_update(lo, mid, block.delta[i])
             err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
+        # drop this split's proxy block, which the states hold too, before
+        # the next split builds its own
+        matrix = block = state = None
         for rows, mse, (before, after, stop_reason, flips) in zip(
             trace, cache.trace_mses(err), stats
         ):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantred.moments import InsufficientSamplesError, accumulate_moments
+from quantred.moments import InsufficientSamplesError, accumulate_moments, add_outer
 
 
 class TestHandCases:
@@ -77,3 +77,27 @@ class TestOutputs:
             m = accumulate_moments(layout)
             assert np.array_equal(m.sigma, m.sigma.T)
             assert np.array_equal(m.raw2, m.raw2.T)
+
+    @pytest.mark.parametrize(
+        "n,dim", [(50, 1), (300, 63), (300, 64), (300, 65), (400, 200)]
+    )
+    def test_raw2_equals_eager_formula_exactly(self, n, dim):
+        # raw2 is the co-moment scaled and given mu mu^T in place, a chunk
+        # of rows at a time: each entry is the sum the eager form computes
+        batch = np.random.default_rng(dim).normal(0.5, 2.0, (n, dim))
+        m = accumulate_moments(batch)
+        centred = batch - batch.mean(axis=0)
+        m2 = centred.T @ centred
+        np.testing.assert_array_equal(m.sigma, m2 / (n - 1))
+        np.testing.assert_array_equal(m.raw2, m2 / n + np.outer(m.mu, m.mu))
+
+
+class TestAddOuter:
+    @pytest.mark.parametrize("dim", [0, 1, 63, 64, 65, 130])
+    def test_equals_outer_sum_exactly(self, dim):
+        rng = np.random.default_rng(dim)
+        base = rng.normal(0, 1, (dim, dim))
+        vec = rng.normal(0, 1, dim)
+        got = base.copy()
+        assert add_outer(got, vec) is got
+        np.testing.assert_array_equal(got, base + np.outer(vec, vec))

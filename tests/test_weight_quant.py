@@ -1,5 +1,8 @@
 """Progressive weight quantization: proxy, flips, splits, ridge remainder."""
 
+import dataclasses
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -763,6 +766,19 @@ class TestChannelQuantization:
             with pytest.raises(ValueError, match="lambda2 must be finite"):
                 WeightQuantConfig(lambda2=lam)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("k", 1.5), ("k", 2.0), ("k", True), ("k", "1"), ("max_iter", 100.0),
+         ("max_iter", False), ("max_iter", None)],
+    )
+    def test_config_rejects_non_integer_counts(self, field, value):
+        # a float k or max_iter would otherwise pass, the moment cache would
+        # be built, and refinement would fail with a bare TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            WeightQuantConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            dataclasses.replace(WeightQuantConfig(), **{field: value})
+
 
 class TestMomentCache:
     def test_proxy_matrix_is_mean_outer_plus_covariance(self):
@@ -849,6 +865,107 @@ class TestMomentCache:
 
         monkeypatch.setattr(LayerMomentCache, "remainder_update", faulty)
         assert not suite_ridge_optimality(splits=5).passed
+
+
+def _eager_proxy_blocks(a_q):
+    # reference: every split's block built up front from the centred batch,
+    # mu_s mu_s^T + C^T C / (N - 1) sliced from D x D moments when N >= D,
+    # and mu_s mu_s^T + C_s^T C_s / (N - 1) from strided slices otherwise
+    n, dim = a_q.shape
+    mu = a_q.mean(axis=0)
+    centred = a_q - mu
+    sigma = centred.T @ centred / (n - 1) if n >= dim else None
+    blocks = {}
+    for lo, mid, _ in halving_splits(dim):
+        outer = np.outer(mu[lo:mid], mu[lo:mid])
+        if sigma is not None:
+            blocks[(lo, mid)] = outer + sigma[lo:mid, lo:mid]
+        else:
+            c_s = centred[:, lo:mid]
+            blocks[(lo, mid)] = outer + c_s.T @ c_s / (n - 1)
+    return blocks
+
+
+class TestProxyBlocks:
+    # (N, D_in): N >= D_in slices the moments, N < D_in centres batch
+    # slices; D_in = 150 gives blocks wider than one chunk of mu_s mu_s^T rows
+    FULL_SHAPES = [(2, 1), (40, 40), (64, 40), (200, 150)]
+    THIN_SHAPES = [(2, 9), (12, 40), (23, 24), (12, 150)]
+
+    @pytest.mark.parametrize("n,d_in", FULL_SHAPES)
+    def test_full_width_blocks_equal_eager_reference_exactly(self, n, d_in):
+        a_q = np.random.default_rng(n + d_in).normal(0.4, 1.0, (n, d_in))
+        cache = LayerMomentCache(a_q, 0.5)
+        want = _eager_proxy_blocks(a_q)
+        assert cache.moments is not None
+        for lo, mid, _ in cache.splits:
+            np.testing.assert_array_equal(cache.proxy_matrix(lo, mid), want[(lo, mid)])
+
+    @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
+    def test_thin_blocks_match_eager_reference(self, n, d_in):
+        # the centred slice is contiguous here and strided in the reference,
+        # which can send a product down another BLAS path: 1e-15 relative
+        a_q = np.random.default_rng(n + d_in).normal(0.4, 1.0, (n, d_in))
+        cache = LayerMomentCache(a_q, 0.5)
+        want = _eager_proxy_blocks(a_q)
+        assert cache.moments is None
+        for lo, mid, _ in cache.splits:
+            got = cache.proxy_matrix(lo, mid)
+            np.testing.assert_array_equal(got, got.T)
+            ref = want[(lo, mid)]
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_proxy_matrix_rejects_non_split(self, n):
+        cache = LayerMomentCache(np.random.default_rng(n).normal(0, 1, (n, 40)), None)
+        assert [(lo, mid) for lo, mid, _ in cache.splits][:2] == [(0, 20), (20, 30)]
+        for lo, mid in ((0, 40), (20, 40), (0, 10), (1, 21), (40, 41)):
+            with pytest.raises(KeyError):
+                cache.proxy_matrix(lo, mid)
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_block_alive(self, monkeypatch, n, ridge, k):
+        # each request must find every earlier block freed: the weight loop
+        # holds one proxy block at a time, and none once it returns
+        real = LayerMomentCache.proxy_matrix
+        refs = []
+
+        def tracked(self, lo, mid):
+            alive = [i for i, ref in enumerate(refs) if ref() is not None]
+            assert not alive, f"blocks of splits {alive} alive at split {len(refs)}"
+            block = real(self, lo, mid)
+            refs.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(LayerMomentCache, "proxy_matrix", tracked)
+        rng = np.random.default_rng(70 + n)
+        w = rng.normal(0, 0.5, (3, 40))
+        a_q = rng.normal(0.2, 1.0, (n, 40))
+        params = tuple(calibrate_uniform(row, 4) for row in w)
+        cfg = WeightQuantConfig(lambda2=0.5, k=k, ridge=ridge)
+        quantize_layer_weights(w, params, a_q, cfg)
+        assert len(refs) == len(halving_splits(40))
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_layer_peak_memory_is_about_one_block(self, k):
+        # 4 x 1024 layer, N = 64: the largest block (512^2 doubles) is 2 MiB
+        # and the batch 0.5 MiB; holding every block plus the temporaries of
+        # the largest peaked at 4.5 MiB, one block at a time at 2.9 MiB
+        rng = np.random.default_rng(80)
+        w = rng.normal(0, 0.5, (4, 1024))
+        a_q = rng.normal(0.2, 1.0, (64, 1024))
+        params = tuple(calibrate_uniform(row, 4) for row in w)
+        largest = max(mid - lo for lo, mid, _ in halving_splits(1024)) ** 2 * 8
+        tracemalloc.start()
+        try:
+            quantize_layer_weights(w, params, a_q, WeightQuantConfig(k=k))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * largest + a_q.nbytes
 
 
 class _FullWidthCache:
