@@ -144,6 +144,8 @@ class RunConfig:
             if isinstance(stages, str):
                 doc["stages"] = RunConfig.parse_stages(stages)
             elif isinstance(stages, (list, tuple)):
+                if not all(isinstance(stage, str) for stage in stages):
+                    raise ConfigError(f"stages must be strings, got {stages!r}")
                 doc["stages"] = RunConfig.parse_stages(",".join(stages))
             else:
                 raise ConfigError("stages must be a string or list")

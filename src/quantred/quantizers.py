@@ -7,8 +7,10 @@ covers post-softmax activations: codes are clip(round(-2 * log2(x / s)),
 + 1), so even codes land on powers of two and odd codes halfway between
 them in log space.
 
-Calibration picks, from 141 candidate scales, the one whose lattice
-minimizes reconstruction MSE. Codes are monotone in x, so each candidate
+Calibration (`calibrate`, one function for both families) picks, from 141
+candidate scales, the one whose lattice minimizes reconstruction MSE. The
+candidates of either family come from one grid (`_candidate_grid`): their
+params, bin edges and levels. Codes are monotone in x, so each candidate
 splits the sorted values into 2^b contiguous bins, and a bin's squared
 error follows from its count, sum x and sum x^2. One sort and two prefix
 sums therefore score every candidate with (141, 2^b - 1) binary searches;
@@ -135,6 +137,13 @@ def quantize_log_sqrt2(x: np.ndarray, params: LogSqrt2Params):
     return codes, dequantize_log_sqrt2(codes, params)
 
 
+def quantize(x: np.ndarray, params):
+    """(codes, dequantized values) of x under uniform or log-sqrt2 params."""
+    if isinstance(params, LogSqrt2Params):
+        return quantize_log_sqrt2(x, params)
+    return quantize_uniform(x, params)
+
+
 class NonFiniteInputError(ValueError):
     """Calibration input holds NaN or +/-Inf.
 
@@ -243,41 +252,46 @@ def _last_minimum(shortlist: np.ndarray, exact_mse) -> int:
     return best
 
 
-def _exact_mse(x: np.ndarray, params) -> float:
-    if isinstance(params, UniformParams):
-        _, deq = quantize_uniform(x, params)
-    else:
-        _, deq = quantize_log_sqrt2(x, params)
-    return float(np.mean((x - deq) ** 2))
+def _candidate_grid(values: np.ndarray, family: str, bits: int):
+    """The 141 candidate lattices of one family for nonempty values.
 
+    Returns (params, edges, levels): params(c) builds candidate c's params,
+    and row c of `edges` holds its ascending bin edges and row c of
+    `levels` the dequantized value of each bin. Returns None when the
+    smallest candidate scale is zero in float64 (constant uniform input,
+    all-zero log-sqrt2 input).
 
-def _uniform_candidates(values: np.ndarray, bits: int):
-    """Scales, zero-points, bin edges and levels of the 141 uniform candidates.
-
-    Code k holds x with x / s in [k - z - 1/2, k - z + 1/2), so the edges
-    sit at (k - z - 1/2) s, and saturation is the first and last bin.
-    """
-    lo, hi = float(values.min()), float(values.max())
-    qmax = (1 << bits) - 1
-    scales = ALPHA_GRID * ((hi - lo) / qmax)
-    zeros = np.clip(np.rint(-lo / scales), 0, qmax).astype(np.int64)
-    steps = (np.arange(qmax + 1) - zeros[:, None]).astype(np.float64)
-    return scales, zeros, scales[:, None] * (steps[:, 1:] - 0.5), scales[:, None] * steps
-
-
-def _log_sqrt2_candidates(values: np.ndarray, bits: int):
-    """Scales, bin edges and levels of the 141 log-sqrt2 candidates.
-
-    Codes fall as x rises; code q holds -2 log2(x / s) in
+    Uniform candidates scale max - min over 2^b - 1. Code k holds x with
+    x / s in [k - z - 1/2, k - z + 1/2), so the edges sit at (k - z - 1/2) s,
+    and saturation is the first and last bin. Log-sqrt2 candidates scale
+    the maximum. Their codes fall as x rises; code q holds -2 log2(x / s) in
     [q - 1/2, q + 1/2), so in ascending x the bins run from code 2^b - 1
     (which also takes zero) down to code 0, with edges s 2^(-(q + 1/2) / 2).
     """
     qmax = (1 << bits) - 1
+    if family == "uniform":
+        lo = float(values.min())
+        scales = ALPHA_GRID * ((float(values.max()) - lo) / qmax)
+        if scales[0] == 0.0:
+            return None
+        zeros = np.clip(np.rint(-lo / scales), 0, qmax).astype(np.int64)
+        steps = (np.arange(qmax + 1) - zeros[:, None]).astype(np.float64)
+
+        def params(c):
+            return UniformParams(scale=float(scales[c]), zero_point=int(zeros[c]), bits=bits)
+
+        return params, scales[:, None] * (steps[:, 1:] - 0.5), scales[:, None] * steps
     scales = ALPHA_GRID * float(values.max())
+    if scales[0] == 0.0:
+        return None
     codes = np.arange(qmax, -1, -1)
     unit = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=1.0, bits=bits))
     edges = 2.0 ** (-(codes[1:] + 0.5) / 2.0)
-    return scales, scales[:, None] * edges, scales[:, None] * unit
+
+    def params(c):
+        return LogSqrt2Params(scale=float(scales[c]), bits=bits)
+
+    return params, scales[:, None] * edges, scales[:, None] * unit
 
 
 def calibration_shortlist(values: np.ndarray, family: str, bits: int) -> np.ndarray:
@@ -287,83 +301,55 @@ def calibration_shortlist(values: np.ndarray, family: str, bits: int) -> np.ndar
     is the choice itself.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    if family == "uniform":
-        _, _, edges, levels = _uniform_candidates(values, bits)
-    else:
-        _, edges, levels = _log_sqrt2_candidates(values, bits)
+    _, edges, levels = _candidate_grid(values, family, bits)
     return _shortlist(values, edges, levels)
 
 
-def calibrate_uniform(values: np.ndarray, bits: int) -> UniformParams:
-    """Uniform scale/zero-point minimizing reconstruction MSE over the grid.
+def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | LogSqrt2Params:
+    """Scale (and uniform zero-point) of `family` minimizing reconstruction MSE.
 
     Equal, ties included, to quantizing the values under each of the 141
     candidates and keeping the last minimum (oracle.grid_calibrate): only
     the candidates the prefix-sum scan cannot separate are quantized.
-    Empty input, and a range whose smallest candidate scale is zero in
-    float64 (constant input included), give degenerate unit-scale params.
+    Empty input, and input whose smallest candidate scale is zero in
+    float64, give degenerate unit-scale params. Log-sqrt2 input must be
+    nonnegative.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     values = np.asarray(values, dtype=np.float64)
     check_finite(values)
     values = values.ravel()
     if bits < 2:
         raise ValueError("bit width must be >= 2")
-    qmax = (1 << bits) - 1
-    if values.size == 0 or ALPHA_GRID[0] * ((values.max() - values.min()) / qmax) == 0.0:
-        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
-    scales, zeros, edges, levels = _uniform_candidates(values, bits)
-
-    def candidate(c):
-        return UniformParams(scale=float(scales[c]), zero_point=int(zeros[c]), bits=bits)
-
-    best = _last_minimum(
-        _shortlist(values, edges, levels), lambda c: _exact_mse(values, candidate(c))
-    )
-    return candidate(best)
-
-
-def calibrate_log_sqrt2(values: np.ndarray, bits: int) -> LogSqrt2Params:
-    """Log-sqrt2 scale minimizing reconstruction MSE over the grid (as uniform).
-
-    Degenerate when the smallest candidate scale (half the maximum) is zero.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    check_finite(values)
-    values = values.ravel()
-    if bits < 2:
-        raise ValueError("bit width must be >= 2")
-    if values.size and float(values.min()) < 0.0:
+    if family == "log_sqrt2" and values.size and float(values.min()) < 0.0:
         raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
-    if values.size == 0 or ALPHA_GRID[0] * values.max() == 0.0:
+    grid = _candidate_grid(values, family, bits) if values.size else None
+    if grid is None:
+        if family == "uniform":
+            return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
         return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
-    scales, edges, levels = _log_sqrt2_candidates(values, bits)
+    params, edges, levels = grid
 
-    def candidate(c):
-        return LogSqrt2Params(scale=float(scales[c]), bits=bits)
+    def exact_mse(c):
+        _, deq = quantize(values, params(c))
+        return float(np.mean((values - deq) ** 2))
 
-    best = _last_minimum(
-        _shortlist(values, edges, levels), lambda c: _exact_mse(values, candidate(c))
-    )
-    return candidate(best)
+    return params(_last_minimum(_shortlist(values, edges, levels), exact_mse))
 
 
 def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> QuantScheme:
     """Calibrate a scheme: per-tensor over all elements, per-channel over rows."""
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
-        if family == "uniform":
-            params = (calibrate_uniform(x, bits),)
-        elif family == "log_sqrt2":
-            params = (calibrate_log_sqrt2(x, bits),)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        params = (calibrate(x, family, bits),)
     elif granularity == "per_channel":
         if family != "uniform":
             raise ValueError("per_channel calibration is uniform only")
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
         check_finite(x, per_row=True)
-        params = tuple(calibrate_uniform(row, bits) for row in x)
+        params = tuple(calibrate(row, family, bits) for row in x)
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
     return QuantScheme(family=family, granularity=granularity, bits=bits, params=params)
@@ -373,10 +359,7 @@ def quantize_with_scheme(x: np.ndarray, scheme: QuantScheme):
     """Quantize x under a calibrated scheme; returns (codes, dequantized)."""
     x = np.asarray(x, dtype=np.float64)
     if scheme.granularity == "per_tensor":
-        p = scheme.params[0]
-        if scheme.family == "uniform":
-            return quantize_uniform(x, p)
-        return quantize_log_sqrt2(x, p)
+        return quantize(x, scheme.params[0])
     if x.ndim != 2 or x.shape[0] != len(scheme.params):
         raise ValueError(
             f"per_channel scheme with {len(scheme.params)} channels cannot "

@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .quantizers import MAX_BITS
+from .quantizers import FAMILIES, MAX_BITS
 
 MAGIC = b"\x93NUMPY"
 
 # dtype name -> struct descr accepted on disk
 _DTYPES = {"float32": "<f4", "int32": "<i4", "uint8": "|u1"}
 
-ACT_FAMILIES = ("uniform", "log_sqrt2")
+# a layer id names output files (<layer_id>_codes.npy) and fills CSV cells,
+# so it may not leave the output directory or split a cell or row
+_ID_FORBIDDEN = '/\\,"\n\r\0'
 
 
 class TensorFormatError(Exception):
@@ -77,12 +80,13 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError("fortran order payloads are unsupported", 10)
     shape = header["shape"]
     if not isinstance(shape, tuple) or not all(
-        isinstance(d, int) and d >= 0 for d in shape
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
     ):
         raise TensorFormatError(f"malformed shape {shape!r}", 10)
 
     dtype = np.dtype(descr)
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # Python ints: a product of header dims must not wrap around
+    expected = math.prod(shape) * dtype.itemsize
     payload = raw[data_start:]
     if len(payload) < expected:
         raise TensorFormatError(
@@ -133,7 +137,10 @@ class LayerManifestEntry:
 def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
     """Load and cross-validate a JSON manifest.
 
-    The manifest must list at least one layer. Checks per layer:
+    The manifest must list at least one layer. Checks per layer: the
+    layer_id is unique and usable as a file-name prefix and CSV cell (not
+    empty, "." or "..", and free of "/", "\\", ",", '"', NUL and line
+    breaks),
     referenced files exist and parse, weights are 2-D float32
     (D_out x D_in), calibration activations are 2-D float32 (N x D_in)
     with matching D_in, neither tensor is empty, bit widths are integers
@@ -167,13 +174,18 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
             return value
 
         layer_id = field("layer_id", str)
+        if layer_id in ("", ".", "..") or any(c in _ID_FORBIDDEN for c in layer_id):
+            raise ManifestError(
+                f"layers[{i}].layer_id {layer_id!r} must be a nonempty name other "
+                "than '.' and '..' without '/', '\\', ',', '\"', NUL or line breaks"
+            )
         if layer_id in seen_ids:
             raise ManifestError(f"duplicate layer_id {layer_id!r}")
         seen_ids.add(layer_id)
         act_quant = field("act_quant", str)
-        if act_quant not in ACT_FAMILIES:
+        if act_quant not in FAMILIES:
             raise ManifestError(
-                f"layers[{i}].act_quant must be one of {ACT_FAMILIES}, "
+                f"layers[{i}].act_quant must be one of {FAMILIES}, "
                 f"got {act_quant!r}"
             )
         bits_w = field("bits_w", int)

@@ -20,10 +20,10 @@ Every channel uses the same splits, so the loop runs the splits outside
 and the channels inside (`quantize_rows`). Per split, for the whole
 (d_out, D_s) block at once:
 
-  - the candidates of step 1 (`rounding_candidates`): `uniform_codes` and
-    `dequantize_uniform` on the block, with each row's lattice broadcast as
-    a column (`quantizers.row_lattice`), so the codes do not depend on how
-    many rows share a call;
+  - the candidates of step 1, one `init_rounding` call: `uniform_codes`
+    and `dequantize_uniform` on the block, with each row's lattice
+    broadcast as a column (`quantizers.row_lattice`), so the codes do not
+    depend on how many rows share a call;
   - the committed codes, dequantized weights and error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
@@ -31,11 +31,12 @@ and the channels inside (`quantize_rows`). Per split, for the whole
     per split.
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
-`RoundingState` of row views, and step 3, one
-`LayerMomentCache.remainder_update` (one `solve_spd`) per (channel,
-non-final split). Refinement picks and stops per row; batching it, and the
-per-row solves into one right-hand side per split, would change the
-per-call structure the benchmark's traced call counts pin.
+`RoundingState` of row views, whose chosen sides (`up_mask`) are written
+back into the block, and step 3, one `LayerMomentCache.remainder_update`
+(one `solve_spd`) per (channel, non-final split). Refinement picks and
+stops per row; batching it, and the per-row solves into one right-hand
+side per split, would change the per-call structure the benchmark's
+traced call counts pin.
 
 Proxy blocks and ridge factorizations depend only on the column split,
 so all channels share them through one `LayerMomentCache` per layer. The
@@ -98,10 +99,13 @@ class WeightQuantConfig:
 
 @dataclass(frozen=True)
 class RoundingState:
-    """Rounding candidates and the current choice for one channel slice.
+    """Floor/ceil rounding candidates and the choice between them.
 
-    `rounding_candidates` returns one for a block of rows, with (d, D_s)
-    arrays; refinement takes the one-row state of a single slice.
+    `init_rounding` builds one for a (D_s,) channel slice or a (d, D_s)
+    block of rows; refinement takes the one-row state of a single slice.
+    `up_mask` is the whole record of the choice (True picks the ceil
+    candidate): `delta`, `codes` and `flippable` are read off it and the
+    candidates.
 
     `stop_reason` and `flips_committed` describe the refinement that
     produced the choice: "off" and 0 until `refine_rounding` has run, then
@@ -111,9 +115,7 @@ class RoundingState:
 
     delta_down: np.ndarray
     delta_up: np.ndarray
-    delta: np.ndarray
     up_mask: np.ndarray
-    flippable: np.ndarray
     code_down: np.ndarray
     code_up: np.ndarray
     proxy_matrix: np.ndarray
@@ -121,8 +123,18 @@ class RoundingState:
     flips_committed: int = 0
 
     @property
+    def delta(self) -> np.ndarray:
+        """Dequantized minus original weights under the chosen rounding."""
+        return np.where(self.up_mask, self.delta_up, self.delta_down)
+
+    @property
     def codes(self) -> np.ndarray:
         return np.where(self.up_mask, self.code_up, self.code_down)
+
+    @property
+    def flippable(self) -> np.ndarray:
+        """Coordinates with two distinct candidates (not clipped to one code)."""
+        return self.code_down != self.code_up
 
 
 # keys of one trace row, one row per split of a channel
@@ -171,26 +183,24 @@ def proxy_gradient(delta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return 2.0 * (matrix @ delta)
 
 
-def rounding_candidates(
-    block: np.ndarray, lattice: UniformParams, proxy_matrix: np.ndarray
+def init_rounding(
+    w: np.ndarray, params: UniformParams, proxy_matrix: np.ndarray
 ) -> RoundingState:
-    """Floor/ceil candidates plus round-to-nearest for every row of a (d, D_s) block.
+    """Floor/ceil candidates plus the round-to-nearest starting choice.
 
-    Row i lies on row i of `lattice`, the (d, 1) columns of
-    `quantizers.row_lattice`. The returned state holds (d, D_s) arrays and
-    the shared proxy matrix.
+    `w` is a (D_s,) channel slice on one lattice, or a (d, D_s) block whose
+    row i lies on row i of `params`, the (d, 1) columns of
+    `quantizers.row_lattice`; the state's arrays take the shape of `w`.
+    Broadcasting gives row i the same elementwise operations, bit for bit,
+    as its slice alone.
     """
-    code_down = uniform_codes(block, lattice, "floor")
-    code_up = uniform_codes(block, lattice, "ceil")
-    delta_down = dequantize_uniform(code_down, lattice) - block
-    delta_up = dequantize_uniform(code_up, lattice) - block
-    up_mask = uniform_codes(block, lattice) == code_up
+    w = np.asarray(w, dtype=np.float64)
+    code_down = uniform_codes(w, params, "floor")
+    code_up = uniform_codes(w, params, "ceil")
     return RoundingState(
-        delta_down=delta_down,
-        delta_up=delta_up,
-        delta=np.where(up_mask, delta_up, delta_down),
-        up_mask=up_mask,
-        flippable=code_down != code_up,
+        delta_down=dequantize_uniform(code_down, params) - w,
+        delta_up=dequantize_uniform(code_up, params) - w,
+        up_mask=uniform_codes(w, params) == code_up,
         code_down=code_down,
         code_up=code_up,
         proxy_matrix=proxy_matrix,
@@ -202,25 +212,11 @@ def _row_state(block: RoundingState, i: int) -> RoundingState:
     return RoundingState(
         delta_down=block.delta_down[i],
         delta_up=block.delta_up[i],
-        delta=block.delta[i],
         up_mask=block.up_mask[i],
-        flippable=block.flippable[i],
         code_down=block.code_down[i],
         code_up=block.code_up[i],
         proxy_matrix=block.proxy_matrix,
     )
-
-
-def init_rounding(
-    w_slice: np.ndarray, params: UniformParams, proxy_matrix: np.ndarray
-) -> RoundingState:
-    """Floor/ceil candidates plus the round-to-nearest starting choice.
-
-    The one-row case of `rounding_candidates`.
-    """
-    block = np.asarray(w_slice, dtype=np.float64).reshape(1, -1)
-    state = rounding_candidates(block, row_lattice((params,)), proxy_matrix)
-    return _row_state(state, 0)
 
 
 def refine_rounding(
@@ -269,10 +265,11 @@ def refine_rounding(
     matrix = state.proxy_matrix
     diag = np.diagonal(matrix)
     up_mask = state.up_mask.copy()
-    step = np.where(up_mask, state.delta_down, state.delta_up) - state.delta
+    delta = state.delta
+    step = np.where(up_mask, state.delta_down, state.delta_up) - delta
     neg_curvature = -(step * step * diag)
-    grad = proxy_gradient(state.delta, matrix)
-    proxy = 0.5 * float(state.delta @ grad)
+    grad = proxy_gradient(delta, matrix)
+    proxy = 0.5 * float(delta @ grad)
     committed = [proxy]
     product = np.empty_like(grad)
     downhill = np.empty(grad.shape, dtype=bool)
@@ -323,11 +320,7 @@ def refine_rounding(
         committed.append(proxy)
         flips_committed += picks
     refined = replace(
-        state,
-        delta=np.where(up_mask, state.delta_up, state.delta_down),
-        up_mask=up_mask,
-        stop_reason=stop_reason,
-        flips_committed=flips_committed,
+        state, up_mask=up_mask, stop_reason=stop_reason, flips_committed=flips_committed
     )
     return refined, committed
 
@@ -470,14 +463,13 @@ def quantize_rows(
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         matrix = cache.proxy_matrix(lo, mid)
-        block = rounding_candidates(current[:, lo:mid], lattice, matrix)
+        block = init_rounding(current[:, lo:mid], lattice, matrix)
         stats = []
         for i in range(d_out):
             state = _row_state(block, i)
             if cfg.k > 0:
                 state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
                 block.up_mask[i] = state.up_mask
-                block.delta[i] = state.delta
                 before, after = committed[0], committed[-1]
             else:
                 before = after = proxy_value(state.delta, matrix)
@@ -486,8 +478,9 @@ def quantize_rows(
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
         if cfg.ridge and mid < hi:
+            delta = block.delta
             for i in range(d_out):
-                current[i, mid:hi] += cache.remainder_update(lo, mid, block.delta[i])
+                current[i, mid:hi] += cache.remainder_update(lo, mid, delta[i])
             err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
         # drop this split's proxy block, which the states hold too, before
         # the next split builds its own
@@ -507,17 +500,6 @@ def quantize_rows(
                 )
             )
     return LayerWeightResult(codes=codes, w_bar=w_bar, trace=trace)
-
-
-def quantize_channel(
-    w_row: np.ndarray,
-    params: UniformParams,
-    cache: LayerMomentCache,
-    cfg: WeightQuantConfig,
-) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """`quantize_rows` on one row: its codes, dequantized row and trace rows."""
-    result = quantize_rows(np.reshape(w_row, (1, -1)), (params,), cache, cfg)
-    return result.codes[0], result.w_bar[0], result.trace[0]
 
 
 def quantize_layer_weights(

@@ -312,6 +312,34 @@ class TestQuantize:
         assert f"{name} must be an integer" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("stages", [[1], ["aqer", None]])
+    def test_non_string_stage_in_config_exit_1(self, runner, manifest, tmp_path, stages):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"stages": stages}))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["quantize", "--manifest", str(manifest), "--out", str(out),
+             "--config", str(cfg_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: stages must be strings" in result.stderr
+        assert not out.exists()
+
+    def test_escaping_layer_id_exit_1_writes_nothing(self, runner, manifest, tmp_path):
+        doc = json.loads(manifest.read_text())
+        doc["layers"][1]["layer_id"] = "../escaped,id"
+        manifest.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        result = _run(
+            runner,
+            ["quantize", "--manifest", str(manifest), "--out", str(tmp_path / "out" / "run")],
+        )
+        assert result.exit_code == 1
+        assert "layers[1].layer_id" in result.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bits_come_from_manifest_unless_overridden(self, runner, tmp_path):
         spec = SynthSpec(seed=43, dims=((4, 6),), n_samples=32)
         manifest = write_manifest_files(spec, tmp_path / "d", bits_w=3, bits_a=5)

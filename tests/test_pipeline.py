@@ -208,6 +208,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="stages"):
             RunConfig.from_dict({"stages": 7})
 
+    @pytest.mark.parametrize("stages", [[1], ["aqer", None]])
+    def test_from_dict_rejects_non_string_stages(self, stages):
+        with pytest.raises(ConfigError, match="stages must be strings"):
+            RunConfig.from_dict({"stages": stages})
+
     def test_to_dict_round_trip(self):
         cfg = RunConfig(
             lambda1=0.5, lambda2=3.0, k=2, bits_w=4, stages=frozenset({STAGE_AQER})

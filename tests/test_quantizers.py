@@ -14,9 +14,8 @@ from quantred.quantizers import (
     NonFiniteInputError,
     QuantScheme,
     UniformParams,
-    calibrate_log_sqrt2,
+    calibrate,
     calibrate_scale,
-    calibrate_uniform,
     calibration_shortlist,
     dequantize_log_sqrt2,
     dequantize_uniform,
@@ -175,7 +174,7 @@ class TestCalibration:
         rng = np.random.default_rng(11)
         x = rng.normal(0.3, 1.7, 4096)
         bits = 4
-        p = calibrate_uniform(x, bits)
+        p = calibrate(x, "uniform", bits)
         qmax = (1 << bits) - 1
         lo, hi = float(x.min()), float(x.max())
         s_base = (hi - lo) / qmax
@@ -192,7 +191,7 @@ class TestCalibration:
     def test_uniform_ties_choose_larger_scale(self):
         # constant-ish two-point data quantized exactly by many scales
         x = np.array([0.0, 0.0, 1.0, 1.0])
-        p = calibrate_uniform(x, 2)
+        p = calibrate(x, "uniform", 2)
         candidates = []
         qmax = 3
         s_base = 1.0 / qmax
@@ -206,23 +205,23 @@ class TestCalibration:
         assert p.scale == largest_tied
 
     def test_degenerate_constant_input(self):
-        p = calibrate_uniform(np.full(10, 4.2), 4)
+        p = calibrate(np.full(10, 4.2), "uniform", 4)
         assert p.degenerate
         assert p.scale == 1.0
         assert p.zero_point == 0
 
     def test_degenerate_empty_input(self):
-        assert calibrate_uniform(np.empty(0), 4).degenerate
-        assert calibrate_log_sqrt2(np.empty(0), 4).degenerate
+        assert calibrate(np.empty(0), "uniform", 4).degenerate
+        assert calibrate(np.empty(0), "log_sqrt2", 4).degenerate
 
     def test_log_sqrt2_degenerate_all_zero(self):
-        p = calibrate_log_sqrt2(np.zeros(8), 4)
+        p = calibrate(np.zeros(8), "log_sqrt2", 4)
         assert p.degenerate
 
     def test_log_sqrt2_grid_optimality(self):
         rng = np.random.default_rng(5)
         x = rng.exponential(0.1, 2048)
-        p = calibrate_log_sqrt2(x, 4)
+        p = calibrate(x, "log_sqrt2", 4)
         hi = float(x.max())
 
         def mse_at(scale):
@@ -237,13 +236,13 @@ class TestCalibration:
         # data already on a 4-bit lattice: calibration must reach MSE 0
         true = UniformParams(scale=0.25, zero_point=6, bits=4)
         x = dequantize_uniform(np.random.default_rng(0).integers(0, 16, 512), true)
-        p = calibrate_uniform(x, 4)
+        p = calibrate(x, "uniform", 4)
         _, deq = quantize_uniform(x, p)
         assert float(np.mean((x - deq) ** 2)) == 0.0
 
     def test_bits_below_two_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            calibrate_uniform(np.arange(4.0), 1)
+            calibrate(np.arange(4.0), "uniform", 1)
 
 
 def _grid(x, family, granularity, bits):
@@ -285,14 +284,14 @@ class TestCalibrationKernel:
         # alpha = 0.6 (s = 0.04): those candidates cannot place the value
         # by its sorted position, which must not widen the shortlist
         x = np.array([0.0, 0.3, 1.0])
-        assert calibrate_uniform(x, 4) == oracle.grid_calibrate(x, "uniform", 4)
+        assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
         assert calibration_shortlist(x, "uniform", 4).size == 1
 
     def test_zero_mse_ties_go_to_the_larger_scale(self):
         # 0 and 1 lie on the 8-bit lattices of alpha = 1.00 (s = 1/255)
         # and alpha = 1.02 (s = 1/250), both exactly in float64
         x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        p = calibrate_uniform(x, 8)
+        p = calibrate(x, "uniform", 8)
         assert p.scale == float(ALPHA_GRID[104] * (1.0 / 255))
         _, deq = quantize_uniform(x, p)
         np.testing.assert_array_equal(deq, x)
@@ -320,7 +319,7 @@ class TestCalibrationKernel:
         x = np.array([-3e160, 1e160, 2e160])
         assert calibration_shortlist(x, "uniform", 4).size == ALPHA_GRID.size
         with np.errstate(over="ignore"):
-            assert calibrate_uniform(x, 4) == oracle.grid_calibrate(x, "uniform", 4)
+            assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
 
     def test_verify_suite_catches_a_kernel_fault(self, monkeypatch):
         # reversed fast scores make a wrong candidate the lone shortlist entry,
@@ -358,10 +357,10 @@ class TestNonFiniteInput:
         assert info.value.row == 1
         assert info.value.index == (1, 4)
 
-    @pytest.mark.parametrize("calibrate", [calibrate_uniform, calibrate_log_sqrt2])
-    def test_is_a_value_error_from_either_calibrator(self, calibrate):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_is_a_value_error_from_either_calibrator(self, family):
         with pytest.raises(ValueError, match="non-finite calibration value nan at index \\(1,\\)"):
-            calibrate(np.array([0.5, np.nan, 0.2]), 4)
+            calibrate(np.array([0.5, np.nan, 0.2]), family, 4)
 
 
 class TestSchemes:
@@ -371,7 +370,7 @@ class TestSchemes:
         scheme = calibrate_scale(w, "uniform", 4, "per_channel")
         assert len(scheme.params) == 2
         assert scheme.params[0].scale < scheme.params[1].scale
-        row0_alone = calibrate_uniform(w[0], 4)
+        row0_alone = calibrate(w[0], "uniform", 4)
         assert scheme.params[0] == row0_alone
 
     def test_per_tensor_single_params(self):
@@ -410,10 +409,10 @@ class TestSchemes:
             bits=4,
             params=scheme.params
             + (
-                calibrate_uniform(w[0], 2),
-                calibrate_uniform(w[1], 8),
+                calibrate(w[0], "uniform", 2),
+                calibrate(w[1], "uniform", 8),
                 scheme.params[2],
-                calibrate_uniform(np.zeros(16), 4),
+                calibrate(np.zeros(16), "uniform", 4),
             ),
         )
         for x, s in ((w, scheme), (mixed_w, mixed)):

@@ -168,11 +168,37 @@ class TestFormatErrors:
             read_tensor(p)
         assert e.value.offset == 6
 
+    @pytest.mark.parametrize("shape", [(2**32, 2**32), (2**63 - 1, 2)])
+    def test_huge_header_shape_is_a_truncated_payload(self, tmp_path, shape):
+        # the element count is a Python int: it neither wraps to a count the
+        # empty payload matches nor to one it overshoots
+        with pytest.raises(TensorFormatError, match="truncated payload") as e:
+            read_tensor(_header_only(tmp_path / "huge.npy", shape))
+        assert "found 0" in str(e.value)
+
+    def test_huge_header_shape_fails_manifest_validation(self, tmp_path):
+        layer = _layer_files(tmp_path, "l0")
+        _header_only(tmp_path / layer["weight_path"], (2**32, 2**32))
+        with pytest.raises(ManifestError, match=r"layers\[0\]: truncated payload"):
+            load_manifest(_manifest(tmp_path, [layer]))
+
+    def test_bool_dimension_is_a_malformed_shape(self, tmp_path):
+        with pytest.raises(TensorFormatError, match="malformed shape") as e:
+            read_tensor(_header_only(tmp_path / "bool.npy", (True, 3)))
+        assert e.value.offset == 10
+
     def test_write_rejects_unsupported_dtype(self, tmp_path):
         p = tmp_path / "f64.npy"
         with pytest.raises(TensorFormatError, match="float64"):
             write_tensor(p, np.zeros(2, dtype=np.float64))
         assert not p.exists()
+
+
+def _header_only(path, shape):
+    # a float32 header declaring `shape`, with no payload after it
+    header = "{'descr': '<f4', 'fortran_order': False, 'shape': %r, }\n" % (shape,)
+    path.write_bytes(MAGIC + bytes([1, 0]) + struct.pack("<H", len(header)) + header.encode())
+    return path
 
 
 def _manifest(tmp_path, layers):
@@ -210,6 +236,20 @@ class TestManifest:
         a = _layer_files(tmp_path, "dup")
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(_manifest(tmp_path, [a, dict(a)]))
+
+    @pytest.mark.parametrize(
+        "layer_id",
+        ["", ".", "..", "a/b", "a\\b", "a,b", 'a"b', "a\nb", "a\rb", "a\0b", "../escaped,id"],
+    )
+    def test_unsafe_layer_id_rejected(self, tmp_path, layer_id):
+        a = _layer_files(tmp_path, "l0")
+        b = dict(_layer_files(tmp_path, "l1"), layer_id=layer_id)
+        with pytest.raises(ManifestError, match=r"layers\[1\]\.layer_id"):
+            load_manifest(_manifest(tmp_path, [a, b]))
+
+    def test_dotted_layer_id_accepted(self, tmp_path):
+        a = dict(_layer_files(tmp_path, "l0"), layer_id="blocks.0.attn-qkv_proj")
+        assert load_manifest(_manifest(tmp_path, [a]))[0].layer_id == a["layer_id"]
 
     def test_unknown_act_family(self, tmp_path):
         a = _layer_files(tmp_path, "l0")

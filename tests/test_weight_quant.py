@@ -16,9 +16,10 @@ from quantred.moments import InsufficientSamplesError, accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
 from quantred.quantizers import (
     UniformParams,
-    calibrate_uniform,
+    calibrate,
     dequantize_uniform,
     quantize_uniform,
+    row_lattice,
     uniform_codes,
 )
 from quantred.verify import (
@@ -34,8 +35,8 @@ from quantred.weight_quant import (
     init_rounding,
     proxy_gradient,
     proxy_value,
-    quantize_channel,
     quantize_layer_weights,
+    quantize_rows,
     refine_rounding,
 )
 
@@ -483,9 +484,7 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
     return RoundingState(
         delta_down=delta_down,
         delta_up=delta_up,
-        delta=np.where(up_mask, delta_up, delta_down),
         up_mask=up_mask,
-        flippable=code_down != code_up,
         code_down=code_down,
         code_up=code_up,
         proxy_matrix=proxy_matrix,
@@ -550,11 +549,11 @@ def _mixed_rows(rng, d_in):
     w[3] = 0.25 * (rng.integers(0, 15, d_in) - 4.5)
     w[3, ::3] = 0.0
     params = (
-        calibrate_uniform(w[0], 4),
-        calibrate_uniform(w[1], 3),
+        calibrate(w[0], "uniform", 4),
+        calibrate(w[1], "uniform", 3),
         UniformParams(scale=0.05, zero_point=7, bits=4),
         UniformParams(scale=0.25, zero_point=5, bits=4),
-        calibrate_uniform(w[4], 4),
+        calibrate(w[4], "uniform", 4),
     )
     assert params[4].degenerate
     return w, params
@@ -565,7 +564,7 @@ class TestChannelQuantization:
     def _setup(rng, d_out, d_in, n=64):
         w = rng.normal(0, 0.5, (d_out, d_in))
         a_q = rng.normal(0.1, 1.0, (n, d_in))
-        params = tuple(calibrate_uniform(w[i], 4) for i in range(d_out))
+        params = tuple(calibrate(w[i], "uniform", 4) for i in range(d_out))
         return w, params, a_q
 
     @pytest.mark.parametrize("d_in", [1, 2, 7, 33])
@@ -579,9 +578,10 @@ class TestChannelQuantization:
         cfg = WeightQuantConfig(lambda2=0.5, k=k if rounding else 0, ridge=ridge)
         cache = LayerMomentCache(a_q, cfg.lambda2)
         for i in range(3):
-            got_codes, _, trace = quantize_channel(w[i], params[i], cache, cfg)
+            got = quantize_rows(w[i : i + 1], params[i : i + 1], cache, cfg)
+            trace = got.trace[0]
             codes, rows = _reference_channel(w[i], params[i], cache, cfg)
-            np.testing.assert_array_equal(got_codes, codes)
+            np.testing.assert_array_equal(got.codes[0], codes)
             assert len(trace) == len(rows)
             for row, (before, after, mse) in zip(trace, rows):
                 assert tuple(row) == weight_quant.TRACE_FIELDS
@@ -622,18 +622,40 @@ class TestChannelQuantization:
                     assert abs(a["mse"] - b["mse"]) <= 1e-12 * abs(b["mse"])
 
     def test_init_rounding_matches_per_row_candidates(self):
-        # the one-row case of the block candidates equals uniform_codes and
-        # dequantize_uniform entry for entry, clipped and zero rows included
+        # a slice, and each row of a block on row_lattice columns, equals
+        # uniform_codes and dequantize_uniform entry for entry, clipped and
+        # zero rows included
         rng = np.random.default_rng(41)
         w, params = _mixed_rows(rng, 9)
         matrix = _psd(rng, 9)
-        for row, p in zip(w, params):
-            got = init_rounding(row, p, matrix)
+        block = init_rounding(w, row_lattice(params), matrix)
+        for i, (row, p) in enumerate(zip(w, params)):
             want = _per_row_init_rounding(row, p, matrix)
-            for field in ("delta_down", "delta_up", "delta", "up_mask", "flippable",
-                          "code_down", "code_up"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-            assert got.proxy_matrix is matrix
+            for got in (init_rounding(row, p, matrix), weight_quant._row_state(block, i)):
+                for field in ("delta_down", "delta_up", "delta", "up_mask", "flippable",
+                              "code_down", "code_up", "codes"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                assert got.proxy_matrix is matrix
+
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_candidates_built_once_per_split(self, monkeypatch, n, k):
+        # one init_rounding call per split covers every row, looked up at
+        # the module attribute a tracer wraps; N = 6 < D_in = 16 and N = 64
+        rng = np.random.default_rng(60 + n + k)
+        w, params, a_q = self._setup(rng, 5, 16, n=n)
+        real = weight_quant.init_rounding
+        shapes = []
+
+        def counted(w_block, lattice, matrix):
+            shapes.append(np.shape(w_block))
+            return real(w_block, lattice, matrix)
+
+        monkeypatch.setattr(weight_quant, "init_rounding", counted)
+        quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=0.5, k=k))
+        splits = halving_splits(16)
+        assert len(shapes) == len(splits)
+        assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
 
     def test_empty_weight_matrix_rejected(self):
         rng = np.random.default_rng(42)
@@ -672,7 +694,7 @@ class TestChannelQuantization:
         row = rng.normal(0, 0.5, 10)
         w = np.vstack([row, row])
         a_q = rng.normal(0, 1, (64, 10))
-        p = calibrate_uniform(row, 4)
+        p = calibrate(row, "uniform", 4)
         result = quantize_layer_weights(w, (p, p), a_q, WeightQuantConfig(lambda2=1.0))
         np.testing.assert_array_equal(result.codes[0], result.codes[1])
         np.testing.assert_array_equal(result.w_bar[0], result.w_bar[1])
@@ -726,7 +748,7 @@ class TestChannelQuantization:
         mix = rng.normal(0, 0.3, (4, 16))
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
-        params = tuple(calibrate_uniform(w[i], 4) for i in range(6))
+        params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
         cfg_on = WeightQuantConfig(lambda2=1.0, k=0, ridge=True)
         cfg_off = WeightQuantConfig(lambda2=1.0, k=0, ridge=False)
         on = quantize_layer_weights(w, params, a_q, cfg_on)
@@ -741,9 +763,9 @@ class TestChannelQuantization:
         rng = np.random.default_rng(17)
         cache = LayerMomentCache(rng.normal(0, 1, (32, 8)), 1.0)
         with pytest.raises(ValueError, match="dim"):
-            quantize_channel(
-                np.zeros(5),
-                UniformParams(scale=1.0, zero_point=0, bits=4),
+            quantize_rows(
+                np.zeros((1, 5)),
+                (UniformParams(scale=1.0, zero_point=0, bits=4),),
                 cache,
                 WeightQuantConfig(),
             )
@@ -832,7 +854,7 @@ class TestMomentCache:
         # it, so a fault there reaches both
         rng = np.random.default_rng(8)
         state = init_rounding(
-            rng.normal(0, 1, 6), calibrate_uniform(rng.normal(0, 1, 6), 4),
+            rng.normal(0, 1, 6), calibrate(rng.normal(0, 1, 6), "uniform", 4),
             _proxy_matrix(rng, 6),
         )
         _, committed = refine_rounding(state, 1, 100)
@@ -943,7 +965,7 @@ class TestProxyBlocks:
         rng = np.random.default_rng(70 + n)
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
-        params = tuple(calibrate_uniform(row, 4) for row in w)
+        params = tuple(calibrate(row, "uniform", 4) for row in w)
         cfg = WeightQuantConfig(lambda2=0.5, k=k, ridge=ridge)
         quantize_layer_weights(w, params, a_q, cfg)
         assert len(refs) == len(halving_splits(40))
@@ -957,7 +979,7 @@ class TestProxyBlocks:
         rng = np.random.default_rng(80)
         w = rng.normal(0, 0.5, (4, 1024))
         a_q = rng.normal(0.2, 1.0, (64, 1024))
-        params = tuple(calibrate_uniform(row, 4) for row in w)
+        params = tuple(calibrate(row, "uniform", 4) for row in w)
         largest = max(mid - lo for lo, mid, _ in halving_splits(1024)) ** 2 * 8
         tracemalloc.start()
         try:
@@ -1045,11 +1067,11 @@ class TestThinBatch:
             cache = LayerMomentCache(a_q, cfg.lambda2)
             ref = _FullWidthCache(a_q, cfg.lambda2)
             for row in w:
-                params = calibrate_uniform(row, 4)
-                got_codes, _, got = quantize_channel(row, params, cache, cfg)
-                want_codes, _, want = quantize_channel(row, params, ref, cfg)
-                np.testing.assert_array_equal(got_codes, want_codes)
-                for a, b in zip(got, want, strict=True):
+                params = (calibrate(row, "uniform", 4),)
+                got = quantize_rows(row[None], params, cache, cfg)
+                want = quantize_rows(row[None], params, ref, cfg)
+                np.testing.assert_array_equal(got.codes, want.codes)
+                for a, b in zip(got.trace[0], want.trace[0], strict=True):
                     assert (a["stop_reason"], a["flips_committed"]) == (
                         b["stop_reason"],
                         b["flips_committed"],
