@@ -2,7 +2,7 @@
 
 from .act_correct import solve_activation_correction
 from .linalg import SingularSystemError
-from .moments import InsufficientSamplesError, MomentSet, accumulate_moments
+from .moments import InsufficientSamplesError, accumulate_moments
 from .oracle import (
     BruteForceResult,
     brute_force_rounding,

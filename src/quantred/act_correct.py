@@ -25,7 +25,8 @@ push-through identity
 space factors a D_in x D_in system; when the batch has fewer samples than
 inputs (N < D_in) that system has rank at most N plus the ridge, and the
 sample space factors an N x N system instead, so no D_in x D_in matrix
-is formed.
+is formed. The input-space Gram A^T A / N is `moments.accumulate_moments`,
+the same E[x x^T] the weight loop's proxy and ridge read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import require_regularized, solve_rows, spd_factor
-from .moments import InsufficientSamplesError
+from .moments import InsufficientSamplesError, accumulate_moments
 
 
 def solve_activation_correction(
@@ -67,7 +68,7 @@ def solve_activation_correction(
         require_regularized(n, w.shape[1], lambda1)
         factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
         return -solve_rows(factor, rhs) @ a_q
-    factor = spd_factor(a_q.T @ a_q / n + lambda1 * np.eye(w.shape[1]))
+    factor = spd_factor(accumulate_moments(a_q) + lambda1 * np.eye(w.shape[1]))
     return -solve_rows(factor, rhs @ a_q)
 
 

@@ -11,7 +11,8 @@ just committed:
      and the ceil side >= 0, one quantizer step apart away from clipping;
   2. rounding refinement: greedy flips of the k largest-|gradient|
      sign-consistent coordinates among those whose single flip lowers the
-     proxy delta M delta^T (M = mu_s mu_s^T + Sigma_s), committing only
+     proxy delta M delta^T (M = E[x_s x_s^T], so the proxy is the slice's
+     mean squared output error over the batch), committing only
      non-increasing moves, so refinement ends at a single-flip optimum;
   3. remainder correction: dW_r* = -delta_s E[x_s x_r^T]
      (E[x_r x_r^T] + lambda2 I)^{-1}, added onto the remaining columns.
@@ -42,12 +43,14 @@ Proxy blocks and ridge factorizations depend only on the column split,
 so all channels share them through one `LayerMomentCache` per layer. The
 ridge factorizations are computed once, when the cache is built;
 `LayerMomentCache.remainder_update` is the one implementation of step 3,
-also exercised by `quantred verify`. A proxy block is built in place when
-its split runs (`LayerMomentCache.proxy_matrix`) and released at the end
-of the split, so the loop holds one block at a time, not one per split.
-When the batch has fewer samples N than columns, the cache forms no
-D_in x D_in matrix: blocks come from centred batch slices, and a remainder
-wider than N is solved in sample space,
+also exercised by `quantred verify`. The proxy, the trace MSE and the
+ridge all read one second moment, the 1/N Gram E[x x^T]
+(`moments.accumulate_moments`): a proxy block is a view of it. When the
+batch has fewer samples N than columns, the cache forms no D_in x D_in
+matrix: a block is built from its batch slice when its split runs
+(`LayerMomentCache.proxy_matrix`) and released at the end of the split,
+so the loop holds one block at a time, not one per split, and a
+remainder wider than N is solved in sample space,
 dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1} X_r with X the
 N x D_in batch, an N x N system (push-through identity).
 
@@ -73,7 +76,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import require_regularized, solve_spd, spd_factor
-from .moments import InsufficientSamplesError, MomentSet, accumulate_moments, add_outer
+from .moments import InsufficientSamplesError, accumulate_moments, gram
 from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_codes
 
 
@@ -328,21 +331,19 @@ def refine_rounding(
 class LayerMomentCache:
     """Per-layer ridge factorizations, plus each split's proxy block on request.
 
-    Built once from the quantized calibration activations. The moments (or
+    Built once from the quantized calibration activations. The Gram (or
     the batch), the split list and the remainder factorizations are
-    read-only afterwards and shared by every channel. A proxy block is not
-    kept: `proxy_matrix` builds it in place each time it is called, so a
-    caller that drops one split's block before asking for the next holds
-    one block at a time, as `quantize_rows` does.
+    read-only afterwards and shared by every channel.
 
     A batch with at least as many samples as columns (N >= D) is reduced to
-    its D x D moments once, and every block is copied out of them. A
-    thinner batch keeps the samples instead (`moments` is None): each proxy
-    block mu_s mu_s^T + C_s^T C_s / (N - 1) comes from the centred slice
-    C_s, formed only while its block is built, and each remainder system is
-    factored in the smaller of its two spaces, so no D x D matrix is
-    formed. `lambda2` None builds no remainder systems, for a run without
-    the ridge stage.
+    its D x D Gram E[x x^T] once (`moments`), and every proxy block is a
+    read-only view of it. A thinner batch keeps the samples instead
+    (`moments` is None): `proxy_matrix` builds each block X_s^T X_s / N
+    from the batch slice X_s each time it is called, so a caller that drops
+    one split's block before asking for the next holds one block at a time,
+    as `quantize_rows` does, and each remainder system is factored in the
+    smaller of its two spaces, so no D x D matrix is formed. `lambda2` None
+    builds no remainder systems, for a run without the ridge stage.
     """
 
     def __init__(self, a_q: np.ndarray, lambda2: float | None):
@@ -355,19 +356,18 @@ class LayerMomentCache:
         self.splits = halving_splits(self.dim)
         self._slices = {(lo, mid) for lo, mid, _ in self.splits}
         self._remainder: dict[tuple[int, int], tuple] = {}
-        self.moments: MomentSet | None = None
+        self.moments: np.ndarray | None = None
         ridge = lambda2 is not None
         if self.n_samples >= self.dim:
-            ms = self.moments = accumulate_moments(a_q)
+            moments = self.moments = accumulate_moments(a_q)
             for lo, mid, hi in self.splits:
                 if ridge and mid < hi:
                     factor = spd_factor(
-                        ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
+                        moments[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
                     )
-                    self._remainder[(lo, mid)] = (ms.raw2[lo:mid, mid:hi].T, factor, None)
+                    self._remainder[(lo, mid)] = (moments[lo:mid, mid:hi].T, factor, None)
         else:
             self._batch = a_q
-            self._mu = a_q.mean(axis=0)
             for lo, mid, hi in self.splits:
                 if ridge and mid < hi:
                     self._remainder[(lo, mid)] = _batch_remainder(
@@ -375,21 +375,18 @@ class LayerMomentCache:
                     )
 
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
-        """mu_s mu_s^T + Sigma_s for columns lo:mid, a new block on every call.
+        """E[x_s x_s^T] for columns lo:mid.
 
-        Raises KeyError for a (lo, mid) that is not one of `splits`.
+        A view of the Gram when N >= D; otherwise a new block on every call,
+        the `gram` of the slice. Either is exactly symmetric whatever the
+        batch layout. Raises KeyError for a (lo, mid) that is not one of
+        `splits`.
         """
         if (lo, mid) not in self._slices:
             raise KeyError((lo, mid))
         if self.moments is not None:
-            mu_s = self.moments.mu[lo:mid]
-            block = self.moments.sigma[lo:mid, lo:mid].copy()
-        else:
-            mu_s = self._mu[lo:mid]
-            centred = self._batch[:, lo:mid] - mu_s
-            block = centred.T @ centred
-            block /= self.n_samples - 1
-        return add_outer(block, mu_s)
+            return self.moments[lo:mid, lo:mid]
+        return gram(self._batch[:, lo:mid])
 
     def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
         """Ridge-optimal update of columns mid:hi given the committed error delta_s.
@@ -408,7 +405,7 @@ class LayerMomentCache:
     def trace_mses(self, errs: np.ndarray) -> np.ndarray:
         """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
         if self.moments is not None:
-            return np.einsum("ij,ij->i", errs @ self.moments.raw2, errs)
+            return np.einsum("ij,ij->i", errs @ self.moments, errs)
         outputs = errs @ self._batch.T
         return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
 

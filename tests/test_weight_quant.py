@@ -409,9 +409,7 @@ class TestRemainderCorrection:
         # raw2 = [[1, .8], [.8, 1]], lambda2 = 1: dr = -0.8 * 0.5 / (1 + 1)
         batch = np.array([[1.0, 1.4], [1.0, 0.2], [-1.0, -1.4], [-1.0, -0.2]])
         cache = LayerMomentCache(batch, 1.0)
-        np.testing.assert_allclose(
-            cache.moments.raw2, [[1.0, 0.8], [0.8, 1.0]], atol=1e-15
-        )
+        np.testing.assert_allclose(cache.moments, [[1.0, 0.8], [0.8, 1.0]], atol=1e-15)
         np.testing.assert_allclose(
             cache.remainder_update(0, 1, np.array([0.5])), [-0.2], atol=1e-14
         )
@@ -431,7 +429,7 @@ class TestRemainderCorrection:
         lam = 0.5
         cache = LayerMomentCache(rng.normal(0.3, 1.0, (200, 7)), lam)
         for lo, mid, hi in cache.splits[:-1]:
-            raw2 = cache.moments.raw2[lo:hi, lo:hi]
+            raw2 = cache.moments[lo:hi, lo:hi]
             delta_s = rng.normal(0, 0.1, mid - lo)
             dr = cache.remainder_update(lo, mid, delta_s)
 
@@ -453,7 +451,7 @@ class TestRemainderCorrection:
 def _reference_channel(w_row, params, cache, cfg):
     # reference channel loop: the trace MSE of each split from its own
     # matrix-vector product with E[x x^T]
-    raw2 = cache.moments.raw2
+    raw2 = cache.moments
     current = w_row.copy()
     codes = np.zeros(w_row.size, dtype=np.int64)
     err = np.zeros(w_row.size)
@@ -804,13 +802,15 @@ class TestChannelQuantization:
 
 class TestMomentCache:
     def test_proxy_matrix_is_mean_outer_plus_covariance(self):
+        # E[x_s x_s^T] = mu_s mu_s^T + Sigma_s with the 1/N covariance: the
+        # proxy is the expected output error over the batch
         rng = np.random.default_rng(20)
         a_q = rng.normal(0.5, 1.2, (100, 8))
         cache = LayerMomentCache(a_q, 1.0)
-        m = accumulate_moments(a_q)
+        mu = a_q.mean(axis=0)
+        sigma = np.cov(a_q.T, ddof=0)
         for lo, mid, _ in cache.splits:
-            mu_s = m.mu[lo:mid]
-            expected = np.outer(mu_s, mu_s) + m.sigma[lo:mid, lo:mid]
+            expected = np.outer(mu[lo:mid], mu[lo:mid]) + sigma[lo:mid, lo:mid]
             np.testing.assert_allclose(cache.proxy_matrix(lo, mid), expected, atol=1e-12)
 
     def test_remainder_update_only_for_nonfinal_splits(self):
@@ -890,27 +890,24 @@ class TestMomentCache:
 
 
 def _eager_proxy_blocks(a_q):
-    # reference: every split's block built up front from the centred batch,
-    # mu_s mu_s^T + C^T C / (N - 1) sliced from D x D moments when N >= D,
-    # and mu_s mu_s^T + C_s^T C_s / (N - 1) from strided slices otherwise
+    # reference: every split's block built up front, sliced from the D x D
+    # Gram X^T X / N when N >= D, and X_s^T X_s / N from strided slices
+    # otherwise
     n, dim = a_q.shape
-    mu = a_q.mean(axis=0)
-    centred = a_q - mu
-    sigma = centred.T @ centred / (n - 1) if n >= dim else None
+    gram = a_q.T @ a_q / n if n >= dim else None
     blocks = {}
     for lo, mid, _ in halving_splits(dim):
-        outer = np.outer(mu[lo:mid], mu[lo:mid])
-        if sigma is not None:
-            blocks[(lo, mid)] = outer + sigma[lo:mid, lo:mid]
+        if gram is not None:
+            blocks[(lo, mid)] = gram[lo:mid, lo:mid]
         else:
-            c_s = centred[:, lo:mid]
-            blocks[(lo, mid)] = outer + c_s.T @ c_s / (n - 1)
+            x_s = a_q[:, lo:mid]
+            blocks[(lo, mid)] = x_s.T @ x_s / n
     return blocks
 
 
 class TestProxyBlocks:
-    # (N, D_in): N >= D_in slices the moments, N < D_in centres batch
-    # slices; D_in = 150 gives blocks wider than one chunk of mu_s mu_s^T rows
+    # (N, D_in): N >= D_in views the Gram, N < D_in forms blocks from batch
+    # slices
     FULL_SHAPES = [(2, 1), (40, 40), (64, 40), (200, 150)]
     THIN_SHAPES = [(2, 9), (12, 40), (23, 24), (12, 150)]
 
@@ -925,7 +922,7 @@ class TestProxyBlocks:
 
     @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
     def test_thin_blocks_match_eager_reference(self, n, d_in):
-        # the centred slice is contiguous here and strided in the reference,
+        # the slice is copied contiguous here and strided in the reference,
         # which can send a product down another BLAS path: 1e-15 relative
         a_q = np.random.default_rng(n + d_in).normal(0.4, 1.0, (n, d_in))
         cache = LayerMomentCache(a_q, 0.5)
@@ -991,30 +988,27 @@ class TestProxyBlocks:
 
 
 class _FullWidthCache:
-    # reference: D x D moments and full-width remainder factors for any
+    # reference: the D x D Gram and full-width remainder factors for any
     # batch size, the cache's own arithmetic when N >= D
     def __init__(self, a_q, lambda2):
-        self.moments = ms = accumulate_moments(a_q)
+        self.moments = gram = accumulate_moments(a_q)
         self.dim = a_q.shape[1]
         self.splits = halving_splits(self.dim)
-        self._proxy, self._remainder = {}, {}
+        self._remainder = {}
         for lo, mid, hi in self.splits:
-            self._proxy[(lo, mid)] = np.outer(ms.mu[lo:mid], ms.mu[lo:mid]) + ms.sigma[
-                lo:mid, lo:mid
-            ]
             if mid < hi:
-                factor = spd_factor(ms.raw2[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid))
-                self._remainder[(lo, mid)] = (ms.raw2[lo:mid, mid:hi], factor)
+                factor = spd_factor(gram[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid))
+                self._remainder[(lo, mid)] = (gram[lo:mid, mid:hi], factor)
 
     def proxy_matrix(self, lo, mid):
-        return self._proxy[(lo, mid)]
+        return self.moments[lo:mid, lo:mid]
 
     def remainder_update(self, lo, mid, delta_s):
         e_sr, factor = self._remainder[(lo, mid)]
         return -solve_spd(factor, e_sr.T @ delta_s)
 
     def trace_mses(self, errs):
-        return np.einsum("ij,ij->i", errs @ self.moments.raw2, errs)
+        return np.einsum("ij,ij->i", errs @ self.moments, errs)
 
 
 # (N, D_in) with N < D_in: two samples, N equal to a halving split's
@@ -1175,6 +1169,7 @@ class TestThinBatch:
     @pytest.mark.parametrize("shape", [(1, 8), (1, 1), (0, 3)])
     @pytest.mark.parametrize("lambda2", [1.0, None])
     def test_fewer_than_two_samples_rejected(self, shape, lambda2):
-        # one sample would divide the proxy covariance by N - 1 = 0
+        # a batch of fewer than two samples is rejected at the boundary, as
+        # accumulate_moments rejects it
         with pytest.raises(InsufficientSamplesError):
             LayerMomentCache(np.ones(shape), lambda2)
