@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantred.moments import InsufficientSamplesError, accumulate_moments
+from quantred.moments import InsufficientSamplesError, accumulate_moments, gram
 from quantred.weight_quant import LayerMomentCache
 
 # (N, D): N >= D reduces the cache to the D x D Gram, N < D builds its
@@ -96,3 +96,31 @@ class TestOutputs:
         # the eager X^T X / N computes
         batch = np.random.default_rng(dim).normal(0.5, 2.0, (n, dim))
         np.testing.assert_array_equal(accumulate_moments(batch), batch.T @ batch / n)
+
+
+class TestGram:
+    @pytest.mark.parametrize("layout", range(4))
+    def test_layout_matches_contiguous_copy_exactly(self, layout):
+        # every layout is reduced through the same C-contiguous product, so
+        # its Gram is bit-identical to the Gram of its contiguous copy
+        batch = np.random.default_rng(layout).normal(0.5, 2.0, (130, 70))
+        view = _layouts(batch)[layout]
+        np.testing.assert_array_equal(gram(view), gram(np.ascontiguousarray(view)))
+
+    def test_casts_to_float64(self):
+        batch = np.arange(-12, 12, dtype=np.int32).reshape(8, 3)
+        got = gram(batch)
+        assert got.dtype == np.float64
+        wide = batch.astype(np.float64)
+        np.testing.assert_array_equal(got, wide.T @ wide / 8)
+        narrow = np.random.default_rng(3).normal(0, 1, (50, 6)).astype(np.float32)
+        assert gram(narrow).dtype == np.float64
+
+    def test_leaves_batch_untouched(self):
+        # the scale is applied in place to the product, never to the batch
+        batch = np.random.default_rng(4).normal(0, 1, (40, 40))
+        before = batch.copy()
+        got = gram(batch)
+        np.testing.assert_array_equal(batch, before)
+        assert not np.shares_memory(got, batch)
+        assert got.flags.writeable
