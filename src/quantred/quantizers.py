@@ -12,17 +12,22 @@ candidate scales, the one whose lattice minimizes reconstruction MSE. The
 candidates of either family come from one grid (`_candidate_grid`): their
 params, bin edges and levels. Codes are monotone in x, so each candidate
 splits the sorted values into 2^b contiguous bins, and a bin's squared
-error follows from its count, sum x and sum x^2. One sort and two prefix
-sums therefore score every candidate with (141, 2^b - 1) binary searches;
-only candidates whose approximate score is within a float error bound of
+error follows from its count, sum x and sum x^2. Calibration scans a
+block of rows at a time (per-tensor input is one row; per-channel weights
+give as many rows per block as fit a fixed byte budget): one sort and two
+prefix sums per row, every candidate's grid, scores and error bounds as
+(rows, 141, 2^b) arrays, and one binary search per row for the edges.
+Only candidates whose approximate score is within a float error bound of
 the best are quantized in full and compared, which keeps the choice equal
-to the brute-force grid (oracle.grid_calibrate), ties included.
+to the brute-force grid (oracle.grid_calibrate), ties included, and each
+row's choice equal to calibrating that row alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -179,87 +184,153 @@ _EDGE_WINDOW = 2.0**-40
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
+# Bytes of one (rows, 141, 2^b) float64 array of the row-block scan: a block
+# holds as many rows as fit, at least one (one row at 8 bits, three at 4).
+# About ten such arrays are live at once, so the scan's working set stays
+# under a megabyte below 8 bits whatever the number of rows.
+_BLOCK_BYTES = 1 << 16
+
+
+def _block_height(bits: int) -> int:
+    """Rows per block of the calibration scan at a bit width."""
+    return max(1, _BLOCK_BYTES // (8 * ALPHA_GRID.size << bits))
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, n) block ascending, then +inf, as (rows, n + 1)."""
+    n = rows.shape[1]
+    xs = np.empty((rows.shape[0], n + 1))
+    xs[:, n] = np.inf
+    xs[:, :n] = rows
+    xs[:, :n].sort(axis=1)
+    return xs
+
+
+def _place_edges(xs, edges, levels):
+    """Where every candidate's bin edges fall among the sorted values of its row.
+
+    Arguments as for _candidate_sse. Returns (at, unplaced, windowed):
+    at[r, c] holds flat indices into xs, and into any other (rows, n + 1)
+    array, of the bounds of row r's candidate c's bins: the row's start,
+    the first value at or above each edge's window, and the row's end.
+
+    A value within _EDGE_WINDOW of an edge belongs to one of the two
+    adjacent bins, and moving x from level a to level b changes its
+    squared error by (b - a)(a + b - 2x). unplaced[r, c] sums that swing
+    over the values in candidate c's windows. The value at a window's lower
+    bound shows whether the window holds any; only the rows where one does
+    (`windowed`) search the upper ends to count them.
+    """
+    rows, n = xs.shape[0], xs.shape[1] - 1
+    cands, n_edges = edges.shape[1:]
+    width = _EDGE_WINDOW * np.abs(edges)
+    at = np.empty((rows, cands, n_edges + 2), dtype=np.int64)
+    at[:, :, 0] = 0
+    at[:, :, -1] = n
+    lo = at[:, :, 1:-1]
+    for r in range(rows):
+        lo[r] = np.searchsorted(xs[r, :n], edges[r] - width[r], side="left")
+    start = np.arange(rows) * (n + 1)
+    at += start[:, None, None]
+    upper = edges + width
+    # xs ends each row with +inf, so a window past the row's last value holds none
+    windowed = (xs.ravel()[lo] <= upper).any(axis=(1, 2))
+    unplaced = np.zeros((rows, cands))
+    for r in np.flatnonzero(windowed):
+        hi = np.searchsorted(xs[r, :n], upper[r], side="right") + start[r]
+        below, above = levels[r, :, :-1], levels[r, :, 1:]
+        swing = np.abs(above - below) * (
+            np.abs(below + above - 2.0 * edges[r]) + 2.0 * width[r]
+        )
+        unplaced[r] = ((hi - lo[r]) * swing).sum(axis=1)
+    return at, unplaced, windowed
+
 
 def _candidate_sse(xs, p1, p2, edges, levels):
-    """Approximate SSE of every candidate lattice from sorted prefix sums.
+    """Approximate SSE of every candidate lattice of each row of a block.
 
-    xs is sorted and p1/p2 are the prefix sums of x and x^2 with a leading
-    zero. Row c of `edges` holds the ascending bin edges of candidate c and
-    row c of `levels` the dequantized value of each of its bins, so a bin's
-    SSE is S2 - 2 d S1 + n d^2. Also returns, per candidate, how far the
-    values within _EDGE_WINDOW of an edge can move its SSE: such a value
-    belongs to one of the two adjacent bins, and moving x from level a to
-    level b changes its squared error by (b - a)(a + b - 2x).
+    xs comes from _sorted_rows, p1 and p2 are the row-wise prefix sums of
+    x and x^2 with a leading zero. edges[r, c] holds the ascending bin
+    edges of row r's candidate c and levels[r, c] the dequantized value of
+    each of its bins. Codes are monotone in x, so a candidate splits the
+    sorted values into contiguous bins, and a bin's SSE is
+    S2 - 2 d S1 + n d^2 from the prefix sums where one binary search per
+    row puts the edges. Also returns `unplaced` and `windowed` of
+    _place_edges.
     """
-    n = xs.size
-    width = _EDGE_WINDOW * np.abs(edges)
-    lo = np.searchsorted(xs, edges - width, side="left")
-    hi = np.searchsorted(xs, edges + width, side="right")
-    rows = edges.shape[0]
-    bounds = np.hstack(
-        [np.zeros((rows, 1), dtype=np.int64), lo, np.full((rows, 1), n, dtype=np.int64)]
-    )
-    count = np.diff(bounds, axis=1)
-    s1 = np.diff(p1[bounds], axis=1)
-    s2 = np.diff(p2[bounds], axis=1)
-    sse = (s2 - 2.0 * levels * s1 + count * levels * levels).sum(axis=1)
-    below, above = levels[:, :-1], levels[:, 1:]
-    swing = np.abs(above - below) * (np.abs(below + above - 2.0 * edges) + 2.0 * width)
-    return sse, ((hi - lo) * swing).sum(axis=1)
+    at, unplaced, windowed = _place_edges(xs, edges, levels)
+    count = at[:, :, 1:] - at[:, :, :-1]
+    s1 = p1.ravel()[at]
+    s1 = s1[:, :, 1:] - s1[:, :, :-1]
+    s2 = p2.ravel()[at]
+    s2 = s2[:, :, 1:] - s2[:, :, :-1]
+    sse = (s2 - 2.0 * levels * s1 + count * levels * levels).sum(axis=2)
+    return sse, unplaced, windowed
 
 
-def _shortlist(values: np.ndarray, edges: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Candidates that can attain the smallest exact MSE, ascending.
+def _shortlists(
+    xs: np.ndarray, edges: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which candidates of each row can attain the row's smallest exact MSE.
 
-    Each fast SSE is within `slack` of n times the exact evaluator's MSE:
-    the first term bounds the rounding of the prefix sums, the per-bin
-    sums and the exact evaluator itself (B bounds |x| and |level|), the
-    second gradual underflow, the third the values the scan cannot place
-    (doubled to cover its own rounding). A candidate whose lower end lies
-    above the smallest upper end is strictly worse than the exact optimum,
-    so the shortlist holds every candidate tied at it. If the scan
-    overflows, every candidate is kept.
+    Arguments as for _candidate_sse. Returns a (rows, 141) mask and the
+    rows that ran the upper edge search (see _place_edges). Each fast
+    SSE is within `slack` of n times the exact evaluator's MSE: the first
+    term bounds the rounding of the prefix sums, the per-bin sums and the
+    exact evaluator itself (B bounds |x| and |level|), the second gradual
+    underflow, the third the values the scan cannot place (doubled to
+    cover its own rounding). A candidate whose lower end lies above the
+    smallest upper end is strictly worse than the exact optimum, so a row's
+    mask holds every candidate tied at it. A row whose scan overflows keeps
+    every candidate.
     """
-    n = values.size
-    xs = np.sort(values)
+    rows, n = xs.shape[0], xs.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = np.zeros(n + 1)
-        np.cumsum(xs, out=p1[1:])
-        p2 = np.zeros(n + 1)
-        np.square(xs, out=p2[1:])
-        np.cumsum(p2[1:], out=p2[1:])
-        sse, unplaced = _candidate_sse(xs, p1, p2, edges, levels)
-        bound = max(abs(float(xs[0])), abs(float(xs[-1])), float(np.abs(levels).max()))
-        slack = (
-            16.0 * n * _EPS * (p2[-1] + n * bound * bound)
-            + 16.0 * n * _TINY
-            + 2.0 * unplaced
+        p1 = np.zeros((rows, n + 1))
+        np.cumsum(xs[:, :n], axis=1, out=p1[:, 1:])
+        p2 = np.zeros((rows, n + 1))
+        np.square(xs[:, :n], out=p2[:, 1:])
+        np.cumsum(p2[:, 1:], axis=1, out=p2[:, 1:])
+        sse, unplaced, windowed = _candidate_sse(xs, p1, p2, edges, levels)
+        # values and levels ascend, so the ends hold the largest magnitudes
+        bound = np.maximum(
+            np.abs(xs[:, : n : max(n - 1, 1)]).max(axis=1),
+            np.abs(levels[:, :, :: levels.shape[2] - 1]).max(axis=(1, 2)),
         )
-    if not (np.isfinite(sse).all() and np.isfinite(slack).all()):
-        return np.arange(edges.shape[0])
-    return np.flatnonzero(sse - slack <= (sse + slack).min())
+        slack = (16.0 * n * _EPS * (p2[:, -1] + n * bound * bound) + 16.0 * n * _TINY)[
+            :, None
+        ] + 2.0 * unplaced
+        keep = sse - slack <= (sse + slack).min(axis=1, keepdims=True)
+    keep[~(np.isfinite(sse).all(axis=1) & np.isfinite(slack).all(axis=1))] = True
+    return keep, windowed
 
 
-def _last_minimum(shortlist: np.ndarray, exact_mse) -> int:
-    # ties go to the larger scale: ascending candidates with <= replacement
+def _last_minimum(values: np.ndarray, shortlist: np.ndarray, params):
+    """params(c) of the shortlisted candidate c that quantizes values with least MSE.
+
+    The MSE is computed as oracle.grid_calibrate computes it, and ties go to
+    the larger scale: ascending candidates with <= replacement.
+    """
     if shortlist.size == 1:
-        return int(shortlist[0])
+        return params(int(shortlist[0]))
     best, best_mse = None, None
     for c in shortlist:
-        mse = exact_mse(int(c))
+        _, deq = quantize(values, params(int(c)))
+        mse = float(np.mean((values - deq) ** 2))
         if best_mse is None or mse <= best_mse:
             best, best_mse = int(c), mse
-    return best
+    return params(best)
 
 
-def _candidate_grid(values: np.ndarray, family: str, bits: int):
-    """The 141 candidate lattices of one family for nonempty values.
+def _candidate_grid(xs: np.ndarray, family: str, bits: int):
+    """The 141 candidate lattices of one family for each row of xs.
 
-    Returns (params, edges, levels): params(c) builds candidate c's params,
-    and row c of `edges` holds its ascending bin edges and row c of
-    `levels` the dequantized value of each bin. Returns None when the
-    smallest candidate scale is zero in float64 (constant uniform input,
-    all-zero log-sqrt2 input).
+    xs is (rows, n), n >= 1, each row ascending. Returns (live, params,
+    edges, levels). `live` marks the rows whose smallest candidate scale is
+    nonzero in float64; the others (constant uniform rows, all-zero
+    log-sqrt2 rows) are degenerate and absent from the rest. params(i, c)
+    builds candidate c of the i-th live row, edges[i, c] holds its
+    ascending bin edges and levels[i, c] the dequantized value of each bin.
 
     Uniform candidates scale max - min over 2^b - 1. Code k holds x with
     x / s in [k - z - 1/2, k - z + 1/2), so the edges sit at (k - z - 1/2) s,
@@ -269,40 +340,78 @@ def _candidate_grid(values: np.ndarray, family: str, bits: int):
     (which also takes zero) down to code 0, with edges s 2^(-(q + 1/2) / 2).
     """
     qmax = (1 << bits) - 1
+    lo = xs[:, 0]
+    span = (xs[:, -1] - lo) / qmax if family == "uniform" else xs[:, -1]
+    live = ALPHA_GRID[0] * span != 0.0
+    if not live.all():
+        lo, span = lo[live], span[live]
+    scales = ALPHA_GRID * span[:, None]
     if family == "uniform":
-        lo = float(values.min())
-        scales = ALPHA_GRID * ((float(values.max()) - lo) / qmax)
-        if scales[0] == 0.0:
-            return None
-        zeros = np.clip(np.rint(-lo / scales), 0, qmax).astype(np.int64)
-        steps = (np.arange(qmax + 1) - zeros[:, None]).astype(np.float64)
+        zeros = np.minimum(np.maximum(np.rint(-lo[:, None] / scales), 0.0), qmax)
+        steps = np.arange(qmax + 1.0) - zeros[:, :, None]
 
-        def params(c):
-            return UniformParams(scale=float(scales[c]), zero_point=int(zeros[c]), bits=bits)
+        def params(i, c):
+            return UniformParams(
+                scale=float(scales[i, c]), zero_point=int(zeros[i, c]), bits=bits
+            )
 
-        return params, scales[:, None] * (steps[:, 1:] - 0.5), scales[:, None] * steps
-    scales = ALPHA_GRID * float(values.max())
-    if scales[0] == 0.0:
-        return None
+        edges = scales[:, :, None] * (steps[:, :, 1:] - 0.5)
+        return live, params, edges, scales[:, :, None] * steps
     codes = np.arange(qmax, -1, -1)
     unit = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=1.0, bits=bits))
     edges = 2.0 ** (-(codes[1:] + 0.5) / 2.0)
 
-    def params(c):
-        return LogSqrt2Params(scale=float(scales[c]), bits=bits)
+    def params(i, c):
+        return LogSqrt2Params(scale=float(scales[i, c]), bits=bits)
 
-    return params, scales[:, None] * edges, scales[:, None] * unit
+    return live, params, scales[:, :, None] * edges, scales[:, :, None] * unit
 
 
-def calibration_shortlist(values: np.ndarray, family: str, bits: int) -> np.ndarray:
-    """Indices into ALPHA_GRID that calibration re-scores exactly.
+def _degenerate(family: str, bits: int) -> UniformParams | LogSqrt2Params:
+    if family == "uniform":
+        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
+    return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
 
-    For finite, non-degenerate input of either family; a shortlist of one
-    is the choice itself.
+
+def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
+    """Calibrated params of each row of a finite 2-D array, scanned in row blocks."""
+    d, n = x.shape
+    if n == 0:
+        return [_degenerate(family, bits)] * d
+    height = _block_height(bits)
+    out = []
+    for start in range(0, d, height):
+        rows = x[start : start + height]
+        xs = _sorted_rows(rows)
+        live, params, edges, levels = _candidate_grid(xs[:, :n], family, bits)
+        if not live.all():
+            xs = xs[live]
+        keep, _ = _shortlists(xs, edges, levels)
+        block = [_degenerate(family, bits)] * rows.shape[0]
+        for i, r in enumerate(np.flatnonzero(live)):
+            block[r] = _last_minimum(rows[r], np.flatnonzero(keep[i]), partial(params, i))
+        out += block
+    return out
+
+
+def calibration_scan(values: np.ndarray, family: str, bits: int) -> tuple[np.ndarray, bool]:
+    """What the calibration scan sees of the values, as one row.
+
+    Returns the indices into ALPHA_GRID that calibration re-scores exactly
+    (a shortlist of one is the choice itself) and whether some value lies
+    within the edge window of some candidate, so that the scan searched the
+    upper window ends. For finite, non-degenerate input of either family.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    _, edges, levels = _candidate_grid(values, family, bits)
-    return _shortlist(values, edges, levels)
+    xs = _sorted_rows(values[None, :])
+    _, _, edges, levels = _candidate_grid(xs[:, :-1], family, bits)
+    keep, windowed = _shortlists(xs, edges, levels)
+    return np.flatnonzero(keep[0]), bool(windowed[0])
+
+
+def _check_bits(bits: int) -> None:
+    if bits < 2:
+        raise ValueError("bit width must be >= 2")
 
 
 def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | LogSqrt2Params:
@@ -320,26 +429,18 @@ def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | Log
     values = np.asarray(values, dtype=np.float64)
     check_finite(values)
     values = values.ravel()
-    if bits < 2:
-        raise ValueError("bit width must be >= 2")
+    _check_bits(bits)
     if family == "log_sqrt2" and values.size and float(values.min()) < 0.0:
         raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
-    grid = _candidate_grid(values, family, bits) if values.size else None
-    if grid is None:
-        if family == "uniform":
-            return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
-        return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
-    params, edges, levels = grid
-
-    def exact_mse(c):
-        _, deq = quantize(values, params(c))
-        return float(np.mean((values - deq) ** 2))
-
-    return params(_last_minimum(_shortlist(values, edges, levels), exact_mse))
+    return _calibrate_rows(values[None, :], family, bits)[0]
 
 
 def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> QuantScheme:
-    """Calibrate a scheme: per-tensor over all elements, per-channel over rows."""
+    """Calibrate a scheme: per-tensor over all elements, per-channel over rows.
+
+    Per-channel rows are calibrated independently, each to what `calibrate`
+    gives for that row alone; they are scanned a block of rows at a time.
+    """
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
         params = (calibrate(x, family, bits),)
@@ -349,7 +450,8 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
         check_finite(x, per_row=True)
-        params = tuple(calibrate(row, family, bits) for row in x)
+        _check_bits(bits)
+        params = tuple(_calibrate_rows(x, family, bits))
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
     return QuantScheme(family=family, granularity=granularity, bits=bits, params=params)

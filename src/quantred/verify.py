@@ -321,13 +321,27 @@ def calibration_instance(rng, kind: str, max_n: int = 4096):
     Lattice kinds lie exactly on a 2^b-level lattice, which the grid can
     reach at MSE 0; half-step values sit on the rounding edges of some
     candidates; float32 values repeat; ReLU output is about half zeros;
-    n runs log-uniformly from 1 to max_n.
+    n runs log-uniformly from 1 to max_n. Per-channel instances hold 1 to
+    48 rows of up to 64 values, enough to span several of calibration's
+    row blocks at every bit width, and mix Gaussian rows with lattice,
+    half-step and constant (degenerate) rows.
     """
     bits = int(rng.choice([2, 3, 4, 8]))
     qmax = (1 << bits) - 1
     n = int(np.exp(rng.uniform(0.0, np.log(max_n))))
     if kind == "per_channel":
-        x = rng.normal(0.0, rng.uniform(0.01, 2.0), (int(rng.integers(1, 9)), n % 64 + 1))
+        shape = (int(rng.integers(1, 49)), n % 64 + 1)
+        x = rng.normal(0.0, rng.uniform(0.01, 2.0), shape)
+        lattice = UniformParams(
+            scale=rng.uniform(0.01, 1.0, (shape[0], 1)),
+            zero_point=rng.integers(0, qmax + 1, (shape[0], 1)),
+            bits=bits,
+        )
+        on_lattice = dequantize_uniform(rng.integers(0, qmax + 1, shape), lattice)
+        row_kind = rng.integers(0, 4, (shape[0], 1))
+        x = np.where(row_kind == 1, on_lattice, x)
+        x = np.where(row_kind == 2, on_lattice + 0.5 * lattice.scale, x)
+        x = np.where(row_kind == 3, x[:, :1], x)
         return x, "uniform", bits, "per_channel"
     if kind == "softmax":
         logits = rng.normal(0.0, rng.uniform(0.5, 4.0), (max(n // 16, 1), 16))
@@ -357,10 +371,16 @@ def calibration_instance(rng, kind: str, max_n: int = 4096):
 
 
 def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
-    """Shipped calibration equals the brute-force 141-point grid, ties included."""
+    """Shipped calibration equals the brute-force 141-point grid, ties included.
+
+    Also reports the longest shortlist the scan left to exact re-scoring
+    and how many rows held a value within an edge window, so that the scan
+    searched the upper window ends.
+    """
     rng = np.random.default_rng([seed, 5])
     mismatches = 0
     max_shortlist = 0
+    window_rows = 0
     for i in range(instances):
         x, family, bits, granularity = calibration_instance(
             rng, CALIBRATION_KINDS[i % len(CALIBRATION_KINDS)]
@@ -371,12 +391,18 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
         mismatches += int(got != want)
         for row, params in zip(rows, want):
             if not params.degenerate:
-                size = quantizers.calibration_shortlist(row, family, bits).size
-                max_shortlist = max(max_shortlist, size)
+                shortlist, windowed = quantizers.calibration_scan(row, family, bits)
+                max_shortlist = max(max_shortlist, shortlist.size)
+                window_rows += int(windowed)
     return SuiteResult(
         "calibration",
         mismatches == 0,
-        {"instances": instances, "mismatches": mismatches, "max_shortlist": max_shortlist},
+        {
+            "instances": instances,
+            "mismatches": mismatches,
+            "max_shortlist": max_shortlist,
+            "window_rows": window_rows,
+        },
     )
 
 

@@ -1,5 +1,7 @@
 """Quantizer hand cases, fixed points, calibration grid optimality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from quantred.quantizers import (
     UniformParams,
     calibrate,
     calibrate_scale,
-    calibration_shortlist,
+    calibration_scan,
     dequantize_log_sqrt2,
     dequantize_uniform,
     log_sqrt2_codes,
@@ -285,7 +287,9 @@ class TestCalibrationKernel:
         # by its sorted position, which must not widen the shortlist
         x = np.array([0.0, 0.3, 1.0])
         assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
-        assert calibration_shortlist(x, "uniform", 4).size == 1
+        shortlist, windowed = calibration_scan(x, "uniform", 4)
+        assert shortlist.size == 1
+        assert windowed
 
     def test_zero_mse_ties_go_to_the_larger_scale(self):
         # 0 and 1 lie on the 8-bit lattices of alpha = 1.00 (s = 1/255)
@@ -295,7 +299,7 @@ class TestCalibrationKernel:
         assert p.scale == float(ALPHA_GRID[104] * (1.0 / 255))
         _, deq = quantize_uniform(x, p)
         np.testing.assert_array_equal(deq, x)
-        assert {100, 104} <= set(calibration_shortlist(x, "uniform", 8).tolist())
+        assert {100, 104} <= set(calibration_scan(x, "uniform", 8)[0].tolist())
         assert p == oracle.grid_calibrate(x, "uniform", 8)
 
     @settings(max_examples=200, deadline=None)
@@ -313,27 +317,107 @@ class TestCalibrationKernel:
         got = calibrate_scale(x, family, bits, "per_tensor").params
         assert got == _grid(x, family, "per_tensor", bits)
         if not got[0].degenerate:
-            assert calibration_shortlist(x, family, bits).size >= 1
+            assert calibration_scan(x, family, bits)[0].size >= 1
 
     def test_overflowing_scan_rescores_every_candidate(self):
         x = np.array([-3e160, 1e160, 2e160])
-        assert calibration_shortlist(x, "uniform", 4).size == ALPHA_GRID.size
+        assert calibration_scan(x, "uniform", 4)[0].size == ALPHA_GRID.size
         with np.errstate(over="ignore"):
             assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
 
     def test_verify_suite_catches_a_kernel_fault(self, monkeypatch):
-        # reversed fast scores make a wrong candidate the lone shortlist entry,
-        # so nothing is re-scored and the shipped calibration drifts from the grid
+        # scores reversed along the candidate axis of every row block make a
+        # wrong candidate the lone shortlist entry, so nothing is re-scored
+        # and the shipped calibration drifts from the grid
         real = quantizers._candidate_sse
 
         def reversed_scores(*args):
-            sse, unplaced = real(*args)
-            return sse[::-1], unplaced[::-1]
+            sse, unplaced, windowed = real(*args)
+            return sse[:, ::-1], unplaced[:, ::-1], windowed
 
         monkeypatch.setattr(quantizers, "_candidate_sse", reversed_scores)
         result = verify.suite_calibration(seed=0, instances=16)
         assert not result.passed
         assert result.metrics["mismatches"] > 0
+
+
+def _mixed_rows(rng, d, n, bits):
+    """d rows of n values cycling through Gaussian rows at scales 1e-6 to 1e6,
+    rows on a lattice, rows half a step off one (on the rounding edges of
+    the candidate at alpha = 1), constant rows and all-zero rows."""
+    qmax = (1 << bits) - 1
+    rows = []
+    for i in range(d):
+        kind = i % 5
+        if kind == 0:
+            rows.append(rng.normal(0.0, 10.0 ** (i % 13 - 6), n))
+            continue
+        if kind == 3:
+            rows.append(np.full(n, rng.normal()))
+            continue
+        if kind == 4:
+            rows.append(np.zeros(n))
+            continue
+        p = UniformParams(
+            scale=float(rng.uniform(0.01, 1.0)),
+            zero_point=int(rng.integers(0, qmax + 1)),
+            bits=bits,
+        )
+        # codes 0 and qmax pin the range to qmax steps
+        codes = np.concatenate([[0, qmax], rng.integers(0, qmax + 1, n - 2)])
+        row = dequantize_uniform(rng.permutation(codes), p)
+        rows.append(row + 0.5 * p.scale if kind == 2 else row)
+    return np.array(rows).reshape(d, n)
+
+
+class TestRowBlocks:
+    """Per-channel calibration scans blocks of rows; no row sees another."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    def test_every_row_matches_the_grid_and_its_own_calibration(self, bits):
+        height = quantizers._block_height(bits)
+        rng = np.random.default_rng([23, bits])
+        windowed = 0
+        for d in sorted({1, height - 1, height, height + 1, 3 * height + 2} - {0}):
+            x = _mixed_rows(rng, d, 24, bits)
+            got = calibrate_scale(x, "uniform", bits, "per_channel").params
+            assert got == _grid(x, "uniform", "per_channel", bits)
+            alone = tuple(
+                calibrate_scale(row[None, :], "uniform", bits, "per_channel").params[0]
+                for row in x
+            )
+            assert got == alone
+            windowed += sum(
+                calibration_scan(row, "uniform", bits)[1]
+                for row, p in zip(x, got)
+                if not p.degenerate
+            )
+        # the half-step rows send some blocks through the upper edge search
+        assert windowed > 0
+
+    def test_block_heights(self):
+        assert [quantizers._block_height(b) for b in (2, 3, 4, 8, 16)] == [14, 7, 3, 1, 1]
+
+    def test_rows_without_values_are_degenerate(self):
+        params = calibrate_scale(np.zeros((5, 0)), "uniform", 4, "per_channel").params
+        assert len(params) == 5
+        assert all(p == UniformParams(1.0, 0, 4, degenerate=True) for p in params)
+
+    @pytest.mark.parametrize(
+        "shape, bits, limit_mib",
+        [((64, 256), 4, 1.25), ((1536, 384), 4, 1.25), ((64, 256), 8, 4.0)],
+    )
+    def test_peak_memory_does_not_grow_with_rows(self, shape, bits, limit_mib):
+        # the scan holds one block of (rows, 141, 2^b) arrays, not one per
+        # row of the matrix: a whole-matrix sort of 1536 x 384 alone is 4.5 MiB
+        w = np.random.default_rng(31).normal(0.0, 0.05, shape)
+        tracemalloc.start()
+        try:
+            calibrate_scale(w, "uniform", bits, "per_channel")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 class TestNonFiniteInput:
