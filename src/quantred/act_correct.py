@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import require_regularized, solve_rows, spd_factor
+from .linalg import require_regularized, require_strength, solve_rows, spd_factor
 from .moments import InsufficientSamplesError, accumulate_moments
 
 
@@ -60,8 +60,7 @@ def solve_activation_correction(
     n = a_fp.shape[0]
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    if not (np.isfinite(lambda1) and lambda1 >= 0):
-        raise ValueError(f"lambda1 must be finite and >= 0, got {lambda1}")
+    require_strength("lambda1", lambda1)
 
     rhs = w @ (a_q - a_fp).T / n
     if n < w.shape[1]:

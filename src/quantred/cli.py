@@ -47,21 +47,26 @@ def _build_config(config_path, **flags) -> RunConfig:
     if config_path is not None:
         try:
             doc = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"cannot read config {config_path}: {exc}") from None
     cfg = RunConfig.from_dict(doc)
-    overrides = {}
-    for key in ("jobs", "bits_w", "bits_a", "lambda1", "lambda2", "k", "max_iter"):
-        if flags.get(key) is not None:
-            overrides[key] = flags[key]
-    if flags.get("stages") is not None:
-        overrides["stages"] = RunConfig.parse_stages(flags["stages"])
+    # flags are the RunConfig fields of _common_options; the ones given override
+    overrides = {key: value for key, value in flags.items() if value is not None}
     return cfg.replace(**overrides) if overrides else cfg
 
 
 def _fail_validation(exc) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
+
+
+def _make_out_dir(out_dir) -> Path:
+    """Create the output directory before any work, so a bad --out fails fast."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail_validation(f"cannot create output directory {out_dir}: {exc}")
+    return Path(out_dir)
 
 
 @click.group()
@@ -82,7 +87,7 @@ def quantize(manifest_path, out_dir, config_path, **flags):
         entries = load_manifest(manifest_path)
     except (ConfigError, ManifestError, TensorFormatError) as exc:
         _fail_validation(exc)
-    result = pipeline.run_manifest(entries, cfg, out_dir)
+    result = pipeline.run_manifest(entries, cfg, _make_out_dir(out_dir))
     click.echo(
         json.dumps(
             {
@@ -106,6 +111,7 @@ def verify_command(out_dir, seed):
     """Run the internal consistency suites against the oracles."""
     if seed < 0:
         _fail_validation(f"--seed must be >= 0, got {seed}")
+    out = _make_out_dir(out_dir) if out_dir is not None else None
     results = verify_suites.run_all(seed)
     summary = []
     for suite in results:
@@ -114,9 +120,7 @@ def verify_command(out_dir, seed):
         click.echo(json.dumps(doc, sort_keys=True))
     all_passed = all(s.passed for s in results)
     click.echo(json.dumps({"all_passed": all_passed}, sort_keys=True))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verify.json").write_text(
             json.dumps({"suites": summary, "all_passed": all_passed},
                        indent=2, sort_keys=True) + "\n"
@@ -136,14 +140,13 @@ def ablate(manifest_path, out_dir, config_path, **flags):
         entries = load_manifest(manifest_path)
     except (ConfigError, ManifestError, TensorFormatError) as exc:
         _fail_validation(exc)
+    out = _make_out_dir(out_dir)
     try:
         layers = pipeline.load_layers(entries, cfg)
         rows = pipeline.run_ablation(layers, cfg)
     except NUMERICAL_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "ablation.csv"
     pipeline.write_csv(path, rows, pipeline.ABLATION_COLUMNS)
     click.echo(json.dumps({"ablation": str(path), "rows": len(rows)}, sort_keys=True))
@@ -170,6 +173,7 @@ def sweep(manifest_path, out_dir, param, values, config_path, **flags):
             raise ConfigError("--values is empty")
     except (ConfigError, ManifestError, TensorFormatError) as exc:
         _fail_validation(exc)
+    out = _make_out_dir(out_dir)
     try:
         layers = pipeline.load_layers(entries, cfg)
         rows = pipeline.run_sweep(param, parsed, layers, cfg)
@@ -178,8 +182,6 @@ def sweep(manifest_path, out_dir, param, values, config_path, **flags):
     except NUMERICAL_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     pipeline.write_csv(path, rows, pipeline.SWEEP_COLUMNS)
     click.echo(json.dumps({"rows": len(rows), "sweep": str(path)}, sort_keys=True))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 
@@ -54,6 +56,14 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     a = _lower_inverse(lower[:h, :h])
     c = _lower_inverse(lower[h:, h:])
     return np.block([[a, np.zeros((h, n - h))], [-(c @ (lower[h:, :h] @ a)), c]])
+
+
+def require_strength(name: str, value) -> None:
+    """Raise ValueError unless a ridge strength is an int or float (not a bool) >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an int or float, got {value!r}")
+    if not 0 <= value <= sys.float_info.max:  # NaN, inf and ints past a float fail
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def require_regularized(n_samples: int, width: int, strength: float) -> None:

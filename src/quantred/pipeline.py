@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .act_correct import solve_activation_correction
-from .linalg import SingularSystemError
+from .linalg import SingularSystemError, require_strength
 from .moments import InsufficientSamplesError
 from .oracle import layer_mse
 from .quantizers import (
@@ -85,13 +84,11 @@ class RunConfig:
     jobs: int = 1  # validated, no effect; see the module docstring
 
     def __post_init__(self):
-        for lam in (self.lambda1, self.lambda2):
-            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-                raise ConfigError(f"regularization strengths must be numbers, got {lam!r}")
-            if not (math.isfinite(lam) and lam >= 0):
-                raise ConfigError(
-                    f"regularization strengths must be finite and >= 0, got {lam}"
-                )
+        for name in ("lambda1", "lambda2"):
+            try:
+                require_strength(name, getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         for name in ("k", "max_iter", "jobs", "bits_w", "bits_a"):
             value = getattr(self, name)
             if value is None and name.startswith("bits_"):
@@ -107,6 +104,8 @@ class RunConfig:
                 raise ConfigError(f"bit widths must be >= 2 and <= {MAX_BITS}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if isinstance(self.stages, str):  # a --stages or config-file string
+            object.__setattr__(self, "stages", RunConfig.parse_stages(self.stages))
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ConfigError(f"unknown stages {sorted(unknown)}")
@@ -141,13 +140,11 @@ class RunConfig:
         doc = dict(doc)
         if "stages" in doc:
             stages = doc["stages"]
-            if isinstance(stages, str):
-                doc["stages"] = RunConfig.parse_stages(stages)
-            elif isinstance(stages, (list, tuple)):
+            if isinstance(stages, (list, tuple)):
                 if not all(isinstance(stage, str) for stage in stages):
                     raise ConfigError(f"stages must be strings, got {stages!r}")
-                doc["stages"] = RunConfig.parse_stages(",".join(stages))
-            else:
+                doc["stages"] = ",".join(stages)
+            elif not isinstance(stages, str):
                 raise ConfigError("stages must be a string or list")
         try:
             return RunConfig(**doc)
@@ -339,8 +336,7 @@ def finish_layer(
         wq_cfg = WeightQuantConfig(
             k=cfg.k if rounding_on else 0,
             max_iter=cfg.max_iter,
-            lambda2=cfg.lambda2,
-            ridge=ridge_on,
+            lambda2=cfg.lambda2 if ridge_on else None,
         )
         wres = quantize_layer_weights(current, weight_scheme.params, prefix.a_q, wq_cfg)
         codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace

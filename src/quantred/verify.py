@@ -227,10 +227,10 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
 
     Each draw builds the production moment cache on a fresh batch and
     checks `remainder_update` on one of its halving splits. Draws cycle
-    through the cache's three forms of the remainder system: sliced from
-    the D x D moments (N >= D), the N x N sample-space system of a remainder
-    wider than a thin batch (N < D_r), and the D_r x D_r system from the
-    slices of a thin batch (D_r <= N < D). Four more draws take
+    through the cache's two forms of the remainder system: the D_r x D_r
+    one read from the D x D Gram (N >= D) or from the slices of a thin
+    batch (D_r <= N < D), and the N x N sample-space one of a remainder
+    wider than a thin batch (N < D_r). Four more draws take
     near-collinear batches (a rank-4 signal plus 1e-3 noise) at lambda2 =
     1e-2 and 1e-4, once in sample space and once from the moments, so the
     factored systems are ill conditioned; `max_system_cond` is the largest

@@ -43,14 +43,14 @@ Proxy blocks and ridge factorizations depend only on the column split,
 so all channels share them through one `LayerMomentCache` per layer. The
 ridge factorizations are computed once, when the cache is built;
 `LayerMomentCache.remainder_update` is the one implementation of step 3,
-also exercised by `quantred verify`. The proxy, the trace MSE and the
-ridge all read one second moment, the 1/N Gram E[x x^T]
+also exercised by `quantred verify`; a cache built with lambda2 None
+holds none, the one switch that turns step 3 off. The proxy, the trace
+MSE and the ridge all read one second moment, the 1/N Gram E[x x^T]
 (`moments.accumulate_moments`): a proxy block is a view of it. When the
 batch has fewer samples N than columns, the cache forms no D_in x D_in
-matrix: a block is built from its batch slice when its split runs
-(`LayerMomentCache.proxy_matrix`) and released at the end of the split,
-so the loop holds one block at a time, not one per split, and a
-remainder wider than N is solved in sample space,
+matrix: a block is built from its batch slice when its split runs and
+released after it. A remainder no wider than N is solved in input space,
+from blocks read off the Gram or the batch alike; a wider one in sample space,
 dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1} X_r with X the
 N x D_in batch, an N x N system (push-through identity).
 
@@ -68,14 +68,13 @@ thread).
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import require_regularized, solve_spd, spd_factor
+from .linalg import require_regularized, require_strength, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, accumulate_moments, gram
 from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_codes
 
@@ -84,8 +83,7 @@ from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_
 class WeightQuantConfig:
     k: int = 1
     max_iter: int = 100
-    lambda2: float = 1e4
-    ridge: bool = True
+    lambda2: float | None = 1e4  # None: no remainder ridge
 
     def __post_init__(self):
         for name in ("k", "max_iter"):
@@ -96,8 +94,8 @@ class WeightQuantConfig:
             raise ValueError("k must be >= 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if not (math.isfinite(self.lambda2) and self.lambda2 >= 0):
-            raise ValueError(f"lambda2 must be finite and >= 0, got {self.lambda2}")
+        if self.lambda2 is not None:
+            require_strength("lambda2", self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -341,9 +339,9 @@ class LayerMomentCache:
     (`moments` is None): `proxy_matrix` builds each block X_s^T X_s / N
     from the batch slice X_s each time it is called, so a caller that drops
     one split's block before asking for the next holds one block at a time,
-    as `quantize_rows` does, and each remainder system is factored in the
+    as `quantize_rows` does. Each remainder system is factored in the
     smaller of its two spaces, so no D x D matrix is formed. `lambda2` None
-    builds no remainder systems, for a run without the ridge stage.
+    builds no remainder systems, and `quantize_rows` then skips the ridge.
     """
 
     def __init__(self, a_q: np.ndarray, lambda2: float | None):
@@ -355,24 +353,35 @@ class LayerMomentCache:
             )
         self.splits = halving_splits(self.dim)
         self._slices = {(lo, mid) for lo, mid, _ in self.splits}
-        self._remainder: dict[tuple[int, int], tuple] = {}
+        self.lambda2 = lambda2
         self.moments: np.ndarray | None = None
-        ridge = lambda2 is not None
         if self.n_samples >= self.dim:
-            moments = self.moments = accumulate_moments(a_q)
-            for lo, mid, hi in self.splits:
-                if ridge and mid < hi:
-                    factor = spd_factor(
-                        moments[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid)
-                    )
-                    self._remainder[(lo, mid)] = (moments[lo:mid, mid:hi].T, factor, None)
+            self.moments = accumulate_moments(a_q)
         else:
             self._batch = a_q
-            for lo, mid, hi in self.splits:
-                if ridge and mid < hi:
-                    self._remainder[(lo, mid)] = _batch_remainder(
-                        a_q[:, lo:mid], a_q[:, mid:hi], lambda2
-                    )
+        self._remainder: dict[tuple[int, int], tuple] = {}
+        if lambda2 is None:
+            return
+        n = self.n_samples
+        for lo, mid, hi in self.splits[:-1]:
+            s, r, width = slice(lo, mid), slice(mid, hi), hi - mid
+            if n < width:  # sample space: X_r X_r^T + N lambda2 I
+                require_regularized(n, width, lambda2)
+                factor = spd_factor(a_q[:, r] @ a_q[:, r].T + n * lambda2 * np.eye(n))
+                self._remainder[(lo, mid)] = (a_q[:, s], factor, a_q[:, r].T)
+            else:  # input space: E[x_r x_r^T] + lambda2 I
+                factor = spd_factor(self._moment(r, r) + lambda2 * np.eye(width))
+                self._remainder[(lo, mid)] = (self._moment(r, s), factor, None)
+
+    def _moment(self, rows: slice, cols: slice) -> np.ndarray:
+        """E[x_rows x_cols^T], a view of the Gram or a product of batch slices.
+
+        The Gram is exactly symmetric, so its [cols, rows] view transposed
+        holds [rows, cols] in the layout the remainder products round in.
+        """
+        if self.moments is not None:
+            return self.moments[cols, rows].T
+        return self._batch[:, rows].T @ self._batch[:, cols] / self.n_samples
 
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
         """E[x_s x_s^T] for columns lo:mid.
@@ -393,8 +402,8 @@ class LayerMomentCache:
 
         Minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2 over the
         remainder update dW_r. Raises KeyError for the final split, which
-        leaves no remainder, and for every split of a cache built without
-        `lambda2`.
+        leaves no remainder, and for every split of a cache built with
+        `lambda2` None.
         """
         to_rhs, factor, from_samples = self._remainder[(lo, mid)]
         solution = solve_spd(factor, to_rhs @ delta_s)
@@ -408,24 +417,6 @@ class LayerMomentCache:
             return np.einsum("ij,ij->i", errs @ self.moments, errs)
         outputs = errs @ self._batch.T
         return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
-
-
-def _batch_remainder(a_s: np.ndarray, a_r: np.ndarray, lambda2: float) -> tuple:
-    """One split's remainder system from its batch slices, as used by remainder_update.
-
-    Returns (to_rhs, factor, from_samples). With fewer samples than
-    remainder columns the N x N system A_r A_r^T + N lambda2 I is factored
-    (push-through identity) and the update is -A_r^T F^{-1} A_s delta_s;
-    otherwise the D_r x D_r system E[x_r x_r^T] + lambda2 I, as from the
-    moments.
-    """
-    n, width = a_r.shape
-    if n < width:
-        require_regularized(n, width, lambda2)
-        factor = spd_factor(a_r @ a_r.T + n * lambda2 * np.eye(n))
-        return a_s, factor, a_r.T
-    factor = spd_factor(a_r.T @ a_r / n + lambda2 * np.eye(width))
-    return a_r.T @ a_s / n, factor, None
 
 
 def quantize_rows(
@@ -442,10 +433,10 @@ def quantize_rows(
     after refinement, why refinement stopped and how many coordinates it
     flipped, and the empirical squared output error of the partially
     quantized row, from one `cache.trace_mses` product per split.
-    Refinement runs only for k > 0. Rows never interact: a row's codes,
-    dequantized values, proxies and stop reasons do not depend on which
-    rows share the call, and its trace MSEs only through the last bits of
-    the block product.
+    Refinement runs only for k > 0, the remainder update only when `cache`
+    holds ridge factors. Rows never interact: a row's codes, dequantized
+    values, proxies and stop reasons do not depend on which rows share the
+    call, and its trace MSEs only through the last bits of the block product.
     """
     w = np.asarray(w, dtype=np.float64)
     d_out, dim = w.shape
@@ -474,7 +465,7 @@ def quantize_rows(
         codes[:, lo:mid] = block.codes
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
-        if cfg.ridge and mid < hi:
+        if cache.lambda2 is not None and mid < hi:
             delta = block.delta
             for i in range(d_out):
                 current[i, mid:hi] += cache.remainder_update(lo, mid, delta[i])
@@ -513,5 +504,5 @@ def quantize_layer_weights(
         raise ValueError(f"weight matrix of shape {w.shape} is empty")
     if len(channel_params) != w.shape[0]:
         raise ValueError("need one UniformParams per output channel")
-    cache = LayerMomentCache(a_q, cfg.lambda2 if cfg.ridge else None)
+    cache = LayerMomentCache(a_q, cfg.lambda2)
     return quantize_rows(w, channel_params, cache, cfg)

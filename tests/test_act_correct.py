@@ -144,8 +144,12 @@ class TestStructure:
         batch = np.zeros((4, 3))
         with pytest.raises(ValueError, match="D_in"):
             solve_activation_correction(w, np.zeros((4, 5)), np.zeros((4, 5)), 1.0)
-        for lam in (-1.0, np.nan, np.inf):
+        for lam in (-1.0, np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="finite and >= 0"):
+                solve_activation_correction(w, batch, batch, lam)
+        # as RunConfig: a bool, a string or None is not a strength
+        for lam in (True, "1", None):
+            with pytest.raises(ValueError, match="lambda1 must be an int or float, got"):
                 solve_activation_correction(w, batch, batch, lam)
         with pytest.raises(InsufficientSamplesError):
             solve_activation_correction(w, batch[:1], batch[:1], 1.0)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from quantred import weight_quant
+from quantred import pipeline, weight_quant
+from quantred import verify as verify_suites
 from quantred.cli import main
 from quantred.synth import SynthSpec, write_manifest_files
 from quantred.tensorfile import read_tensor, write_tensor
@@ -312,6 +313,22 @@ class TestQuantize:
         assert f"{name} must be an integer" in result.stderr
         assert not out.exists()
 
+    def test_lambda_beyond_float_range_in_config_exit_1(self, runner, manifest, tmp_path):
+        # a 401-digit JSON integer overflows math.isfinite
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"lambda1": 1' + "0" * 400 + "}")
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["quantize", "--manifest", str(manifest), "--out", str(out),
+             "--config", str(cfg_path)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: lambda1 must be finite and >= 0" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("stages", [[1], ["aqer", None]])
     def test_non_string_stage_in_config_exit_1(self, runner, manifest, tmp_path, stages):
         cfg_path = tmp_path / "cfg.json"
@@ -529,3 +546,35 @@ class TestSweep:
         assert result.exit_code == 1
         assert "exceeds the 48 calibration samples of layer 'layer0'" in result.stderr
         assert not (out / "sweep.csv").exists()
+
+
+class TestOutNotADirectory:
+    @pytest.mark.parametrize(
+        ("command", "work"),
+        [("quantize", "run_manifest"), ("ablate", "load_layers"),
+         ("sweep", "load_layers"), ("verify", "run_all")],
+    )
+    def test_out_file_exit_1_before_any_work(
+        self, runner, manifest, tmp_path, monkeypatch, command, work
+    ):
+        # an --out naming a regular file cannot become the output directory:
+        # a validation error before the run, not a traceback after it
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        module = verify_suites if command == "verify" else pipeline
+        monkeypatch.setattr(module, work, no_work)
+        args = [command, "--out", str(target)]
+        if command != "verify":
+            args += ["--manifest", str(manifest)]
+        if command == "sweep":
+            args += ["--param", "lambda", "--values", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"error: cannot create output directory {target}" in result.stderr
+        assert target.read_text() == "not a directory"

@@ -194,6 +194,24 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="finite"):
                 RunConfig.from_dict(json.loads(text))
 
+    def test_integer_lambda_beyond_float_range_rejected(self):
+        # 10**400 has no float value: math.isfinite raises OverflowError on it
+        huge = "1" + "0" * 400
+        for name in ("lambda1", "lambda2"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                RunConfig.from_dict(json.loads(f'{{"{name}": {huge}}}'))
+
+    def test_bare_string_stages_parsed(self):
+        # a str is parsed as from_dict and --stages parse it, not split into
+        # characters
+        assert RunConfig(stages="aqer").stages == frozenset({STAGE_AQER})
+        assert RunConfig(stages="aqer, wqer_ridge") == RunConfig(
+            stages=frozenset({STAGE_AQER, STAGE_RIDGE})
+        )
+        assert RunConfig().replace(stages="none").stages == frozenset()
+        with pytest.raises(ConfigError, match=r"unknown stages \['warp'\]"):
+            RunConfig(stages="aqer,warp")
+
     def test_json_integers_accepted_for_lambda(self):
         cfg = RunConfig.from_dict(json.loads('{"lambda1": 10, "lambda2": 0}'))
         assert (cfg.lambda1, cfg.lambda2) == (10, 0)

@@ -464,7 +464,7 @@ def _reference_channel(w_row, params, cache, cfg):
             proxy_after = committed[-1]
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
-        if cfg.ridge and mid < hi:
+        if cache.lambda2 is not None and mid < hi:
             current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
         err[mid:hi] = current[mid:hi] - w_row[mid:hi]
         rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
@@ -512,7 +512,7 @@ def _per_row_reference(w, channel_params, cache, cfg):
             codes[lo:mid] = state.codes
             w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
             err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
-            if cfg.ridge and mid < hi:
+            if cache.lambda2 is not None and mid < hi:
                 current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
             err[mid:hi] = current[mid:hi] - w_row[mid:hi]
             errs[iteration] = err
@@ -573,7 +573,7 @@ class TestChannelQuantization:
         rng = np.random.default_rng(100 + d_in)
         w, params, a_q = self._setup(rng, 3, d_in, n=48)
         # the rounding stage off runs the loop at k = 0, as finish_layer does
-        cfg = WeightQuantConfig(lambda2=0.5, k=k if rounding else 0, ridge=ridge)
+        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k if rounding else 0)
         cache = LayerMomentCache(a_q, cfg.lambda2)
         for i in range(3):
             got = quantize_rows(w[i : i + 1], params[i : i + 1], cache, cfg)
@@ -599,8 +599,8 @@ class TestChannelQuantization:
         rng = np.random.default_rng(40 + n + k)
         w, params = _mixed_rows(rng, 16)
         a_q = rng.normal(0.2, 1.0, (n, 16))
-        cfg = WeightQuantConfig(lambda2=0.5, k=k, ridge=ridge)
-        cache = LayerMomentCache(a_q, cfg.lambda2 if ridge else None)
+        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k)
+        cache = LayerMomentCache(a_q, cfg.lambda2)
         want_codes, want_w_bar, want_trace = _per_row_reference(w, params, cache, cfg)
         assert (want_codes == 0).any() and (want_codes == 15).any()
         runs = [(slice(0, 5), quantize_layer_weights(w, params, a_q, cfg))]
@@ -732,13 +732,28 @@ class TestChannelQuantization:
     def test_ridge_disabled_leaves_remainder_untouched(self):
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
-        cfg = WeightQuantConfig(lambda2=1.0, ridge=False, k=0)
+        cfg = WeightQuantConfig(lambda2=None, k=0)
         result = quantize_layer_weights(w, params, a_q, cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
             np.testing.assert_array_equal(result.w_bar[i], deq)
+
+    @pytest.mark.parametrize("n", [6, 64])
+    def test_cache_without_ridge_switches_the_ridge_off(self, n):
+        # the cache is the one ridge switch: a cache built with lambda2 None
+        # holds no remainder factors, so quantize_rows skips the remainder
+        # update whatever cfg says, and matches a run configured without it
+        rng = np.random.default_rng(19 + n)
+        w, params, a_q = self._setup(rng, 3, 8, n=n)
+        got = quantize_rows(w, params, LayerMomentCache(a_q, None), WeightQuantConfig())
+        want = quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=None))
+        np.testing.assert_array_equal(got.codes, want.codes)
+        np.testing.assert_array_equal(got.w_bar, want.w_bar)
+        assert got.trace == want.trace
+        ridged = quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=0.5))
+        assert got.trace != ridged.trace
 
     def test_ridge_reduces_final_error_on_correlated_batch(self):
         rng = np.random.default_rng(16)
@@ -747,8 +762,8 @@ class TestChannelQuantization:
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
         params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
-        cfg_on = WeightQuantConfig(lambda2=1.0, k=0, ridge=True)
-        cfg_off = WeightQuantConfig(lambda2=1.0, k=0, ridge=False)
+        cfg_on = WeightQuantConfig(lambda2=1.0, k=0)
+        cfg_off = WeightQuantConfig(lambda2=None, k=0)
         on = quantize_layer_weights(w, params, a_q, cfg_on)
         off = quantize_layer_weights(w, params, a_q, cfg_off)
 
@@ -782,9 +797,14 @@ class TestChannelQuantization:
             WeightQuantConfig(k=-1)
         with pytest.raises(ValueError, match="max_iter"):
             WeightQuantConfig(max_iter=-5)
-        for lam in (-0.1, float("nan"), float("inf")):
+        for lam in (-0.1, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="lambda2 must be finite"):
                 WeightQuantConfig(lambda2=lam)
+        # as RunConfig: a bool or a string is not a strength; None is no ridge
+        for lam in (True, False, "1", [1.0]):
+            with pytest.raises(ValueError, match="lambda2 must be an int or float, got"):
+                WeightQuantConfig(lambda2=lam)
+        assert WeightQuantConfig(lambda2=None).lambda2 is None
 
     @pytest.mark.parametrize(
         "field,value",
@@ -963,7 +983,7 @@ class TestProxyBlocks:
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
         params = tuple(calibrate(row, "uniform", 4) for row in w)
-        cfg = WeightQuantConfig(lambda2=0.5, k=k, ridge=ridge)
+        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k)
         quantize_layer_weights(w, params, a_q, cfg)
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
@@ -994,9 +1014,10 @@ class _FullWidthCache:
         self.moments = gram = accumulate_moments(a_q)
         self.dim = a_q.shape[1]
         self.splits = halving_splits(self.dim)
+        self.lambda2 = lambda2
         self._remainder = {}
         for lo, mid, hi in self.splits:
-            if mid < hi:
+            if lambda2 is not None and mid < hi:
                 factor = spd_factor(gram[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid))
                 self._remainder[(lo, mid)] = (gram[lo:mid, mid:hi], factor)
 
@@ -1054,7 +1075,7 @@ class TestThinBatch:
     @pytest.mark.parametrize("ridge", [True, False])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_channels_match_full_width_reference(self, rounding, ridge, k):
-        cfg = WeightQuantConfig(lambda2=0.5, k=k if rounding else 0, ridge=ridge)
+        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k if rounding else 0)
         for n, d_in in THIN_SHAPES:
             rng, a_q = self._batch(n, d_in)
             w = rng.normal(0, 0.5, (4, d_in))
