@@ -32,6 +32,7 @@ from .tensorfile import (
     write_tensor,
 )
 from .weight_quant import (
+    LayerMomentCache,
     LayerWeightResult,
     RoundingState,
     WeightQuantConfig,

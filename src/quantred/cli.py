@@ -129,27 +129,39 @@ def verify_command(out_dir, seed):
         sys.exit(3)
 
 
+def _table_command(name, columns, manifest_path, out_dir, config_path, flags, runner):
+    """Validate, run over the manifest's layers and write `<name>.csv`.
+
+    `runner()` checks the command's own options and returns the function
+    of (layers, config) that makes the rows.
+    """
+    try:
+        cfg = _build_config(config_path, **flags)
+        entries = load_manifest(manifest_path)
+        make_rows = runner()
+    except (ConfigError, ManifestError, TensorFormatError) as exc:
+        _fail_validation(exc)
+    out = _make_out_dir(out_dir)
+    try:
+        rows = make_rows(pipeline.load_layers(entries, cfg), cfg)
+    except ConfigError as exc:
+        _fail_validation(exc)
+    except NUMERICAL_ERRORS as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    path = out / f"{name}.csv"
+    pipeline.write_csv(path, rows, columns)
+    click.echo(json.dumps({name: str(path), "rows": len(rows)}, sort_keys=True))
+
+
 @main.command()
 @click.option("--manifest", "manifest_path", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_common_options
 def ablate(manifest_path, out_dir, config_path, **flags):
     """Run all eight stage combinations and write ablation.csv."""
-    try:
-        cfg = _build_config(config_path, **flags)
-        entries = load_manifest(manifest_path)
-    except (ConfigError, ManifestError, TensorFormatError) as exc:
-        _fail_validation(exc)
-    out = _make_out_dir(out_dir)
-    try:
-        layers = pipeline.load_layers(entries, cfg)
-        rows = pipeline.run_ablation(layers, cfg)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    path = out / "ablation.csv"
-    pipeline.write_csv(path, rows, pipeline.ABLATION_COLUMNS)
-    click.echo(json.dumps({"ablation": str(path), "rows": len(rows)}, sort_keys=True))
+    _table_command("ablation", pipeline.ABLATION_COLUMNS, manifest_path, out_dir,
+                   config_path, flags, lambda: pipeline.run_ablation)
 
 
 @main.command()
@@ -161,9 +173,8 @@ def ablate(manifest_path, out_dir, config_path, **flags):
 @_common_options
 def sweep(manifest_path, out_dir, param, values, config_path, **flags):
     """Sweep one parameter over a value list and write sweep.csv."""
-    try:
-        cfg = _build_config(config_path, **flags)
-        entries = load_manifest(manifest_path)
+
+    def runner():
         parse = float if param == "lambda" else int
         try:
             parsed = [parse(v.strip()) for v in values.split(",") if v.strip()]
@@ -171,20 +182,10 @@ def sweep(manifest_path, out_dir, param, values, config_path, **flags):
             raise ConfigError(f"cannot parse --values {values!r}") from None
         if not parsed:
             raise ConfigError("--values is empty")
-    except (ConfigError, ManifestError, TensorFormatError) as exc:
-        _fail_validation(exc)
-    out = _make_out_dir(out_dir)
-    try:
-        layers = pipeline.load_layers(entries, cfg)
-        rows = pipeline.run_sweep(param, parsed, layers, cfg)
-    except ConfigError as exc:
-        _fail_validation(exc)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    path = out / "sweep.csv"
-    pipeline.write_csv(path, rows, pipeline.SWEEP_COLUMNS)
-    click.echo(json.dumps({"rows": len(rows), "sweep": str(path)}, sort_keys=True))
+        return lambda layers, cfg: pipeline.run_sweep(param, parsed, layers, cfg)
+
+    _table_command("sweep", pipeline.SWEEP_COLUMNS, manifest_path, out_dir,
+                   config_path, flags, runner)
 
 
 if __name__ == "__main__":

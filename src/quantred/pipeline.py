@@ -7,6 +7,12 @@ and ridge correction of the unquantized remainder ("wqer_ridge").
 Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
+`LayerRun` is the one per-layer runner. It calibrates once, builds the
+aqer step and the weight loop's moment cache when a result first needs
+them, and keeps the last of each for the next result; `quantize_layer`,
+`run_ablation` and `run_sweep` are loops over `LayerRun.result`, so what
+they share follows from what each product depends on.
+
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
 accepted and validated but has no effect: the weight loop runs all
@@ -43,7 +49,7 @@ from .quantizers import (
     quantize_with_scheme,
 )
 from .tensorfile import LayerManifestEntry, read_tensor, write_tensor
-from .weight_quant import TRACE_FIELDS, WeightQuantConfig, quantize_layer_weights
+from .weight_quant import TRACE_FIELDS, LayerMomentCache, WeightQuantConfig, quantize_layer_weights
 
 STAGE_AQER = "aqer"
 STAGE_ROUNDING = "wqer_rounding"
@@ -104,12 +110,23 @@ class RunConfig:
                 raise ConfigError(f"bit widths must be >= 2 and <= {MAX_BITS}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if isinstance(self.stages, str):  # a --stages or config-file string
-            object.__setattr__(self, "stages", RunConfig.parse_stages(self.stages))
-        unknown = set(self.stages) - set(ALL_STAGES)
+        stages = self.stages
+        if isinstance(stages, str):  # a --stages or config-file string
+            stages = RunConfig.parse_stages(stages)
+        try:
+            stages = frozenset(stages)
+            valid = all(isinstance(stage, str) for stage in stages)
+        except TypeError:  # not iterable, or an unhashable item
+            valid = False
+        if not valid:
+            raise ConfigError(
+                "stages must be a string or a collection of stage names, "
+                f"got {self.stages!r}"
+            )
+        unknown = stages - set(ALL_STAGES)
         if unknown:
             raise ConfigError(f"unknown stages {sorted(unknown)}")
-        object.__setattr__(self, "stages", frozenset(self.stages))
+        object.__setattr__(self, "stages", stages)
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
@@ -183,32 +200,10 @@ def _ratio(before: float, after: float) -> float:
 
 
 @dataclass(frozen=True)
-class LayerPrefix:
-    """The part of one layer's quantization that no stage, lambda or k changes.
-
-    Ablations and sweeps compute it once per layer and run every stage
-    combination or swept value on top of it.
-    """
-
-    w: np.ndarray
-    a_fp: np.ndarray
-    bits_w: int
-    bits_a: int
-    act_scheme: QuantScheme
-    a_q: np.ndarray
-    eval_fp: np.ndarray
-    eval_q: np.ndarray
-    base_scheme: QuantScheme
-    base_codes: np.ndarray
-    base_w_bar: np.ndarray
-    mse_baseline: float
-    timings: dict
-
-
-@dataclass(frozen=True)
 class AqerStep:
     """The activation correction at one lambda1, re-calibrated and re-quantized."""
 
+    lambda1: float
     updated_w: np.ndarray
     scheme: QuantScheme
     codes: np.ndarray
@@ -218,156 +213,155 @@ class AqerStep:
     aqer_s: float
 
 
-def layer_prefix(
-    w: np.ndarray,
-    a_fp: np.ndarray,
-    act_family: str,
-    bits_w: int,
-    bits_a: int,
-    eval_batch: np.ndarray | None = None,
-) -> LayerPrefix:
-    """Calibrate activations and weights and score plain round-to-nearest."""
-    w = np.asarray(w, dtype=np.float64)
-    a_fp = np.asarray(a_fp, dtype=np.float64)
-    if w.ndim != 2 or a_fp.ndim != 2 or w.shape[1] != a_fp.shape[1]:
-        raise ValueError(
-            f"incompatible shapes: weights {w.shape}, activations {a_fp.shape}"
-        )
-    if w.size == 0:
-        raise ValueError(f"weight matrix of shape {w.shape} is empty")
-    timings = {}
-    t0 = time.perf_counter()
-    act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
-    timings["act_calib"] = time.perf_counter() - t0
-    _, a_q = quantize_with_scheme(a_fp, act_scheme)
-    t0 = time.perf_counter()
-    base_scheme = calibrate_scale(w, "uniform", bits_w, "per_channel")
-    timings["weight_calib"] = time.perf_counter() - t0
-    base_codes, base_w_bar = quantize_with_scheme(w, base_scheme)
+class LayerRun:
+    """One layer's quantization, each product built once for every result asked of it.
 
-    if eval_batch is None:
-        eval_fp, eval_q = a_fp, a_q
-    else:
-        eval_fp = np.asarray(eval_batch, dtype=np.float64)
-        if eval_fp.ndim != 2 or eval_fp.shape[1] != w.shape[1]:
+    The constructor calibrates activations and weights and scores plain
+    round-to-nearest, which no stage, lambda or k changes. `aqer` keeps the
+    last activation-correction step (it depends on lambda1) and
+    `moment_cache` one weight-loop cache per ridge setting (on at one
+    lambda2, or off); `result` runs the configured stages on top of them.
+    So an ablation or a sweep asks one run for every combination or value,
+    and each product is built once per value of what it depends on. A stale
+    step or cache is dropped before its replacement is built, so a run never
+    holds two of one kind.
+    """
+
+    def __init__(
+        self,
+        w: np.ndarray,
+        a_fp: np.ndarray,
+        act_family: str,
+        bits_w: int,
+        bits_a: int,
+        eval_batch: np.ndarray | None = None,
+    ):
+        w = np.asarray(w, dtype=np.float64)
+        a_fp = np.asarray(a_fp, dtype=np.float64)
+        if w.ndim != 2 or a_fp.ndim != 2 or w.shape[1] != a_fp.shape[1]:
             raise ValueError(
-                f"incompatible eval batch shape {eval_fp.shape} for weights {w.shape}"
+                f"incompatible shapes: weights {w.shape}, activations {a_fp.shape}"
             )
-        _, eval_q = quantize_with_scheme(eval_fp, act_scheme)
-
-    return LayerPrefix(
-        w=w,
-        a_fp=a_fp,
-        bits_w=bits_w,
-        bits_a=bits_a,
-        act_scheme=act_scheme,
-        a_q=a_q,
-        eval_fp=eval_fp,
-        eval_q=eval_q,
-        base_scheme=base_scheme,
-        base_codes=base_codes,
-        base_w_bar=base_w_bar,
-        mse_baseline=layer_mse(w, eval_fp, base_w_bar, eval_q),
-        timings=timings,
-    )
-
-
-def aqer_step(prefix: LayerPrefix, lambda1: float) -> AqerStep:
-    """Correct the weights for the activation error, then re-calibrate them.
-
-    The update shifts rows, so the weight scales are calibrated again on
-    the corrected weights.
-    """
-    t0 = time.perf_counter()
-    updated_w = prefix.w + solve_activation_correction(
-        prefix.w, prefix.a_fp, prefix.a_q, lambda1
-    )
-    t1 = time.perf_counter()
-    scheme = calibrate_scale(updated_w, "uniform", prefix.bits_w, "per_channel")
-    t2 = time.perf_counter()
-    codes, w_bar = quantize_with_scheme(updated_w, scheme)
-    mse = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
-    return AqerStep(
-        updated_w=updated_w,
-        scheme=scheme,
-        codes=codes,
-        w_bar=w_bar,
-        mse=mse,
-        calib_s=t2 - t1,
-        aqer_s=(t1 - t0) + (time.perf_counter() - t2),
-    )
-
-
-def finish_layer(
-    prefix: LayerPrefix,
-    aqer: AqerStep | None,
-    cfg: RunConfig,
-    layer_id: str = "layer",
-) -> LayerResult:
-    """Run the configured stages on top of a prefix and collect the result.
-
-    `aqer` is used only when the aqer stage is on, and must then be the
-    step at `cfg.lambda1`.
-    """
-    aqer_on = STAGE_AQER in cfg.stages
-    rounding_on = STAGE_ROUNDING in cfg.stages
-    ridge_on = STAGE_RIDGE in cfg.stages
-    mse = {"baseline": prefix.mse_baseline}
-    reduction = {}
-    timings = dict(prefix.timings)
-
-    current = prefix.w
-    weight_scheme = prefix.base_scheme
-    codes, w_bar = prefix.base_codes, prefix.base_w_bar
-    if aqer_on:
-        if aqer is None:
-            raise ValueError("the aqer stage is on but no aqer step was given")
-        current = aqer.updated_w
-        weight_scheme = aqer.scheme
-        codes, w_bar = aqer.codes, aqer.w_bar
-        mse["after_aqer"] = aqer.mse
-        reduction["aqer"] = _ratio(mse["baseline"], mse["after_aqer"])
-        timings["weight_calib"] += aqer.calib_s
-        timings["aqer"] = aqer.aqer_s
-
-    trace = ()
-    if rounding_on or ridge_on:
+        if w.size == 0:
+            raise ValueError(f"weight matrix of shape {w.shape} is empty")
+        self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
+        self.timings = {}
         t0 = time.perf_counter()
-        wq_cfg = WeightQuantConfig(
-            k=cfg.k if rounding_on else 0,
-            max_iter=cfg.max_iter,
-            lambda2=cfg.lambda2 if ridge_on else None,
+        self.act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
+        self.timings["act_calib"] = time.perf_counter() - t0
+        _, self.a_q = quantize_with_scheme(a_fp, self.act_scheme)
+        t0 = time.perf_counter()
+        self.base_scheme = calibrate_scale(w, "uniform", bits_w, "per_channel")
+        self.timings["weight_calib"] = time.perf_counter() - t0
+        self.base_codes, self.base_w_bar = quantize_with_scheme(w, self.base_scheme)
+
+        if eval_batch is None:
+            self.eval_fp, self.eval_q = a_fp, self.a_q
+        else:
+            self.eval_fp = np.asarray(eval_batch, dtype=np.float64)
+            if self.eval_fp.ndim != 2 or self.eval_fp.shape[1] != w.shape[1]:
+                raise ValueError(
+                    f"incompatible eval batch shape {self.eval_fp.shape} "
+                    f"for weights {w.shape}"
+                )
+            _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_scheme)
+        self.mse_baseline = layer_mse(w, self.eval_fp, self.base_w_bar, self.eval_q)
+        self._aqer: AqerStep | None = None
+        self._caches: dict[bool, LayerMomentCache] = {}  # keyed by ridge on
+
+    def aqer(self, lambda1: float) -> AqerStep:
+        """Correct the weights for the activation error, then re-calibrate them.
+
+        The update shifts rows, so the weight scales are calibrated again on
+        the corrected weights.
+        """
+        if self._aqer is not None and self._aqer.lambda1 == lambda1:
+            return self._aqer
+        self._aqer = None  # drop the stale step before building its replacement
+        t0 = time.perf_counter()
+        updated_w = self.w + solve_activation_correction(
+            self.w, self.a_fp, self.a_q, lambda1
         )
-        wres = quantize_layer_weights(current, weight_scheme.params, prefix.a_q, wq_cfg)
-        codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
-        mse["after_wqer"] = layer_mse(prefix.w, prefix.eval_fp, w_bar, prefix.eval_q)
-        prev = mse["after_aqer"] if aqer_on else mse["baseline"]
-        reduction["wqer"] = _ratio(prev, mse["after_wqer"])
-        timings["wqer"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        scheme = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
+        t2 = time.perf_counter()
+        codes, w_bar = quantize_with_scheme(updated_w, scheme)
+        self._aqer = AqerStep(
+            lambda1=lambda1,
+            updated_w=updated_w,
+            scheme=scheme,
+            codes=codes,
+            w_bar=w_bar,
+            mse=layer_mse(self.w, self.eval_fp, w_bar, self.eval_q),
+            calib_s=t2 - t1,
+            aqer_s=(t1 - t0) + (time.perf_counter() - t2),
+        )
+        return self._aqer
 
-    if "after_wqer" in mse:
-        mse["final"] = mse["after_wqer"]
-    elif "after_aqer" in mse:
-        mse["final"] = mse["after_aqer"]
-    else:
-        mse["final"] = mse["baseline"]
-    reduction["cumulative"] = _ratio(mse["baseline"], mse["final"])
+    def moment_cache(self, lambda2: float | None) -> LayerMomentCache:
+        """The weight loop's moment cache of the quantized batch; None: no ridge."""
+        ridge_on = lambda2 is not None
+        if ridge_on not in self._caches or self._caches[ridge_on].lambda2 != lambda2:
+            # drop the stale cache before building its replacement
+            self._caches.pop(ridge_on, None)
+            self._caches[ridge_on] = LayerMomentCache(self.a_q, lambda2)
+        return self._caches[ridge_on]
 
-    return LayerResult(
-        layer_id=layer_id,
-        n_samples=prefix.a_fp.shape[0],
-        bits_w=prefix.bits_w,
-        bits_a=prefix.bits_a,
-        act_scheme=prefix.act_scheme,
-        weight_scheme=weight_scheme,
-        codes=codes,
-        w_bar=w_bar,
-        a_q=prefix.a_q,
-        mse=mse,
-        reduction=reduction,
-        trace=trace,
-        timings=timings,
-    )
+    def result(self, cfg: RunConfig, layer_id: str = "layer") -> LayerResult:
+        """Run the configured stages and collect the result."""
+        aqer_on = STAGE_AQER in cfg.stages
+        rounding_on = STAGE_ROUNDING in cfg.stages
+        ridge_on = STAGE_RIDGE in cfg.stages
+        mse = {"baseline": self.mse_baseline}
+        reduction = {}
+        timings = dict(self.timings)
+
+        current = self.w
+        weight_scheme = self.base_scheme
+        codes, w_bar = self.base_codes, self.base_w_bar
+        if aqer_on:
+            aqer = self.aqer(cfg.lambda1)
+            current = aqer.updated_w
+            weight_scheme = aqer.scheme
+            codes, w_bar = aqer.codes, aqer.w_bar
+            mse["after_aqer"] = aqer.mse
+            reduction["aqer"] = _ratio(mse["baseline"], mse["after_aqer"])
+            timings["weight_calib"] += aqer.calib_s
+            timings["aqer"] = aqer.aqer_s
+
+        trace = ()
+        if rounding_on or ridge_on:
+            t0 = time.perf_counter()
+            wres = quantize_layer_weights(
+                current,
+                weight_scheme.params,
+                self.moment_cache(cfg.lambda2 if ridge_on else None),
+                WeightQuantConfig(k=cfg.k if rounding_on else 0, max_iter=cfg.max_iter),
+            )
+            codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
+            mse["after_wqer"] = layer_mse(self.w, self.eval_fp, w_bar, self.eval_q)
+            prev = mse.get("after_aqer", mse["baseline"])
+            reduction["wqer"] = _ratio(prev, mse["after_wqer"])
+            timings["wqer"] = time.perf_counter() - t0
+
+        mse["final"] = mse.get("after_wqer", mse.get("after_aqer", mse["baseline"]))
+        reduction["cumulative"] = _ratio(mse["baseline"], mse["final"])
+
+        return LayerResult(
+            layer_id=layer_id,
+            n_samples=self.a_fp.shape[0],
+            bits_w=self.bits_w,
+            bits_a=self.bits_a,
+            act_scheme=self.act_scheme,
+            weight_scheme=weight_scheme,
+            codes=codes,
+            w_bar=w_bar,
+            a_q=self.a_q,
+            mse=mse,
+            reduction=reduction,
+            trace=trace,
+            timings=timings,
+        )
 
 
 def quantize_layer(
@@ -392,12 +386,10 @@ def quantize_layer(
     (quantized with the calibration-fitted parameters); by default the
     calibration batch itself is evaluated.
 
-    This is `layer_prefix`, then `aqer_step` when the aqer stage is on,
-    then `finish_layer`.
+    This is one `LayerRun` asked for one result.
     """
-    prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a, eval_batch)
-    aqer = aqer_step(prefix, cfg.lambda1) if STAGE_AQER in cfg.stages else None
-    return finish_layer(prefix, aqer, cfg, layer_id)
+    run = LayerRun(w, a_fp, act_family, bits_w, bits_a, eval_batch)
+    return run.result(cfg, layer_id)
 
 
 def _params_dict(p) -> dict:
@@ -543,8 +535,9 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
 
     Returns one row per (combination, layer) with the final MSE and the
     reduction against that layer's plain round-to-nearest baseline, in
-    combination-major order. Each layer's prefix and aqer step are
-    computed once and shared by all eight combinations. An empty layer
+    combination-major order. One `LayerRun` per layer serves all eight
+    combinations, so each layer is calibrated once, solves aqer once and
+    builds one moment cache with the ridge and one without. An empty layer
     list raises ConfigError.
     """
     if not layers:
@@ -552,10 +545,9 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
     combos = [(name, stages, cfg.replace(stages=stages)) for name, stages in ABLATION_GRID]
     per_combo = [[] for _ in combos]
     for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
-        prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a)
-        aqer = aqer_step(prefix, cfg.lambda1)
+        run = LayerRun(w, a_fp, act_family, bits_w, bits_a)
         for rows, (combo_name, stages, combo_cfg) in zip(per_combo, combos):
-            result = finish_layer(prefix, aqer, combo_cfg, layer_id)
+            result = run.result(combo_cfg, layer_id)
             rows.append(
                 {
                     "combination": combo_name,
@@ -579,9 +571,10 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     on the first v rows only while always evaluating MSE on the full
     batch, so rows are comparable across calibration sizes.
 
-    Each layer's prefix is computed once for a `lambda` or `k` sweep, and
-    its aqer step once for a `k` sweep; `n_images` changes the calibration
-    batch, so each value runs the whole layer.
+    A `lambda` or `k` sweep asks one `LayerRun` per layer for every value,
+    so a `k` sweep solves aqer and builds the moment cache once per layer,
+    and a `lambda` sweep once per value; `n_images` changes the calibration
+    batch, so each value gets a run of its own.
 
     Raises ConfigError before any work for an unknown param, no values, no
     layers, or a `k` or `n_images` value that is not an integer.
@@ -610,25 +603,20 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
                     f"n_images {largest} exceeds the {a_fp.shape[0]} "
                     f"calibration samples of layer {layer_id!r}"
                 )
-    aqer_on = STAGE_AQER in cfg.stages
     per_value = [([], [], []) for _ in values]
     for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
-        shared_prefix = shared_aqer = None
-        if param != "n_images":
-            shared_prefix = layer_prefix(w, a_fp, act_family, bits_w, bits_a)
-        if param == "k" and aqer_on:
-            shared_aqer = aqer_step(shared_prefix, cfg.lambda1)
+        run = None
         for value, run_cfg, (baselines, finals, reductions) in zip(
             values, run_cfgs, per_value
         ):
-            prefix, aqer = shared_prefix, shared_aqer
-            if prefix is None:
-                prefix = layer_prefix(
+            if param == "n_images":
+                run = None  # drop the last size's products before the next run
+                run = LayerRun(
                     w, a_fp[: int(value)], act_family, bits_w, bits_a, eval_batch=a_fp
                 )
-            if aqer is None and aqer_on:
-                aqer = aqer_step(prefix, run_cfg.lambda1)
-            result = finish_layer(prefix, aqer, run_cfg, layer_id)
+            elif run is None:
+                run = LayerRun(w, a_fp, act_family, bits_w, bits_a)
+            result = run.result(run_cfg, layer_id)
             baselines.append(result.mse["baseline"])
             finals.append(result.mse["final"])
             reductions.append(result.reduction["cumulative"])

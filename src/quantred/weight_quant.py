@@ -18,8 +18,8 @@ just committed:
      (E[x_r x_r^T] + lambda2 I)^{-1}, added onto the remaining columns.
 
 Every channel uses the same splits, so the loop runs the splits outside
-and the channels inside (`quantize_rows`). Per split, for the whole
-(d_out, D_s) block at once:
+and the channels inside (`quantize_layer_weights`). Per split, for the
+whole (d_out, D_s) block at once:
 
   - the candidates of step 1, one `init_rounding` call: `uniform_codes`
     and `dequantize_uniform` on the block, with each row's lattice
@@ -40,11 +40,14 @@ side per split, would change the per-call structure the benchmark's
 traced call counts pin.
 
 Proxy blocks and ridge factorizations depend only on the column split,
-so all channels share them through one `LayerMomentCache` per layer. The
-ridge factorizations are computed once, when the cache is built;
-`LayerMomentCache.remainder_update` is the one implementation of step 3,
-also exercised by `quantred verify`; a cache built with lambda2 None
-holds none, the one switch that turns step 3 off. The proxy, the trace
+so all channels share them through one `LayerMomentCache`, which the
+caller builds and passes in: it depends only on the batch and lambda2, so
+several weight loops of one layer can share it (`pipeline.LayerRun` keeps
+one per ridge setting). The ridge factorizations are computed once, when
+the cache is built; `LayerMomentCache.remainder_update` is the one
+implementation of step 3, also exercised by `quantred verify`. The cache
+holds the only lambda2, and one built with lambda2 None holds no factors,
+the one switch that turns step 3 off. The proxy, the trace
 MSE and the ridge all read one second moment, the 1/N Gram E[x x^T]
 (`moments.accumulate_moments`): a proxy block is a view of it. When the
 batch has fewer samples N than columns, the cache forms no D_in x D_in
@@ -81,9 +84,10 @@ from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_
 
 @dataclass(frozen=True)
 class WeightQuantConfig:
+    """Refinement settings; the ridge lives in the `LayerMomentCache`."""
+
     k: int = 1
     max_iter: int = 100
-    lambda2: float | None = 1e4  # None: no remainder ridge
 
     def __post_init__(self):
         for name in ("k", "max_iter"):
@@ -94,8 +98,6 @@ class WeightQuantConfig:
             raise ValueError("k must be >= 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.lambda2 is not None:
-            require_strength("lambda2", self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -339,12 +341,15 @@ class LayerMomentCache:
     (`moments` is None): `proxy_matrix` builds each block X_s^T X_s / N
     from the batch slice X_s each time it is called, so a caller that drops
     one split's block before asking for the next holds one block at a time,
-    as `quantize_rows` does. Each remainder system is factored in the
-    smaller of its two spaces, so no D x D matrix is formed. `lambda2` None
-    builds no remainder systems, and `quantize_rows` then skips the ridge.
+    as `quantize_layer_weights` does. Each remainder system is factored in
+    the smaller of its two spaces, so no D x D matrix is formed. `lambda2`
+    None builds no remainder systems, and `quantize_layer_weights` then
+    skips the ridge.
     """
 
     def __init__(self, a_q: np.ndarray, lambda2: float | None):
+        if lambda2 is not None:
+            require_strength("lambda2", lambda2)
         a_q = np.asarray(a_q, dtype=np.float64)
         self.n_samples, self.dim = a_q.shape
         if self.n_samples < 2:
@@ -419,7 +424,7 @@ class LayerMomentCache:
         return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
 
 
-def quantize_rows(
+def quantize_layer_weights(
     w: np.ndarray,
     channel_params: Sequence[UniformParams],
     cache: LayerMomentCache,
@@ -427,19 +432,26 @@ def quantize_rows(
 ) -> LayerWeightResult:
     """Run the progressive loop for the rows of w, splits outside, rows inside.
 
-    Row i is quantized on the fixed lattice `channel_params[i]`. Returns
-    the codes, the dequantized rows and, per row, one trace row per
-    iteration keyed by TRACE_FIELDS: the slice size, the proxy before and
-    after refinement, why refinement stopped and how many coordinates it
-    flipped, and the empirical squared output error of the partially
-    quantized row, from one `cache.trace_mses` product per split.
-    Refinement runs only for k > 0, the remainder update only when `cache`
-    holds ridge factors. Rows never interact: a row's codes, dequantized
-    values, proxies and stop reasons do not depend on which rows share the
-    call, and its trace MSEs only through the last bits of the block product.
+    Row i is quantized on the fixed lattice `channel_params[i]`, against the
+    layer's moment cache. Returns the codes, the dequantized rows and, per
+    row, one trace row per iteration keyed by TRACE_FIELDS: the slice size,
+    the proxy before and after refinement, why refinement stopped and how
+    many coordinates it flipped, and the empirical squared output error of
+    the partially quantized row, from one `cache.trace_mses` product per
+    split. Refinement runs only for k > 0, the remainder update only when
+    `cache` holds ridge factors (was built with a lambda2). Rows never
+    interact: a row's codes, dequantized values, proxies and stop reasons
+    do not depend on which rows share the call, and its trace MSEs only
+    through the last bits of the block product.
     """
     w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError("expected a 2-D weight matrix")
+    if w.size == 0:
+        raise ValueError(f"weight matrix of shape {w.shape} is empty")
     d_out, dim = w.shape
+    if len(channel_params) != d_out:
+        raise ValueError("need one UniformParams per output channel")
     if dim != cache.dim:
         raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
     lattice = row_lattice(channel_params)
@@ -488,21 +500,3 @@ def quantize_rows(
                 )
             )
     return LayerWeightResult(codes=codes, w_bar=w_bar, trace=trace)
-
-
-def quantize_layer_weights(
-    w: np.ndarray,
-    channel_params: tuple[UniformParams, ...],
-    a_q: np.ndarray,
-    cfg: WeightQuantConfig,
-) -> LayerWeightResult:
-    """Quantize all output channels against one shared moment cache."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError("expected a 2-D weight matrix")
-    if w.size == 0:
-        raise ValueError(f"weight matrix of shape {w.shape} is empty")
-    if len(channel_params) != w.shape[0]:
-        raise ValueError("need one UniformParams per output channel")
-    cache = LayerMomentCache(a_q, cfg.lambda2)
-    return quantize_rows(w, channel_params, cache, cfg)

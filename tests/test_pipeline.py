@@ -1,6 +1,7 @@
 """Run configuration, per-layer pipeline, manifest runs, ablation, sweeps."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"unknown stages \['warp'\]"):
             RunConfig(stages="aqer,warp")
 
+    @pytest.mark.parametrize("stages", [5, None, [["aqer"]], [1, "warp"]])
+    def test_malformed_stages_rejected(self, stages):
+        # a library caller's non-iterable, nested or non-string stages is a
+        # ConfigError naming the field, not a TypeError from set() or sorted()
+        with pytest.raises(ConfigError, match="stages must be a string or a collection"):
+            RunConfig(stages=stages)
+        with pytest.raises(ConfigError, match="stages must be"):
+            RunConfig().replace(stages=stages)
+
     def test_json_integers_accepted_for_lambda(self):
         cfg = RunConfig.from_dict(json.loads('{"lambda1": 10, "lambda2": 0}'))
         assert (cfg.lambda1, cfg.lambda2) == (10, 0)
@@ -324,19 +334,16 @@ class TestQuantizeLayer:
         quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(lambda1=1.0, lambda2=1.0))
         assert call_counts == {"per_tensor": 1, "per_channel": 2, "aqer": 1}
 
-    def test_composes_prefix_aqer_step_and_tail(self):
+    def test_layer_run_result_equals_quantize_layer(self):
         rng = np.random.default_rng(15)
         w, a_fp = _layer(rng, n=48)
         cfg = RunConfig(lambda1=1.0, lambda2=1.0)
-        prefix = pipeline.layer_prefix(w, a_fp, "uniform", 4, 4)
-        aqer = pipeline.aqer_step(prefix, cfg.lambda1)
-        split = pipeline.finish_layer(prefix, aqer, cfg, "x")
+        run = pipeline.LayerRun(w, a_fp, "uniform", 4, 4)
+        split = run.result(cfg, "x")
         whole = quantize_layer(w, a_fp, "uniform", 4, 4, cfg, layer_id="x")
         np.testing.assert_array_equal(split.codes, whole.codes)
         assert split.mse == whole.mse and split.reduction == whole.reduction
         assert set(split.timings) == set(whole.timings)
-        with pytest.raises(ValueError, match="aqer step"):
-            pipeline.finish_layer(prefix, None, cfg)
 
     def test_jobs_do_not_change_results(self):
         rng = np.random.default_rng(5)
@@ -347,6 +354,108 @@ class TestQuantizeLayer:
         np.testing.assert_array_equal(r1.codes, r8.codes)
         np.testing.assert_array_equal(r1.w_bar, r8.w_bar)
         assert r1.mse == r8.mse
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Record every aqer step and moment cache pipeline builds.
+
+    Each entry is (lambda, weakref to the product, how many products of the
+    same kind were still alive when it was built); a moment cache counts
+    only the live caches of its own ridge setting (on or off).
+    """
+    record = {"aqer": [], "cache": []}
+    real_step = pipeline.AqerStep
+    real_cache = pipeline.LayerMomentCache
+
+    def alive(kind, same=lambda lam: True):
+        return sum(1 for lam, ref, _ in record[kind] if ref() is not None and same(lam))
+
+    def step(**fields):
+        before = alive("aqer")
+        product = real_step(**fields)
+        record["aqer"].append((fields["lambda1"], weakref.ref(product), before))
+        return product
+
+    def cache(a_q, lambda2):
+        before = alive("cache", lambda lam: (lam is None) == (lambda2 is None))
+        product = real_cache(a_q, lambda2)
+        record["cache"].append((lambda2, weakref.ref(product), before))
+        return product
+
+    monkeypatch.setattr(pipeline, "AqerStep", step)
+    monkeypatch.setattr(pipeline, "LayerMomentCache", cache)
+    return record
+
+
+def _lambdas(record, kind):
+    return [lam for lam, _, _ in record[kind]]
+
+
+class TestLayerRun:
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    def test_result_after_the_other_combinations_equals_a_fresh_layer(self, n, order):
+        # the products a run keeps must not depend on which results were
+        # asked of it before: each combination, run after the other seven,
+        # equals quantize_layer bit for bit
+        rng = np.random.default_rng(23 + n)
+        w, a_fp = _layer(rng, d_out=5, d_in=12, n=n)
+        cfg = RunConfig(lambda1=0.5, lambda2=0.5)
+        grid = [stages for _, stages in ABLATION_GRID][::order]
+        for last, stages in enumerate(grid):
+            run = pipeline.LayerRun(w, a_fp, "uniform", 4, 4)
+            for i, other in enumerate(grid):
+                if i != last:
+                    run.result(cfg.replace(stages=other), "x")
+            got = run.result(cfg.replace(stages=stages), "x")
+            want = quantize_layer(
+                w, a_fp, "uniform", 4, 4, cfg.replace(stages=stages), layer_id="x"
+            )
+            np.testing.assert_array_equal(got.codes, want.codes)
+            np.testing.assert_array_equal(got.w_bar, want.w_bar)
+            assert got.mse == want.mse and got.reduction == want.reduction
+            assert got.trace == want.trace
+
+    def test_ablation_builds_one_aqer_step_and_two_caches_per_layer(self, builds):
+        layers = _chain(5, 32) + _chain(6, 8)[:1]
+        run_ablation(layers, RunConfig(lambda1=1.0, lambda2=2.0))
+        assert _lambdas(builds, "aqer") == [1.0] * len(layers)
+        # per layer one cache with the ridge and one without, in grid order
+        assert _lambdas(builds, "cache") == [None, 2.0] * len(layers)
+
+    def test_k_sweep_builds_one_cache_per_layer(self, builds):
+        layers = _chain(18, 32)
+        run_sweep("k", [0, 1, 2], layers, RunConfig(lambda1=1.0, lambda2=2.0))
+        assert _lambdas(builds, "aqer") == [1.0] * len(layers)
+        assert _lambdas(builds, "cache") == [2.0] * len(layers)
+
+    def test_lambda_sweep_builds_each_product_per_value(self, builds):
+        layers = _chain(19, 32)
+        rows = run_sweep("lambda", [1.0, 10.0, 1.0], layers, RunConfig())
+        per_layer = [1.0, 10.0, 1.0]
+        assert _lambdas(builds, "aqer") == per_layer * len(layers)
+        assert _lambdas(builds, "cache") == per_layer * len(layers)
+        assert rows[0] == rows[2]
+
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    def test_stale_products_dropped_before_their_replacements(self, builds, n):
+        # a run keeps one aqer step and one cache per ridge setting, and
+        # drops the stale one first: a lambda sweep never holds two Grams
+        layers = _chain(20, n)
+        run_sweep("lambda", [1.0, 10.0, 1.0, 100.0], layers, RunConfig())
+        run = pipeline.LayerRun(*layers[0][1:])
+        for lambda2 in (None, 1.0, 2.0, None, 2.0):
+            run.moment_cache(lambda2)
+        for lambda1 in (1.0, 2.0, 2.0, 1.0):
+            run.aqer(lambda1)
+        assert len(builds["cache"]) == 4 * len(layers) + 3
+        assert len(builds["aqer"]) == 4 * len(layers) + 3
+        assert [before for _, _, before in builds["aqer"] + builds["cache"]] == [0] * (
+            8 * len(layers) + 6
+        )
+        live = [ref() for _, ref, _ in builds["cache"] if ref() is not None]
+        assert sorted(cache.lambda2 is None for cache in live) == [False, True]
 
 
 class TestManifestRun:

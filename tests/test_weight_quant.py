@@ -36,7 +36,6 @@ from quantred.weight_quant import (
     proxy_gradient,
     proxy_value,
     quantize_layer_weights,
-    quantize_rows,
     refine_rounding,
 )
 
@@ -572,11 +571,11 @@ class TestChannelQuantization:
     def test_trace_matches_per_split_reference(self, d_in, rounding, ridge, k):
         rng = np.random.default_rng(100 + d_in)
         w, params, a_q = self._setup(rng, 3, d_in, n=48)
-        # the rounding stage off runs the loop at k = 0, as finish_layer does
-        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k if rounding else 0)
-        cache = LayerMomentCache(a_q, cfg.lambda2)
+        # the rounding stage off runs the loop at k = 0, as LayerRun.result does
+        cfg = WeightQuantConfig(k=k if rounding else 0)
+        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
         for i in range(3):
-            got = quantize_rows(w[i : i + 1], params[i : i + 1], cache, cfg)
+            got = quantize_layer_weights(w[i : i + 1], params[i : i + 1], cache, cfg)
             trace = got.trace[0]
             codes, rows = _reference_channel(w[i], params[i], cache, cfg)
             np.testing.assert_array_equal(got.codes[0], codes)
@@ -599,13 +598,13 @@ class TestChannelQuantization:
         rng = np.random.default_rng(40 + n + k)
         w, params = _mixed_rows(rng, 16)
         a_q = rng.normal(0.2, 1.0, (n, 16))
-        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k)
-        cache = LayerMomentCache(a_q, cfg.lambda2)
+        cfg = WeightQuantConfig(k=k)
+        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
         want_codes, want_w_bar, want_trace = _per_row_reference(w, params, cache, cfg)
         assert (want_codes == 0).any() and (want_codes == 15).any()
-        runs = [(slice(0, 5), quantize_layer_weights(w, params, a_q, cfg))]
+        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, cfg))]
         for i in range(5):
-            one = quantize_layer_weights(w[i : i + 1], params[i : i + 1], a_q, cfg)
+            one = quantize_layer_weights(w[i : i + 1], params[i : i + 1], cache, cfg)
             runs.append((slice(i, i + 1), one))
         for rows, got in runs:
             np.testing.assert_array_equal(got.codes, want_codes[rows])
@@ -650,7 +649,7 @@ class TestChannelQuantization:
             return real(w_block, lattice, matrix)
 
         monkeypatch.setattr(weight_quant, "init_rounding", counted)
-        quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=0.5, k=k))
+        quantize_layer_weights(w, params, LayerMomentCache(a_q, 0.5), WeightQuantConfig(k=k))
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
         assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
@@ -658,20 +657,21 @@ class TestChannelQuantization:
     def test_empty_weight_matrix_rejected(self):
         rng = np.random.default_rng(42)
         a_q = rng.normal(0, 1, (16, 4))
+        cache = LayerMomentCache(a_q, 1e4)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
-            quantize_layer_weights(np.zeros((0, 4)), (), a_q, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((0, 4)), (), cache, WeightQuantConfig())
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
             pipeline.quantize_layer(
                 np.zeros((0, 4)), a_q, "uniform", 4, 4, pipeline.RunConfig()
             )
         with pytest.raises(ValueError, match=r"shape \(3, 0\) is empty"):
-            quantize_layer_weights(np.zeros((3, 0)), (), a_q[:, :0], WeightQuantConfig())
+            quantize_layer_weights(np.zeros((3, 0)), (), cache, WeightQuantConfig())
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
         w, params, a_q = self._setup(rng, 3, 1)
-        cfg = WeightQuantConfig(lambda2=1.0)
-        result = quantize_layer_weights(w, params, a_q, cfg)
+        cfg = WeightQuantConfig()
+        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
@@ -683,7 +683,8 @@ class TestChannelQuantization:
         _, _, a_q = self._setup(rng, 1, 6)
         w = np.zeros((1, 6))
         params = (UniformParams(scale=0.3, zero_point=5, bits=4),)
-        result = quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=1.0))
+        cache = LayerMomentCache(a_q, 1.0)
+        result = quantize_layer_weights(w, params, cache, WeightQuantConfig())
         np.testing.assert_array_equal(result.codes[0], np.full(6, 5))
         np.testing.assert_array_equal(result.w_bar[0], np.zeros(6))
 
@@ -693,18 +694,19 @@ class TestChannelQuantization:
         w = np.vstack([row, row])
         a_q = rng.normal(0, 1, (64, 10))
         p = calibrate(row, "uniform", 4)
-        result = quantize_layer_weights(w, (p, p), a_q, WeightQuantConfig(lambda2=1.0))
+        cache = LayerMomentCache(a_q, 1.0)
+        result = quantize_layer_weights(w, (p, p), cache, WeightQuantConfig())
         np.testing.assert_array_equal(result.codes[0], result.codes[1])
         np.testing.assert_array_equal(result.w_bar[0], result.w_bar[1])
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         w, params, a_q = self._setup(rng, 5, 8)
-        cfg = WeightQuantConfig(lambda2=1.0)
-        base = quantize_layer_weights(w, params, a_q, cfg)
+        cfg = WeightQuantConfig()
+        base = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
         perm = rng.permutation(5)
         permuted = quantize_layer_weights(
-            w[perm], tuple(params[i] for i in perm), a_q, cfg
+            w[perm], tuple(params[i] for i in perm), LayerMomentCache(a_q, 1.0), cfg
         )
         np.testing.assert_array_equal(permuted.codes, base.codes[perm])
         np.testing.assert_array_equal(permuted.w_bar, base.w_bar[perm])
@@ -712,8 +714,8 @@ class TestChannelQuantization:
     def test_trace_mse_matches_empirical_batch_error(self):
         rng = np.random.default_rng(12)
         w, params, a_q = self._setup(rng, 4, 9, n=128)
-        cfg = WeightQuantConfig(lambda2=1.0)
-        result = quantize_layer_weights(w, params, a_q, cfg)
+        cfg = WeightQuantConfig()
+        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
         for i, rows in enumerate(result.trace):
             err_vec = (result.w_bar[i] - w[i]) @ a_q.T
             empirical = float(np.mean(err_vec**2))
@@ -723,7 +725,7 @@ class TestChannelQuantization:
         rng = np.random.default_rng(13)
         w, params, a_q = self._setup(rng, 6, 12, n=96)
         result = quantize_layer_weights(
-            w, params, a_q, WeightQuantConfig(lambda2=1.0, k=1)
+            w, params, LayerMomentCache(a_q, 1.0), WeightQuantConfig(k=1)
         )
         for rows in result.trace:
             for row in rows:
@@ -732,8 +734,8 @@ class TestChannelQuantization:
     def test_ridge_disabled_leaves_remainder_untouched(self):
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
-        cfg = WeightQuantConfig(lambda2=None, k=0)
-        result = quantize_layer_weights(w, params, a_q, cfg)
+        cfg = WeightQuantConfig(k=0)
+        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, None), cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
@@ -743,16 +745,17 @@ class TestChannelQuantization:
     @pytest.mark.parametrize("n", [6, 64])
     def test_cache_without_ridge_switches_the_ridge_off(self, n):
         # the cache is the one ridge switch: a cache built with lambda2 None
-        # holds no remainder factors, so quantize_rows skips the remainder
-        # update whatever cfg says, and matches a run configured without it
+        # holds no remainder factors, so quantize_layer_weights skips the
+        # remainder update, and matches the per-row reference without it
         rng = np.random.default_rng(19 + n)
         w, params, a_q = self._setup(rng, 3, 8, n=n)
-        got = quantize_rows(w, params, LayerMomentCache(a_q, None), WeightQuantConfig())
-        want = quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=None))
-        np.testing.assert_array_equal(got.codes, want.codes)
-        np.testing.assert_array_equal(got.w_bar, want.w_bar)
-        assert got.trace == want.trace
-        ridged = quantize_layer_weights(w, params, a_q, WeightQuantConfig(lambda2=0.5))
+        cfg = WeightQuantConfig()
+        cache = LayerMomentCache(a_q, None)
+        got = quantize_layer_weights(w, params, cache, cfg)
+        want_codes, want_w_bar, _ = _per_row_reference(w, params, cache, cfg)
+        np.testing.assert_array_equal(got.codes, want_codes)
+        np.testing.assert_array_equal(got.w_bar, want_w_bar)
+        ridged = quantize_layer_weights(w, params, LayerMomentCache(a_q, 0.5), cfg)
         assert got.trace != ridged.trace
 
     def test_ridge_reduces_final_error_on_correlated_batch(self):
@@ -762,10 +765,9 @@ class TestChannelQuantization:
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
         params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
-        cfg_on = WeightQuantConfig(lambda2=1.0, k=0)
-        cfg_off = WeightQuantConfig(lambda2=None, k=0)
-        on = quantize_layer_weights(w, params, a_q, cfg_on)
-        off = quantize_layer_weights(w, params, a_q, cfg_off)
+        cfg = WeightQuantConfig(k=0)
+        on = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
+        off = quantize_layer_weights(w, params, LayerMomentCache(a_q, None), cfg)
 
         def total_mse(res):
             return float(np.mean(((res.w_bar - w) @ a_q.T) ** 2))
@@ -776,7 +778,7 @@ class TestChannelQuantization:
         rng = np.random.default_rng(17)
         cache = LayerMomentCache(rng.normal(0, 1, (32, 8)), 1.0)
         with pytest.raises(ValueError, match="dim"):
-            quantize_rows(
+            quantize_layer_weights(
                 np.zeros((1, 5)),
                 (UniformParams(scale=1.0, zero_point=0, bits=4),),
                 cache,
@@ -785,26 +787,28 @@ class TestChannelQuantization:
 
     def test_layer_validation_errors(self):
         rng = np.random.default_rng(18)
-        a_q = rng.normal(0, 1, (16, 4))
+        cache = LayerMomentCache(rng.normal(0, 1, (16, 4)), 1e4)
         p = UniformParams(scale=1.0, zero_point=0, bits=4)
         with pytest.raises(ValueError, match="2-D"):
-            quantize_layer_weights(np.zeros(4), (p,), a_q, WeightQuantConfig())
+            quantize_layer_weights(np.zeros(4), (p,), cache, WeightQuantConfig())
         with pytest.raises(ValueError, match="per output channel"):
-            quantize_layer_weights(np.zeros((2, 4)), (p,), a_q, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, WeightQuantConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k"):
             WeightQuantConfig(k=-1)
         with pytest.raises(ValueError, match="max_iter"):
             WeightQuantConfig(max_iter=-5)
+        # lambda2 lives in the moment cache, which checks it as RunConfig
+        # does: a bool or a string is not a strength; None is no ridge
+        a_q = np.random.default_rng(0).normal(0, 1, (16, 4))
         for lam in (-0.1, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="lambda2 must be finite"):
-                WeightQuantConfig(lambda2=lam)
-        # as RunConfig: a bool or a string is not a strength; None is no ridge
+                LayerMomentCache(a_q, lam)
         for lam in (True, False, "1", [1.0]):
             with pytest.raises(ValueError, match="lambda2 must be an int or float, got"):
-                WeightQuantConfig(lambda2=lam)
-        assert WeightQuantConfig(lambda2=None).lambda2 is None
+                LayerMomentCache(a_q, lam)
+        assert LayerMomentCache(a_q, None).lambda2 is None
 
     @pytest.mark.parametrize(
         "field,value",
@@ -983,8 +987,8 @@ class TestProxyBlocks:
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
         params = tuple(calibrate(row, "uniform", 4) for row in w)
-        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k)
-        quantize_layer_weights(w, params, a_q, cfg)
+        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
+        quantize_layer_weights(w, params, cache, WeightQuantConfig(k=k))
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
 
@@ -1000,7 +1004,8 @@ class TestProxyBlocks:
         largest = max(mid - lo for lo, mid, _ in halving_splits(1024)) ** 2 * 8
         tracemalloc.start()
         try:
-            quantize_layer_weights(w, params, a_q, WeightQuantConfig(k=k))
+            cache = LayerMomentCache(a_q, 1e4)
+            quantize_layer_weights(w, params, cache, WeightQuantConfig(k=k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1075,16 +1080,17 @@ class TestThinBatch:
     @pytest.mark.parametrize("ridge", [True, False])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_channels_match_full_width_reference(self, rounding, ridge, k):
-        cfg = WeightQuantConfig(lambda2=0.5 if ridge else None, k=k if rounding else 0)
+        cfg = WeightQuantConfig(k=k if rounding else 0)
+        lambda2 = 0.5 if ridge else None
         for n, d_in in THIN_SHAPES:
             rng, a_q = self._batch(n, d_in)
             w = rng.normal(0, 0.5, (4, d_in))
-            cache = LayerMomentCache(a_q, cfg.lambda2)
-            ref = _FullWidthCache(a_q, cfg.lambda2)
+            cache = LayerMomentCache(a_q, lambda2)
+            ref = _FullWidthCache(a_q, lambda2)
             for row in w:
                 params = (calibrate(row, "uniform", 4),)
-                got = quantize_rows(row[None], params, cache, cfg)
-                want = quantize_rows(row[None], params, ref, cfg)
+                got = quantize_layer_weights(row[None], params, cache, cfg)
+                want = quantize_layer_weights(row[None], params, ref, cfg)
                 np.testing.assert_array_equal(got.codes, want.codes)
                 for a, b in zip(got.trace[0], want.trace[0], strict=True):
                     assert (a["stop_reason"], a["flips_committed"]) == (
