@@ -34,6 +34,7 @@ from .tensorfile import (
 from .weight_quant import (
     LayerMomentCache,
     LayerWeightResult,
+    RemainderRidge,
     RoundingState,
     WeightQuantConfig,
     halving_splits,

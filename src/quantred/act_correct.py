@@ -21,12 +21,14 @@ W E[dx xbar^T] = R A for the right-hand side R = W dA^T / N, so
 
 The two forms associate the same R and A in two orders, by the
 push-through identity
-(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}. The input
-space factors a D_in x D_in system; when the batch has fewer samples than
-inputs (N < D_in) that system has rank at most N plus the ridge, and the
-sample space factors an N x N system instead, so no D_in x D_in matrix
-is formed. The input-space Gram A^T A / N is `moments.accumulate_moments`,
-the same E[x x^T] the weight loop's proxy and ridge read.
+(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}. Both
+read the layer's `weight_quant.LayerMomentCache`, the one place that
+decides between the Gram and the batch: when it holds the Gram A^T A / N
+(N >= D_in), the input space factors that D_in x D_in matrix plus the
+ridge, the same E[x x^T] the weight loop's proxy and ridge read. A batch
+with fewer samples than inputs has no Gram in the cache; its input-space
+system would have rank at most N plus the ridge, and the sample space
+factors an N x N system instead, so no D_in x D_in matrix is formed.
 """
 
 from __future__ import annotations
@@ -34,40 +36,37 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import require_regularized, require_strength, solve_rows, spd_factor
-from .moments import InsufficientSamplesError, accumulate_moments
+from .weight_quant import LayerMomentCache
 
 
 def solve_activation_correction(
-    w: np.ndarray, a_fp: np.ndarray, a_q: np.ndarray, lambda1: float
+    w: np.ndarray, a_fp: np.ndarray, cache: LayerMomentCache, lambda1: float
 ) -> np.ndarray:
-    """The optimal weight update dW* given a paired calibration batch.
+    """The optimal weight update dW* given a full-precision batch and its cache.
 
+    `cache` is the moment cache of the quantized batch paired with `a_fp`.
     The system matrix is factored once and shared across all output
     channels (one right-hand side per row of W): D_in x D_in in the input
-    space, or N x N in the sample space when N < D_in. Raises
-    SingularSystemError when lambda1 = 0 leaves the D_in x D_in system rank
-    deficient, which N < D_in always does.
+    space when the cache holds the Gram, or N x N in the sample space when
+    it does not. Raises SingularSystemError when lambda1 = 0 leaves the
+    D_in x D_in system rank deficient, which N < D_in always does.
     """
     w = np.asarray(w, dtype=np.float64)
     a_fp = np.asarray(a_fp, dtype=np.float64)
-    a_q = np.asarray(a_q, dtype=np.float64)
-    if w.ndim != 2 or a_fp.ndim != 2 or a_fp.shape != a_q.shape:
-        raise ValueError("expected 2-D w and a paired (N, D_in) batch")
-    if w.shape[1] != a_fp.shape[1]:
-        raise ValueError(
-            f"w D_in {w.shape[1]} does not match batch D_in {a_fp.shape[1]}"
-        )
-    n = a_fp.shape[0]
-    if n < 2:
-        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
+    a_q = cache.batch
+    if w.ndim != 2 or a_fp.shape != a_q.shape:
+        raise ValueError("expected 2-D w and a batch paired with the cache's")
+    if w.shape[1] != cache.dim:
+        raise ValueError(f"w D_in {w.shape[1]} does not match batch D_in {cache.dim}")
     require_strength("lambda1", lambda1)
 
+    n = cache.n_samples
     rhs = w @ (a_q - a_fp).T / n
-    if n < w.shape[1]:
-        require_regularized(n, w.shape[1], lambda1)
+    if cache.moments is None:
+        require_regularized(n, cache.dim, lambda1)
         factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
         return -solve_rows(factor, rhs) @ a_q
-    factor = spd_factor(accumulate_moments(a_q) + lambda1 * np.eye(w.shape[1]))
+    factor = spd_factor(cache.moments + lambda1 * np.eye(cache.dim))
     return -solve_rows(factor, rhs @ a_q)
 
 

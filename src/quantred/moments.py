@@ -11,10 +11,12 @@ batches) are copied to C order first, since a product over them need not
 round symmetrically.
 
 `weight_quant.LayerMomentCache` reduces a batch with at least as many
-samples N as columns D to this Gram (`accumulate_moments`) and views each
-split's proxy block in it. For a thinner batch it accumulates no D x D
-Gram, whose rank of at most N would cost more than the batch itself:
-each block is the `gram` of its batch slice instead.
+samples N as columns D to this Gram (`accumulate_moments`), once per
+layer: aqer, the proxy blocks (views of it), the remainder ridge and the
+trace MSE all read that one matrix. For a thinner batch it accumulates no
+D x D Gram, whose rank of at most N would cost more than the batch
+itself: each block is the `gram` of its batch slice instead, and aqer
+solves in sample space.
 """
 
 from __future__ import annotations

@@ -7,11 +7,13 @@ and ridge correction of the unquantized remainder ("wqer_ridge").
 Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
-`LayerRun` is the one per-layer runner. It calibrates once, builds the
-aqer step and the weight loop's moment cache when a result first needs
-them, and keeps the last of each for the next result; `quantize_layer`,
-`run_ablation` and `run_sweep` are loops over `LayerRun.result`, so what
-they share follows from what each product depends on.
+`LayerRun` is the one per-layer runner. It checks the eval batch and
+calibrates once, builds the moment cache of the quantized batch when a
+stage first needs it (one Gram per run, shared by aqer and the weight
+loop), and keeps the last aqer step and remainder ridge for the next
+result; `quantize_layer`, `run_ablation` and `run_sweep` are loops over
+`LayerRun.result`, so what they share follows from what each product
+depends on.
 
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
@@ -49,7 +51,13 @@ from .quantizers import (
     quantize_with_scheme,
 )
 from .tensorfile import LayerManifestEntry, read_tensor, write_tensor
-from .weight_quant import TRACE_FIELDS, LayerMomentCache, WeightQuantConfig, quantize_layer_weights
+from .weight_quant import (
+    TRACE_FIELDS,
+    LayerMomentCache,
+    RemainderRidge,
+    WeightQuantConfig,
+    quantize_layer_weights,
+)
 
 STAGE_AQER = "aqer"
 STAGE_ROUNDING = "wqer_rounding"
@@ -125,7 +133,9 @@ class RunConfig:
             )
         unknown = stages - set(ALL_STAGES)
         if unknown:
-            raise ConfigError(f"unknown stages {sorted(unknown)}")
+            raise ConfigError(
+                f"unknown stages {sorted(unknown)}; valid: {', '.join(ALL_STAGES)}"
+            )
         object.__setattr__(self, "stages", stages)
 
     def replace(self, **changes) -> "RunConfig":
@@ -154,15 +164,6 @@ class RunConfig:
         unknown = set(doc) - fields
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        doc = dict(doc)
-        if "stages" in doc:
-            stages = doc["stages"]
-            if isinstance(stages, (list, tuple)):
-                if not all(isinstance(stage, str) for stage in stages):
-                    raise ConfigError(f"stages must be strings, got {stages!r}")
-                doc["stages"] = ",".join(stages)
-            elif not isinstance(stages, str):
-                raise ConfigError("stages must be a string or list")
         try:
             return RunConfig(**doc)
         except TypeError as exc:
@@ -216,15 +217,16 @@ class AqerStep:
 class LayerRun:
     """One layer's quantization, each product built once for every result asked of it.
 
-    The constructor calibrates activations and weights and scores plain
-    round-to-nearest, which no stage, lambda or k changes. `aqer` keeps the
-    last activation-correction step (it depends on lambda1) and
-    `moment_cache` one weight-loop cache per ridge setting (on at one
-    lambda2, or off); `result` runs the configured stages on top of them.
-    So an ablation or a sweep asks one run for every combination or value,
-    and each product is built once per value of what it depends on. A stale
-    step or cache is dropped before its replacement is built, so a run never
-    holds two of one kind.
+    The constructor checks the eval batch, calibrates activations and
+    weights and scores plain round-to-nearest, which no stage, lambda or k
+    changes. `cache` is the moment cache of the quantized batch, built when
+    a stage first needs it and shared by aqer and the weight loop; `aqer`
+    keeps the last activation-correction step (it depends on lambda1) and
+    `ridge` the last remainder ridge (it depends on lambda2); `result` runs
+    the configured stages on top of them. So an ablation or a sweep asks
+    one run for every combination or value, and each product is built once
+    per value of what it depends on. A stale step or ridge is dropped
+    before its replacement is built, so a run never holds two of one kind.
     """
 
     def __init__(
@@ -244,6 +246,18 @@ class LayerRun:
             )
         if w.size == 0:
             raise ValueError(f"weight matrix of shape {w.shape} is empty")
+        if eval_batch is None:
+            self.eval_fp = a_fp
+        else:
+            self.eval_fp = np.asarray(eval_batch, dtype=np.float64)
+            if self.eval_fp.ndim != 2 or self.eval_fp.shape[1] != w.shape[1]:
+                raise ValueError(
+                    f"incompatible eval batch shape {self.eval_fp.shape} "
+                    f"for weights {w.shape}"
+                )
+            if self.eval_fp.shape[0] == 0:
+                raise ValueError(f"eval batch of shape {self.eval_fp.shape} is empty")
+            check_finite(self.eval_fp, path="eval batch")
         self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
         self.timings = {}
         t0 = time.perf_counter()
@@ -256,18 +270,20 @@ class LayerRun:
         self.base_codes, self.base_w_bar = quantize_with_scheme(w, self.base_scheme)
 
         if eval_batch is None:
-            self.eval_fp, self.eval_q = a_fp, self.a_q
+            self.eval_q = self.a_q
         else:
-            self.eval_fp = np.asarray(eval_batch, dtype=np.float64)
-            if self.eval_fp.ndim != 2 or self.eval_fp.shape[1] != w.shape[1]:
-                raise ValueError(
-                    f"incompatible eval batch shape {self.eval_fp.shape} "
-                    f"for weights {w.shape}"
-                )
             _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_scheme)
         self.mse_baseline = layer_mse(w, self.eval_fp, self.base_w_bar, self.eval_q)
+        self._cache: LayerMomentCache | None = None
         self._aqer: AqerStep | None = None
-        self._caches: dict[bool, LayerMomentCache] = {}  # keyed by ridge on
+        self._ridge: RemainderRidge | None = None
+
+    @property
+    def cache(self) -> LayerMomentCache:
+        """The moment cache of the quantized batch, built on first use."""
+        if self._cache is None:
+            self._cache = LayerMomentCache(self.a_q)
+        return self._cache
 
     def aqer(self, lambda1: float) -> AqerStep:
         """Correct the weights for the activation error, then re-calibrate them.
@@ -280,7 +296,7 @@ class LayerRun:
         self._aqer = None  # drop the stale step before building its replacement
         t0 = time.perf_counter()
         updated_w = self.w + solve_activation_correction(
-            self.w, self.a_fp, self.a_q, lambda1
+            self.w, self.a_fp, self.cache, lambda1
         )
         t1 = time.perf_counter()
         scheme = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
@@ -298,14 +314,12 @@ class LayerRun:
         )
         return self._aqer
 
-    def moment_cache(self, lambda2: float | None) -> LayerMomentCache:
-        """The weight loop's moment cache of the quantized batch; None: no ridge."""
-        ridge_on = lambda2 is not None
-        if ridge_on not in self._caches or self._caches[ridge_on].lambda2 != lambda2:
-            # drop the stale cache before building its replacement
-            self._caches.pop(ridge_on, None)
-            self._caches[ridge_on] = LayerMomentCache(self.a_q, lambda2)
-        return self._caches[ridge_on]
+    def ridge(self, lambda2: float) -> RemainderRidge:
+        """The weight loop's remainder ridge at lambda2."""
+        if self._ridge is None or self._ridge.lambda2 != lambda2:
+            self._ridge = None  # drop the stale ridge before building its replacement
+            self._ridge = RemainderRidge(self.cache, lambda2)
+        return self._ridge
 
     def result(self, cfg: RunConfig, layer_id: str = "layer") -> LayerResult:
         """Run the configured stages and collect the result."""
@@ -335,7 +349,8 @@ class LayerRun:
             wres = quantize_layer_weights(
                 current,
                 weight_scheme.params,
-                self.moment_cache(cfg.lambda2 if ridge_on else None),
+                self.cache,
+                self.ridge(cfg.lambda2) if ridge_on else None,
                 WeightQuantConfig(k=cfg.k if rounding_on else 0, max_iter=cfg.max_iter),
             )
             codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
@@ -384,7 +399,9 @@ def quantize_layer(
 
     `eval_batch` switches MSE evaluation to a separate activation batch
     (quantized with the calibration-fitted parameters); by default the
-    calibration batch itself is evaluated.
+    calibration batch itself is evaluated. A mis-shaped or empty eval
+    batch raises ValueError, and one holding NaN or Inf raises
+    NonFiniteInputError, before any calibration.
 
     This is one `LayerRun` asked for one result.
     """
@@ -536,9 +553,9 @@ def run_ablation(layers, cfg: RunConfig) -> list[dict]:
     Returns one row per (combination, layer) with the final MSE and the
     reduction against that layer's plain round-to-nearest baseline, in
     combination-major order. One `LayerRun` per layer serves all eight
-    combinations, so each layer is calibrated once, solves aqer once and
-    builds one moment cache with the ridge and one without. An empty layer
-    list raises ConfigError.
+    combinations, so each layer is calibrated once, forms its Gram once,
+    solves aqer once and builds one remainder ridge. An empty layer list
+    raises ConfigError.
     """
     if not layers:
         raise ConfigError("ablation needs at least one layer")
@@ -572,9 +589,10 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     batch, so rows are comparable across calibration sizes.
 
     A `lambda` or `k` sweep asks one `LayerRun` per layer for every value,
-    so a `k` sweep solves aqer and builds the moment cache once per layer,
-    and a `lambda` sweep once per value; `n_images` changes the calibration
-    batch, so each value gets a run of its own.
+    so either forms each layer's Gram once; a `k` sweep solves aqer and
+    builds the remainder ridge once per layer, and a `lambda` sweep once
+    per value. `n_images` changes the calibration batch, so each value gets
+    a run of its own.
 
     Raises ConfigError before any work for an unknown param, no values, no
     layers, or a `k` or `n_images` value that is not an integer.

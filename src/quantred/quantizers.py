@@ -153,8 +153,9 @@ class NonFiniteInputError(ValueError):
     """Calibration input holds NaN or +/-Inf.
 
     `index` locates the first bad element in the array as passed; `row` is
-    the channel for per-channel calibration and None otherwise; `path` is
-    the tensor file the array was read from, when it came from one.
+    the channel for per-channel calibration and None otherwise; `path`
+    names where the array came from: the tensor file it was read from, or
+    a name such as "eval batch", when known.
     """
 
     def __init__(self, value: float, index: tuple, row: int | None = None, path=None):

@@ -6,9 +6,9 @@ dominance versus exhaustive enumeration and every single flip, analytic
 gradients versus finite differences, ridge optimality of both closed
 forms, and calibration versus the brute-force scale grid. Suites call
 through the module objects (weight_quant.proxy_gradient,
-weight_quant.LayerMomentCache, quantizers.calibrate_scale and friends),
-the same code a run executes, so an injected fault in the engine is
-visible to them.
+weight_quant.LayerMomentCache and RemainderRidge,
+quantizers.calibrate_scale and friends), the same code a run executes, so
+an injected fault in the engine is visible to them.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def suite_proxy_fidelity(
     mc_rel = 0.0
     exact_rel = 0.0
     for label, rows in (("full", n), ("thin", thin_n)):
-        cache = weight_quant.LayerMomentCache(batch[:rows], None)
+        cache = weight_quant.LayerMomentCache(batch[:rows])
         proxies = np.empty(draws)
         mcs = np.empty(draws)
         for i in range(draws):
@@ -193,7 +193,9 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
         scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
         _, a_q = quantize_with_scheme(a_fp, scheme)
         lam = 0.5
-        delta_w = act_correct.solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = act_correct.solve_activation_correction(
+            w, a_fp, weight_quant.LayerMomentCache(a_q), lam
+        )
         fd = oracle.finite_diff_gradient(
             lambda dw: act_correct.activation_correction_objective(
                 w, dw, a_fp, a_q, lam
@@ -223,13 +225,13 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
 
 
 def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
-    """FD gradient of the remainder objective vanishes at the cache's update.
+    """FD gradient of the remainder objective vanishes at the ridge's update.
 
-    Each draw builds the production moment cache on a fresh batch and
-    checks `remainder_update` on one of its halving splits. Draws cycle
-    through the cache's two forms of the remainder system: the D_r x D_r
-    one read from the D x D Gram (N >= D) or from the slices of a thin
-    batch (D_r <= N < D), and the N x N sample-space one of a remainder
+    Each draw builds the production moment cache and remainder ridge on a
+    fresh batch and checks `remainder_update` on one of its halving splits.
+    Draws cycle through the ridge's two forms of the remainder system: the
+    D_r x D_r one read from the D x D Gram (N >= D) or from the slices of a
+    thin batch (D_r <= N < D), and the N x N sample-space one of a remainder
     wider than a thin batch (N < D_r). Four more draws take
     near-collinear batches (a rank-4 signal plus 1e-3 noise) at lambda2 =
     1e-2 and 1e-4, once in sample space and once from the moments, so the
@@ -241,9 +243,9 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
 
     def check(batch, lo, mid, hi, lam):
         """(FD residual, condition number of the factored system) of one draw."""
-        cache = weight_quant.LayerMomentCache(batch, lam)
+        ridge = weight_quant.RemainderRidge(weight_quant.LayerMomentCache(batch), lam)
         delta_s = rng.normal(0.0, 0.2, mid - lo)
-        delta_r = cache.remainder_update(lo, mid, delta_s)
+        delta_r = ridge.remainder_update(lo, mid, delta_s)
         xs = batch[:, lo:mid]
         xr = batch[:, mid:hi]
 

@@ -33,29 +33,35 @@ whole (d_out, D_s) block at once:
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views, whose chosen sides (`up_mask`) are written
-back into the block, and step 3, one `LayerMomentCache.remainder_update`
+back into the block, and step 3, one `RemainderRidge.remainder_update`
 (one `solve_spd`) per (channel, non-final split). Refinement picks and
 stops per row; batching it, and the per-row solves into one right-hand
 side per split, would change the per-call structure the benchmark's
 traced call counts pin.
 
 Proxy blocks and ridge factorizations depend only on the column split,
-so all channels share them through one `LayerMomentCache`, which the
-caller builds and passes in: it depends only on the batch and lambda2, so
-several weight loops of one layer can share it (`pipeline.LayerRun` keeps
-one per ridge setting). The ridge factorizations are computed once, when
-the cache is built; `LayerMomentCache.remainder_update` is the one
-implementation of step 3, also exercised by `quantred verify`. The cache
-holds the only lambda2, and one built with lambda2 None holds no factors,
-the one switch that turns step 3 off. The proxy, the trace
-MSE and the ridge all read one second moment, the 1/N Gram E[x x^T]
-(`moments.accumulate_moments`): a proxy block is a view of it. When the
-batch has fewer samples N than columns, the cache forms no D_in x D_in
-matrix: a block is built from its batch slice when its split runs and
-released after it. A remainder no wider than N is solved in input space,
-from blocks read off the Gram or the batch alike; a wider one in sample space,
-dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1} X_r with X the
-N x D_in batch, an N x N system (push-through identity).
+so all channels share them. They come from two products that the caller
+builds and passes in, each depending on less than a run:
+
+  - `LayerMomentCache`, built from the batch alone: the batch, its splits
+    and the one second moment of the layer, the 1/N Gram E[x x^T]
+    (`moments.accumulate_moments`), which the proxy, the trace MSE, the
+    ridge and aqer (`act_correct`) all read. A proxy block is a view of
+    it. When the batch has fewer samples N than columns, the cache forms
+    no D_in x D_in matrix: a block is built from its batch slice when its
+    split runs and released after it;
+  - `RemainderRidge`, built from a cache and lambda2: the remainder
+    factorizations, computed once, and `remainder_update`, the one
+    implementation of step 3, also exercised by `quantred verify`. It
+    holds the only lambda2, and passing no ridge is the one switch that
+    turns step 3 off. A remainder no wider than N is solved in input
+    space, from blocks read off the Gram or the batch alike; a wider one
+    in sample space, dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1}
+    X_r with X the N x D_in batch, an N x N system (push-through
+    identity).
+
+`pipeline.LayerRun` keeps one cache per layer and one ridge at a time, so
+every weight loop of the layer shares them.
 
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
@@ -84,7 +90,7 @@ from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_
 
 @dataclass(frozen=True)
 class WeightQuantConfig:
-    """Refinement settings; the ridge lives in the `LayerMomentCache`."""
+    """Refinement settings; the ridge lives in the `RemainderRidge`."""
 
     k: int = 1
     max_iter: int = 100
@@ -329,54 +335,34 @@ def refine_rounding(
 
 
 class LayerMomentCache:
-    """Per-layer ridge factorizations, plus each split's proxy block on request.
+    """The second moment of a layer's quantized batch, and its column splits.
 
-    Built once from the quantized calibration activations. The Gram (or
-    the batch), the split list and the remainder factorizations are
-    read-only afterwards and shared by every channel.
+    Built once from the quantized calibration activations and read-only
+    afterwards. It depends on the batch alone, so aqer
+    (`act_correct.solve_activation_correction`), every weight loop of the
+    layer and every `RemainderRidge` of it share one cache.
 
-    A batch with at least as many samples as columns (N >= D) is reduced to
-    its D x D Gram E[x x^T] once (`moments`), and every proxy block is a
-    read-only view of it. A thinner batch keeps the samples instead
-    (`moments` is None): `proxy_matrix` builds each block X_s^T X_s / N
-    from the batch slice X_s each time it is called, so a caller that drops
-    one split's block before asking for the next holds one block at a time,
-    as `quantize_layer_weights` does. Each remainder system is factored in
-    the smaller of its two spaces, so no D x D matrix is formed. `lambda2`
-    None builds no remainder systems, and `quantize_layer_weights` then
-    skips the ridge.
+    `batch` is the (N, D) batch. One with at least as many samples as
+    columns (N >= D) is also reduced to its D x D Gram E[x x^T] once
+    (`moments`), and every proxy block is a read-only view of it. A thinner
+    batch forms no Gram (`moments` is None): `proxy_matrix` builds each
+    block X_s^T X_s / N from the batch slice X_s each time it is called, so
+    a caller that drops one split's block before asking for the next holds
+    one block at a time, as `quantize_layer_weights` does.
     """
 
-    def __init__(self, a_q: np.ndarray, lambda2: float | None):
-        if lambda2 is not None:
-            require_strength("lambda2", lambda2)
-        a_q = np.asarray(a_q, dtype=np.float64)
-        self.n_samples, self.dim = a_q.shape
+    def __init__(self, a_q: np.ndarray):
+        self.batch = np.asarray(a_q, dtype=np.float64)
+        self.n_samples, self.dim = self.batch.shape
         if self.n_samples < 2:
             raise InsufficientSamplesError(
                 f"need at least 2 samples, got {self.n_samples}"
             )
         self.splits = halving_splits(self.dim)
         self._slices = {(lo, mid) for lo, mid, _ in self.splits}
-        self.lambda2 = lambda2
         self.moments: np.ndarray | None = None
         if self.n_samples >= self.dim:
-            self.moments = accumulate_moments(a_q)
-        else:
-            self._batch = a_q
-        self._remainder: dict[tuple[int, int], tuple] = {}
-        if lambda2 is None:
-            return
-        n = self.n_samples
-        for lo, mid, hi in self.splits[:-1]:
-            s, r, width = slice(lo, mid), slice(mid, hi), hi - mid
-            if n < width:  # sample space: X_r X_r^T + N lambda2 I
-                require_regularized(n, width, lambda2)
-                factor = spd_factor(a_q[:, r] @ a_q[:, r].T + n * lambda2 * np.eye(n))
-                self._remainder[(lo, mid)] = (a_q[:, s], factor, a_q[:, r].T)
-            else:  # input space: E[x_r x_r^T] + lambda2 I
-                factor = spd_factor(self._moment(r, r) + lambda2 * np.eye(width))
-                self._remainder[(lo, mid)] = (self._moment(r, s), factor, None)
+            self.moments = accumulate_moments(self.batch)
 
     def _moment(self, rows: slice, cols: slice) -> np.ndarray:
         """E[x_rows x_cols^T], a view of the Gram or a product of batch slices.
@@ -386,7 +372,7 @@ class LayerMomentCache:
         """
         if self.moments is not None:
             return self.moments[cols, rows].T
-        return self._batch[:, rows].T @ self._batch[:, cols] / self.n_samples
+        return self.batch[:, rows].T @ self.batch[:, cols] / self.n_samples
 
     def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
         """E[x_s x_s^T] for columns lo:mid.
@@ -400,15 +386,48 @@ class LayerMomentCache:
             raise KeyError((lo, mid))
         if self.moments is not None:
             return self.moments[lo:mid, lo:mid]
-        return gram(self._batch[:, lo:mid])
+        return gram(self.batch[:, lo:mid])
+
+    def trace_mses(self, errs: np.ndarray) -> np.ndarray:
+        """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
+        if self.moments is not None:
+            return np.einsum("ij,ij->i", errs @ self.moments, errs)
+        outputs = errs @ self.batch.T
+        return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
+
+
+class RemainderRidge:
+    """The remainder ridge of step 3 at one lambda2, factored once per split.
+
+    Built from a `LayerMomentCache` and shared by every channel. Each
+    remainder system is factored in the smaller of its two spaces: one no
+    wider than the batch in input space, E[x_r x_r^T] + lambda2 I with its
+    blocks read off the cache (`_moment`); a wider one in sample space,
+    X_r X_r^T + N lambda2 I, so no D x D matrix is formed.
+    """
+
+    def __init__(self, cache: LayerMomentCache, lambda2: float):
+        require_strength("lambda2", lambda2)
+        self.cache = cache
+        self.lambda2 = lambda2
+        self._remainder: dict[tuple[int, int], tuple] = {}
+        a_q, n = cache.batch, cache.n_samples
+        for lo, mid, hi in cache.splits[:-1]:
+            s, r, width = slice(lo, mid), slice(mid, hi), hi - mid
+            if n < width:  # sample space: X_r X_r^T + N lambda2 I
+                require_regularized(n, width, lambda2)
+                factor = spd_factor(a_q[:, r] @ a_q[:, r].T + n * lambda2 * np.eye(n))
+                self._remainder[(lo, mid)] = (a_q[:, s], factor, a_q[:, r].T)
+            else:  # input space: E[x_r x_r^T] + lambda2 I
+                factor = spd_factor(cache._moment(r, r) + lambda2 * np.eye(width))
+                self._remainder[(lo, mid)] = (cache._moment(r, s), factor, None)
 
     def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
         """Ridge-optimal update of columns mid:hi given the committed error delta_s.
 
         Minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2 over the
         remainder update dW_r. Raises KeyError for the final split, which
-        leaves no remainder, and for every split of a cache built with
-        `lambda2` None.
+        leaves no remainder.
         """
         to_rhs, factor, from_samples = self._remainder[(lo, mid)]
         solution = solve_spd(factor, to_rhs @ delta_s)
@@ -416,18 +435,12 @@ class LayerMomentCache:
             solution = from_samples @ solution
         return -solution
 
-    def trace_mses(self, errs: np.ndarray) -> np.ndarray:
-        """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
-        if self.moments is not None:
-            return np.einsum("ij,ij->i", errs @ self.moments, errs)
-        outputs = errs @ self._batch.T
-        return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
-
 
 def quantize_layer_weights(
     w: np.ndarray,
     channel_params: Sequence[UniformParams],
     cache: LayerMomentCache,
+    ridge: RemainderRidge | None,
     cfg: WeightQuantConfig,
 ) -> LayerWeightResult:
     """Run the progressive loop for the rows of w, splits outside, rows inside.
@@ -439,7 +452,7 @@ def quantize_layer_weights(
     many coordinates it flipped, and the empirical squared output error of
     the partially quantized row, from one `cache.trace_mses` product per
     split. Refinement runs only for k > 0, the remainder update only when
-    `cache` holds ridge factors (was built with a lambda2). Rows never
+    a `ridge` of the same cache is given; None turns it off. Rows never
     interact: a row's codes, dequantized values, proxies and stop reasons
     do not depend on which rows share the call, and its trace MSEs only
     through the last bits of the block product.
@@ -454,6 +467,8 @@ def quantize_layer_weights(
         raise ValueError("need one UniformParams per output channel")
     if dim != cache.dim:
         raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
+    if ridge is not None and ridge.cache is not cache:
+        raise ValueError("the ridge was built from another moment cache")
     lattice = row_lattice(channel_params)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
@@ -477,10 +492,10 @@ def quantize_layer_weights(
         codes[:, lo:mid] = block.codes
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
-        if cache.lambda2 is not None and mid < hi:
+        if ridge is not None and mid < hi:
             delta = block.delta
             for i in range(d_out):
-                current[i, mid:hi] += cache.remainder_update(lo, mid, delta[i])
+                current[i, mid:hi] += ridge.remainder_update(lo, mid, delta[i])
             err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
         # drop this split's proxy block, which the states hold too, before
         # the next split builds its own

@@ -37,6 +37,7 @@ from quantred.quantizers import (
 from quantred.synth import SynthSpec, generate_layer, write_manifest_files
 from quantred.verify import suite_proxy_fidelity, suite_ridge_optimality
 from quantred.weight_quant import (
+    LayerMomentCache,
     init_rounding,
     proxy_value,
     refine_rounding,
@@ -96,7 +97,7 @@ def test_criterion_03_activation_correction_optimality():
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
         scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
         _, a_q = quantize_with_scheme(a_fp, scheme)
-        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = solve_activation_correction(w, a_fp, LayerMomentCache(a_q), lam)
 
         fd = finite_diff_gradient(
             lambda dw: activation_correction_objective(w, dw, a_fp, a_q, lam),

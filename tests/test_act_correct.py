@@ -8,9 +8,10 @@ from quantred.act_correct import (
     solve_activation_correction,
 )
 from quantred.linalg import SingularSystemError, solve_rows, spd_factor
-from quantred.moments import InsufficientSamplesError
+from quantred.moments import InsufficientSamplesError, accumulate_moments
 from quantred.oracle import layer_mse
 from quantred.quantizers import calibrate_scale, quantize_with_scheme
+from quantred.weight_quant import LayerMomentCache
 
 
 def _quantized_batch(rng, n, d, bits=4):
@@ -18,6 +19,11 @@ def _quantized_batch(rng, n, d, bits=4):
     scheme = calibrate_scale(a_fp, "uniform", bits, "per_tensor")
     _, a_q = quantize_with_scheme(a_fp, scheme)
     return a_fp, a_q
+
+
+def _solve(w, a_fp, a_q, lam):
+    """The correction against the moment cache of a_q, as a run builds it."""
+    return solve_activation_correction(w, a_fp, LayerMomentCache(a_q), lam)
 
 
 def _reference_delta_w(w, a_fp, a_q, lam):
@@ -40,21 +46,21 @@ class TestHandCases:
         # delta = -w * 0.1 / (1 + 1) = -0.1
         a_q = np.array([[1.0], [-1.0]])
         a_fp = np.array([[0.9], [-0.9]])
-        delta_w = solve_activation_correction(np.array([[2.0]]), a_fp, a_q, 1.0)
+        delta_w = _solve(np.array([[2.0]]), a_fp, a_q, 1.0)
         np.testing.assert_allclose(delta_w, [[-0.1]], atol=1e-14)
 
     def test_zero_activation_error_gives_zero_update(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0, 1, (32, 5))
         w = rng.normal(0, 1, (3, 5))
-        delta_w = solve_activation_correction(w, a, a, 0.5)
+        delta_w = _solve(w, a, a, 0.5)
         np.testing.assert_array_equal(delta_w, np.zeros((3, 5)))
 
     def test_huge_regularization_shrinks_update_to_zero(self):
         rng = np.random.default_rng(1)
         a_fp, a_q = _quantized_batch(rng, 64, 6)
         w = rng.normal(0, 1, (4, 6))
-        delta = solve_activation_correction(w, a_fp, a_q, 1e12)
+        delta = _solve(w, a_fp, a_q, 1e12)
         assert np.abs(delta).max() < 1e-9
 
 
@@ -64,7 +70,7 @@ class TestOptimality:
         a_fp, a_q = _quantized_batch(rng, 128, 8)
         w = rng.normal(0, 1, (5, 8))
         lam = 0.7
-        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = _solve(w, a_fp, a_q, lam)
         at_solution = activation_correction_objective(w, delta_w, a_fp, a_q, lam)
         for _ in range(100):
             perturbed = delta_w + rng.normal(0, 0.01, delta_w.shape)
@@ -78,7 +84,7 @@ class TestOptimality:
         a_fp, a_q = _quantized_batch(rng, 96, 6)
         w = rng.normal(0, 1, (4, 6))
         lam = 0.5
-        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = _solve(w, a_fp, a_q, lam)
         eps = 1e-6
         grad = np.zeros_like(delta_w)
         for i in range(grad.shape[0]):
@@ -97,7 +103,7 @@ class TestOptimality:
             a_fp, a_q = _quantized_batch(rng, 64, 7)
             w = rng.normal(0, 1, (3, 7))
             lam = float(rng.uniform(0.01, 5.0))
-            delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+            delta_w = _solve(w, a_fp, a_q, lam)
             at_zero = activation_correction_objective(w, np.zeros_like(w), a_fp, a_q, lam)
             at_sol = activation_correction_objective(w, delta_w, a_fp, a_q, lam)
             assert at_sol <= at_zero + 1e-12
@@ -106,7 +112,7 @@ class TestOptimality:
         rng = np.random.default_rng(5)
         a_fp, a_q = _quantized_batch(rng, 256, 12)
         w = rng.normal(0, 1, (8, 12))
-        delta_w = solve_activation_correction(w, a_fp, a_q, 0.1)
+        delta_w = _solve(w, a_fp, a_q, 0.1)
         before = layer_mse(w, a_fp, w, a_q)
         after = layer_mse(w, a_fp, w + delta_w, a_q)
         assert after < before
@@ -118,8 +124,8 @@ class TestStructure:
         a_fp, a_q = _quantized_batch(rng, 64, 5)
         w = rng.normal(0, 1, (4, 5))
         perm = rng.permutation(4)
-        base = solve_activation_correction(w, a_fp, a_q, 0.3)
-        permuted = solve_activation_correction(w[perm], a_fp, a_q, 0.3)
+        base = _solve(w, a_fp, a_q, 0.3)
+        permuted = _solve(w[perm], a_fp, a_q, 0.3)
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_singular_without_regularization(self):
@@ -128,7 +134,7 @@ class TestStructure:
         a_q = a_fp.copy()
         a_q[:, 2] = 0.0  # dead quantized channel makes the system rank deficient
         with pytest.raises(SingularSystemError, match="regularization"):
-            solve_activation_correction(rng.normal(0, 1, (2, 4)), a_fp, a_q, 0.0)
+            _solve(rng.normal(0, 1, (2, 4)), a_fp, a_q, 0.0)
 
     def test_singular_without_regularization_thin_batch(self):
         # N < D_in: the D_in x D_in system has rank <= N, so lambda1 = 0 is
@@ -137,24 +143,26 @@ class TestStructure:
         a_fp, a_q = _quantized_batch(rng, 5, 9)
         assert np.linalg.matrix_rank(a_q @ a_q.T) == 5
         with pytest.raises(SingularSystemError, match="regularization"):
-            solve_activation_correction(rng.normal(0, 1, (2, 9)), a_fp, a_q, 0.0)
+            _solve(rng.normal(0, 1, (2, 9)), a_fp, a_q, 0.0)
 
     def test_validation_errors(self):
         w = np.zeros((2, 3))
         batch = np.zeros((4, 3))
         with pytest.raises(ValueError, match="D_in"):
-            solve_activation_correction(w, np.zeros((4, 5)), np.zeros((4, 5)), 1.0)
+            _solve(w, np.zeros((4, 5)), np.zeros((4, 5)), 1.0)
         for lam in (-1.0, np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="finite and >= 0"):
-                solve_activation_correction(w, batch, batch, lam)
+                _solve(w, batch, batch, lam)
         # as RunConfig: a bool, a string or None is not a strength
         for lam in (True, "1", None):
             with pytest.raises(ValueError, match="lambda1 must be an int or float, got"):
-                solve_activation_correction(w, batch, batch, lam)
+                _solve(w, batch, batch, lam)
         with pytest.raises(InsufficientSamplesError):
-            solve_activation_correction(w, batch[:1], batch[:1], 1.0)
-        with pytest.raises(ValueError):
-            solve_activation_correction(w, batch, np.zeros((5, 3)), 1.0)
+            _solve(w, batch[:1], batch[:1], 1.0)
+        with pytest.raises(ValueError, match="paired"):
+            _solve(w, batch, np.zeros((5, 3)), 1.0)
+        with pytest.raises(ValueError, match="paired"):
+            _solve(w[0], batch, batch, 1.0)
 
 
 class TestInputSpace:
@@ -165,7 +173,7 @@ class TestInputSpace:
         rng = np.random.default_rng(n + d_in)
         a_fp, a_q = _quantized_batch(rng, n, d_in)
         w = rng.normal(0, 1, (5, d_in))
-        got = solve_activation_correction(w, a_fp, a_q, 0.5)
+        got = _solve(w, a_fp, a_q, 0.5)
         want = _reference_delta_w(w, a_fp, a_q, 0.5)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -177,7 +185,7 @@ class TestThinBatch:
         rng = np.random.default_rng(1000 * n + d_in)
         a_fp, a_q = _quantized_batch(rng, n, d_in)
         w = rng.normal(0, 1, (5, d_in))
-        got = solve_activation_correction(w, a_fp, a_q, lam)
+        got = _solve(w, a_fp, a_q, lam)
         want = _reference_delta_w(w, a_fp, a_q, lam)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -186,8 +194,35 @@ class TestThinBatch:
         a_fp, a_q = _quantized_batch(rng, 6, 20)
         w = rng.normal(0, 1, (3, 20))
         lam = 0.3
-        delta_w = solve_activation_correction(w, a_fp, a_q, lam)
+        delta_w = _solve(w, a_fp, a_q, lam)
         # gradient of the objective: 2 (dW A^T + W dA^T) A / N + 2 lam dW
         resid = delta_w @ a_q.T + w @ (a_q - a_fp).T
         grad = 2 * resid @ a_q / 6 + 2 * lam * delta_w
         assert np.abs(grad).max() < 1e-12 * (1 + np.abs(w).max())
+
+
+class TestSharedCache:
+    @staticmethod
+    def _two_forms(w, a_fp, a_q, lam):
+        # reference: the input-space solve on a Gram of its own for
+        # N >= D_in, the N x N sample-space system below
+        n, d_in = a_q.shape
+        rhs = w @ (a_q - a_fp).T / n
+        if n < d_in:
+            factor = spd_factor(a_q @ a_q.T / n + lam * np.eye(n))
+            return -solve_rows(factor, rhs) @ a_q
+        factor = spd_factor(accumulate_moments(a_q) + lam * np.eye(d_in))
+        return -solve_rows(factor, rhs @ a_q)
+
+    @pytest.mark.parametrize("n,d_in", [(96, 24), (24, 24), (2048, 16), (12, 24), (2, 9)])
+    @pytest.mark.parametrize("lam", [0.05, 10.0])
+    def test_bit_identical_to_own_gram_and_sample_space(self, n, d_in, lam):
+        rng = np.random.default_rng(7 * n + d_in)
+        a_fp, a_q = _quantized_batch(rng, n, d_in)
+        w = rng.normal(0, 1, (5, d_in))
+        cache = LayerMomentCache(a_q)
+        assert (cache.moments is None) == (n < d_in)
+        np.testing.assert_array_equal(
+            solve_activation_correction(w, a_fp, cache, lam),
+            self._two_forms(w, a_fp, a_q, lam),
+        )

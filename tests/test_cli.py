@@ -341,7 +341,7 @@ class TestQuantize:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "error: stages must be strings" in result.stderr
+        assert "error: stages must be a string or a collection" in result.stderr
         assert not out.exists()
 
     def test_escaping_layer_id_exit_1_writes_nothing(self, runner, manifest, tmp_path):

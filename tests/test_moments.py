@@ -82,7 +82,7 @@ class TestOutputs:
         # block of either regime must be exactly symmetric for every layout
         batch = np.random.default_rng(dim).normal(0.5, 2.0, (n, dim))
         for layout in _layouts(batch):
-            cache = LayerMomentCache(layout, None)
+            cache = LayerMomentCache(layout)
             assert (cache.moments is None) == (layout.shape[0] < layout.shape[1])
             for lo, mid, _ in cache.splits:
                 block = cache.proxy_matrix(lo, mid)

@@ -29,7 +29,12 @@ from quantred.pipeline import (
     trace_rows,
     write_csv,
 )
-from quantred.quantizers import MAX_BITS, calibrate_scale, quantize_with_scheme
+from quantred.quantizers import (
+    MAX_BITS,
+    NonFiniteInputError,
+    calibrate_scale,
+    quantize_with_scheme,
+)
 from quantred.synth import SynthSpec, write_manifest_files
 from quantred.tensorfile import load_manifest, read_tensor, write_tensor
 
@@ -238,7 +243,16 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("stages", [[1], ["aqer", None]])
     def test_from_dict_rejects_non_string_stages(self, stages):
-        with pytest.raises(ConfigError, match="stages must be strings"):
+        with pytest.raises(ConfigError, match="stages must be a string or a collection"):
+            RunConfig.from_dict({"stages": stages})
+
+    @pytest.mark.parametrize("stages", [["all"], ["none"], ["aqer,wqer_ridge"]])
+    def test_config_file_list_parsed_as_the_constructor_parses_it(self, stages):
+        # a list holds stage names only: "all", "none" and comma-joined
+        # names are string forms, unknown as list items to both
+        with pytest.raises(ConfigError, match="unknown stages"):
+            RunConfig(stages=stages)
+        with pytest.raises(ConfigError, match="unknown stages"):
             RunConfig.from_dict({"stages": stages})
 
     def test_to_dict_round_trip(self):
@@ -358,33 +372,36 @@ class TestQuantizeLayer:
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Record every aqer step and moment cache pipeline builds.
+    """Record every moment cache, aqer step and remainder ridge pipeline builds.
 
     Each entry is (lambda, weakref to the product, how many products of the
-    same kind were still alive when it was built); a moment cache counts
-    only the live caches of its own ridge setting (on or off).
+    same kind were still alive when it was built); a cache records None.
     """
-    record = {"aqer": [], "cache": []}
-    real_step = pipeline.AqerStep
+    record = {"cache": [], "aqer": [], "ridge": []}
     real_cache = pipeline.LayerMomentCache
+    real_step = pipeline.AqerStep
+    real_ridge = pipeline.RemainderRidge
 
-    def alive(kind, same=lambda lam: True):
-        return sum(1 for lam, ref, _ in record[kind] if ref() is not None and same(lam))
+    def alive(kind):
+        return sum(1 for _, ref, _ in record[kind] if ref() is not None)
+
+    def built(kind, lam, product, before):
+        record[kind].append((lam, weakref.ref(product), before))
+        return product
+
+    def cache(a_q):
+        return built("cache", None, real_cache(a_q), alive("cache"))
 
     def step(**fields):
-        before = alive("aqer")
-        product = real_step(**fields)
-        record["aqer"].append((fields["lambda1"], weakref.ref(product), before))
-        return product
+        return built("aqer", fields["lambda1"], real_step(**fields), alive("aqer"))
 
-    def cache(a_q, lambda2):
-        before = alive("cache", lambda lam: (lam is None) == (lambda2 is None))
-        product = real_cache(a_q, lambda2)
-        record["cache"].append((lambda2, weakref.ref(product), before))
-        return product
+    def ridge(moment_cache, lambda2):
+        product = real_ridge(moment_cache, lambda2)
+        return built("ridge", lambda2, product, alive("ridge"))
 
-    monkeypatch.setattr(pipeline, "AqerStep", step)
     monkeypatch.setattr(pipeline, "LayerMomentCache", cache)
+    monkeypatch.setattr(pipeline, "AqerStep", step)
+    monkeypatch.setattr(pipeline, "RemainderRidge", ridge)
     return record
 
 
@@ -417,45 +434,75 @@ class TestLayerRun:
             assert got.mse == want.mse and got.reduction == want.reduction
             assert got.trace == want.trace
 
-    def test_ablation_builds_one_aqer_step_and_two_caches_per_layer(self, builds):
+    def test_ablation_builds_one_of_each_product_per_layer(self, builds):
         layers = _chain(5, 32) + _chain(6, 8)[:1]
         run_ablation(layers, RunConfig(lambda1=1.0, lambda2=2.0))
+        assert len(builds["cache"]) == len(layers)
         assert _lambdas(builds, "aqer") == [1.0] * len(layers)
-        # per layer one cache with the ridge and one without, in grid order
-        assert _lambdas(builds, "cache") == [None, 2.0] * len(layers)
+        assert _lambdas(builds, "ridge") == [2.0] * len(layers)
 
-    def test_k_sweep_builds_one_cache_per_layer(self, builds):
+    def test_k_sweep_builds_one_of_each_product_per_layer(self, builds):
         layers = _chain(18, 32)
         run_sweep("k", [0, 1, 2], layers, RunConfig(lambda1=1.0, lambda2=2.0))
+        assert len(builds["cache"]) == len(layers)
         assert _lambdas(builds, "aqer") == [1.0] * len(layers)
-        assert _lambdas(builds, "cache") == [2.0] * len(layers)
+        assert _lambdas(builds, "ridge") == [2.0] * len(layers)
 
     def test_lambda_sweep_builds_each_product_per_value(self, builds):
+        # the cache depends on the batch alone: one per layer for all values
         layers = _chain(19, 32)
         rows = run_sweep("lambda", [1.0, 10.0, 1.0], layers, RunConfig())
         per_layer = [1.0, 10.0, 1.0]
+        assert len(builds["cache"]) == len(layers)
         assert _lambdas(builds, "aqer") == per_layer * len(layers)
-        assert _lambdas(builds, "cache") == per_layer * len(layers)
+        assert _lambdas(builds, "ridge") == per_layer * len(layers)
         assert rows[0] == rows[2]
+
+    @pytest.mark.parametrize(
+        "stages", [frozenset(), frozenset({STAGE_AQER}), frozenset({STAGE_ROUNDING})]
+    )
+    def test_cache_built_only_when_a_stage_needs_it(self, builds, stages):
+        rng = np.random.default_rng(21)
+        w, a_fp = _layer(rng, d_out=3, d_in=12, n=32)
+        quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(stages=stages))
+        assert len(builds["cache"]) == (1 if stages else 0)
+        assert len(builds["aqer"]) == (1 if STAGE_AQER in stages else 0)
+        assert builds["ridge"] == []
 
     @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
     def test_stale_products_dropped_before_their_replacements(self, builds, n):
-        # a run keeps one aqer step and one cache per ridge setting, and
-        # drops the stale one first: a lambda sweep never holds two Grams
+        # a run keeps one cache, one aqer step and one ridge, and drops the
+        # stale step or ridge first: a lambda sweep never holds two of a kind
         layers = _chain(20, n)
         run_sweep("lambda", [1.0, 10.0, 1.0, 100.0], layers, RunConfig())
         run = pipeline.LayerRun(*layers[0][1:])
-        for lambda2 in (None, 1.0, 2.0, None, 2.0):
-            run.moment_cache(lambda2)
-        for lambda1 in (1.0, 2.0, 2.0, 1.0):
-            run.aqer(lambda1)
-        assert len(builds["cache"]) == 4 * len(layers) + 3
+        for lam in (1.0, 2.0, 2.0, 1.0):
+            run.ridge(lam)
+            run.aqer(lam)
+        assert len(builds["cache"]) == len(layers) + 1
         assert len(builds["aqer"]) == 4 * len(layers) + 3
-        assert [before for _, _, before in builds["aqer"] + builds["cache"]] == [0] * (
-            8 * len(layers) + 6
+        assert len(builds["ridge"]) == 4 * len(layers) + 3
+        assert all(
+            before == 0 for kind in builds.values() for _, _, before in kind
         )
-        live = [ref() for _, ref, _ in builds["cache"] if ref() is not None]
-        assert sorted(cache.lambda2 is None for cache in live) == [False, True]
+        assert run.ridge(1.0).cache is run.cache
+
+    def test_eval_batch_checked_before_calibration(self, call_counts):
+        # a bad eval batch fails at the boundary, before any calibration:
+        # an empty one by name, a non-finite one with its location
+        rng = np.random.default_rng(22)
+        w, a_fp = _layer(rng, d_out=3, d_in=12, n=32)
+        with pytest.raises(ValueError, match=r"eval batch of shape \(0, 12\) is empty"):
+            pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch=np.zeros((0, 12)))
+        with pytest.raises(ValueError, match="incompatible eval batch shape"):
+            pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch=np.zeros((5, 11)))
+        for bad in (np.nan, np.inf):
+            eval_batch = a_fp.copy()
+            eval_batch[3, 7] = bad
+            with pytest.raises(NonFiniteInputError, match="eval batch") as info:
+                pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch=eval_batch)
+            assert info.value.index == (3, 7)
+        assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
 
 
 class TestManifestRun:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantred import act_correct, pipeline, weight_quant
+from quantred import act_correct, moments, pipeline, weight_quant
 from quantred.linalg import SingularSystemError, solve_spd, spd_factor
 from quantred.moments import InsufficientSamplesError, accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
@@ -29,6 +29,7 @@ from quantred.verify import (
 )
 from quantred.weight_quant import (
     LayerMomentCache,
+    RemainderRidge,
     RoundingState,
     WeightQuantConfig,
     halving_splits,
@@ -38,6 +39,11 @@ from quantred.weight_quant import (
     quantize_layer_weights,
     refine_rounding,
 )
+
+
+def _ridge(cache, lambda2):
+    """The remainder ridge of a cache at lambda2; None is no ridge."""
+    return None if lambda2 is None else RemainderRidge(cache, lambda2)
 
 
 def _psd(rng, dim):
@@ -407,18 +413,20 @@ class TestRemainderCorrection:
     def test_scalar_hand_case(self):
         # raw2 = [[1, .8], [.8, 1]], lambda2 = 1: dr = -0.8 * 0.5 / (1 + 1)
         batch = np.array([[1.0, 1.4], [1.0, 0.2], [-1.0, -1.4], [-1.0, -0.2]])
-        cache = LayerMomentCache(batch, 1.0)
+        cache = LayerMomentCache(batch)
         np.testing.assert_allclose(cache.moments, [[1.0, 0.8], [0.8, 1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            cache.remainder_update(0, 1, np.array([0.5])), [-0.2], atol=1e-14
+            RemainderRidge(cache, 1.0).remainder_update(0, 1, np.array([0.5])),
+            [-0.2],
+            atol=1e-14,
         )
 
     def test_zero_committed_error_gives_zero_update(self):
         rng = np.random.default_rng(4)
-        cache = LayerMomentCache(rng.normal(0.2, 1.0, (64, 5)), 0.5)
-        for lo, mid, hi in cache.splits[:-1]:
+        ridge = RemainderRidge(LayerMomentCache(rng.normal(0.2, 1.0, (64, 5))), 0.5)
+        for lo, mid, hi in ridge.cache.splits[:-1]:
             np.testing.assert_array_equal(
-                cache.remainder_update(lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
+                ridge.remainder_update(lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
             )
 
     def test_minimizes_joint_error_objective(self):
@@ -426,11 +434,12 @@ class TestRemainderCorrection:
         # with raw2 restricted to the split's columns lo:hi
         rng = np.random.default_rng(6)
         lam = 0.5
-        cache = LayerMomentCache(rng.normal(0.3, 1.0, (200, 7)), lam)
+        cache = LayerMomentCache(rng.normal(0.3, 1.0, (200, 7)))
+        ridge = RemainderRidge(cache, lam)
         for lo, mid, hi in cache.splits[:-1]:
             raw2 = cache.moments[lo:hi, lo:hi]
             delta_s = rng.normal(0, 0.1, mid - lo)
-            dr = cache.remainder_update(lo, mid, delta_s)
+            dr = ridge.remainder_update(lo, mid, delta_s)
 
             def objective(dr_val):
                 full = np.concatenate([delta_s, dr_val])
@@ -447,7 +456,7 @@ class TestRemainderCorrection:
                 assert objective(dr + rng.normal(0, 0.01, hi - mid)) >= base - 1e-12
 
 
-def _reference_channel(w_row, params, cache, cfg):
+def _reference_channel(w_row, params, cache, ridge, cfg):
     # reference channel loop: the trace MSE of each split from its own
     # matrix-vector product with E[x x^T]
     raw2 = cache.moments
@@ -463,8 +472,8 @@ def _reference_channel(w_row, params, cache, cfg):
             proxy_after = committed[-1]
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
-        if cache.lambda2 is not None and mid < hi:
-            current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
+        if ridge is not None and mid < hi:
+            current[mid:hi] += ridge.remainder_update(lo, mid, state.delta)
         err[mid:hi] = current[mid:hi] - w_row[mid:hi]
         rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
     return codes, rows
@@ -488,7 +497,7 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
     )
 
 
-def _per_row_reference(w, channel_params, cache, cfg):
+def _per_row_reference(w, channel_params, cache, ridge, cfg):
     # reference only: the channel-outer loop (one channel through all its
     # splits, then the next), trace MSEs from one product of each channel's
     # (splits, D) error block
@@ -511,8 +520,8 @@ def _per_row_reference(w, channel_params, cache, cfg):
             codes[lo:mid] = state.codes
             w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
             err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
-            if cache.lambda2 is not None and mid < hi:
-                current[mid:hi] += cache.remainder_update(lo, mid, state.delta)
+            if ridge is not None and mid < hi:
+                current[mid:hi] += ridge.remainder_update(lo, mid, state.delta)
             err[mid:hi] = current[mid:hi] - w_row[mid:hi]
             errs[iteration] = err
             rows.append(
@@ -573,11 +582,14 @@ class TestChannelQuantization:
         w, params, a_q = self._setup(rng, 3, d_in, n=48)
         # the rounding stage off runs the loop at k = 0, as LayerRun.result does
         cfg = WeightQuantConfig(k=k if rounding else 0)
-        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
+        cache = LayerMomentCache(a_q)
+        remainder = _ridge(cache, 0.5 if ridge else None)
         for i in range(3):
-            got = quantize_layer_weights(w[i : i + 1], params[i : i + 1], cache, cfg)
+            got = quantize_layer_weights(
+                w[i : i + 1], params[i : i + 1], cache, remainder, cfg
+            )
             trace = got.trace[0]
-            codes, rows = _reference_channel(w[i], params[i], cache, cfg)
+            codes, rows = _reference_channel(w[i], params[i], cache, remainder, cfg)
             np.testing.assert_array_equal(got.codes[0], codes)
             assert len(trace) == len(rows)
             for row, (before, after, mse) in zip(trace, rows):
@@ -599,12 +611,17 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, 16)
         a_q = rng.normal(0.2, 1.0, (n, 16))
         cfg = WeightQuantConfig(k=k)
-        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
-        want_codes, want_w_bar, want_trace = _per_row_reference(w, params, cache, cfg)
+        cache = LayerMomentCache(a_q)
+        remainder = _ridge(cache, 0.5 if ridge else None)
+        want_codes, want_w_bar, want_trace = _per_row_reference(
+            w, params, cache, remainder, cfg
+        )
         assert (want_codes == 0).any() and (want_codes == 15).any()
-        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, cfg))]
+        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, remainder, cfg))]
         for i in range(5):
-            one = quantize_layer_weights(w[i : i + 1], params[i : i + 1], cache, cfg)
+            one = quantize_layer_weights(
+                w[i : i + 1], params[i : i + 1], cache, remainder, cfg
+            )
             runs.append((slice(i, i + 1), one))
         for rows, got in runs:
             np.testing.assert_array_equal(got.codes, want_codes[rows])
@@ -649,7 +666,10 @@ class TestChannelQuantization:
             return real(w_block, lattice, matrix)
 
         monkeypatch.setattr(weight_quant, "init_rounding", counted)
-        quantize_layer_weights(w, params, LayerMomentCache(a_q, 0.5), WeightQuantConfig(k=k))
+        cache = LayerMomentCache(a_q)
+        quantize_layer_weights(
+            w, params, cache, RemainderRidge(cache, 0.5), WeightQuantConfig(k=k)
+        )
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
         assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
@@ -657,21 +677,22 @@ class TestChannelQuantization:
     def test_empty_weight_matrix_rejected(self):
         rng = np.random.default_rng(42)
         a_q = rng.normal(0, 1, (16, 4))
-        cache = LayerMomentCache(a_q, 1e4)
+        cache = LayerMomentCache(a_q)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
-            quantize_layer_weights(np.zeros((0, 4)), (), cache, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((0, 4)), (), cache, None, WeightQuantConfig())
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
             pipeline.quantize_layer(
                 np.zeros((0, 4)), a_q, "uniform", 4, 4, pipeline.RunConfig()
             )
         with pytest.raises(ValueError, match=r"shape \(3, 0\) is empty"):
-            quantize_layer_weights(np.zeros((3, 0)), (), cache, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((3, 0)), (), cache, None, WeightQuantConfig())
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
         w, params, a_q = self._setup(rng, 3, 1)
         cfg = WeightQuantConfig()
-        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
+        cache = LayerMomentCache(a_q)
+        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
@@ -683,8 +704,9 @@ class TestChannelQuantization:
         _, _, a_q = self._setup(rng, 1, 6)
         w = np.zeros((1, 6))
         params = (UniformParams(scale=0.3, zero_point=5, bits=4),)
-        cache = LayerMomentCache(a_q, 1.0)
-        result = quantize_layer_weights(w, params, cache, WeightQuantConfig())
+        cache = LayerMomentCache(a_q)
+        ridge = RemainderRidge(cache, 1.0)
+        result = quantize_layer_weights(w, params, cache, ridge, WeightQuantConfig())
         np.testing.assert_array_equal(result.codes[0], np.full(6, 5))
         np.testing.assert_array_equal(result.w_bar[0], np.zeros(6))
 
@@ -694,8 +716,9 @@ class TestChannelQuantization:
         w = np.vstack([row, row])
         a_q = rng.normal(0, 1, (64, 10))
         p = calibrate(row, "uniform", 4)
-        cache = LayerMomentCache(a_q, 1.0)
-        result = quantize_layer_weights(w, (p, p), cache, WeightQuantConfig())
+        cache = LayerMomentCache(a_q)
+        ridge = RemainderRidge(cache, 1.0)
+        result = quantize_layer_weights(w, (p, p), cache, ridge, WeightQuantConfig())
         np.testing.assert_array_equal(result.codes[0], result.codes[1])
         np.testing.assert_array_equal(result.w_bar[0], result.w_bar[1])
 
@@ -703,10 +726,12 @@ class TestChannelQuantization:
         rng = np.random.default_rng(10)
         w, params, a_q = self._setup(rng, 5, 8)
         cfg = WeightQuantConfig()
-        base = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
+        cache = LayerMomentCache(a_q)
+        ridge = RemainderRidge(cache, 1.0)
+        base = quantize_layer_weights(w, params, cache, ridge, cfg)
         perm = rng.permutation(5)
         permuted = quantize_layer_weights(
-            w[perm], tuple(params[i] for i in perm), LayerMomentCache(a_q, 1.0), cfg
+            w[perm], tuple(params[i] for i in perm), cache, ridge, cfg
         )
         np.testing.assert_array_equal(permuted.codes, base.codes[perm])
         np.testing.assert_array_equal(permuted.w_bar, base.w_bar[perm])
@@ -715,7 +740,8 @@ class TestChannelQuantization:
         rng = np.random.default_rng(12)
         w, params, a_q = self._setup(rng, 4, 9, n=128)
         cfg = WeightQuantConfig()
-        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
+        cache = LayerMomentCache(a_q)
+        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
         for i, rows in enumerate(result.trace):
             err_vec = (result.w_bar[i] - w[i]) @ a_q.T
             empirical = float(np.mean(err_vec**2))
@@ -724,8 +750,9 @@ class TestChannelQuantization:
     def test_refinement_never_worse_than_nearest_per_slice(self):
         rng = np.random.default_rng(13)
         w, params, a_q = self._setup(rng, 6, 12, n=96)
+        cache = LayerMomentCache(a_q)
         result = quantize_layer_weights(
-            w, params, LayerMomentCache(a_q, 1.0), WeightQuantConfig(k=1)
+            w, params, cache, RemainderRidge(cache, 1.0), WeightQuantConfig(k=1)
         )
         for rows in result.trace:
             for row in rows:
@@ -735,7 +762,7 @@ class TestChannelQuantization:
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
         cfg = WeightQuantConfig(k=0)
-        result = quantize_layer_weights(w, params, LayerMomentCache(a_q, None), cfg)
+        result = quantize_layer_weights(w, params, LayerMomentCache(a_q), None, cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
@@ -743,20 +770,28 @@ class TestChannelQuantization:
             np.testing.assert_array_equal(result.w_bar[i], deq)
 
     @pytest.mark.parametrize("n", [6, 64])
-    def test_cache_without_ridge_switches_the_ridge_off(self, n):
-        # the cache is the one ridge switch: a cache built with lambda2 None
-        # holds no remainder factors, so quantize_layer_weights skips the
+    def test_no_ridge_switches_the_ridge_off(self, n):
+        # no ridge is the one switch: quantize_layer_weights skips the
         # remainder update, and matches the per-row reference without it
         rng = np.random.default_rng(19 + n)
         w, params, a_q = self._setup(rng, 3, 8, n=n)
         cfg = WeightQuantConfig()
-        cache = LayerMomentCache(a_q, None)
-        got = quantize_layer_weights(w, params, cache, cfg)
-        want_codes, want_w_bar, _ = _per_row_reference(w, params, cache, cfg)
+        cache = LayerMomentCache(a_q)
+        got = quantize_layer_weights(w, params, cache, None, cfg)
+        want_codes, want_w_bar, _ = _per_row_reference(w, params, cache, None, cfg)
         np.testing.assert_array_equal(got.codes, want_codes)
         np.testing.assert_array_equal(got.w_bar, want_w_bar)
-        ridged = quantize_layer_weights(w, params, LayerMomentCache(a_q, 0.5), cfg)
+        ridged = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), cfg)
         assert got.trace != ridged.trace
+
+    def test_ridge_of_another_cache_rejected(self):
+        rng = np.random.default_rng(22)
+        w, params, a_q = self._setup(rng, 3, 8)
+        other = RemainderRidge(LayerMomentCache(a_q), 0.5)
+        with pytest.raises(ValueError, match="another moment cache"):
+            quantize_layer_weights(
+                w, params, LayerMomentCache(a_q), other, WeightQuantConfig()
+            )
 
     def test_ridge_reduces_final_error_on_correlated_batch(self):
         rng = np.random.default_rng(16)
@@ -766,8 +801,9 @@ class TestChannelQuantization:
         w = rng.normal(0, 0.5, (6, 16))
         params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
         cfg = WeightQuantConfig(k=0)
-        on = quantize_layer_weights(w, params, LayerMomentCache(a_q, 1.0), cfg)
-        off = quantize_layer_weights(w, params, LayerMomentCache(a_q, None), cfg)
+        cache = LayerMomentCache(a_q)
+        on = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
+        off = quantize_layer_weights(w, params, cache, None, cfg)
 
         def total_mse(res):
             return float(np.mean(((res.w_bar - w) @ a_q.T) ** 2))
@@ -776,39 +812,40 @@ class TestChannelQuantization:
 
     def test_row_dim_mismatch_rejected(self):
         rng = np.random.default_rng(17)
-        cache = LayerMomentCache(rng.normal(0, 1, (32, 8)), 1.0)
+        cache = LayerMomentCache(rng.normal(0, 1, (32, 8)))
         with pytest.raises(ValueError, match="dim"):
             quantize_layer_weights(
                 np.zeros((1, 5)),
                 (UniformParams(scale=1.0, zero_point=0, bits=4),),
                 cache,
+                RemainderRidge(cache, 1.0),
                 WeightQuantConfig(),
             )
 
     def test_layer_validation_errors(self):
         rng = np.random.default_rng(18)
-        cache = LayerMomentCache(rng.normal(0, 1, (16, 4)), 1e4)
+        cache = LayerMomentCache(rng.normal(0, 1, (16, 4)))
         p = UniformParams(scale=1.0, zero_point=0, bits=4)
         with pytest.raises(ValueError, match="2-D"):
-            quantize_layer_weights(np.zeros(4), (p,), cache, WeightQuantConfig())
+            quantize_layer_weights(np.zeros(4), (p,), cache, None, WeightQuantConfig())
         with pytest.raises(ValueError, match="per output channel"):
-            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, None, WeightQuantConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k"):
             WeightQuantConfig(k=-1)
         with pytest.raises(ValueError, match="max_iter"):
             WeightQuantConfig(max_iter=-5)
-        # lambda2 lives in the moment cache, which checks it as RunConfig
-        # does: a bool or a string is not a strength; None is no ridge
-        a_q = np.random.default_rng(0).normal(0, 1, (16, 4))
+        # lambda2 lives in the remainder ridge, which checks it as RunConfig
+        # does: a bool, a string or None is not a strength
+        cache = LayerMomentCache(np.random.default_rng(0).normal(0, 1, (16, 4)))
         for lam in (-0.1, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="lambda2 must be finite"):
-                LayerMomentCache(a_q, lam)
-        for lam in (True, False, "1", [1.0]):
+                RemainderRidge(cache, lam)
+        for lam in (True, False, "1", [1.0], None):
             with pytest.raises(ValueError, match="lambda2 must be an int or float, got"):
-                LayerMomentCache(a_q, lam)
-        assert LayerMomentCache(a_q, None).lambda2 is None
+                RemainderRidge(cache, lam)
+        assert not hasattr(cache, "lambda2")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -830,7 +867,7 @@ class TestMomentCache:
         # proxy is the expected output error over the batch
         rng = np.random.default_rng(20)
         a_q = rng.normal(0.5, 1.2, (100, 8))
-        cache = LayerMomentCache(a_q, 1.0)
+        cache = LayerMomentCache(a_q)
         mu = a_q.mean(axis=0)
         sigma = np.cov(a_q.T, ddof=0)
         for lo, mid, _ in cache.splits:
@@ -839,21 +876,21 @@ class TestMomentCache:
 
     def test_remainder_update_only_for_nonfinal_splits(self):
         rng = np.random.default_rng(21)
-        cache = LayerMomentCache(rng.normal(0, 1, (64, 8)), 1.0)
-        *head, last = cache.splits
+        ridge = RemainderRidge(LayerMomentCache(rng.normal(0, 1, (64, 8))), 1.0)
+        *head, last = ridge.cache.splits
         for lo, mid, _ in head:
-            update = cache.remainder_update(lo, mid, np.ones(mid - lo))
+            update = ridge.remainder_update(lo, mid, np.ones(mid - lo))
             assert update.shape == (8 - mid,)
         with pytest.raises(KeyError):
-            cache.remainder_update(last[0], last[1], np.ones(last[1] - last[0]))
+            ridge.remainder_update(last[0], last[1], np.ones(last[1] - last[0]))
 
-    def test_verify_ridge_suite_checks_the_cache(self, monkeypatch):
+    def test_verify_ridge_suite_checks_the_ridge(self, monkeypatch):
         # the verify suite must run the update a quantization run uses, so a
         # 1% error injected into it fails the suite
         assert suite_ridge_optimality(splits=5).passed
-        real = LayerMomentCache.remainder_update
+        real = RemainderRidge.remainder_update
         monkeypatch.setattr(
-            LayerMomentCache,
+            RemainderRidge,
             "remainder_update",
             lambda self, lo, mid, delta_s: 1.01 * real(self, lo, mid, delta_s),
         )
@@ -903,13 +940,13 @@ class TestMomentCache:
         # N x N sample-space systems) must fail the suite too
         suite = suite_ridge_optimality(splits=5)
         assert suite.passed and suite.metrics["sample_space_splits"] > 0
-        real = LayerMomentCache.remainder_update
+        real = RemainderRidge.remainder_update
 
         def faulty(self, lo, mid, delta_s):
-            scale = 1.01 if self.n_samples < self.dim - mid else 1.0
+            scale = 1.01 if self.cache.n_samples < self.cache.dim - mid else 1.0
             return scale * real(self, lo, mid, delta_s)
 
-        monkeypatch.setattr(LayerMomentCache, "remainder_update", faulty)
+        monkeypatch.setattr(RemainderRidge, "remainder_update", faulty)
         assert not suite_ridge_optimality(splits=5).passed
 
 
@@ -938,7 +975,7 @@ class TestProxyBlocks:
     @pytest.mark.parametrize("n,d_in", FULL_SHAPES)
     def test_full_width_blocks_equal_eager_reference_exactly(self, n, d_in):
         a_q = np.random.default_rng(n + d_in).normal(0.4, 1.0, (n, d_in))
-        cache = LayerMomentCache(a_q, 0.5)
+        cache = LayerMomentCache(a_q)
         want = _eager_proxy_blocks(a_q)
         assert cache.moments is not None
         for lo, mid, _ in cache.splits:
@@ -949,7 +986,7 @@ class TestProxyBlocks:
         # the slice is copied contiguous here and strided in the reference,
         # which can send a product down another BLAS path: 1e-15 relative
         a_q = np.random.default_rng(n + d_in).normal(0.4, 1.0, (n, d_in))
-        cache = LayerMomentCache(a_q, 0.5)
+        cache = LayerMomentCache(a_q)
         want = _eager_proxy_blocks(a_q)
         assert cache.moments is None
         for lo, mid, _ in cache.splits:
@@ -960,7 +997,7 @@ class TestProxyBlocks:
 
     @pytest.mark.parametrize("n", [12, 64])
     def test_proxy_matrix_rejects_non_split(self, n):
-        cache = LayerMomentCache(np.random.default_rng(n).normal(0, 1, (n, 40)), None)
+        cache = LayerMomentCache(np.random.default_rng(n).normal(0, 1, (n, 40)))
         assert [(lo, mid) for lo, mid, _ in cache.splits][:2] == [(0, 20), (20, 30)]
         for lo, mid in ((0, 40), (20, 40), (0, 10), (1, 21), (40, 41)):
             with pytest.raises(KeyError):
@@ -987,8 +1024,9 @@ class TestProxyBlocks:
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
         params = tuple(calibrate(row, "uniform", 4) for row in w)
-        cache = LayerMomentCache(a_q, 0.5 if ridge else None)
-        quantize_layer_weights(w, params, cache, WeightQuantConfig(k=k))
+        cache = LayerMomentCache(a_q)
+        remainder = _ridge(cache, 0.5 if ridge else None)
+        quantize_layer_weights(w, params, cache, remainder, WeightQuantConfig(k=k))
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
 
@@ -1004,8 +1042,9 @@ class TestProxyBlocks:
         largest = max(mid - lo for lo, mid, _ in halving_splits(1024)) ** 2 * 8
         tracemalloc.start()
         try:
-            cache = LayerMomentCache(a_q, 1e4)
-            quantize_layer_weights(w, params, cache, WeightQuantConfig(k=k))
+            cache = LayerMomentCache(a_q)
+            ridge = RemainderRidge(cache, 1e4)
+            quantize_layer_weights(w, params, cache, ridge, WeightQuantConfig(k=k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1014,8 +1053,10 @@ class TestProxyBlocks:
 
 class _FullWidthCache:
     # reference: the D x D Gram and full-width remainder factors for any
-    # batch size, the cache's own arithmetic when N >= D
+    # batch size, the cache's and the ridge's own arithmetic when N >= D;
+    # it serves as its own ridge
     def __init__(self, a_q, lambda2):
+        self.cache = self
         self.moments = gram = accumulate_moments(a_q)
         self.dim = a_q.shape[1]
         self.splits = halving_splits(self.dim)
@@ -1054,14 +1095,15 @@ class TestThinBatch:
 
     def test_forms_no_full_width_moments(self):
         _, a_q = self._batch(4, 16)
-        cache = LayerMomentCache(a_q, 1.0)
+        cache = LayerMomentCache(a_q)
         assert cache.moments is None
-        assert LayerMomentCache(a_q[:, :4], 1.0).moments is not None
+        assert LayerMomentCache(a_q[:, :4]).moments is not None
 
     @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
     def test_blocks_match_full_width_reference(self, n, d_in):
         rng, a_q = self._batch(n, d_in)
-        cache = LayerMomentCache(a_q, 0.5)
+        cache = LayerMomentCache(a_q)
+        ridge = RemainderRidge(cache, 0.5)
         ref = _FullWidthCache(a_q, 0.5)
         for lo, mid, hi in cache.splits:
             got, want = cache.proxy_matrix(lo, mid), ref.proxy_matrix(lo, mid)
@@ -1069,7 +1111,7 @@ class TestThinBatch:
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
             if mid < hi:
                 delta_s = rng.normal(0, 0.1, mid - lo)
-                got = cache.remainder_update(lo, mid, delta_s)
+                got = ridge.remainder_update(lo, mid, delta_s)
                 want = ref.remainder_update(lo, mid, delta_s)
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         errs = rng.normal(0, 0.1, (3, d_in))
@@ -1085,12 +1127,14 @@ class TestThinBatch:
         for n, d_in in THIN_SHAPES:
             rng, a_q = self._batch(n, d_in)
             w = rng.normal(0, 0.5, (4, d_in))
-            cache = LayerMomentCache(a_q, lambda2)
+            cache = LayerMomentCache(a_q)
+            remainder = _ridge(cache, lambda2)
             ref = _FullWidthCache(a_q, lambda2)
+            ref_ridge = ref if ridge else None
             for row in w:
                 params = (calibrate(row, "uniform", 4),)
-                got = quantize_layer_weights(row[None], params, cache, cfg)
-                want = quantize_layer_weights(row[None], params, ref, cfg)
+                got = quantize_layer_weights(row[None], params, cache, remainder, cfg)
+                want = quantize_layer_weights(row[None], params, ref, ref_ridge, cfg)
                 np.testing.assert_array_equal(got.codes, want.codes)
                 for a, b in zip(got.trace[0], want.trace[0], strict=True):
                     assert (a["stop_reason"], a["flips_committed"]) == (
@@ -1105,9 +1149,9 @@ class TestThinBatch:
         # lambda2 = 0 is singular even where the N x N form would factor
         _, a_q = self._batch(3, 10)
         with pytest.raises(SingularSystemError, match="regularization"):
-            LayerMomentCache(a_q, 0.0)
+            RemainderRidge(LayerMomentCache(a_q), 0.0)
         # remainders no wider than the batch still factor without ridge
-        LayerMomentCache(a_q[:, :6], 0.0)
+        RemainderRidge(LayerMomentCache(a_q[:, :6]), 0.0)
 
     @staticmethod
     def _count_wrap_points(monkeypatch):
@@ -1127,10 +1171,46 @@ class TestThinBatch:
             (weight_quant, "solve_spd"),
             (weight_quant, "refine_rounding"),
             (act_correct, "spd_factor"),
+            # every D x D Gram, whichever module asks accumulate_moments for it
+            (moments, "gram"),
         ):
             name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return calls
+
+    @pytest.mark.parametrize("n", [12, 64], ids=["n_lt_d", "n_ge_d"])
+    @pytest.mark.parametrize(
+        "entry", ["quantize", "quantize_aqer", "ablation", "lambda_sweep"]
+    )
+    def test_one_gram_per_layer_run(self, monkeypatch, entry, n):
+        # aqer and the weight loop share one moment cache: a LayerRun forms
+        # the Gram of its batch once, through weight_quant.accumulate_moments,
+        # however many stages, combinations or ridge strengths it serves, and
+        # a batch thinner than the layer forms none
+        calls = self._count_wrap_points(monkeypatch)
+        d_in = 40
+        rng = np.random.default_rng(9)
+        w = rng.normal(0, 0.5, (3, d_in))
+        a_fp = rng.normal(0.2, 1.0, (n, d_in))
+        cfg = pipeline.RunConfig(lambda1=1.0, lambda2=1.0)
+        layers = [("l0", w, a_fp, "uniform", 4, 4)]
+        if entry == "quantize":
+            pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
+        elif entry == "quantize_aqer":
+            aqer = cfg.replace(stages=frozenset({"aqer"}))
+            pipeline.quantize_layer(w, a_fp, "uniform", 4, 4, aqer)
+        elif entry == "ablation":
+            pipeline.run_ablation(layers, cfg)
+        else:
+            pipeline.run_sweep("lambda", [1.0, 10.0, 1.0], layers, cfg)
+        grams = 1 if n >= d_in else 0
+        assert calls["weight_quant.accumulate_moments"] == grams
+        assert calls["moments.gram"] == grams
+        # one aqer factor per lambda1, one set of ridge factors per lambda2
+        strengths = 3 if entry == "lambda_sweep" else 1
+        ridges = 0 if entry == "quantize_aqer" else strengths
+        assert calls["act_correct.spd_factor"] == strengths
+        assert calls["weight_quant.spd_factor"] == ridges * (len(halving_splits(d_in)) - 1)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_tracer_wrap_points_and_counts(self, monkeypatch, k):
@@ -1172,6 +1252,7 @@ class TestThinBatch:
         }
         if n >= 40:
             expected["weight_quant.accumulate_moments"] = 1
+            expected["moments.gram"] = 1
         assert calls == expected
 
     def test_ridge_off_ignores_unregularized_remainder(self):
@@ -1190,13 +1271,12 @@ class TestThinBatch:
             pipeline.RunConfig(lambda1=1.0, lambda2=10.0, stages=stages),
         )
         np.testing.assert_array_equal(got.codes, want.codes)
-        with pytest.raises(KeyError):
-            LayerMomentCache(a_fp, None).remainder_update(0, 4, np.zeros(4))
+        with pytest.raises(SingularSystemError):
+            RemainderRidge(LayerMomentCache(a_fp), 0.0)
 
     @pytest.mark.parametrize("shape", [(1, 8), (1, 1), (0, 3)])
-    @pytest.mark.parametrize("lambda2", [1.0, None])
-    def test_fewer_than_two_samples_rejected(self, shape, lambda2):
+    def test_fewer_than_two_samples_rejected(self, shape):
         # a batch of fewer than two samples is rejected at the boundary, as
         # accumulate_moments rejects it
         with pytest.raises(InsufficientSamplesError):
-            LayerMomentCache(np.ones(shape), lambda2)
+            LayerMomentCache(np.ones(shape))
