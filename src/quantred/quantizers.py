@@ -150,12 +150,13 @@ def quantize(x: np.ndarray, params):
 
 
 class NonFiniteInputError(ValueError):
-    """Calibration input holds NaN or +/-Inf.
+    """An input array holds NaN or +/-Inf.
 
-    `index` locates the first bad element in the array as passed; `row` is
-    the channel for per-channel calibration and None otherwise; `path`
-    names where the array came from: the tensor file it was read from, or
-    a name such as "eval batch", when known.
+    Calibration input, tensors read from files and eval batches are checked
+    alike. `index` locates the first bad element in the array as passed;
+    `row` is the channel for per-channel calibration and None otherwise;
+    `path` names where the array came from: the tensor file it was read
+    from, or a name such as "eval batch", when known.
     """
 
     def __init__(self, value: float, index: tuple, row: int | None = None, path=None):
@@ -164,7 +165,7 @@ class NonFiniteInputError(ValueError):
         self.path = path
         where = f"index {index}" if row is None else f"row {row}, column {index[-1]}"
         source = "" if path is None else f" in {path}"
-        super().__init__(f"non-finite calibration value {value} at {where}{source}")
+        super().__init__(f"non-finite value {value} at {where}{source}")
 
 
 def check_finite(x: np.ndarray, per_row: bool = False, path=None) -> None:

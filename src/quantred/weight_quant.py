@@ -65,21 +65,29 @@ every weight loop of the layer shares them.
 
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
-from the candidates every iteration. Every k runs the same loop: four
-passes over the slice into preallocated buffers score the eligible flips,
-and repeated argmax takes up to k of them. A step of one flip (every step
-at the default k = 1) is then scored and applied in scalar arithmetic,
-with no index array or k x k block; a step of several flips takes the
-k x k block of M. Over the refinement calls of a 32 x 2048 and a 64 x 256
-layer a k = 1 iteration averages about 7-10 us (2-core x86 VM, BLAS on one
-thread).
+from the candidates every iteration. Every k runs the same loop: three
+passes over the slice into preallocated buffers (t g, plus the curvature,
+and that sum's sign copied onto g) score every eligible flip -|g_j| < 0
+and every other coordinate >= 0, and repeated argmin takes up to k of
+them. A step of one flip (every step at the default k = 1) is then scored
+and applied in scalar arithmetic, with no index array or k x k block; a
+step of several flips takes the k x k block of M.
+
+Measured at k = 1 by replaying every refinement call of the benchmark
+workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
+call timed at max_iter 0 and 100, best of 5; ranges over four runs, as
+this host's speed drifts by up to 1.7x): an iteration costs 2.9-5.2 us on
+1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers), 3.6-6.4 us on
+1-128 column slices (64 x 256) and 7.6-10.4 us on 1-1024 column slices
+(32 x 2048). The set-up of a call, dominated on wide slices by the one
+gradient matvec, costs 11-13, 12-20 and 57-71 us there.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,18 +224,6 @@ def init_rounding(
     )
 
 
-def _row_state(block: RoundingState, i: int) -> RoundingState:
-    """Row i of a block state, as views into the block's arrays."""
-    return RoundingState(
-        delta_down=block.delta_down[i],
-        delta_up=block.delta_up[i],
-        up_mask=block.up_mask[i],
-        code_down=block.code_down[i],
-        code_up=block.code_up[i],
-        proxy_matrix=block.proxy_matrix,
-    )
-
-
 def refine_rounding(
     state: RoundingState, k: int, max_iter: int
 ) -> tuple[RoundingState, list[float]]:
@@ -260,43 +256,48 @@ def refine_rounding(
     every eligible flip is sign-consistent. A coordinate without a second
     candidate has t_j = 0 and is never eligible.
 
-    An iteration scores into preallocated buffers: t g, its comparison
-    with -t^2 M_jj (a + c < 0 exactly when a < -c in IEEE arithmetic), |g|,
-    and the zeroing of ineligible scores. An eligible flip has
-    t_j g_j < -t_j^2 M_jj <= 0, so |g_j| > 0: argmax takes the first largest
-    eligible |g_j|, a zero maximum means none is left, and each pick is
-    marked -1 before the next, so the picks of a step of several flips are
-    read back, sorted, as the negative scores. A step of one flip is scored
-    and applied in scalar arithmetic, the one-term case of the k x k form:
-    t_j g_j + t_j (M_jj t_j) and g += M_j (2 t_j), which is 2 (t_j M_j) since
-    scaling by 2 is exact away from the subnormal range.
+    An iteration scores into preallocated buffers in three passes: t g,
+    plus the curvature t^2 M_jj (formed once per call), and the sign of
+    that sum copied onto g. With gradual underflow fl(a + c) < 0 exactly
+    when a < -c, so the sign is the exact eligibility test. An eligible
+    flip has t_j g_j < -t_j^2 M_jj <= 0, so g_j != 0 and it scores
+    -|g_j| < 0; every other coordinate scores a zero or a positive value.
+    argmin therefore takes the first largest eligible |g_j|, a minimum
+    that is not negative means none is left, and each pick is marked +inf
+    before the next, so the picks of a step of several flips are read back,
+    sorted, as the infinite scores. This assumes finite values, which the
+    boundary guarantees by rejecting NaN and Inf in weights and batches: a
+    NaN would win argmin, and an infinite |g_j| would read as a pick.
+
+    A step of one flip is scored and applied in scalar arithmetic, the
+    one-term case of the k x k form: t_j g_j + t_j (M_jj t_j) and
+    g += M_j (2 t_j), which is 2 (t_j M_j) since scaling by 2 is exact away
+    from the subnormal range.
     """
     matrix = state.proxy_matrix
-    diag = np.diagonal(matrix)
+    diag = matrix.diagonal()
     up_mask = state.up_mask.copy()
     delta = state.delta
     step = np.where(up_mask, state.delta_down, state.delta_up) - delta
-    neg_curvature = -(step * step * diag)
+    curvature = step * step * diag
     grad = proxy_gradient(delta, matrix)
     proxy = 0.5 * float(delta @ grad)
     committed = [proxy]
     product = np.empty_like(grad)
-    downhill = np.empty(grad.shape, dtype=bool)
     score = np.empty_like(grad)
     budget = min(operator.index(k), step.size)  # a float k is a TypeError
     stop_reason = "max_iter"
     flips_committed = 0
     for _ in range(max_iter):
         np.multiply(step, grad, out=product)
-        np.less(product, neg_curvature, out=downhill)
-        np.abs(grad, out=score)
-        np.multiply(score, downhill, out=score)
+        np.add(product, curvature, out=product)
+        np.copysign(grad, product, out=score)
         picks = 0
         while picks < budget:
-            i = int(score.argmax())
-            if score[i] <= 0.0:
+            i = int(score.argmin())
+            if score[i] >= 0.0:
                 break
-            score[i] = -1.0
+            score[i] = np.inf
             j = i
             picks += 1
         if picks == 0:
@@ -313,7 +314,7 @@ def refine_rounding(
             np.multiply(matrix[j], 2.0 * t, out=product)
             grad += product
         else:
-            flips = np.flatnonzero(score < 0.0)
+            flips = np.flatnonzero(score == np.inf)
             t = step[flips]
             m_rows = matrix[flips]
             # np.take keeps the k x k block C-ordered: BLAS may round the product
@@ -328,8 +329,9 @@ def refine_rounding(
         proxy += change
         committed.append(proxy)
         flips_committed += picks
-    refined = replace(
-        state, up_mask=up_mask, stop_reason=stop_reason, flips_committed=flips_committed
+    refined = RoundingState(
+        state.delta_down, state.delta_up, up_mask, state.code_down, state.code_up,
+        matrix, stop_reason, flips_committed,
     )
     return refined, committed
 
@@ -480,8 +482,11 @@ def quantize_layer_weights(
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
         stats = []
-        for i in range(d_out):
-            state = _row_state(block, i)
+        rows = zip(
+            block.delta_down, block.delta_up, block.up_mask, block.code_down, block.code_up
+        )
+        for i, row in enumerate(rows):
+            state = RoundingState(*row, matrix)
             if cfg.k > 0:
                 state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
                 block.up_mask[i] = state.up_mask

@@ -475,7 +475,7 @@ class TestAblate:
         out = tmp_path / "out"
         result = _run(runner, ["ablate", "--manifest", str(manifest), "--out", str(out)])
         assert result.exit_code == 2
-        assert "non-finite calibration value inf at index (3, 2)" in result.stderr
+        assert "non-finite value inf at index (3, 2)" in result.stderr
         assert str(bad) in result.stderr
         assert not (out / "ablation.csv").exists()
 

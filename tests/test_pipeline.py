@@ -504,6 +504,20 @@ class TestLayerRun:
             assert info.value.index == (3, 7)
         assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
 
+    def test_non_finite_eval_batch_message_names_no_calibration(self):
+        # the eval batch is not calibration input: the message says what is
+        # wrong, where, and in which array, and keeps the located fields
+        rng = np.random.default_rng(23)
+        w, a_fp = _layer(rng, d_out=3, d_in=12, n=32)
+        eval_batch = a_fp.copy()
+        eval_batch[3, 7] = np.nan
+        with pytest.raises(NonFiniteInputError) as info:
+            pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch=eval_batch)
+        assert str(info.value) == "non-finite value nan at index (3, 7) in eval batch"
+        assert (info.value.index, info.value.row, info.value.path) == (
+            (3, 7), None, "eval batch"
+        )
+
 
 class TestManifestRun:
     @staticmethod

@@ -443,7 +443,7 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_is_a_value_error_from_either_calibrator(self, family):
-        with pytest.raises(ValueError, match="non-finite calibration value nan at index \\(1,\\)"):
+        with pytest.raises(ValueError, match="non-finite value nan at index \\(1,\\)"):
             calibrate(np.array([0.5, np.nan, 0.2]), family, 4)
 
 

@@ -129,6 +129,42 @@ def _reference_instances():
         yield k, init_rounding(np.full(6, 0.6), params, matrix)
 
 
+def _edge_states():
+    """States at the edges of the eligibility test, and production-shaped blocks.
+
+    - t_j g_j exactly equal to -t_j^2 M_jj (change exactly 0, so not
+      eligible) at the largest |g_j|, beside a smaller eligible flip;
+    - g_j = 0 at a flippable coordinate, by exact cancellation, beside an
+      eligible flip (g_j = -0 is not built: the gradient matvec returned +0
+      in every probe);
+    - a zero diagonal entry: a Gram block of a batch with an all-zero input
+      column, whose flippable coordinate has g_j = 0 and no curvature;
+    - a 1024-column block of a thin batch (N = 128), the `moments.gram` of
+      its slice, and a 64-column block that is a view of a Gram, both as
+      `LayerMomentCache` hands them to the weight loop.
+    """
+    unit = UniformParams(scale=1.0, zero_point=8, bits=4)
+    tie = np.array(
+        [[2.25, 0.25, 0.5, 0.25], [0.25, 0.5, -0.5, 0.0],
+         [0.5, -0.5, 2.25, -0.25], [0.25, 0.0, -0.25, 1.0]]
+    )
+    yield init_rounding(np.array([-0.375, -4.625, -2.375, -2.375]), unit, tie)
+    cancel = np.array([[0.25, -0.5, 0.0], [-0.5, 1.5, -0.5], [0.0, -0.5, 0.5]])
+    yield init_rounding(np.array([-0.625, 0.625, -1.375]), unit, cancel)
+    rng = np.random.default_rng(2025)
+    params = UniformParams(scale=0.1, zero_point=7, bits=4)
+    batch = rng.normal(1.0, 1.0, (64, 12))
+    batch[:, 5] = 0.0
+    w = 0.1 * (rng.integers(1, 14, 6) + rng.uniform(0.3, 0.45, 6) - 7)
+    yield init_rounding(w, params, LayerMomentCache(batch).proxy_matrix(0, 6))
+    thin = LayerMomentCache(rng.normal(0.5, 1.0, (128, 2048)))
+    w = 0.1 * (rng.integers(1, 14, 1024) + rng.uniform(0.2, 0.8, 1024) - 7)
+    yield init_rounding(w, params, thin.proxy_matrix(0, 1024))
+    tall = LayerMomentCache(rng.normal(0.5, 1.0, (512, 256)))
+    w = 0.1 * (rng.integers(1, 14, 64) + rng.uniform(0.2, 0.8, 64) - 7)
+    yield init_rounding(w, params, tall.proxy_matrix(128, 192))
+
+
 class TestProxy:
     def test_identity_matrix_gives_squared_norm(self):
         delta = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
@@ -265,6 +301,7 @@ class TestRefinement:
         empty = init_rounding(np.zeros(0), params, np.zeros((0, 0)))
         instances += [(1, 100, empty), (2, 100, empty)]
         instances += [(k, 0, empty) for k in (0, 1, 4)]
+        instances += [(k, 100, state) for state in _edge_states() for k in (1, 2, 3)]
         stops = Counter()
         for k, max_iter, state in instances:
             refined, committed = refine_rounding(state, k, max_iter)
@@ -276,10 +313,10 @@ class TestRefinement:
             assert committed == ref_committed
             assert (refined.stop_reason, refined.flips_committed) == (stop_reason, flips)
             stops[k, stop_reason] += 1
-        assert len(instances) == 64 * 3 + 3 + 2 * 5 * 4 + 28 + 2 + 3
+        assert len(instances) == 64 * 3 + 3 + 2 * 5 * 4 + 28 + 2 + 3 + 5 * 3
         # at k = 1: six stops at caps of 0-5, the 1024-column slice at 100
-        # and the empty slice at cap 0
-        assert stops[1, "max_iter"] == 8 and stops[1, "no_eligible"] == 67
+        # and the empty slice at cap 0; every edge state runs out of flips
+        assert stops[1, "max_iter"] == 8 and stops[1, "no_eligible"] == 72
         assert stops[2, "uphill"] > 0
         # k = 0 stops at once: at the cap when it is 0, else with nothing chosen
         assert stops[0, "max_iter"] == 3 and stops[0, "no_eligible"] == 6
@@ -293,6 +330,25 @@ class TestRefinement:
         # all six start up with one shared |gradient|; the lowest indices flip
         np.testing.assert_array_equal(refined.up_mask, [False] * 3 + [True] * 3)
         assert len(committed) == 2
+
+    def test_edge_states_hit_their_edges(self):
+        # each edge state has, at its start, the case it is named for
+        changes, zero_grads, zero_diags, widths, views = [], [], [], [], []
+        for state in _edge_states():
+            matrix = state.proxy_matrix
+            grad = proxy_gradient(state.delta, matrix)
+            step = np.where(state.up_mask, state.delta_down, state.delta_up) - state.delta
+            change = step * grad + step * step * np.diagonal(matrix)
+            top = int(np.argmax(np.abs(grad)))
+            changes.append(change[top] == 0.0 and (change < 0.0).any())
+            zero_grads.append(((grad == 0.0) & state.flippable).any())
+            zero_diags.append((np.diagonal(matrix) == 0.0).any())
+            widths.append(state.up_mask.size)
+            views.append(matrix.base is not None)
+        assert changes[0] and not changes[1]
+        assert zero_grads[1] and zero_grads[2]
+        assert zero_diags == [False, False, True, False, False]
+        assert widths[3:] == [1024, 64] and views[3:] == [False, True]
 
     def test_proxy_before_is_the_proxy_of_nearest_rounding(self):
         for k, state in _reference_instances():
@@ -643,13 +699,15 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, 9)
         matrix = _psd(rng, 9)
         block = init_rounding(w, row_lattice(params), matrix)
+        fields = ("delta_down", "delta_up", "delta", "up_mask", "flippable",
+                  "code_down", "code_up", "codes")
         for i, (row, p) in enumerate(zip(w, params)):
             want = _per_row_init_rounding(row, p, matrix)
-            for got in (init_rounding(row, p, matrix), weight_quant._row_state(block, i)):
-                for field in ("delta_down", "delta_up", "delta", "up_mask", "flippable",
-                              "code_down", "code_up", "codes"):
-                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-                assert got.proxy_matrix is matrix
+            got = init_rounding(row, p, matrix)
+            for field in fields:
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                np.testing.assert_array_equal(getattr(block, field)[i], getattr(want, field))
+            assert got.proxy_matrix is block.proxy_matrix is matrix
 
     @pytest.mark.parametrize("n", [6, 64])
     @pytest.mark.parametrize("k", [0, 1])
