@@ -79,24 +79,44 @@ class QuantScheme:
             raise ValueError("per_tensor scheme must hold exactly one params entry")
 
 
+_ROUNDINGS = {"nearest": np.rint, "floor": np.floor, "ceil": np.ceil}
+
+
+def lattice_quotient(x: np.ndarray, params: UniformParams) -> np.ndarray:
+    """x / s as a new float64 buffer; a quotient past the float range is +/-inf."""
+    with np.errstate(over="ignore"):
+        return np.divide(np.asarray(x, dtype=np.float64), params.scale)
+
+
+def clip_index(t: np.ndarray, params: UniformParams) -> np.ndarray:
+    """In place: rounded quotients t plus z, clipped to [0, 2^b - 1]; returns t.
+
+    t then holds the codes as floats. Clipping before any integer cast puts
+    every quotient outside the lattice, infinite ones included, at 0 or
+    2^b - 1; the float sum with z is exact below 2^53 in magnitude, and
+    beyond that it clips to the same bound as the exact sum.
+    """
+    np.add(t, params.zero_point, out=t)
+    np.maximum(t, 0.0, out=t)
+    return np.minimum(t, 2.0**params.bits - 1.0, out=t)
+
+
+def dequantize_index(t: np.ndarray, params: UniformParams) -> np.ndarray:
+    """In place: codes held as floats to their lattice values s (t - z); returns t."""
+    np.subtract(t, params.zero_point, out=t)
+    return np.multiply(t, params.scale, out=t)
+
+
 def uniform_codes(x: np.ndarray, params: UniformParams, rounding: str = "nearest") -> np.ndarray:
     """Integer codes of x. rounding selects nearest (half-to-even), floor, or ceil."""
-    x = np.asarray(x, dtype=np.float64)
-    t = x / params.scale
-    if rounding == "nearest":
-        t = np.rint(t)
-    elif rounding == "floor":
-        t = np.floor(t)
-    elif rounding == "ceil":
-        t = np.ceil(t)
-    else:
+    if rounding not in _ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
-    qmax = (1 << params.bits) - 1
-    return np.clip(t.astype(np.int64) + params.zero_point, 0, qmax)
+    t = lattice_quotient(x, params)
+    return clip_index(_ROUNDINGS[rounding](t, out=t), params).astype(np.int64)
 
 
 def dequantize_uniform(codes: np.ndarray, params: UniformParams) -> np.ndarray:
-    return params.scale * (np.asarray(codes, dtype=np.int64) - params.zero_point).astype(np.float64)
+    return dequantize_index(np.asarray(codes, dtype=np.int64).astype(np.float64), params)
 
 
 def row_lattice(params: Sequence[UniformParams]) -> UniformParams:
@@ -104,18 +124,24 @@ def row_lattice(params: Sequence[UniformParams]) -> UniformParams:
 
     `uniform_codes` and `dequantize_uniform` broadcast them: row i gets the
     same elementwise operations, bit for bit, as `params[i]` on that row alone.
+    Zero points are float64, the type the lattice arithmetic runs in.
     """
     return UniformParams(
         scale=np.array([p.scale for p in params], dtype=np.float64)[:, None],
-        zero_point=np.array([p.zero_point for p in params], dtype=np.int64)[:, None],
+        zero_point=np.array([p.zero_point for p in params], dtype=np.float64)[:, None],
         bits=np.array([p.bits for p in params], dtype=np.int64)[:, None],
     )
 
 
 def quantize_uniform(x: np.ndarray, params: UniformParams):
-    """Return (codes, dequantized values) on the lattice {s * (q - z)}."""
-    codes = uniform_codes(x, params)
-    return codes, dequantize_uniform(codes, params)
+    """Return (codes, dequantized values) on the lattice {s * (q - z)}.
+
+    One float buffer: the quotient is rounded, shifted and clipped in place,
+    cast once for the codes, then dequantized in place.
+    """
+    t = lattice_quotient(x, params)
+    t = clip_index(np.rint(t, out=t), params)
+    return t.astype(np.int64), dequantize_index(t, params)
 
 
 def log_sqrt2_codes(x: np.ndarray, params: LogSqrt2Params) -> np.ndarray:

@@ -87,17 +87,17 @@ def read_tensor(path: str | Path) -> np.ndarray:
     dtype = np.dtype(descr)
     # Python ints: a product of header dims must not wrap around
     expected = math.prod(shape) * dtype.itemsize
-    payload = raw[data_start:]
-    if len(payload) < expected:
+    found = len(raw) - data_start
+    if found < expected:
         raise TensorFormatError(
-            f"truncated payload: expected {expected} bytes, found {len(payload)}",
-            data_start + len(payload),
+            f"truncated payload: expected {expected} bytes, found {found}",
+            len(raw),
         )
-    if len(payload) > expected:
+    if found > expected:
         raise TensorFormatError("trailing bytes after payload", data_start + expected)
-    data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-    data.setflags(write=False)
-    return data
+    # a read-only view of the bytes read: the payload is copied once, by the read
+    data = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=data_start)
+    return data.reshape(shape)
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:

@@ -21,23 +21,28 @@ Every channel uses the same splits, so the loop runs the splits outside
 and the channels inside (`quantize_layer_weights`). Per split, for the
 whole (d_out, D_s) block at once:
 
-  - the candidates of step 1, one `init_rounding` call: `uniform_codes`
-    and `dequantize_uniform` on the block, with each row's lattice
-    broadcast as a column (`quantizers.row_lattice`), so the codes do not
-    depend on how many rows share a call;
-  - the committed codes, dequantized weights and error rows;
+  - the candidates of step 1 and refinement's elementwise start, one
+    `init_rounding` call: the floor, ceil and nearest codes from one
+    division, dequantized in one float buffer, then the chosen error, the
+    step to the other candidate and the curvature step^2 M_jj, one pass
+    each, with each row's lattice broadcast as a column
+    (`quantizers.row_lattice`), so nothing depends on how many rows share
+    a call;
+  - the nearest codes, overwritten per row where refinement flipped, then
+    the dequantized weights and error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
     itself when N < D_in. Only the current error block is held, never one
     per split.
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
-`RoundingState` of row views, whose chosen sides (`up_mask`) are written
-back into the block, and step 3, one `RemainderRidge.remainder_update`
-(one `solve_spd`) per (channel, non-final split). Refinement picks and
-stops per row; batching it, and the per-row solves into one right-hand
-side per split, would change the per-call structure the benchmark's
-traced call counts pin.
+`RoundingState` of row views of the block (`RoundingState.rows`), which
+reads the block's start instead of rebuilding it, and step 3, one
+`RemainderRidge.remainder_update` (one `solve_spd`) per (channel,
+non-final split), run back to back after the split's refinements.
+Refinement picks and stops per row; batching it, and the per-row solves
+into one right-hand side per split, would change the per-call structure
+the benchmark's traced call counts pin.
 
 Proxy blocks and ridge factorizations depend only on the column split,
 so all channels share them. They come from two products that the caller
@@ -80,7 +85,12 @@ this host's speed drifts by up to 1.7x): an iteration costs 2.9-5.2 us on
 1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers), 3.6-6.4 us on
 1-128 column slices (64 x 256) and 7.6-10.4 us on 1-1024 column slices
 (32 x 2048). The set-up of a call, dominated on wide slices by the one
-gradient matvec, costs 11-13, 12-20 and 57-71 us there.
+gradient matvec, costs 11-13, 12-20 and 57-71 us there. Reading the
+start off the block instead of rebuilding it per call took the mean
+set-up from 10.6-11.6 to 7.5-8.4 us on the 16 x 24 chain, 18.5-19.9 to
+13.0-14.1 us on 64 x 256 and 83-84 to 75-76 us on 32 x 2048 (the two
+versions' calls replayed alternately in one process, best of 5, two
+runs; matrices cold in cache, so the last is above the range before).
 """
 
 from __future__ import annotations
@@ -93,7 +103,14 @@ import numpy as np
 
 from .linalg import require_regularized, require_strength, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, accumulate_moments, gram
-from .quantizers import UniformParams, dequantize_uniform, row_lattice, uniform_codes
+from .quantizers import (
+    UniformParams,
+    clip_index,
+    dequantize_index,
+    dequantize_uniform,
+    lattice_quotient,
+    row_lattice,
+)
 
 
 @dataclass(frozen=True)
@@ -119,10 +136,15 @@ class RoundingState:
     """Floor/ceil rounding candidates and the choice between them.
 
     `init_rounding` builds one for a (D_s,) channel slice or a (d, D_s)
-    block of rows; refinement takes the one-row state of a single slice.
+    block of rows; refinement takes the one-row state of a single slice,
+    and `rows` gives a block's row states as views of its arrays.
     `up_mask` is the whole record of the choice (True picks the ceil
-    candidate): `delta`, `codes` and `flippable` are read off it and the
-    candidates.
+    candidate): `codes` and `flippable` are read off it and the
+    candidates. Three arrays hold refinement's elementwise start for that
+    choice: `delta`, the chosen candidate's error; `step`, the move to the
+    other candidate; and `curvature`, step^2 M_jj with M the proxy matrix.
+    The curvature is gap^2 M_jj, gap = delta_up - delta_down, so no choice
+    changes it.
 
     `stop_reason` and `flips_committed` describe the refinement that
     produced the choice: "off" and 0 until `refine_rounding` has run, then
@@ -135,14 +157,12 @@ class RoundingState:
     up_mask: np.ndarray
     code_down: np.ndarray
     code_up: np.ndarray
+    delta: np.ndarray
+    step: np.ndarray
+    curvature: np.ndarray
     proxy_matrix: np.ndarray
     stop_reason: str = "off"
     flips_committed: int = 0
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Dequantized minus original weights under the chosen rounding."""
-        return np.where(self.up_mask, self.delta_up, self.delta_down)
 
     @property
     def codes(self) -> np.ndarray:
@@ -152,6 +172,15 @@ class RoundingState:
     def flippable(self) -> np.ndarray:
         """Coordinates with two distinct candidates (not clipped to one code)."""
         return self.code_down != self.code_up
+
+    def rows(self):
+        """The one-row states of a block, each made of views of its rows."""
+        arrays = (
+            self.delta_down, self.delta_up, self.up_mask, self.code_down,
+            self.code_up, self.delta, self.step, self.curvature,
+        )
+        for row in zip(*arrays):
+            yield RoundingState(*row, self.proxy_matrix)
 
 
 # keys of one trace row, one row per split of a channel
@@ -210,16 +239,44 @@ def init_rounding(
     `quantizers.row_lattice`; the state's arrays take the shape of `w`.
     Broadcasting gives row i the same elementwise operations, bit for bit,
     as its slice alone.
+
+    The floor, ceil and nearest codes come from one division and are
+    shifted, clipped and dequantized together in one float buffer, with the
+    arithmetic of `uniform_codes` and `dequantize_uniform`, so the chosen
+    error `delta` is the nearest code's own. The rest of refinement's start
+    (`step` and `curvature`) is built here too, for the whole array at once.
     """
     w = np.asarray(w, dtype=np.float64)
-    code_down = uniform_codes(w, params, "floor")
-    code_up = uniform_codes(w, params, "ceil")
+    quotient = lattice_quotient(w, params)
+    # floor, ceil and nearest codes as floats, then in place their errors:
+    # delta_down, delta_up and delta
+    index = np.empty((3, *w.shape))
+    np.floor(quotient, out=index[0])
+    np.ceil(quotient, out=index[1])
+    np.rint(quotient, out=index[2])
+    clip_index(index, params)
+    up_mask = index[2] == index[1]
+    codes = index[:2].astype(np.int64)
+    errors = np.subtract(dequantize_index(index, params), w, out=index)
+    # step = other - chosen: the gap delta_up - delta_down, negated (exactly)
+    # where the ceil side is chosen; adding 0 gives a zero gap's step the +0
+    # that other - chosen gives it on either side
+    step = np.subtract(errors[1], errors[0], out=quotient)
+    sign = np.multiply(up_mask, -2.0)
+    sign += 1.0
+    step *= sign
+    step += 0.0
+    curvature = np.multiply(step, step, out=sign)
+    curvature *= np.asarray(proxy_matrix).diagonal()
     return RoundingState(
-        delta_down=dequantize_uniform(code_down, params) - w,
-        delta_up=dequantize_uniform(code_up, params) - w,
-        up_mask=uniform_codes(w, params) == code_up,
-        code_down=code_down,
-        code_up=code_up,
+        delta_down=errors[0],
+        delta_up=errors[1],
+        up_mask=up_mask,
+        code_down=codes[0],
+        code_up=codes[1],
+        delta=errors[2],
+        step=step,
+        curvature=curvature,
         proxy_matrix=proxy_matrix,
     )
 
@@ -248,16 +305,18 @@ def refine_rounding(
     Each iteration costs O(D k): the gradient and proxy are updated
     incrementally, and a committed flip negates the step t_j at the flipped
     coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
-    delta is read off the final sides. This needs M to be a proxy matrix:
-    symmetric, so the gradient update can read the flipped rows of M as its
-    columns, with a nonnegative diagonal. A candidate pair brackets the
-    weight (delta_down <= 0 <= delta_up), so a negative change
+    delta is read off the final sides. The state's `delta`, `step` and
+    `curvature` are the start: only up_mask and step are copied, and a row
+    view of a block's state is read like a slice's own. This needs M to be a
+    proxy matrix: symmetric, so the gradient update can read the flipped
+    rows of M as its columns, with a nonnegative diagonal. A candidate pair
+    brackets the weight (delta_down <= 0 <= delta_up), so a negative change
     t_j g_j + t_j^2 M_jj needs g_j of the sign of delta_j (or delta_j = 0):
     every eligible flip is sign-consistent. A coordinate without a second
     candidate has t_j = 0 and is never eligible.
 
     An iteration scores into preallocated buffers in three passes: t g,
-    plus the curvature t^2 M_jj (formed once per call), and the sign of
+    plus the curvature t^2 M_jj (the state's), and the sign of
     that sum copied onto g. With gradual underflow fl(a + c) < 0 exactly
     when a < -c, so the sign is the exact eligibility test. An eligible
     flip has t_j g_j < -t_j^2 M_jj <= 0, so g_j != 0 and it scores
@@ -277,9 +336,9 @@ def refine_rounding(
     matrix = state.proxy_matrix
     diag = matrix.diagonal()
     up_mask = state.up_mask.copy()
+    step = state.step.copy()
+    curvature = state.curvature
     delta = state.delta
-    step = np.where(up_mask, state.delta_down, state.delta_up) - delta
-    curvature = step * step * diag
     grad = proxy_gradient(delta, matrix)
     proxy = 0.5 * float(delta @ grad)
     committed = [proxy]
@@ -329,9 +388,11 @@ def refine_rounding(
         proxy += change
         committed.append(proxy)
         flips_committed += picks
+    if flips_committed:
+        delta = np.where(up_mask, state.delta_up, state.delta_down)
     refined = RoundingState(
         state.delta_down, state.delta_up, up_mask, state.code_down, state.code_up,
-        matrix, stop_reason, flips_committed,
+        delta, step, curvature, matrix, stop_reason, flips_committed,
     )
     return refined, committed
 
@@ -481,30 +542,29 @@ def quantize_layer_weights(
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
-        stats = []
-        rows = zip(
-            block.delta_down, block.delta_up, block.up_mask, block.code_down, block.code_up
-        )
-        for i, row in enumerate(rows):
-            state = RoundingState(*row, matrix)
+        codes[:, lo:mid] = block.codes
+        stats, deltas = [], []
+        for i, state in enumerate(block.rows()):
             if cfg.k > 0:
                 state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
-                block.up_mask[i] = state.up_mask
+                if state.flips_committed:
+                    codes[i, lo:mid] = state.codes
                 before, after = committed[0], committed[-1]
             else:
                 before = after = proxy_value(state.delta, matrix)
             stats.append((before, after, state.stop_reason, state.flips_committed))
-        codes[:, lo:mid] = block.codes
+            deltas.append(state.delta)
+        # drop this split's proxy block, which the states hold too, and the
+        # rest of the block but the row errors, before the remainder solves
+        # and the next split's block
+        matrix = block = state = None
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
         if ridge is not None and mid < hi:
-            delta = block.delta
             for i in range(d_out):
-                current[i, mid:hi] += ridge.remainder_update(lo, mid, delta[i])
+                current[i, mid:hi] += ridge.remainder_update(lo, mid, deltas[i])
             err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
-        # drop this split's proxy block, which the states hold too, before
-        # the next split builds its own
-        matrix = block = state = None
+        deltas = None
         for rows, mse, (before, after, stop_reason, flips) in zip(
             trace, cache.trace_mses(err), stats
         ):

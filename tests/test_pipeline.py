@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from quantred import pipeline
+from quantred import oracle, pipeline
 from quantred.pipeline import (
     ABLATION_COLUMNS,
     ABLATION_GRID,
@@ -433,6 +433,52 @@ class TestLayerRun:
             np.testing.assert_array_equal(got.w_bar, want.w_bar)
             assert got.mse == want.mse and got.reduction == want.reduction
             assert got.trace == want.trace
+
+    @pytest.mark.parametrize("eval_n", [None, 40], ids=["calib", "eval"])
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    def test_every_mse_is_the_oracle_layer_mse(self, monkeypatch, n, eval_n):
+        # every reported MSE equals oracle.layer_mse bit for bit, and goes
+        # through pipeline.layer_mse against the one full-precision output
+        # its run formed: the baseline, plus one with aqer, plus one with wqer
+        rng = np.random.default_rng(31 + n)
+        w, a_fp = _layer(rng, d_out=5, d_in=12, n=n)
+        eval_batch = None if eval_n is None else rng.normal(0.2, 1.1, (eval_n, 12))
+        eval_fp = a_fp if eval_batch is None else eval_batch
+        cfg = RunConfig(lambda1=0.5, lambda2=0.5)
+        real = pipeline.layer_mse
+        outputs = []
+
+        def recorded(y_fp, w_q, a_q):
+            outputs.append(y_fp)
+            return real(y_fp, w_q, a_q)
+
+        monkeypatch.setattr(pipeline, "layer_mse", recorded)
+        shared = pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch)
+        assert shared.y_fp.tobytes() == (eval_fp @ w.T).tobytes()
+        for _, stages in ABLATION_GRID:
+            combo = cfg.replace(stages=stages)
+            aqer_on = STAGE_AQER in stages
+            wqer_on = bool(stages - {STAGE_AQER})
+            before = len(outputs)
+            run = pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch)
+            result = run.result(combo)
+            assert len(outputs) - before == 1 + aqer_on + wqer_on
+            assert all(y is run.y_fp for y in outputs[before:])
+            assert shared.result(combo).mse == result.mse
+            eval_q = quantize_with_scheme(eval_fp, result.act_scheme)[1]
+            want = {"baseline": oracle.layer_mse(w, eval_fp, run.base_w_bar, eval_q)}
+            if aqer_on:
+                want["after_aqer"] = oracle.layer_mse(
+                    w, eval_fp, run.aqer(cfg.lambda1).w_bar, eval_q
+                )
+            if wqer_on:
+                want["after_wqer"] = oracle.layer_mse(w, eval_fp, result.w_bar, eval_q)
+            want["final"] = oracle.layer_mse(w, eval_fp, result.w_bar, eval_q)
+            assert result.mse == want
+        # one shared run evaluates each stage once per value it depends on:
+        # the baseline once, aqer once, and each of the six weight loops
+        shared_calls = [y for y in outputs if y is shared.y_fp]
+        assert len(shared_calls) == 1 + 1 + 6
 
     def test_ablation_builds_one_of_each_product_per_layer(self, builds):
         layers = _chain(5, 32) + _chain(6, 8)[:1]

@@ -58,6 +58,59 @@ class TestUniformHandCases:
         with pytest.raises(ValueError, match="rounding"):
             uniform_codes([1.0], p, "stochastic")
 
+    @pytest.mark.parametrize("x", [1e18, -1e18, 1e300, -1e300])
+    @pytest.mark.parametrize("scale", [0.1, 1e-10])
+    def test_values_far_outside_clip_before_the_integer_cast(self, x, scale):
+        # |x / s| >= 2^63 does not fit int64, and 1e300 / 1e-10 overflows to
+        # inf; clipping in float before the cast saturates both like any
+        # value outside the lattice, in every rounding mode, with no
+        # RuntimeWarning (an error in this suite)
+        p = UniformParams(scale=scale, zero_point=3, bits=4)
+        want = 15 if x > 0 else 0
+        for rounding in ("nearest", "floor", "ceil"):
+            assert uniform_codes([x], p, rounding)[0] == want
+        codes, deq = quantize_uniform([x], p)
+        assert codes[0] == want
+        assert deq[0] == scale * (want - 3)
+        codes, deq = quantize_with_scheme(
+            np.full((2, 3), x), QuantScheme("uniform", "per_channel", 4, (p, p))
+        )
+        assert (codes == want).all() and (deq == scale * (want - 3)).all()
+
+    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
+    def test_one_buffer_quantization_equals_the_integer_formula(self, granularity):
+        # the integer formula clip(int64(rint(x / s)) + z, 0, qmax) and
+        # s (codes - z), bit for bit: ties, zeros, both saturations, zero
+        # points at 0 and qmax, 2 and 8 bits
+        rng = np.random.default_rng(51)
+        x = rng.normal(0, 2.0, (6, 400))
+        x[:, :50] = np.round(x[:, :50] * 4) / 4  # half-steps: ties to even
+        x[:, 50:60] = 0.0
+        params = [
+            UniformParams(scale=0.25, zero_point=7, bits=4),
+            UniformParams(scale=0.25, zero_point=0, bits=4),
+            UniformParams(scale=0.5, zero_point=3, bits=2),
+            UniformParams(scale=0.013, zero_point=255, bits=8),
+            calibrate(x[4], "uniform", 4),
+            UniformParams(scale=1.0, zero_point=0, bits=4, degenerate=True),
+        ]
+        if granularity == "per_tensor":
+            params = params[:1]
+            x = x.ravel()
+        rows = np.atleast_2d(x)
+        want_codes = np.empty(rows.shape, dtype=np.int64)
+        want_deq = np.empty(rows.shape)
+        for i, p in enumerate(params):
+            qmax = (1 << p.bits) - 1
+            c = np.clip(np.rint(rows[i] / p.scale).astype(np.int64) + p.zero_point, 0, qmax)
+            want_codes[i] = c
+            want_deq[i] = p.scale * (c - p.zero_point).astype(np.float64)
+        scheme = QuantScheme("uniform", granularity, 4, tuple(params))
+        codes, deq = quantize_with_scheme(x, scheme)
+        np.testing.assert_array_equal(codes, want_codes.reshape(codes.shape))
+        assert deq.tobytes() == want_deq.reshape(deq.shape).tobytes()
+        assert codes.dtype == np.int64 and deq.dtype == np.float64
+
     def test_idempotence_on_lattice(self):
         p = UniformParams(scale=0.37, zero_point=5, bits=4)
         codes = np.arange(16)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestRoundTrip:
         t = read_tensor(_write(tmp_path / "c.npy", np.zeros(3, dtype=np.float32)))
         with pytest.raises(ValueError):
             t[0] = 1.0
+
+    def test_payload_copied_once(self, tmp_path):
+        # the array is a view of the bytes read, so reading a 2 MiB tensor
+        # allocates about one payload, not a slice and a copy besides
+        a = np.random.default_rng(0).normal(0, 1, (512, 1024)).astype(np.float32)
+        path = _write(tmp_path / "big.npy", a)
+        tracemalloc.start()
+        try:
+            t = read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(t, a)
+        assert peak < 1.5 * a.nbytes
 
     def test_numpy_reads_our_files(self, tmp_path):
         a = np.linspace(-1, 1, 10, dtype=np.float32).reshape(2, 5)

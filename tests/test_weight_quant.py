@@ -537,18 +537,25 @@ def _reference_channel(w_row, params, cache, ridge, cfg):
 
 def _per_row_init_rounding(w_slice, params, proxy_matrix):
     # per-row candidates straight from uniform_codes / dequantize_uniform,
-    # as the loop built them before candidates were built per split
+    # as the loop built them before candidates were built per split, and
+    # refinement's start from its definitions: the chosen candidate, the
+    # other minus the chosen, and step^2 M_jj
     code_down = uniform_codes(w_slice, params, "floor")
     code_up = uniform_codes(w_slice, params, "ceil")
     delta_down = dequantize_uniform(code_down, params) - w_slice
     delta_up = dequantize_uniform(code_up, params) - w_slice
     up_mask = uniform_codes(w_slice, params) == code_up
+    delta = np.where(up_mask, delta_up, delta_down)
+    step = np.where(up_mask, delta_down, delta_up) - delta
     return RoundingState(
         delta_down=delta_down,
         delta_up=delta_up,
         up_mask=up_mask,
         code_down=code_down,
         code_up=code_up,
+        delta=delta,
+        step=step,
+        curvature=step * step * proxy_matrix.diagonal(),
         proxy_matrix=proxy_matrix,
     )
 
@@ -597,6 +604,28 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
         w_bar_out.append(w_bar)
         trace.append(rows)
     return np.array(codes_out), np.array(w_bar_out), trace
+
+
+_STATE_ARRAYS = (
+    "delta_down", "delta_up", "up_mask", "code_down", "code_up", "delta", "step", "curvature"
+)
+
+
+def _assert_row_refines_as_slice(row, one):
+    # a row view of a block state against its slice's own 1-D state
+    for field in _STATE_ARRAYS:
+        assert getattr(row, field).tobytes() == getattr(one, field).tobytes(), field
+    assert row.proxy_matrix is one.proxy_matrix
+    for k in (0, 1, 2, 3):
+        got, got_committed = refine_rounding(row, k, 100)
+        want, want_committed = refine_rounding(one, k, 100)
+        assert got_committed == want_committed
+        np.testing.assert_array_equal(got.up_mask, want.up_mask)
+        assert (got.stop_reason, got.flips_committed) == (
+            want.stop_reason, want.flips_committed
+        )
+        for field in ("delta", "step"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def _mixed_rows(rng, d_in):
@@ -731,6 +760,45 @@ class TestChannelQuantization:
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
         assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
+
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("ridge", [True, False])
+    def test_block_rows_refine_as_their_slices(self, monkeypatch, n, ridge):
+        # every block the loop builds (ridge on and off, N = 6 < D_in = 16
+        # and N = 64): each row view's start is its slice's init_rounding
+        # start byte for byte, zero signs included, and refining it at
+        # k = 0..3 gives the slice's sides, proxies, stop reason and flips
+        rng = np.random.default_rng(90 + n)
+        w, params = _mixed_rows(rng, 16)
+        real = weight_quant.init_rounding
+        blocks = []
+
+        def recorded(w_block, lattice, matrix):
+            block = real(w_block, lattice, matrix)
+            blocks.append((np.array(w_block), matrix, block))
+            return block
+
+        monkeypatch.setattr(weight_quant, "init_rounding", recorded)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
+        quantize_layer_weights(
+            w, params, cache, _ridge(cache, 0.5 if ridge else None), WeightQuantConfig()
+        )
+        assert len(blocks) == len(halving_splits(16))
+        for w_block, matrix, block in blocks:
+            for row, w_row, p in zip(block.rows(), w_block, params, strict=True):
+                _assert_row_refines_as_slice(row, real(w_row, p, matrix))
+
+    @pytest.mark.parametrize("width", [0, 1, 6])
+    def test_tied_and_empty_block_rows_refine_as_their_slices(self, width):
+        # equal weights under a permutation-symmetric matrix tie every
+        # |gradient|; a zero-width block has rows with nothing to flip
+        unit = UniformParams(scale=1.0, zero_point=0, bits=4)
+        matrix = 0.9 * np.ones((width, width)) + 0.1 * np.eye(width)
+        w = np.full((3, width), 0.6)
+        w[1] = -0.6  # clipped at code 0: nothing to flip
+        block = init_rounding(w, row_lattice([unit] * 3), matrix)
+        for row, w_row in zip(block.rows(), w, strict=True):
+            _assert_row_refines_as_slice(row, init_rounding(w_row, unit, matrix))
 
     def test_empty_weight_matrix_rejected(self):
         rng = np.random.default_rng(42)
