@@ -267,7 +267,7 @@ class LayerRun:
         t0 = time.perf_counter()
         self.act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
         self.timings["act_calib"] = time.perf_counter() - t0
-        _, self.a_q = quantize_with_scheme(a_fp, self.act_scheme)
+        _, self.a_q = quantize_with_scheme(a_fp, self.act_scheme, codes=False)
         t0 = time.perf_counter()
         self.base_scheme = calibrate_scale(w, "uniform", bits_w, "per_channel")
         self.timings["weight_calib"] = time.perf_counter() - t0
@@ -276,7 +276,7 @@ class LayerRun:
         if eval_batch is None:
             self.eval_q = self.a_q
         else:
-            _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_scheme)
+            _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_scheme, codes=False)
         self.y_fp = self.eval_fp @ w.T
         self.mse_baseline = layer_mse(self.y_fp, self.base_w_bar, self.eval_q)
         self._cache: LayerMomentCache | None = None

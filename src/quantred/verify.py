@@ -324,15 +324,16 @@ def calibration_instance(rng, kind: str, max_n: int = 4096):
     reach at MSE 0; half-step values sit on the rounding edges of some
     candidates; float32 values repeat; ReLU output is about half zeros;
     n runs log-uniformly from 1 to max_n. Per-channel instances hold 1 to
-    48 rows of up to 64 values, enough to span several of calibration's
-    row blocks at every bit width, and mix Gaussian rows with lattice,
-    half-step and constant (degenerate) rows.
+    48 rows of up to twice `quantizers.direct_cutoff(bits)` values, so
+    that rows are drawn on both sides of the cutoff, in several row blocks,
+    at every bit width; they mix Gaussian rows with lattice, half-step and
+    constant (degenerate) rows.
     """
     bits = int(rng.choice([2, 3, 4, 8]))
     qmax = (1 << bits) - 1
     n = int(np.exp(rng.uniform(0.0, np.log(max_n))))
     if kind == "per_channel":
-        shape = (int(rng.integers(1, 49)), n % 64 + 1)
+        shape = (int(rng.integers(1, 49)), n % (2 * quantizers.direct_cutoff(bits)) + 1)
         x = rng.normal(0.0, rng.uniform(0.01, 2.0), shape)
         lattice = UniformParams(
             scale=rng.uniform(0.01, 1.0, (shape[0], 1)),
@@ -375,12 +376,16 @@ def calibration_instance(rng, kind: str, max_n: int = 4096):
 def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
     """Shipped calibration equals the brute-force 141-point grid, ties included.
 
-    Also reports the longest shortlist the scan left to exact re-scoring
-    and how many rows held a value within an edge window, so that the scan
-    searched the upper window ends.
+    Also reports how many rows calibration scored directly and how many it
+    scanned (rows of at most and of more than `quantizers.direct_cutoff`
+    values), and of the scanned rows the longest shortlist left to exact
+    re-scoring and how many held a value within an edge window, so that the
+    scan searched the upper window ends.
     """
     rng = np.random.default_rng([seed, 5])
     mismatches = 0
+    direct_rows = 0
+    scan_rows = 0
     max_shortlist = 0
     window_rows = 0
     for i in range(instances):
@@ -392,6 +397,10 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
         want = tuple(oracle.grid_calibrate(row, family, bits) for row in rows)
         mismatches += int(got != want)
         for row, params in zip(rows, want):
+            if np.size(row) <= quantizers.direct_cutoff(bits):
+                direct_rows += 1
+                continue
+            scan_rows += 1
             if not params.degenerate:
                 shortlist, windowed = quantizers.calibration_scan(row, family, bits)
                 max_shortlist = max(max_shortlist, shortlist.size)
@@ -402,6 +411,8 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
         {
             "instances": instances,
             "mismatches": mismatches,
+            "direct_rows": direct_rows,
+            "scan_rows": scan_rows,
             "max_shortlist": max_shortlist,
             "window_rows": window_rows,
         },

@@ -28,8 +28,9 @@ whole (d_out, D_s) block at once:
     each, with each row's lattice broadcast as a column
     (`quantizers.row_lattice`), so nothing depends on how many rows share
     a call;
-  - the nearest codes, overwritten per row where refinement flipped, then
-    the dequantized weights and error rows;
+  - the nearest codes, overwritten per row where refinement flipped (each
+    an arithmetic select of the floor and ceil codes, with no branch per
+    element), then the dequantized weights and error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
     itself when N < D_in. Only the current error block is held, never one
@@ -166,7 +167,8 @@ class RoundingState:
 
     @property
     def codes(self) -> np.ndarray:
-        return np.where(self.up_mask, self.code_up, self.code_down)
+        # arithmetic select, exact in int64: no branch per element as in np.where
+        return self.code_down + (self.code_up - self.code_down) * self.up_mask
 
     @property
     def flippable(self) -> np.ndarray:

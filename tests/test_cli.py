@@ -398,6 +398,9 @@ class TestVerify:
         ]
         assert all(s["passed"] for s in suites)
         assert suites[-1]["metrics"]["mismatches"] == 0
+        # calibration scored some rows directly and scanned others
+        assert suites[-1]["metrics"]["direct_rows"] > 0
+        assert suites[-1]["metrics"]["scan_rows"] > 0
         assert lines[-1] == {"all_passed": True}
         saved = json.loads((out / "verify.json").read_text())
         assert saved["all_passed"] is True

@@ -434,6 +434,35 @@ class TestLayerRun:
             assert got.mse == want.mse and got.reduction == want.reduction
             assert got.trace == want.trace
 
+    @pytest.mark.parametrize("act_family", ["uniform", "log_sqrt2"])
+    def test_activations_are_quantized_without_codes(self, monkeypatch, act_family):
+        # the run keeps only the dequantized activations, so they take the
+        # values-only route, through pipeline's lookup point, and equal the
+        # values quantize_with_scheme returns with the codes, bit for bit
+        rng = np.random.default_rng(41)
+        w, a_fp = _layer(rng, d_out=5, d_in=12, n=32)
+        a_fp = np.abs(a_fp)
+        eval_batch = np.abs(rng.normal(0.2, 1.1, (20, 12)))
+        real = pipeline.quantize_with_scheme
+        calls = []
+
+        def recorded(x, scheme, **kwargs):
+            calls.append((scheme.granularity, kwargs))
+            return real(x, scheme, **kwargs)
+
+        monkeypatch.setattr(pipeline, "quantize_with_scheme", recorded)
+        run = pipeline.LayerRun(w, a_fp, act_family, 4, 4, eval_batch)
+        run.result(RunConfig(lambda1=0.5, lambda2=0.5), "x")
+        assert calls == [
+            ("per_tensor", {"codes": False}),
+            ("per_channel", {}),
+            ("per_tensor", {"codes": False}),
+            ("per_channel", {}),
+        ]
+        for batch, got in ((a_fp, run.a_q), (eval_batch, run.eval_q)):
+            want = quantize_with_scheme(batch, run.act_scheme)[1]
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("eval_n", [None, 40], ids=["calib", "eval"])
     @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
     def test_every_mse_is_the_oracle_layer_mse(self, monkeypatch, n, eval_n):

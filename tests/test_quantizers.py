@@ -1,5 +1,7 @@
 """Quantizer hand cases, fixed points, calibration grid optimality."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -299,6 +301,25 @@ class TestCalibration:
         with pytest.raises(ValueError, match=">= 2"):
             calibrate(np.arange(4.0), "uniform", 1)
 
+    @pytest.mark.parametrize("bits", [1, 17, 40, 64, 2.5, True, "4"])
+    def test_bad_bit_widths_rejected_before_any_work(self, bits):
+        # 17 is past MAX_BITS, 2.5 used to fail inside on `<<`, 40 asked for
+        # terabytes and 64 for more than numpy can index
+        x = np.random.default_rng(0).normal(size=(3, 8))
+        calls = (
+            lambda: calibrate(x, "uniform", bits),
+            lambda: calibrate(np.abs(x), "log_sqrt2", bits),
+            lambda: calibrate_scale(x, "uniform", bits, "per_tensor"),
+            lambda: calibrate_scale(x, "uniform", bits, "per_channel"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"<= 16, got {re.escape(repr(bits))}$"):
+                call()
+
+    def test_numpy_integer_bit_width_accepted(self):
+        x = np.random.default_rng(0).normal(size=40)
+        assert calibrate(x, "uniform", np.int64(4)) == calibrate(x, "uniform", 4)
+
 
 def _grid(x, family, granularity, bits):
     rows = x if granularity == "per_channel" else [x]
@@ -394,6 +415,115 @@ class TestCalibrationKernel:
         assert result.metrics["mismatches"] > 0
 
 
+def _sequential_last_minimum(mse):
+    # oracle.grid_calibrate's loop over one row of candidate MSEs
+    best, best_mse = None, None
+    for c, value in enumerate(mse):
+        if best_mse is None or value <= best_mse:
+            best, best_mse = c, value
+    return best
+
+
+def _grid_quiet(row, family, bits):
+    # the oracle overflows where the values do; calibration must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return oracle.grid_calibrate(row, family, bits)
+
+
+class TestDirectScoring:
+    """Rows of at most direct_cutoff(bits) values are scored under every candidate."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.integers(2, 8),
+        d=st.integers(1, 12),
+        length=st.sampled_from(["one", "two", "below", "at", "above"]),
+        exponent=st.sampled_from([-300, -6, 0, 6, 150, 160]),
+    )
+    def test_direct_rows_match_the_grid_and_their_own_calibration(
+        self, seed, bits, d, length, exponent
+    ):
+        # Gaussian, lattice, half-step (tied at the alpha = 1 candidate),
+        # constant and all-zero rows, scaled up to 1e160 where squared
+        # errors overflow to inf; rows below, at and just past the cutoff
+        cutoff = quantizers.direct_cutoff(bits)
+        n = {"one": 1, "two": 2, "below": cutoff - 1, "at": cutoff, "above": cutoff + 1}[length]
+        rng = np.random.default_rng(seed)
+        x = _mixed_rows(rng, d, max(n, 2), bits)[:, :n] * 10.0**exponent
+        got = calibrate_scale(x, "uniform", bits, "per_channel").params
+        assert got == tuple(_grid_quiet(row, "uniform", bits) for row in x)
+        assert got == tuple(calibrate(row, "uniform", bits) for row in x)
+        for row in np.abs(x):
+            assert calibrate(row, "log_sqrt2", bits) == _grid_quiet(row, "log_sqrt2", bits)
+
+    @pytest.mark.parametrize("top", [1e308, 1.7e308])
+    @pytest.mark.parametrize("n", [3, 200], ids=["direct", "scanned"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_values_near_the_float_range_keep_the_grid_choice(self, family, n, top):
+        # candidate scales, the scan's edges and levels, and squared errors
+        # overflow without a warning; from -top, max - min itself does, so
+        # every uniform candidate scale is inf and every MSE NaN, which the
+        # oracle's sequential <= resolves to candidate 0
+        x = np.full(n, 0.5)
+        x[-1] = top
+        assert calibrate(x, family, 4) == _grid_quiet(x, family, 4)
+        if family == "uniform":
+            x[0] = -top
+            got = calibrate(x, family, 4)
+            assert got == _grid_quiet(x, family, 4)
+            assert got.scale == math.inf
+            assert got == calibrate_scale(x[None, :], family, 4, "per_channel").params[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 2.0, 2.5, math.inf, math.nan]),
+                min_size=1,
+                max_size=7,
+            ),
+            min_size=1,
+            max_size=4,
+        ).map(lambda rows: [row + [1.0] * (7 - len(row)) for row in rows])
+    )
+    def test_last_minimum_is_the_oracle_sequential_choice(self, rows):
+        # ties go to the later candidate, inf ties too; a NaN never wins and,
+        # first in its row, is never replaced
+        mse = np.array(rows)
+        want = [_sequential_last_minimum(row) for row in rows]
+        assert quantizers._last_minimum(mse).tolist() == want
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_only_rows_past_the_cutoff_are_scanned(self, monkeypatch, bits):
+        calls = []
+        real = quantizers._shortlists
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(quantizers, "_shortlists", counted)
+        rng = np.random.default_rng(bits)
+        cutoff = quantizers.direct_cutoff(bits)
+        calibrate_scale(rng.normal(size=(16, cutoff)), "uniform", bits, "per_channel")
+        calibrate(rng.normal(size=cutoff), "uniform", bits)
+        assert calls == []
+        calibrate_scale(rng.normal(size=(16, cutoff + 1)), "uniform", bits, "per_channel")
+        assert sum(calls) == 16
+
+    def test_verify_suite_catches_an_evaluator_fault(self, monkeypatch):
+        # candidates scored in reversed order: rows scored directly take the
+        # wrong candidate, and the suite must see it
+        real = quantizers._exact_mse
+        monkeypatch.setattr(
+            quantizers, "_exact_mse", lambda rows, grid: real(rows, grid)[:, ::-1]
+        )
+        result = verify.suite_calibration(seed=0, instances=16)
+        assert not result.passed
+        assert result.metrics["mismatches"] > 0
+
+
 def _mixed_rows(rng, d, n, bits):
     """d rows of n values cycling through Gaussian rows at scales 1e-6 to 1e6,
     rows on a lattice, rows half a step off one (on the rounding edges of
@@ -424,15 +554,17 @@ def _mixed_rows(rng, d, n, bits):
 
 
 class TestRowBlocks:
-    """Per-channel calibration scans blocks of rows; no row sees another."""
+    """Per-channel calibration runs blocks of rows; no row sees another."""
 
+    @pytest.mark.parametrize("past_cutoff", [8, 0], ids=["scanned", "direct"])
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
-    def test_every_row_matches_the_grid_and_its_own_calibration(self, bits):
-        height = quantizers._block_height(bits)
+    def test_every_row_matches_the_grid_and_its_own_calibration(self, bits, past_cutoff):
+        n = quantizers.direct_cutoff(bits) + past_cutoff
+        height = quantizers._block_height(bits, n)
         rng = np.random.default_rng([23, bits])
         windowed = 0
         for d in sorted({1, height - 1, height, height + 1, 3 * height + 2} - {0}):
-            x = _mixed_rows(rng, d, 24, bits)
+            x = _mixed_rows(rng, d, n, bits)
             got = calibrate_scale(x, "uniform", bits, "per_channel").params
             assert got == _grid(x, "uniform", "per_channel", bits)
             alone = tuple(
@@ -445,11 +577,19 @@ class TestRowBlocks:
                 for row, p in zip(x, got)
                 if not p.degenerate
             )
-        # the half-step rows send some blocks through the upper edge search
-        assert windowed > 0
+        if past_cutoff:
+            # the half-step rows put values in edge windows, which sends
+            # some blocks through the upper edge search
+            assert windowed > 0
 
     def test_block_heights(self):
-        assert [quantizers._block_height(b) for b in (2, 3, 4, 8, 16)] == [14, 7, 3, 1, 1]
+        # scanned rows: as many (141, 2^b) float64 arrays as fit 64 KiB
+        assert [
+            quantizers._block_height(b, quantizers.direct_cutoff(b) + 1) for b in (2, 3, 4, 8, 16)
+        ] == [14, 7, 3, 1, 1]
+        # rows scored directly: as many (141, n) float64 arrays as fit 256 KiB
+        assert [quantizers._block_height(4, n) for n in (1, 16, 24, 64)] == [232, 14, 9, 3]
+        assert [quantizers.direct_cutoff(b) for b in (2, 4, 8)] == [16, 64, 1024]
 
     def test_rows_without_values_are_degenerate(self):
         params = calibrate_scale(np.zeros((5, 0)), "uniform", 4, "per_channel").params
@@ -458,11 +598,22 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize(
         "shape, bits, limit_mib",
-        [((64, 256), 4, 1.25), ((1536, 384), 4, 1.25), ((64, 256), 8, 4.0)],
+        [
+            # scanned rows
+            ((64, 256), 4, 1.25),
+            ((1536, 384), 4, 1.25),
+            ((64, 2048), 8, 4.0),
+            # rows scored directly
+            ((64, 24), 4, 1.25),
+            ((1536, 64), 4, 1.25),
+            ((256, 16), 2, 1.25),
+            ((64, 1024), 8, 1.25),
+        ],
     )
     def test_peak_memory_does_not_grow_with_rows(self, shape, bits, limit_mib):
-        # the scan holds one block of (rows, 141, 2^b) arrays, not one per
-        # row of the matrix: a whole-matrix sort of 1536 x 384 alone is 4.5 MiB
+        # the scan holds one block of (rows, 141, 2^b) arrays and the direct
+        # path one chunk of (rows, k, n) errors, not one per row of the
+        # matrix: a whole-matrix sort of 1536 x 384 alone is 4.5 MiB
         w = np.random.default_rng(31).normal(0.0, 0.05, shape)
         tracemalloc.start()
         try:
@@ -517,6 +668,26 @@ class TestSchemes:
         codes, deq = quantize_with_scheme(a, scheme)
         assert codes.shape == a.shape
         assert deq.shape == a.shape
+
+    def test_values_only_route_matches_quantize(self):
+        # codes=False forms no codes and returns the same values, bit for
+        # bit: per tensor for both families and per channel, with values far
+        # outside the lattice and an all-zero degenerate row
+        rng = np.random.default_rng(5)
+        a = rng.normal(0.0, 1.0, (16, 8))
+        a[0, :3] = [1e300, -1e300, 1e18]
+        w = np.vstack([rng.normal(0, 1, (4, 8)), np.zeros(8)])
+        cases = [
+            (a, calibrate_scale(a[1:], "uniform", 4, "per_tensor")),
+            (np.abs(a), calibrate_scale(np.abs(a[1:]), "log_sqrt2", 3, "per_tensor")),
+            (5.0 * w, calibrate_scale(w, "uniform", 4, "per_channel")),
+        ]
+        for x, scheme in cases:
+            codes, want = quantize_with_scheme(x, scheme)
+            none, got = quantize_with_scheme(x, scheme, codes=False)
+            assert none is None
+            assert got.tobytes() == want.tobytes()
+            assert codes.shape == got.shape
 
     def test_log_sqrt2_per_channel_rejected(self):
         with pytest.raises(ValueError, match="per tensor"):

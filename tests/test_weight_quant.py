@@ -227,6 +227,23 @@ class TestRefinement:
         assert committed == [pytest.approx(0.608), pytest.approx(0.088)]
         np.testing.assert_array_equal(refined.codes, [0, 1])
 
+    def test_codes_are_the_chosen_candidates(self):
+        # a block with clipped entries (both candidates one code) and every
+        # side choice: the codes are the floor or ceil code that up_mask
+        # picks, as int64, for the block and for each of its row views
+        rng = np.random.default_rng(12)
+        lattice = row_lattice([UniformParams(0.25, 3, 3), UniformParams(0.1, 0, 2)])
+        w = rng.normal(0.0, 0.6, (2, 40))
+        state = init_rounding(w, lattice, np.eye(40))
+        assert not state.flippable.all()
+        for up_mask in (state.up_mask, ~state.up_mask, rng.random((2, 40)) < 0.5):
+            chosen = dataclasses.replace(state, up_mask=up_mask)
+            want = np.where(up_mask, state.code_up, state.code_down)
+            assert chosen.codes.dtype == np.int64
+            np.testing.assert_array_equal(chosen.codes, want)
+            for row, row_want in zip(chosen.rows(), want):
+                np.testing.assert_array_equal(row.codes, row_want)
+
     def test_uphill_top_gradient_flip_is_skipped(self):
         # nearest rounds both up (delta 0.4 each, proxy 0.8). Coordinate 0 has
         # the larger |gradient| (2.8 vs 1.2), but its self-term makes its flip
