@@ -36,7 +36,6 @@ from .weight_quant import (
     LayerWeightResult,
     RemainderRidge,
     RoundingState,
-    WeightQuantConfig,
     halving_splits,
     init_rounding,
     proxy_gradient,

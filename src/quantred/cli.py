@@ -14,27 +14,41 @@ import click
 
 from . import pipeline
 from . import verify as verify_suites
+from .linalg import require_int
 from .pipeline import NUMERICAL_ERRORS, ConfigError, RunConfig
 from .tensorfile import ManifestError, TensorFormatError, load_manifest
+
+
+def integer(text: str):
+    """An integer flag's text as a number, an int or else a float, for RunConfig to check."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a number") from None
 
 
 def _common_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON file with RunConfig fields; flags override it."),
-        click.option("--jobs", type=int, default=None,
+        click.option("--jobs", type=integer, default=None,
                      help="No effect: the weight loop runs all channels together. "
                           "Still accepted (>= 1) for existing configs; to be removed."),
         click.option("--stages", type=str, default=None,
                      help="Comma list from {aqer,wqer_rounding,wqer_ridge}, or all/none."),
-        click.option("--bits-w", type=int, default=None, help="Weight bit width override."),
-        click.option("--bits-a", type=int, default=None, help="Activation bit width override."),
+        click.option("--bits-w", type=integer, default=None,
+                     help="Weight bit width override."),
+        click.option("--bits-a", type=integer, default=None,
+                     help="Activation bit width override."),
         click.option("--lambda1", type=float, default=None,
                      help="Activation-correction ridge strength."),
         click.option("--lambda2", type=float, default=None,
                      help="Remainder-correction ridge strength."),
-        click.option("--k", type=int, default=None, help="Flips per refinement step."),
-        click.option("--max-iter", type=int, default=None,
+        click.option("--k", type=integer, default=None, help="Flips per refinement step."),
+        click.option("--max-iter", type=integer, default=None,
                      help="Refinement iteration cap per slice."),
     ]
     for option in reversed(options):
@@ -109,8 +123,10 @@ def quantize(manifest_path, out_dir, config_path, **flags):
               help="Seed of the suites' random instances.")
 def verify_command(out_dir, seed):
     """Run the internal consistency suites against the oracles."""
-    if seed < 0:
-        _fail_validation(f"--seed must be >= 0, got {seed}")
+    try:
+        require_int("--seed", seed, 0)
+    except ValueError as exc:
+        _fail_validation(exc)
     out = _make_out_dir(out_dir) if out_dir is not None else None
     results = verify_suites.run_all(seed)
     summary = []

@@ -1,4 +1,7 @@
-"""Dense linear-algebra helpers shared by the ridge solves, on numpy alone."""
+"""Dense linear-algebra helpers shared by the ridge solves, on numpy alone,
+and the one check of each kind of numeric setting (`require_strength`,
+`require_int`), whose ValueError each entry point wraps in its own type.
+"""
 
 from __future__ import annotations
 
@@ -64,6 +67,18 @@ def require_strength(name: str, value) -> None:
         raise ValueError(f"{name} must be an int or float, got {value!r}")
     if not 0 <= value <= sys.float_info.max:  # NaN, inf and ints past a float fail
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """`value` as a plain int; ValueError unless it is an integer (not a bool) in [lo, hi].
+
+    Python and numpy integers pass; hi None leaves the range open above.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def require_regularized(n_samples: int, width: int, strength: float) -> None:

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .act_correct import solve_activation_correction
-from .linalg import SingularSystemError, require_strength
+from .linalg import SingularSystemError, require_int, require_strength
 from .moments import InsufficientSamplesError
 # the layer's output MSE against its kept full-precision output; the one
 # lookup point of every evaluation, which the benchmark tracer wraps
@@ -57,7 +57,6 @@ from .weight_quant import (
     TRACE_FIELDS,
     LayerMomentCache,
     RemainderRidge,
-    WeightQuantConfig,
     quantize_layer_weights,
 )
 
@@ -86,6 +85,11 @@ class ConfigError(Exception):
     """Invalid run configuration."""
 
 
+# RunConfig's integer fields and their [lo, hi]; a bit width may also be None
+_INT_RANGES = {"k": (0, None), "max_iter": (0, None), "jobs": (1, None),
+               "bits_w": (2, MAX_BITS), "bits_a": (2, MAX_BITS)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Hyperparameters and switches for one pipeline run."""
@@ -100,29 +104,19 @@ class RunConfig:
     jobs: int = 1  # validated, no effect; see the module docstring
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            try:
+        try:
+            for name in ("lambda1", "lambda2"):
                 require_strength(name, getattr(self, name))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        for name in ("k", "max_iter", "jobs", "bits_w", "bits_a"):
-            value = getattr(self, name)
-            if value is None and name.startswith("bits_"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.k < 0:
-            raise ConfigError("k must be >= 0")
-        if self.max_iter < 0:
-            raise ConfigError("max_iter must be >= 0")
-        for bits in (self.bits_w, self.bits_a):
-            if bits is not None and not 2 <= bits <= MAX_BITS:
-                raise ConfigError(f"bit widths must be >= 2 and <= {MAX_BITS}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            for name, (lo, hi) in _INT_RANGES.items():
+                value = getattr(self, name)
+                if value is not None or not name.startswith("bits_"):
+                    object.__setattr__(self, name, require_int(name, value, lo, hi))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         stages = self.stages
-        if isinstance(stages, str):  # a --stages or config-file string
-            stages = RunConfig.parse_stages(stages)
+        if isinstance(stages, str):  # a --stages or config-file string: a word or a comma list
+            text, words = stages.strip(), {"all": ALL_STAGES, "none": ()}
+            stages = words.get(text, [t.strip() for t in text.split(",") if t.strip()])
         try:
             stages = frozenset(stages)
             valid = all(isinstance(stage, str) for stage in stages)
@@ -144,21 +138,6 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
     @staticmethod
-    def parse_stages(text: str) -> frozenset:
-        text = text.strip()
-        if text == "all":
-            return frozenset(ALL_STAGES)
-        if text in ("none", ""):
-            return frozenset()
-        tokens = [t.strip() for t in text.split(",") if t.strip()]
-        unknown = set(tokens) - set(ALL_STAGES)
-        if unknown:
-            raise ConfigError(
-                f"unknown stages {sorted(unknown)}; valid: {', '.join(ALL_STAGES)}"
-            )
-        return frozenset(tokens)
-
-    @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -166,10 +145,7 @@ class RunConfig:
         unknown = set(doc) - fields
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        try:
-            return RunConfig(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return RunConfig(**doc)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -356,7 +332,8 @@ class LayerRun:
                 weight_scheme.params,
                 self.cache,
                 self.ridge(cfg.lambda2) if ridge_on else None,
-                WeightQuantConfig(k=cfg.k if rounding_on else 0, max_iter=cfg.max_iter),
+                k=cfg.k if rounding_on else 0,
+                max_iter=cfg.max_iter,
             )
             codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
             mse["after_wqer"] = layer_mse(self.y_fp, w_bar, self.eval_q)
@@ -616,9 +593,10 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
         run_cfgs = [cfg.replace(k=int(v)) for v in values]
     else:
         run_cfgs = [cfg for _ in values]
-        counts = [int(v) for v in values]
-        if any(count < 2 for count in counts):
-            raise ConfigError("n_images must be >= 2")
+        try:
+            counts = [require_int("n_images", int(v), 2) for v in values]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         largest = max(counts)
         for layer_id, _, a_fp, *_ in layers:
             if largest > a_fp.shape[0]:

@@ -31,7 +31,8 @@ A longer row is scanned. Codes are monotone in x, so each candidate
 splits the sorted values into 2^b contiguous bins, and a bin's squared
 error follows from its count, sum x and sum x^2: one sort and two prefix
 sums per row, every candidate's grid, scores and error bounds as
-(rows, 141, 2^b) arrays, and one binary search per row for the edges.
+(rows, 141, 2^b) arrays (in chunks of candidates within a byte budget
+past 8 bits), and one binary search per row for the edges.
 Only the candidates whose approximate score is within a float error bound
 of the best go to the exact evaluator, which keeps the choice the
 oracle's.
@@ -43,6 +44,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import require_int
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -239,9 +242,11 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 # Bytes of one (rows, 141, 2^b) float64 array of the row-block scan: a block
 # holds as many rows as fit, at least one (one row at 8 bits, three at 4).
-# About ten such arrays are live at once, so the scan's working set stays
-# under a megabyte below 8 bits whatever the number of rows.
 _BLOCK_BYTES = 1 << 16
+# Bytes of one (rows, chunk, 2^b) float64 array of the scan, which takes
+# candidates in chunks that fit, one at least: all 141 up to 8 bits, 64 at
+# 10 and one at 16, so about ten live arrays stay a few MB at any width.
+_CHUNK_BYTES = 1 << 19
 
 # A row of at most _DIRECT_PER_LEVEL * 2^b values is scored directly under
 # every candidate: its (141, n) float64 errors are then at most four of the
@@ -337,35 +342,42 @@ def _candidate_sse(xs, p1, p2, edges, levels):
     return sse, unplaced, windowed
 
 
-def _shortlists(
-    xs: np.ndarray, edges: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _shortlists(xs: np.ndarray, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """Which candidates of each row can attain the row's smallest exact MSE.
 
-    Arguments as for _candidate_sse. Returns a (rows, 141) mask and the
-    rows that ran the upper edge search (see _place_edges). Each fast
-    SSE is within `slack` of n times the exact evaluator's MSE: the first
-    term bounds the rounding of the prefix sums, the per-bin sums and the
-    exact evaluator itself (B bounds |x| and |level|), the second gradual
-    underflow, the third the values the scan cannot place (doubled to
-    cover its own rounding). A candidate whose lower end lies above the
-    smallest upper end is strictly worse than the exact optimum, so a row's
-    mask holds every candidate tied at it. A row whose scan overflows keeps
-    every candidate.
+    xs comes from _sorted_rows and grid holds the rows' candidates. Returns
+    a (rows, 141) mask and the rows that ran the upper edge search (see
+    _place_edges). Candidates are scanned in chunks of _CHUNK_BYTES, each
+    chunk's scores and unplaced swings kept as (rows, 141) arrays. Each
+    fast SSE is within `slack` of n times the exact evaluator's MSE: the
+    first term bounds the rounding of the prefix sums, the per-bin sums and
+    the exact evaluator itself (B bounds |x| and |level| over all
+    candidates), the second gradual underflow, the third the values the
+    scan cannot place (doubled to cover its own rounding). A candidate
+    whose lower end lies above the smallest upper end is strictly worse
+    than the exact optimum, so a row's mask holds every candidate tied at
+    it. A row whose scan overflows keeps every candidate.
     """
     rows, n = xs.shape[0], xs.shape[1] - 1
+    step = max(1, _CHUNK_BYTES // (8 * max(rows, 1) << grid.bits))
+    sse = np.empty((rows, ALPHA_GRID.size))
+    unplaced = np.empty((rows, ALPHA_GRID.size))
+    windowed = np.zeros(rows, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = np.zeros((rows, n + 1))
         np.cumsum(xs[:, :n], axis=1, out=p1[:, 1:])
         p2 = np.zeros((rows, n + 1))
         np.square(xs[:, :n], out=p2[:, 1:])
         np.cumsum(p2[:, 1:], axis=1, out=p2[:, 1:])
-        sse, unplaced, windowed = _candidate_sse(xs, p1, p2, edges, levels)
         # values and levels ascend, so the ends hold the largest magnitudes
-        bound = np.maximum(
-            np.abs(xs[:, : n : max(n - 1, 1)]).max(axis=1),
-            np.abs(levels[:, :, :: levels.shape[2] - 1]).max(axis=(1, 2)),
-        )
+        bound = np.abs(xs[:, : n : max(n - 1, 1)]).max(axis=1)
+        for c in range(0, ALPHA_GRID.size, step):
+            chunk = slice(c, c + step)
+            edges, levels = grid.bins(chunk)
+            sse[:, chunk], unplaced[:, chunk], hit = _candidate_sse(xs, p1, p2, edges, levels)
+            windowed |= hit
+            ends = np.abs(levels[:, :, :: levels.shape[2] - 1]).max(axis=(1, 2))
+            bound = np.maximum(bound, ends)
         slack = (16.0 * n * _EPS * (p2[:, -1] + n * bound * bound) + 16.0 * n * _TINY)[
             :, None
         ] + 2.0 * unplaced
@@ -426,10 +438,10 @@ class _Grid:
             self.family, self.bits, self.scales[i : i + 1, cands], self.zeros[i : i + 1, cands]
         )
 
-    def bins(self) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, levels) for the scan: edges[i, c] holds the ascending bin
-        edges of row i's candidate c, levels[i, c] the dequantized value of
-        each bin.
+    def bins(self, cands=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, levels) of candidates `cands` for the scan: edges[i, c]
+        holds the ascending bin edges of row i's candidate c, levels[i, c]
+        the dequantized value of each bin.
 
         Uniform code k holds x with x / s in [k - z - 1/2, k - z + 1/2), so
         the edges sit at (k - z - 1/2) s, and saturation is the first and
@@ -439,9 +451,9 @@ class _Grid:
         s 2^(-(q + 1/2) / 2).
         """
         qmax = (1 << self.bits) - 1
-        scales = self.scales[:, :, None]
+        scales = self.scales[:, cands, None]
         if self.family == "uniform":
-            steps = np.arange(qmax + 1.0) - self.zeros[:, :, None]
+            steps = np.arange(qmax + 1.0) - self.zeros[:, cands, None]
             # near the float range an edge or level overflows to +/-inf, and
             # an infinite scale makes the level at step 0 NaN
             with np.errstate(over="ignore", invalid="ignore"):
@@ -505,7 +517,7 @@ def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid: _Grid) -> list[int]:
     the candidates that can attain a row's smallest exact MSE; a shortlist
     of more than one is scored by the exact evaluator.
     """
-    keep, _ = _shortlists(xs, *grid.bins())
+    keep, _ = _shortlists(xs, grid)
     choices = []
     for i, row in enumerate(rows):
         shortlist = np.flatnonzero(keep[i])
@@ -572,18 +584,8 @@ def calibration_scan(values: np.ndarray, family: str, bits: int) -> tuple[np.nda
     values = np.asarray(values, dtype=np.float64).ravel()
     xs = _sorted_rows(values[None, :])
     _, grid = _candidate_grid(xs[:, 0], xs[:, -2], family, bits)
-    keep, windowed = _shortlists(xs, *grid.bins())
+    keep, windowed = _shortlists(xs, grid)
     return np.flatnonzero(keep[0]), bool(windowed[0])
-
-
-def _check_bits(bits) -> None:
-    """Reject a bit width that is not an integer in [2, MAX_BITS], before any allocation."""
-    if (
-        isinstance(bits, bool)
-        or not isinstance(bits, (int, np.integer))
-        or not 2 <= bits <= MAX_BITS
-    ):
-        raise ValueError(f"bit width must be an integer >= 2 and <= {MAX_BITS}, got {bits!r}")
 
 
 def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | LogSqrt2Params:
@@ -598,7 +600,7 @@ def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | Log
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    _check_bits(bits)
+    bits = require_int("bits", bits, 2, MAX_BITS)
     values = np.asarray(values, dtype=np.float64)
     check_finite(values)
     values = values.ravel()
@@ -613,6 +615,7 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
     Per-channel rows are calibrated independently, each to what `calibrate`
     gives for that row alone, a block of rows at a time.
     """
+    bits = require_int("bits", bits, 2, MAX_BITS)
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
         params = (calibrate(x, family, bits),)
@@ -621,7 +624,6 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
             raise ValueError("per_channel calibration is uniform only")
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
-        _check_bits(bits)
         check_finite(x, per_row=True)
         params = tuple(_calibrate_rows(x, family, bits))
     else:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import require_int
 from .quantizers import FAMILIES, MAX_BITS
 
 MAGIC = b"\x93NUMPY"
@@ -163,11 +164,11 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
         if not isinstance(item, dict):
             raise ManifestError(f"layers[{i}] is not an object")
 
-        def field(name, kind):
+        def field(name, kind=object):
             if name not in item:
                 raise ManifestError(f"layers[{i}] missing field {name!r}")
             value = item[name]
-            if not isinstance(value, kind) or isinstance(value, bool):
+            if not isinstance(value, kind):
                 raise ManifestError(
                     f"layers[{i}].{name} must be {kind.__name__}, got {value!r}"
                 )
@@ -188,12 +189,10 @@ def load_manifest(path: str | Path) -> list[LayerManifestEntry]:
                 f"layers[{i}].act_quant must be one of {FAMILIES}, "
                 f"got {act_quant!r}"
             )
-        bits_w = field("bits_w", int)
-        bits_a = field("bits_a", int)
-        if not (2 <= bits_w <= MAX_BITS and 2 <= bits_a <= MAX_BITS):
-            raise ManifestError(
-                f"layers[{i}]: bit widths must be >= 2 and <= {MAX_BITS}"
-            )
+        try:
+            bits_w, bits_a = [require_int(f, field(f), 2, MAX_BITS) for f in ("bits_w", "bits_a")]
+        except ValueError as exc:
+            raise ManifestError(f"layers[{i}].{exc}") from None
 
         weight_path = path.parent / field("weight_path", str)
         calib_path = path.parent / field("calib_path", str)

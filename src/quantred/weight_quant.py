@@ -28,9 +28,9 @@ whole (d_out, D_s) block at once:
     each, with each row's lattice broadcast as a column
     (`quantizers.row_lattice`), so nothing depends on how many rows share
     a call;
-  - the nearest codes, overwritten per row where refinement flipped (each
-    an arithmetic select of the floor and ceil codes, with no branch per
-    element), then the dequantized weights and error rows;
+  - the codes, once after the row loop: an arithmetic select (no branch
+    per element) of the floor and ceil codes under the rows' refined
+    choices, then the dequantized weights and error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
     itself when N < D_in. Only the current error block is held, never one
@@ -98,11 +98,11 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import require_regularized, require_strength, solve_spd, spd_factor
+from .linalg import require_int, require_regularized, require_strength, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, accumulate_moments, gram
 from .quantizers import (
     UniformParams,
@@ -112,24 +112,6 @@ from .quantizers import (
     lattice_quotient,
     row_lattice,
 )
-
-
-@dataclass(frozen=True)
-class WeightQuantConfig:
-    """Refinement settings; the ridge lives in the `RemainderRidge`."""
-
-    k: int = 1
-    max_iter: int = 100
-
-    def __post_init__(self):
-        for name in ("k", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -506,7 +488,9 @@ def quantize_layer_weights(
     channel_params: Sequence[UniformParams],
     cache: LayerMomentCache,
     ridge: RemainderRidge | None,
-    cfg: WeightQuantConfig,
+    *,
+    k: int,
+    max_iter: int,
 ) -> LayerWeightResult:
     """Run the progressive loop for the rows of w, splits outside, rows inside.
 
@@ -516,12 +500,15 @@ def quantize_layer_weights(
     the proxy before and after refinement, why refinement stopped and how
     many coordinates it flipped, and the empirical squared output error of
     the partially quantized row, from one `cache.trace_mses` product per
-    split. Refinement runs only for k > 0, the remainder update only when
-    a `ridge` of the same cache is given; None turns it off. Rows never
+    split. Refinement runs only for k > 0 (k and max_iter, integers >= 0,
+    are checked before any work), the remainder update only when a `ridge`
+    of the same cache is given; None turns it off. Rows never
     interact: a row's codes, dequantized values, proxies and stop reasons
     do not depend on which rows share the call, and its trace MSEs only
     through the last bits of the block product.
     """
+    k = require_int("k", k, 0)
+    max_iter = require_int("max_iter", max_iter, 0)
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("expected a 2-D weight matrix")
@@ -544,22 +531,24 @@ def quantize_layer_weights(
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
-        codes[:, lo:mid] = block.codes
+        # the rows' refined choices; the block keeps the nearest start
+        up_mask = block.up_mask.copy()
         stats, deltas = [], []
         for i, state in enumerate(block.rows()):
-            if cfg.k > 0:
-                state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+            if k > 0:
+                state, committed = refine_rounding(state, k, max_iter)
                 if state.flips_committed:
-                    codes[i, lo:mid] = state.codes
+                    up_mask[i] = state.up_mask
                 before, after = committed[0], committed[-1]
             else:
                 before = after = proxy_value(state.delta, matrix)
             stats.append((before, after, state.stop_reason, state.flips_committed))
             deltas.append(state.delta)
+        codes[:, lo:mid] = replace(block, up_mask=up_mask).codes
         # drop this split's proxy block, which the states hold too, and the
         # rest of the block but the row errors, before the remainder solves
         # and the next split's block
-        matrix = block = state = None
+        matrix = block = state = up_mask = None
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
         if ridge is not None and mid < hi:

@@ -179,15 +179,17 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_parse_stages_forms(self):
-        assert RunConfig.parse_stages("all") == frozenset(ALL_STAGES)
-        assert RunConfig.parse_stages("none") == frozenset()
-        assert RunConfig.parse_stages("") == frozenset()
-        assert RunConfig.parse_stages("aqer") == frozenset({STAGE_AQER})
-        assert RunConfig.parse_stages(" aqer , wqer_ridge ") == frozenset(
+        assert RunConfig(stages="all").stages == frozenset(ALL_STAGES)
+        assert RunConfig(stages=" all ").stages == frozenset(ALL_STAGES)
+        assert RunConfig(stages="none").stages == frozenset()
+        assert RunConfig(stages="").stages == frozenset()
+        assert RunConfig(stages="aqer").stages == frozenset({STAGE_AQER})
+        assert RunConfig(stages=" aqer , wqer_ridge ").stages == frozenset(
             {STAGE_AQER, STAGE_RIDGE}
         )
-        with pytest.raises(ConfigError, match="unknown stages"):
-            RunConfig.parse_stages("aqer,warp")
+        for text in ("aqer,warp", "all,aqer", "none,aqer"):
+            with pytest.raises(ConfigError, match="unknown stages"):
+                RunConfig(stages=text)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -926,7 +928,7 @@ class TestSweep:
     def test_n_images_below_two_rejected(self):
         rng = np.random.default_rng(11)
         layers = self._layers(rng)
-        with pytest.raises(ConfigError, match="n_images"):
+        with pytest.raises(ConfigError, match=r"^n_images must be an integer >= 2, got 1$"):
             run_sweep("n_images", [1], layers, RunConfig())
 
     @pytest.mark.parametrize(

@@ -298,7 +298,7 @@ class TestCalibration:
         assert float(np.mean((x - deq) ** 2)) == 0.0
 
     def test_bits_below_two_rejected(self):
-        with pytest.raises(ValueError, match=">= 2"):
+        with pytest.raises(ValueError, match=r"^bits must be an integer in \[2, 16\], got 1$"):
             calibrate(np.arange(4.0), "uniform", 1)
 
     @pytest.mark.parametrize("bits", [1, 17, 40, 64, 2.5, True, "4"])
@@ -313,7 +313,8 @@ class TestCalibration:
             lambda: calibrate_scale(x, "uniform", bits, "per_channel"),
         )
         for call in calls:
-            with pytest.raises(ValueError, match=f"<= 16, got {re.escape(repr(bits))}$"):
+            message = f"^bits must be an integer in \\[2, 16\\], got {re.escape(repr(bits))}$"
+            with pytest.raises(ValueError, match=message):
                 call()
 
     def test_numpy_integer_bit_width_accepted(self):
@@ -622,6 +623,31 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
+
+    @pytest.mark.parametrize("past_cutoff", [0, 1], ids=["direct", "scanned"])
+    def test_16_bit_peak_memory_stays_linear_in_the_values(self, past_cutoff):
+        # at 16 bits one candidate's scan arrays hold 2^16 doubles (512 KiB);
+        # scanning all 141 candidates at once peaked at 570 MiB on 2^18 + 1
+        # values, and scanning them in chunks stays near the direct path
+        n = quantizers.direct_cutoff(16) + past_cutoff
+        x = np.random.default_rng(11).normal(size=n)
+        tracemalloc.start()
+        try:
+            got = calibrate(x, "uniform", 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
+        assert got == oracle.grid_calibrate(x, "uniform", 16)
+
+    @pytest.mark.parametrize("bits", [9, 10, 12])
+    def test_rows_scanned_in_candidate_chunks_match_the_grid(self, bits):
+        # past 8 bits a row scans its candidates in several chunks, the last
+        # one short; lattice and half-step rows put values in edge windows
+        n = quantizers.direct_cutoff(bits) + 3
+        x = _mixed_rows(np.random.default_rng([29, bits]), 4, n, bits)
+        got = calibrate_scale(x, "uniform", bits, "per_channel").params
+        assert got == _grid(x, "uniform", "per_channel", bits)
 
 
 class TestNonFiniteInput:

@@ -275,14 +275,17 @@ class TestManifest:
     def test_bits_below_two(self, tmp_path):
         a = _layer_files(tmp_path, "l0")
         a["bits_w"] = 1
-        with pytest.raises(ManifestError, match=">= 2"):
+        with pytest.raises(
+            ManifestError, match=r"^layers\[0\]\.bits_w must be an integer in \[2, 16\], got 1$"
+        ):
             load_manifest(_manifest(tmp_path, [a]))
 
     @pytest.mark.parametrize("field", ["bits_w", "bits_a"])
     def test_bits_above_max(self, tmp_path, field):
         a = _layer_files(tmp_path, "l0")
         a[field] = MAX_BITS + 1
-        with pytest.raises(ManifestError, match=f"<= {MAX_BITS}"):
+        message = rf"^layers\[0\]\.{field} must be an integer in \[2, 16\], got 17$"
+        with pytest.raises(ManifestError, match=message):
             load_manifest(_manifest(tmp_path, [a]))
         a[field] = MAX_BITS
         assert load_manifest(_manifest(tmp_path, [a]))[0].layer_id == "l0"

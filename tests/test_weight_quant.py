@@ -31,7 +31,6 @@ from quantred.weight_quant import (
     LayerMomentCache,
     RemainderRidge,
     RoundingState,
-    WeightQuantConfig,
     halving_splits,
     init_rounding,
     proxy_gradient,
@@ -540,8 +539,8 @@ def _reference_channel(w_row, params, cache, ridge, cfg):
     for lo, mid, hi in cache.splits:
         state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
         proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
-        if cfg.k > 0:
-            state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+        if cfg["k"] > 0:
+            state, committed = refine_rounding(state, cfg["k"], cfg["max_iter"])
             proxy_after = committed[-1]
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
@@ -592,8 +591,8 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
         for iteration, (lo, mid, hi) in enumerate(cache.splits):
             matrix = cache.proxy_matrix(lo, mid)
             state = _per_row_init_rounding(current[lo:mid], params, matrix)
-            if cfg.k > 0:
-                state, committed = refine_rounding(state, cfg.k, cfg.max_iter)
+            if cfg["k"] > 0:
+                state, committed = refine_rounding(state, cfg["k"], cfg["max_iter"])
                 before, after = committed[0], committed[-1]
             else:
                 before = after = proxy_value(state.delta, state.proxy_matrix)
@@ -683,12 +682,12 @@ class TestChannelQuantization:
         rng = np.random.default_rng(100 + d_in)
         w, params, a_q = self._setup(rng, 3, d_in, n=48)
         # the rounding stage off runs the loop at k = 0, as LayerRun.result does
-        cfg = WeightQuantConfig(k=k if rounding else 0)
+        cfg = dict(k=k if rounding else 0, max_iter=100)
         cache = LayerMomentCache(a_q)
         remainder = _ridge(cache, 0.5 if ridge else None)
         for i in range(3):
             got = quantize_layer_weights(
-                w[i : i + 1], params[i : i + 1], cache, remainder, cfg
+                w[i : i + 1], params[i : i + 1], cache, remainder, **cfg
             )
             trace = got.trace[0]
             codes, rows = _reference_channel(w[i], params[i], cache, remainder, cfg)
@@ -712,17 +711,17 @@ class TestChannelQuantization:
         rng = np.random.default_rng(40 + n + k)
         w, params = _mixed_rows(rng, 16)
         a_q = rng.normal(0.2, 1.0, (n, 16))
-        cfg = WeightQuantConfig(k=k)
+        cfg = dict(k=k, max_iter=100)
         cache = LayerMomentCache(a_q)
         remainder = _ridge(cache, 0.5 if ridge else None)
         want_codes, want_w_bar, want_trace = _per_row_reference(
             w, params, cache, remainder, cfg
         )
         assert (want_codes == 0).any() and (want_codes == 15).any()
-        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, remainder, cfg))]
+        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, remainder, **cfg))]
         for i in range(5):
             one = quantize_layer_weights(
-                w[i : i + 1], params[i : i + 1], cache, remainder, cfg
+                w[i : i + 1], params[i : i + 1], cache, remainder, **cfg
             )
             runs.append((slice(i, i + 1), one))
         for rows, got in runs:
@@ -772,7 +771,7 @@ class TestChannelQuantization:
         monkeypatch.setattr(weight_quant, "init_rounding", counted)
         cache = LayerMomentCache(a_q)
         quantize_layer_weights(
-            w, params, cache, RemainderRidge(cache, 0.5), WeightQuantConfig(k=k)
+            w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100
         )
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
@@ -798,7 +797,7 @@ class TestChannelQuantization:
         monkeypatch.setattr(weight_quant, "init_rounding", recorded)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         quantize_layer_weights(
-            w, params, cache, _ridge(cache, 0.5 if ridge else None), WeightQuantConfig()
+            w, params, cache, _ridge(cache, 0.5 if ridge else None), k=1, max_iter=100
         )
         assert len(blocks) == len(halving_splits(16))
         for w_block, matrix, block in blocks:
@@ -822,20 +821,20 @@ class TestChannelQuantization:
         a_q = rng.normal(0, 1, (16, 4))
         cache = LayerMomentCache(a_q)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
-            quantize_layer_weights(np.zeros((0, 4)), (), cache, None, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((0, 4)), (), cache, None, k=1, max_iter=100)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
             pipeline.quantize_layer(
                 np.zeros((0, 4)), a_q, "uniform", 4, 4, pipeline.RunConfig()
             )
         with pytest.raises(ValueError, match=r"shape \(3, 0\) is empty"):
-            quantize_layer_weights(np.zeros((3, 0)), (), cache, None, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((3, 0)), (), cache, None, k=1, max_iter=100)
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
         w, params, a_q = self._setup(rng, 3, 1)
-        cfg = WeightQuantConfig()
+        cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
+        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
@@ -849,7 +848,7 @@ class TestChannelQuantization:
         params = (UniformParams(scale=0.3, zero_point=5, bits=4),)
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        result = quantize_layer_weights(w, params, cache, ridge, WeightQuantConfig())
+        result = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
         np.testing.assert_array_equal(result.codes[0], np.full(6, 5))
         np.testing.assert_array_equal(result.w_bar[0], np.zeros(6))
 
@@ -861,20 +860,20 @@ class TestChannelQuantization:
         p = calibrate(row, "uniform", 4)
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        result = quantize_layer_weights(w, (p, p), cache, ridge, WeightQuantConfig())
+        result = quantize_layer_weights(w, (p, p), cache, ridge, k=1, max_iter=100)
         np.testing.assert_array_equal(result.codes[0], result.codes[1])
         np.testing.assert_array_equal(result.w_bar[0], result.w_bar[1])
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         w, params, a_q = self._setup(rng, 5, 8)
-        cfg = WeightQuantConfig()
+        cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        base = quantize_layer_weights(w, params, cache, ridge, cfg)
+        base = quantize_layer_weights(w, params, cache, ridge, **cfg)
         perm = rng.permutation(5)
         permuted = quantize_layer_weights(
-            w[perm], tuple(params[i] for i in perm), cache, ridge, cfg
+            w[perm], tuple(params[i] for i in perm), cache, ridge, **cfg
         )
         np.testing.assert_array_equal(permuted.codes, base.codes[perm])
         np.testing.assert_array_equal(permuted.w_bar, base.w_bar[perm])
@@ -882,9 +881,9 @@ class TestChannelQuantization:
     def test_trace_mse_matches_empirical_batch_error(self):
         rng = np.random.default_rng(12)
         w, params, a_q = self._setup(rng, 4, 9, n=128)
-        cfg = WeightQuantConfig()
+        cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
+        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
         for i, rows in enumerate(result.trace):
             err_vec = (result.w_bar[i] - w[i]) @ a_q.T
             empirical = float(np.mean(err_vec**2))
@@ -895,7 +894,7 @@ class TestChannelQuantization:
         w, params, a_q = self._setup(rng, 6, 12, n=96)
         cache = LayerMomentCache(a_q)
         result = quantize_layer_weights(
-            w, params, cache, RemainderRidge(cache, 1.0), WeightQuantConfig(k=1)
+            w, params, cache, RemainderRidge(cache, 1.0), k=1, max_iter=100
         )
         for rows in result.trace:
             for row in rows:
@@ -904,8 +903,8 @@ class TestChannelQuantization:
     def test_ridge_disabled_leaves_remainder_untouched(self):
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
-        cfg = WeightQuantConfig(k=0)
-        result = quantize_layer_weights(w, params, LayerMomentCache(a_q), None, cfg)
+        cfg = dict(k=0, max_iter=100)
+        result = quantize_layer_weights(w, params, LayerMomentCache(a_q), None, **cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
@@ -918,13 +917,13 @@ class TestChannelQuantization:
         # remainder update, and matches the per-row reference without it
         rng = np.random.default_rng(19 + n)
         w, params, a_q = self._setup(rng, 3, 8, n=n)
-        cfg = WeightQuantConfig()
+        cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        got = quantize_layer_weights(w, params, cache, None, cfg)
+        got = quantize_layer_weights(w, params, cache, None, **cfg)
         want_codes, want_w_bar, _ = _per_row_reference(w, params, cache, None, cfg)
         np.testing.assert_array_equal(got.codes, want_codes)
         np.testing.assert_array_equal(got.w_bar, want_w_bar)
-        ridged = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), cfg)
+        ridged = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), **cfg)
         assert got.trace != ridged.trace
 
     def test_ridge_of_another_cache_rejected(self):
@@ -933,7 +932,7 @@ class TestChannelQuantization:
         other = RemainderRidge(LayerMomentCache(a_q), 0.5)
         with pytest.raises(ValueError, match="another moment cache"):
             quantize_layer_weights(
-                w, params, LayerMomentCache(a_q), other, WeightQuantConfig()
+                w, params, LayerMomentCache(a_q), other, k=1, max_iter=100
             )
 
     def test_ridge_reduces_final_error_on_correlated_batch(self):
@@ -943,10 +942,10 @@ class TestChannelQuantization:
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
         params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
-        cfg = WeightQuantConfig(k=0)
+        cfg = dict(k=0, max_iter=100)
         cache = LayerMomentCache(a_q)
-        on = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), cfg)
-        off = quantize_layer_weights(w, params, cache, None, cfg)
+        on = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
+        off = quantize_layer_weights(w, params, cache, None, **cfg)
 
         def total_mse(res):
             return float(np.mean(((res.w_bar - w) @ a_q.T) ** 2))
@@ -962,7 +961,7 @@ class TestChannelQuantization:
                 (UniformParams(scale=1.0, zero_point=0, bits=4),),
                 cache,
                 RemainderRidge(cache, 1.0),
-                WeightQuantConfig(),
+                k=1, max_iter=100,
             )
 
     def test_layer_validation_errors(self):
@@ -970,15 +969,11 @@ class TestChannelQuantization:
         cache = LayerMomentCache(rng.normal(0, 1, (16, 4)))
         p = UniformParams(scale=1.0, zero_point=0, bits=4)
         with pytest.raises(ValueError, match="2-D"):
-            quantize_layer_weights(np.zeros(4), (p,), cache, None, WeightQuantConfig())
+            quantize_layer_weights(np.zeros(4), (p,), cache, None, k=1, max_iter=100)
         with pytest.raises(ValueError, match="per output channel"):
-            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, None, WeightQuantConfig())
+            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, None, k=1, max_iter=100)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="k"):
-            WeightQuantConfig(k=-1)
-        with pytest.raises(ValueError, match="max_iter"):
-            WeightQuantConfig(max_iter=-5)
         # lambda2 lives in the remainder ridge, which checks it as RunConfig
         # does: a bool, a string or None is not a strength
         cache = LayerMomentCache(np.random.default_rng(0).normal(0, 1, (16, 4)))
@@ -992,16 +987,21 @@ class TestChannelQuantization:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("k", 1.5), ("k", 2.0), ("k", True), ("k", "1"), ("max_iter", 100.0),
-         ("max_iter", False), ("max_iter", None)],
+        [("k", -1), ("k", 1.5), ("k", 2.0), ("k", True), ("k", "1"), ("max_iter", -5),
+         ("max_iter", 100.0), ("max_iter", False), ("max_iter", None)],
     )
-    def test_config_rejects_non_integer_counts(self, field, value):
-        # a float k or max_iter would otherwise pass, the moment cache would
-        # be built, and refinement would fail with a bare TypeError
-        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
-            WeightQuantConfig(**{field: value})
-        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
-            dataclasses.replace(WeightQuantConfig(), **{field: value})
+    def test_non_integer_counts_rejected_before_any_work(self, monkeypatch, field, value):
+        # a float k or max_iter would otherwise pass, the first split's block
+        # would be built, and refinement would fail with a bare TypeError
+        def unreachable(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(weight_quant, "init_rounding", unreachable)
+        cache = LayerMomentCache(np.random.default_rng(0).normal(0, 1, (16, 4)))
+        p = UniformParams(scale=1.0, zero_point=0, bits=4)
+        settings = {"k": 1, "max_iter": 100, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 0, got "):
+            quantize_layer_weights(np.zeros((1, 4)), (p,), cache, None, **settings)
 
 
 class TestMomentCache:
@@ -1169,7 +1169,7 @@ class TestProxyBlocks:
         params = tuple(calibrate(row, "uniform", 4) for row in w)
         cache = LayerMomentCache(a_q)
         remainder = _ridge(cache, 0.5 if ridge else None)
-        quantize_layer_weights(w, params, cache, remainder, WeightQuantConfig(k=k))
+        quantize_layer_weights(w, params, cache, remainder, k=k, max_iter=100)
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
 
@@ -1187,7 +1187,7 @@ class TestProxyBlocks:
         try:
             cache = LayerMomentCache(a_q)
             ridge = RemainderRidge(cache, 1e4)
-            quantize_layer_weights(w, params, cache, ridge, WeightQuantConfig(k=k))
+            quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1265,7 +1265,7 @@ class TestThinBatch:
     @pytest.mark.parametrize("ridge", [True, False])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_channels_match_full_width_reference(self, rounding, ridge, k):
-        cfg = WeightQuantConfig(k=k if rounding else 0)
+        cfg = dict(k=k if rounding else 0, max_iter=100)
         lambda2 = 0.5 if ridge else None
         for n, d_in in THIN_SHAPES:
             rng, a_q = self._batch(n, d_in)
@@ -1276,8 +1276,8 @@ class TestThinBatch:
             ref_ridge = ref if ridge else None
             for row in w:
                 params = (calibrate(row, "uniform", 4),)
-                got = quantize_layer_weights(row[None], params, cache, remainder, cfg)
-                want = quantize_layer_weights(row[None], params, ref, ref_ridge, cfg)
+                got = quantize_layer_weights(row[None], params, cache, remainder, **cfg)
+                want = quantize_layer_weights(row[None], params, ref, ref_ridge, **cfg)
                 np.testing.assert_array_equal(got.codes, want.codes)
                 for a, b in zip(got.trace[0], want.trace[0], strict=True):
                     assert (a["stop_reason"], a["flips_committed"]) == (
