@@ -22,7 +22,6 @@ from .quantizers import (
     quantize_log_sqrt2,
     quantize_uniform,
 )
-from .synth import ChainReport, SynthSpec, generate_layer, run_chain
 from .tensorfile import (
     LayerManifestEntry,
     ManifestError,
@@ -45,3 +44,19 @@ from .weight_quant import (
 )
 
 __version__ = "0.1.0"
+
+# quantred.synth (synthetic layers and chains) loads on first use: the run
+# path, `from quantred import pipeline, tensorfile`, never needs it
+_SYNTH_NAMES = ("ChainReport", "SynthSpec", "generate_layer", "run_chain")
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_SYNTH_NAMES])

@@ -191,7 +191,7 @@ def sweep(manifest_path, out_dir, param, values, config_path, **flags):
     """Sweep one parameter over a value list and write sweep.csv."""
 
     def runner():
-        parse = float if param == "lambda" else int
+        parse = float if param == "lambda" else integer  # run_sweep checks the integers
         try:
             parsed = [parse(v.strip()) for v in values.split(",") if v.strip()]
         except ValueError:

@@ -577,7 +577,8 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     a run of its own.
 
     Raises ConfigError before any work for an unknown param, no values, no
-    layers, or a `k` or `n_images` value that is not an integer.
+    layers, or a `k` or `n_images` value that `require_int` rejects, with
+    the message a `RunConfig` field gets: a float such as 2.0 is no integer.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; valid: {SWEEP_PARAMS}")
@@ -585,25 +586,24 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
         raise ConfigError("sweep needs at least one value")
     if not layers:
         raise ConfigError("sweep needs at least one layer")
-    if param != "lambda" and not all(float(v).is_integer() for v in values):
-        raise ConfigError(f"{param} values must be integers, got {list(values)}")
     if param == "lambda":
         run_cfgs = [cfg.replace(lambda1=float(v), lambda2=float(v)) for v in values]
-    elif param == "k":
-        run_cfgs = [cfg.replace(k=int(v)) for v in values]
     else:
-        run_cfgs = [cfg for _ in values]
         try:
-            counts = [require_int("n_images", int(v), 2) for v in values]
+            counts = [require_int(param, v, 0 if param == "k" else 2) for v in values]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        largest = max(counts)
-        for layer_id, _, a_fp, *_ in layers:
-            if largest > a_fp.shape[0]:
-                raise ConfigError(
-                    f"n_images {largest} exceeds the {a_fp.shape[0]} "
-                    f"calibration samples of layer {layer_id!r}"
-                )
+        if param == "k":
+            run_cfgs = [cfg.replace(k=count) for count in counts]
+        else:
+            run_cfgs = [cfg for _ in values]
+            largest = max(counts)
+            for layer_id, _, a_fp, *_ in layers:
+                if largest > a_fp.shape[0]:
+                    raise ConfigError(
+                        f"n_images {largest} exceeds the {a_fp.shape[0]} "
+                        f"calibration samples of layer {layer_id!r}"
+                    )
     per_value = [([], [], []) for _ in values]
     for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
         run = None

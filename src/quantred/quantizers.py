@@ -20,12 +20,18 @@ One exact evaluator (`_exact_mse`) scores candidates: it quantizes the
 rows under them in one (rows, k, n) pass through the lattice arithmetic of
 `quantize` and takes the mean squared error over each row, bit for bit the
 oracle's MSE, and `_last_minimum` keeps the oracle's last minimum. A row of
-at most 4 * 2^b values (`direct_cutoff`) is scored under all 141
-candidates that way, with no sort. On 16 and 64 Gaussian rows (2-core x86
-VM, numpy 2.4, best of 5) that takes 0.35-0.57 of the scan's time at this
-cutoff at 2, 4 and 8 bits, and the two break even near 10, 8 and over 16
-values per level; its (141, n) errors are no larger than four of the
-scan's (141, 2^b) arrays.
+at most `direct_cutoff(b)` values is scored under all 141 candidates that
+way, with no sort: 4 * 2^b up to 8 bits, 32 * 2^b past that. On 16 and 64
+Gaussian rows (2-core x86 VM, numpy 2.4, best of 5) the direct path takes
+0.35-0.57 of the scan's time at 4 values per level at 2, 4 and 8 bits,
+and the two break even near 10, 8 and over 16 values per level; its
+(141, n) errors are no larger than four of the scan's (141, 2^b) arrays.
+Past 8 bits the scan takes its candidates in chunks, so its cost per
+level grows: on one Gaussian row (same host, best of 3) the direct path
+takes 0.28, 0.24, 0.17, 0.29 and 0.21 of the scan's time at 4 values per
+level at 9, 10, 12, 14 and 16 bits, and the two break even at 32 values
+per level within 8% (direct / scan 1.01, 0.97, 0.93, 1.08 and 1.03
+there), so past 8 bits the cutoff sits at that crossover.
 
 A longer row is scanned. Codes are monotone in x, so each candidate
 splits the sorted values into 2^b contiguous bins, and a bin's squared
@@ -248,11 +254,14 @@ _BLOCK_BYTES = 1 << 16
 # 10 and one at 16, so about ten live arrays stay a few MB at any width.
 _CHUNK_BYTES = 1 << 19
 
-# A row of at most _DIRECT_PER_LEVEL * 2^b values is scored directly under
-# every candidate: its (141, n) float64 errors are then at most four of the
-# scan's (141, 2^b) arrays, fewer than the scan holds live, and it is well
-# below the measured speed crossover (module docstring).
+# Values per level (times 2^b) of the longest row scored directly under every
+# candidate (module docstring): up to 8 bits the (141, n) float64 errors are
+# then at most four of the scan's (141, 2^b) arrays, fewer than the scan
+# holds live, well below the speed crossover; past 8 bits the scan takes
+# its candidates in chunks and the direct evaluator one candidate at a time,
+# and the cutoff is the measured crossover.
 _DIRECT_PER_LEVEL = 4
+_DIRECT_PER_LEVEL_PAST_8_BITS = 32
 # Float64 bytes of one chunk of the exact evaluator: the direct path scores
 # as many rows at once as fit, and a shortlist as many candidates.
 _DIRECT_BYTES = 1 << 18
@@ -260,7 +269,7 @@ _DIRECT_BYTES = 1 << 18
 
 def direct_cutoff(bits: int) -> int:
     """The longest row that calibration scores directly, without the scan."""
-    return _DIRECT_PER_LEVEL << bits
+    return (_DIRECT_PER_LEVEL if bits <= 8 else _DIRECT_PER_LEVEL_PAST_8_BITS) << bits
 
 
 def _block_height(bits: int, n: int) -> int:

@@ -38,9 +38,13 @@ whole (d_out, D_s) block at once:
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views of the block (`RoundingState.rows`), which
-reads the block's start instead of rebuilding it, and step 3, one
-`RemainderRidge.remainder_update` (one `solve_spd`) per (channel,
-non-final split), run back to back after the split's refinements.
+reads the block's start instead of rebuilding it and never writes into
+it, and step 3, one call (one `solve_spd`) per (channel, non-final split)
+of the split's `RemainderRidge.solver`, looked up once per split, each
+row's solution subtracted in place from its view of the remainder, run
+back to back after the split's refinements. At k = 0 a row's proxy is
+read straight off the block's `delta`, with no row state. Each row's
+trace row is written once, its MSE filled in from the split's product.
 Refinement picks and stops per row; batching it, and the per-row solves
 into one right-hand side per split, would change the per-call structure
 the benchmark's traced call counts pin.
@@ -57,8 +61,9 @@ builds and passes in, each depending on less than a run:
     no D_in x D_in matrix: a block is built from its batch slice when its
     split runs and released after it;
   - `RemainderRidge`, built from a cache and lambda2: the remainder
-    factorizations, computed once, and `remainder_update`, the one
-    implementation of step 3, also exercised by `quantred verify`. It
+    factorizations, computed once, and `solver`, the one implementation
+    of step 3, which the loop calls per row and `remainder_update` (what
+    `quantred verify` exercises) negates. It
     holds the only lambda2, and passing no ridge is the one switch that
     turns step 3 off. A remainder no wider than N is solved in input
     space, from blocks read off the Gram or the batch alike; a wider one
@@ -72,7 +77,7 @@ every weight loop of the layer shares them.
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
 from the candidates every iteration. Every k runs the same loop: three
-passes over the slice into preallocated buffers (t g, plus the curvature,
+passes over the slice into one preallocated buffer (t g, plus the curvature,
 and that sum's sign copied onto g) score every eligible flip -|g_j| < 0
 and every other coordinate >= 0, and repeated argmin takes up to k of
 them. A step of one flip (every step at the default k = 1) is then scored
@@ -81,24 +86,26 @@ step of several flips takes the k x k block of M.
 
 Measured at k = 1 by replaying every refinement call of the benchmark
 workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
-call timed at max_iter 0 and 100, best of 5; ranges over four runs, as
-this host's speed drifts by up to 1.7x): an iteration costs 2.9-5.2 us on
-1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers), 3.6-6.4 us on
-1-128 column slices (64 x 256) and 7.6-10.4 us on 1-1024 column slices
-(32 x 2048). The set-up of a call, dominated on wide slices by the one
-gradient matvec, costs 11-13, 12-20 and 57-71 us there. Reading the
-start off the block instead of rebuilding it per call took the mean
-set-up from 10.6-11.6 to 7.5-8.4 us on the 16 x 24 chain, 18.5-19.9 to
-13.0-14.1 us on 64 x 256 and 83-84 to 75-76 us on 32 x 2048 (the two
-versions' calls replayed alternately in one process, best of 5, two
-runs; matrices cold in cache, so the last is above the range before).
+call timed at max_iter 0 and 100, best of 5, alternating with the version
+before in one process; ranges over three runs, as this host's speed
+drifts): the set-up of a call (max_iter 0: gradient, proxy, buffer, the
+returned state) costs 8.1-8.9 us on 1-12 column slices (16 x 24, 24 x 16
+and 12 x 24 layers), 8.9-9.2 us on 1-128 column slices (64 x 256) and
+47-55 us on 1-1024 column slices (32 x 2048), where the one gradient
+matvec dominates; the version before (a frozen dataclass state, up_mask
+and step copied on every call, two scoring buffers) took 12.5-13.9,
+13.6-14.0 and 51-61 us. A scoring pass, with the step it commits, costs
+5.6-6.2, 6.9-7.1 and 6.3-10.6 us (5.4-5.9, 6.6-6.9 and 6.1-10.5 before:
+the first committed step now pays for the two copies).
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,8 +121,7 @@ from .quantizers import (
 )
 
 
-@dataclass(frozen=True)
-class RoundingState:
+class RoundingState(NamedTuple):
     """Floor/ceil rounding candidates and the choice between them.
 
     `init_rounding` builds one for a (D_s,) channel slice or a (d, D_s)
@@ -133,6 +139,10 @@ class RoundingState:
     produced the choice: "off" and 0 until `refine_rounding` has run, then
     why it stopped ("no_eligible", "uphill" or "max_iter") and how many
     coordinates its committed steps flipped.
+
+    A named tuple, so that building one per row and per refinement call
+    costs little; `_replace` gives a copy with other fields. Its arrays
+    are shared, not copied, and nothing writes into them.
     """
 
     delta_down: np.ndarray
@@ -159,12 +169,7 @@ class RoundingState:
 
     def rows(self):
         """The one-row states of a block, each made of views of its rows."""
-        arrays = (
-            self.delta_down, self.delta_up, self.up_mask, self.code_down,
-            self.code_up, self.delta, self.step, self.curvature,
-        )
-        for row in zip(*arrays):
-            yield RoundingState(*row, self.proxy_matrix)
+        return map(RoundingState, *self[:8], repeat(self.proxy_matrix))
 
 
 # keys of one trace row, one row per split of a channel
@@ -177,6 +182,19 @@ TRACE_FIELDS = (
     "stop_reason",
     "flips_committed",
 )
+
+
+def _trace_row(iteration, slice_size, before, after, stop_reason, flips) -> dict:
+    # keyed by TRACE_FIELDS; "mse" is set once the split's error block is complete
+    return {
+        "iteration": iteration,
+        "slice_size": slice_size,
+        "proxy_before": before,
+        "proxy_after": after,
+        "mse": None,
+        "stop_reason": stop_reason,
+        "flips_committed": flips,
+    }
 
 
 @dataclass(frozen=True)
@@ -204,13 +222,14 @@ def halving_splits(dim: int) -> list[tuple[int, int, int]]:
 def proxy_value(delta: np.ndarray, matrix: np.ndarray) -> float:
     """delta M delta^T: expected squared slice error, O(D^2) regardless of N."""
     delta = np.asarray(delta, dtype=np.float64)
-    return float(delta @ (matrix @ delta))
+    return float(delta.dot(matrix @ delta))
 
 
 def proxy_gradient(delta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Gradient 2 delta M of the proxy (M symmetric)."""
-    delta = np.asarray(delta, dtype=np.float64)
-    return 2.0 * (matrix @ delta)
+    gradient = matrix @ np.asarray(delta, dtype=np.float64)
+    gradient *= 2.0
+    return gradient
 
 
 def init_rounding(
@@ -244,7 +263,8 @@ def init_rounding(
     errors = np.subtract(dequantize_index(index, params), w, out=index)
     # step = other - chosen: the gap delta_up - delta_down, negated (exactly)
     # where the ceil side is chosen; adding 0 gives a zero gap's step the +0
-    # that other - chosen gives it on either side
+    # that other - chosen gives it on either side (arithmetic, not a masked
+    # subtract: that branches per element, 3.6x slower on a 32 x 1024 block)
     step = np.subtract(errors[1], errors[0], out=quotient)
     sign = np.multiply(up_mask, -2.0)
     sign += 1.0
@@ -290,8 +310,10 @@ def refine_rounding(
     incrementally, and a committed flip negates the step t_j at the flipped
     coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
     delta is read off the final sides. The state's `delta`, `step` and
-    `curvature` are the start: only up_mask and step are copied, and a row
-    view of a block's state is read like a slice's own. This needs M to be a
+    `curvature` are the start and are never written: up_mask and step are
+    copied when the first step commits (until then the returned state
+    shares the start's arrays), and a row view of a block's state is read
+    like a slice's own. This needs M to be a
     proxy matrix: symmetric, so the gradient update can read the flipped
     rows of M as its columns, with a nonnegative diagonal. A candidate pair
     brackets the weight (delta_down <= 0 <= delta_up), so a negative change
@@ -299,7 +321,7 @@ def refine_rounding(
     every eligible flip is sign-consistent. A coordinate without a second
     candidate has t_j = 0 and is never eligible.
 
-    An iteration scores into preallocated buffers in three passes: t g,
+    An iteration scores into one preallocated buffer in three passes: t g,
     plus the curvature t^2 M_jj (the state's), and the sign of
     that sum copied onto g. With gradual underflow fl(a + c) < 0 exactly
     when a < -c, so the sign is the exact eligibility test. An eligible
@@ -317,24 +339,20 @@ def refine_rounding(
     g += M_j (2 t_j), which is 2 (t_j M_j) since scaling by 2 is exact away
     from the subnormal range.
     """
-    matrix = state.proxy_matrix
-    diag = matrix.diagonal()
-    up_mask = state.up_mask.copy()
-    step = state.step.copy()
-    curvature = state.curvature
-    delta = state.delta
+    matrix, up_mask, step, curvature, delta = (
+        state.proxy_matrix, state.up_mask, state.step, state.curvature, state.delta
+    )
     grad = proxy_gradient(delta, matrix)
-    proxy = 0.5 * float(delta @ grad)
+    proxy = 0.5 * float(delta.dot(grad))
     committed = [proxy]
-    product = np.empty_like(grad)
-    score = np.empty_like(grad)
+    score = np.empty_like(grad)  # between passes, the gradient update's buffer too
     budget = min(operator.index(k), step.size)  # a float k is a TypeError
     stop_reason = "max_iter"
     flips_committed = 0
     for _ in range(max_iter):
-        np.multiply(step, grad, out=product)
-        np.add(product, curvature, out=product)
-        np.copysign(grad, product, out=score)
+        np.multiply(step, grad, out=score)
+        np.add(score, curvature, out=score)
+        np.copysign(grad, score, out=score)
         picks = 0
         while picks < budget:
             i = int(score.argmin())
@@ -348,14 +366,7 @@ def refine_rounding(
             break
         if picks == 1:
             t = float(step[j])
-            change = t * float(grad[j]) + t * (float(diag[j]) * t)
-            if change > 0.0:
-                stop_reason = "uphill"
-                break
-            step[j] = -t
-            up_mask[j] = not up_mask[j]
-            np.multiply(matrix[j], 2.0 * t, out=product)
-            grad += product
+            change = t * float(grad[j]) + t * (float(matrix[j, j]) * t)
         else:
             flips = np.flatnonzero(score == np.inf)
             t = step[flips]
@@ -363,9 +374,17 @@ def refine_rounding(
             # np.take keeps the k x k block C-ordered: BLAS may round the product
             # of an F-ordered block differently, moving the values traces record
             change = float(t @ grad[flips] + t @ (np.take(m_rows, flips, axis=1) @ t))
-            if change > 0.0:
-                stop_reason = "uphill"
-                break
+        if change > 0.0:
+            stop_reason = "uphill"
+            break
+        if not flips_committed:  # the start stays the caller's
+            up_mask, step = up_mask.copy(), step.copy()
+        if picks == 1:
+            step[j] = -t
+            up_mask[j] = not up_mask[j]
+            np.multiply(matrix[j], 2.0 * t, out=score)
+            grad += score
+        else:
             step[flips] = -t
             up_mask[flips] = ~up_mask[flips]
             grad += 2.0 * np.dot(t, m_rows)
@@ -469,6 +488,19 @@ class RemainderRidge:
                 factor = spd_factor(cache._moment(r, r) + lambda2 * np.eye(width))
                 self._remainder[(lo, mid)] = (cache._moment(r, s), factor, None)
 
+    def solver(self, lo: int, mid: int):
+        """The function delta_s -> -dW_r* of split (lo, mid), one `solve_spd` a call.
+
+        It returns the ridge solution that `remainder_update` negates, so a
+        caller correcting many rows of one split looks the split up once
+        and subtracts each row's solution. Raises KeyError for the final
+        split, which leaves no remainder.
+        """
+        to_rhs, factor, from_samples = self._remainder[(lo, mid)]
+        if from_samples is None:
+            return lambda delta_s: solve_spd(factor, to_rhs @ delta_s)
+        return lambda delta_s: from_samples @ solve_spd(factor, to_rhs @ delta_s)
+
     def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
         """Ridge-optimal update of columns mid:hi given the committed error delta_s.
 
@@ -476,11 +508,7 @@ class RemainderRidge:
         remainder update dW_r. Raises KeyError for the final split, which
         leaves no remainder.
         """
-        to_rhs, factor, from_samples = self._remainder[(lo, mid)]
-        solution = solve_spd(factor, to_rhs @ delta_s)
-        if from_samples is not None:
-            solution = from_samples @ solution
-        return -solution
+        return -self.solver(lo, mid)(delta_s)
 
 
 def quantize_layer_weights(
@@ -531,20 +559,26 @@ def quantize_layer_weights(
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
-        # the rows' refined choices; the block keeps the nearest start
-        up_mask = block.up_mask.copy()
-        stats, deltas = [], []
-        for i, state in enumerate(block.rows()):
-            if k > 0:
+        if k > 0:
+            # the rows' refined choices and errors; the block keeps the nearest start
+            up_mask = block.up_mask.copy()
+            deltas = []
+            for i, (rows, state) in enumerate(zip(trace, block.rows())):
                 state, committed = refine_rounding(state, k, max_iter)
                 if state.flips_committed:
                     up_mask[i] = state.up_mask
-                before, after = committed[0], committed[-1]
-            else:
-                before = after = proxy_value(state.delta, matrix)
-            stats.append((before, after, state.stop_reason, state.flips_committed))
-            deltas.append(state.delta)
-        codes[:, lo:mid] = replace(block, up_mask=up_mask).codes
+                deltas.append(state.delta)
+                rows.append(_trace_row(
+                    iteration, mid - lo, committed[0], committed[-1],
+                    state.stop_reason, state.flips_committed,
+                ))
+            block = block._replace(up_mask=up_mask)
+        else:
+            deltas = block.delta
+            for rows, delta in zip(trace, deltas):
+                proxy = proxy_value(delta, matrix)
+                rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
+        codes[:, lo:mid] = block.codes
         # drop this split's proxy block, which the states hold too, and the
         # rest of the block but the row errors, before the remainder solves
         # and the next split's block
@@ -552,22 +586,11 @@ def quantize_layer_weights(
         w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
         err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
         if ridge is not None and mid < hi:
-            for i in range(d_out):
-                current[i, mid:hi] += ridge.remainder_update(lo, mid, deltas[i])
+            solve = ridge.solver(lo, mid)
+            for row, delta in zip(current[:, mid:hi], deltas):
+                row -= solve(delta)
             err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
         deltas = None
-        for rows, mse, (before, after, stop_reason, flips) in zip(
-            trace, cache.trace_mses(err), stats
-        ):
-            rows.append(
-                dict(
-                    iteration=iteration,
-                    slice_size=mid - lo,
-                    proxy_before=before,
-                    proxy_after=after,
-                    mse=float(mse),
-                    stop_reason=stop_reason,
-                    flips_committed=flips,
-                )
-            )
+        for rows, mse in zip(trace, cache.trace_mses(err).tolist()):
+            rows[-1]["mse"] = mse
     return LayerWeightResult(codes=codes, w_bar=w_bar, trace=trace)

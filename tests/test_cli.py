@@ -537,6 +537,27 @@ class TestSweep:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("param,lo", [("k", 0), ("n_images", 2)])
+    def test_non_integral_int_value_exit_1(self, runner, manifest, tmp_path, param, lo):
+        # integer sweep values meet the integer flags' check, not a parse error
+        out = tmp_path / "o"
+        result = _run(
+            runner,
+            ["sweep", "--manifest", str(manifest), "--out", str(out),
+             "--param", param, "--values", "2,2.5"],
+        )
+        assert result.exit_code == 1
+        assert f"error: {param} must be an integer >= {lo}, got 2.5" in result.stderr
+        assert "cannot parse" not in result.stderr
+        assert not (out / "sweep.csv").exists()
+        text = _run(
+            runner,
+            ["sweep", "--manifest", str(manifest), "--out", str(out),
+             "--param", param, "--values", "2,two"],
+        )
+        assert text.exit_code == 1
+        assert "cannot parse --values" in text.stderr
+
     def test_n_images_value_below_two_exit_1(self, runner, manifest, tmp_path):
         result = _run(
             runner,

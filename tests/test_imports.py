@@ -1,10 +1,13 @@
-"""The run path imports no scipy: it is an optional dependency of `synth.gelu` only."""
+"""The run path imports no scipy, an optional dependency of `synth.gelu` only,
+and no `quantred.synth`, which the package loads on first use."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,11 +28,30 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_run_path_loads_no_scipy():
+# The imports of every benchmark child and of the CLI's run path, then the
+# synth names of the package's public API, resolved on first access.
+_LAZY_SYNTH = """
+import json, sys
+from quantred import pipeline, tensorfile
+loaded = "quantred.synth" in sys.modules
+import quantred
+names = [quantred.SynthSpec, quantred.generate_layer, quantred.run_chain, quantred.ChainReport]
+from quantred import SynthSpec, synth
+print(json.dumps([
+    loaded,
+    "quantred.synth" in sys.modules,
+    names == [synth.SynthSpec, synth.generate_layer, synth.run_chain, synth.ChainReport],
+    SynthSpec is synth.SynthSpec,
+    "SynthSpec" in dir(quantred),
+]))
+"""
+
+
+def _run_program(program):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _PROGRAM],
+        [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         env=env,
@@ -37,4 +59,19 @@ def test_run_path_loads_no_scipy():
         check=False,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.strip().splitlines()[-1]) == []
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_run_path_loads_no_scipy():
+    assert _run_program(_PROGRAM) == []
+
+
+def test_run_path_loads_no_synth():
+    assert _run_program(_LAZY_SYNTH) == [False, True, True, True, True]
+
+
+def test_unknown_package_attribute_raises():
+    import quantred
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        quantred.no_such_name

@@ -872,15 +872,21 @@ class TestSweep:
             with pytest.raises(ConfigError, match="at least one layer"):
                 run_sweep(param, [2], [], RunConfig())
 
-    @pytest.mark.parametrize("param", ["k", "n_images"])
-    def test_non_integral_values_rejected(self, call_counts, param):
+    @pytest.mark.parametrize("param,lo", [("k", 0), ("n_images", 2)])
+    def test_non_integral_values_rejected(self, call_counts, param, lo):
         # truncating would run k = 1.5 as k = 1 and calibrate n_images = 20.9
-        # on 20 rows, each reported under the value asked for
+        # on 20 rows, each reported under the value asked for; an integral
+        # float is no integer either, as for RunConfig(k=2.0)
         layers = self._layers(np.random.default_rng(14), n=32)
-        with pytest.raises(ConfigError, match=f"{param} values must be integers"):
-            run_sweep(param, [2, 20.9], layers, RunConfig())
+        for bad in (20.9, 2.0):
+            with pytest.raises(
+                ConfigError, match=rf"^{param} must be an integer >= {lo}, got {bad}$"
+            ):
+                run_sweep(param, [2, bad], layers, RunConfig())
+        with pytest.raises(ConfigError, match=r"^k must be an integer >= 0, got 2.0$"):
+            RunConfig(k=2.0)
         assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
-        rows = run_sweep(param, [2.0, np.int64(3)], layers, RunConfig())
+        rows = run_sweep(param, [2, np.int64(3)], layers, RunConfig())
         assert [row["value"] for row in rows] == [2.0, 3.0]
 
     def test_lambda_rows_couple_both_strengths(self):

@@ -591,6 +591,10 @@ class TestRowBlocks:
         # rows scored directly: as many (141, n) float64 arrays as fit 256 KiB
         assert [quantizers._block_height(4, n) for n in (1, 16, 24, 64)] == [232, 14, 9, 3]
         assert [quantizers.direct_cutoff(b) for b in (2, 4, 8)] == [16, 64, 1024]
+        # past 8 bits, at the measured direct-versus-scan crossover
+        assert [quantizers.direct_cutoff(b) for b in (9, 12, 16)] == [
+            32 << 9, 32 << 12, 32 << 16
+        ]
 
     def test_rows_without_values_are_degenerate(self):
         params = calibrate_scale(np.zeros((5, 0)), "uniform", 4, "per_channel").params

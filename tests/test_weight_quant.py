@@ -1,6 +1,5 @@
 """Progressive weight quantization: proxy, flips, splits, ridge remainder."""
 
-import dataclasses
 import tracemalloc
 import weakref
 from collections import Counter
@@ -236,7 +235,7 @@ class TestRefinement:
         state = init_rounding(w, lattice, np.eye(40))
         assert not state.flippable.all()
         for up_mask in (state.up_mask, ~state.up_mask, rng.random((2, 40)) < 0.5):
-            chosen = dataclasses.replace(state, up_mask=up_mask)
+            chosen = state._replace(up_mask=up_mask)
             want = np.where(up_mask, state.code_up, state.code_down)
             assert chosen.codes.dtype == np.int64
             np.testing.assert_array_equal(chosen.codes, want)
@@ -804,6 +803,48 @@ class TestChannelQuantization:
             for row, w_row, p in zip(block.rows(), w_block, params, strict=True):
                 _assert_row_refines_as_slice(row, real(w_row, p, matrix))
 
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_refinement_never_writes_into_the_block_start(self, monkeypatch, k, ridge, n):
+        # refinement reads a block's start through row views and copies only
+        # what it changes: after refining every row of a block, and after a
+        # whole loop (N = 6 < D_in = 16 and N = 64, ridge on and off), every
+        # block's arrays hold what init_rounding built, byte for byte
+        rng = np.random.default_rng(130 + n + k)
+        w, params = _mixed_rows(rng, 16)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
+        lo, mid, _ = cache.splits[0]
+        block = init_rounding(w[:, lo:mid], row_lattice(params), cache.proxy_matrix(lo, mid))
+        start = {field: getattr(block, field).copy() for field in _STATE_ARRAYS}
+        flips = 0
+        for row in block.rows():
+            for field in _STATE_ARRAYS:
+                assert np.shares_memory(getattr(row, field), getattr(block, field)), field
+            flips += refine_rounding(row, k, 100)[0].flips_committed
+        assert (flips > 0) == (k > 0)
+        for field in _STATE_ARRAYS:
+            assert getattr(block, field).tobytes() == start[field].tobytes(), field
+
+        real = weight_quant.init_rounding
+        built = []
+
+        def recorded(w_block, lattice, matrix):
+            block = real(w_block, lattice, matrix)
+            built.append((block, {f: getattr(block, f).copy() for f in _STATE_ARRAYS}))
+            return block
+
+        monkeypatch.setattr(weight_quant, "init_rounding", recorded)
+        result = quantize_layer_weights(
+            w, params, cache, _ridge(cache, 0.5 if ridge else None), k=k, max_iter=100
+        )
+        flips = sum(row["flips_committed"] for rows in result.trace for row in rows)
+        assert (flips > 0) == (k > 0)
+        assert len(built) == len(cache.splits)
+        for block, start in built:
+            for field in _STATE_ARRAYS:
+                assert getattr(block, field).tobytes() == start[field].tobytes(), field
+
     @pytest.mark.parametrize("width", [0, 1, 6])
     def test_tied_and_empty_block_rows_refine_as_their_slices(self, width):
         # equal weights under a permutation-symmetric matrix tie every
@@ -1078,6 +1119,27 @@ class TestMomentCache:
             assert suite.metrics["max_system_cond"] > 1e5
             assert suite.metrics["fd_max_rel"] < 1e-6
 
+    def test_run_and_verify_share_the_ridge_solver(self, monkeypatch):
+        # the loop calls each split's solver per row and remainder_update
+        # negates it, so a 1% error injected into the solver reaches a
+        # quantization run and fails the verify suite alike
+        rng = np.random.default_rng(22)
+        w = rng.normal(0, 0.5, (3, 24))
+        params = [calibrate(row, "uniform", 4) for row in w]
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (64, 24)))
+        ridge = RemainderRidge(cache, 0.5)
+        want = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+        real = RemainderRidge.solver
+
+        def faulty(self, lo, mid):
+            solve = real(self, lo, mid)
+            return lambda delta_s: 1.01 * solve(delta_s)
+
+        monkeypatch.setattr(RemainderRidge, "solver", faulty)
+        got = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+        assert got.trace != want.trace  # the remainders, and so the trace MSEs, moved
+        assert not suite_ridge_optimality(splits=5).passed
+
     def test_verify_ridge_suite_checks_the_sample_space_form(self, monkeypatch):
         # the same fault confined to remainders wider than the batch (the
         # N x N sample-space systems) must fail the suite too
@@ -1213,9 +1275,12 @@ class _FullWidthCache:
     def proxy_matrix(self, lo, mid):
         return self.moments[lo:mid, lo:mid]
 
-    def remainder_update(self, lo, mid, delta_s):
+    def solver(self, lo, mid):
         e_sr, factor = self._remainder[(lo, mid)]
-        return -solve_spd(factor, e_sr.T @ delta_s)
+        return lambda delta_s: solve_spd(factor, e_sr.T @ delta_s)
+
+    def remainder_update(self, lo, mid, delta_s):
+        return -self.solver(lo, mid)(delta_s)
 
     def trace_mses(self, errs):
         return np.einsum("ij,ij->i", errs @ self.moments, errs)
