@@ -21,21 +21,21 @@ W E[dx xbar^T] = R A for the right-hand side R = W dA^T / N, so
 
 The two forms associate the same R and A in two orders, by the
 push-through identity
-(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}. Both
-read the layer's `weight_quant.LayerMomentCache`, the one place that
-decides between the Gram and the batch: when it holds the Gram A^T A / N
-(N >= D_in), the input space factors that D_in x D_in matrix plus the
-ridge, the same E[x x^T] the weight loop's proxy and ridge read. A batch
-with fewer samples than inputs has no Gram in the cache; its input-space
-system would have rank at most N plus the ridge, and the sample space
-factors an N x N system instead, so no D_in x D_in matrix is formed.
+(A^T A/N + lambda1 I)^{-1} A^T = A^T (A A^T/N + lambda1 I)^{-1}. The
+system comes from the layer's `weight_quant.LayerMomentCache.ridge_system`,
+which builds the weight loop's remainder systems too, with the same 1/N
+normalization: for N >= D_in the Gram A^T A / N plus the ridge, the same
+E[x x^T] the weight loop's proxy reads; for a batch with fewer samples
+than inputs the N x N sample-space system, so no D_in x D_in matrix is
+formed. This module keeps only the right-hand side R and the mapping of
+the solution back to dW.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import require_regularized, require_strength, solve_rows, spd_factor
+from .linalg import require_strength, solve_rows, spd_factor
 from .weight_quant import LayerMomentCache
 
 
@@ -46,10 +46,10 @@ def solve_activation_correction(
 
     `cache` is the moment cache of the quantized batch paired with `a_fp`.
     The system matrix is factored once and shared across all output
-    channels (one right-hand side per row of W): D_in x D_in in the input
-    space when the cache holds the Gram, or N x N in the sample space when
-    it does not. Raises SingularSystemError when lambda1 = 0 leaves the
-    D_in x D_in system rank deficient, which N < D_in always does.
+    channels (one right-hand side per row of W), in the space the cache's
+    `ridge_system` picks: D_in x D_in when N >= D_in, N x N otherwise.
+    Raises SingularSystemError when lambda1 = 0 leaves the D_in x D_in
+    system rank deficient, which N < D_in always does.
     """
     w = np.asarray(w, dtype=np.float64)
     a_fp = np.asarray(a_fp, dtype=np.float64)
@@ -60,13 +60,11 @@ def solve_activation_correction(
         raise ValueError(f"w D_in {w.shape[1]} does not match batch D_in {cache.dim}")
     require_strength("lambda1", lambda1)
 
-    n = cache.n_samples
-    rhs = w @ (a_q - a_fp).T / n
-    if cache.moments is None:
-        require_regularized(n, cache.dim, lambda1)
-        factor = spd_factor(a_q @ a_q.T / n + lambda1 * np.eye(n))
+    rhs = w @ (a_q - a_fp).T / cache.n_samples
+    system, sample_space = cache.ridge_system(slice(None), lambda1)
+    factor = spd_factor(system)
+    if sample_space:
         return -solve_rows(factor, rhs) @ a_q
-    factor = spd_factor(cache.moments + lambda1 * np.eye(cache.dim))
     return -solve_rows(factor, rhs @ a_q)
 
 

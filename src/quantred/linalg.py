@@ -81,20 +81,6 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def require_regularized(n_samples: int, width: int, strength: float) -> None:
-    """Raise SingularSystemError for an unregularized ridge system wider than its batch.
-
-    A width x width moment matrix of n_samples < width samples has rank at
-    most n_samples, so with strength 0 it has no inverse. The sample-space
-    form of the same solve factors an n_samples x n_samples Gram matrix,
-    which can be positive definite and would return the minimum-norm answer
-    instead; callers check here first so both forms keep the full-width
-    contract.
-    """
-    if strength == 0 and n_samples < width:
-        raise SingularSystemError(_NOT_PD)
-
-
 def solve_spd(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs given the factor L⁻¹ from spd_factor: x = L⁻ᵀ (L⁻¹ rhs)."""
     return factor.T @ (factor @ rhs)

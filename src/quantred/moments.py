@@ -3,20 +3,22 @@
 One normalization serves every consumer: the rounding proxy's expected
 output error E[(delta x)^2] = delta E[x x^T] delta^T, which with the 1/N
 estimator is exactly the mean squared error over the batch; the trace MSE
-and the remainder ridge of `weight_quant`; and the input-space system of
-`act_correct`. The Gram is returned as computed, never symmetrized, and is
-exactly symmetric: the product X^T X of a C-contiguous batch is a symmetric
-rank-k update. Other layouts (Fortran-ordered, column-reversed or strided
-batches) are copied to C order first, since a product over them need not
-round symmetrically.
+of `weight_quant`; and every ridge system, aqer's and the remainder's,
+which `weight_quant.LayerMomentCache.ridge_system` builds in either space
+with the same 1/N (X X^T / N in sample space). The Gram is returned as
+computed, never symmetrized, and is exactly symmetric: the product X^T X
+of a C-contiguous batch is a symmetric rank-k update. Other layouts
+(Fortran-ordered, column-reversed or strided batches) are copied to C
+order first, since a product over them need not round symmetrically.
 
 `weight_quant.LayerMomentCache` reduces a batch with at least as many
 samples N as columns D to this Gram (`accumulate_moments`), once per
 layer: aqer, the proxy blocks (views of it), the remainder ridge and the
 trace MSE all read that one matrix. For a thinner batch it accumulates no
 D x D Gram, whose rank of at most N would cost more than the batch
-itself: each block is the `gram` of its batch slice instead, and aqer
-solves in sample space.
+itself: each block, of the proxy or of a ridge system no wider than N,
+is the `gram` of its batch slice instead, and wider systems are solved
+in sample space.
 """
 
 from __future__ import annotations

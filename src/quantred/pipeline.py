@@ -165,7 +165,6 @@ class LayerResult:
     weight_scheme: QuantScheme
     codes: np.ndarray
     w_bar: np.ndarray
-    a_q: np.ndarray
     mse: dict
     reduction: dict
     trace: tuple[list[dict], ...]
@@ -353,7 +352,6 @@ class LayerRun:
             weight_scheme=weight_scheme,
             codes=codes,
             w_bar=w_bar,
-            a_q=self.a_q,
             mse=mse,
             reduction=reduction,
             trace=trace,

@@ -163,17 +163,10 @@ def run_chain(spec: SynthSpec, cfg: "pipeline.RunConfig") -> ChainReport:
         for i, w in enumerate(weights):
             if i > 0:
                 x = _apply_nonlinearity(spec.nonlinearities[i - 1], y_bar)
-            result = pipeline.quantize_layer(
-                w,
-                x,
-                act_family_for_layer(spec, i),
-                bits_w,
-                bits_a,
-                vcfg,
-                layer_id=f"layer{i}",
-            )
-            per_layer[i][variant] = layer_mse(w, fp_inputs[i], result.w_bar, result.a_q)
-            y_bar = result.a_q @ result.w_bar.T
+            run = pipeline.LayerRun(w, x, act_family_for_layer(spec, i), bits_w, bits_a)
+            w_bar = run.result(vcfg, layer_id=f"layer{i}").w_bar
+            per_layer[i][variant] = layer_mse(w, fp_inputs[i], w_bar, run.a_q)
+            y_bar = run.a_q @ w_bar.T
         end_to_end[variant] = per_layer[-1][variant]
     power = float(np.mean(np.sum(fp_outputs[-1] ** 2, axis=1)))
     return ChainReport(

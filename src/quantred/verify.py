@@ -228,8 +228,9 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     """FD gradient of the remainder objective vanishes at the ridge's update.
 
     Each draw builds the production moment cache and remainder ridge on a
-    fresh batch and checks `remainder_update` on one of its halving splits.
-    Draws cycle through the ridge's two forms of the remainder system: the
+    fresh batch and checks the update of one of its halving splits, the
+    negated `solver` that the weight loop calls. Draws cycle through the two
+    forms of the remainder system (`LayerMomentCache.ridge_system`): the
     D_r x D_r one read from the D x D Gram (N >= D) or from the slices of a
     thin batch (D_r <= N < D), and the N x N sample-space one of a remainder
     wider than a thin batch (N < D_r). Four more draws take
@@ -245,7 +246,7 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
         """(FD residual, condition number of the factored system) of one draw."""
         ridge = weight_quant.RemainderRidge(weight_quant.LayerMomentCache(batch), lam)
         delta_s = rng.normal(0.0, 0.2, mid - lo)
-        delta_r = ridge.remainder_update(lo, mid, delta_s)
+        delta_r = -ridge.solver(lo, mid)(delta_s)
         xs = batch[:, lo:mid]
         xr = batch[:, mid:hi]
 
@@ -256,8 +257,7 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
         fd = oracle.finite_diff_gradient(objective, delta_r)
         err = float(np.max(np.abs(fd))) / (1.0 + float(np.linalg.norm(delta_s)))
         # either form of the system has eigenvalues s^2/N + lambda over the
-        # min(N, D_r) singular values s of the remainder slice (times N in
-        # sample space)
+        # min(N, D_r) singular values s of the remainder slice
         eig = np.linalg.svd(xr, compute_uv=False) ** 2 / len(batch) + lam
         return err, float(eig.max() / eig.min())
 

@@ -30,7 +30,9 @@ whole (d_out, D_s) block at once:
     a call;
   - the codes, once after the row loop: an arithmetic select (no branch
     per element) of the floor and ceil codes under the rows' refined
-    choices, then the dequantized weights and error rows;
+    choices, then the dequantized weights, written over the slice's
+    columns of the working weights (which the loop returns as w_bar once
+    every split has run), and the error rows;
   - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
     product of the (d_out, D) error block, with E[x x^T] or with the batch
     itself when N < D_in. Only the current error block is held, never one
@@ -59,17 +61,16 @@ builds and passes in, each depending on less than a run:
     ridge and aqer (`act_correct`) all read. A proxy block is a view of
     it. When the batch has fewer samples N than columns, the cache forms
     no D_in x D_in matrix: a block is built from its batch slice when its
-    split runs and released after it;
+    split runs and released after it. `ridge_system` is the one ridge
+    system of both ERQ steps, aqer's and the remainder's: in input space
+    a block plus the ridge, the proxy's own block, for columns no wider
+    than N; in sample space the N x N system X_c X_c^T / N plus the ridge
+    (push-through identity) for wider ones;
   - `RemainderRidge`, built from a cache and lambda2: the remainder
     factorizations, computed once, and `solver`, the one implementation
-    of step 3, which the loop calls per row and `remainder_update` (what
-    `quantred verify` exercises) negates. It
-    holds the only lambda2, and passing no ridge is the one switch that
-    turns step 3 off. A remainder no wider than N is solved in input
-    space, from blocks read off the Gram or the batch alike; a wider one
-    in sample space, dW_r* = -delta_s X_s^T (X_r X_r^T + N lambda2 I)^{-1}
-    X_r with X the N x D_in batch, an N x N system (push-through
-    identity).
+    of step 3, which the loop calls per row and `quantred verify` checks.
+    It holds the only lambda2, and passing no ridge is the one switch
+    that turns step 3 off.
 
 `pipeline.LayerRun` keeps one cache per layer and one ridge at a time, so
 every weight loop of the layer shares them.
@@ -86,17 +87,13 @@ step of several flips takes the k x k block of M.
 
 Measured at k = 1 by replaying every refinement call of the benchmark
 workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
-call timed at max_iter 0 and 100, best of 5, alternating with the version
-before in one process; ranges over three runs, as this host's speed
-drifts): the set-up of a call (max_iter 0: gradient, proxy, buffer, the
-returned state) costs 8.1-8.9 us on 1-12 column slices (16 x 24, 24 x 16
-and 12 x 24 layers), 8.9-9.2 us on 1-128 column slices (64 x 256) and
-47-55 us on 1-1024 column slices (32 x 2048), where the one gradient
-matvec dominates; the version before (a frozen dataclass state, up_mask
-and step copied on every call, two scoring buffers) took 12.5-13.9,
-13.6-14.0 and 51-61 us. A scoring pass, with the step it commits, costs
-5.6-6.2, 6.9-7.1 and 6.3-10.6 us (5.4-5.9, 6.6-6.9 and 6.1-10.5 before:
-the first committed step now pays for the two copies).
+call timed at max_iter 0 and 100, best of 5; ranges over three runs, as
+the host's speed drifts): the set-up of a call (max_iter 0: gradient,
+proxy, buffer, the returned state) costs 8.1-8.9 us on 1-12 column slices
+(16 x 24, 24 x 16 and 12 x 24 layers), 8.9-9.2 us on 1-128 column slices
+(64 x 256) and 47-55 us on 1-1024 column slices (32 x 2048), where the
+one gradient matvec dominates. A scoring pass, with the step it commits,
+costs 5.6-6.2, 6.9-7.1 and 6.3-10.6 us.
 """
 
 from __future__ import annotations
@@ -109,7 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import require_int, require_regularized, require_strength, solve_spd, spd_factor
+from .linalg import SingularSystemError, require_int, require_strength, solve_spd, spd_factor
 from .moments import InsufficientSamplesError, accumulate_moments, gram
 from .quantizers import (
     UniformParams,
@@ -414,7 +411,9 @@ class LayerMomentCache:
     batch forms no Gram (`moments` is None): `proxy_matrix` builds each
     block X_s^T X_s / N from the batch slice X_s each time it is called, so
     a caller that drops one split's block before asking for the next holds
-    one block at a time, as `quantize_layer_weights` does.
+    one block at a time, as `quantize_layer_weights` does. `ridge_system`
+    reads the same blocks, and decides for every ridge system of the layer
+    its space, its 1/N normalization and whether it is singular.
     """
 
     def __init__(self, a_q: np.ndarray):
@@ -430,7 +429,13 @@ class LayerMomentCache:
         if self.n_samples >= self.dim:
             self.moments = accumulate_moments(self.batch)
 
-    def _moment(self, rows: slice, cols: slice) -> np.ndarray:
+    def _block(self, cols: slice) -> np.ndarray:
+        """E[x_c x_c^T]: a view of the Gram, or the `gram` of the batch slice."""
+        if self.moments is not None:
+            return self.moments[cols, cols]
+        return gram(self.batch[:, cols])
+
+    def _cross_moment(self, rows: slice, cols: slice) -> np.ndarray:
         """E[x_rows x_cols^T], a view of the Gram or a product of batch slices.
 
         The Gram is exactly symmetric, so its [cols, rows] view transposed
@@ -450,9 +455,30 @@ class LayerMomentCache:
         """
         if (lo, mid) not in self._slices:
             raise KeyError((lo, mid))
-        if self.moments is not None:
-            return self.moments[lo:mid, lo:mid]
-        return gram(self.batch[:, lo:mid])
+        return self._block(slice(lo, mid))
+
+    def ridge_system(self, cols: slice, strength: float) -> tuple[np.ndarray, bool]:
+        """The ridge system of a regression onto the batch columns `cols`, and its space.
+
+        Returns (system, sample_space), in the smaller of the two spaces: for
+        columns no wider than the batch E[x_c x_c^T] + strength I, from the
+        block `proxy_matrix` reads; for wider ones X_c X_c^T / N + strength I,
+        X_c the N x D_c batch slice, whose solutions map back through X_c^T
+        (push-through identity). Raises SingularSystemError for strength 0
+        on columns wider than the batch: their input-space system has rank
+        at most N, and the sample-space one would give the minimum-norm
+        solution instead.
+        """
+        samples = self.batch[:, cols]
+        n, width = samples.shape
+        if width <= n:
+            return self._block(cols) + strength * np.eye(width), False
+        if strength == 0:
+            raise SingularSystemError(
+                f"ridge system over {width} columns of a {n}-sample batch is "
+                "singular; use a regularization strength > 0"
+            )
+        return samples @ samples.T / n + strength * np.eye(n), True
 
     def trace_mses(self, errs: np.ndarray) -> np.ndarray:
         """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
@@ -466,10 +492,9 @@ class RemainderRidge:
     """The remainder ridge of step 3 at one lambda2, factored once per split.
 
     Built from a `LayerMomentCache` and shared by every channel. Each
-    remainder system is factored in the smaller of its two spaces: one no
-    wider than the batch in input space, E[x_r x_r^T] + lambda2 I with its
-    blocks read off the cache (`_moment`); a wider one in sample space,
-    X_r X_r^T + N lambda2 I, so no D x D matrix is formed.
+    remainder system comes from `LayerMomentCache.ridge_system`, in the
+    smaller of its two spaces; this class keeps only the right-hand sides:
+    E[x_r x_s^T] delta_s in input space, X_s delta_s / N in sample space.
     """
 
     def __init__(self, cache: LayerMomentCache, lambda2: float):
@@ -477,38 +502,29 @@ class RemainderRidge:
         self.cache = cache
         self.lambda2 = lambda2
         self._remainder: dict[tuple[int, int], tuple] = {}
-        a_q, n = cache.batch, cache.n_samples
         for lo, mid, hi in cache.splits[:-1]:
-            s, r, width = slice(lo, mid), slice(mid, hi), hi - mid
-            if n < width:  # sample space: X_r X_r^T + N lambda2 I
-                require_regularized(n, width, lambda2)
-                factor = spd_factor(a_q[:, r] @ a_q[:, r].T + n * lambda2 * np.eye(n))
-                self._remainder[(lo, mid)] = (a_q[:, s], factor, a_q[:, r].T)
-            else:  # input space: E[x_r x_r^T] + lambda2 I
-                factor = spd_factor(cache._moment(r, r) + lambda2 * np.eye(width))
-                self._remainder[(lo, mid)] = (cache._moment(r, s), factor, None)
+            s, r = slice(lo, mid), slice(mid, hi)
+            system, sample_space = cache.ridge_system(r, lambda2)
+            if sample_space:
+                to_rhs, from_samples = cache.batch[:, s], cache.batch[:, r].T
+            else:
+                to_rhs, from_samples = cache._cross_moment(r, s), None
+            self._remainder[(lo, mid)] = (to_rhs, spd_factor(system), from_samples)
 
     def solver(self, lo: int, mid: int):
         """The function delta_s -> -dW_r* of split (lo, mid), one `solve_spd` a call.
 
-        It returns the ridge solution that `remainder_update` negates, so a
-        caller correcting many rows of one split looks the split up once
-        and subtracts each row's solution. Raises KeyError for the final
-        split, which leaves no remainder.
+        dW_r* minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2,
+        the ridge-optimal update of columns mid:hi given the committed
+        error delta_s. A caller correcting many rows of one split looks the
+        split up once and subtracts each row's solution. Raises KeyError
+        for the final split, which leaves no remainder.
         """
         to_rhs, factor, from_samples = self._remainder[(lo, mid)]
         if from_samples is None:
             return lambda delta_s: solve_spd(factor, to_rhs @ delta_s)
-        return lambda delta_s: from_samples @ solve_spd(factor, to_rhs @ delta_s)
-
-    def remainder_update(self, lo: int, mid: int, delta_s: np.ndarray) -> np.ndarray:
-        """Ridge-optimal update of columns mid:hi given the committed error delta_s.
-
-        Minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2 over the
-        remainder update dW_r. Raises KeyError for the final split, which
-        leaves no remainder.
-        """
-        return -self.solver(lo, mid)(delta_s)
+        n = self.cache.n_samples
+        return lambda delta_s: from_samples @ solve_spd(factor, to_rhs @ delta_s / n)
 
 
 def quantize_layer_weights(
@@ -552,7 +568,6 @@ def quantize_layer_weights(
     lattice = row_lattice(channel_params)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
-    w_bar = np.zeros((d_out, dim), dtype=np.float64)
     err = np.zeros((d_out, dim), dtype=np.float64)
     trace = tuple([] for _ in range(d_out))
 
@@ -583,8 +598,8 @@ def quantize_layer_weights(
         # rest of the block but the row errors, before the remainder solves
         # and the next split's block
         matrix = block = state = up_mask = None
-        w_bar[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
-        err[:, lo:mid] = w_bar[:, lo:mid] - w[:, lo:mid]
+        current[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
+        err[:, lo:mid] = current[:, lo:mid] - w[:, lo:mid]
         if ridge is not None and mid < hi:
             solve = ridge.solver(lo, mid)
             for row, delta in zip(current[:, mid:hi], deltas):
@@ -593,4 +608,4 @@ def quantize_layer_weights(
         deltas = None
         for rows, mse in zip(trace, cache.trace_mses(err).tolist()):
             rows[-1]["mse"] = mse
-    return LayerWeightResult(codes=codes, w_bar=w_bar, trace=trace)
+    return LayerWeightResult(codes=codes, w_bar=current, trace=trace)

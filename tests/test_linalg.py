@@ -5,7 +5,6 @@ import pytest
 
 from quantred.linalg import (
     SingularSystemError,
-    require_regularized,
     solve_rows,
     solve_spd,
     spd_factor,
@@ -97,8 +96,3 @@ def test_rank_deficient_unregularized_is_singular():
         dead_batch[:, dead] = 0.0
         with pytest.raises(SingularSystemError, match="regularization"):
             spd_factor(dead_batch.T @ dead_batch / 200)
-    # fewer samples than columns: rank <= N, refused before any factor
-    with pytest.raises(SingularSystemError, match="regularization"):
-        require_regularized(10, 100, 0.0)
-    require_regularized(10, 100, 1e-3)
-    require_regularized(100, 100, 0.0)

@@ -44,6 +44,11 @@ def _ridge(cache, lambda2):
     return None if lambda2 is None else RemainderRidge(cache, lambda2)
 
 
+def _update(ridge, lo, mid, delta_s):
+    """The ridge-optimal remainder update dW_r* of split (lo, mid): the negated solver."""
+    return -ridge.solver(lo, mid)(delta_s)
+
+
 def _psd(rng, dim):
     a = rng.normal(0, 1, (dim, dim))
     return a @ a.T / dim + 0.05 * np.eye(dim)
@@ -487,7 +492,7 @@ class TestRemainderCorrection:
         cache = LayerMomentCache(batch)
         np.testing.assert_allclose(cache.moments, [[1.0, 0.8], [0.8, 1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            RemainderRidge(cache, 1.0).remainder_update(0, 1, np.array([0.5])),
+            _update(RemainderRidge(cache, 1.0), 0, 1, np.array([0.5])),
             [-0.2],
             atol=1e-14,
         )
@@ -497,7 +502,7 @@ class TestRemainderCorrection:
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0.2, 1.0, (64, 5))), 0.5)
         for lo, mid, hi in ridge.cache.splits[:-1]:
             np.testing.assert_array_equal(
-                ridge.remainder_update(lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
+                _update(ridge, lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
             )
 
     def test_minimizes_joint_error_objective(self):
@@ -510,7 +515,7 @@ class TestRemainderCorrection:
         for lo, mid, hi in cache.splits[:-1]:
             raw2 = cache.moments[lo:hi, lo:hi]
             delta_s = rng.normal(0, 0.1, mid - lo)
-            dr = ridge.remainder_update(lo, mid, delta_s)
+            dr = _update(ridge, lo, mid, delta_s)
 
             def objective(dr_val):
                 full = np.concatenate([delta_s, dr_val])
@@ -544,7 +549,7 @@ def _reference_channel(w_row, params, cache, ridge, cfg):
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
         if ridge is not None and mid < hi:
-            current[mid:hi] += ridge.remainder_update(lo, mid, state.delta)
+            current[mid:hi] -= ridge.solver(lo, mid)(state.delta)
         err[mid:hi] = current[mid:hi] - w_row[mid:hi]
         rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
     return codes, rows
@@ -599,7 +604,7 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
             w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
             err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
             if ridge is not None and mid < hi:
-                current[mid:hi] += ridge.remainder_update(lo, mid, state.delta)
+                current[mid:hi] -= ridge.solver(lo, mid)(state.delta)
             err[mid:hi] = current[mid:hi] - w_row[mid:hi]
             errs[iteration] = err
             rows.append(
@@ -1058,26 +1063,27 @@ class TestMomentCache:
             expected = np.outer(mu[lo:mid], mu[lo:mid]) + sigma[lo:mid, lo:mid]
             np.testing.assert_allclose(cache.proxy_matrix(lo, mid), expected, atol=1e-12)
 
-    def test_remainder_update_only_for_nonfinal_splits(self):
+    def test_solver_only_for_nonfinal_splits(self):
         rng = np.random.default_rng(21)
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0, 1, (64, 8))), 1.0)
         *head, last = ridge.cache.splits
         for lo, mid, _ in head:
-            update = ridge.remainder_update(lo, mid, np.ones(mid - lo))
+            update = ridge.solver(lo, mid)(np.ones(mid - lo))
             assert update.shape == (8 - mid,)
         with pytest.raises(KeyError):
-            ridge.remainder_update(last[0], last[1], np.ones(last[1] - last[0]))
+            ridge.solver(last[0], last[1])
 
     def test_verify_ridge_suite_checks_the_ridge(self, monkeypatch):
         # the verify suite must run the update a quantization run uses, so a
         # 1% error injected into it fails the suite
         assert suite_ridge_optimality(splits=5).passed
-        real = RemainderRidge.remainder_update
-        monkeypatch.setattr(
-            RemainderRidge,
-            "remainder_update",
-            lambda self, lo, mid, delta_s: 1.01 * real(self, lo, mid, delta_s),
-        )
+        real = RemainderRidge.solver
+
+        def faulty(self, lo, mid):
+            solve = real(self, lo, mid)
+            return lambda delta_s: 1.01 * solve(delta_s)
+
+        monkeypatch.setattr(RemainderRidge, "solver", faulty)
         assert not suite_ridge_optimality(splits=5).passed
 
     @pytest.mark.parametrize("thin", [False, True])
@@ -1120,7 +1126,7 @@ class TestMomentCache:
             assert suite.metrics["fd_max_rel"] < 1e-6
 
     def test_run_and_verify_share_the_ridge_solver(self, monkeypatch):
-        # the loop calls each split's solver per row and remainder_update
+        # the loop calls each split's solver per row and the verify suite
         # negates it, so a 1% error injected into the solver reaches a
         # quantization run and fails the verify suite alike
         rng = np.random.default_rng(22)
@@ -1145,13 +1151,14 @@ class TestMomentCache:
         # N x N sample-space systems) must fail the suite too
         suite = suite_ridge_optimality(splits=5)
         assert suite.passed and suite.metrics["sample_space_splits"] > 0
-        real = RemainderRidge.remainder_update
+        real = RemainderRidge.solver
 
-        def faulty(self, lo, mid, delta_s):
+        def faulty(self, lo, mid):
+            solve = real(self, lo, mid)
             scale = 1.01 if self.cache.n_samples < self.cache.dim - mid else 1.0
-            return scale * real(self, lo, mid, delta_s)
+            return lambda delta_s: scale * solve(delta_s)
 
-        monkeypatch.setattr(RemainderRidge, "remainder_update", faulty)
+        monkeypatch.setattr(RemainderRidge, "solver", faulty)
         assert not suite_ridge_optimality(splits=5).passed
 
 
@@ -1279,9 +1286,6 @@ class _FullWidthCache:
         e_sr, factor = self._remainder[(lo, mid)]
         return lambda delta_s: solve_spd(factor, e_sr.T @ delta_s)
 
-    def remainder_update(self, lo, mid, delta_s):
-        return -self.solver(lo, mid)(delta_s)
-
     def trace_mses(self, errs):
         return np.einsum("ij,ij->i", errs @ self.moments, errs)
 
@@ -1319,8 +1323,8 @@ class TestThinBatch:
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
             if mid < hi:
                 delta_s = rng.normal(0, 0.1, mid - lo)
-                got = ridge.remainder_update(lo, mid, delta_s)
-                want = ref.remainder_update(lo, mid, delta_s)
+                got = ridge.solver(lo, mid)(delta_s)
+                want = ref.solver(lo, mid)(delta_s)
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         errs = rng.normal(0, 0.1, (3, d_in))
         for got, want in zip(cache.trace_mses(errs), ref.trace_mses(errs)):
@@ -1488,3 +1492,140 @@ class TestThinBatch:
         # accumulate_moments rejects it
         with pytest.raises(InsufficientSamplesError):
             LayerMomentCache(np.ones(shape))
+
+
+def _reference_remainder_solver(a_q, lo, mid, hi, lambda2):
+    # reference: the remainder solve from its unnormalized sample-space
+    # system X_r X_r^T + N lambda2 I on the raw X_s delta_s when N < D_r, and
+    # from the strided products X_r^T X_r / N and X_r^T X_s / N otherwise
+    n = a_q.shape[0]
+    x_s, x_r = a_q[:, lo:mid], a_q[:, mid:hi]
+    if n < hi - mid:
+        factor = spd_factor(x_r @ x_r.T + n * lambda2 * np.eye(n))
+        return lambda delta_s: x_r.T @ solve_spd(factor, x_s @ delta_s)
+    factor = spd_factor(x_r.T @ x_r / n + lambda2 * np.eye(hi - mid))
+    return lambda delta_s: solve_spd(factor, x_r.T @ x_s / n @ delta_s)
+
+
+class TestRidgeSystem:
+    @pytest.mark.parametrize("n,d_in", THIN_SHAPES + [(128, 2048)])
+    @pytest.mark.parametrize("lambda2", [0.5, 10.0])
+    def test_solver_matches_reference_forms(self, n, d_in, lambda2):
+        # 32 rows of a layer per split, against the remainder forms above
+        rng = np.random.default_rng(3 * n + d_in)
+        a_q = rng.normal(0.3, 1.0, (n, d_in))
+        ridge = RemainderRidge(LayerMomentCache(a_q), lambda2)
+        for lo, mid, hi in ridge.cache.splits[:-1]:
+            solve = ridge.solver(lo, mid)
+            ref = _reference_remainder_solver(a_q, lo, mid, hi, lambda2)
+            for delta_s in rng.normal(0, 0.1, (32, mid - lo)):
+                got, want = solve(delta_s), ref(delta_s)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_space_is_the_smaller_one(self):
+        rng = np.random.default_rng(24)
+        for n, d_in in ((12, 40), (64, 40)):
+            cache = LayerMomentCache(rng.normal(0.3, 1.0, (n, d_in)))
+            for cols in (slice(None), slice(20, 40), slice(30, 40)):
+                width = len(range(d_in)[cols])
+                system, sample_space = cache.ridge_system(cols, 0.5)
+                assert sample_space == (n < width)
+                assert system.shape == ((n, n) if sample_space else (width, width))
+
+    def test_input_space_block_is_the_proxy_block(self):
+        # one block for the proxy and the ridge, from the Gram or the batch
+        rng = np.random.default_rng(25)
+        for n in (12, 64):
+            cache = LayerMomentCache(rng.normal(0.3, 1.0, (n, 40)))
+            for lo, mid, _ in cache.splits:
+                if mid - lo <= n:
+                    system, sample_space = cache.ridge_system(slice(lo, mid), 0.5)
+                    assert not sample_space
+                    np.testing.assert_array_equal(
+                        system, cache.proxy_matrix(lo, mid) + 0.5 * np.eye(mid - lo)
+                    )
+
+    def test_unregularized_system_wider_than_the_batch_is_singular(self):
+        # a D x D moment matrix of N < D samples has rank <= N, so lambda = 0
+        # is refused for aqer and a remainder, before any factor; at N = D
+        # (and for narrower remainders) the system still factors
+        rng = np.random.default_rng(26)
+        w = rng.normal(0, 1, (3, 100))
+        a_fp = rng.normal(0.2, 1.0, (10, 100))
+        cache = LayerMomentCache(a_fp + rng.normal(0, 0.05, a_fp.shape))
+        with pytest.raises(SingularSystemError, match="regularization"):
+            act_correct.solve_activation_correction(w, a_fp, cache, 0.0)
+        with pytest.raises(SingularSystemError, match="regularization"):
+            RemainderRidge(cache, 0.0)
+        with pytest.raises(SingularSystemError, match="regularization"):
+            cache.ridge_system(slice(50, 100), 0)
+        act_correct.solve_activation_correction(w, a_fp, cache, 1e-3)
+        RemainderRidge(cache, 1e-3)
+        a_fp = rng.normal(0.2, 1.0, (100, 100))
+        square = LayerMomentCache(a_fp + rng.normal(0, 0.05, a_fp.shape))
+        act_correct.solve_activation_correction(w, a_fp, square, 0.0)
+        RemainderRidge(square, 0.0)
+        # the first remainder is exactly as wide as the batch
+        RemainderRidge(LayerMomentCache(square.batch[:50]), 0.0)
+
+    def test_thin_batch_factors_attributed_per_stage(self, monkeypatch):
+        # N < D_in: aqer factors its N x N system once through
+        # act_correct.spd_factor, and each remainder its system once through
+        # weight_quant.spd_factor, N x N where wider than the batch
+        d_out, d_in, n = 3, 40, 12
+        sizes = {"act_correct": [], "weight_quant": []}
+        for module in (act_correct, weight_quant):
+            real = module.spd_factor
+
+            def recording(matrix, real=real, name=module.__name__.rsplit(".", 1)[1]):
+                sizes[name].append(matrix.shape[0])
+                return real(matrix)
+
+            monkeypatch.setattr(module, "spd_factor", recording)
+        rng = np.random.default_rng(27)
+        w = rng.normal(0, 0.5, (d_out, d_in))
+        a_fp = rng.normal(0.2, 1.0, (n, d_in))
+        pipeline.quantize_layer(
+            w, a_fp, "uniform", 4, 4, pipeline.RunConfig(lambda1=1.0, lambda2=1.0)
+        )
+        assert sizes["act_correct"] == [n]
+        widths = [hi - mid for _, mid, hi in halving_splits(d_in)[:-1]]
+        assert sizes["weight_quant"] == [min(n, width) for width in widths]
+        assert n in sizes["weight_quant"] and min(widths) < n
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_fault_in_the_system_reaches_aqer_the_loop_and_verify(self, monkeypatch, n):
+        # a 1% error injected into the one ridge system moves aqer's update
+        # and the weight loop's remainders, and fails both verify suites
+        rng = np.random.default_rng(28)
+        w = rng.normal(0, 0.5, (3, 24))
+        params = [calibrate(row, "uniform", 4) for row in w]
+        a_fp = rng.normal(0.2, 1.0, (n, 24))
+        a_q = a_fp + rng.normal(0, 0.05, a_fp.shape)
+
+        def run():
+            cache = LayerMomentCache(a_q)
+            update = act_correct.solve_activation_correction(w, a_fp, cache, 0.5)
+            ridge = RemainderRidge(cache, 0.5)
+            remainders = [
+                ridge.solver(lo, mid)(np.ones(mid - lo)) for lo, mid, _ in cache.splits[:-1]
+            ]
+            weights = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+            return update, remainders, weights.trace
+
+        assert suite_gradient_checks().passed and suite_ridge_optimality(splits=5).passed
+        want_update, want_remainders, want_trace = run()
+        real = LayerMomentCache.ridge_system
+
+        def faulty(self, cols, strength):
+            system, sample_space = real(self, cols, strength)
+            return 1.01 * system, sample_space
+
+        monkeypatch.setattr(LayerMomentCache, "ridge_system", faulty)
+        got_update, got_remainders, got_trace = run()
+        assert np.abs(got_update - want_update).max() > 1e-6 * np.abs(want_update).max()
+        for got, want in zip(got_remainders, want_remainders):
+            assert np.abs(got - want).max() > 1e-6 * np.abs(want).max()
+        assert got_trace != want_trace
+        assert not suite_gradient_checks().passed
+        assert not suite_ridge_optimality(splits=5).passed
