@@ -635,12 +635,14 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
 
 
 def write_csv(path: str | Path, rows: list[dict], columns: tuple[str, ...]) -> None:
+    """One line per row; a floating cell, Python's or numpy's, as repr(float(value))."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for col in columns:
             value = row[col]
-            cells.append(repr(value) if isinstance(value, float) else str(value))
+            floating = isinstance(value, (float, np.floating))
+            cells.append(repr(float(value)) if floating else str(value))
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 

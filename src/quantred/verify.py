@@ -162,20 +162,37 @@ def suite_brute_force_dominance(
 def suite_gradient_checks(seed: int = 0) -> SuiteResult:
     """Analytic gradients against central differences; correction optimality.
 
-    `weight_quant.proxy_gradient` is the gradient refinement starts from.
+    `weight_quant.proxy_gradient` is the gradient refinement starts from,
+    checked in both of its forms: a slice's (D,) delta, and a (d, D) block
+    of rows, the one product per split that the weight loop's
+    `init_rounding` forms, checked row by row.
     """
     rng = np.random.default_rng([seed, 3])
+    # a generator of its own for the block draws keeps a seed's slice and
+    # correction draws independent of them
+    block_rng = np.random.default_rng([seed, 3, 1])
+
+    def proxy_err(analytic, delta, matrix):
+        fd = oracle.finite_diff_gradient(
+            lambda v: weight_quant.proxy_value(v, matrix), delta
+        )
+        return float(np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic))))
+
     max_proxy_err = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 12))
         matrix = _random_psd(rng, dim)
         delta = rng.normal(0.0, 0.5, dim)
         analytic = weight_quant.proxy_gradient(delta, matrix)
-        fd = oracle.finite_diff_gradient(
-            lambda v: weight_quant.proxy_value(v, matrix), delta
-        )
-        err = float(np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic))))
-        max_proxy_err = max(max_proxy_err, err)
+        max_proxy_err = max(max_proxy_err, proxy_err(analytic, delta, matrix))
+    max_block_err = 0.0
+    for _ in range(5):
+        dim = int(block_rng.integers(2, 12))
+        matrix = _random_psd(block_rng, dim)
+        block = block_rng.normal(0.0, 0.5, (int(block_rng.integers(2, 6)), dim))
+        analytic = weight_quant.proxy_gradient(block, matrix)
+        for row_grad, delta in zip(analytic, block):
+            max_block_err = max(max_block_err, proxy_err(row_grad, delta, matrix))
 
     max_corr_err = 0.0
     improved = True
@@ -211,12 +228,13 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
             w, np.zeros_like(w), a_fp, a_q, lam
         )
         improved = improved and at_solution <= at_zero
-    passed = max_proxy_err < 1e-6 and max_corr_err < 1e-6 and improved
+    passed = max(max_proxy_err, max_block_err, max_corr_err) < 1e-6 and improved
     return SuiteResult(
         "gradient_checks",
         passed,
         {
             "proxy_gradient_max_rel": max_proxy_err,
+            "proxy_gradient_block_max_rel": max_block_err,
             "correction_fd_max_rel": max_corr_err,
             "correction_improves": improved,
             "correction_thin_batches": thin,

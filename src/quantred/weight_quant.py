@@ -21,32 +21,38 @@ Every channel uses the same splits, so the loop runs the splits outside
 and the channels inside (`quantize_layer_weights`). Per split, for the
 whole (d_out, D_s) block at once:
 
-  - the candidates of step 1 and refinement's elementwise start, one
-    `init_rounding` call: the floor, ceil and nearest codes from one
-    division, dequantized in one float buffer, then the chosen error, the
-    step to the other candidate and the curvature step^2 M_jj, one pass
-    each, with each row's lattice broadcast as a column
-    (`quantizers.row_lattice`), so nothing depends on how many rows share
-    a call;
+  - the candidates of step 1 and refinement's start, one `init_rounding`
+    call: the floor, ceil and nearest codes from one division, dequantized
+    in one float buffer, then the chosen error, the step to the other
+    candidate and the curvature step^2 M_jj, one pass each, with each row's
+    lattice broadcast as a column (`quantizers.row_lattice`), so nothing
+    depends on how many rows share a call; and the start gradient
+    2 delta M of every row, one product (`proxy_gradient` of the block),
+    so refinement reads the proxy block once per split, not once per row;
   - the codes, once after the row loop: an arithmetic select (no branch
     per element) of the floor and ceil codes under the rows' refined
     choices, then the dequantized weights, written over the slice's
     columns of the working weights (which the loop returns as w_bar once
-    every split has run), and the error rows;
-  - the trace MSE of every channel, one `LayerMomentCache.trace_mses`
-    product of the (d_out, D) error block, with E[x x^T] or with the batch
-    itself when N < D_in. Only the current error block is held, never one
-    per split.
+    every split has run);
+  - the trace MSE of every channel, from a running output-error product
+    P = err E[x x^T], or err X^T when N < D_in, with err the (d_out, D)
+    error of the partly quantized rows. A split changes only columns
+    lo:D, so P gains one product of the split's change: the dequantized
+    slice minus its values before, and the negated ridge solutions. A row's
+    MSE is then the row dot product of P and err, or |P_i|^2 / N, and the
+    layer's trace costs about two full products instead of one per split.
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views of the block (`RoundingState.rows`), which
 reads the block's start instead of rebuilding it and never writes into
 it, and step 3, one call (one `solve_spd`) per (channel, non-final split)
 of the split's `RemainderRidge.solver`, looked up once per split, each
-row's solution subtracted in place from its view of the remainder, run
-back to back after the split's refinements. At k = 0 a row's proxy is
-read straight off the block's `delta`, with no row state. Each row's
-trace row is written once, its MSE filled in from the split's product.
+row's solution written negated into its row of the split's change, run
+back to back after the split's refinements and added onto the remainder
+at once. At k = 0 the rows' proxies delta g / 2 come from one row-wise
+product of the block's `delta` and gradient, with no row state. Each
+row's trace row is written once, its MSE filled in from the running
+product.
 Refinement picks and stops per row; batching it, and the per-row solves
 into one right-hand side per split, would change the per-call structure
 the benchmark's traced call counts pin.
@@ -57,15 +63,16 @@ builds and passes in, each depending on less than a run:
 
   - `LayerMomentCache`, built from the batch alone: the batch, its splits
     and the one second moment of the layer, the 1/N Gram E[x x^T]
-    (`moments.accumulate_moments`), which the proxy, the trace MSE, the
-    ridge and aqer (`act_correct`) all read. A proxy block is a view of
-    it. When the batch has fewer samples N than columns, the cache forms
-    no D_in x D_in matrix: a block is built from its batch slice when its
-    split runs and released after it. `ridge_system` is the one ridge
-    system of both ERQ steps, aqer's and the remainder's: in input space
-    a block plus the ridge, the proxy's own block, for columns no wider
-    than N; in sample space the N x N system X_c X_c^T / N plus the ridge
-    (push-through identity) for wider ones;
+    (`moments.accumulate_moments`), which the proxy, the trace MSE (the
+    batch itself when N < D_in), the ridge and aqer (`act_correct`) all
+    read. A proxy block is a view of it. When the batch has fewer samples
+    N than columns, the cache forms no D_in x D_in matrix: a block is
+    built from its batch slice when its split runs and released after it.
+    `ridge_system` is the one ridge system of both ERQ steps, aqer's and
+    the remainder's: in input space a block plus the ridge, the proxy's
+    own block, for columns no wider than N; in sample space the N x N
+    system X_c X_c^T / N plus the ridge (push-through identity) for wider
+    ones;
   - `RemainderRidge`, built from a cache and lambda2: the remainder
     factorizations, computed once, and `solver`, the one implementation
     of step 3, which the loop calls per row and `quantred verify` checks.
@@ -88,12 +95,14 @@ step of several flips takes the k x k block of M.
 Measured at k = 1 by replaying every refinement call of the benchmark
 workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
 call timed at max_iter 0 and 100, best of 5; ranges over three runs, as
-the host's speed drifts): the set-up of a call (max_iter 0: gradient,
-proxy, buffer, the returned state) costs 8.1-8.9 us on 1-12 column slices
-(16 x 24, 24 x 16 and 12 x 24 layers), 8.9-9.2 us on 1-128 column slices
-(64 x 256) and 47-55 us on 1-1024 column slices (32 x 2048), where the
-one gradient matvec dominates. A scoring pass, with the step it commits,
-costs 5.6-6.2, 6.9-7.1 and 6.3-10.6 us.
+the host's speed drifts): the set-up of a call (max_iter 0: proxy,
+buffer, the returned state; the gradient is a row of the block's) costs
+2.1-2.2 us on 1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers),
+2.1-2.9 us on 1-128 column slices (64 x 256) and 2.2-3.9 us on 1-1024
+column slices (32 x 2048). In the same runs, a call that formed its own
+gradient by one matrix-vector product set up in 4.3-8.1, 4.7-7.9 and
+38.6-47.9 us. A scoring pass, with the step it commits, costs 3.1-3.7,
+3.7-4.9 and 5.2-9.7 us.
 """
 
 from __future__ import annotations
@@ -126,11 +135,11 @@ class RoundingState(NamedTuple):
     and `rows` gives a block's row states as views of its arrays.
     `up_mask` is the whole record of the choice (True picks the ceil
     candidate): `codes` and `flippable` are read off it and the
-    candidates. Three arrays hold refinement's elementwise start for that
-    choice: `delta`, the chosen candidate's error; `step`, the move to the
-    other candidate; and `curvature`, step^2 M_jj with M the proxy matrix.
-    The curvature is gap^2 M_jj, gap = delta_up - delta_down, so no choice
-    changes it.
+    candidates. Four arrays hold refinement's start for that choice:
+    `delta`, the chosen candidate's error; `step`, the move to the other
+    candidate; `curvature`, step^2 M_jj with M the proxy matrix; and
+    `gradient`, the proxy's gradient 2 delta M. The curvature is
+    gap^2 M_jj, gap = delta_up - delta_down, so no choice changes it.
 
     `stop_reason` and `flips_committed` describe the refinement that
     produced the choice: "off" and 0 until `refine_rounding` has run, then
@@ -150,6 +159,7 @@ class RoundingState(NamedTuple):
     delta: np.ndarray
     step: np.ndarray
     curvature: np.ndarray
+    gradient: np.ndarray
     proxy_matrix: np.ndarray
     stop_reason: str = "off"
     flips_committed: int = 0
@@ -166,7 +176,7 @@ class RoundingState(NamedTuple):
 
     def rows(self):
         """The one-row states of a block, each made of views of its rows."""
-        return map(RoundingState, *self[:8], repeat(self.proxy_matrix))
+        return map(RoundingState, *self[:9], repeat(self.proxy_matrix))
 
 
 # keys of one trace row, one row per split of a channel
@@ -182,7 +192,7 @@ TRACE_FIELDS = (
 
 
 def _trace_row(iteration, slice_size, before, after, stop_reason, flips) -> dict:
-    # keyed by TRACE_FIELDS; "mse" is set once the split's error block is complete
+    # keyed by TRACE_FIELDS; "mse" is set once the split has updated the running product
     return {
         "iteration": iteration,
         "slice_size": slice_size,
@@ -223,8 +233,21 @@ def proxy_value(delta: np.ndarray, matrix: np.ndarray) -> float:
 
 
 def proxy_gradient(delta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Gradient 2 delta M of the proxy (M symmetric)."""
-    gradient = matrix @ np.asarray(delta, dtype=np.float64)
+    """Gradient 2 delta M of the proxy (M symmetric), of a slice or of each block row.
+
+    `delta` is a (D,) slice, whose gradient is the matrix-vector product
+    M delta, or a (d, D) block, whose rows' gradients come from one product
+    M delta^T, copied to rows. Row i of the block's agrees with its slice's
+    to rounding: the two products sum in different orders. The product
+    delta M would skip the copy and is 25% faster at d = 32, D = 1024, but
+    a 32 x 2048 layer read 0.1 MB more peak RSS with it (OpenBLAS 0.3.31,
+    one thread, x86), as BLAS packs wider panels of M for that product.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.ndim == 1:
+        gradient = matrix @ delta
+    else:
+        gradient = np.ascontiguousarray((matrix @ delta.T).T)
     gradient *= 2.0
     return gradient
 
@@ -244,7 +267,8 @@ def init_rounding(
     shifted, clipped and dequantized together in one float buffer, with the
     arithmetic of `uniform_codes` and `dequantize_uniform`, so the chosen
     error `delta` is the nearest code's own. The rest of refinement's start
-    (`step` and `curvature`) is built here too, for the whole array at once.
+    (`step`, `curvature` and the `proxy_gradient` of `delta`) is built here
+    too, for the whole array at once: a block's gradient is one product.
     """
     w = np.asarray(w, dtype=np.float64)
     quotient = lattice_quotient(w, params)
@@ -278,6 +302,7 @@ def init_rounding(
         delta=errors[2],
         step=step,
         curvature=curvature,
+        gradient=proxy_gradient(errors[2], proxy_matrix),
         proxy_matrix=proxy_matrix,
     )
 
@@ -293,7 +318,8 @@ def refine_rounding(
     "uphill" (the chosen flips together would raise it) or "max_iter".
 
     Flipping coordinate j moves it by t_j (the step to its other candidate)
-    and changes the proxy by exactly t_j g_j + t_j^2 M_jj, with g = 2 M delta.
+    and changes the proxy by exactly t_j g_j + t_j^2 M_jj, with g = 2 M delta
+    the state's `gradient`; the starting proxy is delta g / 2.
     Only flips whose exact change is negative are eligible; among them the
     k largest |g_j| are chosen, ties going to the lowest index. Their joint
     change, exact from the k x k block of M, is committed unless it is
@@ -306,11 +332,11 @@ def refine_rounding(
     Each iteration costs O(D k): the gradient and proxy are updated
     incrementally, and a committed flip negates the step t_j at the flipped
     coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
-    delta is read off the final sides. The state's `delta`, `step` and
-    `curvature` are the start and are never written: up_mask and step are
-    copied when the first step commits (until then the returned state
-    shares the start's arrays), and a row view of a block's state is read
-    like a slice's own. This needs M to be a
+    delta is read off the final sides. The state's `delta`, `step`,
+    `curvature` and `gradient` are the start and are never written:
+    up_mask, step and the gradient are copied when the first step commits
+    (until then the returned state shares the start's arrays), and a row
+    view of a block's state is read like a slice's own. This needs M to be a
     proxy matrix: symmetric, so the gradient update can read the flipped
     rows of M as its columns, with a nonnegative diagonal. A candidate pair
     brackets the weight (delta_down <= 0 <= delta_up), so a negative change
@@ -336,10 +362,10 @@ def refine_rounding(
     g += M_j (2 t_j), which is 2 (t_j M_j) since scaling by 2 is exact away
     from the subnormal range.
     """
-    matrix, up_mask, step, curvature, delta = (
-        state.proxy_matrix, state.up_mask, state.step, state.curvature, state.delta
+    matrix, up_mask, step, curvature, delta, grad = (
+        state.proxy_matrix, state.up_mask, state.step, state.curvature, state.delta,
+        state.gradient,
     )
-    grad = proxy_gradient(delta, matrix)
     proxy = 0.5 * float(delta.dot(grad))
     committed = [proxy]
     score = np.empty_like(grad)  # between passes, the gradient update's buffer too
@@ -375,7 +401,7 @@ def refine_rounding(
             stop_reason = "uphill"
             break
         if not flips_committed:  # the start stays the caller's
-            up_mask, step = up_mask.copy(), step.copy()
+            up_mask, step, grad = up_mask.copy(), step.copy(), grad.copy()
         if picks == 1:
             step[j] = -t
             up_mask[j] = not up_mask[j]
@@ -392,7 +418,7 @@ def refine_rounding(
         delta = np.where(up_mask, state.delta_up, state.delta_down)
     refined = RoundingState(
         state.delta_down, state.delta_up, up_mask, state.code_down, state.code_up,
-        delta, step, curvature, matrix, stop_reason, flips_committed,
+        delta, step, curvature, grad, matrix, stop_reason, flips_committed,
     )
     return refined, committed
 
@@ -480,13 +506,6 @@ class LayerMomentCache:
             )
         return samples @ samples.T / n + strength * np.eye(n), True
 
-    def trace_mses(self, errs: np.ndarray) -> np.ndarray:
-        """E[(e x)^2] = e E[x x^T] e^T for each row e of errs."""
-        if self.moments is not None:
-            return np.einsum("ij,ij->i", errs @ self.moments, errs)
-        outputs = errs @ self.batch.T
-        return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
-
 
 class RemainderRidge:
     """The remainder ridge of step 3 at one lambda2, factored once per split.
@@ -543,13 +562,16 @@ def quantize_layer_weights(
     row, one trace row per iteration keyed by TRACE_FIELDS: the slice size,
     the proxy before and after refinement, why refinement stopped and how
     many coordinates it flipped, and the empirical squared output error of
-    the partially quantized row, from one `cache.trace_mses` product per
-    split. Refinement runs only for k > 0 (k and max_iter, integers >= 0,
+    the partially quantized row, from the loop's running output-error
+    product. Refinement runs only for k > 0 (k and max_iter, integers >= 0,
     are checked before any work), the remainder update only when a `ridge`
-    of the same cache is given; None turns it off. Rows never
-    interact: a row's codes, dequantized values, proxies and stop reasons
-    do not depend on which rows share the call, and its trace MSEs only
-    through the last bits of the block product.
+    of the same cache is given; None turns it off. Rows interact only
+    through rounding: a row's start gradient is a row of one block product,
+    so it, the proxies and the trace MSEs can move in the last bits with
+    the rows that share the call (within 1e-13 of the row's largest
+    gradient entry, and 1e-12 relative for proxies and MSEs, in the tests),
+    and only a flip decided by those bits could change a row's codes,
+    dequantized values or stop reason.
     """
     k = require_int("k", k, 0)
     max_iter = require_int("max_iter", max_iter, 0)
@@ -568,7 +590,14 @@ def quantize_layer_weights(
     lattice = row_lattice(channel_params)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
-    err = np.zeros((d_out, dim), dtype=np.float64)
+    # the running output-error product err M, or err X^T when the cache holds
+    # no Gram; err = current - w is kept only to read err M off as rowdot
+    layer_gram = cache.moments
+    if layer_gram is not None:
+        err = np.zeros((d_out, dim))
+        outputs = np.zeros((d_out, dim))
+    else:
+        outputs = np.zeros((d_out, cache.n_samples))
     trace = tuple([] for _ in range(d_out))
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
@@ -590,22 +619,37 @@ def quantize_layer_weights(
             block = block._replace(up_mask=up_mask)
         else:
             deltas = block.delta
-            for rows, delta in zip(trace, deltas):
-                proxy = proxy_value(delta, matrix)
+            # each row's start proxy delta g / 2, as refinement reads it
+            proxies = np.einsum("ij,ij->i", deltas, block.gradient)
+            proxies *= 0.5
+            for rows, proxy in zip(trace, proxies.tolist()):
                 rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
         codes[:, lo:mid] = block.codes
         # drop this split's proxy block, which the states hold too, and the
         # rest of the block but the row errors, before the remainder solves
         # and the next split's block
         matrix = block = state = up_mask = None
-        current[:, lo:mid] = dequantize_uniform(codes[:, lo:mid], lattice)
-        err[:, lo:mid] = current[:, lo:mid] - w[:, lo:mid]
-        if ridge is not None and mid < hi:
+        # the split's change of the error over the columns it moves: the
+        # dequantized slice minus its values before, then the negated ridge
+        # solutions, added onto the remainder
+        end = hi if ridge is not None and mid < hi else mid
+        change = np.empty((d_out, end - lo))
+        quantized = dequantize_uniform(codes[:, lo:mid], lattice)
+        np.subtract(quantized, current[:, lo:mid], out=change[:, : mid - lo])
+        current[:, lo:mid] = quantized
+        if end > mid:
             solve = ridge.solver(lo, mid)
-            for row, delta in zip(current[:, mid:hi], deltas):
-                row -= solve(delta)
-            err[:, mid:hi] = current[:, mid:hi] - w[:, mid:hi]
-        deltas = None
-        for rows, mse in zip(trace, cache.trace_mses(err).tolist()):
+            for row, delta in zip(change[:, mid - lo :], deltas):
+                np.negative(solve(delta), out=row)
+            current[:, mid:end] += change[:, mid - lo :]
+        deltas = quantized = None
+        if layer_gram is not None:
+            outputs += change @ layer_gram[lo:end]
+            np.subtract(current[:, lo:end], w[:, lo:end], out=err[:, lo:end])
+            mses = np.einsum("ij,ij->i", outputs, err)
+        else:
+            outputs += change @ cache.batch[:, lo:end].T
+            mses = np.einsum("ij,ij->i", outputs, outputs) / cache.n_samples
+        for rows, mse in zip(trace, mses.tolist()):
             rows[-1]["mse"] = mse
     return LayerWeightResult(codes=codes, w_bar=current, trace=trace)

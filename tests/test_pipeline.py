@@ -1005,6 +1005,17 @@ class TestCsv:
         value = float(lines[1].split(",")[0])
         assert value == 0.1  # repr round-trips exactly
 
+    def test_numpy_scalars_written_as_python_numbers(self, tmp_path):
+        # numpy 2's repr of np.float64(0.1) is "np.float64(0.1)", and str of a
+        # float32 is its short form; every floating cell is repr(float(value))
+        path = tmp_path / "rows.csv"
+        rows = [{"a": np.float64(0.1), "b": np.float32(0.1), "c": np.int64(3)}]
+        write_csv(path, rows, ("a", "b", "c"))
+        line = path.read_text().splitlines()[1]
+        assert line == f"0.1,{float(np.float32(0.1))!r},3"
+        a, b, c = line.split(",")
+        assert float(a) == 0.1 and float(b) == np.float32(0.1) and int(c) == 3
+
     def test_report_entry_shape(self):
         rng = np.random.default_rng(13)
         w, a_fp = _layer(rng, d_out=2, d_in=4, n=32)

@@ -532,6 +532,19 @@ class TestRemainderCorrection:
                 assert objective(dr + rng.normal(0, 0.01, hi - mid)) >= base - 1e-12
 
 
+def _trace_mses(cache, errs):
+    # reference only: E[(e x)^2] = e E[x x^T] e^T for each row e of errs, from
+    # one full product, with the batch itself when the cache holds no Gram
+    if cache.moments is not None:
+        return np.einsum("ij,ij->i", errs @ cache.moments, errs)
+    outputs = errs @ cache.batch.T
+    return np.einsum("ij,ij->i", outputs, outputs) / cache.n_samples
+
+
+def _rel_close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * abs(want)
+
+
 def _reference_channel(w_row, params, cache, ridge, cfg):
     # reference channel loop: the trace MSE of each split from its own
     # matrix-vector product with E[x x^T]
@@ -559,7 +572,7 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
     # per-row candidates straight from uniform_codes / dequantize_uniform,
     # as the loop built them before candidates were built per split, and
     # refinement's start from its definitions: the chosen candidate, the
-    # other minus the chosen, and step^2 M_jj
+    # other minus the chosen, step^2 M_jj and the slice's gradient 2 M delta
     code_down = uniform_codes(w_slice, params, "floor")
     code_up = uniform_codes(w_slice, params, "ceil")
     delta_down = dequantize_uniform(code_down, params) - w_slice
@@ -576,6 +589,7 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
         delta=delta,
         step=step,
         curvature=step * step * proxy_matrix.diagonal(),
+        gradient=proxy_gradient(delta, proxy_matrix),
         proxy_matrix=proxy_matrix,
     )
 
@@ -618,7 +632,7 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
                     flips_committed=state.flips_committed,
                 )
             )
-        for row, mse in zip(rows, cache.trace_mses(errs)):
+        for row, mse in zip(rows, _trace_mses(cache, errs)):
             row["mse"] = float(mse)
         codes_out.append(codes)
         w_bar_out.append(w_bar)
@@ -629,23 +643,35 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
 _STATE_ARRAYS = (
     "delta_down", "delta_up", "up_mask", "code_down", "code_up", "delta", "step", "curvature"
 )
+# the block arrays refinement reads: the elementwise start and the gradient
+_START_ARRAYS = (*_STATE_ARRAYS, "gradient")
 
 
 def _assert_row_refines_as_slice(row, one):
-    # a row view of a block state against its slice's own 1-D state
+    # a row view of a block state against its slice's own 1-D state: the
+    # elementwise start byte for byte, the gradient (a row of one block
+    # product against a matrix-vector product) and the proxies to rounding
     for field in _STATE_ARRAYS:
         assert getattr(row, field).tobytes() == getattr(one, field).tobytes(), field
+    _assert_gradient_close(row.gradient, one.gradient)
     assert row.proxy_matrix is one.proxy_matrix
     for k in (0, 1, 2, 3):
         got, got_committed = refine_rounding(row, k, 100)
         want, want_committed = refine_rounding(one, k, 100)
-        assert got_committed == want_committed
+        assert len(got_committed) == len(want_committed)
+        for a, b in zip(got_committed, want_committed):
+            assert _rel_close(a, b), (a, b)
         np.testing.assert_array_equal(got.up_mask, want.up_mask)
         assert (got.stop_reason, got.flips_committed) == (
             want.stop_reason, want.flips_committed
         )
         for field in ("delta", "step"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def _assert_gradient_close(got, want, tol=1e-13):
+    # relative to the row's largest entry: a near-zero entry sums terms that cancel
+    assert np.abs(got - want).max(initial=0.0) <= tol * np.abs(want).max(initial=0.0)
 
 
 def _mixed_rows(rng, d_in):
@@ -699,8 +725,9 @@ class TestChannelQuantization:
             assert len(trace) == len(rows)
             for row, (before, after, mse) in zip(trace, rows):
                 assert tuple(row) == weight_quant.TRACE_FIELDS
-                assert (row["proxy_before"], row["proxy_after"]) == (before, after)
-                assert abs(row["mse"] - mse) <= 1e-12 * abs(mse)
+                assert _rel_close(row["proxy_before"], before)
+                assert _rel_close(row["proxy_after"], after)
+                assert _rel_close(row["mse"], mse)
                 if rounding and k > 0:
                     assert row["stop_reason"] in ("no_eligible", "uphill", "max_iter")
                 else:
@@ -736,9 +763,53 @@ class TestChannelQuantization:
                 for a, b in zip(got_rows, want_rows):
                     assert tuple(a) == weight_quant.TRACE_FIELDS
                     for field in weight_quant.TRACE_FIELDS:
-                        if field != "mse":
+                        if field in ("proxy_before", "proxy_after", "mse"):
+                            assert _rel_close(a[field], b[field]), field
+                        else:
                             assert a[field] == b[field], field
-                    assert abs(a["mse"] - b["mse"]) <= 1e-12 * abs(b["mse"])
+
+    @pytest.mark.parametrize("n,d_in", [(300, 256), (64, 256), (128, 2048), (2056, 2048)])
+    def test_running_trace_product_matches_full_products(self, n, d_in):
+        # the loop's running output-error product (one update per split)
+        # against the full product of each split's whole error row
+        # (_trace_mses, through the per-row reference): N above and below
+        # D_in, ridge on and off, k = 0, 1 and 3; D_in = 2048 runs 12 splits,
+        # where the running sum has the most updates to drift over
+        rng = np.random.default_rng(7 * n + d_in)
+        w = rng.normal(0, 0.5, (3, d_in))
+        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
+        assert len(cache.splits) == (12 if d_in == 2048 else 9)
+        for lambda2 in (0.5, None):
+            remainder = _ridge(cache, lambda2)
+            for k in (0, 1, 3):
+                cfg = dict(k=k, max_iter=100)
+                got = quantize_layer_weights(w, params, cache, remainder, **cfg)
+                want_codes, want_w_bar, want_trace = _per_row_reference(
+                    w, params, cache, remainder, cfg
+                )
+                np.testing.assert_array_equal(got.codes, want_codes)
+                np.testing.assert_array_equal(got.w_bar, want_w_bar)
+                for got_rows, want_rows in zip(got.trace, want_trace, strict=True):
+                    for a, b in zip(got_rows, want_rows, strict=True):
+                        assert _rel_close(a["mse"], b["mse"]), (k, lambda2, a, b)
+
+    @pytest.mark.parametrize("n,d_in", [(6, 16), (64, 16), (128, 2048)])
+    def test_block_gradient_rows_match_slice_gradients(self, n, d_in):
+        # every split's block start: the gradient is proxy_gradient of the
+        # block's delta, one product, and its row i is the matrix-vector
+        # gradient of row i's delta to 1e-13 of the row's largest entry
+        rng = np.random.default_rng(n + d_in)
+        w, params = _mixed_rows(rng, d_in)
+        lattice = row_lattice(params)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
+        for lo, mid, _ in cache.splits:
+            matrix = cache.proxy_matrix(lo, mid)
+            block = init_rounding(w[:, lo:mid], lattice, matrix)
+            assert block.gradient.shape == block.delta.shape
+            assert block.gradient.tobytes() == proxy_gradient(block.delta, matrix).tobytes()
+            for got, delta in zip(block.gradient, block.delta, strict=True):
+                _assert_gradient_close(got, proxy_gradient(delta, matrix))
 
     def test_init_rounding_matches_per_row_candidates(self):
         # a slice, and each row of a block on row_lattice columns, equals
@@ -813,22 +884,23 @@ class TestChannelQuantization:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_refinement_never_writes_into_the_block_start(self, monkeypatch, k, ridge, n):
         # refinement reads a block's start through row views and copies only
-        # what it changes: after refining every row of a block, and after a
-        # whole loop (N = 6 < D_in = 16 and N = 64, ridge on and off), every
-        # block's arrays hold what init_rounding built, byte for byte
+        # what it changes, its gradient included before the rank-1 updates:
+        # after refining every row of a block, and after a whole loop (N = 6
+        # < D_in = 16 and N = 64, ridge on and off), every block's arrays
+        # hold what init_rounding built, byte for byte
         rng = np.random.default_rng(130 + n + k)
         w, params = _mixed_rows(rng, 16)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         lo, mid, _ = cache.splits[0]
         block = init_rounding(w[:, lo:mid], row_lattice(params), cache.proxy_matrix(lo, mid))
-        start = {field: getattr(block, field).copy() for field in _STATE_ARRAYS}
+        start = {field: getattr(block, field).copy() for field in _START_ARRAYS}
         flips = 0
         for row in block.rows():
-            for field in _STATE_ARRAYS:
+            for field in _START_ARRAYS:
                 assert np.shares_memory(getattr(row, field), getattr(block, field)), field
             flips += refine_rounding(row, k, 100)[0].flips_committed
         assert (flips > 0) == (k > 0)
-        for field in _STATE_ARRAYS:
+        for field in _START_ARRAYS:
             assert getattr(block, field).tobytes() == start[field].tobytes(), field
 
         real = weight_quant.init_rounding
@@ -836,7 +908,7 @@ class TestChannelQuantization:
 
         def recorded(w_block, lattice, matrix):
             block = real(w_block, lattice, matrix)
-            built.append((block, {f: getattr(block, f).copy() for f in _STATE_ARRAYS}))
+            built.append((block, {f: getattr(block, f).copy() for f in _START_ARRAYS}))
             return block
 
         monkeypatch.setattr(weight_quant, "init_rounding", recorded)
@@ -847,7 +919,7 @@ class TestChannelQuantization:
         assert (flips > 0) == (k > 0)
         assert len(built) == len(cache.splits)
         for block, start in built:
-            for field in _STATE_ARRAYS:
+            for field in _START_ARRAYS:
                 assert getattr(block, field).tobytes() == start[field].tobytes(), field
 
     @pytest.mark.parametrize("width", [0, 1, 6])
@@ -1101,19 +1173,31 @@ class TestMomentCache:
         assert not suite_proxy_fidelity().passed
 
     def test_refinement_starts_from_the_checked_gradient(self, monkeypatch):
-        # verify's gradient suite checks proxy_gradient; refinement must use
-        # it, so a fault there reaches both
+        # verify's gradient suite checks proxy_gradient; init_rounding builds
+        # refinement's start gradient with it, so a fault there reaches both
         rng = np.random.default_rng(8)
-        state = init_rounding(
+        args = (
             rng.normal(0, 1, 6), calibrate(rng.normal(0, 1, 6), "uniform", 4),
             _proxy_matrix(rng, 6),
         )
-        _, committed = refine_rounding(state, 1, 100)
+        _, committed = refine_rounding(init_rounding(*args), 1, 100)
         monkeypatch.setattr(
             weight_quant, "proxy_gradient", lambda delta, m: 1.01 * proxy_gradient(delta, m)
         )
-        _, faulty = refine_rounding(state, 1, 100)
+        _, faulty = refine_rounding(init_rounding(*args), 1, 100)
         assert faulty[0] != committed[0]
+        assert not suite_gradient_checks().passed
+
+    def test_verify_gradient_suite_checks_the_block_form(self, monkeypatch):
+        # a 1% error in the (d, D) block form alone, the one the weight loop
+        # builds its start from, fails the suite
+        assert suite_gradient_checks().passed
+
+        def faulty(delta, matrix):
+            scale = 1.01 if np.ndim(delta) == 2 else 1.0
+            return scale * proxy_gradient(delta, matrix)
+
+        monkeypatch.setattr(weight_quant, "proxy_gradient", faulty)
         assert not suite_gradient_checks().passed
 
     def test_verify_ridge_suite_reaches_ill_conditioned_systems(self):
@@ -1286,9 +1370,6 @@ class _FullWidthCache:
         e_sr, factor = self._remainder[(lo, mid)]
         return lambda delta_s: solve_spd(factor, e_sr.T @ delta_s)
 
-    def trace_mses(self, errs):
-        return np.einsum("ij,ij->i", errs @ self.moments, errs)
-
 
 # (N, D_in) with N < D_in: two samples, N equal to a halving split's
 # remainder width (16 -> 8 and 4; 24 -> 12 and 6), and N = D_in - 1
@@ -1327,7 +1408,7 @@ class TestThinBatch:
                 want = ref.solver(lo, mid)(delta_s)
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         errs = rng.normal(0, 0.1, (3, d_in))
-        for got, want in zip(cache.trace_mses(errs), ref.trace_mses(errs)):
+        for got, want in zip(_trace_mses(cache, errs), _trace_mses(ref, errs)):
             assert _rel(got, want) <= 1e-11
 
     @pytest.mark.parametrize("rounding", [True, False])
