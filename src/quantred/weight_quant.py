@@ -41,6 +41,8 @@ whole (d_out, D_s) block at once:
     slice minus its values before, and the negated ridge solutions. A row's
     MSE is then the row dot product of P and err, or |P_i|^2 / N, and the
     layer's trace costs about two full products instead of one per split.
+    The cache picks the space and the formula (`output_product`,
+    `output_change`, `row_mses`), so the loop holds no err block of its own.
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views of the block (`RoundingState.rows`), which
@@ -63,11 +65,12 @@ builds and passes in, each depending on less than a run:
 
   - `LayerMomentCache`, built from the batch alone: the batch, its splits
     and the one second moment of the layer, the 1/N Gram E[x x^T]
-    (`moments.accumulate_moments`), which the proxy, the trace MSE (the
-    batch itself when N < D_in), the ridge and aqer (`act_correct`) all
-    read. A proxy block is a view of it. When the batch has fewer samples
-    N than columns, the cache forms no D_in x D_in matrix: a block is
-    built from its batch slice when its split runs and released after it.
+    (`moments.accumulate_moments`), which the proxy, the trace MSE's
+    running product (the batch itself when N < D_in), the ridge and aqer
+    (`act_correct`) all read. A proxy block is a view of it. When the
+    batch has fewer samples N than columns, the cache forms no D_in x D_in
+    matrix: a block is built from its batch slice when its split runs and
+    released after it.
     `ridge_system` is the one ridge system of both ERQ steps, aqer's and
     the remainder's: in input space a block plus the ridge, the proxy's
     own block, for columns no wider than N; in sample space the N x N
@@ -99,10 +102,8 @@ the host's speed drifts): the set-up of a call (max_iter 0: proxy,
 buffer, the returned state; the gradient is a row of the block's) costs
 2.1-2.2 us on 1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers),
 2.1-2.9 us on 1-128 column slices (64 x 256) and 2.2-3.9 us on 1-1024
-column slices (32 x 2048). In the same runs, a call that formed its own
-gradient by one matrix-vector product set up in 4.3-8.1, 4.7-7.9 and
-38.6-47.9 us. A scoring pass, with the step it commits, costs 3.1-3.7,
-3.7-4.9 and 5.2-9.7 us.
+column slices (32 x 2048). A scoring pass, with the step it commits,
+costs 3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
 """
 
 from __future__ import annotations
@@ -166,8 +167,12 @@ class RoundingState(NamedTuple):
 
     @property
     def codes(self) -> np.ndarray:
-        # arithmetic select, exact in int64: no branch per element as in np.where
-        return self.code_down + (self.code_up - self.code_down) * self.up_mask
+        # arithmetic select, exact in int64: no branch per element as in np.where,
+        # and one new array, no temporaries
+        codes = np.subtract(self.code_up, self.code_down)
+        codes *= self.up_mask
+        codes += self.code_down
+        return codes
 
     @property
     def flippable(self) -> np.ndarray:
@@ -235,19 +240,17 @@ def proxy_value(delta: np.ndarray, matrix: np.ndarray) -> float:
 def proxy_gradient(delta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Gradient 2 delta M of the proxy (M symmetric), of a slice or of each block row.
 
-    `delta` is a (D,) slice, whose gradient is the matrix-vector product
-    M delta, or a (d, D) block, whose rows' gradients come from one product
-    M delta^T, copied to rows. Row i of the block's agrees with its slice's
-    to rounding: the two products sum in different orders. The product
-    delta M would skip the copy and is 25% faster at d = 32, D = 1024, but
-    a 32 x 2048 layer read 0.1 MB more peak RSS with it (OpenBLAS 0.3.31,
-    one thread, x86), as BLAS packs wider panels of M for that product.
+    `delta` is a (D,) slice or a (d, D) block; both take the one product
+    M delta^T, copied to rows. For a slice that is the matrix-vector
+    product M delta (its transposes are the slice itself, and nothing is
+    copied); a block's rows agree with their slices' to rounding, as the
+    two products sum in different orders. The product delta M would skip
+    the copy and is 25% faster at d = 32, D = 1024, but a 32 x 2048 layer
+    read 0.1 MB more peak RSS with it (OpenBLAS 0.3.31, one thread, x86),
+    as BLAS packs wider panels of M for that product.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim == 1:
-        gradient = matrix @ delta
-    else:
-        gradient = np.ascontiguousarray((matrix @ delta.T).T)
+    gradient = np.ascontiguousarray((matrix @ delta.T).T)
     gradient *= 2.0
     return gradient
 
@@ -439,7 +442,10 @@ class LayerMomentCache:
     a caller that drops one split's block before asking for the next holds
     one block at a time, as `quantize_layer_weights` does. `ridge_system`
     reads the same blocks, and decides for every ridge system of the layer
-    its space, its 1/N normalization and whether it is singular.
+    its space, its 1/N normalization and whether it is singular. In the
+    same way `output_product`, `output_change` and `row_mses` decide the
+    space of the weight loop's running trace product: the Gram's or the
+    batch's.
     """
 
     def __init__(self, a_q: np.ndarray):
@@ -505,6 +511,37 @@ class LayerMomentCache:
                 "singular; use a regularization strength > 0"
             )
         return samples @ samples.T / n + strength * np.eye(n), True
+
+    def output_product(self, rows: int) -> np.ndarray:
+        """The output-error product of `rows` zero error rows, for `row_mses`.
+
+        (rows, D), of errors with the Gram, when the cache holds one;
+        otherwise (rows, N), of errors with the batch, so no error block
+        is needed to read the MSEs off it.
+        """
+        width = self.dim if self.moments is not None else self.n_samples
+        return np.zeros((rows, width))
+
+    def output_change(self, change: np.ndarray, lo: int, end: int) -> np.ndarray:
+        """What an error change over columns lo:end adds to an output-error product.
+
+        change E[x_c x^T] with the Gram's rows c = lo:end, or change X_c^T
+        with the batch columns c when the cache holds no Gram.
+        """
+        if self.moments is not None:
+            return change @ self.moments[lo:end]
+        return change @ self.batch[:, lo:end].T
+
+    def row_mses(self, outputs: np.ndarray, current: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """E[(e x)^2] of each error row e = current_i - w_i, from its output-error product.
+
+        `outputs` is e E[x x^T], and the MSE its row dot product with e; or,
+        with no Gram, e X^T, and the MSE |outputs_i|^2 / N, which reads
+        neither `current` nor `w`.
+        """
+        if self.moments is not None:
+            return np.einsum("ij,ij->i", outputs, current - w)
+        return np.einsum("ij,ij->i", outputs, outputs) / self.n_samples
 
 
 class RemainderRidge:
@@ -590,14 +627,8 @@ def quantize_layer_weights(
     lattice = row_lattice(channel_params)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
-    # the running output-error product err M, or err X^T when the cache holds
-    # no Gram; err = current - w is kept only to read err M off as rowdot
-    layer_gram = cache.moments
-    if layer_gram is not None:
-        err = np.zeros((d_out, dim))
-        outputs = np.zeros((d_out, dim))
-    else:
-        outputs = np.zeros((d_out, cache.n_samples))
+    # the running output-error product of current - w (`LayerMomentCache.row_mses`)
+    outputs = cache.output_product(d_out)
     trace = tuple([] for _ in range(d_out))
 
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
@@ -643,13 +674,7 @@ def quantize_layer_weights(
                 np.negative(solve(delta), out=row)
             current[:, mid:end] += change[:, mid - lo :]
         deltas = quantized = None
-        if layer_gram is not None:
-            outputs += change @ layer_gram[lo:end]
-            np.subtract(current[:, lo:end], w[:, lo:end], out=err[:, lo:end])
-            mses = np.einsum("ij,ij->i", outputs, err)
-        else:
-            outputs += change @ cache.batch[:, lo:end].T
-            mses = np.einsum("ij,ij->i", outputs, outputs) / cache.n_samples
-        for rows, mse in zip(trace, mses.tolist()):
+        outputs += cache.output_change(change, lo, end)
+        for rows, mse in zip(trace, cache.row_mses(outputs, current, w).tolist()):
             rows[-1]["mse"] = mse
     return LayerWeightResult(codes=codes, w_bar=current, trace=trace)

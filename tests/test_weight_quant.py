@@ -1135,6 +1135,26 @@ class TestMomentCache:
             expected = np.outer(mu[lo:mid], mu[lo:mid]) + sigma[lo:mid, lo:mid]
             np.testing.assert_allclose(cache.proxy_matrix(lo, mid), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n,d_in", [(300, 256), (64, 256), (6, 24)])
+    def test_running_output_product_reads_the_full_product_mses(self, n, d_in):
+        # one change per split over columns lo:D, added as the loop adds it,
+        # against one full product of the accumulated error (_trace_mses),
+        # with a Gram and without one
+        rng = np.random.default_rng(n + d_in)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
+        w = rng.normal(0, 0.5, (3, d_in))
+        current = w.copy()
+        outputs = cache.output_product(3)
+        assert outputs.shape == (3, d_in if n >= d_in else n)
+        assert not outputs.any()
+        for lo, _, hi in cache.splits:
+            change = rng.normal(0, 0.05, (3, hi - lo))
+            current[:, lo:hi] += change
+            outputs += cache.output_change(change, lo, hi)
+            mses = cache.row_mses(outputs, current, w)
+            for got, want in zip(mses, _trace_mses(cache, current - w), strict=True):
+                assert _rel_close(got, want), (got, want)
+
     def test_solver_only_for_nonfinal_splits(self):
         rng = np.random.default_rng(21)
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0, 1, (64, 8))), 1.0)
@@ -1369,6 +1389,11 @@ class _FullWidthCache:
     def solver(self, lo, mid):
         e_sr, factor = self._remainder[(lo, mid)]
         return lambda delta_s: solve_spd(factor, e_sr.T @ delta_s)
+
+    # the cache's running trace product, which reads only the Gram here
+    output_product = LayerMomentCache.output_product
+    output_change = LayerMomentCache.output_change
+    row_mses = LayerMomentCache.row_mses
 
 
 # (N, D_in) with N < D_in: two samples, N equal to a halving split's
