@@ -3,13 +3,6 @@
 from .act_correct import solve_activation_correction
 from .linalg import SingularSystemError
 from .moments import InsufficientSamplesError, accumulate_moments
-from .oracle import (
-    BruteForceResult,
-    brute_force_rounding,
-    finite_diff_gradient,
-    layer_mse,
-    mc_output_error,
-)
 from .pipeline import RunConfig, quantize_layer, run_manifest
 from .quantizers import (
     LogSqrt2Params,
@@ -45,18 +38,26 @@ from .weight_quant import (
 
 __version__ = "0.1.0"
 
-# quantred.synth (synthetic layers and chains) loads on first use: the run
-# path, `from quantred import pipeline, tensorfile`, never needs it
-_SYNTH_NAMES = ("ChainReport", "SynthSpec", "generate_layer", "run_chain")
+# quantred.synth (synthetic layers and chains) and quantred.oracle (the
+# reference evaluators) load on first use: the run path,
+# `from quantred import pipeline, tensorfile`, needs neither
+_LAZY = {
+    **dict.fromkeys(("ChainReport", "SynthSpec", "generate_layer", "run_chain"), "synth"),
+    **dict.fromkeys(
+        ("BruteForceResult", "brute_force_rounding", "finite_diff_gradient", "layer_mse",
+         "mc_output_error"),
+        "oracle",
+    ),
+}
 
 
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
-        from . import synth
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(synth, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted([*globals(), *_SYNTH_NAMES])
+    return sorted([*globals(), *_LAZY])

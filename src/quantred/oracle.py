@@ -117,38 +117,26 @@ def mc_output_error(delta_w: np.ndarray, batch: np.ndarray) -> float:
     return float(np.mean(proj * proj))
 
 
-def output_mse(y_fp: np.ndarray, w_q: np.ndarray, a_q: np.ndarray) -> float:
-    """(1/N) sum_n ||y_n - W_bar xbar_n||^2 against full-precision outputs y = X W^T.
-
-    The difference and its square are formed in place in one N x d_out
-    buffer, so a caller that keeps y scores any number of quantized layers
-    against it without forming it again.
-    """
-    y_fp = np.asarray(y_fp, dtype=np.float64)
-    w_q = np.asarray(w_q, dtype=np.float64)
-    a_q = np.asarray(a_q, dtype=np.float64)
-    if y_fp.shape != (a_q.shape[0], w_q.shape[0]):
-        raise ValueError(
-            f"outputs of shape {y_fp.shape} do not pair with activations "
-            f"{a_q.shape} and weights {w_q.shape}"
-        )
-    diff = a_q @ w_q.T
-    np.subtract(y_fp, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return float(np.sum(diff) / a_q.shape[0])
-
-
 def layer_mse(
     w_fp: np.ndarray, a_fp: np.ndarray, w_q: np.ndarray, a_q: np.ndarray
 ) -> float:
-    """(1/N) sum_n ||W x_n - W_bar xbar_n||^2 for a quantized layer."""
+    """(1/N) sum_n ||W x_n - W_bar xbar_n||^2 for a quantized layer.
+
+    Its own plain expression, which shares no code with the run's
+    `pipeline.layer_mse`, so it checks the MSE a run reports. The
+    quantized output is subtracted in place, so no more than two
+    N x d_out arrays are alive at once: the benchmark's parent process
+    runs this check, and its children inherit its peak RSS.
+    """
     w_fp = np.asarray(w_fp, dtype=np.float64)
     w_q = np.asarray(w_q, dtype=np.float64)
     a_fp = np.asarray(a_fp, dtype=np.float64)
     a_q = np.asarray(a_q, dtype=np.float64)
     if a_fp.shape != a_q.shape or w_fp.shape != w_q.shape:
         raise ValueError("paired inputs must share shapes")
-    return output_mse(a_fp @ w_fp.T, w_q, a_q)
+    d = a_fp @ w_fp.T
+    d -= a_q @ w_q.T
+    return float(np.sum(d * d) / a_q.shape[0])
 
 
 def finite_diff_gradient(

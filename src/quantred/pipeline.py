@@ -39,9 +39,6 @@ import numpy as np
 from .act_correct import solve_activation_correction
 from .linalg import SingularSystemError, require_int, require_strength
 from .moments import InsufficientSamplesError
-# the layer's output MSE against its kept full-precision output; the one
-# lookup point of every evaluation, which the benchmark tracer wraps
-from .oracle import output_mse as layer_mse
 from .quantizers import (
     MAX_BITS,
     LogSqrt2Params,
@@ -175,6 +172,21 @@ def _ratio(before: float, after: float) -> float:
     if before <= 0.0:
         return 0.0
     return 1.0 - after / before
+
+
+def layer_mse(y_fp: np.ndarray, w_q: np.ndarray, a_q: np.ndarray) -> float:
+    """(1/N) sum_n ||y_n - W_bar xbar_n||^2 against full-precision outputs y = X W^T.
+
+    The one lookup point of every evaluation, which the benchmark tracer
+    wraps. The difference and its square are formed in place in one
+    N x d_out buffer, so a `LayerRun`, which keeps y, scores any number of
+    quantized weights against it without forming it again.
+    `oracle.layer_mse` recomputes the same value on its own.
+    """
+    diff = a_q @ w_q.T
+    np.subtract(y_fp, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff) / a_q.shape[0])
 
 
 @dataclass(frozen=True)

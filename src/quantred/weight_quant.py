@@ -22,18 +22,24 @@ and the channels inside (`quantize_layer_weights`). Per split, for the
 whole (d_out, D_s) block at once:
 
   - the candidates of step 1 and refinement's start, one `init_rounding`
-    call: the floor, ceil and nearest codes from one division, dequantized
-    in one float buffer, then the chosen error, the step to the other
-    candidate and the curvature step^2 M_jj, one pass each, with each row's
-    lattice broadcast as a column (`quantizers.row_lattice`), so nothing
-    depends on how many rows share a call; and the start gradient
-    2 delta M of every row, one product (`proxy_gradient` of the block),
-    so refinement reads the proxy block once per split, not once per row;
-  - the codes, once after the row loop: an arithmetic select (no branch
-    per element) of the floor and ceil codes under the rows' refined
-    choices, then the dequantized weights, written over the slice's
-    columns of the working weights (which the loop returns as w_bar once
-    every split has run);
+    call: the floor and ceil codes from one division, dequantized in one
+    float buffer of two slots, with the nearest code rounded in the
+    quotient's own buffer, kept as the choice `up_mask` and dequantized
+    there for the start gradient; then the step to the other candidate
+    and the curvature step^2 M_jj, one pass each, with each row's lattice
+    broadcast as a column (`quantizers.row_lattice`), so nothing depends
+    on how many rows share a call; and the start gradient 2 delta M of
+    every row, one product (`proxy_gradient` of the block), so refinement
+    reads the proxy block once per split, not once per row. The state
+    stores the choice once: its errors, ceil codes and codes are read off
+    `up_mask`;
+  - the codes, once after the row loop: the floor codes plus one where the
+    rows' refined choices take the ceil side, then the dequantized
+    weights, written over the slice's columns of the working weights
+    (which the loop returns as w_bar once every split has run); the
+    dequantized slice minus its values before is each row's committed
+    error, the `delta` of its choice bit for bit, which the remainder
+    solves and, at k = 0, the trace's proxies read, so no select forms it;
   - the trace MSE of every channel, from a running output-error product
     P = err E[x x^T], or err X^T when N < D_in, with err the (d_out, D)
     error of the partly quantized rows. A split changes only columns
@@ -52,8 +58,9 @@ of the split's `RemainderRidge.solver`, looked up once per split, each
 row's solution written negated into its row of the split's change, run
 back to back after the split's refinements and added onto the remainder
 at once. At k = 0 the rows' proxies delta g / 2 come from one row-wise
-product of the block's `delta` and gradient, with no row state. Each
-row's trace row is written once, its MSE filled in from the running
+product of the committed errors and the block's gradient, with no row
+state.
+Each row's trace row is written once, its MSE filled in from the running
 product.
 Refinement picks and stops per row; batching it, and the per-row solves
 into one right-hand side per split, would change the per-call structure
@@ -98,12 +105,15 @@ step of several flips takes the k x k block of M.
 Measured at k = 1 by replaying every refinement call of the benchmark
 workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
 call timed at max_iter 0 and 100, best of 5; ranges over three runs, as
-the host's speed drifts): the set-up of a call (max_iter 0: proxy,
-buffer, the returned state; the gradient is a row of the block's) costs
-2.1-2.2 us on 1-12 column slices (16 x 24, 24 x 16 and 12 x 24 layers),
-2.1-2.9 us on 1-128 column slices (64 x 256) and 2.2-3.9 us on 1-1024
-column slices (32 x 2048). A scoring pass, with the step it commits,
-costs 3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
+the host's speed drifts): the set-up of a call (max_iter 0: the start's
+delta, one select, its proxy, buffer, the returned state; the gradient is
+a row of the block's) costs 3.6-3.9 us on 1-12 column slices (16 x 24,
+24 x 16 and 12 x 24 layers), 3.7-3.8 us on 1-128 column slices
+(64 x 256) and 4.8-5.1 us on 1-1024 column slices (32 x 2048), 1.3-2.6 us
+more than when the state stored delta; a committed call no longer selects
+its final delta, so a whole call at max_iter 100 costs the same within
+the host's noise. A scoring pass, with the step it commits, costs
+3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
 """
 
 from __future__ import annotations
@@ -134,12 +144,14 @@ class RoundingState(NamedTuple):
     `init_rounding` builds one for a (D_s,) channel slice or a (d, D_s)
     block of rows; refinement takes the one-row state of a single slice,
     and `rows` gives a block's row states as views of its arrays.
-    `up_mask` is the whole record of the choice (True picks the ceil
-    candidate): `codes` and `flippable` are read off it and the
-    candidates. Four arrays hold refinement's start for that choice:
-    `delta`, the chosen candidate's error; `step`, the move to the other
-    candidate; `curvature`, step^2 M_jj with M the proxy matrix; and
-    `gradient`, the proxy's gradient 2 delta M. The curvature is
+    It stores only what no other field determines: the candidates' errors
+    `delta_down` and `delta_up`, the floor code `code_down`, `flippable`
+    (two distinct candidates; the ceil code is then one more), and
+    `up_mask`, the whole record of the choice (True picks the ceil
+    candidate). `delta`, `code_up` and `codes` are read off them. Three
+    arrays hold refinement's start for that choice: `step`, the move to
+    the other candidate; `curvature`, step^2 M_jj with M the proxy matrix;
+    and `gradient`, the proxy's gradient 2 delta M. The curvature is
     gap^2 M_jj, gap = delta_up - delta_down, so no choice changes it.
 
     `stop_reason` and `flips_committed` describe the refinement that
@@ -156,8 +168,7 @@ class RoundingState(NamedTuple):
     delta_up: np.ndarray
     up_mask: np.ndarray
     code_down: np.ndarray
-    code_up: np.ndarray
-    delta: np.ndarray
+    flippable: np.ndarray
     step: np.ndarray
     curvature: np.ndarray
     gradient: np.ndarray
@@ -166,22 +177,23 @@ class RoundingState(NamedTuple):
     flips_committed: int = 0
 
     @property
-    def codes(self) -> np.ndarray:
-        # arithmetic select, exact in int64: no branch per element as in np.where,
-        # and one new array, no temporaries
-        codes = np.subtract(self.code_up, self.code_down)
-        codes *= self.up_mask
-        codes += self.code_down
-        return codes
+    def delta(self) -> np.ndarray:
+        """The chosen candidate's error, a new array."""
+        return np.where(self.up_mask, self.delta_up, self.delta_down)
 
     @property
-    def flippable(self) -> np.ndarray:
-        """Coordinates with two distinct candidates (not clipped to one code)."""
-        return self.code_down != self.code_up
+    def code_up(self) -> np.ndarray:
+        """The ceil codes, int64: the floor codes where there is no second candidate."""
+        return np.add(self.code_down, self.flippable)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The chosen codes, int64: one more than the floor code where the ceil side is taken."""
+        return np.add(self.code_down, self.flippable & self.up_mask)
 
     def rows(self):
         """The one-row states of a block, each made of views of its rows."""
-        return map(RoundingState, *self[:9], repeat(self.proxy_matrix))
+        return map(RoundingState, *self[:8], repeat(self.proxy_matrix))
 
 
 # keys of one trace row, one row per split of a channel
@@ -266,25 +278,34 @@ def init_rounding(
     Broadcasting gives row i the same elementwise operations, bit for bit,
     as its slice alone.
 
-    The floor, ceil and nearest codes come from one division and are
-    shifted, clipped and dequantized together in one float buffer, with the
-    arithmetic of `uniform_codes` and `dequantize_uniform`, so the chosen
-    error `delta` is the nearest code's own. The rest of refinement's start
-    (`step`, `curvature` and the `proxy_gradient` of `delta`) is built here
-    too, for the whole array at once: a block's gradient is one product.
+    The floor and ceil codes come from one division and are clipped and
+    dequantized together in one float buffer of two slots, with the
+    arithmetic of `uniform_codes` and `dequantize_uniform`; the nearest
+    code is rounded, clipped and dequantized in the quotient's own buffer,
+    and is the ceil code exactly where `up_mask` is set, so its error is
+    the chosen one, `delta`, bit for bit. One int64 copy keeps the floor
+    codes. The rest of refinement's start (`step`, `curvature` and the
+    `proxy_gradient` of `delta`, after which the quotient's buffer holds
+    the step) is built here too, for the whole array at once: a block's
+    gradient is one product.
     """
     w = np.asarray(w, dtype=np.float64)
     quotient = lattice_quotient(w, params)
-    # floor, ceil and nearest codes as floats, then in place their errors:
-    # delta_down, delta_up and delta
-    index = np.empty((3, *w.shape))
+    # floor and ceil codes as floats, then in place their errors: delta_down, delta_up
+    index = np.empty((2, *w.shape))
     np.floor(quotient, out=index[0])
     np.ceil(quotient, out=index[1])
-    np.rint(quotient, out=index[2])
     clip_index(index, params)
-    up_mask = index[2] == index[1]
-    codes = index[:2].astype(np.int64)
+    nearest = clip_index(np.rint(quotient, out=quotient), params)
+    up_mask = nearest == index[1]
+    flippable = index[0] != index[1]
+    code_down = index[0].astype(np.int64)
     errors = np.subtract(dequantize_index(index, params), w, out=index)
+    # the start gradient, of the nearest code's own error: the chosen
+    # candidate's (`RoundingState.delta`) bit for bit, formed in place
+    gradient = proxy_gradient(
+        np.subtract(dequantize_index(nearest, params), w, out=nearest), proxy_matrix
+    )
     # step = other - chosen: the gap delta_up - delta_down, negated (exactly)
     # where the ceil side is chosen; adding 0 gives a zero gap's step the +0
     # that other - chosen gives it on either side (arithmetic, not a masked
@@ -297,16 +318,8 @@ def init_rounding(
     curvature = np.multiply(step, step, out=sign)
     curvature *= np.asarray(proxy_matrix).diagonal()
     return RoundingState(
-        delta_down=errors[0],
-        delta_up=errors[1],
-        up_mask=up_mask,
-        code_down=codes[0],
-        code_up=codes[1],
-        delta=errors[2],
-        step=step,
-        curvature=curvature,
-        gradient=proxy_gradient(errors[2], proxy_matrix),
-        proxy_matrix=proxy_matrix,
+        errors[0], errors[1], up_mask, code_down, flippable, step, curvature, gradient,
+        proxy_matrix,
     )
 
 
@@ -335,7 +348,8 @@ def refine_rounding(
     Each iteration costs O(D k): the gradient and proxy are updated
     incrementally, and a committed flip negates the step t_j at the flipped
     coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
-    delta is read off the final sides. The state's `delta`, `step`,
+    no delta is formed but the start's, for its proxy: the returned state's
+    `delta` reads the final sides. The state's `up_mask`, `step`,
     `curvature` and `gradient` are the start and are never written:
     up_mask, step and the gradient are copied when the first step commits
     (until then the returned state shares the start's arrays), and a row
@@ -365,11 +379,10 @@ def refine_rounding(
     g += M_j (2 t_j), which is 2 (t_j M_j) since scaling by 2 is exact away
     from the subnormal range.
     """
-    matrix, up_mask, step, curvature, delta, grad = (
-        state.proxy_matrix, state.up_mask, state.step, state.curvature, state.delta,
-        state.gradient,
+    matrix, up_mask, step, curvature, grad = (
+        state.proxy_matrix, state.up_mask, state.step, state.curvature, state.gradient,
     )
-    proxy = 0.5 * float(delta.dot(grad))
+    proxy = 0.5 * float(state.delta.dot(grad))
     committed = [proxy]
     score = np.empty_like(grad)  # between passes, the gradient update's buffer too
     budget = min(operator.index(k), step.size)  # a float k is a TypeError
@@ -417,11 +430,9 @@ def refine_rounding(
         proxy += change
         committed.append(proxy)
         flips_committed += picks
-    if flips_committed:
-        delta = np.where(up_mask, state.delta_up, state.delta_down)
     refined = RoundingState(
-        state.delta_down, state.delta_up, up_mask, state.code_down, state.code_up,
-        delta, step, curvature, grad, matrix, stop_reason, flips_committed,
+        state.delta_down, state.delta_up, up_mask, state.code_down, state.flippable,
+        step, curvature, grad, matrix, stop_reason, flips_committed,
     )
     return refined, committed
 
@@ -635,45 +646,44 @@ def quantize_layer_weights(
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
         if k > 0:
-            # the rows' refined choices and errors; the block keeps the nearest start
+            # the rows' refined choices; the block keeps the nearest start
             up_mask = block.up_mask.copy()
-            deltas = []
             for i, (rows, state) in enumerate(zip(trace, block.rows())):
                 state, committed = refine_rounding(state, k, max_iter)
                 if state.flips_committed:
                     up_mask[i] = state.up_mask
-                deltas.append(state.delta)
                 rows.append(_trace_row(
                     iteration, mid - lo, committed[0], committed[-1],
                     state.stop_reason, state.flips_committed,
                 ))
             block = block._replace(up_mask=up_mask)
-        else:
-            deltas = block.delta
-            # each row's start proxy delta g / 2, as refinement reads it
-            proxies = np.einsum("ij,ij->i", deltas, block.gradient)
-            proxies *= 0.5
-            for rows, proxy in zip(trace, proxies.tolist()):
-                rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
         codes[:, lo:mid] = block.codes
+        gradient = block.gradient
         # drop this split's proxy block, which the states hold too, and the
-        # rest of the block but the row errors, before the remainder solves
-        # and the next split's block
+        # rest of the block but the start gradient, before the remainder
+        # solves and the next split's block
         matrix = block = state = up_mask = None
         # the split's change of the error over the columns it moves: the
-        # dequantized slice minus its values before, then the negated ridge
-        # solutions, added onto the remainder
+        # dequantized slice minus its values before, which are the chosen
+        # candidates' errors (`RoundingState.delta`) bit for bit, then the
+        # negated ridge solutions, added onto the remainder
         end = hi if ridge is not None and mid < hi else mid
         change = np.empty((d_out, end - lo))
         quantized = dequantize_uniform(codes[:, lo:mid], lattice)
-        np.subtract(quantized, current[:, lo:mid], out=change[:, : mid - lo])
+        deltas = np.subtract(quantized, current[:, lo:mid], out=change[:, : mid - lo])
         current[:, lo:mid] = quantized
+        if k == 0:
+            # each row's start proxy delta g / 2, as refinement reads it
+            proxies = np.einsum("ij,ij->i", deltas, gradient)
+            proxies *= 0.5
+            for rows, proxy in zip(trace, proxies.tolist()):
+                rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
         if end > mid:
             solve = ridge.solver(lo, mid)
             for row, delta in zip(change[:, mid - lo :], deltas):
                 np.negative(solve(delta), out=row)
             current[:, mid:end] += change[:, mid - lo :]
-        deltas = quantized = None
+        gradient = quantized = None
         outputs += cache.output_change(change, lo, end)
         for rows, mse in zip(trace, cache.row_mses(outputs, current, w).tolist()):
             rows[-1]["mse"] = mse

@@ -1,5 +1,6 @@
 """The run path imports no scipy, an optional dependency of `synth.gelu` only,
-and no `quantred.synth`, which the package loads on first use."""
+and none of `quantred.oracle`, `quantred.synth`, `quantred.verify` and
+`quantred.cli`; the package loads oracle's and synth's names on first use."""
 
 import json
 import os
@@ -29,20 +30,25 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 # The imports of every benchmark child and of the CLI's run path, then the
-# synth names of the package's public API, resolved on first access.
-_LAZY_SYNTH = """
+# oracle and synth names of the package's public API, resolved on first access.
+_LAZY_NAMES = """
 import json, sys
 from quantred import pipeline, tensorfile
-loaded = "quantred.synth" in sys.modules
+off_path = ("quantred.oracle", "quantred.synth", "quantred.verify", "quantred.cli")
+loaded = [m for m in off_path if m in sys.modules]
 import quantred
-names = [quantred.SynthSpec, quantred.generate_layer, quantred.run_chain, quantred.ChainReport]
-from quantred import SynthSpec, synth
+names = [quantred.SynthSpec, quantred.generate_layer, quantred.run_chain, quantred.ChainReport,
+         quantred.layer_mse, quantred.brute_force_rounding, quantred.BruteForceResult,
+         quantred.finite_diff_gradient, quantred.mc_output_error]
+from quantred import SynthSpec, layer_mse, oracle, synth
 print(json.dumps([
     loaded,
-    "quantred.synth" in sys.modules,
-    names == [synth.SynthSpec, synth.generate_layer, synth.run_chain, synth.ChainReport],
-    SynthSpec is synth.SynthSpec,
-    "SynthSpec" in dir(quantred),
+    [m for m in off_path if m in sys.modules],
+    names == [synth.SynthSpec, synth.generate_layer, synth.run_chain, synth.ChainReport,
+              oracle.layer_mse, oracle.brute_force_rounding, oracle.BruteForceResult,
+              oracle.finite_diff_gradient, oracle.mc_output_error],
+    SynthSpec is synth.SynthSpec and layer_mse is oracle.layer_mse,
+    {"SynthSpec", "layer_mse"} <= set(dir(quantred)),
 ]))
 """
 
@@ -66,8 +72,10 @@ def test_run_path_loads_no_scipy():
     assert _run_program(_PROGRAM) == []
 
 
-def test_run_path_loads_no_synth():
-    assert _run_program(_LAZY_SYNTH) == [False, True, True, True, True]
+def test_run_path_loads_no_oracle_or_synth():
+    assert _run_program(_LAZY_NAMES) == [
+        [], ["quantred.oracle", "quantred.synth"], True, True, True
+    ]
 
 
 def test_unknown_package_attribute_raises():

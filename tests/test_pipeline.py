@@ -511,6 +511,23 @@ class TestLayerRun:
         shared_calls = [y for y in outputs if y is shared.y_fp]
         assert len(shared_calls) == 1 + 1 + 6
 
+    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    def test_oracle_catches_a_fault_in_the_run_mse(self, monkeypatch, n):
+        # oracle.layer_mse shares no code with pipeline.layer_mse, so a 1%
+        # fault in the run's MSE shows as a reported final MSE that the
+        # oracle's recomputation disagrees with
+        rng = np.random.default_rng(53 + n)
+        w, a_fp = _layer(rng, d_out=5, d_in=12, n=n)
+        real = pipeline.layer_mse
+        monkeypatch.setattr(pipeline, "layer_mse", lambda *args: 1.01 * real(*args))
+        result = pipeline.quantize_layer(
+            w, a_fp, "uniform", 4, 4, RunConfig(lambda1=0.5, lambda2=0.5)
+        )
+        a_q = quantize_with_scheme(a_fp, result.act_scheme)[1]
+        want = oracle.layer_mse(w, a_fp, result.w_bar, a_q)
+        assert result.mse["final"] == pytest.approx(1.01 * want, rel=1e-12)
+        assert abs(result.mse["final"] - want) > 1e-3 * want
+
     def test_ablation_builds_one_of_each_product_per_layer(self, builds):
         layers = _chain(5, 32) + _chain(6, 8)[:1]
         run_ablation(layers, RunConfig(lambda1=1.0, lambda2=2.0))

@@ -572,7 +572,8 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
     # per-row candidates straight from uniform_codes / dequantize_uniform,
     # as the loop built them before candidates were built per split, and
     # refinement's start from its definitions: the chosen candidate, the
-    # other minus the chosen, step^2 M_jj and the slice's gradient 2 M delta
+    # other minus the chosen, step^2 M_jj and the slice's gradient 2 M delta;
+    # only the stored fields, so the derived ones are read off these
     code_down = uniform_codes(w_slice, params, "floor")
     code_up = uniform_codes(w_slice, params, "ceil")
     delta_down = dequantize_uniform(code_down, params) - w_slice
@@ -585,8 +586,7 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
         delta_up=delta_up,
         up_mask=up_mask,
         code_down=code_down,
-        code_up=code_up,
-        delta=delta,
+        flippable=code_down != code_up,
         step=step,
         curvature=step * step * proxy_matrix.diagonal(),
         gradient=proxy_gradient(delta, proxy_matrix),
@@ -640,18 +640,21 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
     return np.array(codes_out), np.array(w_bar_out), trace
 
 
+# the stored elementwise arrays of a state
 _STATE_ARRAYS = (
-    "delta_down", "delta_up", "up_mask", "code_down", "code_up", "delta", "step", "curvature"
+    "delta_down", "delta_up", "up_mask", "code_down", "flippable", "step", "curvature"
 )
 # the block arrays refinement reads: the elementwise start and the gradient
 _START_ARRAYS = (*_STATE_ARRAYS, "gradient")
+# the arrays a state derives from its stored ones on read
+_DERIVED_ARRAYS = ("delta", "code_up", "codes")
 
 
 def _assert_row_refines_as_slice(row, one):
     # a row view of a block state against its slice's own 1-D state: the
     # elementwise start byte for byte, the gradient (a row of one block
     # product against a matrix-vector product) and the proxies to rounding
-    for field in _STATE_ARRAYS:
+    for field in (*_STATE_ARRAYS, *_DERIVED_ARRAYS):
         assert getattr(row, field).tobytes() == getattr(one, field).tobytes(), field
     _assert_gradient_close(row.gradient, one.gradient)
     assert row.proxy_matrix is one.proxy_matrix
@@ -667,6 +670,11 @@ def _assert_row_refines_as_slice(row, one):
         )
         for field in ("delta", "step"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def _assert_same_bytes(got, want, field):
+    assert got.dtype == want.dtype and got.shape == want.shape, field
+    assert got.tobytes() == want.tobytes(), field
 
 
 def _assert_gradient_close(got, want, tol=1e-13):
@@ -811,23 +819,42 @@ class TestChannelQuantization:
             for got, delta in zip(block.gradient, block.delta, strict=True):
                 _assert_gradient_close(got, proxy_gradient(delta, matrix))
 
-    def test_init_rounding_matches_per_row_candidates(self):
-        # a slice, and each row of a block on row_lattice columns, equals
-        # uniform_codes and dequantize_uniform entry for entry, clipped and
-        # zero rows included
-        rng = np.random.default_rng(41)
-        w, params = _mixed_rows(rng, 9)
-        matrix = _psd(rng, 9)
+    @pytest.mark.parametrize("d_in", [9, 64])
+    def test_init_rounding_matches_per_row_candidates(self, d_in):
+        # a slice, each row view of a block on row_lattice columns, and each
+        # row of the block's own arrays: the stored fields equal the per-row
+        # reference, and the derived ones (with flippable) uniform_codes and
+        # dequantize_uniform, byte for byte and dtype for dtype; rows clipped
+        # at both ends, on lattice points, one ulp off them and at half-step
+        # ties, plus a zero degenerate row
+        rng = np.random.default_rng(41 + d_in)
+        w, params = _mixed_rows(rng, d_in)
+        unit = UniformParams(scale=0.1, zero_point=7, bits=4)
+        on = dequantize_uniform(rng.integers(0, 16, d_in), unit)
+        w = np.vstack([w, on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+        params = (*params, unit, unit, unit)
+        matrix = _psd(rng, d_in)
         block = init_rounding(w, row_lattice(params), matrix)
-        fields = ("delta_down", "delta_up", "delta", "up_mask", "flippable",
-                  "code_down", "code_up", "codes")
-        for i, (row, p) in enumerate(zip(w, params)):
-            want = _per_row_init_rounding(row, p, matrix)
-            got = init_rounding(row, p, matrix)
-            for field in fields:
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-                np.testing.assert_array_equal(getattr(block, field)[i], getattr(want, field))
-            assert got.proxy_matrix is block.proxy_matrix is matrix
+        assert (block.codes == 0).any() and (block.codes == 15).any()
+        # a lattice point has one candidate unless its quotient rounds off it
+        assert block.flippable[-3].sum() < min(block.flippable[-2].sum(), block.flippable[-1].sum())
+        for i, (view, row, p) in enumerate(zip(block.rows(), w, params, strict=True)):
+            ref = _per_row_init_rounding(row, p, matrix)
+            nearest = uniform_codes(row, p)
+            want = {
+                "delta": dequantize_uniform(nearest, p) - row,
+                "code_up": uniform_codes(row, p, "ceil"),
+                "codes": nearest,
+                "flippable": uniform_codes(row, p, "floor") != uniform_codes(row, p, "ceil"),
+            }
+            for got in (init_rounding(row, p, matrix), view, ref):
+                for field in _STATE_ARRAYS:
+                    _assert_same_bytes(getattr(got, field), getattr(ref, field), field)
+                for field, value in want.items():
+                    _assert_same_bytes(getattr(got, field), value, field)
+            for field, value in want.items():
+                _assert_same_bytes(getattr(block, field)[i], value, field)
+            assert view.proxy_matrix is block.proxy_matrix is matrix
 
     @pytest.mark.parametrize("n", [6, 64])
     @pytest.mark.parametrize("k", [0, 1])
@@ -851,6 +878,52 @@ class TestChannelQuantization:
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
         assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
+
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_remainder_solves_read_the_chosen_errors(self, monkeypatch, n, k):
+        # the loop takes a split's committed errors off its change (the
+        # dequantized slice minus its values before): every remainder solve
+        # reads the `delta` of its row's choice byte for byte, the refined
+        # state's for k > 0 and the block's nearest start for k = 0, clipped,
+        # tied and zero rows included; N = 6 < D_in = 16 and N = 64
+        rng = np.random.default_rng(150 + n + k)
+        w, params = _mixed_rows(rng, 16)
+        real_init, real_refine = weight_quant.init_rounding, weight_quant.refine_rounding
+        real_solver = RemainderRidge.solver
+        chosen, solved = [], []
+
+        def init(w_block, lattice, matrix):
+            block = real_init(w_block, lattice, matrix)
+            if k == 0:
+                chosen.extend(block.delta)
+            return block
+
+        def refine(state, k, max_iter):
+            refined, committed = real_refine(state, k, max_iter)
+            chosen.append(refined.delta)
+            return refined, committed
+
+        def solver(self, lo, mid):
+            solve = real_solver(self, lo, mid)
+
+            def recorded(delta_s):
+                solved.append((mid - lo, np.array(delta_s)))
+                return solve(delta_s)
+
+            return recorded
+
+        monkeypatch.setattr(weight_quant, "init_rounding", init)
+        monkeypatch.setattr(weight_quant, "refine_rounding", refine)
+        monkeypatch.setattr(RemainderRidge, "solver", solver)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
+        quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100)
+        # every split but the last is solved, one row at a time
+        widths = [mid - lo for lo, mid, _ in cache.splits]
+        assert [width for width, _ in solved] == [x for x in widths[:-1] for _ in range(5)]
+        assert len(chosen) == 5 * len(widths)
+        for (_, got), want in zip(solved, chosen):
+            _assert_same_bytes(got, want, "delta")
 
     @pytest.mark.parametrize("n", [6, 64])
     @pytest.mark.parametrize("ridge", [True, False])
@@ -1365,6 +1438,27 @@ class TestProxyBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * largest + a_q.nbytes
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_gram_path_loop_stores_each_choice_once(self, k):
+        # 96 x 768 layer, N = 1024 (the Gram path, cache and ridge built
+        # before the call): a split's block with two candidate slots and one
+        # int64 copy, its committed errors read off the split's change,
+        # peaked at 3.84 (k = 0) and 3.87 MiB (k = 1); a third (nearest)
+        # slot, a second int64 copy and per-row error lists that kept them
+        # alive peaked at 4.51 and 4.66 MiB
+        rng = np.random.default_rng(81)
+        w = rng.normal(0, 0.5, (96, 768))
+        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (1024, 768)))
+        ridge = RemainderRidge(cache, 10.0)
+        tracemalloc.start()
+        try:
+            quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2 * 2**20
 
 
 class _FullWidthCache:
