@@ -13,7 +13,6 @@ from pathlib import Path
 import click
 
 from . import pipeline
-from . import verify as verify_suites
 from .linalg import require_int
 from .pipeline import NUMERICAL_ERRORS, ConfigError, RunConfig
 from .tensorfile import ManifestError, TensorFormatError, load_manifest
@@ -128,7 +127,9 @@ def verify_command(out_dir, seed):
     except ValueError as exc:
         _fail_validation(exc)
     out = _make_out_dir(out_dir) if out_dir is not None else None
-    results = verify_suites.run_all(seed)
+    from . import verify
+
+    results = verify.run_all(seed)
     summary = []
     for suite in results:
         doc = {"suite": suite.name, "passed": suite.passed, "metrics": suite.metrics}

@@ -425,9 +425,9 @@ def layer_report_entry(result: LayerResult, codes_path: str | None) -> dict:
             **_params_dict(result.act_scheme.params[0]),
         },
         "weight_quant": {
-            "family": "uniform",
-            "granularity": "per_channel",
-            "bits": int(result.bits_w),
+            "family": result.weight_scheme.family,
+            "granularity": result.weight_scheme.granularity,
+            "bits": int(result.weight_scheme.bits),
             "channels": [_params_dict(p) for p in result.weight_scheme.params],
         },
         "mse": {key: float(value) for key, value in sorted(result.mse.items())},

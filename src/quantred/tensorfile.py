@@ -2,9 +2,9 @@
 
 The on-disk tensor format is npy-compatible (magic string, format version
 1.0, python-dict header, little-endian row-major payload) so calibration
-data can be exported from any tensor ecosystem. The reader is written here
-rather than delegated so that malformed files are rejected with the byte
-offset of the problem.
+data can be exported from any tensor ecosystem. Files are written by numpy's
+npy writer; the reader is written here rather than delegated so that
+malformed files are rejected with the byte offset of the problem.
 """
 
 from __future__ import annotations
@@ -106,21 +106,10 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     name = array.dtype.name
     if name not in _DTYPES:
         raise TensorFormatError(f"unsupported dtype {name!r}", 0)
-    data = np.asarray(array, dtype=_DTYPES[name])
-    header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (
-        _DTYPES[name],
-        repr(tuple(int(d) for d in data.shape)),
-    )
-    # pad so the payload starts on a 64-byte boundary, header ends in \n
-    unpadded = len(MAGIC) + 2 + 2 + len(header) + 1
-    pad = (64 - unpadded % 64) % 64
-    header = header + " " * pad + "\n"
+    # np.asarray, not np.ascontiguousarray: the latter makes a 0-d array (1,)
+    data = np.asarray(array, dtype=_DTYPES[name], order="C")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([1, 0]))
-        fh.write(struct.pack("<H", len(header)))
-        fh.write(header.encode("latin1"))
-        fh.write(data.tobytes())
+        np.lib.format.write_array(fh, data, version=(1, 0), allow_pickle=False)
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,8 @@ the host's speed drifts): the set-up of a call (max_iter 0: the start's
 delta, one select, its proxy, buffer, the returned state; the gradient is
 a row of the block's) costs 3.6-3.9 us on 1-12 column slices (16 x 24,
 24 x 16 and 12 x 24 layers), 3.7-3.8 us on 1-128 column slices
-(64 x 256) and 4.8-5.1 us on 1-1024 column slices (32 x 2048), 1.3-2.6 us
-more than when the state stored delta; a committed call no longer selects
-its final delta, so a whole call at max_iter 100 costs the same within
-the host's noise. A scoring pass, with the step it commits, costs
-3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
+(64 x 256) and 4.8-5.1 us on 1-1024 column slices (32 x 2048). A scoring
+pass, with the step it commits, costs 3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
 """
 
 from __future__ import annotations

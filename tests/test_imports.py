@@ -1,6 +1,7 @@
-"""The run path imports no scipy, an optional dependency of `synth.gelu` only,
-and none of `quantred.oracle`, `quantred.synth`, `quantred.verify` and
-`quantred.cli`; the package loads oracle's and synth's names on first use."""
+"""The import graph: the package root imports nothing, each module imports
+alone, and the run path loads no scipy (an optional dependency of
+`synth.gelu` only) and none of `quantred.oracle`, `quantred.synth` and
+`quantred.verify`, which only tests, `quantred verify` and the benchmark use."""
 
 import json
 import os
@@ -10,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from quantred.synth import SynthSpec, write_manifest_files
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted(p.stem for p in (SRC / "quantred").glob("*.py") if p.stem != "__init__")
+OFF_RUN_PATH = ["quantred.oracle", "quantred.synth", "quantred.verify"]
 
 # Imports the package and its CLI, then quantizes one layer with N >= D_in
 # and one with N < D_in, all stages on, and prints the scipy modules loaded.
@@ -28,36 +33,31 @@ for n, d_in in ((48, 16), (12, 40)):
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-
-# The imports of every benchmark child and of the CLI's run path, then the
-# oracle and synth names of the package's public API, resolved on first access.
-_LAZY_NAMES = """
-import json, sys
-from quantred import pipeline, tensorfile
-off_path = ("quantred.oracle", "quantred.synth", "quantred.verify", "quantred.cli")
-loaded = [m for m in off_path if m in sys.modules]
-import quantred
-names = [quantred.SynthSpec, quantred.generate_layer, quantred.run_chain, quantred.ChainReport,
-         quantred.layer_mse, quantred.brute_force_rounding, quantred.BruteForceResult,
-         quantred.finite_diff_gradient, quantred.mc_output_error]
-from quantred import SynthSpec, layer_mse, oracle, synth
-print(json.dumps([
-    loaded,
-    [m for m in off_path if m in sys.modules],
-    names == [synth.SynthSpec, synth.generate_layer, synth.run_chain, synth.ChainReport,
-              oracle.layer_mse, oracle.brute_force_rounding, oracle.BruteForceResult,
-              oracle.finite_diff_gradient, oracle.mc_output_error],
-    SynthSpec is synth.SynthSpec and layer_mse is oracle.layer_mse,
-    {"SynthSpec", "layer_mse"} <= set(dir(quantred)),
-]))
+# Prints the quantred modules a program has loaded.
+_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("quantred."))))
 """
 
+# The imports of every benchmark child.
+_RUN_PATH = """
+import json, sys
+from quantred import pipeline, tensorfile
+""" + _LOADED
 
-def _run_program(program):
+# A `quantred quantize` run on the manifest and output directory in argv.
+_QUANTIZE = """
+import json, sys
+import quantred.cli
+quantred.cli.main(["quantize", "--manifest", sys.argv[1], "--out", sys.argv[2]],
+                  standalone_mode=False)
+""" + _LOADED
+
+
+def _run_program(program, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", program],
+        [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -73,13 +73,26 @@ def test_run_path_loads_no_scipy():
 
 
 def test_run_path_loads_no_oracle_or_synth():
-    assert _run_program(_LAZY_NAMES) == [
-        [], ["quantred.oracle", "quantred.synth"], True, True, True
-    ]
+    loaded = _run_program(_RUN_PATH)
+    assert {"quantred.pipeline", "quantred.tensorfile"} <= set(loaded)
+    assert [m for m in OFF_RUN_PATH + ["quantred.cli"] if m in loaded] == []
 
 
-def test_unknown_package_attribute_raises():
-    import quantred
+def test_package_root_imports_no_module():
+    assert _run_program("import json, sys, quantred" + _LOADED) == []
 
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        quantred.no_such_name
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    program = f"import json, sys, quantred.{module}\nprint(json.dumps(quantred.{module}.__name__))"
+    assert _run_program(program) == f"quantred.{module}"
+
+
+def test_quantize_command_loads_no_oracle_synth_or_verify(tmp_path):
+    spec = SynthSpec(seed=3, dims=((6, 8), (4, 6)), nonlinearities=("gelu",), n_samples=48)
+    manifest = write_manifest_files(spec, tmp_path / "data")
+    out = tmp_path / "out"
+    loaded = _run_program(_QUANTIZE, str(manifest), str(out))
+    assert (out / "report.json").is_file()
+    assert "quantred.cli" in loaded
+    assert [m for m in OFF_RUN_PATH if m in loaded] == []

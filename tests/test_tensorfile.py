@@ -1,6 +1,7 @@
 """Tensor file round-trips, byte-offset error reporting, manifest checks."""
 
 import json
+import math
 import struct
 import tracemalloc
 
@@ -80,6 +81,31 @@ class TestRoundTrip:
         assert t.dtype.str == "<f4"
         np.testing.assert_array_equal(t, a)
         np.testing.assert_array_equal(np.load(p), a)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(math.prod(shape)).reshape(shape).astype(dtype)
+            for dtype in ("float32", "int32", "uint8")
+            for shape in ((64, 256), (3,), (), (0, 5), (2, 3, 4))
+        ]
+        + [
+            np.asfortranarray(np.arange(35, dtype=np.float32).reshape(5, 7) / 3),
+            (np.arange(24, dtype=np.float32).reshape(4, 6) / 7).astype(">f4"),
+            (np.arange(80, dtype=np.float32).reshape(8, 10) / 9)[::2, 1::3],
+        ],
+        ids=lambda a: f"{a.dtype.str}-{'x'.join(map(str, a.shape)) or '0d'}-"
+        f"{'C' if a.flags.c_contiguous else 'F' if a.flags.f_contiguous else 'strided'}",
+    )
+    def test_bytes_are_npy_of_the_little_endian_row_major_copy(self, tmp_path, array):
+        p = _write(tmp_path / "w.npy", array)
+        ref = tmp_path / "ref.npy"
+        np.save(ref, np.asarray(array, dtype=array.dtype.newbyteorder("<"), order="C"))
+        assert p.read_bytes() == ref.read_bytes()
+        t = read_tensor(p)
+        assert t.shape == array.shape
+        assert t.dtype.str == array.dtype.newbyteorder("<").str
+        np.testing.assert_array_equal(t, array)
 
     def test_payload_starts_on_64_byte_boundary(self, tmp_path):
         p = _write(tmp_path / "f.npy", np.zeros((2, 2), dtype=np.float32))
