@@ -156,8 +156,6 @@ class LayerResult:
 
     layer_id: str
     n_samples: int
-    bits_w: int
-    bits_a: int
     act_scheme: QuantScheme
     weight_scheme: QuantScheme
     codes: np.ndarray
@@ -358,8 +356,6 @@ class LayerRun:
         return LayerResult(
             layer_id=layer_id,
             n_samples=self.a_fp.shape[0],
-            bits_w=self.bits_w,
-            bits_a=self.bits_a,
             act_scheme=self.act_scheme,
             weight_scheme=weight_scheme,
             codes=codes,
@@ -417,8 +413,8 @@ def layer_report_entry(result: LayerResult, codes_path: str | None) -> dict:
     return {
         "layer_id": result.layer_id,
         "n_samples": int(result.n_samples),
-        "bits_w": int(result.bits_w),
-        "bits_a": int(result.bits_a),
+        "bits_w": int(result.weight_scheme.bits),
+        "bits_a": int(result.act_scheme.bits),
         "act_quant": {
             "family": result.act_scheme.family,
             "bits": int(result.act_scheme.bits),

@@ -7,31 +7,34 @@ covers post-softmax activations: codes are clip(round(-2 * log2(x / s)),
 + 1), so even codes land on powers of two and odd codes halfway between
 them in log space.
 
-Calibration (`calibrate`, one function for both families) picks, from 141
+Calibration (`calibrate_scale`, one entry for both families and both
+granularities; `calibrate` is its per-tensor params) picks, from 141
 candidate scales, the one whose lattice minimizes reconstruction MSE. The
-candidates of either family come from one grid (`_candidate_grid`): their
-params, and for the scan their bin edges and levels. Calibration runs a
-block of rows at a time (per-tensor input is one row; per-channel weights
-give as many rows per block as fit a fixed byte budget), and each row's
-choice equals the brute-force grid's (oracle.grid_calibrate), ties
-included, and calibrating that row alone.
+candidates of either family form one grid (`_candidate_grid`): the
+lattice record `quantize` takes, with a (rows, 141, 1) scale and zero
+point, from which the scan also builds its bin edges and levels.
+Calibration runs a block of rows at a time (per-tensor input is one row;
+per-channel weights give as many rows per block as fit a fixed byte
+budget), and each row's choice equals the brute-force grid's
+(oracle.grid_calibrate), ties included, and calibrating that row alone.
 
 One exact evaluator (`_exact_mse`) scores candidates: it quantizes the
-rows under them in one (rows, k, n) pass through the lattice arithmetic of
-`quantize` and takes the mean squared error over each row, bit for bit the
-oracle's MSE, and `_last_minimum` keeps the oracle's last minimum. A row of
-at most `direct_cutoff(b)` values is scored under all 141 candidates that
-way, with no sort: 4 * 2^b up to 8 bits, 32 * 2^b past that. On 16 and 64
-Gaussian rows (2-core x86 VM, numpy 2.4, best of 5) the direct path takes
-0.35-0.57 of the scan's time at 4 values per level at 2, 4 and 8 bits,
-and the two break even near 10, 8 and over 16 values per level; its
-(141, n) errors are no larger than four of the scan's (141, 2^b) arrays.
-Past 8 bits the scan takes its candidates in chunks, so its cost per
-level grows: on one Gaussian row (same host, best of 3) the direct path
-takes 0.28, 0.24, 0.17, 0.29 and 0.21 of the scan's time at 4 values per
-level at 9, 10, 12, 14 and 16 bits, and the two break even at 32 values
-per level within 8% (direct / scan 1.01, 0.97, 0.93, 1.08 and 1.03
-there), so past 8 bits the cutoff sits at that crossover.
+rows under them in one (rows, k, n) pass through `quantize(...,
+codes=False)` and takes the mean squared error over each row, bit for
+bit the oracle's MSE, and `_last_minimum` keeps the oracle's last
+minimum. A row of at most `direct_cutoff(b)` values is scored under all
+141 candidates that way, with no sort: 4 * 2^b up to 8 bits, 32 * 2^b
+past that. On 16 and 64 Gaussian rows (2-core x86 VM, numpy 2.4, best of
+5) the direct path takes 0.35-0.57 of the scan's time at 4 values per
+level at 2, 4 and 8 bits, and the two break even near 10, 8 and over 16
+values per level; its (141, n) errors are no larger than four of the
+scan's (141, 2^b) arrays. Past 8 bits the scan takes its candidates in
+chunks, so its cost per level grows: on one Gaussian row (same host,
+best of 3) the direct path takes 0.28, 0.24, 0.17, 0.29 and 0.21 of the
+scan's time at 4 values per level at 9, 10, 12, 14 and 16 bits, and the
+two break even at 32 values per level within 8% (direct / scan 1.01,
+0.97, 0.93, 1.08 and 1.03 there), so past 8 bits the cutoff sits at that
+crossover.
 
 A longer row is scanned. Codes are monotone in x, so each candidate
 splits the sorted values into 2^b contiguous bins, and a bin's squared
@@ -155,27 +158,17 @@ def row_lattice(params: Sequence[UniformParams]) -> UniformParams:
     )
 
 
-def quantize_uniform(x: np.ndarray, params: UniformParams):
+def quantize_uniform(x: np.ndarray, params: UniformParams, codes: bool = True):
     """Return (codes, dequantized values) on the lattice {s * (q - z)}.
 
     One float buffer: the quotient is rounded, shifted and clipped in place,
-    cast once for the codes, then dequantized in place.
+    cast once for the codes, then dequantized in place. With codes=False
+    there is no integer cast and the codes come back as None.
     """
     t = lattice_quotient(x, params)
     t = clip_index(np.rint(t, out=t), params)
-    return t.astype(np.int64), dequantize_index(t, params)
-
-
-def quantized_values(x: np.ndarray, params) -> np.ndarray:
-    """The dequantized values of `quantize(x, params)`, bit for bit, without the codes.
-
-    Uniform values take one float buffer and no integer cast. Params fields
-    may be arrays that broadcast against x, as `row_lattice` builds them.
-    """
-    if isinstance(params, LogSqrt2Params):
-        return dequantize_log_sqrt2(log_sqrt2_codes(x, params), params)
-    t = lattice_quotient(x, params)
-    return dequantize_index(clip_index(np.rint(t, out=t), params), params)
+    q = t.astype(np.int64) if codes else None
+    return q, dequantize_index(t, params)
 
 
 def log_sqrt2_codes(x: np.ndarray, params: LogSqrt2Params) -> np.ndarray:
@@ -202,11 +195,18 @@ def quantize_log_sqrt2(x: np.ndarray, params: LogSqrt2Params):
     return codes, dequantize_log_sqrt2(codes, params)
 
 
-def quantize(x: np.ndarray, params):
-    """(codes, dequantized values) of x under uniform or log-sqrt2 params."""
+def quantize(x: np.ndarray, params, codes: bool = True):
+    """(codes, dequantized values) of x under uniform or log-sqrt2 params.
+
+    Params fields may be arrays that broadcast against x, as `row_lattice`
+    and `_candidate_grid` build them. With codes=False the codes come back
+    as None and the values are bit for bit the same; uniform values then
+    take one float buffer and no integer cast.
+    """
     if isinstance(params, LogSqrt2Params):
-        return quantize_log_sqrt2(x, params)
-    return quantize_uniform(x, params)
+        q, values = quantize_log_sqrt2(x, params)
+        return (q if codes else None), values
+    return quantize_uniform(x, params, codes)
 
 
 class NonFiniteInputError(ValueError):
@@ -351,7 +351,7 @@ def _candidate_sse(xs, p1, p2, edges, levels):
     return sse, unplaced, windowed
 
 
-def _shortlists(xs: np.ndarray, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+def _shortlists(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
     """Which candidates of each row can attain the row's smallest exact MSE.
 
     xs comes from _sorted_rows and grid holds the rows' candidates. Returns
@@ -382,7 +382,7 @@ def _shortlists(xs: np.ndarray, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
         bound = np.abs(xs[:, : n : max(n - 1, 1)]).max(axis=1)
         for c in range(0, ALPHA_GRID.size, step):
             chunk = slice(c, c + step)
-            edges, levels = grid.bins(chunk)
+            edges, levels = _bins(_take(grid, chunk))
             sse[:, chunk], unplaced[:, chunk], hit = _candidate_sse(xs, p1, p2, edges, levels)
             windowed |= hit
             ends = np.abs(levels[:, :, :: levels.shape[2] - 1]).max(axis=(1, 2))
@@ -409,76 +409,17 @@ def _last_minimum(mse: np.ndarray) -> np.ndarray:
     return choice
 
 
-class _Grid:
-    """The 141 candidate lattices of one family for each row of a block.
-
-    scales[i, c] and zeros[i, c] are the scale and zero point (all zero for
-    log-sqrt2) of row i's candidate c, as float64. A plain class: a
-    dataclass would add about a millisecond to every import.
-    """
-
-    def __init__(self, family: str, bits: int, scales: np.ndarray, zeros: np.ndarray):
-        self.family, self.bits, self.scales, self.zeros = family, bits, scales, zeros
-
-    def params(self, i: int, c: int) -> UniformParams | LogSqrt2Params:
-        """Row i's candidate c as the params calibration returns."""
-        if self.family == "uniform":
-            return UniformParams(
-                scale=float(self.scales[i, c]), zero_point=int(self.zeros[i, c]), bits=self.bits
-            )
-        return LogSqrt2Params(scale=float(self.scales[i, c]), bits=self.bits)
-
-    def lattice(self, cands=slice(None)) -> UniformParams | LogSqrt2Params:
-        """Candidates `cands` of every row as params whose fields are (rows, k, 1).
-
-        They broadcast against a (rows, 1, n) block: each row meets each of
-        its candidates with the elementwise arithmetic of `quantize`.
-        """
-        scale = self.scales[:, cands, None]
-        if self.family == "uniform":
-            return UniformParams(
-                scale=scale, zero_point=self.zeros[:, cands, None], bits=self.bits
-            )
-        return LogSqrt2Params(scale=scale, bits=self.bits)
-
-    def row(self, i: int, cands: np.ndarray) -> _Grid:
-        """The grid of row i's candidates `cands` alone, as a one-row grid."""
-        return _Grid(
-            self.family, self.bits, self.scales[i : i + 1, cands], self.zeros[i : i + 1, cands]
-        )
-
-    def bins(self, cands=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, levels) of candidates `cands` for the scan: edges[i, c]
-        holds the ascending bin edges of row i's candidate c, levels[i, c]
-        the dequantized value of each bin.
-
-        Uniform code k holds x with x / s in [k - z - 1/2, k - z + 1/2), so
-        the edges sit at (k - z - 1/2) s, and saturation is the first and
-        last bin. Log-sqrt2 codes fall as x rises; code q holds
-        -2 log2(x / s) in [q - 1/2, q + 1/2), so in ascending x the bins run
-        from code 2^b - 1 (which also takes zero) down to code 0, with edges
-        s 2^(-(q + 1/2) / 2).
-        """
-        qmax = (1 << self.bits) - 1
-        scales = self.scales[:, cands, None]
-        if self.family == "uniform":
-            steps = np.arange(qmax + 1.0) - self.zeros[:, cands, None]
-            # near the float range an edge or level overflows to +/-inf, and
-            # an infinite scale makes the level at step 0 NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                return scales * (steps[:, :, 1:] - 0.5), scales * steps
-        codes = np.arange(qmax, -1, -1)
-        unit = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=1.0, bits=self.bits))
-        return scales * 2.0 ** (-(codes[1:] + 0.5) / 2.0), scales * unit
-
-
 def _candidate_grid(lo: np.ndarray, hi: np.ndarray, family: str, bits: int):
     """The candidate grid of the rows whose smallest and largest values are lo and hi.
 
     Returns (live, grid). `live` marks the rows whose smallest candidate
     scale is nonzero in float64; the others (constant uniform rows, all-zero
-    log-sqrt2 rows) are degenerate and absent from the grid, whose row i is
-    the i-th live row. Uniform candidates scale max - min over 2^b - 1, with
+    log-sqrt2 rows) are degenerate and absent from the grid. The grid is
+    the lattice record `quantize` takes, with a (rows, 141, 1) float64
+    scale (and uniform zero point): [i, c] is the i-th live row's
+    candidate c, and the record broadcasts against a (rows, 1, n) block, so
+    each row meets each of its candidates with the elementwise arithmetic
+    of `quantize`. Uniform candidates scale max - min over 2^b - 1, with
     zero point clip(rint(-min / s), 0, 2^b - 1); log-sqrt2 candidates scale
     the maximum.
     """
@@ -488,38 +429,79 @@ def _candidate_grid(lo: np.ndarray, hi: np.ndarray, family: str, bits: int):
         live = ALPHA_GRID[0] * span != 0.0
         if not live.all():
             lo, span = lo[live], span[live]
-        scales = ALPHA_GRID * span[:, None]
-    if family == "uniform":
-        zeros = np.minimum(np.maximum(np.rint(-lo[:, None] / scales), 0.0), qmax)
-    else:
-        zeros = np.zeros_like(scales)
-    return live, _Grid(family, bits, scales, zeros)
+        scale = ALPHA_GRID[:, None] * span[:, None, None]
+    if family == "log_sqrt2":
+        return live, LogSqrt2Params(scale=scale, bits=bits)
+    zero = np.minimum(np.maximum(np.rint(-lo[:, None, None] / scale), 0.0), qmax)
+    return live, UniformParams(scale=scale, zero_point=zero, bits=bits)
 
 
-def _exact_mse(rows: np.ndarray, grid: _Grid) -> np.ndarray:
+def _take(grid, cands, rows=slice(None)):
+    """Candidates `cands` of a grid's rows `rows`, as a grid."""
+    if isinstance(grid, LogSqrt2Params):
+        return LogSqrt2Params(scale=grid.scale[rows, cands], bits=grid.bits)
+    return UniformParams(
+        scale=grid.scale[rows, cands], zero_point=grid.zero_point[rows, cands], bits=grid.bits
+    )
+
+
+def _candidate(grid, i: int, c: int) -> UniformParams | LogSqrt2Params:
+    """Row i's candidate c of a grid as the params calibration returns."""
+    scale = float(grid.scale[i, c, 0])
+    if isinstance(grid, LogSqrt2Params):
+        return LogSqrt2Params(scale=scale, bits=grid.bits)
+    return UniformParams(scale=scale, zero_point=int(grid.zero_point[i, c, 0]), bits=grid.bits)
+
+
+def _bins(grid) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, levels) of a grid's candidates for the scan: edges[i, c]
+    holds the ascending bin edges of row i's candidate c, levels[i, c]
+    the dequantized value of each bin.
+
+    Uniform code k holds x with x / s in [k - z - 1/2, k - z + 1/2), so
+    the edges sit at (k - z - 1/2) s, and saturation is the first and
+    last bin. Log-sqrt2 codes fall as x rises; code q holds
+    -2 log2(x / s) in [q - 1/2, q + 1/2), so in ascending x the bins run
+    from code 2^b - 1 (which also takes zero) down to code 0, with edges
+    s 2^(-(q + 1/2) / 2).
+    """
+    qmax = (1 << grid.bits) - 1
+    if isinstance(grid, UniformParams):
+        steps = np.arange(qmax + 1.0) - grid.zero_point
+        # near the float range an edge or level overflows to +/-inf, and
+        # an infinite scale makes the level at step 0 NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return grid.scale * (steps[:, :, 1:] - 0.5), grid.scale * steps
+    codes = np.arange(qmax, -1, -1)
+    unit = dequantize_log_sqrt2(codes, LogSqrt2Params(scale=1.0, bits=grid.bits))
+    return grid.scale * 2.0 ** (-(codes[1:] + 0.5) / 2.0), grid.scale * unit
+
+
+def _exact_mse(rows: np.ndarray, grid) -> np.ndarray:
     """MSE of each row of a (rows, n) block under each candidate of its grid row.
 
-    The one exact evaluator: a (rows, k, n) pass through the lattice
-    arithmetic of `quantize`, then the mean squared error over the last
+    The one exact evaluator: the grid, a lattice record with (rows, k, 1)
+    fields, broadcast against the (rows, 1, n) block through
+    `quantize(..., codes=False)`, then the mean squared error over the last
     axis, each bit for bit what oracle.grid_calibrate computes for that row
     and candidate. Candidates go in chunks of at most _DIRECT_BYTES of
     float64 (one at least). Returns (rows, k).
     """
     m, n = rows.shape
-    k = grid.scales.shape[1]
+    k = grid.scale.shape[1]
     step = max(1, _DIRECT_BYTES // (8 * max(m, 1) * n))
     values = rows[:, None, :]
     mse = np.empty((m, k))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(0, k, step):
-            err = quantized_values(values, grid.lattice(slice(c, c + step)))
+            err = quantize(values, _take(grid, slice(c, c + step)), codes=False)[1]
             np.subtract(values, err, out=err)
             np.square(err, out=err)
             mse[:, c : c + step] = err.mean(axis=2)
     return mse
 
 
-def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid: _Grid) -> list[int]:
+def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid) -> list[int]:
     """Each row's choice among its grid's candidates, for rows too long to score directly.
 
     xs holds the rows sorted (_sorted_rows). The prefix-sum scan shortlists
@@ -531,7 +513,8 @@ def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid: _Grid) -> list[int]:
     for i, row in enumerate(rows):
         shortlist = np.flatnonzero(keep[i])
         if shortlist.size > 1:
-            shortlist = shortlist[_last_minimum(_exact_mse(row[None], grid.row(i, shortlist)))]
+            row_grid = _take(grid, shortlist, slice(i, i + 1))
+            shortlist = shortlist[_last_minimum(_exact_mse(row[None], row_grid))]
         choices.append(int(shortlist[0]))
     return choices
 
@@ -575,7 +558,7 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
             choices = _scan_choices(rows, xs, grid)
         block = [_degenerate(family, bits)] * live.size
         for i, r in enumerate(np.flatnonzero(live)):
-            block[r] = grid.params(i, choices[i])
+            block[r] = _candidate(grid, i, choices[i])
         out += block
     return out
 
@@ -605,46 +588,47 @@ def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | Log
     input is scored under every candidate, longer input only under the
     candidates the prefix-sum scan cannot separate. Empty input, and input
     whose smallest candidate scale is zero in float64, give degenerate
-    unit-scale params. Log-sqrt2 input must be nonnegative.
+    unit-scale params. The per-tensor params of `calibrate_scale`, which
+    checks the input.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    bits = require_int("bits", bits, 2, MAX_BITS)
-    values = np.asarray(values, dtype=np.float64)
-    check_finite(values)
-    values = values.ravel()
-    if family == "log_sqrt2" and values.size and float(values.min()) < 0.0:
-        raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
-    return _calibrate_rows(values[None, :], family, bits)[0]
+    return calibrate_scale(values, family, bits, "per_tensor").params[0]
 
 
 def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> QuantScheme:
     """Calibrate a scheme: per-tensor over all elements, per-channel over rows.
 
     Per-channel rows are calibrated independently, each to what `calibrate`
-    gives for that row alone, a block of rows at a time.
+    gives for that row alone, a block of rows at a time. The family, then
+    the bit width, then the granularity, then finiteness are checked, and
+    log-sqrt2 input must be nonnegative.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     bits = require_int("bits", bits, 2, MAX_BITS)
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
-        params = (calibrate(x, family, bits),)
+        check_finite(x)
+        x = x.reshape(1, -1)
+        if family == "log_sqrt2" and x.size and float(x.min()) < 0.0:
+            raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
     elif granularity == "per_channel":
         if family != "uniform":
             raise ValueError("per_channel calibration is uniform only")
         if x.ndim != 2:
             raise ValueError("per_channel calibration expects a 2-D weight matrix")
         check_finite(x, per_row=True)
-        params = tuple(_calibrate_rows(x, family, bits))
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
+    params = tuple(_calibrate_rows(x, family, bits))
     return QuantScheme(family=family, granularity=granularity, bits=bits, params=params)
 
 
 def quantize_with_scheme(x: np.ndarray, scheme: QuantScheme, codes: bool = True):
     """Quantize x under a calibrated scheme; returns (codes, dequantized).
 
-    With codes=False the codes are not formed and come back as None: the
-    dequantized values alone, bit for bit the same (`quantized_values`).
+    One call to `quantize`, per channel on the scheme's `row_lattice`. With
+    codes=False the codes are not formed and come back as None, and the
+    dequantized values are bit for bit the same.
     """
     x = np.asarray(x, dtype=np.float64)
     if scheme.granularity == "per_tensor":
@@ -656,6 +640,4 @@ def quantize_with_scheme(x: np.ndarray, scheme: QuantScheme, codes: bool = True)
         )
     else:
         params = row_lattice(scheme.params)
-    if codes:
-        return quantize(x, params)
-    return None, quantized_values(x, params)
+    return quantize(x, params, codes)

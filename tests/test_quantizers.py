@@ -24,9 +24,11 @@ from quantred.quantizers import (
     dequantize_log_sqrt2,
     dequantize_uniform,
     log_sqrt2_codes,
+    quantize,
     quantize_log_sqrt2,
     quantize_uniform,
     quantize_with_scheme,
+    row_lattice,
     uniform_codes,
 )
 
@@ -321,6 +323,36 @@ class TestCalibration:
         x = np.random.default_rng(0).normal(size=40)
         assert calibrate(x, "uniform", np.int64(4)) == calibrate(x, "uniform", 4)
 
+    @pytest.mark.parametrize(
+        "family, bits, bad",
+        [
+            ("bogus", 1, None),
+            ("uniform", 1, None),
+            ("uniform", 2.5, None),
+            ("uniform", True, None),
+            ("uniform", 17, None),
+            ("uniform", 4, np.nan),
+            ("log_sqrt2", 4, np.nan),
+            ("log_sqrt2", 4, -1.0),
+        ],
+        ids=["family", "bits-1", "bits-2.5", "bits-True", "bits-17", "nan", "log-nan", "negative"],
+    )
+    def test_both_entries_reject_a_bad_input_alike(self, family, bits, bad):
+        # calibrate is the per-tensor params of calibrate_scale: the same
+        # checks in the same order, so the same type and message
+        x = np.abs(np.random.default_rng(0).normal(size=(3, 8)))
+        if bad is not None:
+            x[1, 2] = bad
+        errors = []
+        for call in (
+            lambda: calibrate(x, family, bits),
+            lambda: calibrate_scale(x, family, bits, "per_tensor"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
 
 def _grid(x, family, granularity, bits):
     rows = x if granularity == "per_channel" else [x]
@@ -512,6 +544,41 @@ class TestDirectScoring:
         assert calls == []
         calibrate_scale(rng.normal(size=(16, cutoff + 1)), "uniform", bits, "per_channel")
         assert sum(calls) == 16
+
+    @pytest.mark.parametrize("past_cutoff", [0, 8], ids=["direct", "scanned"])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_dead_rows_are_never_scored(self, monkeypatch, bits, past_cutoff):
+        # constant and all-zero rows are degenerate before any scoring: an
+        # all-zero row would tie on every candidate and be re-scored exactly
+        n = quantizers.direct_cutoff(bits) + past_cutoff
+        seen = []
+
+        def recording(real):
+            def recorded(rows, grid):
+                # the scan's sorted rows end with +inf
+                seen.extend(np.sort(rows[:, :n], axis=1))
+                return real(rows, grid)
+
+            return recorded
+
+        for name in ("_shortlists", "_exact_mse"):
+            monkeypatch.setattr(quantizers, name, recording(getattr(quantizers, name)))
+        rng = np.random.default_rng([37, bits])
+        kinds = "GCZZCZGGCZGZCCZZZZG"
+        x = np.array(
+            [
+                rng.normal(size=n) if kind == "G" else np.full(n, rng.normal() * (kind == "C"))
+                for kind in kinds
+            ]
+        )
+        params = calibrate_scale(x, "uniform", bits, "per_channel").params
+        assert [p.degenerate for p in params] == [kind != "G" for kind in kinds]
+        live = {row.tobytes() for row, kind in zip(np.sort(x, axis=1), kinds) if kind == "G"}
+        assert {row.tobytes() for row in seen} == live
+        seen.clear()
+        calibrate(np.full(n, 0.3), "uniform", bits)
+        calibrate(np.zeros(n), "log_sqrt2", bits)
+        assert seen == []
 
     def test_verify_suite_catches_an_evaluator_fault(self, monkeypatch):
         # candidates scored in reversed order: rows scored directly take the
@@ -718,6 +785,30 @@ class TestSchemes:
             assert none is None
             assert got.tobytes() == want.tobytes()
             assert codes.shape == got.shape
+        # the broadcast forms: a row lattice of mixed rows at mixed widths,
+        # and each family's candidate grid against a (rows, 1, n) block,
+        # whose candidate c of row i quantizes as its scalar params do
+        mixed = _mixed_rows(rng, 10, 8, 4)
+        lattice = row_lattice(
+            [calibrate(row, "uniform", b) for row, b in zip(mixed, [2, 3, 4, 8, 16] * 2)]
+        )
+        forms = [(5.0 * mixed, lattice)]
+        for family, rows in (("uniform", mixed[:3]), ("log_sqrt2", np.abs(mixed[:3]))):
+            live, grid = quantizers._candidate_grid(rows.min(axis=1), rows.max(axis=1), family, 3)
+            assert live.all() and grid.scale.shape == (3, ALPHA_GRID.size, 1)
+            forms.append((rows[:, None, :], grid))
+        for x, p in forms:
+            codes, want = quantize(x, p)
+            none, got = quantize(x, p, codes=False)
+            assert none is None
+            assert got.tobytes() == want.tobytes()
+            assert codes.shape == got.shape
+        for (x, grid), family in zip(forms[1:], FAMILIES):
+            _, values = quantize(x, grid, codes=False)
+            for i, c in np.ndindex(values.shape[:2]):
+                p = quantizers._candidate(grid, i, c)
+                assert isinstance(p, LogSqrt2Params) == (family == "log_sqrt2")
+                assert values[i, c].tobytes() == quantize(x[i, 0], p)[1].tobytes()
 
     def test_log_sqrt2_per_channel_rejected(self):
         with pytest.raises(ValueError, match="per tensor"):
