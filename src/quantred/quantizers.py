@@ -548,6 +548,10 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
             xs = _sorted_rows(rows)
             lo, hi = xs[:, 0], xs[:, n - 1]
         live, grid = _candidate_grid(lo, hi, family, bits)
+        block = [_degenerate(family, bits)] * live.size
+        if not live.any():
+            out += block
+            continue
         if not live.all():
             rows = rows[live]
             if not direct:
@@ -556,7 +560,6 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
             choices = _last_minimum(_exact_mse(rows, grid))
         else:
             choices = _scan_choices(rows, xs, grid)
-        block = [_degenerate(family, bits)] * live.size
         for i, r in enumerate(np.flatnonzero(live)):
             block[r] = _candidate(grid, i, choices[i])
         out += block

@@ -165,7 +165,11 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
     `weight_quant.proxy_gradient` is the gradient refinement starts from,
     checked in both of its forms: a slice's (D,) delta, and a (d, D) block
     of rows, the one product per split that the weight loop's
-    `init_rounding` forms, checked row by row.
+    `init_rounding` forms, checked row by row. The rest of a block's start
+    that refinement reads is checked row by row too, by exact equality:
+    each row's first scoring pass `score` and start proxy `proxy` against
+    the same pass and delta g / 2 over the row's own slice of the block
+    (`start_row_mismatches` counts the rows that differ).
     """
     rng = np.random.default_rng([seed, 3])
     # a generator of its own for the block draws keeps a seed's slice and
@@ -193,6 +197,21 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
         analytic = weight_quant.proxy_gradient(block, matrix)
         for row_grad, delta in zip(analytic, block):
             max_block_err = max(max_block_err, proxy_err(row_grad, delta, matrix))
+
+    start_rng = np.random.default_rng([seed, 3, 2])
+    start_mismatches = 0
+    for _ in range(5):
+        d, dim = int(start_rng.integers(2, 9)), int(start_rng.integers(1, 200))
+        rows = [_random_rounding_instance(start_rng, dim)[:2] for _ in range(d)]
+        block = weight_quant.init_rounding(
+            np.array([w for w, _ in rows]),
+            quantizers.row_lattice([p for _, p in rows]),
+            _random_psd(start_rng, dim),
+        )
+        for row in block.rows():
+            score = np.copysign(row.gradient, row.step * row.gradient + row.curvature)
+            proxy = 0.5 * float(row.delta.dot(row.gradient))
+            start_mismatches += int(row.score.tobytes() != score.tobytes() or row.proxy != proxy)
 
     max_corr_err = 0.0
     improved = True
@@ -228,13 +247,18 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
             w, np.zeros_like(w), a_fp, a_q, lam
         )
         improved = improved and at_solution <= at_zero
-    passed = max(max_proxy_err, max_block_err, max_corr_err) < 1e-6 and improved
+    passed = (
+        max(max_proxy_err, max_block_err, max_corr_err) < 1e-6
+        and improved
+        and start_mismatches == 0
+    )
     return SuiteResult(
         "gradient_checks",
         passed,
         {
             "proxy_gradient_max_rel": max_proxy_err,
             "proxy_gradient_block_max_rel": max_block_err,
+            "start_row_mismatches": start_mismatches,
             "correction_fd_max_rel": max_corr_err,
             "correction_improves": improved,
             "correction_thin_batches": thin,
@@ -246,9 +270,10 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     """FD gradient of the remainder objective vanishes at the ridge's update.
 
     Each draw builds the production moment cache and remainder ridge on a
-    fresh batch and checks the update of one of its halving splits, the
-    negated `solver` that the weight loop calls. Draws cycle through the two
-    forms of the remainder system (`LayerMomentCache.ridge_system`): the
+    fresh batch and checks the update of one of its halving splits, from
+    the `RemainderRidge.updates` that the weight loop calls. Draws cycle
+    through the two forms of the remainder system
+    (`LayerMomentCache.ridge_system`): the
     D_r x D_r one read from the D x D Gram (N >= D) or from the slices of a
     thin batch (D_r <= N < D), and the N x N sample-space one of a remainder
     wider than a thin batch (N < D_r). Four more draws take
@@ -264,7 +289,7 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
         """(FD residual, condition number of the factored system) of one draw."""
         ridge = weight_quant.RemainderRidge(weight_quant.LayerMomentCache(batch), lam)
         delta_s = rng.normal(0.0, 0.2, mid - lo)
-        delta_r = -ridge.solver(lo, mid)(delta_s)
+        delta_r = ridge.updates(lo, mid, delta_s[None])[0]
         xs = batch[:, lo:mid]
         xr = batch[:, mid:hi]
 

@@ -25,26 +25,28 @@ whole (d_out, D_s) block at once:
     call: the floor and ceil codes from one division, dequantized in one
     float buffer of two slots, with the nearest code rounded in the
     quotient's own buffer, kept as the choice `up_mask` and dequantized
-    there for the start gradient; then the step to the other candidate
-    and the curvature step^2 M_jj, one pass each, with each row's lattice
-    broadcast as a column (`quantizers.row_lattice`), so nothing depends
-    on how many rows share a call; and the start gradient 2 delta M of
-    every row, one product (`proxy_gradient` of the block), so refinement
-    reads the proxy block once per split, not once per row. The state
-    stores the choice once: its errors, ceil codes and codes are read off
-    `up_mask`;
+    there for the start gradient and proxy; then the step to the other
+    candidate and the curvature step^2 M_jj, one pass each, with each
+    row's lattice broadcast as a column (`quantizers.row_lattice`), so
+    nothing depends on how many rows share a call; the start gradient
+    2 delta M of every row, one product (`proxy_gradient` of the block),
+    so refinement reads the proxy block once per split, not once per row;
+    every row's start proxy delta g / 2, one stacked product; and
+    refinement's first scoring pass over the whole block, three passes.
+    The state stores the choice once: its errors, ceil codes and codes are
+    read off `up_mask`;
   - the codes, once after the row loop: the floor codes plus one where the
     rows' refined choices take the ceil side, then the dequantized
     weights, written over the slice's columns of the working weights
     (which the loop returns as w_bar once every split has run); the
     dequantized slice minus its values before is each row's committed
     error, the `delta` of its choice bit for bit, which the remainder
-    solves and, at k = 0, the trace's proxies read, so no select forms it;
+    solves read, so no select forms it;
   - the trace MSE of every channel, from a running output-error product
     P = err E[x x^T], or err X^T when N < D_in, with err the (d_out, D)
     error of the partly quantized rows. A split changes only columns
     lo:D, so P gains one product of the split's change: the dequantized
-    slice minus its values before, and the negated ridge solutions. A row's
+    slice minus its values before, and the ridge updates. A row's
     MSE is then the row dot product of P and err, or |P_i|^2 / N, and the
     layer's trace costs about two full products instead of one per split.
     The cache picks the space and the formula (`output_product`,
@@ -52,14 +54,16 @@ whole (d_out, D_s) block at once:
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views of the block (`RoundingState.rows`), which
-reads the block's start instead of rebuilding it and never writes into
-it, and step 3, one call (one `solve_spd`) per (channel, non-final split)
-of the split's `RemainderRidge.solver`, looked up once per split, each
-row's solution written negated into its row of the split's change, run
-back to back after the split's refinements and added onto the remainder
-at once. At k = 0 the rows' proxies delta g / 2 come from one row-wise
-product of the committed errors and the block's gradient, with no row
-state.
+reads the block's start, its first scoring pass and proxy included,
+instead of rebuilding it and never writes into it, and the solve of
+step 3, one `solve_spd` per (channel, non-final split), inside one
+`RemainderRidge.updates` call per split: the split's (d_out, D_s)
+committed errors in, its right-hand sides and, in sample space, the
+mapping of its solutions back to the remainder's columns as stacked
+products (one matrix-vector product per row, so each row's update is
+its own solve's bit for bit), the updates written into the split's change
+and added onto the remainder at once. At k = 0 the trace's proxies are
+the block's start proxies, with no row state.
 Each row's trace row is written once, its MSE filled in from the running
 product.
 Refinement picks and stops per row; batching it, and the per-row solves
@@ -84,8 +88,8 @@ builds and passes in, each depending on less than a run:
     system X_c X_c^T / N plus the ridge (push-through identity) for wider
     ones;
   - `RemainderRidge`, built from a cache and lambda2: the remainder
-    factorizations, computed once, and `solver`, the one implementation
-    of step 3, which the loop calls per row and `quantred verify` checks.
+    factorizations, computed once, and `updates`, the one implementation
+    of step 3, which the loop calls per split and `quantred verify` checks.
     It holds the only lambda2, and passing no ridge is the one switch
     that turns step 3 off.
 
@@ -95,22 +99,28 @@ every weight loop of the layer shares them.
 Refinement updates its state as it commits flips, O(k) for the flipped
 steps and sides plus one rank-k gradient update, instead of rebuilding it
 from the candidates every iteration. Every k runs the same loop: three
-passes over the slice into one preallocated buffer (t g, plus the curvature,
-and that sum's sign copied onto g) score every eligible flip -|g_j| < 0
-and every other coordinate >= 0, and repeated argmin takes up to k of
-them. A step of one flip (every step at the default k = 1) is then scored
-and applied in scalar arithmetic, with no index array or k x k block; a
-step of several flips takes the k x k block of M.
+passes over the slice into one buffer (t g, plus the curvature, and that
+sum's sign copied onto g) score every eligible flip -|g_j| < 0 and every
+other coordinate >= 0, and repeated argmin takes up to k of them. The
+first iteration's scores are the block's, copied from the start; a row
+scores again only after it commits a step. A step of one flip (every
+step at the default k = 1) is then scored and applied in scalar
+arithmetic, with no index array or k x k block; a step of several flips
+takes the k x k block of M.
 
 Measured at k = 1 by replaying every refinement call of the benchmark
 workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
-call timed at max_iter 0 and 100, best of 5; ranges over three runs, as
-the host's speed drifts): the set-up of a call (max_iter 0: the start's
-delta, one select, its proxy, buffer, the returned state; the gradient is
-a row of the block's) costs 3.6-3.9 us on 1-12 column slices (16 x 24,
-24 x 16 and 12 x 24 layers), 3.7-3.8 us on 1-128 column slices
-(64 x 256) and 4.8-5.1 us on 1-1024 column slices (32 x 2048). A scoring
-pass, with the step it commits, costs 3.1-3.7, 3.7-4.9 and 5.2-9.7 us.
+call timed at max_iter 0 and 100, best of 5; the least and the median of
+five runs, as the host's speed drifts): the set-up of a call (max_iter 0:
+the copy of its first scores, its proxy and the returned state; the rest
+of its start is read off the block) costs 1.7-3.4 us on 1-12 column
+slices (16 x 24, 24 x 16 and 12 x 24 layers), 2.5-3.2 us on 1-128
+column slices (64 x 256) and 1.7-2.7 us on 1-1024 column slices
+(32 x 2048), against 3.6-6.6, 3.7-7.2 and 5.7-8.0 us in the same runs
+when each call formed its start's delta, its proxy and its score buffer
+(and its first iteration scored the slice).
+An iteration, with the step it commits, averages 2.0-3.1, 5.5-6.1 and
+8.8-9.5 us over every iteration of every call.
 """
 
 from __future__ import annotations
@@ -140,16 +150,20 @@ class RoundingState(NamedTuple):
 
     `init_rounding` builds one for a (D_s,) channel slice or a (d, D_s)
     block of rows; refinement takes the one-row state of a single slice,
-    and `rows` gives a block's row states as views of its arrays.
+    and `rows` gives a block's row states as views of its arrays (and its
+    rows' proxies as scalars).
     It stores only what no other field determines: the candidates' errors
     `delta_down` and `delta_up`, the floor code `code_down`, `flippable`
     (two distinct candidates; the ceil code is then one more), and
     `up_mask`, the whole record of the choice (True picks the ceil
-    candidate). `delta`, `code_up` and `codes` are read off them. Three
-    arrays hold refinement's start for that choice: `step`, the move to
+    candidate). `delta`, `code_up` and `codes` are read off them. Five
+    fields hold refinement's start for that choice: `step`, the move to
     the other candidate; `curvature`, step^2 M_jj with M the proxy matrix;
-    and `gradient`, the proxy's gradient 2 delta M. The curvature is
-    gap^2 M_jj, gap = delta_up - delta_down, so no choice changes it.
+    `gradient`, the proxy's gradient 2 delta M; `score`, refinement's
+    first scoring pass copysign(g, step g + curvature); and `proxy`, the
+    proxy delta g / 2, a scalar for a slice and one per row for a block.
+    The curvature is gap^2 M_jj, gap = delta_up - delta_down, so no choice
+    changes it.
 
     `stop_reason` and `flips_committed` describe the refinement that
     produced the choice: "off" and 0 until `refine_rounding` has run, then
@@ -169,6 +183,8 @@ class RoundingState(NamedTuple):
     step: np.ndarray
     curvature: np.ndarray
     gradient: np.ndarray
+    score: np.ndarray
+    proxy: np.ndarray | float
     proxy_matrix: np.ndarray
     stop_reason: str = "off"
     flips_committed: int = 0
@@ -189,8 +205,8 @@ class RoundingState(NamedTuple):
         return np.add(self.code_down, self.flippable & self.up_mask)
 
     def rows(self):
-        """The one-row states of a block, each made of views of its rows."""
-        return map(RoundingState, *self[:8], repeat(self.proxy_matrix))
+        """The one-row states of a block, each made of views of its rows and its row's proxy."""
+        return map(RoundingState, *self[:10], repeat(self.proxy_matrix))
 
 
 # keys of one trace row, one row per split of a channel
@@ -281,10 +297,14 @@ def init_rounding(
     code is rounded, clipped and dequantized in the quotient's own buffer,
     and is the ceil code exactly where `up_mask` is set, so its error is
     the chosen one, `delta`, bit for bit. One int64 copy keeps the floor
-    codes. The rest of refinement's start (`step`, `curvature` and the
-    `proxy_gradient` of `delta`, after which the quotient's buffer holds
-    the step) is built here too, for the whole array at once: a block's
-    gradient is one product.
+    codes. The rest of refinement's start is built here too, for the whole
+    array at once: the `proxy_gradient` of `delta`, one product for a
+    block; the proxy delta g / 2 of each row, one stacked product that
+    takes a dot product per row, read off the quotient's buffer before it
+    becomes `step`, so no other delta is formed; `step`, `curvature`, and
+    the first scoring pass `score`, three passes over the array. Each of
+    a block row's `score` and `proxy` is what those operations give over
+    the row's own slice of the block, bit for bit.
     """
     w = np.asarray(w, dtype=np.float64)
     quotient = lattice_quotient(w, params)
@@ -298,11 +318,13 @@ def init_rounding(
     flippable = index[0] != index[1]
     code_down = index[0].astype(np.int64)
     errors = np.subtract(dequantize_index(index, params), w, out=index)
-    # the start gradient, of the nearest code's own error: the chosen
-    # candidate's (`RoundingState.delta`) bit for bit, formed in place
-    gradient = proxy_gradient(
-        np.subtract(dequantize_index(nearest, params), w, out=nearest), proxy_matrix
-    )
+    # the nearest code's own error, the chosen candidate's (`RoundingState.delta`)
+    # bit for bit, formed in place: the start gradient and proxy read it
+    delta = np.subtract(dequantize_index(nearest, params), w, out=nearest)
+    gradient = proxy_gradient(delta, proxy_matrix)
+    # delta g / 2 of each row: a stacked matmul takes one ddot per row, so a
+    # row's proxy equals its slice's bit for bit (np.einsum does not)
+    proxy = np.matmul(delta[..., None, :], gradient[..., :, None])[..., 0, 0] * 0.5
     # step = other - chosen: the gap delta_up - delta_down, negated (exactly)
     # where the ceil side is chosen; adding 0 gives a zero gap's step the +0
     # that other - chosen gives it on either side (arithmetic, not a masked
@@ -314,10 +336,18 @@ def init_rounding(
     step += 0.0
     curvature = np.multiply(step, step, out=sign)
     curvature *= np.asarray(proxy_matrix).diagonal()
+    score = _score(step, gradient, curvature, np.empty_like(gradient))
     return RoundingState(
         errors[0], errors[1], up_mask, code_down, flippable, step, curvature, gradient,
-        proxy_matrix,
+        score, proxy, proxy_matrix,
     )
+
+
+def _score(step, gradient, curvature, out):
+    """Refinement's scoring pass into `out`: copysign(g, t g + t^2 M_jj), three passes."""
+    np.multiply(step, gradient, out=out)
+    np.add(out, curvature, out=out)
+    return np.copysign(gradient, out, out=out)
 
 
 def refine_rounding(
@@ -332,7 +362,8 @@ def refine_rounding(
 
     Flipping coordinate j moves it by t_j (the step to its other candidate)
     and changes the proxy by exactly t_j g_j + t_j^2 M_jj, with g = 2 M delta
-    the state's `gradient`; the starting proxy is delta g / 2.
+    the state's `gradient`; the starting proxy is the state's `proxy`,
+    delta g / 2.
     Only flips whose exact change is negative are eligible; among them the
     k largest |g_j| are chosen, ties going to the lowest index. Their joint
     change, exact from the k x k block of M, is committed unless it is
@@ -345,12 +376,14 @@ def refine_rounding(
     Each iteration costs O(D k): the gradient and proxy are updated
     incrementally, and a committed flip negates the step t_j at the flipped
     coordinates (exact, so t_j^2 M_jj never changes) and toggles their side;
-    no delta is formed but the start's, for its proxy: the returned state's
-    `delta` reads the final sides. The state's `up_mask`, `step`,
-    `curvature` and `gradient` are the start and are never written:
-    up_mask, step and the gradient are copied when the first step commits
-    (until then the returned state shares the start's arrays), and a row
-    view of a block's state is read like a slice's own. This needs M to be a
+    no delta is formed: the returned state's `delta` reads the final
+    sides. The state's arrays are the start and are never written: its
+    `score` is copied into the loop's buffer, up_mask, step and the
+    gradient are copied when the first step commits (until then the
+    returned state shares the start's arrays), and a row view of a block's
+    state is read like a slice's own. The returned state's `score` and
+    `proxy` are those of its choice, so refining it again continues the
+    same sequence. This needs M to be a
     proxy matrix: symmetric, so the gradient update can read the flipped
     rows of M as its columns, with a nonnegative diagonal. A candidate pair
     brackets the weight (delta_down <= 0 <= delta_up), so a negative change
@@ -358,9 +391,10 @@ def refine_rounding(
     every eligible flip is sign-consistent. A coordinate without a second
     candidate has t_j = 0 and is never eligible.
 
-    An iteration scores into one preallocated buffer in three passes: t g,
-    plus the curvature t^2 M_jj (the state's), and the sign of
-    that sum copied onto g. With gradual underflow fl(a + c) < 0 exactly
+    The first iteration reads the state's `score`; every later one, which
+    follows a committed step, scores into the same buffer in three passes:
+    t g, plus the curvature t^2 M_jj (the state's), and the sign of that
+    sum copied onto g. With gradual underflow fl(a + c) < 0 exactly
     when a < -c, so the sign is the exact eligibility test. An eligible
     flip has t_j g_j < -t_j^2 M_jj <= 0, so g_j != 0 and it scores
     -|g_j| < 0; every other coordinate scores a zero or a positive value.
@@ -379,16 +413,15 @@ def refine_rounding(
     matrix, up_mask, step, curvature, grad = (
         state.proxy_matrix, state.up_mask, state.step, state.curvature, state.gradient,
     )
-    proxy = 0.5 * float(state.delta.dot(grad))
+    proxy = float(state.proxy)
     committed = [proxy]
-    score = np.empty_like(grad)  # between passes, the gradient update's buffer too
+    score = state.score.copy()  # between passes, the gradient update's buffer too
     budget = min(operator.index(k), step.size)  # a float k is a TypeError
     stop_reason = "max_iter"
     flips_committed = 0
     for _ in range(max_iter):
-        np.multiply(step, grad, out=score)
-        np.add(score, curvature, out=score)
-        np.copysign(grad, score, out=score)
+        if flips_committed:
+            _score(step, grad, curvature, score)
         picks = 0
         while picks < budget:
             i = int(score.argmin())
@@ -427,9 +460,13 @@ def refine_rounding(
         proxy += change
         committed.append(proxy)
         flips_committed += picks
+    if not flips_committed:
+        score, proxy = state.score, state.proxy
+    elif stop_reason != "no_eligible":  # the picks or the gradient update wrote into it
+        _score(step, grad, curvature, score)
     refined = RoundingState(
         state.delta_down, state.delta_up, up_mask, state.code_down, state.flippable,
-        step, curvature, grad, matrix, stop_reason, flips_committed,
+        step, curvature, grad, score, proxy, matrix, stop_reason, flips_committed,
     )
     return refined, committed
 
@@ -575,20 +612,30 @@ class RemainderRidge:
                 to_rhs, from_samples = cache._cross_moment(r, s), None
             self._remainder[(lo, mid)] = (to_rhs, spd_factor(system), from_samples)
 
-    def solver(self, lo: int, mid: int):
-        """The function delta_s -> -dW_r* of split (lo, mid), one `solve_spd` a call.
+    def updates(self, lo: int, mid: int, deltas: np.ndarray, out=None) -> np.ndarray:
+        """dW_r* of split (lo, mid) for each row of the (d, D_s) committed errors.
 
-        dW_r* minimizes E[(delta_s x_s + dW_r x_r)^2] + lambda2 ||dW_r||^2,
-        the ridge-optimal update of columns mid:hi given the committed
-        error delta_s. A caller correcting many rows of one split looks the
-        split up once and subtracts each row's solution. Raises KeyError
+        Row i of the (d, D_r) result minimizes E[(delta_i x_s + dW_r x_r)^2]
+        + lambda2 ||dW_r||^2, the ridge-optimal update of columns mid:hi
+        given the committed error delta_i = deltas[i]; `out`, if given,
+        receives it. The right-hand sides and the sample-space mapping are
+        stacked products, one matrix-vector product per row, so each row's
+        update is the one its own solve gives, bit for bit, whatever the
+        other rows; the solves stay one `solve_spd` per row. Raises KeyError
         for the final split, which leaves no remainder.
         """
         to_rhs, factor, from_samples = self._remainder[(lo, mid)]
+        rhs = np.matmul(to_rhs, deltas[:, :, None])[:, :, 0]
+        if from_samples is not None:
+            rhs /= self.cache.n_samples
+        for row in rhs:
+            row[:] = solve_spd(factor, row)
         if from_samples is None:
-            return lambda delta_s: solve_spd(factor, to_rhs @ delta_s)
-        n = self.cache.n_samples
-        return lambda delta_s: from_samples @ solve_spd(factor, to_rhs @ delta_s / n)
+            return np.negative(rhs, out=out)
+        if out is None:
+            out = np.empty((len(rhs), from_samples.shape[0]))
+        np.matmul(from_samples, rhs[:, :, None], out=out[:, :, None])
+        return np.negative(out, out=out)
 
 
 def quantize_layer_weights(
@@ -642,9 +689,10 @@ def quantize_layer_weights(
     for iteration, (lo, mid, hi) in enumerate(cache.splits):
         matrix = cache.proxy_matrix(lo, mid)
         block = init_rounding(current[:, lo:mid], lattice, matrix)
+        up_mask = block.up_mask
         if k > 0:
             # the rows' refined choices; the block keeps the nearest start
-            up_mask = block.up_mask.copy()
+            up_mask = up_mask.copy()
             for i, (rows, state) in enumerate(zip(trace, block.rows())):
                 state, committed = refine_rounding(state, k, max_iter)
                 if state.flips_committed:
@@ -653,34 +701,31 @@ def quantize_layer_weights(
                     iteration, mid - lo, committed[0], committed[-1],
                     state.stop_reason, state.flips_committed,
                 ))
-            block = block._replace(up_mask=up_mask)
+        else:
+            for rows, proxy in zip(trace, block.proxy.tolist()):
+                rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
+        # drop the score and the gradient, which the last row state shares,
+        # before the codes are formed, the split's highest point
+        block = block._replace(up_mask=up_mask, score=None, gradient=None)
+        state = None
         codes[:, lo:mid] = block.codes
-        gradient = block.gradient
-        # drop this split's proxy block, which the states hold too, and the
-        # rest of the block but the start gradient, before the remainder
-        # solves and the next split's block
-        matrix = block = state = up_mask = None
+        # drop this split's proxy block, which the block holds too, and the
+        # rest of the block before the remainder solves and the next split's
+        # block
+        matrix = block = up_mask = None
         # the split's change of the error over the columns it moves: the
         # dequantized slice minus its values before, which are the chosen
         # candidates' errors (`RoundingState.delta`) bit for bit, then the
-        # negated ridge solutions, added onto the remainder
+        # ridge updates of the remainder, added onto it
         end = hi if ridge is not None and mid < hi else mid
         change = np.empty((d_out, end - lo))
         quantized = dequantize_uniform(codes[:, lo:mid], lattice)
         deltas = np.subtract(quantized, current[:, lo:mid], out=change[:, : mid - lo])
         current[:, lo:mid] = quantized
-        if k == 0:
-            # each row's start proxy delta g / 2, as refinement reads it
-            proxies = np.einsum("ij,ij->i", deltas, gradient)
-            proxies *= 0.5
-            for rows, proxy in zip(trace, proxies.tolist()):
-                rows.append(_trace_row(iteration, mid - lo, proxy, proxy, "off", 0))
+        quantized = None
         if end > mid:
-            solve = ridge.solver(lo, mid)
-            for row, delta in zip(change[:, mid - lo :], deltas):
-                np.negative(solve(delta), out=row)
+            ridge.updates(lo, mid, deltas, out=change[:, mid - lo :])
             current[:, mid:end] += change[:, mid - lo :]
-        gradient = quantized = None
         outputs += cache.output_change(change, lo, end)
         for rows, mse in zip(trace, cache.row_mses(outputs, current, w).tolist()):
             rows[-1]["mse"] = mse

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -579,6 +580,28 @@ class TestDirectScoring:
         calibrate(np.full(n, 0.3), "uniform", bits)
         calibrate(np.zeros(n), "log_sqrt2", bits)
         assert seen == []
+
+    def test_blocks_without_a_live_row_are_skipped(self, monkeypatch):
+        # a 64 x 1024 8-bit weight, scored one row per block, with 56
+        # all-zero rows: only the 8 blocks that hold a live row are scored
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in ("_shortlists", "_exact_mse"):
+            monkeypatch.setattr(quantizers, name, counting(name, getattr(quantizers, name)))
+        assert quantizers._block_height(8, 1024) == 1
+        rng = np.random.default_rng(56)
+        x = np.zeros((64, 1024))
+        x[::8] = rng.normal(size=(8, 1024))
+        params = calibrate_scale(x, "uniform", 8, "per_channel").params
+        assert sum(calls.values()) == 8
+        assert params == _grid(x, "uniform", "per_channel", 8)
 
     def test_verify_suite_catches_an_evaluator_fault(self, monkeypatch):
         # candidates scored in reversed order: rows scored directly take the

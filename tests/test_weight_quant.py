@@ -45,8 +45,33 @@ def _ridge(cache, lambda2):
 
 
 def _update(ridge, lo, mid, delta_s):
-    """The ridge-optimal remainder update dW_r* of split (lo, mid): the negated solver."""
-    return -ridge.solver(lo, mid)(delta_s)
+    """The ridge-optimal remainder update dW_r* of split (lo, mid) for one committed error."""
+    return ridge.updates(lo, mid, delta_s[None])[0]
+
+
+def _row_solve(ridge, lo, mid, delta_s):
+    # reference: the remainder solve of one row, -dW_r*, from its own
+    # matrix-vector products: E[x_r x_s^T] delta_s, or X_s delta_s / N and
+    # the mapping X_r^T z in sample space
+    to_rhs, factor, from_samples = ridge._remainder[(lo, mid)]
+    if from_samples is None:
+        return solve_spd(factor, to_rhs @ delta_s)
+    return from_samples @ solve_spd(factor, to_rhs @ delta_s / ridge.cache.n_samples)
+
+
+def _scaled_updates(monkeypatch, scale_of):
+    # patches RemainderRidge.updates to scale each split's updates by
+    # scale_of(ridge, mid), honouring `out` as the loop passes it
+    real = RemainderRidge.updates
+
+    def faulty(self, lo, mid, deltas, out=None):
+        update = scale_of(self, mid) * real(self, lo, mid, deltas)
+        if out is None:
+            return update
+        out[...] = update
+        return out
+
+    monkeypatch.setattr(RemainderRidge, "updates", faulty)
 
 
 def _psd(rng, dim):
@@ -562,18 +587,27 @@ def _reference_channel(w_row, params, cache, ridge, cfg):
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
         if ridge is not None and mid < hi:
-            current[mid:hi] -= ridge.solver(lo, mid)(state.delta)
+            current[mid:hi] -= _row_solve(ridge, lo, mid, state.delta)
         err[mid:hi] = current[mid:hi] - w_row[mid:hi]
         rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
     return codes, rows
+
+
+def _slice_start(step, gradient, curvature, delta):
+    # reference: refinement's first scoring pass and start proxy over one
+    # slice, as refinement formed them per call: t g, plus t^2 M_jj, that
+    # sum's sign copied onto g, and delta g / 2 from one dot product
+    score = np.copysign(gradient, step * gradient + curvature)
+    return score, 0.5 * float(delta.dot(gradient))
 
 
 def _per_row_init_rounding(w_slice, params, proxy_matrix):
     # per-row candidates straight from uniform_codes / dequantize_uniform,
     # as the loop built them before candidates were built per split, and
     # refinement's start from its definitions: the chosen candidate, the
-    # other minus the chosen, step^2 M_jj and the slice's gradient 2 M delta;
-    # only the stored fields, so the derived ones are read off these
+    # other minus the chosen, step^2 M_jj, the slice's gradient 2 M delta,
+    # the first scoring pass and delta g / 2; only the stored fields, so
+    # the derived ones are read off these
     code_down = uniform_codes(w_slice, params, "floor")
     code_up = uniform_codes(w_slice, params, "ceil")
     delta_down = dequantize_uniform(code_down, params) - w_slice
@@ -581,6 +615,9 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
     up_mask = uniform_codes(w_slice, params) == code_up
     delta = np.where(up_mask, delta_up, delta_down)
     step = np.where(up_mask, delta_down, delta_up) - delta
+    curvature = step * step * proxy_matrix.diagonal()
+    gradient = proxy_gradient(delta, proxy_matrix)
+    score, proxy = _slice_start(step, gradient, curvature, delta)
     return RoundingState(
         delta_down=delta_down,
         delta_up=delta_up,
@@ -588,8 +625,10 @@ def _per_row_init_rounding(w_slice, params, proxy_matrix):
         code_down=code_down,
         flippable=code_down != code_up,
         step=step,
-        curvature=step * step * proxy_matrix.diagonal(),
-        gradient=proxy_gradient(delta, proxy_matrix),
+        curvature=curvature,
+        gradient=gradient,
+        score=score,
+        proxy=proxy,
         proxy_matrix=proxy_matrix,
     )
 
@@ -618,7 +657,7 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
             w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
             err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
             if ridge is not None and mid < hi:
-                current[mid:hi] -= ridge.solver(lo, mid)(state.delta)
+                current[mid:hi] -= _row_solve(ridge, lo, mid, state.delta)
             err[mid:hi] = current[mid:hi] - w_row[mid:hi]
             errs[iteration] = err
             rows.append(
@@ -640,12 +679,53 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
     return np.array(codes_out), np.array(w_bar_out), trace
 
 
+def _per_row_loop(w, channel_params, cache, ridge, k, max_iter):
+    # reference: the split-outer weight loop with every start and every
+    # remainder solve formed per (row, split): each row's first scoring pass
+    # and delta g / 2 from its own slice of the block (_slice_start), and
+    # its remainder update from its own matrix-vector products (_row_solve);
+    # the trace MSEs from the running product, as the loop forms them
+    d_out, dim = w.shape
+    current = w.copy()
+    codes = np.zeros((d_out, dim), dtype=np.int64)
+    outputs = cache.output_product(d_out)
+    trace = [[] for _ in range(d_out)]
+    lattice = row_lattice(channel_params)
+    for iteration, (lo, mid, hi) in enumerate(cache.splits):
+        block = init_rounding(current[:, lo:mid], lattice, cache.proxy_matrix(lo, mid))
+        end = hi if ridge is not None and mid < hi else mid
+        change = np.empty((d_out, end - lo))
+        for i, (row, params) in enumerate(zip(block.rows(), channel_params, strict=True)):
+            score, proxy = _slice_start(row.step, row.gradient, row.curvature, row.delta)
+            state = row._replace(score=score, proxy=proxy)
+            committed = [proxy]
+            if k > 0:
+                state, committed = refine_rounding(state, k, max_iter)
+            codes[i, lo:mid] = state.codes
+            quantized = dequantize_uniform(codes[i, lo:mid], params)
+            change[i, : mid - lo] = quantized - current[i, lo:mid]
+            current[i, lo:mid] = quantized
+            if end > mid:
+                change[i, mid - lo :] = -_row_solve(ridge, lo, mid, state.delta)
+            trace[i].append(dict(
+                iteration=iteration, slice_size=mid - lo, proxy_before=committed[0],
+                proxy_after=committed[-1], mse=None, stop_reason=state.stop_reason,
+                flips_committed=state.flips_committed,
+            ))
+        current[:, mid:end] += change[:, mid - lo :]
+        outputs += cache.output_change(change, lo, end)
+        for rows, mse in zip(trace, cache.row_mses(outputs, current, w).tolist()):
+            rows[-1]["mse"] = mse
+    return codes, current, trace
+
+
 # the stored elementwise arrays of a state
 _STATE_ARRAYS = (
     "delta_down", "delta_up", "up_mask", "code_down", "flippable", "step", "curvature"
 )
-# the block arrays refinement reads: the elementwise start and the gradient
-_START_ARRAYS = (*_STATE_ARRAYS, "gradient")
+# the block arrays refinement reads: the elementwise start, the gradient and
+# the first scoring pass
+_START_ARRAYS = (*_STATE_ARRAYS, "gradient", "score")
 # the arrays a state derives from its stored ones on read
 _DERIVED_ARRAYS = ("delta", "code_up", "codes")
 
@@ -856,6 +936,100 @@ class TestChannelQuantization:
                 _assert_same_bytes(getattr(block, field)[i], value, field)
             assert view.proxy_matrix is block.proxy_matrix is matrix
 
+    @pytest.mark.parametrize("n,d_in", [(6, 16), (64, 16), (128, 2048), (300, 256)])
+    def test_block_start_rows_are_their_slices_first_pass(self, n, d_in):
+        # every split's block, on blocks that view a Gram (strided) and
+        # blocks formed from a thin batch: each row's score and proxy equal
+        # the first scoring pass and delta g / 2 over the row's own slice of
+        # the block, bit for bit; a row's own 1-D init_rounding equals the
+        # per-row reference's start, bit for bit, score and proxy included
+        rng = np.random.default_rng(7 * n + d_in)
+        w, params = _mixed_rows(rng, d_in)
+        lattice = row_lattice(params)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
+        for lo, mid, _ in cache.splits:
+            matrix = cache.proxy_matrix(lo, mid)
+            block = init_rounding(w[:, lo:mid], lattice, matrix)
+            assert block.score.shape == block.gradient.shape and block.proxy.shape == (5,)
+            for row, w_row, p in zip(block.rows(), w[:, lo:mid], params, strict=True):
+                score, proxy = _slice_start(row.step, row.gradient, row.curvature, row.delta)
+                _assert_same_bytes(row.score, score, "score")
+                assert row.proxy == proxy
+                one = init_rounding(w_row, p, matrix)
+                ref = _per_row_init_rounding(w_row, p, matrix)
+                for field in ("gradient", "score"):
+                    _assert_same_bytes(getattr(one, field), getattr(ref, field), field)
+                assert one.proxy == ref.proxy
+
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("ridge", [True, False])
+    @pytest.mark.parametrize("max_iter", [0, 1, 100])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_layer_equals_per_row_loop(self, n, ridge, max_iter, k):
+        # the block starts and the per-split remainder updates against the
+        # loop that forms both per (row, split): codes, w_bar and the whole
+        # trace equal, proxies and MSEs bit for bit; N = 6 < D_in = 16
+        # (sample-space remainders) and N = 64
+        rng = np.random.default_rng(170 + n + k)
+        w, params = _mixed_rows(rng, 16)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
+        remainder = _ridge(cache, 0.5 if ridge else None)
+        got = quantize_layer_weights(w, params, cache, remainder, k=k, max_iter=max_iter)
+        codes, w_bar, trace = _per_row_loop(w, params, cache, remainder, k, max_iter)
+        _assert_same_bytes(got.codes, codes, "codes")
+        _assert_same_bytes(got.w_bar, w_bar, "w_bar")
+        assert list(map(list, got.trace)) == trace
+        if k == 0 or max_iter == 0:
+            assert all(row["flips_committed"] == 0 for rows in trace for row in rows)
+
+    @pytest.mark.parametrize("n,d_in", [(128, 2048), (300, 256)])
+    def test_wide_layer_equals_per_row_loop(self, n, d_in):
+        # the benchmark's widest layer shape (sample-space remainders up to
+        # 1024 columns) and a Gram-path layer, ridge on, k = 1 and 2
+        rng = np.random.default_rng(n + d_in)
+        w = rng.normal(0, 0.5, (4, d_in))
+        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
+        ridge = RemainderRidge(cache, 0.5)
+        for k in (1, 2):
+            got = quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
+            codes, w_bar, trace = _per_row_loop(w, params, cache, ridge, k, 100)
+            _assert_same_bytes(got.codes, codes, "codes")
+            _assert_same_bytes(got.w_bar, w_bar, "w_bar")
+            assert list(map(list, got.trace)) == trace
+
+    def test_refinement_reads_a_read_only_start_the_same_twice(self):
+        # refinement only reads its start: with every array of a block set
+        # read-only, refining each row twice gives equal results, at every
+        # k and cap; a capped refinement resumed from the state it returned
+        # continues the sequence the uncapped one commits, so the returned
+        # score and proxy are those of the returned choice
+        rng = np.random.default_rng(31)
+        w, params = _mixed_rows(rng, 40)
+        w = np.vstack([w, [TestRefinement._many_flip_instance(rng)[0] for _ in range(3)]])
+        params = (*params, *[UniformParams(scale=0.1, zero_point=7, bits=4)] * 3)
+        block = init_rounding(w, row_lattice(params), _proxy_matrix(rng, 40))
+        for field in _START_ARRAYS + ("proxy",):
+            getattr(block, field).flags.writeable = False
+        resumed = 0
+        for row in block.rows():
+            for k in (0, 1, 2, 3):
+                for max_iter in (0, 1, 5, 100):
+                    first, first_committed = refine_rounding(row, k, max_iter)
+                    again, again_committed = refine_rounding(row, k, max_iter)
+                    assert first_committed == again_committed
+                    for field in ("up_mask", "step", "gradient", "score"):
+                        _assert_same_bytes(getattr(again, field), getattr(first, field), field)
+                    assert (first.proxy, first.stop_reason, first.flips_committed) == (
+                        again.proxy, again.stop_reason, again.flips_committed
+                    )
+                _, whole = refine_rounding(row, k, 100)
+                capped, head = refine_rounding(row, k, 2)
+                _, tail = refine_rounding(capped, k, 98)
+                assert head[:-1] + tail == whole
+                resumed += len(tail) > 1
+        assert resumed > 0
+
     @pytest.mark.parametrize("n", [6, 64])
     @pytest.mark.parametrize("k", [0, 1])
     def test_candidates_built_once_per_split(self, monkeypatch, n, k):
@@ -883,14 +1057,15 @@ class TestChannelQuantization:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_remainder_solves_read_the_chosen_errors(self, monkeypatch, n, k):
         # the loop takes a split's committed errors off its change (the
-        # dequantized slice minus its values before): every remainder solve
-        # reads the `delta` of its row's choice byte for byte, the refined
-        # state's for k > 0 and the block's nearest start for k = 0, clipped,
-        # tied and zero rows included; N = 6 < D_in = 16 and N = 64
+        # dequantized slice minus its values before): every row of the
+        # errors that a split's remainder updates read is the `delta` of its
+        # row's choice byte for byte, the refined state's for k > 0 and the
+        # block's nearest start for k = 0, clipped, tied and zero rows
+        # included; N = 6 < D_in = 16 and N = 64
         rng = np.random.default_rng(150 + n + k)
         w, params = _mixed_rows(rng, 16)
         real_init, real_refine = weight_quant.init_rounding, weight_quant.refine_rounding
-        real_solver = RemainderRidge.solver
+        real_updates = RemainderRidge.updates
         chosen, solved = [], []
 
         def init(w_block, lattice, matrix):
@@ -904,21 +1079,16 @@ class TestChannelQuantization:
             chosen.append(refined.delta)
             return refined, committed
 
-        def solver(self, lo, mid):
-            solve = real_solver(self, lo, mid)
-
-            def recorded(delta_s):
-                solved.append((mid - lo, np.array(delta_s)))
-                return solve(delta_s)
-
-            return recorded
+        def updates(self, lo, mid, deltas, out=None):
+            solved.extend((mid - lo, np.array(delta_s)) for delta_s in deltas)
+            return real_updates(self, lo, mid, deltas, out)
 
         monkeypatch.setattr(weight_quant, "init_rounding", init)
         monkeypatch.setattr(weight_quant, "refine_rounding", refine)
-        monkeypatch.setattr(RemainderRidge, "solver", solver)
+        monkeypatch.setattr(RemainderRidge, "updates", updates)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100)
-        # every split but the last is solved, one row at a time
+        # every split but the last is solved, for all five rows
         widths = [mid - lo for lo, mid, _ in cache.splits]
         assert [width for width, _ in solved] == [x for x in widths[:-1] for _ in range(5)]
         assert len(chosen) == 5 * len(widths)
@@ -1233,22 +1403,16 @@ class TestMomentCache:
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0, 1, (64, 8))), 1.0)
         *head, last = ridge.cache.splits
         for lo, mid, _ in head:
-            update = ridge.solver(lo, mid)(np.ones(mid - lo))
-            assert update.shape == (8 - mid,)
+            update = ridge.updates(lo, mid, np.ones((3, mid - lo)))
+            assert update.shape == (3, 8 - mid)
         with pytest.raises(KeyError):
-            ridge.solver(last[0], last[1])
+            ridge.updates(last[0], last[1], np.ones((3, last[1] - last[0])))
 
     def test_verify_ridge_suite_checks_the_ridge(self, monkeypatch):
         # the verify suite must run the update a quantization run uses, so a
         # 1% error injected into it fails the suite
         assert suite_ridge_optimality(splits=5).passed
-        real = RemainderRidge.solver
-
-        def faulty(self, lo, mid):
-            solve = real(self, lo, mid)
-            return lambda delta_s: 1.01 * solve(delta_s)
-
-        monkeypatch.setattr(RemainderRidge, "solver", faulty)
+        _scaled_updates(monkeypatch, lambda ridge, mid: 1.01)
         assert not suite_ridge_optimality(splits=5).passed
 
     @pytest.mark.parametrize("thin", [False, True])
@@ -1293,6 +1457,26 @@ class TestMomentCache:
         monkeypatch.setattr(weight_quant, "proxy_gradient", faulty)
         assert not suite_gradient_checks().passed
 
+    @pytest.mark.parametrize("field", ["score", "proxy"])
+    def test_verify_gradient_suite_checks_the_block_start(self, monkeypatch, field):
+        # a block's stored start one ulp off in one row, the rest of it
+        # untouched, is counted by the suite and fails it
+        suite = suite_gradient_checks()
+        assert suite.passed and suite.metrics["start_row_mismatches"] == 0
+        real = weight_quant.init_rounding
+
+        def faulty(w, params, matrix):
+            state = real(w, params, matrix)
+            if np.ndim(w) < 2:
+                return state
+            value = getattr(state, field).copy()
+            value[-1] = np.nextafter(value[-1], np.inf)
+            return state._replace(**{field: value})
+
+        monkeypatch.setattr(weight_quant, "init_rounding", faulty)
+        suite = suite_gradient_checks()
+        assert not suite.passed and suite.metrics["start_row_mismatches"] == 5
+
     def test_verify_ridge_suite_reaches_ill_conditioned_systems(self):
         # the near-collinear draws at lambda2 = 1e-2 and 1e-4 factor systems
         # with condition numbers above 1e5 and still meet the FD bound
@@ -1303,8 +1487,8 @@ class TestMomentCache:
             assert suite.metrics["fd_max_rel"] < 1e-6
 
     def test_run_and_verify_share_the_ridge_solver(self, monkeypatch):
-        # the loop calls each split's solver per row and the verify suite
-        # negates it, so a 1% error injected into the solver reaches a
+        # the loop and the verify suite both take each split's updates from
+        # RemainderRidge.updates, so a 1% error injected into it reaches a
         # quantization run and fails the verify suite alike
         rng = np.random.default_rng(22)
         w = rng.normal(0, 0.5, (3, 24))
@@ -1312,13 +1496,7 @@ class TestMomentCache:
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (64, 24)))
         ridge = RemainderRidge(cache, 0.5)
         want = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
-        real = RemainderRidge.solver
-
-        def faulty(self, lo, mid):
-            solve = real(self, lo, mid)
-            return lambda delta_s: 1.01 * solve(delta_s)
-
-        monkeypatch.setattr(RemainderRidge, "solver", faulty)
+        _scaled_updates(monkeypatch, lambda ridge, mid: 1.01)
         got = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
         assert got.trace != want.trace  # the remainders, and so the trace MSEs, moved
         assert not suite_ridge_optimality(splits=5).passed
@@ -1328,14 +1506,10 @@ class TestMomentCache:
         # N x N sample-space systems) must fail the suite too
         suite = suite_ridge_optimality(splits=5)
         assert suite.passed and suite.metrics["sample_space_splits"] > 0
-        real = RemainderRidge.solver
-
-        def faulty(self, lo, mid):
-            solve = real(self, lo, mid)
-            scale = 1.01 if self.cache.n_samples < self.cache.dim - mid else 1.0
-            return lambda delta_s: scale * solve(delta_s)
-
-        monkeypatch.setattr(RemainderRidge, "solver", faulty)
+        _scaled_updates(
+            monkeypatch,
+            lambda ridge, mid: 1.01 if ridge.cache.n_samples < ridge.cache.dim - mid else 1.0,
+        )
         assert not suite_ridge_optimality(splits=5).passed
 
 
@@ -1480,9 +1654,14 @@ class _FullWidthCache:
     def proxy_matrix(self, lo, mid):
         return self.moments[lo:mid, lo:mid]
 
-    def solver(self, lo, mid):
+    def updates(self, lo, mid, deltas, out=None):
+        # one solve and one negation per row, as RemainderRidge.updates
         e_sr, factor = self._remainder[(lo, mid)]
-        return lambda delta_s: solve_spd(factor, e_sr.T @ delta_s)
+        if out is None:
+            out = np.empty((len(deltas), e_sr.shape[1]))
+        for row, delta_s in zip(out, deltas, strict=True):
+            np.negative(solve_spd(factor, e_sr.T @ delta_s), out=row)
+        return out
 
     # the cache's running trace product, which reads only the Gram here
     output_product = LayerMomentCache.output_product
@@ -1522,9 +1701,9 @@ class TestThinBatch:
             np.testing.assert_array_equal(got, got.T)
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
             if mid < hi:
-                delta_s = rng.normal(0, 0.1, mid - lo)
-                got = ridge.solver(lo, mid)(delta_s)
-                want = ref.solver(lo, mid)(delta_s)
+                delta_s = rng.normal(0, 0.1, (1, mid - lo))
+                got = ridge.updates(lo, mid, delta_s)
+                want = ref.updates(lo, mid, delta_s)
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         errs = rng.normal(0, 0.1, (3, d_in))
         for got, want in zip(_trace_mses(cache, errs), _trace_mses(ref, errs)):
@@ -1716,11 +1895,32 @@ class TestRidgeSystem:
         a_q = rng.normal(0.3, 1.0, (n, d_in))
         ridge = RemainderRidge(LayerMomentCache(a_q), lambda2)
         for lo, mid, hi in ridge.cache.splits[:-1]:
-            solve = ridge.solver(lo, mid)
             ref = _reference_remainder_solver(a_q, lo, mid, hi, lambda2)
-            for delta_s in rng.normal(0, 0.1, (32, mid - lo)):
-                got, want = solve(delta_s), ref(delta_s)
+            deltas = rng.normal(0, 0.1, (32, mid - lo))
+            for got, delta_s in zip(ridge.updates(lo, mid, deltas), deltas, strict=True):
+                want = -ref(delta_s)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,d_in", THIN_SHAPES + [(128, 2048), (64, 40), (300, 256)])
+    def test_updates_equal_per_row_solves(self, n, d_in):
+        # a split's updates, from stacked products, against each row's own
+        # solve (_row_solve), bit for bit, in both spaces, for blocks of 1
+        # and 32 rows and into a strided `out` as the loop passes it
+        rng = np.random.default_rng(5 * n + d_in)
+        ridge = RemainderRidge(LayerMomentCache(rng.normal(0.3, 1.0, (n, d_in))), 0.5)
+        spaces = set()
+        for lo, mid, hi in ridge.cache.splits[:-1]:
+            spaces.add(ridge._remainder[(lo, mid)][2] is None)
+            deltas = rng.normal(0, 0.1, (32, mid - lo))
+            want = np.array([-_row_solve(ridge, lo, mid, delta_s) for delta_s in deltas])
+            _assert_same_bytes(ridge.updates(lo, mid, deltas), want, "updates")
+            _assert_same_bytes(ridge.updates(lo, mid, deltas[3:4]), want[3:4], "one row")
+            change = np.zeros((32, hi - lo))
+            got = ridge.updates(lo, mid, deltas, out=change[:, mid - lo :])
+            assert np.shares_memory(got, change)
+            _assert_same_bytes(change[:, mid - lo :].copy(), want, "out")
+        # sample space where a remainder is wider than the batch; the widest is D_in // 2
+        assert spaces == ({True, False} if n < d_in // 2 else {True})
 
     def test_space_is_the_smaller_one(self):
         rng = np.random.default_rng(24)
@@ -1808,7 +2008,7 @@ class TestRidgeSystem:
             update = act_correct.solve_activation_correction(w, a_fp, cache, 0.5)
             ridge = RemainderRidge(cache, 0.5)
             remainders = [
-                ridge.solver(lo, mid)(np.ones(mid - lo)) for lo, mid, _ in cache.splits[:-1]
+                ridge.updates(lo, mid, np.ones((1, mid - lo))) for lo, mid, _ in cache.splits[:-1]
             ]
             weights = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
             return update, remainders, weights.trace
