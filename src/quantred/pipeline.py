@@ -7,13 +7,13 @@ and ridge correction of the unquantized remainder ("wqer_ridge").
 Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
-`LayerRun` is the one per-layer runner. It checks the eval batch and
-calibrates once, builds the moment cache of the quantized batch when a
-stage first needs it (one Gram per run, shared by aqer and the weight
-loop), and keeps the last aqer step and remainder ridge for the next
-result; `quantize_layer`, `run_ablation` and `run_sweep` are loops over
-`LayerRun.result`, so what they share follows from what each product
-depends on.
+`LayerRun` is the one per-layer runner. It checks the calibration and eval
+batches and calibrates once, builds the moment cache of the quantized
+batch when a stage first needs it (one Gram per run, shared by aqer and
+the weight loop), and keeps the last aqer step and remainder ridge for
+the next result; `quantize_layer`, `run_ablation` and `run_sweep` are
+loops over `LayerRun.result`, so what they share follows from what each
+product depends on.
 
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
@@ -204,18 +204,18 @@ class AqerStep:
 class LayerRun:
     """One layer's quantization, each product built once for every result asked of it.
 
-    The constructor checks the eval batch, calibrates activations and weights,
-    forms the full-precision output `y_fp` = eval_fp W^T that every MSE of
-    the run is scored against, and scores plain round-to-nearest, which no
-    stage, lambda or k changes. `cache` is the moment cache of the quantized
-    batch, built when a stage first needs it and shared by aqer and the
-    weight loop; `aqer` keeps the last activation-correction step (it
-    depends on lambda1) and `ridge` the last remainder ridge (it depends on
-    lambda2); `result` runs the configured stages on top of them. So an
-    ablation or a sweep asks one run for every combination or value, and
-    each product is built once per value of what it depends on. A stale step
-    or ridge is dropped before its replacement is built, so a run never
-    holds two of one kind.
+    The constructor checks the calibration and eval batches, calibrates
+    activations and weights, forms the full-precision output `y_fp` =
+    eval_fp W^T that every MSE of the run is scored against, and scores
+    plain round-to-nearest, which no stage, lambda or k changes. `cache` is
+    the moment cache of the quantized batch, built when a stage first needs
+    it and shared by aqer and the weight loop; `aqer` keeps the last
+    activation-correction step (it depends on lambda1) and `ridge` the last
+    remainder ridge (it depends on lambda2); `result` runs the configured
+    stages on top of them. So an ablation or a sweep asks one run for every
+    combination or value, and each product is built once per value of what
+    it depends on. A stale step or ridge is dropped before its replacement
+    is built, so a run never holds two of one kind.
     """
 
     def __init__(
@@ -233,20 +233,20 @@ class LayerRun:
             raise ValueError(
                 f"incompatible shapes: weights {w.shape}, activations {a_fp.shape}"
             )
-        if w.size == 0:
-            raise ValueError(f"weight matrix of shape {w.shape} is empty")
-        if eval_batch is None:
-            self.eval_fp = a_fp
-        else:
-            self.eval_fp = np.asarray(eval_batch, dtype=np.float64)
-            if self.eval_fp.ndim != 2 or self.eval_fp.shape[1] != w.shape[1]:
-                raise ValueError(
-                    f"incompatible eval batch shape {self.eval_fp.shape} "
-                    f"for weights {w.shape}"
-                )
-            if self.eval_fp.shape[0] == 0:
-                raise ValueError(f"eval batch of shape {self.eval_fp.shape} is empty")
+        self.eval_fp = a_fp if eval_batch is None else np.asarray(eval_batch, dtype=np.float64)
+        if self.eval_fp.ndim != 2 or self.eval_fp.shape[1] != w.shape[1]:
+            raise ValueError(
+                f"incompatible eval batch shape {self.eval_fp.shape} "
+                f"for weights {w.shape}"
+            )
+        inputs = {"weight matrix": w, "calibration batch": a_fp, "eval batch": self.eval_fp}
+        for name, x in inputs.items():
+            if x.size == 0:
+                raise ValueError(f"{name} of shape {x.shape} is empty")
+        if eval_batch is not None:
             check_finite(self.eval_fp, path="eval batch")
+            if act_family == "log_sqrt2" and float(self.eval_fp.min()) < 0.0:
+                raise ValueError("log_sqrt2 activations require a nonnegative eval batch")
         self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
         self.timings = {}
         t0 = time.perf_counter()
@@ -387,9 +387,10 @@ def quantize_layer(
 
     `eval_batch` switches MSE evaluation to a separate activation batch
     (quantized with the calibration-fitted parameters); by default the
-    calibration batch itself is evaluated. A mis-shaped or empty eval
-    batch raises ValueError, and one holding NaN or Inf raises
-    NonFiniteInputError, before any calibration.
+    calibration batch itself is evaluated. An empty calibration batch, a
+    mis-shaped or empty eval batch, or one with a negative value on a
+    log-sqrt2 layer raises ValueError, and an eval batch holding NaN or Inf
+    raises NonFiniteInputError, before any calibration.
 
     This is one `LayerRun` asked for one result.
     """

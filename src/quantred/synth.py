@@ -50,6 +50,8 @@ class SynthSpec:
             raise ValueError("need at least 2 samples")
         if self.activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.activation!r}")
+        if any(dim < 1 for dims in self.dims for dim in dims):
+            raise ValueError(f"layer dims must be >= 1, got {self.dims}")
         if len(self.nonlinearities) != len(self.dims) - 1:
             raise ValueError("need one nonlinearity between consecutive layers")
         for name in self.nonlinearities:

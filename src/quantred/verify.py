@@ -55,13 +55,14 @@ def suite_proxy_fidelity(
 ) -> SuiteResult:
     """Production proxy blocks vs Monte Carlo, and exactness under exact moments.
 
-    The proxy matrices come from `weight_quant.LayerMomentCache.proxy_matrix`
+    The proxy matrices are the blocks of `weight_quant.LayerMomentCache.block`
     on two batches of one distribution: N = n >= D (blocks viewed in the
     D x D Gram) and its first 3D/4 rows, N < D (blocks from the batch
     slices). Each batch takes `draws` error vectors, cycling through the
-    cache's halving splits. A proxy block is E[x_s x_s^T] over the batch,
-    so its proxy must equal the Monte Carlo error E[(delta x_s)^2] over the
-    same batch draw by draw, up to rounding (1e-12 relative).
+    cache's halving splits and reading each split's block. A proxy block
+    is E[x_s x_s^T] over the batch, so its proxy must equal the Monte Carlo
+    error E[(delta x_s)^2] over the same batch draw by draw, up to rounding
+    (1e-12 relative).
     """
     rng = np.random.default_rng([seed, 1])
     mu, sigma, batch = _gaussian_batch(rng, dim, n)
@@ -75,9 +76,9 @@ def suite_proxy_fidelity(
         proxies = np.empty(draws)
         mcs = np.empty(draws)
         for i in range(draws):
-            lo, mid, _ = cache.splits[i % len(cache.splits)]
+            lo, mid = cache.splits[i % len(cache.splits)]
             delta = rng.normal(0.0, 0.1, mid - lo)
-            proxies[i] = weight_quant.proxy_value(delta, cache.proxy_matrix(lo, mid))
+            proxies[i] = weight_quant.proxy_value(delta, cache.block(slice(lo, mid)))
             mcs[i] = oracle.mc_output_error(delta, batch[:rows, lo:mid])
             mc_rel = max(mc_rel, float(abs(proxies[i] - mcs[i]) / mcs[i]))
             analytic = float(
@@ -285,13 +286,13 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
     rng = np.random.default_rng([seed, 4])
     sample_space = 0
 
-    def check(batch, lo, mid, hi, lam):
+    def check(batch, lo, mid, lam):
         """(FD residual, condition number of the factored system) of one draw."""
         ridge = weight_quant.RemainderRidge(weight_quant.LayerMomentCache(batch), lam)
         delta_s = rng.normal(0.0, 0.2, mid - lo)
         delta_r = ridge.updates(lo, mid, delta_s[None])[0]
         xs = batch[:, lo:mid]
-        xr = batch[:, mid:hi]
+        xr = batch[:, mid:]
 
         def objective(dr):
             resid = xs @ delta_s + xr @ dr
@@ -309,31 +310,31 @@ def suite_ridge_optimality(seed: int = 0, splits: int = 20) -> SuiteResult:
         if i % 3 == 0:
             dim, n = int(rng.integers(4, 24)), 128
             nonfinal = weight_quant.halving_splits(dim)[:-1]
-            lo, mid, hi = nonfinal[int(rng.integers(0, len(nonfinal)))]
+            lo, mid = nonfinal[int(rng.integers(0, len(nonfinal)))]
         elif i % 3 == 1:
             dim = int(rng.integers(24, 64))
-            lo, mid, hi = weight_quant.halving_splits(dim)[0]
-            n = int(rng.integers(2, hi - mid))
+            lo, mid = weight_quant.halving_splits(dim)[0]
+            n = int(rng.integers(2, dim - mid))
             sample_space += 1
         else:
             dim = int(rng.integers(24, 64))
             nonfinal = weight_quant.halving_splits(dim)[:-1]
-            lo, mid, hi = nonfinal[int(rng.integers(0, len(nonfinal)))]
-            n = int(rng.integers(hi - mid, dim))
+            lo, mid = nonfinal[int(rng.integers(0, len(nonfinal)))]
+            n = int(rng.integers(dim - mid, dim))
         _, _, batch = _gaussian_batch(rng, dim, n)
-        checks.append(check(batch, lo, mid, hi, 0.5))
+        checks.append(check(batch, lo, mid, 0.5))
     for lam in (1e-2, 1e-4):
         for thin in (True, False):
             if thin:
                 dim = int(rng.integers(24, 64))
-                lo, mid, hi = weight_quant.halving_splits(dim)[0]
-                n = int(rng.integers(8, hi - mid))
+                lo, mid = weight_quant.halving_splits(dim)[0]
+                n = int(rng.integers(8, dim - mid))
                 sample_space += 1
             else:
                 dim, n = int(rng.integers(8, 24)), 128
-                lo, mid, hi = weight_quant.halving_splits(dim)[0]
+                lo, mid = weight_quant.halving_splits(dim)[0]
             signal = rng.normal(0.0, 1.0, (n, 4)) @ rng.normal(0.0, 1.0, (4, dim))
-            checks.append(check(signal + rng.normal(0.0, 1e-3, (n, dim)), lo, mid, hi, lam))
+            checks.append(check(signal + rng.normal(0.0, 1e-3, (n, dim)), lo, mid, lam))
     max_err = max(err for err, _ in checks)
     passed = max_err < 1e-6
     return SuiteResult(

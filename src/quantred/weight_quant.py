@@ -49,8 +49,9 @@ whole (d_out, D_s) block at once:
     slice minus its values before, and the ridge updates. A row's
     MSE is then the row dot product of P and err, or |P_i|^2 / N, and the
     layer's trace costs about two full products instead of one per split.
-    The cache picks the space and the formula (`output_product`,
-    `output_change`, `row_mses`), so the loop holds no err block of its own.
+    P starts at 0 and takes its space from the first split's change: the
+    cache picks the space and the formula (`output_change`, `row_mses`), so
+    the loop holds no err block of its own.
 
 Per row stay step 2, one `refine_rounding` call per (channel, split) on a
 `RoundingState` of row views of the block (`RoundingState.rows`), which
@@ -71,17 +72,19 @@ into one right-hand side per split, would change the per-call structure
 the benchmark's traced call counts pin.
 
 Proxy blocks and ridge factorizations depend only on the column split,
-so all channels share them. They come from two products that the caller
-builds and passes in, each depending on less than a run:
+and a split's remainder is always the rest of the row, so all channels
+share them. They come from two products that the caller builds and
+passes in, each depending on less than a run:
 
-  - `LayerMomentCache`, built from the batch alone: the batch, its splits
-    and the one second moment of the layer, the 1/N Gram E[x x^T]
+  - `LayerMomentCache`, built from the batch alone: the batch and the one
+    second moment of the layer, the 1/N Gram E[x x^T]
     (`moments.accumulate_moments`), which the proxy, the trace MSE's
     running product (the batch itself when N < D_in), the ridge and aqer
-    (`act_correct`) all read. A proxy block is a view of it. When the
-    batch has fewer samples N than columns, the cache forms no D_in x D_in
-    matrix: a block is built from its batch slice when its split runs and
-    released after it.
+    (`act_correct`) all read. `block` serves E[x_c x_c^T] of any column
+    range, a view of it; a split's proxy matrix is its columns' block.
+    When the batch has fewer samples N than columns, the cache forms no
+    D_in x D_in matrix: a block is built from its batch slice when its
+    split runs and released after it.
     `ridge_system` is the one ridge system of both ERQ steps, aqer's and
     the remainder's: in input space a block plus the ridge, the proxy's
     own block, for columns no wider than N; in sample space the N x N
@@ -107,20 +110,6 @@ scores again only after it commits a step. A step of one flip (every
 step at the default k = 1) is then scored and applied in scalar
 arithmetic, with no index array or k x k block; a step of several flips
 takes the k x k block of M.
-
-Measured at k = 1 by replaying every refinement call of the benchmark
-workloads at seed 1 (2-core x86 VM, numpy 2.4, BLAS on one thread, each
-call timed at max_iter 0 and 100, best of 5; the least and the median of
-five runs, as the host's speed drifts): the set-up of a call (max_iter 0:
-the copy of its first scores, its proxy and the returned state; the rest
-of its start is read off the block) costs 1.7-3.4 us on 1-12 column
-slices (16 x 24, 24 x 16 and 12 x 24 layers), 2.5-3.2 us on 1-128
-column slices (64 x 256) and 1.7-2.7 us on 1-1024 column slices
-(32 x 2048), against 3.6-6.6, 3.7-7.2 and 5.7-8.0 us in the same runs
-when each call formed its start's delta, its proxy and its score buffer
-(and its first iteration scored the slice).
-An iteration, with the step it commits, averages 2.0-3.1, 5.5-6.1 and
-8.8-9.5 us over every iteration of every call.
 """
 
 from __future__ import annotations
@@ -243,16 +232,20 @@ class LayerWeightResult:
     trace: tuple[list[dict], ...]
 
 
-def halving_splits(dim: int) -> list[tuple[int, int, int]]:
-    """(lo, mid, hi) column splits; each takes ceil(remaining / 2) columns."""
+def halving_splits(dim: int) -> list[tuple[int, int]]:
+    """(lo, mid) column splits; each takes ceil(remaining / 2) columns.
+
+    Split (lo, mid) quantizes columns lo:mid, and its remainder is the rest
+    of the row, mid:dim.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     splits = []
     lo = 0
     while lo < dim:
-        take = (dim - lo + 1) // 2
-        splits.append((lo, lo + take, dim))
-        lo += take
+        mid = lo + (dim - lo + 1) // 2
+        splits.append((lo, mid))
+        lo = mid
     return splits
 
 
@@ -472,7 +465,7 @@ def refine_rounding(
 
 
 class LayerMomentCache:
-    """The second moment of a layer's quantized batch, and its column splits.
+    """The second moment of a layer's quantized batch, and the blocks read from it.
 
     Built once from the quantized calibration activations and read-only
     afterwards. It depends on the batch alone, so aqer
@@ -481,16 +474,15 @@ class LayerMomentCache:
 
     `batch` is the (N, D) batch. One with at least as many samples as
     columns (N >= D) is also reduced to its D x D Gram E[x x^T] once
-    (`moments`), and every proxy block is a read-only view of it. A thinner
-    batch forms no Gram (`moments` is None): `proxy_matrix` builds each
-    block X_s^T X_s / N from the batch slice X_s each time it is called, so
-    a caller that drops one split's block before asking for the next holds
-    one block at a time, as `quantize_layer_weights` does. `ridge_system`
-    reads the same blocks, and decides for every ridge system of the layer
-    its space, its 1/N normalization and whether it is singular. In the
-    same way `output_product`, `output_change` and `row_mses` decide the
-    space of the weight loop's running trace product: the Gram's or the
-    batch's.
+    (`moments`), and every `block` is a read-only view of it. A thinner
+    batch forms no Gram (`moments` is None): `block` builds X_c^T X_c / N
+    from the batch slice X_c each time it is called, so a caller that drops
+    one split's block before asking for the next holds one block at a time,
+    as `quantize_layer_weights` does. `ridge_system` reads the same blocks,
+    and decides for every ridge system of the layer its space, its 1/N
+    normalization and whether it is singular. In the same way
+    `output_change` and `row_mses` decide the space of the weight loop's
+    running trace product: the Gram's or the batch's.
     """
 
     def __init__(self, a_q: np.ndarray):
@@ -501,13 +493,17 @@ class LayerMomentCache:
                 f"need at least 2 samples, got {self.n_samples}"
             )
         self.splits = halving_splits(self.dim)
-        self._slices = {(lo, mid) for lo, mid, _ in self.splits}
         self.moments: np.ndarray | None = None
         if self.n_samples >= self.dim:
             self.moments = accumulate_moments(self.batch)
 
-    def _block(self, cols: slice) -> np.ndarray:
-        """E[x_c x_c^T]: a view of the Gram, or the `gram` of the batch slice."""
+    def block(self, cols: slice) -> np.ndarray:
+        """E[x_c x_c^T] for the batch columns `cols`, any column range.
+
+        A view of the Gram when N >= D; otherwise a new block on every call,
+        the `gram` of the batch slice. Either is exactly symmetric whatever
+        the batch layout. A split's proxy matrix is the block of its columns.
+        """
         if self.moments is not None:
             return self.moments[cols, cols]
         return gram(self.batch[:, cols])
@@ -522,50 +518,28 @@ class LayerMomentCache:
             return self.moments[cols, rows].T
         return self.batch[:, rows].T @ self.batch[:, cols] / self.n_samples
 
-    def proxy_matrix(self, lo: int, mid: int) -> np.ndarray:
-        """E[x_s x_s^T] for columns lo:mid.
-
-        A view of the Gram when N >= D; otherwise a new block on every call,
-        the `gram` of the slice. Either is exactly symmetric whatever the
-        batch layout. Raises KeyError for a (lo, mid) that is not one of
-        `splits`.
-        """
-        if (lo, mid) not in self._slices:
-            raise KeyError((lo, mid))
-        return self._block(slice(lo, mid))
-
     def ridge_system(self, cols: slice, strength: float) -> tuple[np.ndarray, bool]:
         """The ridge system of a regression onto the batch columns `cols`, and its space.
 
         Returns (system, sample_space), in the smaller of the two spaces: for
-        columns no wider than the batch E[x_c x_c^T] + strength I, from the
-        block `proxy_matrix` reads; for wider ones X_c X_c^T / N + strength I,
-        X_c the N x D_c batch slice, whose solutions map back through X_c^T
-        (push-through identity). Raises SingularSystemError for strength 0
-        on columns wider than the batch: their input-space system has rank
-        at most N, and the sample-space one would give the minimum-norm
-        solution instead.
+        columns no wider than the batch E[x_c x_c^T] + strength I, from
+        `block`; for wider ones X_c X_c^T / N + strength I, X_c the N x D_c
+        batch slice, whose solutions map back through X_c^T (push-through
+        identity). Raises SingularSystemError for strength 0 on columns
+        wider than the batch: their input-space system has rank at most N,
+        and the sample-space one would give the minimum-norm solution
+        instead.
         """
         samples = self.batch[:, cols]
         n, width = samples.shape
         if width <= n:
-            return self._block(cols) + strength * np.eye(width), False
+            return self.block(cols) + strength * np.eye(width), False
         if strength == 0:
             raise SingularSystemError(
                 f"ridge system over {width} columns of a {n}-sample batch is "
                 "singular; use a regularization strength > 0"
             )
         return samples @ samples.T / n + strength * np.eye(n), True
-
-    def output_product(self, rows: int) -> np.ndarray:
-        """The output-error product of `rows` zero error rows, for `row_mses`.
-
-        (rows, D), of errors with the Gram, when the cache holds one;
-        otherwise (rows, N), of errors with the batch, so no error block
-        is needed to read the MSEs off it.
-        """
-        width = self.dim if self.moments is not None else self.n_samples
-        return np.zeros((rows, width))
 
     def output_change(self, change: np.ndarray, lo: int, end: int) -> np.ndarray:
         """What an error change over columns lo:end adds to an output-error product.
@@ -592,9 +566,10 @@ class LayerMomentCache:
 class RemainderRidge:
     """The remainder ridge of step 3 at one lambda2, factored once per split.
 
-    Built from a `LayerMomentCache` and shared by every channel. Each
-    remainder system comes from `LayerMomentCache.ridge_system`, in the
-    smaller of its two spaces; this class keeps only the right-hand sides:
+    Built from a `LayerMomentCache` and shared by every channel. The
+    remainder of split (lo, mid) is the rest of the row, columns mid:, and
+    its system comes from `LayerMomentCache.ridge_system`, in the smaller
+    of its two spaces; this class keeps only the right-hand sides:
     E[x_r x_s^T] delta_s in input space, X_s delta_s / N in sample space.
     """
 
@@ -603,8 +578,8 @@ class RemainderRidge:
         self.cache = cache
         self.lambda2 = lambda2
         self._remainder: dict[tuple[int, int], tuple] = {}
-        for lo, mid, hi in cache.splits[:-1]:
-            s, r = slice(lo, mid), slice(mid, hi)
+        for lo, mid in cache.splits[:-1]:
+            s, r = slice(lo, mid), slice(mid, None)
             system, sample_space = cache.ridge_system(r, lambda2)
             if sample_space:
                 to_rhs, from_samples = cache.batch[:, s], cache.batch[:, r].T
@@ -616,7 +591,7 @@ class RemainderRidge:
         """dW_r* of split (lo, mid) for each row of the (d, D_s) committed errors.
 
         Row i of the (d, D_r) result minimizes E[(delta_i x_s + dW_r x_r)^2]
-        + lambda2 ||dW_r||^2, the ridge-optimal update of columns mid:hi
+        + lambda2 ||dW_r||^2, the ridge-optimal update of columns mid:
         given the committed error delta_i = deltas[i]; `out`, if given,
         receives it. The right-hand sides and the sample-space mapping are
         stacked products, one matrix-vector product per row, so each row's
@@ -682,12 +657,13 @@ def quantize_layer_weights(
     lattice = row_lattice(channel_params)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
-    # the running output-error product of current - w (`LayerMomentCache.row_mses`)
-    outputs = cache.output_product(d_out)
+    # the running output-error product of current - w (`LayerMomentCache.row_mses`),
+    # (d_out, D) or (d_out, N) from the first split's `output_change` on
+    outputs = 0.0
     trace = tuple([] for _ in range(d_out))
 
-    for iteration, (lo, mid, hi) in enumerate(cache.splits):
-        matrix = cache.proxy_matrix(lo, mid)
+    for iteration, (lo, mid) in enumerate(cache.splits):
+        matrix = cache.block(slice(lo, mid))
         block = init_rounding(current[:, lo:mid], lattice, matrix)
         up_mask = block.up_mask
         if k > 0:
@@ -717,7 +693,7 @@ def quantize_layer_weights(
         # dequantized slice minus its values before, which are the chosen
         # candidates' errors (`RoundingState.delta`) bit for bit, then the
         # ridge updates of the remainder, added onto it
-        end = hi if ridge is not None and mid < hi else mid
+        end = dim if ridge is not None else mid
         change = np.empty((d_out, end - lo))
         quantized = dequantize_uniform(codes[:, lo:mid], lattice)
         deltas = np.subtract(quantized, current[:, lo:mid], out=change[:, : mid - lo])

@@ -84,8 +84,8 @@ class TestOutputs:
         for layout in _layouts(batch):
             cache = LayerMomentCache(layout)
             assert (cache.moments is None) == (layout.shape[0] < layout.shape[1])
-            for lo, mid, _ in cache.splits:
-                block = cache.proxy_matrix(lo, mid)
+            for lo, mid in cache.splits:
+                block = cache.block(slice(lo, mid))
                 assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize(

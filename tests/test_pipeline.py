@@ -596,6 +596,22 @@ class TestLayerRun:
             with pytest.raises(NonFiniteInputError, match="eval batch") as info:
                 pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch=eval_batch)
             assert info.value.index == (3, 7)
+        # a log-sqrt2 layer takes no negative value, and the message names
+        # the eval batch
+        eval_batch = np.abs(a_fp)
+        eval_batch[5, 2] = -0.25
+        message = "^log_sqrt2 activations require a nonnegative eval batch$"
+        with pytest.raises(ValueError, match=message):
+            pipeline.LayerRun(w, np.abs(a_fp), "log_sqrt2", 4, 4, eval_batch=eval_batch)
+        assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
+
+    @pytest.mark.parametrize("stages", [frozenset(), frozenset(ALL_STAGES)], ids=["none", "all"])
+    def test_empty_calibration_batch_checked_before_calibration(self, call_counts, stages):
+        # an empty calibration batch fails by name, before any calibration,
+        # with the stages off (no nan MSEs) and on (no late sample-count error)
+        w, _ = _layer(np.random.default_rng(24), d_out=3, d_in=12, n=32)
+        with pytest.raises(ValueError, match=r"calibration batch of shape \(0, 12\) is empty"):
+            quantize_layer(w, np.zeros((0, 12)), "uniform", 4, 4, RunConfig(stages=stages))
         assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
 
     def test_non_finite_eval_batch_message_names_no_calibration(self):

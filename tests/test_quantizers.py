@@ -718,6 +718,7 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("past_cutoff", [0, 1], ids=["direct", "scanned"])
     def test_16_bit_peak_memory_stays_linear_in_the_values(self, past_cutoff):
         # at 16 bits one candidate's scan arrays hold 2^16 doubles (512 KiB);

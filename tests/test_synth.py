@@ -41,6 +41,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="samples"):
             SynthSpec(seed=0, dims=((4, 8),), n_samples=1)
 
+    @pytest.mark.parametrize("dims", [((3, 0),), ((0, 4),), ((4, 8), (-2, 4))])
+    def test_nonpositive_dims_rejected(self, dims):
+        # a zero or negative layer dimension fails at the spec, not with a
+        # divide-by-zero warning inside generate_layer
+        nonlinearities = ("gelu",) * (len(dims) - 1)
+        with pytest.raises(ValueError, match=r"^layer dims must be >= 1, got \(\("):
+            SynthSpec(seed=0, dims=dims, nonlinearities=nonlinearities)
+
 
 class TestGeneration:
     def test_deterministic_in_seed(self):

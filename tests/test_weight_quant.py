@@ -184,13 +184,13 @@ def _edge_states():
     batch = rng.normal(1.0, 1.0, (64, 12))
     batch[:, 5] = 0.0
     w = 0.1 * (rng.integers(1, 14, 6) + rng.uniform(0.3, 0.45, 6) - 7)
-    yield init_rounding(w, params, LayerMomentCache(batch).proxy_matrix(0, 6))
+    yield init_rounding(w, params, LayerMomentCache(batch).block(slice(0, 6)))
     thin = LayerMomentCache(rng.normal(0.5, 1.0, (128, 2048)))
     w = 0.1 * (rng.integers(1, 14, 1024) + rng.uniform(0.2, 0.8, 1024) - 7)
-    yield init_rounding(w, params, thin.proxy_matrix(0, 1024))
+    yield init_rounding(w, params, thin.block(slice(0, 1024)))
     tall = LayerMomentCache(rng.normal(0.5, 1.0, (512, 256)))
     w = 0.1 * (rng.integers(1, 14, 64) + rng.uniform(0.2, 0.8, 64) - 7)
-    yield init_rounding(w, params, tall.proxy_matrix(128, 192))
+    yield init_rounding(w, params, tall.block(slice(128, 192)))
 
 
 class TestProxy:
@@ -479,18 +479,12 @@ class TestRefinement:
 
 class TestSplits:
     def test_halving_splits_dim16(self):
-        assert halving_splits(16) == [
-            (0, 8, 16),
-            (8, 12, 16),
-            (12, 14, 16),
-            (14, 15, 16),
-            (15, 16, 16),
-        ]
+        assert halving_splits(16) == [(0, 8), (8, 12), (12, 14), (14, 15), (15, 16)]
 
     def test_halving_splits_small_dims(self):
-        assert halving_splits(1) == [(0, 1, 1)]
-        assert halving_splits(2) == [(0, 1, 2), (1, 2, 2)]
-        assert halving_splits(3) == [(0, 2, 3), (2, 3, 3)]
+        assert halving_splits(1) == [(0, 1)]
+        assert halving_splits(2) == [(0, 1), (1, 2)]
+        assert halving_splits(3) == [(0, 2), (2, 3)]
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -501,12 +495,12 @@ class TestSplits:
     def test_splits_tile_every_column_once(self, dim):
         splits = halving_splits(dim)
         covered = []
-        for lo, mid, hi in splits:
-            assert lo < mid <= hi == dim
+        for lo, mid in splits:
+            assert lo < mid <= dim
             covered.extend(range(lo, mid))
         assert covered == list(range(dim))
         # each step takes ceil(remaining / 2)
-        for lo, mid, hi in splits:
+        for lo, mid in splits:
             assert mid - lo == (dim - lo + 1) // 2
 
 
@@ -525,20 +519,21 @@ class TestRemainderCorrection:
     def test_zero_committed_error_gives_zero_update(self):
         rng = np.random.default_rng(4)
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0.2, 1.0, (64, 5))), 0.5)
-        for lo, mid, hi in ridge.cache.splits[:-1]:
+        for lo, mid in ridge.cache.splits[:-1]:
             np.testing.assert_array_equal(
-                _update(ridge, lo, mid, np.zeros(mid - lo)), np.zeros(hi - mid)
+                _update(ridge, lo, mid, np.zeros(mid - lo)), np.zeros(ridge.cache.dim - mid)
             )
 
     def test_minimizes_joint_error_objective(self):
         # objective: [ds, dr] raw2 [ds, dr]^T + lambda2 ||dr||^2, dr free,
-        # with raw2 restricted to the split's columns lo:hi
+        # with raw2 restricted to the split's columns lo:
         rng = np.random.default_rng(6)
         lam = 0.5
         cache = LayerMomentCache(rng.normal(0.3, 1.0, (200, 7)))
         ridge = RemainderRidge(cache, lam)
-        for lo, mid, hi in cache.splits[:-1]:
-            raw2 = cache.moments[lo:hi, lo:hi]
+        for lo, mid in cache.splits[:-1]:
+            raw2 = cache.moments[lo:, lo:]
+            width = cache.dim - mid
             delta_s = rng.normal(0, 0.1, mid - lo)
             dr = _update(ridge, lo, mid, delta_s)
 
@@ -548,13 +543,13 @@ class TestRemainderCorrection:
 
             base = objective(dr)
             eps = 1e-6
-            for j in range(hi - mid):
-                bump = np.zeros(hi - mid)
+            for j in range(width):
+                bump = np.zeros(width)
                 bump[j] = eps
                 fd = (objective(dr + bump) - objective(dr - bump)) / (2 * eps)
                 assert abs(fd) < 1e-6 * (1 + base)
             for _ in range(50):
-                assert objective(dr + rng.normal(0, 0.01, hi - mid)) >= base - 1e-12
+                assert objective(dr + rng.normal(0, 0.01, width)) >= base - 1e-12
 
 
 def _trace_mses(cache, errs):
@@ -578,17 +573,17 @@ def _reference_channel(w_row, params, cache, ridge, cfg):
     codes = np.zeros(w_row.size, dtype=np.int64)
     err = np.zeros(w_row.size)
     rows = []
-    for lo, mid, hi in cache.splits:
-        state = init_rounding(current[lo:mid], params, cache.proxy_matrix(lo, mid))
+    for lo, mid in cache.splits:
+        state = init_rounding(current[lo:mid], params, cache.block(slice(lo, mid)))
         proxy_before = proxy_after = proxy_value(state.delta, state.proxy_matrix)
         if cfg["k"] > 0:
             state, committed = refine_rounding(state, cfg["k"], cfg["max_iter"])
             proxy_after = committed[-1]
         codes[lo:mid] = state.codes
         err[lo:mid] = dequantize_uniform(codes[lo:mid], params) - w_row[lo:mid]
-        if ridge is not None and mid < hi:
-            current[mid:hi] -= _row_solve(ridge, lo, mid, state.delta)
-        err[mid:hi] = current[mid:hi] - w_row[mid:hi]
+        if ridge is not None and mid < w_row.size:
+            current[mid:] -= _row_solve(ridge, lo, mid, state.delta)
+        err[mid:] = current[mid:] - w_row[mid:]
         rows.append((proxy_before, proxy_after, float(err @ (raw2 @ err))))
     return codes, rows
 
@@ -645,8 +640,8 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
         err = np.zeros(w_row.size)
         errs = np.empty((len(cache.splits), w_row.size))
         rows = []
-        for iteration, (lo, mid, hi) in enumerate(cache.splits):
-            matrix = cache.proxy_matrix(lo, mid)
+        for iteration, (lo, mid) in enumerate(cache.splits):
+            matrix = cache.block(slice(lo, mid))
             state = _per_row_init_rounding(current[lo:mid], params, matrix)
             if cfg["k"] > 0:
                 state, committed = refine_rounding(state, cfg["k"], cfg["max_iter"])
@@ -656,9 +651,9 @@ def _per_row_reference(w, channel_params, cache, ridge, cfg):
             codes[lo:mid] = state.codes
             w_bar[lo:mid] = dequantize_uniform(codes[lo:mid], params)
             err[lo:mid] = w_bar[lo:mid] - w_row[lo:mid]
-            if ridge is not None and mid < hi:
-                current[mid:hi] -= _row_solve(ridge, lo, mid, state.delta)
-            err[mid:hi] = current[mid:hi] - w_row[mid:hi]
+            if ridge is not None and mid < w_row.size:
+                current[mid:] -= _row_solve(ridge, lo, mid, state.delta)
+            err[mid:] = current[mid:] - w_row[mid:]
             errs[iteration] = err
             rows.append(
                 dict(
@@ -688,12 +683,12 @@ def _per_row_loop(w, channel_params, cache, ridge, k, max_iter):
     d_out, dim = w.shape
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
-    outputs = cache.output_product(d_out)
+    outputs = 0.0
     trace = [[] for _ in range(d_out)]
     lattice = row_lattice(channel_params)
-    for iteration, (lo, mid, hi) in enumerate(cache.splits):
-        block = init_rounding(current[:, lo:mid], lattice, cache.proxy_matrix(lo, mid))
-        end = hi if ridge is not None and mid < hi else mid
+    for iteration, (lo, mid) in enumerate(cache.splits):
+        block = init_rounding(current[:, lo:mid], lattice, cache.block(slice(lo, mid)))
+        end = dim if ridge is not None else mid
         change = np.empty((d_out, end - lo))
         for i, (row, params) in enumerate(zip(block.rows(), channel_params, strict=True)):
             score, proxy = _slice_start(row.step, row.gradient, row.curvature, row.delta)
@@ -891,8 +886,8 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, d_in)
         lattice = row_lattice(params)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
-        for lo, mid, _ in cache.splits:
-            matrix = cache.proxy_matrix(lo, mid)
+        for lo, mid in cache.splits:
+            matrix = cache.block(slice(lo, mid))
             block = init_rounding(w[:, lo:mid], lattice, matrix)
             assert block.gradient.shape == block.delta.shape
             assert block.gradient.tobytes() == proxy_gradient(block.delta, matrix).tobytes()
@@ -947,8 +942,8 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, d_in)
         lattice = row_lattice(params)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
-        for lo, mid, _ in cache.splits:
-            matrix = cache.proxy_matrix(lo, mid)
+        for lo, mid in cache.splits:
+            matrix = cache.block(slice(lo, mid))
             block = init_rounding(w[:, lo:mid], lattice, matrix)
             assert block.score.shape == block.gradient.shape and block.proxy.shape == (5,)
             for row, w_row, p in zip(block.rows(), w[:, lo:mid], params, strict=True):
@@ -1051,7 +1046,7 @@ class TestChannelQuantization:
         )
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
-        assert shapes == [(5, mid - lo) for lo, mid, _ in splits]
+        assert shapes == [(5, mid - lo) for lo, mid in splits]
 
     @pytest.mark.parametrize("n", [6, 64])
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -1089,7 +1084,7 @@ class TestChannelQuantization:
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100)
         # every split but the last is solved, for all five rows
-        widths = [mid - lo for lo, mid, _ in cache.splits]
+        widths = [mid - lo for lo, mid in cache.splits]
         assert [width for width, _ in solved] == [x for x in widths[:-1] for _ in range(5)]
         assert len(chosen) == 5 * len(widths)
         for (_, got), want in zip(solved, chosen):
@@ -1134,8 +1129,8 @@ class TestChannelQuantization:
         rng = np.random.default_rng(130 + n + k)
         w, params = _mixed_rows(rng, 16)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
-        lo, mid, _ = cache.splits[0]
-        block = init_rounding(w[:, lo:mid], row_lattice(params), cache.proxy_matrix(lo, mid))
+        lo, mid = cache.splits[0]
+        block = init_rounding(w[:, lo:mid], row_lattice(params), cache.block(slice(lo, mid)))
         start = {field: getattr(block, field).copy() for field in _START_ARRAYS}
         flips = 0
         for row in block.rows():
@@ -1374,26 +1369,25 @@ class TestMomentCache:
         cache = LayerMomentCache(a_q)
         mu = a_q.mean(axis=0)
         sigma = np.cov(a_q.T, ddof=0)
-        for lo, mid, _ in cache.splits:
+        for lo, mid in cache.splits:
             expected = np.outer(mu[lo:mid], mu[lo:mid]) + sigma[lo:mid, lo:mid]
-            np.testing.assert_allclose(cache.proxy_matrix(lo, mid), expected, atol=1e-12)
+            np.testing.assert_allclose(cache.block(slice(lo, mid)), expected, atol=1e-12)
 
     @pytest.mark.parametrize("n,d_in", [(300, 256), (64, 256), (6, 24)])
     def test_running_output_product_reads_the_full_product_mses(self, n, d_in):
-        # one change per split over columns lo:D, added as the loop adds it,
-        # against one full product of the accumulated error (_trace_mses),
-        # with a Gram and without one
+        # one change per split over columns lo:D, added as the loop adds it
+        # onto a start of 0.0, against one full product of the accumulated
+        # error (_trace_mses), with a Gram and without one
         rng = np.random.default_rng(n + d_in)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
         w = rng.normal(0, 0.5, (3, d_in))
         current = w.copy()
-        outputs = cache.output_product(3)
-        assert outputs.shape == (3, d_in if n >= d_in else n)
-        assert not outputs.any()
-        for lo, _, hi in cache.splits:
-            change = rng.normal(0, 0.05, (3, hi - lo))
-            current[:, lo:hi] += change
-            outputs += cache.output_change(change, lo, hi)
+        outputs = 0.0
+        for lo, _ in cache.splits:
+            change = rng.normal(0, 0.05, (3, d_in - lo))
+            current[:, lo:] += change
+            outputs += cache.output_change(change, lo, d_in)
+            assert outputs.shape == (3, d_in if n >= d_in else n)
             mses = cache.row_mses(outputs, current, w)
             for got, want in zip(mses, _trace_mses(cache, current - w), strict=True):
                 assert _rel_close(got, want), (got, want)
@@ -1402,7 +1396,7 @@ class TestMomentCache:
         rng = np.random.default_rng(21)
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0, 1, (64, 8))), 1.0)
         *head, last = ridge.cache.splits
-        for lo, mid, _ in head:
+        for lo, mid in head:
             update = ridge.updates(lo, mid, np.ones((3, mid - lo)))
             assert update.shape == (3, 8 - mid)
         with pytest.raises(KeyError):
@@ -1420,13 +1414,13 @@ class TestMomentCache:
         # a 1% error in the proxy blocks of one regime (sliced moments, or
         # centred batch slices when N < D) fails the suite
         assert suite_proxy_fidelity().passed
-        real = LayerMomentCache.proxy_matrix
+        real = LayerMomentCache.block
 
-        def faulty(self, lo, mid):
+        def faulty(self, cols):
             scale = 1.01 if (self.moments is None) == thin else 1.0
-            return scale * real(self, lo, mid)
+            return scale * real(self, cols)
 
-        monkeypatch.setattr(LayerMomentCache, "proxy_matrix", faulty)
+        monkeypatch.setattr(LayerMomentCache, "block", faulty)
         assert not suite_proxy_fidelity().passed
 
     def test_refinement_starts_from_the_checked_gradient(self, monkeypatch):
@@ -1520,7 +1514,7 @@ def _eager_proxy_blocks(a_q):
     n, dim = a_q.shape
     gram = a_q.T @ a_q / n if n >= dim else None
     blocks = {}
-    for lo, mid, _ in halving_splits(dim):
+    for lo, mid in halving_splits(dim):
         if gram is not None:
             blocks[(lo, mid)] = gram[lo:mid, lo:mid]
         else:
@@ -1541,8 +1535,8 @@ class TestProxyBlocks:
         cache = LayerMomentCache(a_q)
         want = _eager_proxy_blocks(a_q)
         assert cache.moments is not None
-        for lo, mid, _ in cache.splits:
-            np.testing.assert_array_equal(cache.proxy_matrix(lo, mid), want[(lo, mid)])
+        for lo, mid in cache.splits:
+            np.testing.assert_array_equal(cache.block(slice(lo, mid)), want[(lo, mid)])
 
     @pytest.mark.parametrize("n,d_in", THIN_SHAPES)
     def test_thin_blocks_match_eager_reference(self, n, d_in):
@@ -1552,19 +1546,28 @@ class TestProxyBlocks:
         cache = LayerMomentCache(a_q)
         want = _eager_proxy_blocks(a_q)
         assert cache.moments is None
-        for lo, mid, _ in cache.splits:
-            got = cache.proxy_matrix(lo, mid)
+        for lo, mid in cache.splits:
+            got = cache.block(slice(lo, mid))
             np.testing.assert_array_equal(got, got.T)
             ref = want[(lo, mid)]
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [12, 64])
-    def test_proxy_matrix_rejects_non_split(self, n):
-        cache = LayerMomentCache(np.random.default_rng(n).normal(0, 1, (n, 40)))
-        assert [(lo, mid) for lo, mid, _ in cache.splits][:2] == [(0, 20), (20, 30)]
-        for lo, mid in ((0, 40), (20, 40), (0, 10), (1, 21), (40, 41)):
-            with pytest.raises(KeyError):
-                cache.proxy_matrix(lo, mid)
+    def test_block_serves_ranges_that_are_not_splits(self, n):
+        # the whole row, a range off the split grid and a split's remainder
+        # (the row's tail): the Gram's own view when N >= D, and the `gram`
+        # of the batch slice when N < D
+        a_q = np.random.default_rng(n).normal(0, 1, (n, 40))
+        cache = LayerMomentCache(a_q)
+        assert cache.splits[:2] == [(0, 20), (20, 30)]
+        for cols in (slice(0, 40), slice(1, 21), slice(30, None)):
+            got = cache.block(cols)
+            if n >= 40:
+                assert got.base is cache.moments
+                np.testing.assert_array_equal(got, cache.moments[cols, cols])
+            else:
+                assert cache.moments is None
+                np.testing.assert_array_equal(got, moments.gram(a_q[:, cols]))
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("ridge", [True, False])
@@ -1572,23 +1575,24 @@ class TestProxyBlocks:
     def test_one_block_alive(self, monkeypatch, n, ridge, k):
         # each request must find every earlier block freed: the weight loop
         # holds one proxy block at a time, and none once it returns
-        real = LayerMomentCache.proxy_matrix
+        real = LayerMomentCache.block
         refs = []
 
-        def tracked(self, lo, mid):
+        def tracked(self, cols):
             alive = [i for i, ref in enumerate(refs) if ref() is not None]
             assert not alive, f"blocks of splits {alive} alive at split {len(refs)}"
-            block = real(self, lo, mid)
+            block = real(self, cols)
             refs.append(weakref.ref(block))
             return block
 
-        monkeypatch.setattr(LayerMomentCache, "proxy_matrix", tracked)
         rng = np.random.default_rng(70 + n)
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
         params = tuple(calibrate(row, "uniform", 4) for row in w)
         cache = LayerMomentCache(a_q)
         remainder = _ridge(cache, 0.5 if ridge else None)
+        # the ridge's systems read blocks too: track the loop's requests only
+        monkeypatch.setattr(LayerMomentCache, "block", tracked)
         quantize_layer_weights(w, params, cache, remainder, k=k, max_iter=100)
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
@@ -1602,7 +1606,7 @@ class TestProxyBlocks:
         w = rng.normal(0, 0.5, (4, 1024))
         a_q = rng.normal(0.2, 1.0, (64, 1024))
         params = tuple(calibrate(row, "uniform", 4) for row in w)
-        largest = max(mid - lo for lo, mid, _ in halving_splits(1024)) ** 2 * 8
+        largest = max(mid - lo for lo, mid in halving_splits(1024)) ** 2 * 8
         tracemalloc.start()
         try:
             cache = LayerMomentCache(a_q)
@@ -1646,13 +1650,13 @@ class _FullWidthCache:
         self.splits = halving_splits(self.dim)
         self.lambda2 = lambda2
         self._remainder = {}
-        for lo, mid, hi in self.splits:
-            if lambda2 is not None and mid < hi:
-                factor = spd_factor(gram[mid:hi, mid:hi] + lambda2 * np.eye(hi - mid))
-                self._remainder[(lo, mid)] = (gram[lo:mid, mid:hi], factor)
+        for lo, mid in self.splits:
+            if lambda2 is not None and mid < self.dim:
+                factor = spd_factor(gram[mid:, mid:] + lambda2 * np.eye(self.dim - mid))
+                self._remainder[(lo, mid)] = (gram[lo:mid, mid:], factor)
 
-    def proxy_matrix(self, lo, mid):
-        return self.moments[lo:mid, lo:mid]
+    def block(self, cols):
+        return self.moments[cols, cols]
 
     def updates(self, lo, mid, deltas, out=None):
         # one solve and one negation per row, as RemainderRidge.updates
@@ -1664,7 +1668,6 @@ class _FullWidthCache:
         return out
 
     # the cache's running trace product, which reads only the Gram here
-    output_product = LayerMomentCache.output_product
     output_change = LayerMomentCache.output_change
     row_mses = LayerMomentCache.row_mses
 
@@ -1696,11 +1699,11 @@ class TestThinBatch:
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 0.5)
         ref = _FullWidthCache(a_q, 0.5)
-        for lo, mid, hi in cache.splits:
-            got, want = cache.proxy_matrix(lo, mid), ref.proxy_matrix(lo, mid)
+        for lo, mid in cache.splits:
+            got, want = cache.block(slice(lo, mid)), ref.block(slice(lo, mid))
             np.testing.assert_array_equal(got, got.T)
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-            if mid < hi:
+            if mid < d_in:
                 delta_s = rng.normal(0, 0.1, (1, mid - lo))
                 got = ridge.updates(lo, mid, delta_s)
                 want = ref.updates(lo, mid, delta_s)
@@ -1873,16 +1876,17 @@ class TestThinBatch:
             LayerMomentCache(np.ones(shape))
 
 
-def _reference_remainder_solver(a_q, lo, mid, hi, lambda2):
+def _reference_remainder_solver(a_q, lo, mid, lambda2):
     # reference: the remainder solve from its unnormalized sample-space
     # system X_r X_r^T + N lambda2 I on the raw X_s delta_s when N < D_r, and
     # from the strided products X_r^T X_r / N and X_r^T X_s / N otherwise
     n = a_q.shape[0]
-    x_s, x_r = a_q[:, lo:mid], a_q[:, mid:hi]
-    if n < hi - mid:
+    x_s, x_r = a_q[:, lo:mid], a_q[:, mid:]
+    width = x_r.shape[1]
+    if n < width:
         factor = spd_factor(x_r @ x_r.T + n * lambda2 * np.eye(n))
         return lambda delta_s: x_r.T @ solve_spd(factor, x_s @ delta_s)
-    factor = spd_factor(x_r.T @ x_r / n + lambda2 * np.eye(hi - mid))
+    factor = spd_factor(x_r.T @ x_r / n + lambda2 * np.eye(width))
     return lambda delta_s: solve_spd(factor, x_r.T @ x_s / n @ delta_s)
 
 
@@ -1894,8 +1898,8 @@ class TestRidgeSystem:
         rng = np.random.default_rng(3 * n + d_in)
         a_q = rng.normal(0.3, 1.0, (n, d_in))
         ridge = RemainderRidge(LayerMomentCache(a_q), lambda2)
-        for lo, mid, hi in ridge.cache.splits[:-1]:
-            ref = _reference_remainder_solver(a_q, lo, mid, hi, lambda2)
+        for lo, mid in ridge.cache.splits[:-1]:
+            ref = _reference_remainder_solver(a_q, lo, mid, lambda2)
             deltas = rng.normal(0, 0.1, (32, mid - lo))
             for got, delta_s in zip(ridge.updates(lo, mid, deltas), deltas, strict=True):
                 want = -ref(delta_s)
@@ -1909,13 +1913,13 @@ class TestRidgeSystem:
         rng = np.random.default_rng(5 * n + d_in)
         ridge = RemainderRidge(LayerMomentCache(rng.normal(0.3, 1.0, (n, d_in))), 0.5)
         spaces = set()
-        for lo, mid, hi in ridge.cache.splits[:-1]:
+        for lo, mid in ridge.cache.splits[:-1]:
             spaces.add(ridge._remainder[(lo, mid)][2] is None)
             deltas = rng.normal(0, 0.1, (32, mid - lo))
             want = np.array([-_row_solve(ridge, lo, mid, delta_s) for delta_s in deltas])
             _assert_same_bytes(ridge.updates(lo, mid, deltas), want, "updates")
             _assert_same_bytes(ridge.updates(lo, mid, deltas[3:4]), want[3:4], "one row")
-            change = np.zeros((32, hi - lo))
+            change = np.zeros((32, d_in - lo))
             got = ridge.updates(lo, mid, deltas, out=change[:, mid - lo :])
             assert np.shares_memory(got, change)
             _assert_same_bytes(change[:, mid - lo :].copy(), want, "out")
@@ -1937,12 +1941,12 @@ class TestRidgeSystem:
         rng = np.random.default_rng(25)
         for n in (12, 64):
             cache = LayerMomentCache(rng.normal(0.3, 1.0, (n, 40)))
-            for lo, mid, _ in cache.splits:
+            for lo, mid in cache.splits:
                 if mid - lo <= n:
                     system, sample_space = cache.ridge_system(slice(lo, mid), 0.5)
                     assert not sample_space
                     np.testing.assert_array_equal(
-                        system, cache.proxy_matrix(lo, mid) + 0.5 * np.eye(mid - lo)
+                        system, cache.block(slice(lo, mid)) + 0.5 * np.eye(mid - lo)
                     )
 
     def test_unregularized_system_wider_than_the_batch_is_singular(self):
@@ -1989,7 +1993,7 @@ class TestRidgeSystem:
             w, a_fp, "uniform", 4, 4, pipeline.RunConfig(lambda1=1.0, lambda2=1.0)
         )
         assert sizes["act_correct"] == [n]
-        widths = [hi - mid for _, mid, hi in halving_splits(d_in)[:-1]]
+        widths = [d_in - mid for _, mid in halving_splits(d_in)[:-1]]
         assert sizes["weight_quant"] == [min(n, width) for width in widths]
         assert n in sizes["weight_quant"] and min(widths) < n
 
@@ -2008,7 +2012,7 @@ class TestRidgeSystem:
             update = act_correct.solve_activation_correction(w, a_fp, cache, 0.5)
             ridge = RemainderRidge(cache, 0.5)
             remainders = [
-                ridge.updates(lo, mid, np.ones((1, mid - lo))) for lo, mid, _ in cache.splits[:-1]
+                ridge.updates(lo, mid, np.ones((1, mid - lo))) for lo, mid in cache.splits[:-1]
             ]
             weights = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
             return update, remainders, weights.trace
