@@ -270,8 +270,19 @@ class LayerRun:
 
     @property
     def cache(self) -> LayerMomentCache:
-        """The moment cache of the quantized batch, built on first use."""
+        """The moment cache of the quantized batch, built on first use.
+
+        Every stage reads it, and it needs two samples: a one-sample
+        calibration batch raises InsufficientSamplesError naming the batch,
+        while plain round-to-nearest (no stage) never builds it.
+        """
         if self._cache is None:
+            n = self.a_q.shape[0]
+            if n < 2:
+                raise InsufficientSamplesError(
+                    f"calibration batch of shape {self.a_q.shape} has {n} sample; "
+                    "the aqer and wqer stages need at least 2"
+                )
             self._cache = LayerMomentCache(self.a_q)
         return self._cache
 

@@ -37,14 +37,69 @@ two break even at 32 values per level within 8% (direct / scan 1.01,
 crossover.
 
 A longer row is scanned. Codes are monotone in x, so each candidate
-splits the sorted values into 2^b contiguous bins, and a bin's squared
-error follows from its count, sum x and sum x^2: one sort and two prefix
-sums per row, every candidate's grid, scores and error bounds as
-(rows, 141, 2^b) arrays (in chunks of candidates within a byte budget
-past 8 bits), and one binary search per row for the edges.
-Only the candidates whose approximate score is within a float error bound
-of the best go to the exact evaluator, which keeps the choice the
-oracle's.
+splits the sorted values into 2^b contiguous bins, bin k at level L_k,
+and the levels ascend with x in both families. Summed by parts over the
+bins, a candidate's squared error telescopes over its 2^b - 1 edges:
+
+    SSE = sum x^2 - 2 (L_top sum x - sum_k dL_k P1_k)
+                  + (L_top^2 n - sum_k d(L^2)_k C_k),
+
+with C_k and P1_k the count and the sum of the values below edge k's
+window, dL_k = L_k - L_(k-1) and d(L^2)_k = L_k^2 - L_(k-1)^2 (formed as
+dL_k (L_k + L_(k-1))). So a row needs one sort and one prefix sum of x;
+every candidate's levels and scores are (rows, 141, 2^b) arrays (in
+chunks of candidates within a byte budget past 8 bits), and each row's
+edges go to one binary search, edge-major: ordered by edge, then by
+candidate, the keys rise through the 141 scales in runs instead of
+falling back at every candidate (on 64 rows of 256 values at 4 bits the
+searches take 2.8 against 5.0 ms in candidate order). Against the scan
+it replaced (prefix sums of x and x^2, both gathered at every bin bound,
+edges searched in candidate order), `calibrate_scale` at 4 bits took,
+over 25 interleaved repetitions in one process (2-core x86 VM, numpy
+2.4, one BLAS thread, medians): per tensor 14.6 -> 8.7 ms on 2048 x 256
+activations, 6.2 -> 4.5 ms on 128 x 2048 and 39.4 -> 27.6 ms on
+4096 x 384; per channel 12.7 -> 9.2 ms on 64 x 256 weights, 10.0 ->
+6.9 ms on 32 x 2048, 321 -> 229 ms on 1536 x 384 and 106 -> 74 ms on
+384 x 1536.
+
+Only the candidates whose scan SSE lies within its slack of the best go
+to the exact evaluator, which keeps the choice the oracle's. For a row
+of n values, with B >= |x| and |level| over all candidates, eps = 2^-52
+and Q = sum x^2 + n B^2, the slack
+
+    16 n eps Q + 16 n tiny + 2 unplaced
+
+bounds |scan SSE - n * exact MSE| wherever both are finite (an overflow
+makes the row keep every candidate). The derivation rests on three
+facts: levels are monotone, so sum_k |dL_k| = L_top - L_0 <= 2B; L^2
+falls and then rises along them, so sum_k |d(L^2)_k| <= L_0^2 + L_top^2
+<= 2B^2; and the counts C_k are exact. Also |x| B <= (x^2 + B^2) / 2, so
+B sum |x| <= Q / 2, and the scan's levels are bit for bit the values the
+exact evaluator forms. To first order in eps:
+- sum x^2 is off by at most (n + 1) eps Q, and every prefix sum by n eps
+  sum |x| in any order of summation.
+- The first bracket: its prefix sums weigh sum_k |dL_k| + |L_top| <= 3B,
+  so they add 1.5 n eps Q; rounding dL_k, the products and the sum over
+  2^b terms add (2^b + 2) eps 2B sum |x|, and the product L_top sum x and
+  the subtraction add 2 eps Q. Doubled: (3n + 2^(b+1) + 8) eps Q.
+- The second bracket: d(L^2)_k is within 3 eps of its value, the exact
+  counts are at most n, and the products and the sum add (2^b + 2) eps,
+  all on sum_k |d(L^2)_k| n <= 2 n B^2; L_top^2 n and the subtraction add
+  5 eps n B^2: (2^(b+1) + 15) eps Q.
+- The two outer operations: 2 eps (sum x^2 + 2 * 1.5 Q + 3 Q) <= 14 eps Q.
+- The exact evaluator rounds each (x - L)^2 within 3 eps, sums n of them
+  and divides by n: (n + 4) eps sum (x - L)^2 <= (2n + 8) eps Q.
+Scanned rows hold n > 4 * 2^b >= 16 values, so the total,
+(6n + 2^(b+2) + 46) eps Q, is below 10 n eps Q; the factor 16 leaves room
+for the rounding of the slack and of the comparison. Gradual underflow
+loses at most tiny * eps per operation, inside 16 n tiny (or, weighted
+by a level, inside the eps Q term). A value within the edge window
+(_EDGE_WINDOW) belongs to either adjacent bin: the scan counts it in the
+upper one, and `unplaced` charges each such value its largest swing in
+squared error, doubled to cover the charge's own rounding. Outside the
+windows the scan bins every value as the exact evaluator does.
+`scan_bound_use` reports how much of its slack a row's scan error uses,
+and tests and `quantred verify` check it stays below 1.
 """
 
 from __future__ import annotations
@@ -289,13 +344,16 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _place_edges(xs, edges, levels):
+def _place_edges(xs, p1, edges, levels):
     """Where every candidate's bin edges fall among the sorted values of its row.
 
-    Arguments as for _candidate_sse. Returns (at, unplaced, windowed):
-    at[r, c] holds flat indices into xs, and into any other (rows, n + 1)
-    array, of the bounds of row r's candidate c's bins: the row's start,
-    the first value at or above each edge's window, and the row's end.
+    Arguments as for _candidate_sse. Returns (count, below, unplaced,
+    windowed), the first two edge-major (rows, 2^b - 1, candidates) arrays:
+    count[r, k, c] is C_k of row r's candidate c, the number of
+    values below edge k's window, and below[r, k, c] is P1_k, their sum.
+    Each row's edges are searched edge-major, so that the keys rise
+    through the candidates' scales in runs instead of falling back at
+    every candidate.
 
     A value within _EDGE_WINDOW of an edge belongs to one of the two
     adjacent bins, and moving x from level a to level b changes its
@@ -307,65 +365,60 @@ def _place_edges(xs, edges, levels):
     rows, n = xs.shape[0], xs.shape[1] - 1
     cands, n_edges = edges.shape[1:]
     width = _EDGE_WINDOW * np.abs(edges)
-    at = np.empty((rows, cands, n_edges + 2), dtype=np.int64)
-    at[:, :, 0] = 0
-    at[:, :, -1] = n
-    lo = at[:, :, 1:-1]
+    lower = (edges - width).transpose(0, 2, 1)
+    upper = (edges + width).transpose(0, 2, 1)
+    count = np.empty((rows, n_edges, cands), dtype=np.int64)
     for r in range(rows):
-        lo[r] = np.searchsorted(xs[r, :n], edges[r] - width[r], side="left")
-    start = np.arange(rows) * (n + 1)
-    at += start[:, None, None]
-    upper = edges + width
+        count[r] = np.searchsorted(xs[r, :n], lower[r])
+    at = count + (np.arange(rows) * (n + 1))[:, None, None]
+    below = p1.ravel()[at]
     # xs ends each row with +inf, so a window past the row's last value holds none
-    windowed = (xs.ravel()[lo] <= upper).any(axis=(1, 2))
+    windowed = (xs.ravel()[at] <= upper).any(axis=(1, 2))
     unplaced = np.zeros((rows, cands))
     for r in np.flatnonzero(windowed):
-        hi = np.searchsorted(xs[r, :n], upper[r], side="right") + start[r]
-        below, above = levels[r, :, :-1], levels[r, :, 1:]
-        swing = np.abs(above - below) * (
-            np.abs(below + above - 2.0 * edges[r]) + 2.0 * width[r]
-        )
-        unplaced[r] = ((hi - lo[r]) * swing).sum(axis=1)
-    return at, unplaced, windowed
+        hi = np.searchsorted(xs[r, :n], upper[r], side="right")
+        low, high = levels[r, :, :-1], levels[r, :, 1:]
+        swing = np.abs(high - low) * (np.abs(low + high - 2.0 * edges[r]) + 2.0 * width[r])
+        unplaced[r] = np.einsum("kc,ck->c", hi - count[r], swing)
+    return count, below, unplaced, windowed
 
 
-def _candidate_sse(xs, p1, p2, edges, levels):
+def _candidate_sse(xs, p1, total, edges, levels):
     """Approximate SSE of every candidate lattice of each row of a block.
 
-    xs comes from _sorted_rows, p1 and p2 are the row-wise prefix sums of
-    x and x^2 with a leading zero. edges[r, c] holds the ascending bin
-    edges of row r's candidate c and levels[r, c] the dequantized value of
-    each of its bins. Codes are monotone in x, so a candidate splits the
-    sorted values into contiguous bins, and a bin's SSE is
-    S2 - 2 d S1 + n d^2 from the prefix sums where one binary search per
-    row puts the edges. Also returns `unplaced` and `windowed` of
-    _place_edges.
+    xs comes from _sorted_rows, p1 is the row-wise prefix sum of x with a
+    leading zero and total the row-wise sum of x^2. edges[r, c] holds the
+    ascending bin edges of row r's candidate c and levels[r, c] the
+    dequantized value of each of its bins. Codes are monotone in x, so a
+    candidate splits the sorted values into contiguous bins, and its SSE
+    telescopes over its edges (module docstring):
+    sum x^2 - 2 (L_top sum x - sum_k dL_k P1_k) + (L_top^2 n - sum_k d(L^2)_k C_k),
+    with C_k and P1_k from _place_edges. Also returns `unplaced` and
+    `windowed` of _place_edges.
     """
-    at, unplaced, windowed = _place_edges(xs, edges, levels)
-    count = at[:, :, 1:] - at[:, :, :-1]
-    s1 = p1.ravel()[at]
-    s1 = s1[:, :, 1:] - s1[:, :, :-1]
-    s2 = p2.ravel()[at]
-    s2 = s2[:, :, 1:] - s2[:, :, :-1]
-    sse = (s2 - 2.0 * levels * s1 + count * levels * levels).sum(axis=2)
-    return sse, unplaced, windowed
+    n = xs.shape[1] - 1
+    count, below, unplaced, windowed = _place_edges(xs, p1, edges, levels)
+    top = levels[:, :, -1]
+    step = levels[:, :, 1:] - levels[:, :, :-1]
+    # d(L^2)_k as dL_k (L_k + L_(k-1)): within 3 eps of its value
+    step_sq = step * (levels[:, :, 1:] + levels[:, :, :-1])
+    first = top * p1[:, n, None] - np.einsum("rck,rkc->rc", step, below)
+    second = top * top * n - np.einsum("rck,rkc->rc", step_sq, count)
+    return total[:, None] - 2.0 * first + second, unplaced, windowed
 
 
-def _shortlists(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Which candidates of each row can attain the row's smallest exact MSE.
+def _scan_scores(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate's scan SSE and its slack, for each row of a block.
 
     xs comes from _sorted_rows and grid holds the rows' candidates. Returns
-    a (rows, 141) mask and the rows that ran the upper edge search (see
-    _place_edges). Candidates are scanned in chunks of _CHUNK_BYTES, each
-    chunk's scores and unplaced swings kept as (rows, 141) arrays. Each
-    fast SSE is within `slack` of n times the exact evaluator's MSE: the
-    first term bounds the rounding of the prefix sums, the per-bin sums and
-    the exact evaluator itself (B bounds |x| and |level| over all
-    candidates), the second gradual underflow, the third the values the
-    scan cannot place (doubled to cover its own rounding). A candidate
-    whose lower end lies above the smallest upper end is strictly worse
-    than the exact optimum, so a row's mask holds every candidate tied at
-    it. A row whose scan overflows keeps every candidate.
+    (sse, slack, windowed): (rows, 141) scan SSEs, each within its slack of
+    n times the exact evaluator's MSE when both are finite (module
+    docstring), and the rows that ran the upper edge search (see
+    _place_edges). Candidates are scanned in chunks of _CHUNK_BYTES. B
+    bounds |x| and |level| over all candidates; the slack's first term
+    bounds the float rounding of the scan and of the exact evaluator, the
+    second gradual underflow, the third the values the scan cannot place
+    (doubled to cover its own rounding).
     """
     rows, n = xs.shape[0], xs.shape[1] - 1
     step = max(1, _CHUNK_BYTES // (8 * max(rows, 1) << grid.bits))
@@ -373,23 +426,36 @@ def _shortlists(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
     unplaced = np.empty((rows, ALPHA_GRID.size))
     windowed = np.zeros(rows, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        values = xs[:, :n]
+        total = np.einsum("ij,ij->i", values, values)
         p1 = np.zeros((rows, n + 1))
-        np.cumsum(xs[:, :n], axis=1, out=p1[:, 1:])
-        p2 = np.zeros((rows, n + 1))
-        np.square(xs[:, :n], out=p2[:, 1:])
-        np.cumsum(p2[:, 1:], axis=1, out=p2[:, 1:])
+        np.cumsum(values, axis=1, out=p1[:, 1:])
         # values and levels ascend, so the ends hold the largest magnitudes
         bound = np.abs(xs[:, : n : max(n - 1, 1)]).max(axis=1)
         for c in range(0, ALPHA_GRID.size, step):
             chunk = slice(c, c + step)
             edges, levels = _bins(_take(grid, chunk))
-            sse[:, chunk], unplaced[:, chunk], hit = _candidate_sse(xs, p1, p2, edges, levels)
+            sse[:, chunk], unplaced[:, chunk], hit = _candidate_sse(xs, p1, total, edges, levels)
             windowed |= hit
             ends = np.abs(levels[:, :, :: levels.shape[2] - 1]).max(axis=(1, 2))
             bound = np.maximum(bound, ends)
-        slack = (16.0 * n * _EPS * (p2[:, -1] + n * bound * bound) + 16.0 * n * _TINY)[
+        slack = (16.0 * n * _EPS * (total + n * bound * bound) + 16.0 * n * _TINY)[
             :, None
         ] + 2.0 * unplaced
+    return sse, slack, windowed
+
+
+def _shortlists(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Which candidates of each row can attain the row's smallest exact MSE.
+
+    Arguments as for _scan_scores. Returns a (rows, 141) mask and the rows
+    that ran the upper edge search. A candidate whose lower end
+    (sse - slack) lies above the smallest upper end is strictly worse than
+    the exact optimum, so a row's mask holds every candidate tied at it. A
+    row whose scan overflows keeps every candidate.
+    """
+    sse, slack, windowed = _scan_scores(xs, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
         keep = sse - slack <= (sse + slack).min(axis=1, keepdims=True)
     keep[~(np.isfinite(sse).all(axis=1) & np.isfinite(slack).all(axis=1))] = True
     return keep, windowed
@@ -501,21 +567,20 @@ def _exact_mse(rows: np.ndarray, grid) -> np.ndarray:
     return mse
 
 
-def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid) -> list[int]:
+def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid) -> np.ndarray:
     """Each row's choice among its grid's candidates, for rows too long to score directly.
 
     xs holds the rows sorted (_sorted_rows). The prefix-sum scan shortlists
     the candidates that can attain a row's smallest exact MSE; a shortlist
-    of more than one is scored by the exact evaluator.
+    of one is the choice, and only a longer one is scored by the exact
+    evaluator.
     """
     keep, _ = _shortlists(xs, grid)
-    choices = []
-    for i, row in enumerate(rows):
+    choices = keep.argmax(axis=1)
+    for i in np.flatnonzero(keep.sum(axis=1) > 1):
         shortlist = np.flatnonzero(keep[i])
-        if shortlist.size > 1:
-            row_grid = _take(grid, shortlist, slice(i, i + 1))
-            shortlist = shortlist[_last_minimum(_exact_mse(row[None], row_grid))]
-        choices.append(int(shortlist[0]))
+        row_grid = _take(grid, shortlist, slice(i, i + 1))
+        choices[i] = shortlist[_last_minimum(_exact_mse(rows[i : i + 1], row_grid))[0]]
     return choices
 
 
@@ -566,21 +631,76 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
     return out
 
 
+def _check_family_and_bits(family: str, bits: int) -> int:
+    """The bit width as a plain int, after the family: calibration's first two checks."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return require_int("bits", bits, 2, MAX_BITS)
+
+
+def _check_per_tensor(x: np.ndarray, family: str) -> None:
+    """Finite values, and nonnegative ones for log-sqrt2, as per-tensor calibration needs."""
+    check_finite(x)
+    if family == "log_sqrt2" and x.size and float(x.min()) < 0.0:
+        raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
+
+
+def _scanned_row(values: np.ndarray, family: str, bits: int):
+    """(row, xs, grid): the values as one row, sorted (_sorted_rows), and its grid.
+
+    The input is checked as `calibrate_scale` checks it per tensor; empty
+    and degenerate input have nothing to scan and raise ValueError.
+    """
+    bits = _check_family_and_bits(family, bits)
+    values = np.asarray(values, dtype=np.float64)
+    _check_per_tensor(values, family)
+    if values.size == 0:
+        raise ValueError("the calibration scan needs at least one value, got an empty array")
+    row = values.reshape(1, -1)
+    xs = _sorted_rows(row)
+    live, grid = _candidate_grid(xs[:, 0], xs[:, -2], family, bits)
+    if not live[0]:
+        cause = "constant values" if family == "uniform" else "every value zero"
+        raise ValueError(
+            f"degenerate {family} input ({cause} or nearly so): every candidate scale "
+            "is zero in float64, so there is nothing to scan"
+        )
+    return row, xs, grid
+
+
 def calibration_scan(values: np.ndarray, family: str, bits: int) -> tuple[np.ndarray, bool]:
     """What the calibration scan sees of the values, as one row.
 
     Returns the indices into ALPHA_GRID that calibration re-scores exactly
     (a shortlist of one is the choice itself) and whether some value lies
     within the edge window of some candidate, so that the scan searched the
-    upper window ends. For finite, non-degenerate input of either family,
-    of any length: calibration itself scans only rows longer than
-    `direct_cutoff(bits)`.
+    upper window ends. The input is checked as `calibrate_scale` checks it
+    per tensor, and must be non-empty and not degenerate (ValueError). Of
+    any length, but calibration itself scans only rows longer than
+    `direct_cutoff(bits)`, and only for those (n > 4 * 2^b) does the module
+    docstring derive the slack.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    xs = _sorted_rows(values[None, :])
-    _, grid = _candidate_grid(xs[:, 0], xs[:, -2], family, bits)
+    _, xs, grid = _scanned_row(values, family, bits)
     keep, windowed = _shortlists(xs, grid)
     return np.flatnonzero(keep[0]), bool(windowed[0])
+
+
+def scan_bound_use(values: np.ndarray, family: str, bits: int) -> float:
+    """How much of its slack the scan's SSE error uses on the values, as one row.
+
+    The largest |scan SSE - n * exact MSE| / slack over the candidates
+    whose three terms are finite (0.0 if none is): below 1 wherever the
+    module docstring's bound holds, as it does for every row calibration
+    scans, and that keeps calibration's choice the oracle's. Input as for
+    `calibration_scan`.
+    """
+    row, xs, grid = _scanned_row(values, family, bits)
+    sse, slack, _ = _scan_scores(xs, grid)
+    exact = row.shape[1] * _exact_mse(row, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        use = np.abs(sse - exact) / slack
+    finite = np.isfinite(sse) & np.isfinite(slack) & np.isfinite(exact)
+    return float(use[finite].max(initial=0.0))
 
 
 def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | LogSqrt2Params:
@@ -605,15 +725,11 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> 
     the bit width, then the granularity, then finiteness are checked, and
     log-sqrt2 input must be nonnegative.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    bits = require_int("bits", bits, 2, MAX_BITS)
+    bits = _check_family_and_bits(family, bits)
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
-        check_finite(x)
+        _check_per_tensor(x, family)
         x = x.reshape(1, -1)
-        if family == "log_sqrt2" and x.size and float(x.min()) < 0.0:
-            raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
     elif granularity == "per_channel":
         if family != "uniform":
             raise ValueError("per_channel calibration is uniform only")

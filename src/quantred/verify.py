@@ -423,8 +423,11 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
     Also reports how many rows calibration scored directly and how many it
     scanned (rows of at most and of more than `quantizers.direct_cutoff`
     values), and of the scanned rows the longest shortlist left to exact
-    re-scoring and how many held a value within an edge window, so that the
-    scan searched the upper window ends.
+    re-scoring, how many held a value within an edge window, so that the
+    scan searched the upper window ends, and `max_bound_use`: the largest
+    |scan SSE - n * exact MSE| / slack over their candidates
+    (`quantizers.scan_bound_use`). The shortlists keep the oracle's choice
+    only while that stays below 1, so the suite fails if it reaches 1.
     """
     rng = np.random.default_rng([seed, 5])
     mismatches = 0
@@ -432,6 +435,7 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
     scan_rows = 0
     max_shortlist = 0
     window_rows = 0
+    max_bound_use = 0.0
     for i in range(instances):
         x, family, bits, granularity = calibration_instance(
             rng, CALIBRATION_KINDS[i % len(CALIBRATION_KINDS)]
@@ -449,9 +453,12 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
                 shortlist, windowed = quantizers.calibration_scan(row, family, bits)
                 max_shortlist = max(max_shortlist, shortlist.size)
                 window_rows += int(windowed)
+                max_bound_use = max(
+                    max_bound_use, quantizers.scan_bound_use(row, family, bits)
+                )
     return SuiteResult(
         "calibration",
-        mismatches == 0,
+        mismatches == 0 and max_bound_use < 1.0,
         {
             "instances": instances,
             "mismatches": mismatches,
@@ -459,6 +466,7 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
             "scan_rows": scan_rows,
             "max_shortlist": max_shortlist,
             "window_rows": window_rows,
+            "max_bound_use": max_bound_use,
         },
     )
 

@@ -407,6 +407,8 @@ class TestVerify:
         # calibration scored some rows directly and scanned others
         assert suites[-1]["metrics"]["direct_rows"] > 0
         assert suites[-1]["metrics"]["scan_rows"] > 0
+        # the scan's error used part of its slack, never all of it
+        assert 0.0 < suites[-1]["metrics"]["max_bound_use"] < 1.0
         assert lines[-1] == {"all_passed": True}
         saved = json.loads((out / "verify.json").read_text())
         assert saved["all_passed"] is True

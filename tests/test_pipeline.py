@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quantred import oracle, pipeline
+from quantred.moments import InsufficientSamplesError
 from quantred.pipeline import (
     ABLATION_COLUMNS,
     ABLATION_GRID,
@@ -613,6 +614,23 @@ class TestLayerRun:
         with pytest.raises(ValueError, match=r"calibration batch of shape \(0, 12\) is empty"):
             quantize_layer(w, np.zeros((0, 12)), "uniform", 4, 4, RunConfig(stages=stages))
         assert call_counts == {"per_tensor": 0, "per_channel": 0, "aqer": 0}
+
+    @pytest.mark.parametrize(
+        "stages", [frozenset({stage}) for stage in sorted(ALL_STAGES)] + [frozenset(ALL_STAGES)]
+    )
+    def test_one_sample_calibration_batch_is_named(self, stages):
+        # every stage reads the moment cache, which needs two samples: the
+        # error keeps its type (manifest runs record it per layer) and names
+        # the calibration batch and its sample count
+        w, a_fp = _layer(np.random.default_rng(25), d_out=3, d_in=8, n=1)
+        message = r"^calibration batch of shape \(1, 8\) has 1 sample; .* need at least 2$"
+        with pytest.raises(InsufficientSamplesError, match=message):
+            quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(stages=stages))
+
+    def test_one_sample_calibration_batch_runs_without_stages(self):
+        w, a_fp = _layer(np.random.default_rng(25), d_out=3, d_in=8, n=1)
+        result = quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(stages=frozenset()))
+        assert result.mse["final"] == result.mse["baseline"]
 
     def test_non_finite_eval_batch_message_names_no_calibration(self):
         # the eval batch is not calibration input: the message says what is

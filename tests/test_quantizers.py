@@ -427,6 +427,32 @@ class TestCalibrationKernel:
         if not got[0].degenerate:
             assert calibration_scan(x, family, bits)[0].size >= 1
 
+    @pytest.mark.parametrize(
+        "values, family, message",
+        [
+            ([], "uniform", "needs at least one value, got an empty array"),
+            ([], "log_sqrt2", "needs at least one value, got an empty array"),
+            ([0.7, 0.7, 0.7], "uniform", r"degenerate uniform input \(constant values"),
+            ([0.0, 0.0], "log_sqrt2", r"degenerate log_sqrt2 input \(every value zero"),
+            ([0.0, 5e-324], "uniform", "degenerate uniform input"),
+            ([1.0, np.nan], "uniform", r"non-finite value nan at index \(1,\)"),
+            ([np.inf, 1.0], "log_sqrt2", r"non-finite value inf at index \(0,\)"),
+            ([0.5, -1.0], "log_sqrt2", "log_sqrt2 calibration requires nonnegative inputs"),
+            ([0.5, 1.0], "bogus", "unknown family 'bogus'"),
+        ],
+    )
+    def test_scan_checks_its_input(self, values, family, message):
+        # as calibrate_scale checks per-tensor input; empty and degenerate
+        # input, which calibration never scans, are named
+        for view in (quantizers.calibration_scan, quantizers.scan_bound_use):
+            with pytest.raises(ValueError, match=message):
+                view(np.array(values), family, 4)
+
+    @pytest.mark.parametrize("bits", [1, 17, 4.0, True])
+    def test_scan_checks_the_bit_width(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer in"):
+            calibration_scan(np.array([0.0, 1.0]), "uniform", bits)
+
     def test_overflowing_scan_rescores_every_candidate(self):
         x = np.array([-3e160, 1e160, 2e160])
         assert calibration_scan(x, "uniform", 4)[0].size == ALPHA_GRID.size
@@ -447,6 +473,20 @@ class TestCalibrationKernel:
         result = verify.suite_calibration(seed=0, instances=16)
         assert not result.passed
         assert result.metrics["mismatches"] > 0
+
+    def test_verify_suite_catches_a_slack_too_tight(self, monkeypatch):
+        # a slack a million times too small may still shortlist the right
+        # candidate; the suite's bound use must see it
+        real = quantizers._scan_scores
+
+        def tight(*args):
+            sse, slack, windowed = real(*args)
+            return sse, slack * 1e-6, windowed
+
+        monkeypatch.setattr(quantizers, "_scan_scores", tight)
+        result = verify.suite_calibration(seed=0, instances=16)
+        assert not result.passed
+        assert result.metrics["max_bound_use"] >= 1.0
 
 
 def _sequential_last_minimum(mse):
@@ -743,6 +783,30 @@ class TestRowBlocks:
         x = _mixed_rows(np.random.default_rng([29, bits]), 4, n, bits)
         got = calibrate_scale(x, "uniform", bits, "per_channel").params
         assert got == _grid(x, "uniform", "per_channel", bits)
+
+
+class TestScanBound:
+    """The scan's SSE stays within its slack of n times the exact MSE."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8, 10])
+    def test_every_candidate_is_within_its_slack(self, bits, family):
+        # the shortlists keep the oracle's choice only while this holds;
+        # at 10 bits the scan takes its candidates in chunks, and lattice and
+        # half-step rows put values in edge windows
+        n = quantizers.direct_cutoff(bits) + (8 if bits <= 8 else 3)
+        x = _mixed_rows(np.random.default_rng([41, bits]), 10 if bits <= 8 else 5, n, bits)
+        if family == "log_sqrt2":
+            x = np.abs(x)
+        xs = quantizers._sorted_rows(x)
+        live, grid = quantizers._candidate_grid(xs[:, 0], xs[:, n - 1], family, bits)
+        x, xs = x[live], xs[live]
+        sse, slack, windowed = quantizers._scan_scores(xs, grid)
+        exact = n * quantizers._exact_mse(x, grid)
+        assert np.isfinite(sse).all() and np.isfinite(slack).all()
+        assert (np.abs(sse - exact) <= slack).all()
+        if family == "uniform":
+            assert windowed.any()
 
 
 class TestNonFiniteInput:
