@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error (manifest, config, flags),
-2 numerical failure during a run, 3 verification suite failure.
+Exit codes: 0 success, 1 validation error (manifest, config, flag
+values), 2 numerical failure during a run, 3 verification suite failure.
+Usage errors that click reports itself (an unknown option, a missing
+required one, a --param outside its choices) also exit 2.
 """
 
 from __future__ import annotations
@@ -29,25 +31,42 @@ def integer(text: str):
             raise ValueError(f"{text!r} is not a number") from None
 
 
+def _flag(parse):
+    """A flag type: the text parsed, or the text itself where `parse` fails.
+
+    RunConfig then rejects unparseable text with the message of a bad value
+    (exit 1), where click would report a usage error (exit 2).
+    """
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            return text
+
+    convert.__name__ = parse.__name__  # click's metavar
+    return convert
+
+
 def _common_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="JSON file with RunConfig fields; flags override it."),
-        click.option("--jobs", type=integer, default=None,
+        click.option("--jobs", type=_flag(integer), default=None,
                      help="No effect: the weight loop runs all channels together. "
                           "Still accepted (>= 1) for existing configs; to be removed."),
         click.option("--stages", type=str, default=None,
                      help="Comma list from {aqer,wqer_rounding,wqer_ridge}, or all/none."),
-        click.option("--bits-w", type=integer, default=None,
+        click.option("--bits-w", type=_flag(integer), default=None,
                      help="Weight bit width override."),
-        click.option("--bits-a", type=integer, default=None,
+        click.option("--bits-a", type=_flag(integer), default=None,
                      help="Activation bit width override."),
-        click.option("--lambda1", type=float, default=None,
+        click.option("--lambda1", type=_flag(float), default=None,
                      help="Activation-correction ridge strength."),
-        click.option("--lambda2", type=float, default=None,
+        click.option("--lambda2", type=_flag(float), default=None,
                      help="Remainder-correction ridge strength."),
-        click.option("--k", type=integer, default=None, help="Flips per refinement step."),
-        click.option("--max-iter", type=integer, default=None,
+        click.option("--k", type=_flag(integer), default=None, help="Flips per refinement step."),
+        click.option("--max-iter", type=_flag(integer), default=None,
                      help="Refinement iteration cap per slice."),
     ]
     for option in reversed(options):

@@ -43,11 +43,11 @@ from .quantizers import (
     MAX_BITS,
     LogSqrt2Params,
     NonFiniteInputError,
-    QuantScheme,
     UniformParams,
     calibrate_scale,
     check_finite,
     quantize_with_scheme,
+    row_params,
 )
 from .tensorfile import LayerManifestEntry, read_tensor, write_tensor
 from .weight_quant import (
@@ -156,8 +156,8 @@ class LayerResult:
 
     layer_id: str
     n_samples: int
-    act_scheme: QuantScheme
-    weight_scheme: QuantScheme
+    act_params: UniformParams | LogSqrt2Params
+    weight_lattice: UniformParams
     codes: np.ndarray
     w_bar: np.ndarray
     mse: dict
@@ -193,7 +193,7 @@ class AqerStep:
 
     lambda1: float
     updated_w: np.ndarray
-    scheme: QuantScheme
+    lattice: UniformParams
     codes: np.ndarray
     w_bar: np.ndarray
     mse: float
@@ -250,18 +250,18 @@ class LayerRun:
         self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
         self.timings = {}
         t0 = time.perf_counter()
-        self.act_scheme = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
+        self.act_params = calibrate_scale(a_fp, act_family, bits_a, "per_tensor")
         self.timings["act_calib"] = time.perf_counter() - t0
-        _, self.a_q = quantize_with_scheme(a_fp, self.act_scheme, codes=False)
+        _, self.a_q = quantize_with_scheme(a_fp, self.act_params, codes=False)
         t0 = time.perf_counter()
-        self.base_scheme = calibrate_scale(w, "uniform", bits_w, "per_channel")
+        self.base_lattice = calibrate_scale(w, "uniform", bits_w, "per_channel")
         self.timings["weight_calib"] = time.perf_counter() - t0
-        self.base_codes, self.base_w_bar = quantize_with_scheme(w, self.base_scheme)
+        self.base_codes, self.base_w_bar = quantize_with_scheme(w, self.base_lattice)
 
         if eval_batch is None:
             self.eval_q = self.a_q
         else:
-            _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_scheme, codes=False)
+            _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_params, codes=False)
         self.y_fp = self.eval_fp @ w.T
         self.mse_baseline = layer_mse(self.y_fp, self.base_w_bar, self.eval_q)
         self._cache: LayerMomentCache | None = None
@@ -300,13 +300,13 @@ class LayerRun:
             self.w, self.a_fp, self.cache, lambda1
         )
         t1 = time.perf_counter()
-        scheme = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
+        lattice = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
         t2 = time.perf_counter()
-        codes, w_bar = quantize_with_scheme(updated_w, scheme)
+        codes, w_bar = quantize_with_scheme(updated_w, lattice)
         self._aqer = AqerStep(
             lambda1=lambda1,
             updated_w=updated_w,
-            scheme=scheme,
+            lattice=lattice,
             codes=codes,
             w_bar=w_bar,
             mse=layer_mse(self.y_fp, w_bar, self.eval_q),
@@ -332,12 +332,12 @@ class LayerRun:
         timings = dict(self.timings)
 
         current = self.w
-        weight_scheme = self.base_scheme
+        lattice = self.base_lattice
         codes, w_bar = self.base_codes, self.base_w_bar
         if aqer_on:
             aqer = self.aqer(cfg.lambda1)
             current = aqer.updated_w
-            weight_scheme = aqer.scheme
+            lattice = aqer.lattice
             codes, w_bar = aqer.codes, aqer.w_bar
             mse["after_aqer"] = aqer.mse
             reduction["aqer"] = _ratio(mse["baseline"], mse["after_aqer"])
@@ -349,7 +349,7 @@ class LayerRun:
             t0 = time.perf_counter()
             wres = quantize_layer_weights(
                 current,
-                weight_scheme.params,
+                lattice,
                 self.cache,
                 self.ridge(cfg.lambda2) if ridge_on else None,
                 k=cfg.k if rounding_on else 0,
@@ -367,8 +367,8 @@ class LayerRun:
         return LayerResult(
             layer_id=layer_id,
             n_samples=self.a_fp.shape[0],
-            act_scheme=self.act_scheme,
-            weight_scheme=weight_scheme,
+            act_params=self.act_params,
+            weight_lattice=lattice,
             codes=codes,
             w_bar=w_bar,
             mse=mse,
@@ -422,21 +422,22 @@ def _params_dict(p) -> dict:
 
 
 def layer_report_entry(result: LayerResult, codes_path: str | None) -> dict:
+    act, weights = result.act_params, result.weight_lattice
     return {
         "layer_id": result.layer_id,
         "n_samples": int(result.n_samples),
-        "bits_w": int(result.weight_scheme.bits),
-        "bits_a": int(result.act_scheme.bits),
+        "bits_w": int(weights.bits),
+        "bits_a": int(act.bits),
         "act_quant": {
-            "family": result.act_scheme.family,
-            "bits": int(result.act_scheme.bits),
-            **_params_dict(result.act_scheme.params[0]),
+            "family": "uniform" if isinstance(act, UniformParams) else "log_sqrt2",
+            "bits": int(act.bits),
+            **_params_dict(act),
         },
         "weight_quant": {
-            "family": result.weight_scheme.family,
-            "granularity": result.weight_scheme.granularity,
-            "bits": int(result.weight_scheme.bits),
-            "channels": [_params_dict(p) for p in result.weight_scheme.params],
+            "family": "uniform",
+            "granularity": "per_channel",
+            "bits": int(weights.bits),
+            "channels": [_params_dict(p) for p in row_params(weights)],
         },
         "mse": {key: float(value) for key, value in sorted(result.mse.items())},
         "reduction": {

@@ -8,15 +8,19 @@ covers post-softmax activations: codes are clip(round(-2 * log2(x / s)),
 them in log space.
 
 Calibration (`calibrate_scale`, one entry for both families and both
-granularities; `calibrate` is its per-tensor params) picks, from 141
-candidate scales, the one whose lattice minimizes reconstruction MSE. The
-candidates of either family form one grid (`_candidate_grid`): the
-lattice record `quantize` takes, with a (rows, 141, 1) scale and zero
-point, from which the scan also builds its bin edges and levels.
-Calibration runs a block of rows at a time (per-tensor input is one row;
-per-channel weights give as many rows per block as fit a fixed byte
-budget), and each row's choice equals the brute-force grid's
-(oracle.grid_calibrate), ties included, and calibrating that row alone.
+granularities) picks, from 141 candidate scales, the one whose lattice
+minimizes reconstruction MSE, and returns the lattice record `quantize`
+takes: params with scalar fields per tensor, and per channel one
+`UniformParams` whose scale, zero point and degenerate flag are (d, 1)
+columns, row i's lattice in row i, which broadcast against a (d, D)
+block (`row_params` unstacks them into one scalar params per row). The
+candidates of either family form one grid (`_candidate_grid`): the same
+record with a (rows, 141, 1) scale and zero point, from which the scan
+also builds its bin edges and levels. Calibration runs a block of rows
+at a time (per-tensor input is one row; per-channel weights give as many
+rows per block as fit a fixed byte budget), and each row's choice equals
+the brute-force grid's (oracle.grid_calibrate), ties included, and
+calibrating that row alone.
 
 One exact evaluator (`_exact_mse`) scores candidates: it quantizes the
 rows under them in one (rows, k, n) pass through `quantize(...,
@@ -104,7 +108,6 @@ and tests and `quantred verify` check it stays below 1.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +124,12 @@ ALPHA_GRID = np.arange(100, 241, dtype=np.float64) / 200.0
 MAX_BITS = 16
 
 FAMILIES = ("uniform", "log_sqrt2")
-GRANULARITIES = ("per_tensor", "per_channel")
 
 
 @dataclass(frozen=True)
 class UniformParams:
+    """A uniform lattice, whose fields may be arrays that broadcast against the values."""
+
     scale: float
     zero_point: int
     bits: int
@@ -137,26 +141,6 @@ class LogSqrt2Params:
     scale: float
     bits: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class QuantScheme:
-    """Calibrated quantizer family plus one params entry per granule."""
-
-    family: str
-    granularity: str
-    bits: int
-    params: tuple
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.family == "log_sqrt2" and self.granularity == "per_channel":
-            raise ValueError("log_sqrt2 is only used per tensor")
-        if self.granularity == "per_tensor" and len(self.params) != 1:
-            raise ValueError("per_tensor scheme must hold exactly one params entry")
 
 
 _ROUNDINGS = {"nearest": np.rint, "floor": np.floor, "ceil": np.ceil}
@@ -199,20 +183,6 @@ def dequantize_uniform(codes: np.ndarray, params: UniformParams) -> np.ndarray:
     return dequantize_index(np.asarray(codes, dtype=np.int64).astype(np.float64), params)
 
 
-def row_lattice(params: Sequence[UniformParams]) -> UniformParams:
-    """The lattices of a (d, D) block's rows, as params whose fields are (d, 1) columns.
-
-    `uniform_codes` and `dequantize_uniform` broadcast them: row i gets the
-    same elementwise operations, bit for bit, as `params[i]` on that row alone.
-    Zero points are float64, the type the lattice arithmetic runs in.
-    """
-    return UniformParams(
-        scale=np.array([p.scale for p in params], dtype=np.float64)[:, None],
-        zero_point=np.array([p.zero_point for p in params], dtype=np.float64)[:, None],
-        bits=np.array([p.bits for p in params], dtype=np.int64)[:, None],
-    )
-
-
 def quantize_uniform(x: np.ndarray, params: UniformParams, codes: bool = True):
     """Return (codes, dequantized values) on the lattice {s * (q - z)}.
 
@@ -253,10 +223,10 @@ def quantize_log_sqrt2(x: np.ndarray, params: LogSqrt2Params):
 def quantize(x: np.ndarray, params, codes: bool = True):
     """(codes, dequantized values) of x under uniform or log-sqrt2 params.
 
-    Params fields may be arrays that broadcast against x, as `row_lattice`
-    and `_candidate_grid` build them. With codes=False the codes come back
-    as None and the values are bit for bit the same; uniform values then
-    take one float buffer and no integer cast.
+    Params fields may be arrays that broadcast against x, as per-channel
+    calibration and `_candidate_grid` build them. With codes=False the
+    codes come back as None and the values are bit for bit the same;
+    uniform values then take one float buffer and no integer cast.
     """
     if isinstance(params, LogSqrt2Params):
         q, values = quantize_log_sqrt2(x, params)
@@ -511,14 +481,6 @@ def _take(grid, cands, rows=slice(None)):
     )
 
 
-def _candidate(grid, i: int, c: int) -> UniformParams | LogSqrt2Params:
-    """Row i's candidate c of a grid as the params calibration returns."""
-    scale = float(grid.scale[i, c, 0])
-    if isinstance(grid, LogSqrt2Params):
-        return LogSqrt2Params(scale=scale, bits=grid.bits)
-    return UniformParams(scale=scale, zero_point=int(grid.zero_point[i, c, 0]), bits=grid.bits)
-
-
 def _bins(grid) -> tuple[np.ndarray, np.ndarray]:
     """(edges, levels) of a grid's candidates for the scan: edges[i, c]
     holds the ascending bin edges of row i's candidate c, levels[i, c]
@@ -584,28 +546,25 @@ def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid) -> np.ndarray:
     return choices
 
 
-def _degenerate(family: str, bits: int) -> UniformParams | LogSqrt2Params:
-    if family == "uniform":
-        return UniformParams(scale=1.0, zero_point=0, bits=bits, degenerate=True)
-    return LogSqrt2Params(scale=1.0, bits=bits, degenerate=True)
+def _calibrate_rows(x: np.ndarray, family: str, bits: int):
+    """The calibrated lattice of each row of a finite 2-D array, in row blocks.
 
-
-def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
-    """Calibrated params of each row of a finite 2-D array, in row blocks.
-
-    Rows of at most `direct_cutoff(bits)` values are scored directly under
-    every candidate; longer rows are scanned. Values are finite, but a span
-    or a squared error past the float range gives inf or NaN scores, which
-    `_last_minimum` treats as the oracle does; the grid and the exact
-    evaluator compute them without a warning.
+    Returns the record of (d, 1) columns that `calibrate_scale` returns per
+    channel: each block's choices are gathered from its grid into the
+    columns of its live rows, and every other row keeps degenerate
+    unit-scale params. Rows of at most `direct_cutoff(bits)` values are
+    scored directly under every candidate; longer rows are scanned. Values
+    are finite, but a span or a squared error past the float range gives
+    inf or NaN scores, which `_last_minimum` treats as the oracle does; the
+    grid and the exact evaluator compute them without a warning.
     """
     d, n = x.shape
-    if n == 0:
-        return [_degenerate(family, bits)] * d
+    scale, zero = np.ones((d, 1)), np.zeros((d, 1))
+    degenerate = np.ones((d, 1), dtype=bool)
     direct = n <= direct_cutoff(bits)
-    height = _block_height(bits, n)
-    out = []
-    for start in range(0, d, height):
+    height = _block_height(bits, max(n, 1))
+    # rows without values stay degenerate
+    for start in range(0, d if n else 0, height):
         rows = x[start : start + height]
         if direct:
             lo, hi = rows.min(axis=1), rows.max(axis=1)
@@ -613,9 +572,7 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
             xs = _sorted_rows(rows)
             lo, hi = xs[:, 0], xs[:, n - 1]
         live, grid = _candidate_grid(lo, hi, family, bits)
-        block = [_degenerate(family, bits)] * live.size
         if not live.any():
-            out += block
             continue
         if not live.all():
             rows = rows[live]
@@ -625,10 +582,29 @@ def _calibrate_rows(x: np.ndarray, family: str, bits: int) -> list:
             choices = _last_minimum(_exact_mse(rows, grid))
         else:
             choices = _scan_choices(rows, xs, grid)
-        for i, r in enumerate(np.flatnonzero(live)):
-            block[r] = _candidate(grid, i, choices[i])
-        out += block
-    return out
+        at = start + np.flatnonzero(live)
+        chosen = np.arange(choices.size), choices
+        scale[at], degenerate[at] = grid.scale[chosen], False
+        if family == "uniform":
+            zero[at] = grid.zero_point[chosen]
+    if family == "log_sqrt2":
+        return LogSqrt2Params(scale=scale, bits=bits, degenerate=degenerate)
+    return UniformParams(scale=scale, zero_point=zero, bits=bits, degenerate=degenerate)
+
+
+def row_params(lattice) -> list:
+    """Params with scalar fields for each row of a record of (d, 1) columns.
+
+    Row i's params quantize a row alone as row i of the record does in a
+    block: the scale as a float, the zero point as an int, the degenerate
+    flag as a bool. For writing rows out and comparing them; the record
+    itself is what `quantize` and the weight loop take.
+    """
+    scales, flags = lattice.scale[:, 0].tolist(), lattice.degenerate[:, 0].tolist()
+    if isinstance(lattice, LogSqrt2Params):
+        return [LogSqrt2Params(s, lattice.bits, g) for s, g in zip(scales, flags)]
+    zeros = lattice.zero_point[:, 0].tolist()
+    return [UniformParams(s, int(z), lattice.bits, g) for s, z, g in zip(scales, zeros, flags)]
 
 
 def _check_family_and_bits(family: str, bits: int) -> int:
@@ -703,60 +679,49 @@ def scan_bound_use(values: np.ndarray, family: str, bits: int) -> float:
     return float(use[finite].max(initial=0.0))
 
 
-def calibrate(values: np.ndarray, family: str, bits: int) -> UniformParams | LogSqrt2Params:
-    """Scale (and uniform zero-point) of `family` minimizing reconstruction MSE.
+def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str):
+    """The lattice of `family` minimizing reconstruction MSE, per tensor or per channel.
 
-    Equal, ties included, to quantizing the values under each of the 141
-    candidates and keeping the last minimum (oracle.grid_calibrate): short
-    input is scored under every candidate, longer input only under the
-    candidates the prefix-sum scan cannot separate. Empty input, and input
-    whose smallest candidate scale is zero in float64, give degenerate
-    unit-scale params. The per-tensor params of `calibrate_scale`, which
-    checks the input.
-    """
-    return calibrate_scale(values, family, bits, "per_tensor").params[0]
+    Per tensor, over all elements: `UniformParams` or `LogSqrt2Params` with
+    scalar fields, equal, ties included, to quantizing the values under
+    each of the 141 candidates and keeping the last minimum
+    (oracle.grid_calibrate). Short input is scored under every candidate,
+    longer input only under the candidates the prefix-sum scan cannot
+    separate. Empty input, and input whose smallest candidate scale is zero
+    in float64, give degenerate unit-scale params.
 
-
-def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str) -> QuantScheme:
-    """Calibrate a scheme: per-tensor over all elements, per-channel over rows.
-
-    Per-channel rows are calibrated independently, each to what `calibrate`
-    gives for that row alone, a block of rows at a time. The family, then
-    the bit width, then the granularity, then finiteness are checked, and
-    log-sqrt2 input must be nonnegative.
+    Per channel, uniform only: one `UniformParams` whose scale, float64
+    zero point and degenerate flag are (d, 1) columns and whose bits is an
+    int; row i holds what per-tensor calibration gives for row i alone.
+    The family, then the bit width, then the granularity, then finiteness
+    are checked, and log-sqrt2 input must be nonnegative.
     """
     bits = _check_family_and_bits(family, bits)
     x = np.asarray(x, dtype=np.float64)
     if granularity == "per_tensor":
         _check_per_tensor(x, family)
-        x = x.reshape(1, -1)
-    elif granularity == "per_channel":
-        if family != "uniform":
-            raise ValueError("per_channel calibration is uniform only")
-        if x.ndim != 2:
-            raise ValueError("per_channel calibration expects a 2-D weight matrix")
-        check_finite(x, per_row=True)
-    else:
+        return row_params(_calibrate_rows(x.reshape(1, -1), family, bits))[0]
+    if granularity != "per_channel":
         raise ValueError(f"unknown granularity {granularity!r}")
-    params = tuple(_calibrate_rows(x, family, bits))
-    return QuantScheme(family=family, granularity=granularity, bits=bits, params=params)
+    if family != "uniform":
+        raise ValueError("per_channel calibration is uniform only")
+    if x.ndim != 2:
+        raise ValueError("per_channel calibration expects a 2-D weight matrix")
+    check_finite(x, per_row=True)
+    return _calibrate_rows(x, family, bits)
 
 
-def quantize_with_scheme(x: np.ndarray, scheme: QuantScheme, codes: bool = True):
-    """Quantize x under a calibrated scheme; returns (codes, dequantized).
+def quantize_with_scheme(x: np.ndarray, params, codes: bool = True):
+    """Quantize x under calibrated params; returns (codes, dequantized).
 
-    One call to `quantize`, per channel on the scheme's `row_lattice`. With
-    codes=False the codes are not formed and come back as None, and the
-    dequantized values are bit for bit the same.
+    One call to `quantize`. Per-channel params (fields of (d, 1) columns)
+    need a 2-D x of d rows. With codes=False the codes are not formed and
+    come back as None, and the dequantized values are bit for bit the same.
     """
     x = np.asarray(x, dtype=np.float64)
-    if scheme.granularity == "per_tensor":
-        params = scheme.params[0]
-    elif x.ndim != 2 or x.shape[0] != len(scheme.params):
+    if np.ndim(params.scale) and (x.ndim != 2 or x.shape[0] != len(params.scale)):
         raise ValueError(
-            f"per_channel scheme with {len(scheme.params)} channels cannot "
+            f"per_channel params with {len(params.scale)} channels cannot "
             f"quantize shape {x.shape}"
         )
-    else:
-        params = row_lattice(scheme.params)
     return quantize(x, params, codes)

@@ -204,10 +204,13 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
     for _ in range(5):
         d, dim = int(start_rng.integers(2, 9)), int(start_rng.integers(1, 200))
         rows = [_random_rounding_instance(start_rng, dim)[:2] for _ in range(d)]
+        lattice = UniformParams(
+            scale=np.array([[p.scale] for _, p in rows]),
+            zero_point=np.array([[p.zero_point] for _, p in rows], dtype=np.float64),
+            bits=4,
+        )
         block = weight_quant.init_rounding(
-            np.array([w for w, _ in rows]),
-            quantizers.row_lattice([p for _, p in rows]),
-            _random_psd(start_rng, dim),
+            np.array([w for w, _ in rows]), lattice, _random_psd(start_rng, dim)
         )
         for row in block.rows():
             score = np.copysign(row.gradient, row.step * row.gradient + row.curvature)
@@ -227,8 +230,7 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
             thin += 1
         w = rng.normal(0.0, 0.5, (d_out, d_in))
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
-        scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
-        _, a_q = quantize_with_scheme(a_fp, scheme)
+        _, a_q = quantize_with_scheme(a_fp, calibrate_scale(a_fp, "uniform", 4, "per_tensor"))
         lam = 0.5
         delta_w = act_correct.solve_activation_correction(
             w, a_fp, weight_quant.LayerMomentCache(a_q), lam
@@ -440,9 +442,10 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
         x, family, bits, granularity = calibration_instance(
             rng, CALIBRATION_KINDS[i % len(CALIBRATION_KINDS)]
         )
-        got = quantizers.calibrate_scale(x, family, bits, granularity).params
+        lattice = quantizers.calibrate_scale(x, family, bits, granularity)
         rows = x if granularity == "per_channel" else [x]
-        want = tuple(oracle.grid_calibrate(row, family, bits) for row in rows)
+        got = quantizers.row_params(lattice) if granularity == "per_channel" else [lattice]
+        want = [oracle.grid_calibrate(row, family, bits) for row in rows]
         mismatches += int(got != want)
         for row, params in zip(rows, want):
             if np.size(row) <= quantizers.direct_cutoff(bits):

@@ -27,10 +27,11 @@ whole (d_out, D_s) block at once:
     quotient's own buffer, kept as the choice `up_mask` and dequantized
     there for the start gradient and proxy; then the step to the other
     candidate and the curvature step^2 M_jj, one pass each, with each
-    row's lattice broadcast as a column (`quantizers.row_lattice`), so
-    nothing depends on how many rows share a call; the start gradient
-    2 delta M of every row, one product (`proxy_gradient` of the block),
-    so refinement reads the proxy block once per split, not once per row;
+    row's lattice broadcast as a column (the per-channel record of
+    `quantizers.calibrate_scale`), so nothing depends on how many rows
+    share a call; the start gradient 2 delta M of every row, one product
+    (`proxy_gradient` of the block), so refinement reads the proxy block
+    once per split, not once per row;
     every row's start proxy delta g / 2, one stacked product; and
     refinement's first scoring pass over the whole block, three passes.
     The state stores the choice once: its errors, ceil codes and codes are
@@ -115,7 +116,6 @@ takes the k x k block of M.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -126,11 +126,11 @@ from .linalg import SingularSystemError, require_int, require_strength, solve_sp
 from .moments import InsufficientSamplesError, accumulate_moments, gram
 from .quantizers import (
     UniformParams,
+    check_finite,
     clip_index,
     dequantize_index,
     dequantize_uniform,
     lattice_quotient,
-    row_lattice,
 )
 
 
@@ -279,8 +279,9 @@ def init_rounding(
     """Floor/ceil candidates plus the round-to-nearest starting choice.
 
     `w` is a (D_s,) channel slice on one lattice, or a (d, D_s) block whose
-    row i lies on row i of `params`, the (d, 1) columns of
-    `quantizers.row_lattice`; the state's arrays take the shape of `w`.
+    row i lies on row i of `params`, a record of (d, 1) columns such as
+    per-channel `quantizers.calibrate_scale` returns; the state's arrays
+    take the shape of `w`.
     Broadcasting gives row i the same elementwise operations, bit for bit,
     as its slice alone.
 
@@ -394,9 +395,10 @@ def refine_rounding(
     argmin therefore takes the first largest eligible |g_j|, a minimum
     that is not negative means none is left, and each pick is marked +inf
     before the next, so the picks of a step of several flips are read back,
-    sorted, as the infinite scores. This assumes finite values, which the
-    boundary guarantees by rejecting NaN and Inf in weights and batches: a
-    NaN would win argmin, and an infinite |g_j| would read as a pick.
+    sorted, as the infinite scores. This assumes finite values, which
+    `quantize_layer_weights` and `LayerMomentCache` guarantee by rejecting
+    NaN and Inf in weights and batches: a NaN would win argmin, and an
+    infinite |g_j| would read as a pick.
 
     A step of one flip is scored and applied in scalar arithmetic, the
     one-term case of the k x k form: t_j g_j + t_j (M_jj t_j) and
@@ -472,15 +474,16 @@ class LayerMomentCache:
     (`act_correct.solve_activation_correction`), every weight loop of the
     layer and every `RemainderRidge` of it share one cache.
 
-    `batch` is the (N, D) batch. One with at least as many samples as
-    columns (N >= D) is also reduced to its D x D Gram E[x x^T] once
-    (`moments`), and every `block` is a read-only view of it. A thinner
-    batch forms no Gram (`moments` is None): `block` builds X_c^T X_c / N
-    from the batch slice X_c each time it is called, so a caller that drops
-    one split's block before asking for the next holds one block at a time,
-    as `quantize_layer_weights` does. `ridge_system` reads the same blocks,
-    and decides for every ridge system of the layer its space, its 1/N
-    normalization and whether it is singular. In the same way
+    `batch` is the (N, D) batch, with at least two samples, all finite
+    (InsufficientSamplesError, NonFiniteInputError). One with at least as
+    many samples as columns (N >= D) is also reduced to its D x D Gram
+    E[x x^T] once (`moments`), and every `block` is a read-only view of it.
+    A thinner batch forms no Gram (`moments` is None): `block` builds
+    X_c^T X_c / N from the batch slice X_c each time it is called, so a caller
+    that drops one split's block before asking for the next holds one block
+    at a time, as `quantize_layer_weights` does. `ridge_system` reads the
+    same blocks, and decides for every ridge system of the layer its space,
+    its 1/N normalization and whether it is singular. In the same way
     `output_change` and `row_mses` decide the space of the weight loop's
     running trace product: the Gram's or the batch's.
     """
@@ -492,6 +495,7 @@ class LayerMomentCache:
             raise InsufficientSamplesError(
                 f"need at least 2 samples, got {self.n_samples}"
             )
+        check_finite(self.batch)
         self.splits = halving_splits(self.dim)
         self.moments: np.ndarray | None = None
         if self.n_samples >= self.dim:
@@ -615,7 +619,7 @@ class RemainderRidge:
 
 def quantize_layer_weights(
     w: np.ndarray,
-    channel_params: Sequence[UniformParams],
+    lattice: UniformParams,
     cache: LayerMomentCache,
     ridge: RemainderRidge | None,
     *,
@@ -624,18 +628,20 @@ def quantize_layer_weights(
 ) -> LayerWeightResult:
     """Run the progressive loop for the rows of w, splits outside, rows inside.
 
-    Row i is quantized on the fixed lattice `channel_params[i]`, against the
-    layer's moment cache. Returns the codes, the dequantized rows and, per
-    row, one trace row per iteration keyed by TRACE_FIELDS: the slice size,
-    the proxy before and after refinement, why refinement stopped and how
-    many coordinates it flipped, and the empirical squared output error of
-    the partially quantized row, from the loop's running output-error
-    product. Refinement runs only for k > 0 (k and max_iter, integers >= 0,
-    are checked before any work), the remainder update only when a `ridge`
-    of the same cache is given; None turns it off. Rows interact only
-    through rounding: a row's start gradient is a row of one block product,
-    so it, the proxies and the trace MSEs can move in the last bits with
-    the rows that share the call (within 1e-13 of the row's largest
+    Row i is quantized on the fixed lattice of row i of `lattice`, a record
+    of (d_out, 1) columns as per-channel `quantizers.calibrate_scale`
+    returns it, against the layer's moment cache. Returns the codes, the
+    dequantized rows and, per row, one trace row per iteration keyed by
+    TRACE_FIELDS: the slice size, the proxy before and after refinement, why
+    refinement stopped and how many coordinates it flipped, and the
+    empirical squared output error of the partially quantized row, from the
+    loop's running output-error product. Refinement runs only for k > 0 (k
+    and max_iter, integers >= 0, are checked before any work, and so is
+    every weight, per row, for NaN/Inf: NonFiniteInputError), the remainder
+    update only when a `ridge` of the same cache is given; None turns it
+    off. Rows interact only through rounding: a row's start gradient is a
+    row of one block product, so it, the proxies and the trace MSEs can
+    move in the last bits with the rows that share the call (within 1e-13 of the row's largest
     gradient entry, and 1e-12 relative for proxies and MSEs, in the tests),
     and only a flip decided by those bits could change a row's codes,
     dequantized values or stop reason.
@@ -648,13 +654,13 @@ def quantize_layer_weights(
     if w.size == 0:
         raise ValueError(f"weight matrix of shape {w.shape} is empty")
     d_out, dim = w.shape
-    if len(channel_params) != d_out:
-        raise ValueError("need one UniformParams per output channel")
+    if np.shape(lattice.scale) != (d_out, 1):
+        raise ValueError(f"need a lattice of ({d_out}, 1) columns, one row per output channel")
     if dim != cache.dim:
         raise ValueError(f"row dim {dim} does not match cache dim {cache.dim}")
     if ridge is not None and ridge.cache is not cache:
         raise ValueError("the ridge was built from another moment cache")
-    lattice = row_lattice(channel_params)
+    check_finite(w, per_row=True)
     current = w.copy()
     codes = np.zeros((d_out, dim), dtype=np.int64)
     # the running output-error product of current - w (`LayerMomentCache.row_mses`),

@@ -95,8 +95,8 @@ def test_criterion_03_activation_correction_optimality():
         n = 96
         w = rng.normal(0.0, 0.5, (d_out, d_in))
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
-        scheme = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
-        _, a_q = quantize_with_scheme(a_fp, scheme)
+        params = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
+        _, a_q = quantize_with_scheme(a_fp, params)
         delta_w = solve_activation_correction(w, a_fp, LayerMomentCache(a_q), lam)
 
         fd = finite_diff_gradient(

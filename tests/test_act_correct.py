@@ -16,8 +16,8 @@ from quantred.weight_quant import LayerMomentCache
 
 def _quantized_batch(rng, n, d, bits=4):
     a_fp = rng.normal(0.2, 1.3, (n, d))
-    scheme = calibrate_scale(a_fp, "uniform", bits, "per_tensor")
-    _, a_q = quantize_with_scheme(a_fp, scheme)
+    params = calibrate_scale(a_fp, "uniform", bits, "per_tensor")
+    _, a_q = quantize_with_scheme(a_fp, params)
     return a_fp, a_q
 
 

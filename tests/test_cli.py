@@ -229,6 +229,34 @@ class TestQuantize:
         assert "must be finite" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--k", "abc", "k must be an integer >= 0, got 'abc'"),
+            ("--k", "1.5", "k must be an integer >= 0, got 1.5"),
+            ("--max-iter", "ten", "max_iter must be an integer >= 0, got 'ten'"),
+            ("--jobs", "1e", "jobs must be an integer >= 1, got '1e'"),
+            ("--bits-w", "four", "bits_w must be an integer in [2, 16], got 'four'"),
+            ("--bits-a", "", "bits_a must be an integer in [2, 16], got ''"),
+            ("--lambda1", "abc", "lambda1 must be an int or float, got 'abc'"),
+            ("--lambda2", "1,0", "lambda2 must be an int or float, got '1,0'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["quantize", "ablate", "sweep"])
+    def test_malformed_flag_value_exit_1(
+        self, runner, manifest, tmp_path, command, flag, value, message
+    ):
+        # a bad flag value is a configuration error (1), named as a config
+        # file's value would be, not click's usage error (2)
+        out = tmp_path / "o"
+        args = [command, "--manifest", str(manifest), "--out", str(out), flag, value]
+        if command == "sweep":
+            args += ["--param", "lambda", "--values", "1"]
+        result = _run(runner, args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bits_above_max_exit_1(self, runner, manifest, tmp_path):
         result = _run(
             runner,

@@ -280,8 +280,8 @@ class TestQuantizeLayer:
         w, a_fp = _layer(rng)
         cfg = RunConfig(stages=frozenset())
         result = quantize_layer(w, a_fp, "uniform", 4, 4, cfg)
-        scheme = calibrate_scale(w, "uniform", 4, "per_channel")
-        codes, w_bar = quantize_with_scheme(w, scheme)
+        lattice = calibrate_scale(w, "uniform", 4, "per_channel")
+        codes, w_bar = quantize_with_scheme(w, lattice)
         np.testing.assert_array_equal(result.codes, codes)
         np.testing.assert_array_equal(result.w_bar, w_bar)
         assert result.mse["final"] == result.mse["baseline"]
@@ -449,9 +449,9 @@ class TestLayerRun:
         real = pipeline.quantize_with_scheme
         calls = []
 
-        def recorded(x, scheme, **kwargs):
-            calls.append((scheme.granularity, kwargs))
-            return real(x, scheme, **kwargs)
+        def recorded(x, params, **kwargs):
+            calls.append(("per_channel" if np.ndim(params.scale) else "per_tensor", kwargs))
+            return real(x, params, **kwargs)
 
         monkeypatch.setattr(pipeline, "quantize_with_scheme", recorded)
         run = pipeline.LayerRun(w, a_fp, act_family, 4, 4, eval_batch)
@@ -463,7 +463,7 @@ class TestLayerRun:
             ("per_channel", {}),
         ]
         for batch, got in ((a_fp, run.a_q), (eval_batch, run.eval_q)):
-            want = quantize_with_scheme(batch, run.act_scheme)[1]
+            want = quantize_with_scheme(batch, run.act_params)[1]
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eval_n", [None, 40], ids=["calib", "eval"])
@@ -497,7 +497,7 @@ class TestLayerRun:
             assert len(outputs) - before == 1 + aqer_on + wqer_on
             assert all(y is run.y_fp for y in outputs[before:])
             assert shared.result(combo).mse == result.mse
-            eval_q = quantize_with_scheme(eval_fp, result.act_scheme)[1]
+            eval_q = quantize_with_scheme(eval_fp, result.act_params)[1]
             want = {"baseline": oracle.layer_mse(w, eval_fp, run.base_w_bar, eval_q)}
             if aqer_on:
                 want["after_aqer"] = oracle.layer_mse(
@@ -524,7 +524,7 @@ class TestLayerRun:
         result = pipeline.quantize_layer(
             w, a_fp, "uniform", 4, 4, RunConfig(lambda1=0.5, lambda2=0.5)
         )
-        a_q = quantize_with_scheme(a_fp, result.act_scheme)[1]
+        a_q = quantize_with_scheme(a_fp, result.act_params)[1]
         want = oracle.layer_mse(w, a_fp, result.w_bar, a_q)
         assert result.mse["final"] == pytest.approx(1.01 * want, rel=1e-12)
         assert abs(result.mse["final"] - want) > 1e-3 * want
@@ -677,6 +677,39 @@ class TestManifestRun:
         assert header == ",".join(TRACE_COLUMNS)
         echoed = json.loads((out / "run_config.json").read_text())
         assert RunConfig.from_dict(echoed) == cfg
+
+    @pytest.mark.parametrize("stages", ["none", "all"])
+    def test_report_calibration_is_the_oracle_grid(self, tmp_path, stages):
+        # every calibration entry of report.json, field for field, is what
+        # oracle.grid_calibrate gives: per tensor for the calibration batch
+        # (uniform after gelu, log-sqrt2 after softmax), per weight row for
+        # the channels, the aqer-corrected rows when aqer runs
+        spec = SynthSpec(
+            seed=8, dims=((6, 8), (5, 6), (4, 5)), nonlinearities=("gelu", "softmax"),
+            n_samples=40,
+        )
+        entries = load_manifest(write_manifest_files(spec, tmp_path / "data"))
+        cfg = RunConfig(lambda1=1.0, lambda2=1.0, stages=stages)
+        run_manifest(entries, cfg, tmp_path / "out")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["layers"]
+        assert [e.act_quant for e in entries] == ["uniform", "uniform", "log_sqrt2"]
+        for entry, layer in zip(report, entries, strict=True):
+            w = np.asarray(read_tensor(layer.weight_path), dtype=np.float64)
+            a_fp = np.asarray(read_tensor(layer.calib_path), dtype=np.float64)
+            act = vars(oracle.grid_calibrate(a_fp, layer.act_quant, layer.bits_a))
+            assert entry["act_quant"] == {"family": layer.act_quant, **act}
+            if stages == "all":
+                run = pipeline.LayerRun(w, a_fp, layer.act_quant, layer.bits_w, layer.bits_a)
+                w = run.aqer(cfg.lambda1).updated_w
+            channels = [vars(oracle.grid_calibrate(row, "uniform", layer.bits_w)) for row in w]
+            for channel in channels:
+                assert channel.pop("bits") == layer.bits_w
+            assert entry["weight_quant"] == {
+                "family": "uniform",
+                "granularity": "per_channel",
+                "bits": layer.bits_w,
+                "channels": channels,
+            }
 
     def test_rerun_is_byte_identical_excluding_timings(self, tmp_path):
         entries = self._entries(tmp_path)

@@ -17,9 +17,7 @@ from quantred.quantizers import (
     SQRT2,
     LogSqrt2Params,
     NonFiniteInputError,
-    QuantScheme,
     UniformParams,
-    calibrate,
     calibrate_scale,
     calibration_scan,
     dequantize_log_sqrt2,
@@ -29,9 +27,30 @@ from quantred.quantizers import (
     quantize_log_sqrt2,
     quantize_uniform,
     quantize_with_scheme,
-    row_lattice,
+    row_params,
     uniform_codes,
 )
+
+
+def _stack(params):
+    """Scalar uniform params as a record of (d, 1) columns.
+
+    Calibration's records hold one bit width; rows at mixed widths take a
+    (d, 1) bits column, which `quantize` broadcasts like the other fields.
+    """
+    bits = np.array([[p.bits] for p in params])
+    return UniformParams(
+        scale=np.array([[p.scale] for p in params]),
+        zero_point=np.array([[p.zero_point] for p in params], dtype=np.float64),
+        bits=int(bits[0, 0]) if (bits == bits[0, 0]).all() else bits,
+        degenerate=np.array([[p.degenerate] for p in params]),
+    )
+
+
+def _calibrated_rows(x, family, bits, granularity):
+    """calibrate_scale's lattice as scalar params, one per row (one per tensor)."""
+    got = calibrate_scale(x, family, bits, granularity)
+    return tuple(row_params(got)) if granularity == "per_channel" else (got,)
 
 
 class TestUniformHandCases:
@@ -77,9 +96,7 @@ class TestUniformHandCases:
         codes, deq = quantize_uniform([x], p)
         assert codes[0] == want
         assert deq[0] == scale * (want - 3)
-        codes, deq = quantize_with_scheme(
-            np.full((2, 3), x), QuantScheme("uniform", "per_channel", 4, (p, p))
-        )
+        codes, deq = quantize_with_scheme(np.full((2, 3), x), _stack([p, p]))
         assert (codes == want).all() and (deq == scale * (want - 3)).all()
 
     @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
@@ -96,7 +113,7 @@ class TestUniformHandCases:
             UniformParams(scale=0.25, zero_point=0, bits=4),
             UniformParams(scale=0.5, zero_point=3, bits=2),
             UniformParams(scale=0.013, zero_point=255, bits=8),
-            calibrate(x[4], "uniform", 4),
+            calibrate_scale(x[4], "uniform", 4, "per_tensor"),
             UniformParams(scale=1.0, zero_point=0, bits=4, degenerate=True),
         ]
         if granularity == "per_tensor":
@@ -110,8 +127,8 @@ class TestUniformHandCases:
             c = np.clip(np.rint(rows[i] / p.scale).astype(np.int64) + p.zero_point, 0, qmax)
             want_codes[i] = c
             want_deq[i] = p.scale * (c - p.zero_point).astype(np.float64)
-        scheme = QuantScheme("uniform", granularity, 4, tuple(params))
-        codes, deq = quantize_with_scheme(x, scheme)
+        lattice = params[0] if granularity == "per_tensor" else _stack(params)
+        codes, deq = quantize_with_scheme(x, lattice)
         np.testing.assert_array_equal(codes, want_codes.reshape(codes.shape))
         assert deq.tobytes() == want_deq.reshape(deq.shape).tobytes()
         assert codes.dtype == np.int64 and deq.dtype == np.float64
@@ -234,7 +251,7 @@ class TestCalibration:
         rng = np.random.default_rng(11)
         x = rng.normal(0.3, 1.7, 4096)
         bits = 4
-        p = calibrate(x, "uniform", bits)
+        p = calibrate_scale(x, "uniform", bits, "per_tensor")
         qmax = (1 << bits) - 1
         lo, hi = float(x.min()), float(x.max())
         s_base = (hi - lo) / qmax
@@ -251,7 +268,7 @@ class TestCalibration:
     def test_uniform_ties_choose_larger_scale(self):
         # constant-ish two-point data quantized exactly by many scales
         x = np.array([0.0, 0.0, 1.0, 1.0])
-        p = calibrate(x, "uniform", 2)
+        p = calibrate_scale(x, "uniform", 2, "per_tensor")
         candidates = []
         qmax = 3
         s_base = 1.0 / qmax
@@ -265,23 +282,23 @@ class TestCalibration:
         assert p.scale == largest_tied
 
     def test_degenerate_constant_input(self):
-        p = calibrate(np.full(10, 4.2), "uniform", 4)
+        p = calibrate_scale(np.full(10, 4.2), "uniform", 4, "per_tensor")
         assert p.degenerate
         assert p.scale == 1.0
         assert p.zero_point == 0
 
     def test_degenerate_empty_input(self):
-        assert calibrate(np.empty(0), "uniform", 4).degenerate
-        assert calibrate(np.empty(0), "log_sqrt2", 4).degenerate
+        assert calibrate_scale(np.empty(0), "uniform", 4, "per_tensor").degenerate
+        assert calibrate_scale(np.empty(0), "log_sqrt2", 4, "per_tensor").degenerate
 
     def test_log_sqrt2_degenerate_all_zero(self):
-        p = calibrate(np.zeros(8), "log_sqrt2", 4)
+        p = calibrate_scale(np.zeros(8), "log_sqrt2", 4, "per_tensor")
         assert p.degenerate
 
     def test_log_sqrt2_grid_optimality(self):
         rng = np.random.default_rng(5)
         x = rng.exponential(0.1, 2048)
-        p = calibrate(x, "log_sqrt2", 4)
+        p = calibrate_scale(x, "log_sqrt2", 4, "per_tensor")
         hi = float(x.max())
 
         def mse_at(scale):
@@ -296,13 +313,13 @@ class TestCalibration:
         # data already on a 4-bit lattice: calibration must reach MSE 0
         true = UniformParams(scale=0.25, zero_point=6, bits=4)
         x = dequantize_uniform(np.random.default_rng(0).integers(0, 16, 512), true)
-        p = calibrate(x, "uniform", 4)
+        p = calibrate_scale(x, "uniform", 4, "per_tensor")
         _, deq = quantize_uniform(x, p)
         assert float(np.mean((x - deq) ** 2)) == 0.0
 
     def test_bits_below_two_rejected(self):
         with pytest.raises(ValueError, match=r"^bits must be an integer in \[2, 16\], got 1$"):
-            calibrate(np.arange(4.0), "uniform", 1)
+            calibrate_scale(np.arange(4.0), "uniform", 1, "per_tensor")
 
     @pytest.mark.parametrize("bits", [1, 17, 40, 64, 2.5, True, "4"])
     def test_bad_bit_widths_rejected_before_any_work(self, bits):
@@ -310,8 +327,8 @@ class TestCalibration:
         # terabytes and 64 for more than numpy can index
         x = np.random.default_rng(0).normal(size=(3, 8))
         calls = (
-            lambda: calibrate(x, "uniform", bits),
-            lambda: calibrate(np.abs(x), "log_sqrt2", bits),
+            lambda: calibrate_scale(x, "uniform", bits, "per_tensor"),
+            lambda: calibrate_scale(np.abs(x), "log_sqrt2", bits, "per_tensor"),
             lambda: calibrate_scale(x, "uniform", bits, "per_tensor"),
             lambda: calibrate_scale(x, "uniform", bits, "per_channel"),
         )
@@ -322,7 +339,8 @@ class TestCalibration:
 
     def test_numpy_integer_bit_width_accepted(self):
         x = np.random.default_rng(0).normal(size=40)
-        assert calibrate(x, "uniform", np.int64(4)) == calibrate(x, "uniform", 4)
+        got = calibrate_scale(x, "uniform", np.int64(4), "per_tensor")
+        assert got == calibrate_scale(x, "uniform", 4, "per_tensor")
 
     @pytest.mark.parametrize(
         "family, bits, bad",
@@ -339,14 +357,14 @@ class TestCalibration:
         ids=["family", "bits-1", "bits-2.5", "bits-True", "bits-17", "nan", "log-nan", "negative"],
     )
     def test_both_entries_reject_a_bad_input_alike(self, family, bits, bad):
-        # calibrate is the per-tensor params of calibrate_scale: the same
-        # checks in the same order, so the same type and message
+        # the scan's view checks its input as per-tensor calibration does:
+        # the same checks in the same order, so the same type and message
         x = np.abs(np.random.default_rng(0).normal(size=(3, 8)))
         if bad is not None:
             x[1, 2] = bad
         errors = []
         for call in (
-            lambda: calibrate(x, family, bits),
+            lambda: calibration_scan(x, family, bits),
             lambda: calibrate_scale(x, family, bits, "per_tensor"),
         ):
             with pytest.raises(ValueError) as info:
@@ -368,7 +386,7 @@ class TestCalibrationKernel:
         rng = np.random.default_rng([17, verify.CALIBRATION_KINDS.index(kind)])
         for _ in range(25):
             x, family, bits, granularity = verify.calibration_instance(rng, kind, 20_000)
-            got = calibrate_scale(x, family, bits, granularity).params
+            got = _calibrated_rows(x, family, bits, granularity)
             assert got == _grid(x, family, granularity, bits)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -378,14 +396,14 @@ class TestCalibrationKernel:
     )
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_tiny_inputs_match_grid(self, family, x, bits):
-        got = calibrate_scale(np.array(x), family, bits, "per_tensor").params
+        got = _calibrated_rows(np.array(x), family, bits, "per_tensor")
         assert got == _grid(np.array(x), family, "per_tensor", bits)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_scale_underflow_is_degenerate(self, family):
         # half the range is below the smallest subnormal: every candidate
         # scale would be zero
-        p = calibrate_scale(np.array([0.0, 5e-324]), family, 4, "per_tensor").params[0]
+        p = calibrate_scale(np.array([0.0, 5e-324]), family, 4, "per_tensor")
         assert p.degenerate
         assert p.scale == 1.0
 
@@ -394,7 +412,8 @@ class TestCalibrationKernel:
         # alpha = 0.6 (s = 0.04): those candidates cannot place the value
         # by its sorted position, which must not widen the shortlist
         x = np.array([0.0, 0.3, 1.0])
-        assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
+        got = calibrate_scale(x, "uniform", 4, "per_tensor")
+        assert got == oracle.grid_calibrate(x, "uniform", 4)
         shortlist, windowed = calibration_scan(x, "uniform", 4)
         assert shortlist.size == 1
         assert windowed
@@ -403,7 +422,7 @@ class TestCalibrationKernel:
         # 0 and 1 lie on the 8-bit lattices of alpha = 1.00 (s = 1/255)
         # and alpha = 1.02 (s = 1/250), both exactly in float64
         x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        p = calibrate(x, "uniform", 8)
+        p = calibrate_scale(x, "uniform", 8, "per_tensor")
         assert p.scale == float(ALPHA_GRID[104] * (1.0 / 255))
         _, deq = quantize_uniform(x, p)
         np.testing.assert_array_equal(deq, x)
@@ -422,7 +441,7 @@ class TestCalibrationKernel:
         x = np.array(values)
         if family == "log_sqrt2":
             x = np.abs(x)
-        got = calibrate_scale(x, family, bits, "per_tensor").params
+        got = _calibrated_rows(x, family, bits, "per_tensor")
         assert got == _grid(x, family, "per_tensor", bits)
         if not got[0].degenerate:
             assert calibration_scan(x, family, bits)[0].size >= 1
@@ -457,7 +476,8 @@ class TestCalibrationKernel:
         x = np.array([-3e160, 1e160, 2e160])
         assert calibration_scan(x, "uniform", 4)[0].size == ALPHA_GRID.size
         with np.errstate(over="ignore"):
-            assert calibrate(x, "uniform", 4) == oracle.grid_calibrate(x, "uniform", 4)
+            got = calibrate_scale(x, "uniform", 4, "per_tensor")
+            assert got == oracle.grid_calibrate(x, "uniform", 4)
 
     def test_verify_suite_catches_a_kernel_fault(self, monkeypatch):
         # scores reversed along the candidate axis of every row block make a
@@ -525,11 +545,12 @@ class TestDirectScoring:
         n = {"one": 1, "two": 2, "below": cutoff - 1, "at": cutoff, "above": cutoff + 1}[length]
         rng = np.random.default_rng(seed)
         x = _mixed_rows(rng, d, max(n, 2), bits)[:, :n] * 10.0**exponent
-        got = calibrate_scale(x, "uniform", bits, "per_channel").params
+        got = _calibrated_rows(x, "uniform", bits, "per_channel")
         assert got == tuple(_grid_quiet(row, "uniform", bits) for row in x)
-        assert got == tuple(calibrate(row, "uniform", bits) for row in x)
+        assert got == tuple(calibrate_scale(row, "uniform", bits, "per_tensor") for row in x)
         for row in np.abs(x):
-            assert calibrate(row, "log_sqrt2", bits) == _grid_quiet(row, "log_sqrt2", bits)
+            got = calibrate_scale(row, "log_sqrt2", bits, "per_tensor")
+            assert got == _grid_quiet(row, "log_sqrt2", bits)
 
     @pytest.mark.parametrize("top", [1e308, 1.7e308])
     @pytest.mark.parametrize("n", [3, 200], ids=["direct", "scanned"])
@@ -541,13 +562,13 @@ class TestDirectScoring:
         # oracle's sequential <= resolves to candidate 0
         x = np.full(n, 0.5)
         x[-1] = top
-        assert calibrate(x, family, 4) == _grid_quiet(x, family, 4)
+        assert calibrate_scale(x, family, 4, "per_tensor") == _grid_quiet(x, family, 4)
         if family == "uniform":
             x[0] = -top
-            got = calibrate(x, family, 4)
+            got = calibrate_scale(x, family, 4, "per_tensor")
             assert got == _grid_quiet(x, family, 4)
             assert got.scale == math.inf
-            assert got == calibrate_scale(x[None, :], family, 4, "per_channel").params[0]
+            assert got == _calibrated_rows(x[None, :], family, 4, "per_channel")[0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -581,7 +602,7 @@ class TestDirectScoring:
         rng = np.random.default_rng(bits)
         cutoff = quantizers.direct_cutoff(bits)
         calibrate_scale(rng.normal(size=(16, cutoff)), "uniform", bits, "per_channel")
-        calibrate(rng.normal(size=cutoff), "uniform", bits)
+        calibrate_scale(rng.normal(size=cutoff), "uniform", bits, "per_tensor")
         assert calls == []
         calibrate_scale(rng.normal(size=(16, cutoff + 1)), "uniform", bits, "per_channel")
         assert sum(calls) == 16
@@ -612,13 +633,13 @@ class TestDirectScoring:
                 for kind in kinds
             ]
         )
-        params = calibrate_scale(x, "uniform", bits, "per_channel").params
+        params = _calibrated_rows(x, "uniform", bits, "per_channel")
         assert [p.degenerate for p in params] == [kind != "G" for kind in kinds]
         live = {row.tobytes() for row, kind in zip(np.sort(x, axis=1), kinds) if kind == "G"}
         assert {row.tobytes() for row in seen} == live
         seen.clear()
-        calibrate(np.full(n, 0.3), "uniform", bits)
-        calibrate(np.zeros(n), "log_sqrt2", bits)
+        calibrate_scale(np.full(n, 0.3), "uniform", bits, "per_tensor")
+        calibrate_scale(np.zeros(n), "log_sqrt2", bits, "per_tensor")
         assert seen == []
 
     def test_blocks_without_a_live_row_are_skipped(self, monkeypatch):
@@ -639,7 +660,7 @@ class TestDirectScoring:
         rng = np.random.default_rng(56)
         x = np.zeros((64, 1024))
         x[::8] = rng.normal(size=(8, 1024))
-        params = calibrate_scale(x, "uniform", 8, "per_channel").params
+        params = _calibrated_rows(x, "uniform", 8, "per_channel")
         assert sum(calls.values()) == 8
         assert params == _grid(x, "uniform", "per_channel", 8)
 
@@ -696,10 +717,10 @@ class TestRowBlocks:
         windowed = 0
         for d in sorted({1, height - 1, height, height + 1, 3 * height + 2} - {0}):
             x = _mixed_rows(rng, d, n, bits)
-            got = calibrate_scale(x, "uniform", bits, "per_channel").params
+            got = _calibrated_rows(x, "uniform", bits, "per_channel")
             assert got == _grid(x, "uniform", "per_channel", bits)
             alone = tuple(
-                calibrate_scale(row[None, :], "uniform", bits, "per_channel").params[0]
+                _calibrated_rows(row[None, :], "uniform", bits, "per_channel")[0]
                 for row in x
             )
             assert got == alone
@@ -727,7 +748,7 @@ class TestRowBlocks:
         ]
 
     def test_rows_without_values_are_degenerate(self):
-        params = calibrate_scale(np.zeros((5, 0)), "uniform", 4, "per_channel").params
+        params = _calibrated_rows(np.zeros((5, 0)), "uniform", 4, "per_channel")
         assert len(params) == 5
         assert all(p == UniformParams(1.0, 0, 4, degenerate=True) for p in params)
 
@@ -768,7 +789,7 @@ class TestRowBlocks:
         x = np.random.default_rng(11).normal(size=n)
         tracemalloc.start()
         try:
-            got = calibrate(x, "uniform", 16)
+            got = calibrate_scale(x, "uniform", 16, "per_tensor")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -781,7 +802,7 @@ class TestRowBlocks:
         # one short; lattice and half-step rows put values in edge windows
         n = quantizers.direct_cutoff(bits) + 3
         x = _mixed_rows(np.random.default_rng([29, bits]), 4, n, bits)
-        got = calibrate_scale(x, "uniform", bits, "per_channel").params
+        got = _calibrated_rows(x, "uniform", bits, "per_channel")
         assert got == _grid(x, "uniform", "per_channel", bits)
 
 
@@ -833,24 +854,28 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_is_a_value_error_from_either_calibrator(self, family):
         with pytest.raises(ValueError, match="non-finite value nan at index \\(1,\\)"):
-            calibrate(np.array([0.5, np.nan, 0.2]), family, 4)
+            calibrate_scale(np.array([0.5, np.nan, 0.2]), family, 4, "per_tensor")
 
 
 class TestSchemes:
     def test_per_channel_calibrates_rows_independently(self):
         rng = np.random.default_rng(2)
         w = np.vstack([rng.normal(0, 0.1, 32), rng.normal(0, 5.0, 32)])
-        scheme = calibrate_scale(w, "uniform", 4, "per_channel")
-        assert len(scheme.params) == 2
-        assert scheme.params[0].scale < scheme.params[1].scale
-        row0_alone = calibrate(w[0], "uniform", 4)
-        assert scheme.params[0] == row0_alone
+        lattice = calibrate_scale(w, "uniform", 4, "per_channel")
+        assert lattice.scale.shape == lattice.zero_point.shape == lattice.degenerate.shape
+        assert lattice.scale.shape == (2, 1) and type(lattice.bits) is int
+        assert lattice.zero_point.dtype == np.float64
+        rows = row_params(lattice)
+        assert len(rows) == 2
+        assert rows[0].scale < rows[1].scale
+        row0_alone = calibrate_scale(w[0], "uniform", 4, "per_tensor")
+        assert rows[0] == row0_alone
 
     def test_per_tensor_single_params(self):
         a = np.random.default_rng(3).normal(0, 1, (16, 8))
-        scheme = calibrate_scale(a, "uniform", 4, "per_tensor")
-        assert len(scheme.params) == 1
-        codes, deq = quantize_with_scheme(a, scheme)
+        params = calibrate_scale(a, "uniform", 4, "per_tensor")
+        assert isinstance(params, UniformParams) and np.ndim(params.scale) == 0
+        codes, deq = quantize_with_scheme(a, params)
         assert codes.shape == a.shape
         assert deq.shape == a.shape
 
@@ -867,76 +892,89 @@ class TestSchemes:
             (np.abs(a), calibrate_scale(np.abs(a[1:]), "log_sqrt2", 3, "per_tensor")),
             (5.0 * w, calibrate_scale(w, "uniform", 4, "per_channel")),
         ]
-        for x, scheme in cases:
-            codes, want = quantize_with_scheme(x, scheme)
-            none, got = quantize_with_scheme(x, scheme, codes=False)
+        for x, params in cases:
+            codes, want = quantize_with_scheme(x, params)
+            none, got = quantize_with_scheme(x, params, codes=False)
             assert none is None
             assert got.tobytes() == want.tobytes()
             assert codes.shape == got.shape
-        # the broadcast forms: a row lattice of mixed rows at mixed widths,
-        # and each family's candidate grid against a (rows, 1, n) block,
-        # whose candidate c of row i quantizes as its scalar params do
+        # the broadcast forms: a record of mixed rows at mixed widths, the
+        # per-channel record at each width, and each family's candidate grid
+        # against a (rows, 1, n) block, whose candidate c of row i quantizes
+        # as its scalar params do
         mixed = _mixed_rows(rng, 10, 8, 4)
-        lattice = row_lattice(
-            [calibrate(row, "uniform", b) for row, b in zip(mixed, [2, 3, 4, 8, 16] * 2)]
+        widths = [2, 3, 4, 8, 16]
+        lattice = _stack(
+            [calibrate_scale(row, "uniform", b, "per_tensor") for row, b in zip(mixed, widths * 2)]
         )
-        forms = [(5.0 * mixed, lattice)]
+        forms = [(5.0 * mixed, lattice)] + [
+            (5.0 * mixed, calibrate_scale(mixed, "uniform", b, "per_channel")) for b in widths
+        ]
+        grids = []
         for family, rows in (("uniform", mixed[:3]), ("log_sqrt2", np.abs(mixed[:3]))):
             live, grid = quantizers._candidate_grid(rows.min(axis=1), rows.max(axis=1), family, 3)
             assert live.all() and grid.scale.shape == (3, ALPHA_GRID.size, 1)
-            forms.append((rows[:, None, :], grid))
-        for x, p in forms:
+            assert isinstance(grid, LogSqrt2Params) == (family == "log_sqrt2")
+            grids.append((rows[:, None, :], grid))
+        for x, p in forms + grids:
             codes, want = quantize(x, p)
             none, got = quantize(x, p, codes=False)
             assert none is None
             assert got.tobytes() == want.tobytes()
             assert codes.shape == got.shape
-        for (x, grid), family in zip(forms[1:], FAMILIES):
+        for x, grid in grids:
             _, values = quantize(x, grid, codes=False)
             for i, c in np.ndindex(values.shape[:2]):
-                p = quantizers._candidate(grid, i, c)
-                assert isinstance(p, LogSqrt2Params) == (family == "log_sqrt2")
+                scale = float(grid.scale[i, c, 0])
+                if isinstance(grid, LogSqrt2Params):
+                    p = LogSqrt2Params(scale, 3)
+                else:
+                    p = UniformParams(scale, int(grid.zero_point[i, c, 0]), 3)
                 assert values[i, c].tobytes() == quantize(x[i, 0], p)[1].tobytes()
 
     def test_log_sqrt2_per_channel_rejected(self):
-        with pytest.raises(ValueError, match="per tensor"):
-            QuantScheme(
-                family="log_sqrt2",
-                granularity="per_channel",
-                bits=4,
-                params=(LogSqrt2Params(scale=1.0, bits=4),),
-            )
+        with pytest.raises(ValueError, match="per_channel calibration is uniform only"):
+            calibrate_scale(np.ones((2, 4)), "log_sqrt2", 4, "per_channel")
 
     def test_per_channel_shape_mismatch_rejected(self):
         w = np.zeros((3, 8))
-        scheme = calibrate_scale(w, "uniform", 4, "per_channel")
-        with pytest.raises(ValueError, match="channels"):
-            quantize_with_scheme(np.zeros((4, 8)), scheme)
+        lattice = calibrate_scale(w, "uniform", 4, "per_channel")
+        for x in (np.zeros((4, 8)), np.zeros(8), np.zeros((3, 8, 1))):
+            with pytest.raises(ValueError, match="channels"):
+                quantize_with_scheme(x, lattice)
 
     def test_per_channel_quantization_matches_row_by_row(self):
         rng = np.random.default_rng(9)
         w = rng.normal(0, 1, (5, 16))
-        scheme = calibrate_scale(w, "uniform", 4, "per_channel")
+        lattice = calibrate_scale(w, "uniform", 4, "per_channel")
+        rows = row_params(lattice)
         # then rows at 2 and 8 bits, a row five times past its lattice (clipped
         # at both ends) and an all-zero row on degenerate params
         mixed_w = np.vstack([w, w[0], w[1], 5.0 * w[2], np.zeros(16)])
-        mixed = QuantScheme(
-            family="uniform",
-            granularity="per_channel",
-            bits=4,
-            params=scheme.params
-            + (
-                calibrate(w[0], "uniform", 2),
-                calibrate(w[1], "uniform", 8),
-                scheme.params[2],
-                calibrate(np.zeros(16), "uniform", 4),
-            ),
-        )
-        for x, s in ((w, scheme), (mixed_w, mixed)):
+        mixed_rows = rows + [
+            calibrate_scale(w[0], "uniform", 2, "per_tensor"),
+            calibrate_scale(w[1], "uniform", 8, "per_tensor"),
+            rows[2],
+            calibrate_scale(np.zeros(16), "uniform", 4, "per_tensor"),
+        ]
+        for x, s, params in ((w, lattice, rows), (mixed_w, _stack(mixed_rows), mixed_rows)):
             codes, deq = quantize_with_scheme(x, s)
-            for i, p in enumerate(s.params):
+            for i, p in enumerate(params):
                 c, d = quantize_uniform(x[i], p)
                 np.testing.assert_array_equal(codes[i], c)
                 np.testing.assert_array_equal(deq[i].view(np.int64), d.view(np.int64))
         assert {0, 15} <= set(codes[7].tolist())
-        assert mixed.params[8].degenerate and (codes[8] == 0).all()
+        assert mixed_rows[8].degenerate and (codes[8] == 0).all()
+
+    def test_row_params_unstacks_each_family(self):
+        # a per-tensor record is one row of (1, 1) columns; row_params gives
+        # what per-tensor calibration returns, field types included
+        x = np.abs(np.random.default_rng(4).normal(size=(3, 40)))
+        for family in FAMILIES:
+            record = quantizers._calibrate_rows(x[:1], family, 4)
+            (got,) = row_params(record)
+            want = calibrate_scale(x[0], family, 4, "per_tensor")
+            assert got == want and type(got) is type(want)
+            assert type(got.scale) is float and type(got.degenerate) is bool
+        got = row_params(calibrate_scale(x, "uniform", 4, "per_channel"))
+        assert all(type(p.zero_point) is int for p in got)

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from quantred import weight_quant
 from quantred.cli import main
 from quantred.pipeline import ConfigError, RunConfig, run_manifest
-from quantred.quantizers import GRANULARITIES, UniformParams, calibrate, calibrate_scale
+from quantred.quantizers import UniformParams, calibrate_scale, row_params
 from quantred.synth import SynthSpec, write_manifest_files
 from quantred.tensorfile import ManifestError, load_manifest
 from quantred.weight_quant import LayerMomentCache, quantize_layer_weights
@@ -64,12 +64,14 @@ def _manifest(value, manifest, tmp_path):
 
 
 def _calibrate(value, manifest, tmp_path):
-    return [calibrate(X, "uniform", value).bits]
+    # per tensor
+    return [calibrate_scale(X, "uniform", value, "per_tensor").bits]
 
 
 def _calibrate_scale(value, manifest, tmp_path):
-    schemes = [calibrate_scale(X, "uniform", value, g) for g in GRANULARITIES]
-    return [s.bits for s in schemes] + [p.bits for s in schemes for p in s.params]
+    # per channel: the record's bits, and each row's
+    lattice = calibrate_scale(X, "uniform", value, "per_channel")
+    return [lattice.bits] + [p.bits for p in row_params(lattice)]
 
 
 # (entry point, setting name in its message, error type, message prefix)
@@ -130,9 +132,9 @@ def _weight_loop(field, value, monkeypatch):
     monkeypatch.setattr(weight_quant, "refine_rounding", recorded)
     rng = np.random.default_rng(1)
     cache = LayerMomentCache(rng.normal(size=(16, 4)))
-    p = UniformParams(scale=0.1, zero_point=8, bits=4)
+    lattice = UniformParams(scale=np.full((2, 1), 0.1), zero_point=np.full((2, 1), 8.0), bits=4)
     settings = {"k": 1, "max_iter": 100, field: value}
-    quantize_layer_weights(rng.normal(0, 0.3, (2, 4)), (p, p), cache, None, **settings)
+    quantize_layer_weights(rng.normal(0, 0.3, (2, 4)), lattice, cache, None, **settings)
     return seen
 
 

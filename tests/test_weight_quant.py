@@ -14,11 +14,11 @@ from quantred.linalg import SingularSystemError, solve_spd, spd_factor
 from quantred.moments import InsufficientSamplesError, accumulate_moments
 from quantred.oracle import brute_force_rounding, single_flip_proxies
 from quantred.quantizers import (
+    NonFiniteInputError,
     UniformParams,
-    calibrate,
+    calibrate_scale,
     dequantize_uniform,
     quantize_uniform,
-    row_lattice,
     uniform_codes,
 )
 from quantred.verify import (
@@ -37,6 +37,21 @@ from quantred.weight_quant import (
     quantize_layer_weights,
     refine_rounding,
 )
+
+
+def _stack(params):
+    """Scalar uniform params as a record of (d, 1) columns.
+
+    Calibration's records hold one bit width; rows at mixed widths take a
+    (d, 1) bits column, which the lattice arithmetic broadcasts like the
+    other fields.
+    """
+    bits = np.array([p.bits for p in params], dtype=np.int64)[:, None]
+    return UniformParams(
+        scale=np.array([p.scale for p in params], dtype=np.float64)[:, None],
+        zero_point=np.array([p.zero_point for p in params], dtype=np.float64)[:, None],
+        bits=int(bits[0, 0]) if bits.size and (bits == bits[0, 0]).all() else bits,
+    )
 
 
 def _ridge(cache, lambda2):
@@ -260,7 +275,7 @@ class TestRefinement:
         # side choice: the codes are the floor or ceil code that up_mask
         # picks, as int64, for the block and for each of its row views
         rng = np.random.default_rng(12)
-        lattice = row_lattice([UniformParams(0.25, 3, 3), UniformParams(0.1, 0, 2)])
+        lattice = _stack([UniformParams(0.25, 3, 3), UniformParams(0.1, 0, 2)])
         w = rng.normal(0.0, 0.6, (2, 40))
         state = init_rounding(w, lattice, np.eye(40))
         assert not state.flippable.all()
@@ -685,7 +700,7 @@ def _per_row_loop(w, channel_params, cache, ridge, k, max_iter):
     codes = np.zeros((d_out, dim), dtype=np.int64)
     outputs = 0.0
     trace = [[] for _ in range(d_out)]
-    lattice = row_lattice(channel_params)
+    lattice = _stack(channel_params)
     for iteration, (lo, mid) in enumerate(cache.splits):
         block = init_rounding(current[:, lo:mid], lattice, cache.block(slice(lo, mid)))
         end = dim if ridge is not None else mid
@@ -769,11 +784,11 @@ def _mixed_rows(rng, d_in):
     w[3] = 0.25 * (rng.integers(0, 15, d_in) - 4.5)
     w[3, ::3] = 0.0
     params = (
-        calibrate(w[0], "uniform", 4),
-        calibrate(w[1], "uniform", 3),
+        calibrate_scale(w[0], "uniform", 4, "per_tensor"),
+        calibrate_scale(w[1], "uniform", 3, "per_tensor"),
         UniformParams(scale=0.05, zero_point=7, bits=4),
         UniformParams(scale=0.25, zero_point=5, bits=4),
-        calibrate(w[4], "uniform", 4),
+        calibrate_scale(w[4], "uniform", 4, "per_tensor"),
     )
     assert params[4].degenerate
     return w, params
@@ -784,7 +799,7 @@ class TestChannelQuantization:
     def _setup(rng, d_out, d_in, n=64):
         w = rng.normal(0, 0.5, (d_out, d_in))
         a_q = rng.normal(0.1, 1.0, (n, d_in))
-        params = tuple(calibrate(w[i], "uniform", 4) for i in range(d_out))
+        params = tuple(calibrate_scale(w[i], "uniform", 4, "per_tensor") for i in range(d_out))
         return w, params, a_q
 
     @pytest.mark.parametrize("d_in", [1, 2, 7, 33])
@@ -800,7 +815,7 @@ class TestChannelQuantization:
         remainder = _ridge(cache, 0.5 if ridge else None)
         for i in range(3):
             got = quantize_layer_weights(
-                w[i : i + 1], params[i : i + 1], cache, remainder, **cfg
+                w[i : i + 1], _stack(params[i : i + 1]), cache, remainder, **cfg
             )
             trace = got.trace[0]
             codes, rows = _reference_channel(w[i], params[i], cache, remainder, cfg)
@@ -832,10 +847,12 @@ class TestChannelQuantization:
             w, params, cache, remainder, cfg
         )
         assert (want_codes == 0).any() and (want_codes == 15).any()
-        runs = [(slice(0, 5), quantize_layer_weights(w, params, cache, remainder, **cfg))]
+        runs = [
+            (slice(0, 5), quantize_layer_weights(w, _stack(params), cache, remainder, **cfg))
+        ]
         for i in range(5):
             one = quantize_layer_weights(
-                w[i : i + 1], params[i : i + 1], cache, remainder, **cfg
+                w[i : i + 1], _stack(params[i : i + 1]), cache, remainder, **cfg
             )
             runs.append((slice(i, i + 1), one))
         for rows, got in runs:
@@ -860,14 +877,14 @@ class TestChannelQuantization:
         # where the running sum has the most updates to drift over
         rng = np.random.default_rng(7 * n + d_in)
         w = rng.normal(0, 0.5, (3, d_in))
-        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        params = tuple(calibrate_scale(row, "uniform", 4, "per_tensor") for row in w)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
         assert len(cache.splits) == (12 if d_in == 2048 else 9)
         for lambda2 in (0.5, None):
             remainder = _ridge(cache, lambda2)
             for k in (0, 1, 3):
                 cfg = dict(k=k, max_iter=100)
-                got = quantize_layer_weights(w, params, cache, remainder, **cfg)
+                got = quantize_layer_weights(w, _stack(params), cache, remainder, **cfg)
                 want_codes, want_w_bar, want_trace = _per_row_reference(
                     w, params, cache, remainder, cfg
                 )
@@ -884,7 +901,7 @@ class TestChannelQuantization:
         # gradient of row i's delta to 1e-13 of the row's largest entry
         rng = np.random.default_rng(n + d_in)
         w, params = _mixed_rows(rng, d_in)
-        lattice = row_lattice(params)
+        lattice = _stack(params)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
         for lo, mid in cache.splits:
             matrix = cache.block(slice(lo, mid))
@@ -896,7 +913,7 @@ class TestChannelQuantization:
 
     @pytest.mark.parametrize("d_in", [9, 64])
     def test_init_rounding_matches_per_row_candidates(self, d_in):
-        # a slice, each row view of a block on row_lattice columns, and each
+        # a slice, each row view of a block on (d, 1) lattice columns, and each
         # row of the block's own arrays: the stored fields equal the per-row
         # reference, and the derived ones (with flippable) uniform_codes and
         # dequantize_uniform, byte for byte and dtype for dtype; rows clipped
@@ -909,7 +926,7 @@ class TestChannelQuantization:
         w = np.vstack([w, on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
         params = (*params, unit, unit, unit)
         matrix = _psd(rng, d_in)
-        block = init_rounding(w, row_lattice(params), matrix)
+        block = init_rounding(w, _stack(params), matrix)
         assert (block.codes == 0).any() and (block.codes == 15).any()
         # a lattice point has one candidate unless its quotient rounds off it
         assert block.flippable[-3].sum() < min(block.flippable[-2].sum(), block.flippable[-1].sum())
@@ -940,7 +957,7 @@ class TestChannelQuantization:
         # per-row reference's start, bit for bit, score and proxy included
         rng = np.random.default_rng(7 * n + d_in)
         w, params = _mixed_rows(rng, d_in)
-        lattice = row_lattice(params)
+        lattice = _stack(params)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
         for lo, mid in cache.splits:
             matrix = cache.block(slice(lo, mid))
@@ -969,7 +986,7 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, 16)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         remainder = _ridge(cache, 0.5 if ridge else None)
-        got = quantize_layer_weights(w, params, cache, remainder, k=k, max_iter=max_iter)
+        got = quantize_layer_weights(w, _stack(params), cache, remainder, k=k, max_iter=max_iter)
         codes, w_bar, trace = _per_row_loop(w, params, cache, remainder, k, max_iter)
         _assert_same_bytes(got.codes, codes, "codes")
         _assert_same_bytes(got.w_bar, w_bar, "w_bar")
@@ -983,11 +1000,11 @@ class TestChannelQuantization:
         # 1024 columns) and a Gram-path layer, ridge on, k = 1 and 2
         rng = np.random.default_rng(n + d_in)
         w = rng.normal(0, 0.5, (4, d_in))
-        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        params = tuple(calibrate_scale(row, "uniform", 4, "per_tensor") for row in w)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, d_in)))
         ridge = RemainderRidge(cache, 0.5)
         for k in (1, 2):
-            got = quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
+            got = quantize_layer_weights(w, _stack(params), cache, ridge, k=k, max_iter=100)
             codes, w_bar, trace = _per_row_loop(w, params, cache, ridge, k, 100)
             _assert_same_bytes(got.codes, codes, "codes")
             _assert_same_bytes(got.w_bar, w_bar, "w_bar")
@@ -1003,7 +1020,7 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, 40)
         w = np.vstack([w, [TestRefinement._many_flip_instance(rng)[0] for _ in range(3)]])
         params = (*params, *[UniformParams(scale=0.1, zero_point=7, bits=4)] * 3)
-        block = init_rounding(w, row_lattice(params), _proxy_matrix(rng, 40))
+        block = init_rounding(w, _stack(params), _proxy_matrix(rng, 40))
         for field in _START_ARRAYS + ("proxy",):
             getattr(block, field).flags.writeable = False
         resumed = 0
@@ -1042,7 +1059,7 @@ class TestChannelQuantization:
         monkeypatch.setattr(weight_quant, "init_rounding", counted)
         cache = LayerMomentCache(a_q)
         quantize_layer_weights(
-            w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100
+            w, _stack(params), cache, RemainderRidge(cache, 0.5), k=k, max_iter=100
         )
         splits = halving_splits(16)
         assert len(shapes) == len(splits)
@@ -1082,7 +1099,9 @@ class TestChannelQuantization:
         monkeypatch.setattr(weight_quant, "refine_rounding", refine)
         monkeypatch.setattr(RemainderRidge, "updates", updates)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
-        quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), k=k, max_iter=100)
+        quantize_layer_weights(
+            w, _stack(params), cache, RemainderRidge(cache, 0.5), k=k, max_iter=100
+        )
         # every split but the last is solved, for all five rows
         widths = [mid - lo for lo, mid in cache.splits]
         assert [width for width, _ in solved] == [x for x in widths[:-1] for _ in range(5)]
@@ -1110,7 +1129,7 @@ class TestChannelQuantization:
         monkeypatch.setattr(weight_quant, "init_rounding", recorded)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         quantize_layer_weights(
-            w, params, cache, _ridge(cache, 0.5 if ridge else None), k=1, max_iter=100
+            w, _stack(params), cache, _ridge(cache, 0.5 if ridge else None), k=1, max_iter=100
         )
         assert len(blocks) == len(halving_splits(16))
         for w_block, matrix, block in blocks:
@@ -1130,7 +1149,7 @@ class TestChannelQuantization:
         w, params = _mixed_rows(rng, 16)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (n, 16)))
         lo, mid = cache.splits[0]
-        block = init_rounding(w[:, lo:mid], row_lattice(params), cache.block(slice(lo, mid)))
+        block = init_rounding(w[:, lo:mid], _stack(params), cache.block(slice(lo, mid)))
         start = {field: getattr(block, field).copy() for field in _START_ARRAYS}
         flips = 0
         for row in block.rows():
@@ -1151,7 +1170,7 @@ class TestChannelQuantization:
 
         monkeypatch.setattr(weight_quant, "init_rounding", recorded)
         result = quantize_layer_weights(
-            w, params, cache, _ridge(cache, 0.5 if ridge else None), k=k, max_iter=100
+            w, _stack(params), cache, _ridge(cache, 0.5 if ridge else None), k=k, max_iter=100
         )
         flips = sum(row["flips_committed"] for rows in result.trace for row in rows)
         assert (flips > 0) == (k > 0)
@@ -1168,7 +1187,7 @@ class TestChannelQuantization:
         matrix = 0.9 * np.ones((width, width)) + 0.1 * np.eye(width)
         w = np.full((3, width), 0.6)
         w[1] = -0.6  # clipped at code 0: nothing to flip
-        block = init_rounding(w, row_lattice([unit] * 3), matrix)
+        block = init_rounding(w, _stack([unit] * 3), matrix)
         for row, w_row in zip(block.rows(), w, strict=True):
             _assert_row_refines_as_slice(row, init_rounding(w_row, unit, matrix))
 
@@ -1177,20 +1196,20 @@ class TestChannelQuantization:
         a_q = rng.normal(0, 1, (16, 4))
         cache = LayerMomentCache(a_q)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
-            quantize_layer_weights(np.zeros((0, 4)), (), cache, None, k=1, max_iter=100)
+            quantize_layer_weights(np.zeros((0, 4)), _stack(()), cache, None, k=1, max_iter=100)
         with pytest.raises(ValueError, match=r"shape \(0, 4\) is empty"):
             pipeline.quantize_layer(
                 np.zeros((0, 4)), a_q, "uniform", 4, 4, pipeline.RunConfig()
             )
         with pytest.raises(ValueError, match=r"shape \(3, 0\) is empty"):
-            quantize_layer_weights(np.zeros((3, 0)), (), cache, None, k=1, max_iter=100)
+            quantize_layer_weights(np.zeros((3, 0)), _stack(()), cache, None, k=1, max_iter=100)
 
     def test_single_column_is_nearest_rounding(self):
         rng = np.random.default_rng(7)
         w, params, a_q = self._setup(rng, 3, 1)
         cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
+        result = quantize_layer_weights(w, _stack(params), cache, RemainderRidge(cache, 1.0), **cfg)
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
             np.testing.assert_array_equal(result.codes[i], codes)
@@ -1204,7 +1223,7 @@ class TestChannelQuantization:
         params = (UniformParams(scale=0.3, zero_point=5, bits=4),)
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        result = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+        result = quantize_layer_weights(w, _stack(params), cache, ridge, k=1, max_iter=100)
         np.testing.assert_array_equal(result.codes[0], np.full(6, 5))
         np.testing.assert_array_equal(result.w_bar[0], np.zeros(6))
 
@@ -1213,10 +1232,10 @@ class TestChannelQuantization:
         row = rng.normal(0, 0.5, 10)
         w = np.vstack([row, row])
         a_q = rng.normal(0, 1, (64, 10))
-        p = calibrate(row, "uniform", 4)
+        p = calibrate_scale(row, "uniform", 4, "per_tensor")
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        result = quantize_layer_weights(w, (p, p), cache, ridge, k=1, max_iter=100)
+        result = quantize_layer_weights(w, _stack((p, p)), cache, ridge, k=1, max_iter=100)
         np.testing.assert_array_equal(result.codes[0], result.codes[1])
         np.testing.assert_array_equal(result.w_bar[0], result.w_bar[1])
 
@@ -1226,10 +1245,10 @@ class TestChannelQuantization:
         cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
         ridge = RemainderRidge(cache, 1.0)
-        base = quantize_layer_weights(w, params, cache, ridge, **cfg)
+        base = quantize_layer_weights(w, _stack(params), cache, ridge, **cfg)
         perm = rng.permutation(5)
         permuted = quantize_layer_weights(
-            w[perm], tuple(params[i] for i in perm), cache, ridge, **cfg
+            w[perm], _stack(tuple(params[i] for i in perm)), cache, ridge, **cfg
         )
         np.testing.assert_array_equal(permuted.codes, base.codes[perm])
         np.testing.assert_array_equal(permuted.w_bar, base.w_bar[perm])
@@ -1239,7 +1258,7 @@ class TestChannelQuantization:
         w, params, a_q = self._setup(rng, 4, 9, n=128)
         cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        result = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
+        result = quantize_layer_weights(w, _stack(params), cache, RemainderRidge(cache, 1.0), **cfg)
         for i, rows in enumerate(result.trace):
             err_vec = (result.w_bar[i] - w[i]) @ a_q.T
             empirical = float(np.mean(err_vec**2))
@@ -1250,7 +1269,7 @@ class TestChannelQuantization:
         w, params, a_q = self._setup(rng, 6, 12, n=96)
         cache = LayerMomentCache(a_q)
         result = quantize_layer_weights(
-            w, params, cache, RemainderRidge(cache, 1.0), k=1, max_iter=100
+            w, _stack(params), cache, RemainderRidge(cache, 1.0), k=1, max_iter=100
         )
         for rows in result.trace:
             for row in rows:
@@ -1260,7 +1279,7 @@ class TestChannelQuantization:
         rng = np.random.default_rng(15)
         w, params, a_q = self._setup(rng, 3, 8)
         cfg = dict(k=0, max_iter=100)
-        result = quantize_layer_weights(w, params, LayerMomentCache(a_q), None, **cfg)
+        result = quantize_layer_weights(w, _stack(params), LayerMomentCache(a_q), None, **cfg)
         # with both stages off this is plain nearest rounding on the lattice
         for i in range(3):
             codes, deq = quantize_uniform(w[i], params[i])
@@ -1275,11 +1294,11 @@ class TestChannelQuantization:
         w, params, a_q = self._setup(rng, 3, 8, n=n)
         cfg = dict(k=1, max_iter=100)
         cache = LayerMomentCache(a_q)
-        got = quantize_layer_weights(w, params, cache, None, **cfg)
+        got = quantize_layer_weights(w, _stack(params), cache, None, **cfg)
         want_codes, want_w_bar, _ = _per_row_reference(w, params, cache, None, cfg)
         np.testing.assert_array_equal(got.codes, want_codes)
         np.testing.assert_array_equal(got.w_bar, want_w_bar)
-        ridged = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 0.5), **cfg)
+        ridged = quantize_layer_weights(w, _stack(params), cache, RemainderRidge(cache, 0.5), **cfg)
         assert got.trace != ridged.trace
 
     def test_ridge_of_another_cache_rejected(self):
@@ -1288,7 +1307,7 @@ class TestChannelQuantization:
         other = RemainderRidge(LayerMomentCache(a_q), 0.5)
         with pytest.raises(ValueError, match="another moment cache"):
             quantize_layer_weights(
-                w, params, LayerMomentCache(a_q), other, k=1, max_iter=100
+                w, _stack(params), LayerMomentCache(a_q), other, k=1, max_iter=100
             )
 
     def test_ridge_reduces_final_error_on_correlated_batch(self):
@@ -1297,11 +1316,11 @@ class TestChannelQuantization:
         mix = rng.normal(0, 0.3, (4, 16))
         a_q = base @ mix + rng.normal(0, 0.05, (256, 16))
         w = rng.normal(0, 0.5, (6, 16))
-        params = tuple(calibrate(w[i], "uniform", 4) for i in range(6))
+        params = tuple(calibrate_scale(w[i], "uniform", 4, "per_tensor") for i in range(6))
         cfg = dict(k=0, max_iter=100)
         cache = LayerMomentCache(a_q)
-        on = quantize_layer_weights(w, params, cache, RemainderRidge(cache, 1.0), **cfg)
-        off = quantize_layer_weights(w, params, cache, None, **cfg)
+        on = quantize_layer_weights(w, _stack(params), cache, RemainderRidge(cache, 1.0), **cfg)
+        off = quantize_layer_weights(w, _stack(params), cache, None, **cfg)
 
         def total_mse(res):
             return float(np.mean(((res.w_bar - w) @ a_q.T) ** 2))
@@ -1314,7 +1333,7 @@ class TestChannelQuantization:
         with pytest.raises(ValueError, match="dim"):
             quantize_layer_weights(
                 np.zeros((1, 5)),
-                (UniformParams(scale=1.0, zero_point=0, bits=4),),
+                _stack((UniformParams(scale=1.0, zero_point=0, bits=4),)),
                 cache,
                 RemainderRidge(cache, 1.0),
                 k=1, max_iter=100,
@@ -1325,9 +1344,31 @@ class TestChannelQuantization:
         cache = LayerMomentCache(rng.normal(0, 1, (16, 4)))
         p = UniformParams(scale=1.0, zero_point=0, bits=4)
         with pytest.raises(ValueError, match="2-D"):
-            quantize_layer_weights(np.zeros(4), (p,), cache, None, k=1, max_iter=100)
+            quantize_layer_weights(np.zeros(4), _stack((p,)), cache, None, k=1, max_iter=100)
         with pytest.raises(ValueError, match="per output channel"):
-            quantize_layer_weights(np.zeros((2, 4)), (p,), cache, None, k=1, max_iter=100)
+            quantize_layer_weights(
+                np.zeros((2, 4)), _stack((p,)), cache, None, k=1, max_iter=100
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ridge", [False, True])
+    def test_non_finite_weight_rejected_with_row_and_column(self, monkeypatch, bad, ridge):
+        # a NaN weight once came back as code INT64_MIN with only a cast
+        # warning; now the first bad weight is named, before any work
+        def unreachable(*args):
+            raise AssertionError("work started")
+
+        rng = np.random.default_rng(19)
+        cache = LayerMomentCache(rng.normal(0, 1, (16, 6)))
+        remainder = RemainderRidge(cache, 1.0) if ridge else None
+        monkeypatch.setattr(weight_quant, "init_rounding", unreachable)
+        w = rng.normal(0, 0.3, (3, 6))
+        w[1, 4] = bad
+        w[2, 0] = bad
+        lattice = _stack([UniformParams(scale=0.1, zero_point=8, bits=4)] * 3)
+        with pytest.raises(NonFiniteInputError, match="at row 1, column 4") as info:
+            quantize_layer_weights(w, lattice, cache, remainder, k=1, max_iter=100)
+        assert info.value.row == 1 and info.value.index == (1, 4)
 
     def test_config_validation(self):
         # lambda2 lives in the remainder ridge, which checks it as RunConfig
@@ -1357,10 +1398,22 @@ class TestChannelQuantization:
         p = UniformParams(scale=1.0, zero_point=0, bits=4)
         settings = {"k": 1, "max_iter": 100, field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 0, got "):
-            quantize_layer_weights(np.zeros((1, 4)), (p,), cache, None, **settings)
+            quantize_layer_weights(np.zeros((1, 4)), _stack((p,)), cache, None, **settings)
 
 
 class TestMomentCache:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(16, 6), (4, 10)], ids=["gram", "thin"])
+    def test_non_finite_batch_rejected(self, bad, shape):
+        # with or without a Gram, a NaN or Inf in the batch builds no cache
+        # (it once gave one, and codes, with matmul warnings)
+        batch = np.random.default_rng(21).normal(size=shape)
+        batch[3, 2] = bad
+        batch[3, 5] = bad
+        with pytest.raises(NonFiniteInputError, match=r"at index \(3, 2\)") as info:
+            LayerMomentCache(batch)
+        assert info.value.row is None
+
     def test_proxy_matrix_is_mean_outer_plus_covariance(self):
         # E[x_s x_s^T] = mu_s mu_s^T + Sigma_s with the 1/N covariance: the
         # proxy is the expected output error over the batch
@@ -1428,7 +1481,8 @@ class TestMomentCache:
         # refinement's start gradient with it, so a fault there reaches both
         rng = np.random.default_rng(8)
         args = (
-            rng.normal(0, 1, 6), calibrate(rng.normal(0, 1, 6), "uniform", 4),
+            rng.normal(0, 1, 6),
+            calibrate_scale(rng.normal(0, 1, 6), "uniform", 4, "per_tensor"),
             _proxy_matrix(rng, 6),
         )
         _, committed = refine_rounding(init_rounding(*args), 1, 100)
@@ -1486,12 +1540,12 @@ class TestMomentCache:
         # quantization run and fails the verify suite alike
         rng = np.random.default_rng(22)
         w = rng.normal(0, 0.5, (3, 24))
-        params = [calibrate(row, "uniform", 4) for row in w]
+        params = [calibrate_scale(row, "uniform", 4, "per_tensor") for row in w]
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (64, 24)))
         ridge = RemainderRidge(cache, 0.5)
-        want = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+        want = quantize_layer_weights(w, _stack(params), cache, ridge, k=1, max_iter=100)
         _scaled_updates(monkeypatch, lambda ridge, mid: 1.01)
-        got = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+        got = quantize_layer_weights(w, _stack(params), cache, ridge, k=1, max_iter=100)
         assert got.trace != want.trace  # the remainders, and so the trace MSEs, moved
         assert not suite_ridge_optimality(splits=5).passed
 
@@ -1588,12 +1642,12 @@ class TestProxyBlocks:
         rng = np.random.default_rng(70 + n)
         w = rng.normal(0, 0.5, (3, 40))
         a_q = rng.normal(0.2, 1.0, (n, 40))
-        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        params = tuple(calibrate_scale(row, "uniform", 4, "per_tensor") for row in w)
         cache = LayerMomentCache(a_q)
         remainder = _ridge(cache, 0.5 if ridge else None)
         # the ridge's systems read blocks too: track the loop's requests only
         monkeypatch.setattr(LayerMomentCache, "block", tracked)
-        quantize_layer_weights(w, params, cache, remainder, k=k, max_iter=100)
+        quantize_layer_weights(w, _stack(params), cache, remainder, k=k, max_iter=100)
         assert len(refs) == len(halving_splits(40))
         assert all(ref() is None for ref in refs)
 
@@ -1605,13 +1659,13 @@ class TestProxyBlocks:
         rng = np.random.default_rng(80)
         w = rng.normal(0, 0.5, (4, 1024))
         a_q = rng.normal(0.2, 1.0, (64, 1024))
-        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        params = tuple(calibrate_scale(row, "uniform", 4, "per_tensor") for row in w)
         largest = max(mid - lo for lo, mid in halving_splits(1024)) ** 2 * 8
         tracemalloc.start()
         try:
             cache = LayerMomentCache(a_q)
             ridge = RemainderRidge(cache, 1e4)
-            quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
+            quantize_layer_weights(w, _stack(params), cache, ridge, k=k, max_iter=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1627,12 +1681,12 @@ class TestProxyBlocks:
         # alive peaked at 4.51 and 4.66 MiB
         rng = np.random.default_rng(81)
         w = rng.normal(0, 0.5, (96, 768))
-        params = tuple(calibrate(row, "uniform", 4) for row in w)
+        params = tuple(calibrate_scale(row, "uniform", 4, "per_tensor") for row in w)
         cache = LayerMomentCache(rng.normal(0.2, 1.0, (1024, 768)))
         ridge = RemainderRidge(cache, 10.0)
         tracemalloc.start()
         try:
-            quantize_layer_weights(w, params, cache, ridge, k=k, max_iter=100)
+            quantize_layer_weights(w, _stack(params), cache, ridge, k=k, max_iter=100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1726,9 +1780,9 @@ class TestThinBatch:
             ref = _FullWidthCache(a_q, lambda2)
             ref_ridge = ref if ridge else None
             for row in w:
-                params = (calibrate(row, "uniform", 4),)
-                got = quantize_layer_weights(row[None], params, cache, remainder, **cfg)
-                want = quantize_layer_weights(row[None], params, ref, ref_ridge, **cfg)
+                params = (calibrate_scale(row, "uniform", 4, "per_tensor"),)
+                got = quantize_layer_weights(row[None], _stack(params), cache, remainder, **cfg)
+                want = quantize_layer_weights(row[None], _stack(params), ref, ref_ridge, **cfg)
                 np.testing.assert_array_equal(got.codes, want.codes)
                 for a, b in zip(got.trace[0], want.trace[0], strict=True):
                     assert (a["stop_reason"], a["flips_committed"]) == (
@@ -2003,7 +2057,7 @@ class TestRidgeSystem:
         # and the weight loop's remainders, and fails both verify suites
         rng = np.random.default_rng(28)
         w = rng.normal(0, 0.5, (3, 24))
-        params = [calibrate(row, "uniform", 4) for row in w]
+        params = [calibrate_scale(row, "uniform", 4, "per_tensor") for row in w]
         a_fp = rng.normal(0.2, 1.0, (n, 24))
         a_q = a_fp + rng.normal(0, 0.05, a_fp.shape)
 
@@ -2014,7 +2068,7 @@ class TestRidgeSystem:
             remainders = [
                 ridge.updates(lo, mid, np.ones((1, mid - lo))) for lo, mid in cache.splits[:-1]
             ]
-            weights = quantize_layer_weights(w, params, cache, ridge, k=1, max_iter=100)
+            weights = quantize_layer_weights(w, _stack(params), cache, ridge, k=1, max_iter=100)
             return update, remainders, weights.trace
 
         assert suite_gradient_checks().passed and suite_ridge_optimality(splits=5).passed
