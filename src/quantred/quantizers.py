@@ -102,8 +102,9 @@ by a level, inside the eps Q term). A value within the edge window
 upper one, and `unplaced` charges each such value its largest swing in
 squared error, doubled to cover the charge's own rounding. Outside the
 windows the scan bins every value as the exact evaluator does.
-`scan_bound_use` reports how much of its slack a row's scan error uses,
-and tests and `quantred verify` check it stays below 1.
+`scan_report`, the scan's one self-check entry, gives a row's shortlist,
+whether it holds windowed values and how much of its slack the scan
+error uses, which tests and `quantred verify` check stays below 1.
 """
 
 from __future__ import annotations
@@ -143,9 +144,6 @@ class LogSqrt2Params:
     degenerate: bool = False
 
 
-_ROUNDINGS = {"nearest": np.rint, "floor": np.floor, "ceil": np.ceil}
-
-
 def lattice_quotient(x: np.ndarray, params: UniformParams) -> np.ndarray:
     """x / s as a new float64 buffer; a quotient past the float range is +/-inf."""
     with np.errstate(over="ignore"):
@@ -171,14 +169,6 @@ def dequantize_index(t: np.ndarray, params: UniformParams) -> np.ndarray:
     return np.multiply(t, params.scale, out=t)
 
 
-def uniform_codes(x: np.ndarray, params: UniformParams, rounding: str = "nearest") -> np.ndarray:
-    """Integer codes of x. rounding selects nearest (half-to-even), floor, or ceil."""
-    if rounding not in _ROUNDINGS:
-        raise ValueError(f"unknown rounding {rounding!r}")
-    t = lattice_quotient(x, params)
-    return clip_index(_ROUNDINGS[rounding](t, out=t), params).astype(np.int64)
-
-
 def dequantize_uniform(codes: np.ndarray, params: UniformParams) -> np.ndarray:
     return dequantize_index(np.asarray(codes, dtype=np.int64).astype(np.float64), params)
 
@@ -196,18 +186,6 @@ def quantize_uniform(x: np.ndarray, params: UniformParams, codes: bool = True):
     return q, dequantize_index(t, params)
 
 
-def log_sqrt2_codes(x: np.ndarray, params: LogSqrt2Params) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and float(x.min()) < 0.0:
-        raise ValueError("log_sqrt2 quantizer requires nonnegative inputs")
-    qmax = (1 << params.bits) - 1
-    # zero and underflowing inputs have log2 = -inf: clipped to the largest
-    # code before the integer cast
-    with np.errstate(divide="ignore"):
-        codes = np.rint(-2.0 * np.log2(x / params.scale))
-    return np.clip(codes, 0, qmax).astype(np.int64)
-
-
 def dequantize_log_sqrt2(codes: np.ndarray, params: LogSqrt2Params) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     exponent = np.floor_divide(-codes, 2)
@@ -216,7 +194,15 @@ def dequantize_log_sqrt2(codes: np.ndarray, params: LogSqrt2Params) -> np.ndarra
 
 
 def quantize_log_sqrt2(x: np.ndarray, params: LogSqrt2Params):
-    codes = log_sqrt2_codes(x, params)
+    """Return (codes, dequantized values) of nonnegative x on the log-sqrt2 lattice."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size and float(x.min()) < 0.0:
+        raise ValueError("log_sqrt2 quantizer requires nonnegative inputs")
+    # zero and underflowing inputs have log2 = -inf: clipped to the largest
+    # code before the integer cast
+    with np.errstate(divide="ignore"):
+        codes = np.rint(-2.0 * np.log2(x / params.scale))
+    codes = np.clip(codes, 0, (1 << params.bits) - 1).astype(np.int64)
     return codes, dequantize_log_sqrt2(codes, params)
 
 
@@ -415,20 +401,19 @@ def _scan_scores(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return sse, slack, windowed
 
 
-def _shortlists(xs: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+def _shortlist(sse: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Which candidates of each row can attain the row's smallest exact MSE.
 
-    Arguments as for _scan_scores. Returns a (rows, 141) mask and the rows
-    that ran the upper edge search. A candidate whose lower end
-    (sse - slack) lies above the smallest upper end is strictly worse than
-    the exact optimum, so a row's mask holds every candidate tied at it. A
-    row whose scan overflows keeps every candidate.
+    Takes the (rows, 141) scan SSEs and slacks of _scan_scores and returns
+    a (rows, 141) mask. A candidate whose lower end (sse - slack) lies
+    above the smallest upper end is strictly worse than the exact optimum,
+    so a row's mask holds every candidate tied at it. A row whose scan
+    overflows keeps every candidate.
     """
-    sse, slack, windowed = _scan_scores(xs, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         keep = sse - slack <= (sse + slack).min(axis=1, keepdims=True)
     keep[~(np.isfinite(sse).all(axis=1) & np.isfinite(slack).all(axis=1))] = True
-    return keep, windowed
+    return keep
 
 
 def _last_minimum(mse: np.ndarray) -> np.ndarray:
@@ -537,7 +522,8 @@ def _scan_choices(rows: np.ndarray, xs: np.ndarray, grid) -> np.ndarray:
     of one is the choice, and only a longer one is scored by the exact
     evaluator.
     """
-    keep, _ = _shortlists(xs, grid)
+    sse, slack, _ = _scan_scores(xs, grid)
+    keep = _shortlist(sse, slack)
     choices = keep.argmax(axis=1)
     for i in np.flatnonzero(keep.sum(axis=1) > 1):
         shortlist = np.flatnonzero(keep[i])
@@ -621,11 +607,23 @@ def _check_per_tensor(x: np.ndarray, family: str) -> None:
         raise ValueError("log_sqrt2 calibration requires nonnegative inputs")
 
 
-def _scanned_row(values: np.ndarray, family: str, bits: int):
-    """(row, xs, grid): the values as one row, sorted (_sorted_rows), and its grid.
+def scan_report(values: np.ndarray, family: str, bits: int) -> tuple[np.ndarray, bool, float]:
+    """What the calibration scan sees of the values, as one row, and how well it bounds it.
 
-    The input is checked as `calibrate_scale` checks it per tensor; empty
-    and degenerate input have nothing to scan and raise ValueError.
+    Returns (shortlist, windowed, bound_use): the indices into ALPHA_GRID
+    that calibration re-scores exactly (a shortlist of one is the choice
+    itself); whether some value lies within the edge window of some
+    candidate, so that the scan searched the upper window ends; and the
+    largest |scan SSE - n * exact MSE| / slack over the candidates whose
+    three terms are finite (0.0 if none is), below 1 wherever the module
+    docstring's bound holds, which keeps calibration's choice the oracle's.
+    The row is checked, sorted and scanned once.
+
+    The input is checked as `calibrate_scale` checks it per tensor, and
+    must be non-empty and not degenerate (ValueError). Of any length, but
+    calibration itself scans only rows longer than `direct_cutoff(bits)`,
+    and only for those (n > 4 * 2^b) does the module docstring derive the
+    slack.
     """
     bits = _check_family_and_bits(family, bits)
     values = np.asarray(values, dtype=np.float64)
@@ -641,42 +639,13 @@ def _scanned_row(values: np.ndarray, family: str, bits: int):
             f"degenerate {family} input ({cause} or nearly so): every candidate scale "
             "is zero in float64, so there is nothing to scan"
         )
-    return row, xs, grid
-
-
-def calibration_scan(values: np.ndarray, family: str, bits: int) -> tuple[np.ndarray, bool]:
-    """What the calibration scan sees of the values, as one row.
-
-    Returns the indices into ALPHA_GRID that calibration re-scores exactly
-    (a shortlist of one is the choice itself) and whether some value lies
-    within the edge window of some candidate, so that the scan searched the
-    upper window ends. The input is checked as `calibrate_scale` checks it
-    per tensor, and must be non-empty and not degenerate (ValueError). Of
-    any length, but calibration itself scans only rows longer than
-    `direct_cutoff(bits)`, and only for those (n > 4 * 2^b) does the module
-    docstring derive the slack.
-    """
-    _, xs, grid = _scanned_row(values, family, bits)
-    keep, windowed = _shortlists(xs, grid)
-    return np.flatnonzero(keep[0]), bool(windowed[0])
-
-
-def scan_bound_use(values: np.ndarray, family: str, bits: int) -> float:
-    """How much of its slack the scan's SSE error uses on the values, as one row.
-
-    The largest |scan SSE - n * exact MSE| / slack over the candidates
-    whose three terms are finite (0.0 if none is): below 1 wherever the
-    module docstring's bound holds, as it does for every row calibration
-    scans, and that keeps calibration's choice the oracle's. Input as for
-    `calibration_scan`.
-    """
-    row, xs, grid = _scanned_row(values, family, bits)
-    sse, slack, _ = _scan_scores(xs, grid)
-    exact = row.shape[1] * _exact_mse(row, grid)
+    sse, slack, windowed = _scan_scores(xs, grid)
     with np.errstate(over="ignore", invalid="ignore"):
+        exact = row.shape[1] * _exact_mse(row, grid)
         use = np.abs(sse - exact) / slack
     finite = np.isfinite(sse) & np.isfinite(slack) & np.isfinite(exact)
-    return float(use[finite].max(initial=0.0))
+    shortlist = np.flatnonzero(_shortlist(sse, slack)[0])
+    return shortlist, bool(windowed[0]), float(use[finite].max(initial=0.0))
 
 
 def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str):
@@ -694,34 +663,48 @@ def calibrate_scale(x: np.ndarray, family: str, bits: int, granularity: str):
     zero point and degenerate flag are (d, 1) columns and whose bits is an
     int; row i holds what per-tensor calibration gives for row i alone.
     The family, then the bit width, then the granularity, then finiteness
-    are checked, and log-sqrt2 input must be nonnegative.
+    are checked, and log-sqrt2 input must be nonnegative. Finite values
+    whose range overflows float64 would give an infinite scale, and raise
+    FloatingPointError instead, naming the row per channel.
     """
     bits = _check_family_and_bits(family, bits)
     x = np.asarray(x, dtype=np.float64)
+    per_channel = granularity == "per_channel"
     if granularity == "per_tensor":
         _check_per_tensor(x, family)
-        return row_params(_calibrate_rows(x.reshape(1, -1), family, bits))[0]
-    if granularity != "per_channel":
+    elif not per_channel:
         raise ValueError(f"unknown granularity {granularity!r}")
-    if family != "uniform":
+    elif family != "uniform":
         raise ValueError("per_channel calibration is uniform only")
-    if x.ndim != 2:
+    elif x.ndim != 2:
         raise ValueError("per_channel calibration expects a 2-D weight matrix")
-    check_finite(x, per_row=True)
-    return _calibrate_rows(x, family, bits)
+    else:
+        check_finite(x, per_row=True)
+    lattice = _calibrate_rows(x if per_channel else x.reshape(1, -1), family, bits)
+    overflow = np.flatnonzero(np.isinf(lattice.scale[:, 0]))
+    if overflow.size:
+        where = f"row {overflow[0]}: " if per_channel else ""
+        raise FloatingPointError(
+            f"{where}the values' range overflows float64, so the calibrated {family} scale is inf"
+        )
+    return lattice if per_channel else row_params(lattice)[0]
 
 
 def quantize_with_scheme(x: np.ndarray, params, codes: bool = True):
     """Quantize x under calibrated params; returns (codes, dequantized).
 
     One call to `quantize`. Per-channel params (fields of (d, 1) columns)
-    need a 2-D x of d rows. With codes=False the codes are not formed and
-    come back as None, and the dequantized values are bit for bit the same.
+    need a 2-D x of d rows. x must be finite (NonFiniteInputError, naming
+    the row for per-channel params). With codes=False the codes are not
+    formed and come back as None, and the dequantized values are bit for
+    bit the same.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.ndim(params.scale) and (x.ndim != 2 or x.shape[0] != len(params.scale)):
+    per_channel = bool(np.ndim(params.scale))
+    if per_channel and (x.ndim != 2 or x.shape[0] != len(params.scale)):
         raise ValueError(
             f"per_channel params with {len(params.scale)} channels cannot "
             f"quantize shape {x.shape}"
         )
+    check_finite(x, per_row=per_channel)
     return quantize(x, params, codes)

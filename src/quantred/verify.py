@@ -427,9 +427,10 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
     values), and of the scanned rows the longest shortlist left to exact
     re-scoring, how many held a value within an edge window, so that the
     scan searched the upper window ends, and `max_bound_use`: the largest
-    |scan SSE - n * exact MSE| / slack over their candidates
-    (`quantizers.scan_bound_use`). The shortlists keep the oracle's choice
-    only while that stays below 1, so the suite fails if it reaches 1.
+    |scan SSE - n * exact MSE| / slack over their candidates, all three
+    from one `quantizers.scan_report` call per scanned row. The shortlists
+    keep the oracle's choice only while that stays below 1, so the suite
+    fails if it reaches 1.
     """
     rng = np.random.default_rng([seed, 5])
     mismatches = 0
@@ -453,12 +454,10 @@ def suite_calibration(seed: int = 0, instances: int = 64) -> SuiteResult:
                 continue
             scan_rows += 1
             if not params.degenerate:
-                shortlist, windowed = quantizers.calibration_scan(row, family, bits)
+                shortlist, windowed, bound_use = quantizers.scan_report(row, family, bits)
                 max_shortlist = max(max_shortlist, shortlist.size)
                 window_rows += int(windowed)
-                max_bound_use = max(
-                    max_bound_use, quantizers.scan_bound_use(row, family, bits)
-                )
+                max_bound_use = max(max_bound_use, bound_use)
     return SuiteResult(
         "calibration",
         mismatches == 0 and max_bound_use < 1.0,

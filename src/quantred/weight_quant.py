@@ -34,8 +34,8 @@ whole (d_out, D_s) block at once:
     once per split, not once per row;
     every row's start proxy delta g / 2, one stacked product; and
     refinement's first scoring pass over the whole block, three passes.
-    The state stores the choice once: its errors, ceil codes and codes are
-    read off `up_mask`;
+    The state stores the choice once: its errors and codes are read off
+    `up_mask`;
   - the codes, once after the row loop: the floor codes plus one where the
     rows' refined choices take the ceil side, then the dequantized
     weights, written over the slice's columns of the working weights
@@ -143,14 +143,15 @@ class RoundingState(NamedTuple):
     rows' proxies as scalars).
     It stores only what no other field determines: the candidates' errors
     `delta_down` and `delta_up`, the floor code `code_down`, `flippable`
-    (two distinct candidates; the ceil code is then one more), and
-    `up_mask`, the whole record of the choice (True picks the ceil
-    candidate). `delta`, `code_up` and `codes` are read off them. Five
-    fields hold refinement's start for that choice: `step`, the move to
-    the other candidate; `curvature`, step^2 M_jj with M the proxy matrix;
-    `gradient`, the proxy's gradient 2 delta M; `score`, refinement's
-    first scoring pass copysign(g, step g + curvature); and `proxy`, the
-    proxy delta g / 2, a scalar for a slice and one per row for a block.
+    (two distinct candidates; the ceil code is then one more, so the ceil
+    codes are `code_down + flippable`), and `up_mask`, the whole record of
+    the choice (True picks the ceil candidate). `delta` and `codes` are
+    read off them. Five fields hold refinement's start for that choice:
+    `step`, the move to the other candidate; `curvature`, step^2 M_jj with
+    M the proxy matrix; `gradient`, the proxy's gradient 2 delta M;
+    `score`, refinement's first scoring pass copysign(g, step g +
+    curvature); and `proxy`, the proxy delta g / 2, a scalar for a slice
+    and one per row for a block.
     The curvature is gap^2 M_jj, gap = delta_up - delta_down, so no choice
     changes it.
 
@@ -182,11 +183,6 @@ class RoundingState(NamedTuple):
     def delta(self) -> np.ndarray:
         """The chosen candidate's error, a new array."""
         return np.where(self.up_mask, self.delta_up, self.delta_down)
-
-    @property
-    def code_up(self) -> np.ndarray:
-        """The ceil codes, int64: the floor codes where there is no second candidate."""
-        return np.add(self.code_down, self.flippable)
 
     @property
     def codes(self) -> np.ndarray:
@@ -287,8 +283,9 @@ def init_rounding(
 
     The floor and ceil codes come from one division and are clipped and
     dequantized together in one float buffer of two slots, with the
-    arithmetic of `uniform_codes` and `dequantize_uniform`; the nearest
-    code is rounded, clipped and dequantized in the quotient's own buffer,
+    arithmetic of `quantizers.quantize_uniform` (`lattice_quotient`,
+    `clip_index`, `dequantize_index`); the nearest code (`quantize_uniform`'s
+    codes) is rounded, clipped and dequantized in the quotient's own buffer,
     and is the ceil code exactly where `up_mask` is set, so its error is
     the chosen one, `delta`, bit for bit. One int64 copy keeps the floor
     codes. The rest of refinement's start is built here too, for the whole

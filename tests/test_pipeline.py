@@ -632,6 +632,32 @@ class TestLayerRun:
         result = quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(stages=frozenset()))
         assert result.mse["final"] == result.mse["baseline"]
 
+    @pytest.mark.parametrize("stages", [frozenset(), frozenset(ALL_STAGES)], ids=["none", "all"])
+    @pytest.mark.parametrize("tensor", ["calib", "weight"])
+    def test_a_range_past_float64_fails_at_calibration(
+        self, call_counts, monkeypatch, tensor, stages
+    ):
+        # float64 values whose max - min overflows used to calibrate to an
+        # infinite scale: NaN MSEs with the stages off, a late non-finite
+        # error from the moment cache with them on. Calibration raises one
+        # of the numerical errors a manifest run records, before any stage
+        def no_cache(*args):
+            raise AssertionError("the moment cache was built")
+
+        monkeypatch.setattr(pipeline, "LayerMomentCache", no_cache)
+        rng = np.random.default_rng(26)
+        w, a_fp = _layer(rng, d_out=3, d_in=8, n=16)
+        if tensor == "calib":
+            a_fp = rng.uniform(-1.0, 1.0, (16, 8)) * 1.7e308
+            message, calibrations = "^the values' range", (1, 0)
+        else:
+            w[1, :4] = [1.7e308, -1.7e308, 0.5, 0.1]
+            message, calibrations = "^row 1: the values' range", (1, 1)
+        with pytest.raises(FloatingPointError, match=message + " overflows float64") as info:
+            quantize_layer(w, a_fp, "uniform", 4, 4, RunConfig(stages=stages))
+        assert isinstance(info.value, NUMERICAL_ERRORS)
+        assert call_counts == dict(zip(("per_tensor", "per_channel", "aqer"), (*calibrations, 0)))
+
     def test_non_finite_eval_batch_message_names_no_calibration(self):
         # the eval batch is not calibration input: the message says what is
         # wrong, where, and in which array, and keeps the located fields

@@ -19,17 +19,16 @@ from quantred.quantizers import (
     NonFiniteInputError,
     UniformParams,
     calibrate_scale,
-    calibration_scan,
     dequantize_log_sqrt2,
     dequantize_uniform,
-    log_sqrt2_codes,
     quantize,
     quantize_log_sqrt2,
     quantize_uniform,
     quantize_with_scheme,
     row_params,
-    uniform_codes,
+    scan_report,
 )
+from quantred.weight_quant import init_rounding
 
 
 def _stack(params):
@@ -62,7 +61,7 @@ class TestUniformHandCases:
 
     def test_half_to_even_rounding(self):
         p = UniformParams(scale=1.0, zero_point=0, bits=3)
-        np.testing.assert_array_equal(uniform_codes([0.5, 1.5, 2.5], p), [0, 2, 2])
+        np.testing.assert_array_equal(quantize_uniform([0.5, 1.5, 2.5], p)[0], [0, 2, 2])
 
     def test_zero_point_maps_zero_exactly(self):
         p = UniformParams(scale=0.5, zero_point=3, bits=3)
@@ -72,27 +71,29 @@ class TestUniformHandCases:
 
     def test_negative_saturation(self):
         p = UniformParams(scale=0.5, zero_point=2, bits=3)
-        codes = uniform_codes([-10.0, 10.0], p)
+        codes = quantize_uniform([-10.0, 10.0], p)[0]
         np.testing.assert_array_equal(codes, [0, 7])
 
-    def test_floor_and_ceil_roundings(self):
+    def test_floor_and_ceil_candidates(self):
+        # the floor and ceil codes are the rounding candidates init_rounding builds
         p = UniformParams(scale=1.0, zero_point=0, bits=3)
-        np.testing.assert_array_equal(uniform_codes([1.2, 2.9], p, "floor"), [1, 2])
-        np.testing.assert_array_equal(uniform_codes([1.2, 2.9], p, "ceil"), [2, 3])
-        with pytest.raises(ValueError, match="rounding"):
-            uniform_codes([1.0], p, "stochastic")
+        state = init_rounding(np.array([1.2, 2.9]), p, np.eye(2))
+        np.testing.assert_array_equal(state.code_down, [1, 2])
+        np.testing.assert_array_equal(state.code_down + state.flippable, [2, 3])
 
     @pytest.mark.parametrize("x", [1e18, -1e18, 1e300, -1e300])
     @pytest.mark.parametrize("scale", [0.1, 1e-10])
     def test_values_far_outside_clip_before_the_integer_cast(self, x, scale):
         # |x / s| >= 2^63 does not fit int64, and 1e300 / 1e-10 overflows to
         # inf; clipping in float before the cast saturates both like any
-        # value outside the lattice, in every rounding mode, with no
-        # RuntimeWarning (an error in this suite)
+        # value outside the lattice, nearest, floor and ceil alike, with no
+        # RuntimeWarning (an error in this suite); a zero proxy matrix keeps
+        # the rounding start's products finite
         p = UniformParams(scale=scale, zero_point=3, bits=4)
         want = 15 if x > 0 else 0
-        for rounding in ("nearest", "floor", "ceil"):
-            assert uniform_codes([x], p, rounding)[0] == want
+        state = init_rounding(np.array([x]), p, np.zeros((1, 1)))
+        assert state.code_down[0] == want
+        assert (state.code_down + state.flippable)[0] == want
         codes, deq = quantize_uniform([x], p)
         assert codes[0] == want
         assert deq[0] == scale * (want - 3)
@@ -152,13 +153,13 @@ class TestUniformHandCases:
         qmax = (1 << bits) - 1
         p = UniformParams(scale=scale, zero_point=min(zero, qmax), bits=bits)
         x = np.random.default_rng(seed).normal(0, 10 * scale, 64)
-        codes = uniform_codes(x, p)
+        codes = quantize_uniform(x, p)[0]
         assert codes.min() >= 0 and codes.max() <= qmax
 
     def test_codes_monotone_in_input(self):
         p = UniformParams(scale=0.21, zero_point=7, bits=4)
         x = np.sort(np.random.default_rng(3).normal(0, 2, 200))
-        codes = uniform_codes(x, p)
+        codes = quantize_uniform(x, p)[0]
         assert (np.diff(codes) >= 0).all()
 
 
@@ -210,12 +211,12 @@ class TestLogSqrt2HandCases:
         smallest = p.scale * 2.0 ** (-qmax / 2.0)
         clamped = np.rint(-2.0 * np.log2(np.maximum(x, smallest) / p.scale))
         want = np.clip(clamped.astype(np.int64), 0, qmax)
-        np.testing.assert_array_equal(log_sqrt2_codes(x, p), want)
+        np.testing.assert_array_equal(quantize_log_sqrt2(x, p)[0], want)
 
     def test_negative_input_rejected(self):
         p = LogSqrt2Params(scale=1.0, bits=4)
         with pytest.raises(ValueError, match="nonnegative"):
-            log_sqrt2_codes([-0.1], p)
+            quantize_log_sqrt2([-0.1], p)
 
     def test_values_above_scale_saturate_at_code_zero(self):
         p = LogSqrt2Params(scale=0.25, bits=4)
@@ -364,7 +365,7 @@ class TestCalibration:
             x[1, 2] = bad
         errors = []
         for call in (
-            lambda: calibration_scan(x, family, bits),
+            lambda: scan_report(x, family, bits),
             lambda: calibrate_scale(x, family, bits, "per_tensor"),
         ):
             with pytest.raises(ValueError) as info:
@@ -414,7 +415,7 @@ class TestCalibrationKernel:
         x = np.array([0.0, 0.3, 1.0])
         got = calibrate_scale(x, "uniform", 4, "per_tensor")
         assert got == oracle.grid_calibrate(x, "uniform", 4)
-        shortlist, windowed = calibration_scan(x, "uniform", 4)
+        shortlist, windowed, _ = scan_report(x, "uniform", 4)
         assert shortlist.size == 1
         assert windowed
 
@@ -426,7 +427,7 @@ class TestCalibrationKernel:
         assert p.scale == float(ALPHA_GRID[104] * (1.0 / 255))
         _, deq = quantize_uniform(x, p)
         np.testing.assert_array_equal(deq, x)
-        assert {100, 104} <= set(calibration_scan(x, "uniform", 8)[0].tolist())
+        assert {100, 104} <= set(scan_report(x, "uniform", 8)[0].tolist())
         assert p == oracle.grid_calibrate(x, "uniform", 8)
 
     @settings(max_examples=200, deadline=None)
@@ -444,7 +445,7 @@ class TestCalibrationKernel:
         got = _calibrated_rows(x, family, bits, "per_tensor")
         assert got == _grid(x, family, "per_tensor", bits)
         if not got[0].degenerate:
-            assert calibration_scan(x, family, bits)[0].size >= 1
+            assert scan_report(x, family, bits)[0].size >= 1
 
     @pytest.mark.parametrize(
         "values, family, message",
@@ -463,18 +464,17 @@ class TestCalibrationKernel:
     def test_scan_checks_its_input(self, values, family, message):
         # as calibrate_scale checks per-tensor input; empty and degenerate
         # input, which calibration never scans, are named
-        for view in (quantizers.calibration_scan, quantizers.scan_bound_use):
-            with pytest.raises(ValueError, match=message):
-                view(np.array(values), family, 4)
+        with pytest.raises(ValueError, match=message):
+            scan_report(np.array(values), family, 4)
 
     @pytest.mark.parametrize("bits", [1, 17, 4.0, True])
     def test_scan_checks_the_bit_width(self, bits):
         with pytest.raises(ValueError, match="bits must be an integer in"):
-            calibration_scan(np.array([0.0, 1.0]), "uniform", bits)
+            scan_report(np.array([0.0, 1.0]), "uniform", bits)
 
     def test_overflowing_scan_rescores_every_candidate(self):
         x = np.array([-3e160, 1e160, 2e160])
-        assert calibration_scan(x, "uniform", 4)[0].size == ALPHA_GRID.size
+        assert scan_report(x, "uniform", 4)[0].size == ALPHA_GRID.size
         with np.errstate(over="ignore"):
             got = calibrate_scale(x, "uniform", 4, "per_tensor")
             assert got == oracle.grid_calibrate(x, "uniform", 4)
@@ -557,18 +557,29 @@ class TestDirectScoring:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_values_near_the_float_range_keep_the_grid_choice(self, family, n, top):
         # candidate scales, the scan's edges and levels, and squared errors
-        # overflow without a warning; from -top, max - min itself does, so
-        # every uniform candidate scale is inf and every MSE NaN, which the
-        # oracle's sequential <= resolves to candidate 0
+        # overflow without a warning, and calibration keeps the grid's
+        # choice wherever that choice's scale is finite. Where it is inf,
+        # calibration raises instead: at 1.7e308 every log-sqrt2 MSE is inf
+        # and the grid keeps its last candidate, 1.2 * top, which overflows;
+        # from -top, max - min itself overflows, so every uniform candidate
+        # scale is inf and every MSE NaN, which the oracle's sequential <=
+        # resolves to candidate 0
         x = np.full(n, 0.5)
         x[-1] = top
-        assert calibrate_scale(x, family, 4, "per_tensor") == _grid_quiet(x, family, 4)
+        want = _grid_quiet(x, family, 4)
+        if family == "log_sqrt2" and top == 1.7e308:
+            assert want.scale == math.inf
+            with pytest.raises(FloatingPointError, match="^the values' range overflows float64"):
+                calibrate_scale(x, family, 4, "per_tensor")
+        else:
+            assert calibrate_scale(x, family, 4, "per_tensor") == want
         if family == "uniform":
             x[0] = -top
-            got = calibrate_scale(x, family, 4, "per_tensor")
-            assert got == _grid_quiet(x, family, 4)
-            assert got.scale == math.inf
-            assert got == _calibrated_rows(x[None, :], family, 4, "per_channel")[0]
+            assert _grid_quiet(x, family, 4).scale == math.inf
+            cases = ((x, "per_tensor", ""), (x[None, :], "per_channel", "row 0: "))
+            for values, granularity, where in cases:
+                with pytest.raises(FloatingPointError, match=f"^{where}the values' range"):
+                    calibrate_scale(values, family, 4, granularity)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -592,13 +603,13 @@ class TestDirectScoring:
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_only_rows_past_the_cutoff_are_scanned(self, monkeypatch, bits):
         calls = []
-        real = quantizers._shortlists
+        real = quantizers._scan_scores
 
         def counted(*args):
             calls.append(args[0].shape[0])
             return real(*args)
 
-        monkeypatch.setattr(quantizers, "_shortlists", counted)
+        monkeypatch.setattr(quantizers, "_scan_scores", counted)
         rng = np.random.default_rng(bits)
         cutoff = quantizers.direct_cutoff(bits)
         calibrate_scale(rng.normal(size=(16, cutoff)), "uniform", bits, "per_channel")
@@ -623,7 +634,7 @@ class TestDirectScoring:
 
             return recorded
 
-        for name in ("_shortlists", "_exact_mse"):
+        for name in ("_scan_scores", "_exact_mse"):
             monkeypatch.setattr(quantizers, name, recording(getattr(quantizers, name)))
         rng = np.random.default_rng([37, bits])
         kinds = "GCZZCZGGCZGZCCZZZZG"
@@ -654,7 +665,7 @@ class TestDirectScoring:
 
             return counted
 
-        for name in ("_shortlists", "_exact_mse"):
+        for name in ("_scan_scores", "_exact_mse"):
             monkeypatch.setattr(quantizers, name, counting(name, getattr(quantizers, name)))
         assert quantizers._block_height(8, 1024) == 1
         rng = np.random.default_rng(56)
@@ -725,7 +736,7 @@ class TestRowBlocks:
             )
             assert got == alone
             windowed += sum(
-                calibration_scan(row, "uniform", bits)[1]
+                scan_report(row, "uniform", bits)[1]
                 for row, p in zip(x, got)
                 if not p.degenerate
             )
@@ -850,6 +861,42 @@ class TestNonFiniteInput:
             calibrate_scale(w, "uniform", 4, "per_channel")
         assert info.value.row == 1
         assert info.value.index == (1, 4)
+
+    @pytest.mark.parametrize(
+        "granularity, message",
+        [("per_tensor", "^the values' range"), ("per_channel", "^row 2: the values' range")],
+    )
+    def test_a_range_past_float64_raises(self, granularity, message):
+        # finite float64 values whose max - min overflows would calibrate to
+        # an infinite scale and NaN quantized values
+        rng = np.random.default_rng(7)
+        if granularity == "per_tensor":
+            x = rng.uniform(-1.0, 1.0, (16, 8)) * 1.7e308
+        else:
+            x = rng.normal(size=(4, 4))
+            x[2] = [1.7e308, -1.7e308, 0.5, 0.1]
+        with pytest.raises(FloatingPointError, match=message + " overflows float64"):
+            calibrate_scale(x, "uniform", 4, granularity)
+
+    @pytest.mark.parametrize("codes", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_quantize_with_scheme_rejects_non_finite(self, family, bad, codes):
+        # a NaN used to become code INT64_MIN (uniform) or the value 0.0
+        # (log-sqrt2); -inf is negative, but finiteness is checked first
+        params = UniformParams(0.1, 8, 4) if family == "uniform" else LogSqrt2Params(1.0, 4)
+        x = np.array([[0.5, 1.0], [bad, 0.2]])
+        with pytest.raises(NonFiniteInputError, match=r"at index \(1, 0\)") as info:
+            quantize_with_scheme(x, params, codes)
+        assert info.value.row is None
+
+    def test_quantize_with_scheme_names_the_row_per_channel(self):
+        lattice = _stack([UniformParams(0.1, 8, 4)] * 3)
+        w = np.ones((3, 5))
+        w[2, 1] = np.nan
+        with pytest.raises(NonFiniteInputError, match="at row 2, column 1") as info:
+            quantize_with_scheme(w, lattice)
+        assert info.value.row == 2
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_is_a_value_error_from_either_calibrator(self, family):

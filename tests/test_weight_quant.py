@@ -19,7 +19,6 @@ from quantred.quantizers import (
     calibrate_scale,
     dequantize_uniform,
     quantize_uniform,
-    uniform_codes,
 )
 from quantred.verify import (
     suite_gradient_checks,
@@ -281,7 +280,7 @@ class TestRefinement:
         assert not state.flippable.all()
         for up_mask in (state.up_mask, ~state.up_mask, rng.random((2, 40)) < 0.5):
             chosen = state._replace(up_mask=up_mask)
-            want = np.where(up_mask, state.code_up, state.code_down)
+            want = np.where(up_mask, state.code_down + state.flippable, state.code_down)
             assert chosen.codes.dtype == np.int64
             np.testing.assert_array_equal(chosen.codes, want)
             for row, row_want in zip(chosen.rows(), want):
@@ -611,18 +610,31 @@ def _slice_start(step, gradient, curvature, delta):
     return score, 0.5 * float(delta.dot(gradient))
 
 
+def _inline_codes(w_slice, params, rounding):
+    # reference: rounding(w / s) + z clipped to the lattice, as int64, in
+    # inline arithmetic that shares no helper with init_rounding
+    qmax = (1 << params.bits) - 1
+    t = rounding(w_slice / params.scale) + params.zero_point
+    return np.clip(t, 0, qmax).astype(np.int64)
+
+
+def _inline_values(codes, params):
+    # reference: s (q - z)
+    return params.scale * (codes - params.zero_point).astype(np.float64)
+
+
 def _per_row_init_rounding(w_slice, params, proxy_matrix):
-    # per-row candidates straight from uniform_codes / dequantize_uniform,
-    # as the loop built them before candidates were built per split, and
-    # refinement's start from its definitions: the chosen candidate, the
-    # other minus the chosen, step^2 M_jj, the slice's gradient 2 M delta,
-    # the first scoring pass and delta g / 2; only the stored fields, so
-    # the derived ones are read off these
-    code_down = uniform_codes(w_slice, params, "floor")
-    code_up = uniform_codes(w_slice, params, "ceil")
-    delta_down = dequantize_uniform(code_down, params) - w_slice
-    delta_up = dequantize_uniform(code_up, params) - w_slice
-    up_mask = uniform_codes(w_slice, params) == code_up
+    # per-row candidates from their definitions: floor and ceil codes and
+    # their errors, in inline arithmetic (_inline_codes), and refinement's
+    # start from its definitions: the chosen candidate, the other minus
+    # the chosen, step^2 M_jj, the slice's gradient 2 M delta, the first
+    # scoring pass and delta g / 2; only the stored fields, so the derived
+    # ones are read off these
+    code_down = _inline_codes(w_slice, params, np.floor)
+    code_up = _inline_codes(w_slice, params, np.ceil)
+    delta_down = _inline_values(code_down, params) - w_slice
+    delta_up = _inline_values(code_up, params) - w_slice
+    up_mask = _inline_codes(w_slice, params, np.rint) == code_up
     delta = np.where(up_mask, delta_up, delta_down)
     step = np.where(up_mask, delta_down, delta_up) - delta
     curvature = step * step * proxy_matrix.diagonal()
@@ -737,7 +749,7 @@ _STATE_ARRAYS = (
 # the first scoring pass
 _START_ARRAYS = (*_STATE_ARRAYS, "gradient", "score")
 # the arrays a state derives from its stored ones on read
-_DERIVED_ARRAYS = ("delta", "code_up", "codes")
+_DERIVED_ARRAYS = ("delta", "codes")
 
 
 def _assert_row_refines_as_slice(row, one):
@@ -915,10 +927,11 @@ class TestChannelQuantization:
     def test_init_rounding_matches_per_row_candidates(self, d_in):
         # a slice, each row view of a block on (d, 1) lattice columns, and each
         # row of the block's own arrays: the stored fields equal the per-row
-        # reference, and the derived ones (with flippable) uniform_codes and
-        # dequantize_uniform, byte for byte and dtype for dtype; rows clipped
-        # at both ends, on lattice points, one ulp off them and at half-step
-        # ties, plus a zero degenerate row
+        # reference, and the derived ones (with the ceil codes, code_down +
+        # flippable) quantize_uniform and the inline ceil codes, byte for
+        # byte and dtype for dtype; rows clipped at both ends, on lattice
+        # points, one ulp off them and at half-step ties, plus a zero
+        # degenerate row
         rng = np.random.default_rng(41 + d_in)
         w, params = _mixed_rows(rng, d_in)
         unit = UniformParams(scale=0.1, zero_point=7, bits=4)
@@ -932,20 +945,22 @@ class TestChannelQuantization:
         assert block.flippable[-3].sum() < min(block.flippable[-2].sum(), block.flippable[-1].sum())
         for i, (view, row, p) in enumerate(zip(block.rows(), w, params, strict=True)):
             ref = _per_row_init_rounding(row, p, matrix)
-            nearest = uniform_codes(row, p)
+            nearest, values = quantize_uniform(row, p)
+            ceil = _inline_codes(row, p, np.ceil)
             want = {
-                "delta": dequantize_uniform(nearest, p) - row,
-                "code_up": uniform_codes(row, p, "ceil"),
+                "delta": values - row,
                 "codes": nearest,
-                "flippable": uniform_codes(row, p, "floor") != uniform_codes(row, p, "ceil"),
+                "flippable": _inline_codes(row, p, np.floor) != ceil,
             }
             for got in (init_rounding(row, p, matrix), view, ref):
                 for field in _STATE_ARRAYS:
                     _assert_same_bytes(getattr(got, field), getattr(ref, field), field)
                 for field, value in want.items():
                     _assert_same_bytes(getattr(got, field), value, field)
+                _assert_same_bytes(got.code_down + got.flippable, ceil, "ceil codes")
             for field, value in want.items():
                 _assert_same_bytes(getattr(block, field)[i], value, field)
+            _assert_same_bytes((block.code_down + block.flippable)[i], ceil, "ceil codes")
             assert view.proxy_matrix is block.proxy_matrix is matrix
 
     @pytest.mark.parametrize("n,d_in", [(6, 16), (64, 16), (128, 2048), (300, 256)])
