@@ -15,6 +15,15 @@ the next result; `quantize_layer`, `run_ablation` and `run_sweep` are
 loops over `LayerRun.result`, so what they share follows from what each
 product depends on.
 
+Every MSE is scored by `layer_mse` from the weight error E = W_bar - W
+and aqer's right-hand side rhs = W (A_q - A_fp)^T / N of the scored
+batch, never from a full-precision output: in sample form, one N-sized
+product per score, or, for the stage MSEs when the cache holds the
+calibration batch's Gram, in moment form, d_out x D_in^2 per score
+(`act_correct` derives both). A layer with N >= D_in forms three N-sized
+products: rhs, rhs A_q (which aqer's solve reads too) and the baseline's
+E A_q^T.
+
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
 accepted and validated but has no effect: the weight loop runs all
@@ -36,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .act_correct import solve_activation_correction
+from .act_correct import correction_rhs, solve_activation_correction
 from .linalg import SingularSystemError, require_int, require_strength
 from .moments import InsufficientSamplesError
 from .quantizers import (
@@ -172,19 +181,43 @@ def _ratio(before: float, after: float) -> float:
     return 1.0 - after / before
 
 
-def layer_mse(y_fp: np.ndarray, w_q: np.ndarray, a_q: np.ndarray) -> float:
-    """(1/N) sum_n ||y_n - W_bar xbar_n||^2 against full-precision outputs y = X W^T.
+@dataclass(frozen=True)
+class MseTerms:
+    """What `layer_mse` scores a weight error E = W_bar - W from, on one batch pair.
+
+    `rhs` = W (A_q - A_fp)^T / N is the pair's `correction_rhs` and `batch`
+    the quantized batch A_q. With no `gram` a score takes the sample form,
+    N ||rhs + E A_q^T / N||^2. With the batch's Gram M = A_q^T A_q / N,
+    `projected` = rhs A_q and `offset` = N ||rhs||^2 it takes the moment
+    form, offset + 2 <E, projected> + <E M, E>.
+    """
+
+    rhs: np.ndarray
+    batch: np.ndarray
+    gram: np.ndarray | None = None
+    projected: np.ndarray | None = None
+    offset: float = 0.0
+
+
+def layer_mse(error: np.ndarray, terms: MseTerms) -> float:
+    """(1/N) sum_n ||W x_n - W_bar xbar_n||^2 from the weight error E = W_bar - W.
 
     The one lookup point of every evaluation, which the benchmark tracer
-    wraps. The difference and its square are formed in place in one
-    N x d_out buffer, so a `LayerRun`, which keeps y, scores any number of
-    quantized weights against it without forming it again.
-    `oracle.layer_mse` recomputes the same value on its own.
+    wraps. The sample form costs one N x D_in x d_out product, formed and
+    squared in place in one d_out x N buffer; the moment form one
+    d_out x D_in^2 product. Each term has the size of the error, not of
+    the output, so nothing cancels. `oracle.layer_mse` recomputes the
+    value on its own, from both outputs.
     """
-    diff = a_q @ w_q.T
-    np.subtract(y_fp, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return float(np.sum(diff) / a_q.shape[0])
+    if terms.gram is None:
+        n = terms.batch.shape[0]
+        diff = error @ terms.batch.T
+        diff /= n
+        diff += terms.rhs
+        np.multiply(diff, diff, out=diff)
+        return float(n * np.sum(diff))
+    cross = np.sum(error * terms.projected)
+    return float(terms.offset + 2.0 * cross + np.sum((error @ terms.gram) * error))
 
 
 @dataclass(frozen=True)
@@ -205,17 +238,22 @@ class LayerRun:
     """One layer's quantization, each product built once for every result asked of it.
 
     The constructor checks the calibration and eval batches, calibrates
-    activations and weights, forms the full-precision output `y_fp` =
-    eval_fp W^T that every MSE of the run is scored against, and scores
-    plain round-to-nearest, which no stage, lambda or k changes. `cache` is
-    the moment cache of the quantized batch, built when a stage first needs
-    it and shared by aqer and the weight loop; `aqer` keeps the last
-    activation-correction step (it depends on lambda1) and `ridge` the last
-    remainder ridge (it depends on lambda2); `result` runs the configured
-    stages on top of them. So an ablation or a sweep asks one run for every
-    combination or value, and each product is built once per value of what
-    it depends on. A stale step or ridge is dropped before its replacement
-    is built, so a run never holds two of one kind.
+    activations and weights, forms aqer's right-hand side `rhs` and the
+    eval batch's sample-form `eval_terms` (an eval batch equal to the
+    calibration batch is that batch), and scores plain round-to-nearest
+    from them, which no stage, lambda or k changes. `cache` is the moment
+    cache of the quantized batch, built when a stage first needs it and
+    shared by aqer and the weight loop; `stage_terms`, which every stage
+    MSE is scored from, read its Gram when it has one and the eval batch
+    is the calibration batch. Which form a score takes depends on the
+    layer and on which MSE it is, never on what was asked of the run
+    before. `aqer` keeps the last activation-correction step (it depends
+    on lambda1) and `ridge` the last remainder ridge (it depends on
+    lambda2); `result` runs the configured stages on top of them. So an
+    ablation or a sweep asks one run for every combination or value, and
+    each product is built once per value of what it depends on. A stale
+    step or ridge is dropped before its replacement is built, so a run
+    never holds two of one kind.
     """
 
     def __init__(
@@ -247,6 +285,8 @@ class LayerRun:
             check_finite(self.eval_fp, path="eval batch")
             if act_family == "log_sqrt2" and float(self.eval_fp.min()) < 0.0:
                 raise ValueError("log_sqrt2 activations require a nonnegative eval batch")
+            if np.array_equal(self.eval_fp, a_fp):  # the calibration batch, scored as such
+                self.eval_fp = a_fp
         self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
         self.timings = {}
         t0 = time.perf_counter()
@@ -258,13 +298,16 @@ class LayerRun:
         self.timings["weight_calib"] = time.perf_counter() - t0
         self.base_codes, self.base_w_bar = quantize_with_scheme(w, self.base_lattice)
 
-        if eval_batch is None:
-            self.eval_q = self.a_q
-        else:
+        self.rhs = correction_rhs(w, a_fp, self.a_q)
+        self.eval_q, eval_rhs = self.a_q, self.rhs
+        if self.eval_fp is not a_fp:
             _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_params, codes=False)
-        self.y_fp = self.eval_fp @ w.T
-        self.mse_baseline = layer_mse(self.y_fp, self.base_w_bar, self.eval_q)
+            eval_rhs = correction_rhs(w, self.eval_fp, self.eval_q)
+        self.eval_terms = MseTerms(eval_rhs, self.eval_q)
+        self.mse_baseline = layer_mse(self.base_w_bar - w, self.eval_terms)
         self._cache: LayerMomentCache | None = None
+        self._projected: np.ndarray | None = None
+        self._stage_terms: MseTerms | None = None
         self._aqer: AqerStep | None = None
         self._ridge: RemainderRidge | None = None
 
@@ -286,6 +329,35 @@ class LayerRun:
             self._cache = LayerMomentCache(self.a_q)
         return self._cache
 
+    @property
+    def projected(self) -> np.ndarray:
+        """rhs A_q, aqer's input-space right-hand side, formed on first use.
+
+        The moment form of the stage MSEs reads it too.
+        """
+        if self._projected is None:
+            self._projected = self.rhs @ self.a_q
+        return self._projected
+
+    @property
+    def stage_terms(self) -> MseTerms:
+        """The terms of every stage MSE: the moment form where the cache has a Gram.
+
+        That needs the eval batch to be the calibration batch, whose Gram the
+        cache holds; otherwise the stage MSEs take the eval batch's sample
+        form, as the baseline always does.
+        """
+        if self._stage_terms is None:
+            gram = self.cache.moments
+            if gram is None or self.eval_q is not self.a_q:
+                self._stage_terms = self.eval_terms
+            else:
+                offset = self.a_q.shape[0] * float(np.sum(self.rhs * self.rhs))
+                self._stage_terms = MseTerms(
+                    self.rhs, self.a_q, gram, self.projected, offset
+                )
+        return self._stage_terms
+
     def aqer(self, lambda1: float) -> AqerStep:
         """Correct the weights for the activation error, then re-calibrate them.
 
@@ -296,8 +368,10 @@ class LayerRun:
             return self._aqer
         self._aqer = None  # drop the stale step before building its replacement
         t0 = time.perf_counter()
+        cache = self.cache
+        projected = None if cache.moments is None else self.projected
         updated_w = self.w + solve_activation_correction(
-            self.w, self.a_fp, self.cache, lambda1
+            self.rhs, cache, lambda1, projected
         )
         t1 = time.perf_counter()
         lattice = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
@@ -309,7 +383,7 @@ class LayerRun:
             lattice=lattice,
             codes=codes,
             w_bar=w_bar,
-            mse=layer_mse(self.y_fp, w_bar, self.eval_q),
+            mse=layer_mse(w_bar - self.w, self.stage_terms),
             calib_s=t2 - t1,
             aqer_s=(t1 - t0) + (time.perf_counter() - t2),
         )
@@ -356,7 +430,7 @@ class LayerRun:
                 max_iter=cfg.max_iter,
             )
             codes, w_bar, trace = wres.codes, wres.w_bar, wres.trace
-            mse["after_wqer"] = layer_mse(self.y_fp, w_bar, self.eval_q)
+            mse["after_wqer"] = layer_mse(w_bar - self.w, self.stage_terms)
             prev = mse.get("after_aqer", mse["baseline"])
             reduction["wqer"] = _ratio(prev, mse["after_wqer"])
             timings["wqer"] = time.perf_counter() - t0
@@ -397,11 +471,12 @@ def quantize_layer(
     correction step when it is enabled, since the update shifts rows.
 
     `eval_batch` switches MSE evaluation to a separate activation batch
-    (quantized with the calibration-fitted parameters); by default the
-    calibration batch itself is evaluated. An empty calibration batch, a
-    mis-shaped or empty eval batch, or one with a negative value on a
-    log-sqrt2 layer raises ValueError, and an eval batch holding NaN or Inf
-    raises NonFiniteInputError, before any calibration.
+    (quantized with the calibration-fitted parameters); by default, or when
+    it equals the calibration batch, the calibration batch itself is
+    evaluated. An empty calibration batch, a mis-shaped or empty eval
+    batch, or one with a negative value on a log-sqrt2 layer raises
+    ValueError, and an eval batch holding NaN or Inf raises
+    NonFiniteInputError, before any calibration.
 
     This is one `LayerRun` asked for one result.
     """
@@ -656,14 +731,22 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
 
 
 def write_csv(path: str | Path, rows: list[dict], columns: tuple[str, ...]) -> None:
-    """One line per row; a floating cell, Python's or numpy's, as repr(float(value))."""
+    """One line per row; a floating cell, Python's or numpy's, as repr(float(value)).
+
+    Any other cell is written as str(value). An exact Python float is
+    told apart by its type alone, before the numpy check.
+    """
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for col in columns:
             value = row[col]
-            floating = isinstance(value, (float, np.floating))
-            cells.append(repr(float(value)) if floating else str(value))
+            if type(value) is float:
+                cells.append(repr(value))
+            elif isinstance(value, np.floating):
+                cells.append(repr(float(value)))
+            else:
+                cells.append(str(value))
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -232,8 +232,9 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
         _, a_q = quantize_with_scheme(a_fp, calibrate_scale(a_fp, "uniform", 4, "per_tensor"))
         lam = 0.5
+        rhs = act_correct.correction_rhs(w, a_fp, a_q)
         delta_w = act_correct.solve_activation_correction(
-            w, a_fp, weight_quant.LayerMomentCache(a_q), lam
+            rhs, weight_quant.LayerMomentCache(a_q), lam
         )
         fd = oracle.finite_diff_gradient(
             lambda dw: act_correct.activation_correction_objective(

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from quantred.act_correct import (
     activation_correction_objective,
+    correction_rhs,
     solve_activation_correction,
 )
 from quantred.cli import main as cli_main
@@ -97,7 +98,9 @@ def test_criterion_03_activation_correction_optimality():
         a_fp = rng.normal(0.0, 1.0, (n, d_in)) + rng.normal(0.0, 1.0, d_in)
         params = calibrate_scale(a_fp, "uniform", 4, "per_tensor")
         _, a_q = quantize_with_scheme(a_fp, params)
-        delta_w = solve_activation_correction(w, a_fp, LayerMomentCache(a_q), lam)
+        delta_w = solve_activation_correction(
+            correction_rhs(w, a_fp, a_q), LayerMomentCache(a_q), lam
+        )
 
         fd = finite_diff_gradient(
             lambda dw: activation_correction_objective(w, dw, a_fp, a_q, lam),

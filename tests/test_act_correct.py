@@ -5,6 +5,7 @@ import pytest
 
 from quantred.act_correct import (
     activation_correction_objective,
+    correction_rhs,
     solve_activation_correction,
 )
 from quantred.linalg import SingularSystemError, solve_rows, spd_factor
@@ -23,7 +24,8 @@ def _quantized_batch(rng, n, d, bits=4):
 
 def _solve(w, a_fp, a_q, lam):
     """The correction against the moment cache of a_q, as a run builds it."""
-    return solve_activation_correction(w, a_fp, LayerMomentCache(a_q), lam)
+    rhs = correction_rhs(w, a_fp, a_q)
+    return solve_activation_correction(rhs, LayerMomentCache(a_q), lam)
 
 
 def _reference_delta_w(w, a_fp, a_q, lam):
@@ -163,6 +165,8 @@ class TestStructure:
             _solve(w, batch, np.zeros((5, 3)), 1.0)
         with pytest.raises(ValueError, match="paired"):
             _solve(w[0], batch, batch, 1.0)
+        with pytest.raises(ValueError, match="not paired with the cache's 4-sample batch"):
+            solve_activation_correction(np.zeros((2, 5)), LayerMomentCache(batch), 1.0)
 
 
 class TestInputSpace:
@@ -222,7 +226,10 @@ class TestSharedCache:
         w = rng.normal(0, 1, (5, d_in))
         cache = LayerMomentCache(a_q)
         assert (cache.moments is None) == (n < d_in)
+        rhs = correction_rhs(w, a_fp, a_q)
+        want = self._two_forms(w, a_fp, a_q, lam)
+        np.testing.assert_array_equal(solve_activation_correction(rhs, cache, lam), want)
+        # a caller's rhs A, which a run shares with its MSE scores, changes no bit
         np.testing.assert_array_equal(
-            solve_activation_correction(w, a_fp, cache, lam),
-            self._two_forms(w, a_fp, a_q, lam),
+            solve_activation_correction(rhs, cache, lam, rhs @ a_q), want
         )

@@ -105,6 +105,26 @@ def _reference_sweep(param, values, layers, cfg):
     return rows
 
 
+def _error_form_mse(w, a_fp, a_q, w_bar, moment):
+    """A layer MSE from the weight error E = W_bar - W, as pipeline scores it.
+
+    With rhs = W (A_q - A_fp)^T / N: N ||rhs + E A_q^T / N||^2 in sample
+    form; N ||rhs||^2 + 2 <E, rhs A_q> + <E M, E>, M = A_q^T A_q / N, in
+    moment form.
+    """
+    n = a_q.shape[0]
+    rhs = w @ (a_q - a_fp).T / n
+    error = w_bar - w
+    if not moment:
+        diff = error @ a_q.T
+        diff /= n
+        diff += rhs
+        return float(n * np.sum(diff * diff))
+    offset = n * float(np.sum(rhs * rhs))
+    cross = np.sum(error * (rhs @ a_q))
+    return float(offset + 2.0 * cross + np.sum((error @ (a_q.T @ a_q / n)) * error))
+
+
 def _chain(seed, n, act_family="uniform", d_in=12):
     """Two layers; log_sqrt2 layers get nonnegative activations."""
     rng = np.random.default_rng(seed)
@@ -467,50 +487,64 @@ class TestLayerRun:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eval_n", [None, 40], ids=["calib", "eval"])
-    @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
+    @pytest.mark.parametrize("n", [60, 9], ids=["n_ge_d", "n_lt_d"])
     def test_every_mse_is_the_oracle_layer_mse(self, monkeypatch, n, eval_n):
-        # every reported MSE equals oracle.layer_mse bit for bit, and goes
-        # through pipeline.layer_mse against the one full-precision output
-        # its run formed: the baseline, plus one with aqer, plus one with wqer
+        # every reported MSE equals the error form bit for bit, in the form
+        # the run picks for it, and oracle.layer_mse within 1e-12 relative;
+        # each goes through pipeline.layer_mse with the terms its run
+        # formed: the baseline, plus one with aqer, plus one with wqer. No
+        # batch size is a power of two, whose divisions would be exact
         rng = np.random.default_rng(31 + n)
         w, a_fp = _layer(rng, d_out=5, d_in=12, n=n)
         eval_batch = None if eval_n is None else rng.normal(0.2, 1.1, (eval_n, 12))
         eval_fp = a_fp if eval_batch is None else eval_batch
+        # stage MSEs take the moment form only on the calibration batch's Gram
+        moment = eval_batch is None and n >= 12
         cfg = RunConfig(lambda1=0.5, lambda2=0.5)
         real = pipeline.layer_mse
-        outputs = []
+        scored = []
 
-        def recorded(y_fp, w_q, a_q):
-            outputs.append(y_fp)
-            return real(y_fp, w_q, a_q)
+        def recorded(error, terms):
+            scored.append(terms)
+            return real(error, terms)
 
         monkeypatch.setattr(pipeline, "layer_mse", recorded)
         shared = pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch)
-        assert shared.y_fp.tobytes() == (eval_fp @ w.T).tobytes()
+        eval_q = quantize_with_scheme(eval_fp, shared.act_params)[1]
+        want_rhs = w @ (eval_q - eval_fp).T / eval_fp.shape[0]
+        assert shared.eval_terms.rhs.tobytes() == want_rhs.tobytes()
         for _, stages in ABLATION_GRID:
             combo = cfg.replace(stages=stages)
             aqer_on = STAGE_AQER in stages
             wqer_on = bool(stages - {STAGE_AQER})
-            before = len(outputs)
+            before = len(scored)
             run = pipeline.LayerRun(w, a_fp, "uniform", 4, 4, eval_batch)
             result = run.result(combo)
-            assert len(outputs) - before == 1 + aqer_on + wqer_on
-            assert all(y is run.y_fp for y in outputs[before:])
+            assert len(scored) - before == 1 + aqer_on + wqer_on
+            assert scored[before] is run.eval_terms
+            if stages:
+                assert all(t is run.stage_terms for t in scored[before + 1:])
+                assert (run.stage_terms.gram is not None) == moment
             assert shared.result(combo).mse == result.mse
-            eval_q = quantize_with_scheme(eval_fp, result.act_params)[1]
-            want = {"baseline": oracle.layer_mse(w, eval_fp, run.base_w_bar, eval_q)}
+            w_bars = {"baseline": (run.base_w_bar, False)}
             if aqer_on:
-                want["after_aqer"] = oracle.layer_mse(
-                    w, eval_fp, run.aqer(cfg.lambda1).w_bar, eval_q
-                )
+                w_bars["after_aqer"] = (run.aqer(cfg.lambda1).w_bar, moment)
             if wqer_on:
-                want["after_wqer"] = oracle.layer_mse(w, eval_fp, result.w_bar, eval_q)
-            want["final"] = oracle.layer_mse(w, eval_fp, result.w_bar, eval_q)
+                w_bars["after_wqer"] = (result.w_bar, moment)
+            w_bars["final"] = (result.w_bar, moment and bool(stages))
+            want = {
+                key: _error_form_mse(w, eval_fp, eval_q, w_bar, form)
+                for key, (w_bar, form) in w_bars.items()
+            }
             assert result.mse == want
+            for key, (w_bar, _) in w_bars.items():
+                assert result.mse[key] == pytest.approx(
+                    oracle.layer_mse(w, eval_fp, w_bar, eval_q), rel=1e-12, abs=0.0
+                )
         # one shared run evaluates each stage once per value it depends on:
         # the baseline once, aqer once, and each of the six weight loops
-        shared_calls = [y for y in outputs if y is shared.y_fp]
-        assert len(shared_calls) == 1 + 1 + 6
+        terms = (shared.eval_terms, shared.stage_terms)
+        assert sum(1 for t in scored if any(t is own for own in terms)) == 1 + 1 + 6
 
     @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
     def test_oracle_catches_a_fault_in_the_run_mse(self, monkeypatch, n):
@@ -528,6 +562,41 @@ class TestLayerRun:
         want = oracle.layer_mse(w, a_fp, result.w_bar, a_q)
         assert result.mse["final"] == pytest.approx(1.01 * want, rel=1e-12)
         assert abs(result.mse["final"] - want) > 1e-3 * want
+
+    @pytest.mark.parametrize("lam", [1e-6, 10.0])
+    @pytest.mark.parametrize("n", [256, 24], ids=["n_ge_d", "n_lt_d"])
+    @pytest.mark.parametrize("mean", [0.0, 3.0])
+    @pytest.mark.parametrize("bits", [4, 8, 12, 16])
+    def test_error_form_holds_oracle_accuracy_at_every_width(self, bits, mean, n, lam):
+        # the MSE is scored from the errors, so it keeps its relative
+        # accuracy when the quantized output is within 2^-16 of the
+        # full-precision one; the output-space form
+        # ||y||^2/N - 2<W_bar, Y^T A_q/N> + <W_bar M, W_bar> cancels there
+        rng = np.random.default_rng(bits + 10 * n + int(mean))
+        d_in = 32
+        w = rng.normal(0, 0.5, (8, d_in))
+        mix = rng.normal(0, 1, (d_in, d_in)) / np.sqrt(d_in)  # correlated inputs
+        a_fp = rng.normal(mean, 1.0, (n, d_in)) @ mix + mean
+        run = pipeline.LayerRun(w, a_fp, "uniform", bits, bits)
+        result = run.result(RunConfig(lambda1=lam, lambda2=lam))
+        w_bars = {
+            "baseline": run.base_w_bar,
+            "after_aqer": run.aqer(lam).w_bar,
+            "after_wqer": result.w_bar,
+        }
+        y = a_fp @ w.T
+        output_form_err = 0.0
+        for key, w_bar in w_bars.items():
+            want = oracle.layer_mse(w, a_fp, w_bar, run.a_q)
+            assert abs(result.mse[key] - want) <= 1e-11 * want, key
+            output_form = (
+                np.sum(y * y) / n
+                - 2.0 * np.sum(w_bar * (y.T @ run.a_q / n))
+                + np.sum((w_bar @ (run.a_q.T @ run.a_q / n)) * w_bar)
+            )
+            output_form_err = max(output_form_err, abs(output_form - want) / want)
+        if bits == 16 and mean == 3.0:
+            assert output_form_err > 1e-9
 
     def test_ablation_builds_one_of_each_product_per_layer(self, builds):
         layers = _chain(5, 32) + _chain(6, 8)[:1]
@@ -1125,6 +1194,35 @@ class TestCsv:
         assert line == f"0.1,{float(np.float32(0.1))!r},3"
         a, b, c = line.split(",")
         assert float(a) == 0.1 and float(b) == np.float32(0.1) and int(c) == 3
+
+    def test_same_bytes_as_one_isinstance_per_cell(self, tmp_path):
+        # the writer types each cell by its exact Python type first; every
+        # kind of cell a row may hold is written as the tuple-isinstance
+        # writer wrote it
+        def reference(path, rows, columns):
+            lines = [",".join(columns)]
+            for row in rows:
+                cells = []
+                for col in columns:
+                    value = row[col]
+                    floating = isinstance(value, (float, np.floating))
+                    cells.append(repr(float(value)) if floating else str(value))
+                lines.append(",".join(cells))
+            path.write_text("\n".join(lines) + "\n")
+
+        values = [
+            0.1, -2.5e-300, 1e22, float("inf"), float("-inf"), float("nan"), -0.0,
+            np.float64(1 / 3), np.float64(np.inf), np.float64(np.nan),
+            np.float32(0.1), np.float32(-np.inf), np.float32(np.nan),
+            3, -7, 2**70, np.int64(-4), np.int32(9), np.uint8(255),
+            True, False, np.bool_(True), "x", "no_eligible", "", None,
+        ]
+        columns = tuple(f"c{i}" for i in range(len(values)))
+        rows = [dict(zip(columns, values)), dict(zip(columns, values[::-1]))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, rows, columns)
+        reference(want, rows, columns)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_report_entry_shape(self):
         rng = np.random.default_rng(13)

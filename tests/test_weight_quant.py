@@ -2026,17 +2026,20 @@ class TestRidgeSystem:
         w = rng.normal(0, 1, (3, 100))
         a_fp = rng.normal(0.2, 1.0, (10, 100))
         cache = LayerMomentCache(a_fp + rng.normal(0, 0.05, a_fp.shape))
+        rhs = act_correct.correction_rhs(w, a_fp, cache.batch)
         with pytest.raises(SingularSystemError, match="regularization"):
-            act_correct.solve_activation_correction(w, a_fp, cache, 0.0)
+            act_correct.solve_activation_correction(rhs, cache, 0.0)
         with pytest.raises(SingularSystemError, match="regularization"):
             RemainderRidge(cache, 0.0)
         with pytest.raises(SingularSystemError, match="regularization"):
             cache.ridge_system(slice(50, 100), 0)
-        act_correct.solve_activation_correction(w, a_fp, cache, 1e-3)
+        act_correct.solve_activation_correction(rhs, cache, 1e-3)
         RemainderRidge(cache, 1e-3)
         a_fp = rng.normal(0.2, 1.0, (100, 100))
         square = LayerMomentCache(a_fp + rng.normal(0, 0.05, a_fp.shape))
-        act_correct.solve_activation_correction(w, a_fp, square, 0.0)
+        act_correct.solve_activation_correction(
+            act_correct.correction_rhs(w, a_fp, square.batch), square, 0.0
+        )
         RemainderRidge(square, 0.0)
         # the first remainder is exactly as wide as the batch
         RemainderRidge(LayerMomentCache(square.batch[:50]), 0.0)
@@ -2078,7 +2081,8 @@ class TestRidgeSystem:
 
         def run():
             cache = LayerMomentCache(a_q)
-            update = act_correct.solve_activation_correction(w, a_fp, cache, 0.5)
+            rhs = act_correct.correction_rhs(w, a_fp, a_q)
+            update = act_correct.solve_activation_correction(rhs, cache, 0.5)
             ridge = RemainderRidge(cache, 0.5)
             remainders = [
                 ridge.updates(lo, mid, np.ones((1, mid - lo))) for lo, mid in cache.splits[:-1]
