@@ -7,22 +7,24 @@ and ridge correction of the unquantized remainder ("wqer_ridge").
 Disabling a stage bypasses it exactly; with no stages the output is plain
 round-to-nearest on the calibrated lattices.
 
-`LayerRun` is the one per-layer runner. It checks the calibration and eval
-batches and calibrates once, builds the moment cache of the quantized
-batch when a stage first needs it (one Gram per run, shared by aqer and
-the weight loop), and keeps the last aqer step and remainder ridge for
-the next result; `quantize_layer`, `run_ablation` and `run_sweep` are
-loops over `LayerRun.result`, so what they share follows from what each
-product depends on.
+`LayerRun` is the one per-layer runner. It checks its batches and
+calibrates once, builds the moment cache of the quantized batch when a
+stage first needs it (one Gram per run, shared by aqer and the weight
+loop), and keeps the last aqer step and remainder ridge for the next
+result; `quantize_layer`, `run_ablation` and `run_sweep` are loops over
+`LayerRun.result`, so what they share follows from what each product
+depends on. The caller picks the scored batch: an eval batch given to
+`LayerRun` is scored as its own batch, whatever its values, and only
+`run_sweep` gives one, for `n_images` values below N.
 
 Every MSE is scored by `layer_mse` from the weight error E = W_bar - W
 and aqer's right-hand side rhs = W (A_q - A_fp)^T / N of the scored
 batch, never from a full-precision output: in sample form, one N-sized
-product per score, or, for the stage MSEs when the cache holds the
-calibration batch's Gram, in moment form, d_out x D_in^2 per score
+product per score, or, for the stage MSEs of a run with no eval batch
+whose cache holds the Gram, in moment form, d_out x D_in^2 per score
 (`act_correct` derives both). A layer with N >= D_in forms three N-sized
-products: rhs, rhs A_q (which aqer's solve reads too) and the baseline's
-E A_q^T.
+products: rhs, rhs A_q (once, in `LayerRun.stage_terms`; aqer's solve
+reads it too) and the baseline's E A_q^T.
 
 report.json, traces.csv, and the code tensors are deterministic for a
 given config and input, byte for byte. `RunConfig.jobs` (--jobs) is
@@ -237,17 +239,21 @@ class AqerStep:
 class LayerRun:
     """One layer's quantization, each product built once for every result asked of it.
 
-    The constructor checks the calibration and eval batches, calibrates
-    activations and weights, forms aqer's right-hand side `rhs` and the
-    eval batch's sample-form `eval_terms` (an eval batch equal to the
-    calibration batch is that batch), and scores plain round-to-nearest
-    from them, which no stage, lambda or k changes. `cache` is the moment
-    cache of the quantized batch, built when a stage first needs it and
-    shared by aqer and the weight loop; `stage_terms`, which every stage
-    MSE is scored from, read its Gram when it has one and the eval batch
-    is the calibration batch. Which form a score takes depends on the
-    layer and on which MSE it is, never on what was asked of the run
-    before. `aqer` keeps the last activation-correction step (it depends
+    The constructor checks the calibration batch and `eval_batch`,
+    calibrates activations and weights, forms aqer's right-hand side `rhs`
+    and the scored batch's sample-form `eval_terms`, and scores plain
+    round-to-nearest from them, which no stage, lambda or k changes. The
+    scored batch is `eval_batch` if given, whatever its values, and the
+    calibration batch otherwise. An empty batch, a mis-shaped eval batch
+    or a negative one on a log-sqrt2 layer raises ValueError, and an eval
+    batch holding NaN or Inf NonFiniteInputError, before any calibration.
+    `cache` is the moment cache of the quantized batch, built when a stage
+    first needs it and shared by aqer and the weight loop; `stage_terms`,
+    which every stage MSE is scored from, read its Gram, and hold rhs A_q
+    for aqer's solve too, when it has one and no eval batch was given.
+    Which form a score takes depends on the layer, on whether an eval
+    batch was given and on which MSE it is, never on what was asked of
+    the run before. `aqer` keeps the last activation-correction step (it depends
     on lambda1) and `ridge` the last remainder ridge (it depends on
     lambda2); `result` runs the configured stages on top of them. So an
     ablation or a sweep asks one run for every combination or value, and
@@ -285,8 +291,6 @@ class LayerRun:
             check_finite(self.eval_fp, path="eval batch")
             if act_family == "log_sqrt2" and float(self.eval_fp.min()) < 0.0:
                 raise ValueError("log_sqrt2 activations require a nonnegative eval batch")
-            if np.array_equal(self.eval_fp, a_fp):  # the calibration batch, scored as such
-                self.eval_fp = a_fp
         self.w, self.a_fp, self.bits_w, self.bits_a = w, a_fp, bits_w, bits_a
         self.timings = {}
         t0 = time.perf_counter()
@@ -300,13 +304,12 @@ class LayerRun:
 
         self.rhs = correction_rhs(w, a_fp, self.a_q)
         self.eval_q, eval_rhs = self.a_q, self.rhs
-        if self.eval_fp is not a_fp:
+        if eval_batch is not None:
             _, self.eval_q = quantize_with_scheme(self.eval_fp, self.act_params, codes=False)
             eval_rhs = correction_rhs(w, self.eval_fp, self.eval_q)
         self.eval_terms = MseTerms(eval_rhs, self.eval_q)
         self.mse_baseline = layer_mse(self.base_w_bar - w, self.eval_terms)
         self._cache: LayerMomentCache | None = None
-        self._projected: np.ndarray | None = None
         self._stage_terms: MseTerms | None = None
         self._aqer: AqerStep | None = None
         self._ridge: RemainderRidge | None = None
@@ -330,22 +333,13 @@ class LayerRun:
         return self._cache
 
     @property
-    def projected(self) -> np.ndarray:
-        """rhs A_q, aqer's input-space right-hand side, formed on first use.
-
-        The moment form of the stage MSEs reads it too.
-        """
-        if self._projected is None:
-            self._projected = self.rhs @ self.a_q
-        return self._projected
-
-    @property
     def stage_terms(self) -> MseTerms:
         """The terms of every stage MSE: the moment form where the cache has a Gram.
 
-        That needs the eval batch to be the calibration batch, whose Gram the
-        cache holds; otherwise the stage MSEs take the eval batch's sample
-        form, as the baseline always does.
+        That needs a run with no eval batch, which scores the calibration
+        batch; otherwise the stage MSEs take the scored batch's sample form,
+        as the baseline always does. The moment form's `projected`, rhs A_q,
+        is the one copy of that product; aqer's solve reads it too.
         """
         if self._stage_terms is None:
             gram = self.cache.moments
@@ -354,7 +348,7 @@ class LayerRun:
             else:
                 offset = self.a_q.shape[0] * float(np.sum(self.rhs * self.rhs))
                 self._stage_terms = MseTerms(
-                    self.rhs, self.a_q, gram, self.projected, offset
+                    self.rhs, self.a_q, gram, self.rhs @ self.a_q, offset
                 )
         return self._stage_terms
 
@@ -368,10 +362,8 @@ class LayerRun:
             return self._aqer
         self._aqer = None  # drop the stale step before building its replacement
         t0 = time.perf_counter()
-        cache = self.cache
-        projected = None if cache.moments is None else self.projected
         updated_w = self.w + solve_activation_correction(
-            self.rhs, cache, lambda1, projected
+            self.rhs, self.cache, lambda1, self.stage_terms.projected
         )
         t1 = time.perf_counter()
         lattice = calibrate_scale(updated_w, "uniform", self.bits_w, "per_channel")
@@ -460,7 +452,6 @@ def quantize_layer(
     bits_a: int,
     cfg: RunConfig,
     layer_id: str = "layer",
-    eval_batch: np.ndarray | None = None,
 ) -> LayerResult:
     """Calibrate and quantize one linear layer under the configured stages.
 
@@ -469,18 +460,13 @@ def quantize_layer(
     scales calibrated from the original weights; stage MSEs are appended
     as stages run. Weight scales are calibrated again after the activation
     correction step when it is enabled, since the update shifts rows.
+    Every MSE is scored on the calibration batch; an empty one raises
+    ValueError before any calibration.
 
-    `eval_batch` switches MSE evaluation to a separate activation batch
-    (quantized with the calibration-fitted parameters); by default, or when
-    it equals the calibration batch, the calibration batch itself is
-    evaluated. An empty calibration batch, a mis-shaped or empty eval
-    batch, or one with a negative value on a log-sqrt2 layer raises
-    ValueError, and an eval batch holding NaN or Inf raises
-    NonFiniteInputError, before any calibration.
-
-    This is one `LayerRun` asked for one result.
+    This is one `LayerRun` with no eval batch, asked for one result; a
+    caller that scores another batch builds the `LayerRun` itself.
     """
-    run = LayerRun(w, a_fp, act_family, bits_w, bits_a, eval_batch)
+    run = LayerRun(w, a_fp, act_family, bits_w, bits_a)
     return run.result(cfg, layer_id)
 
 
@@ -662,7 +648,8 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
     `lambda` couples lambda1 = lambda2; `k` sets the flip budget (k = 0 is
     bit-identical to disabling the rounding stage); `n_images` calibrates
     on the first v rows only while always evaluating MSE on the full
-    batch, so rows are comparable across calibration sizes.
+    batch (an eval batch below N, a plain run at N), so rows are comparable
+    across calibration sizes.
 
     A `lambda` or `k` sweep asks one `LayerRun` per layer for every value,
     so either forms each layer's Gram once; a `k` sweep solves aqer and
@@ -706,9 +693,8 @@ def run_sweep(param: str, values, layers, cfg: RunConfig) -> list[dict]:
         ):
             if param == "n_images":
                 run = None  # drop the last size's products before the next run
-                run = LayerRun(
-                    w, a_fp[: int(value)], act_family, bits_w, bits_a, eval_batch=a_fp
-                )
+                eval_batch = a_fp if value < a_fp.shape[0] else None
+                run = LayerRun(w, a_fp[: int(value)], act_family, bits_w, bits_a, eval_batch)
             elif run is None:
                 run = LayerRun(w, a_fp, act_family, bits_w, bits_a)
             result = run.result(run_cfg, layer_id)

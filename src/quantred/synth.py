@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
+from .linalg import require_int
 from .oracle import layer_mse
 from .tensorfile import write_tensor
 
@@ -33,7 +34,11 @@ _VARIANT_STAGES = {
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Deterministic description of a synthetic layer chain."""
+    """Deterministic description of a synthetic layer chain.
+
+    `seed` (>= 0), `n_samples` (>= 2) and each layer dim (>= 1) must be
+    integers (`linalg.require_int`), checked here, not inside numpy.
+    """
 
     seed: int
     dims: tuple[tuple[int, int], ...]
@@ -44,14 +49,18 @@ class SynthSpec:
     std_range: tuple[float, float] = (0.3, 2.0)
 
     def __post_init__(self):
+        require_int("seed", self.seed, 0)
         if not self.dims:
             raise ValueError("need at least one layer")
-        if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
+        require_int("n_samples", self.n_samples, 2)
         if self.activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.activation!r}")
-        if any(dim < 1 for dims in self.dims for dim in dims):
-            raise ValueError(f"layer dims must be >= 1, got {self.dims}")
+        try:
+            for dims in self.dims:
+                for dim in dims:
+                    require_int("layer dim", dim, 1)
+        except ValueError as exc:
+            raise ValueError(f"layer dims must be >= 1, got {self.dims}: {exc}") from None
         if len(self.nonlinearities) != len(self.dims) - 1:
             raise ValueError("need one nonlinearity between consecutive layers")
         for name in self.nonlinearities:

@@ -1,14 +1,14 @@
 """Self-check suites behind the `verify` subcommand.
 
 Each suite exercises one invariant family against the oracle module:
-proxy equality with the Monte Carlo error over the batch, refinement
-dominance versus exhaustive enumeration and every single flip, analytic
-gradients versus finite differences, ridge optimality of both closed
-forms, and calibration versus the brute-force scale grid. Suites call
-through the module objects (weight_quant.proxy_gradient,
-weight_quant.LayerMomentCache and RemainderRidge,
-quantizers.calibrate_scale and friends), the same code a run executes, so
-an injected fault in the engine is visible to them.
+the weight loop's start proxies against the Monte Carlo error over the
+batch, refinement dominance versus exhaustive enumeration and every
+single flip, analytic gradients versus finite differences, ridge
+optimality of both closed forms, and calibration versus the brute-force
+scale grid. Suites call through the module objects
+(weight_quant.init_rounding, proxy_gradient, LayerMomentCache and
+RemainderRidge, quantizers.calibrate_scale and friends), the same code
+a run executes, so an injected fault in the engine is visible to them.
 """
 
 from __future__ import annotations
@@ -50,19 +50,37 @@ def _random_psd(rng, dim):
     return np.outer(mu, mu) + a @ a.T / dim + 0.05 * np.eye(dim)
 
 
+def _rounding_block(rng, rows, dim, bits=4):
+    """(w, lattice): `rows` weight rows of `dim` values, row i on the (rows, 1) lattice's row i."""
+    qmax = (1 << bits) - 1
+    scale = rng.uniform(0.05, 0.3, (rows, 1))
+    zero = rng.integers(0, qmax + 1, (rows, 1)).astype(np.float64)
+    w = scale * (rng.uniform(-0.5, qmax + 0.5, (rows, dim)) - zero)
+    return w, UniformParams(scale=scale, zero_point=zero, bits=bits)
+
+
+# rows of each block whose start proxies the proxy suite scores
+_PROXY_ROWS = 4
+
+
 def suite_proxy_fidelity(
     seed: int = 0, dim: int = 64, n: int = 10_000, draws: int = 100
 ) -> SuiteResult:
-    """Production proxy blocks vs Monte Carlo, and exactness under exact moments.
+    """The weight loop's start proxies vs Monte Carlo, and exactness under exact moments.
 
-    The proxy matrices are the blocks of `weight_quant.LayerMomentCache.block`
-    on two batches of one distribution: N = n >= D (blocks viewed in the
-    D x D Gram) and its first 3D/4 rows, N < D (blocks from the batch
-    slices). Each batch takes `draws` error vectors, cycling through the
-    cache's halving splits and reading each split's block. A proxy block
-    is E[x_s x_s^T] over the batch, so its proxy must equal the Monte Carlo
-    error E[(delta x_s)^2] over the same batch draw by draw, up to rounding
-    (1e-12 relative).
+    The proxies are the per-row start proxies `proxy` that
+    `weight_quant.init_rounding` builds on a block of rows, the values
+    refinement and the trace start from, on the blocks of
+    `weight_quant.LayerMomentCache.block` of two batches of one
+    distribution: N = n >= D (blocks viewed in the D x D Gram) and its
+    first 3D/4 rows, N < D (blocks from the batch slices). Each batch
+    takes `draws` rows, in blocks of `_PROXY_ROWS` random rows on lattices
+    of their own, cycling through the cache's halving splits; a row's
+    error delta is its round-to-nearest error. A proxy block is
+    E[x_s x_s^T] over the batch, so each row's proxy must equal the Monte
+    Carlo error E[(delta x_s)^2] over the same batch, up to rounding
+    (1e-12 relative), and the same block started on the exact-moment
+    matrix must give delta Sigma delta^T + (delta mu)^2 (1e-9 relative).
     """
     rng = np.random.default_rng([seed, 1])
     mu, sigma, batch = _gaussian_batch(rng, dim, n)
@@ -73,19 +91,20 @@ def suite_proxy_fidelity(
     exact_rel = 0.0
     for label, rows in (("full", n), ("thin", thin_n)):
         cache = weight_quant.LayerMomentCache(batch[:rows])
-        proxies = np.empty(draws)
-        mcs = np.empty(draws)
-        for i in range(draws):
+        proxies, mcs = [], []
+        for i, first in enumerate(range(0, draws, _PROXY_ROWS)):
             lo, mid = cache.splits[i % len(cache.splits)]
-            delta = rng.normal(0.0, 0.1, mid - lo)
-            proxies[i] = weight_quant.proxy_value(delta, cache.block(slice(lo, mid)))
-            mcs[i] = oracle.mc_output_error(delta, batch[:rows, lo:mid])
-            mc_rel = max(mc_rel, float(abs(proxies[i] - mcs[i]) / mcs[i]))
-            analytic = float(
-                delta @ sigma[lo:mid, lo:mid] @ delta + (delta @ mu[lo:mid]) ** 2
-            )
-            got = weight_quant.proxy_value(delta, exact_matrix[lo:mid, lo:mid])
-            exact_rel = max(exact_rel, abs(got - analytic) / max(abs(analytic), 1e-30))
+            cols = slice(lo, mid)
+            w, lattice = _rounding_block(rng, min(_PROXY_ROWS, draws - first), mid - lo)
+            start = weight_quant.init_rounding(w, lattice, cache.block(cols))
+            exact = weight_quant.init_rounding(w, lattice, exact_matrix[cols, cols])
+            for delta, proxy, got in zip(start.delta, start.proxy, exact.proxy):
+                mc = oracle.mc_output_error(delta, batch[:rows, cols])
+                proxies.append(proxy)
+                mcs.append(mc)
+                mc_rel = max(mc_rel, float(abs(proxy - mc) / mc))
+                analytic = float(delta @ sigma[cols, cols] @ delta + (delta @ mu[cols]) ** 2)
+                exact_rel = max(exact_rel, float(abs(got - analytic)) / max(abs(analytic), 1e-30))
         pearson[label] = float(np.corrcoef(proxies, mcs)[0, 1])
     passed = min(pearson.values()) >= 0.9 and mc_rel <= 1e-12 and exact_rel <= 1e-9
     return SuiteResult(
@@ -203,15 +222,8 @@ def suite_gradient_checks(seed: int = 0) -> SuiteResult:
     start_mismatches = 0
     for _ in range(5):
         d, dim = int(start_rng.integers(2, 9)), int(start_rng.integers(1, 200))
-        rows = [_random_rounding_instance(start_rng, dim)[:2] for _ in range(d)]
-        lattice = UniformParams(
-            scale=np.array([[p.scale] for _, p in rows]),
-            zero_point=np.array([[p.zero_point] for _, p in rows], dtype=np.float64),
-            bits=4,
-        )
-        block = weight_quant.init_rounding(
-            np.array([w for w, _ in rows]), lattice, _random_psd(start_rng, dim)
-        )
+        w, lattice = _rounding_block(start_rng, d, dim)
+        block = weight_quant.init_rounding(w, lattice, _random_psd(start_rng, dim))
         for row in block.rows():
             score = np.copysign(row.gradient, row.step * row.gradient + row.curvature)
             proxy = 0.5 * float(row.delta.dot(row.gradient))

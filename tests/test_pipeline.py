@@ -71,7 +71,11 @@ def _reference_ablation(layers, cfg):
 
 
 def _reference_sweep(param, values, layers, cfg):
-    """run_sweep as one quantize_layer per (value, layer)."""
+    """run_sweep as one fresh run per (value, layer).
+
+    An `n_images` value below the layer's N scores the full batch as an
+    eval batch; any other value is one quantize_layer.
+    """
     rows = []
     for value in values:
         if param == "lambda":
@@ -82,13 +86,14 @@ def _reference_sweep(param, values, layers, cfg):
             run_cfg = cfg
         baselines, finals, reductions = [], [], []
         for layer_id, w, a_fp, act_family, bits_w, bits_a in layers:
-            batch, eval_batch = a_fp, None
-            if param == "n_images":
-                batch, eval_batch = a_fp[: int(value)], a_fp
-            result = quantize_layer(
-                w, batch, act_family, bits_w, bits_a, run_cfg,
-                layer_id=layer_id, eval_batch=eval_batch,
-            )
+            batch = a_fp[: int(value)] if param == "n_images" else a_fp
+            if len(batch) < len(a_fp):
+                run = pipeline.LayerRun(w, batch, act_family, bits_w, bits_a, a_fp)
+                result = run.result(run_cfg, layer_id)
+            else:
+                result = quantize_layer(
+                    w, batch, act_family, bits_w, bits_a, run_cfg, layer_id=layer_id
+                )
             baselines.append(result.mse["baseline"])
             finals.append(result.mse["final"])
             reductions.append(result.reduction["cumulative"])
@@ -343,9 +348,7 @@ class TestQuantizeLayer:
         w, a_fp = _layer(rng, n=128)
         cfg = RunConfig(lambda1=1.0, lambda2=1.0)
         in_sample = quantize_layer(w, a_fp[:16], "uniform", 4, 4, cfg)
-        held_out = quantize_layer(
-            w, a_fp[:16], "uniform", 4, 4, cfg, eval_batch=a_fp
-        )
+        held_out = pipeline.LayerRun(w, a_fp[:16], "uniform", 4, 4, a_fp).result(cfg)
         # the quantization itself is identical; only the evaluation differs
         np.testing.assert_array_equal(in_sample.codes, held_out.codes)
         np.testing.assert_array_equal(in_sample.w_bar, held_out.w_bar)
@@ -356,9 +359,7 @@ class TestQuantizeLayer:
         w, a_fp = _layer(rng)
         cfg = RunConfig(lambda1=1.0, lambda2=1.0)
         with pytest.raises(ValueError, match="eval batch"):
-            quantize_layer(
-                w, a_fp, "uniform", 4, 4, cfg, eval_batch=np.zeros((8, 3))
-            )
+            pipeline.LayerRun(w, a_fp, "uniform", 4, 4, np.zeros((8, 3))).result(cfg)
 
     def test_shape_mismatch_rejected(self):
         cfg = RunConfig()
@@ -545,6 +546,41 @@ class TestLayerRun:
         # the baseline once, aqer once, and each of the six weight loops
         terms = (shared.eval_terms, shared.stage_terms)
         assert sum(1 for t in scored if any(t is own for own in terms)) == 1 + 1 + 6
+
+    @pytest.mark.parametrize("same_array", [True, False], ids=["same", "copy"])
+    @pytest.mark.parametrize("n", [60, 9], ids=["n_ge_d", "n_lt_d"])
+    def test_eval_batch_equal_to_calibration_batch_is_its_own_batch(self, n, same_array):
+        # a given eval batch is scored as its own batch, in sample form, even
+        # when it is the calibration batch: codes and weights are the plain
+        # run's, every MSE the sample form bit for bit and within 1e-12
+        # relative of the plain run's
+        rng = np.random.default_rng(61 + n)
+        w, a_fp = _layer(rng, d_out=5, d_in=12, n=n)
+        cfg = RunConfig(lambda1=0.5, lambda2=0.5)
+        plain = pipeline.LayerRun(w, a_fp, "uniform", 4, 4)
+        given = pipeline.LayerRun(
+            w, a_fp, "uniform", 4, 4, a_fp if same_array else a_fp.copy()
+        )
+        assert given.eval_q is not given.a_q
+        for _, stages in ABLATION_GRID:
+            combo = cfg.replace(stages=stages)
+            want, got = plain.result(combo), given.result(combo)
+            np.testing.assert_array_equal(got.codes, want.codes)
+            np.testing.assert_array_equal(got.w_bar, want.w_bar)
+            assert got.trace == want.trace
+            w_bars = {"baseline": given.base_w_bar, "final": got.w_bar}
+            if STAGE_AQER in stages:
+                w_bars["after_aqer"] = given.aqer(cfg.lambda1).w_bar
+            if stages - {STAGE_AQER}:
+                w_bars["after_wqer"] = got.w_bar
+            assert got.mse == {
+                key: _error_form_mse(w, a_fp, given.eval_q, w_bar, False)
+                for key, w_bar in w_bars.items()
+            }
+            assert got.mse.keys() == want.mse.keys()
+            for key, value in got.mse.items():
+                assert value == pytest.approx(want.mse[key], rel=1e-12, abs=0.0)
+        assert given.stage_terms is given.eval_terms
 
     @pytest.mark.parametrize("n", [64, 8], ids=["n_ge_d", "n_lt_d"])
     def test_oracle_catches_a_fault_in_the_run_mse(self, monkeypatch, n):
@@ -1103,9 +1139,7 @@ class TestSweep:
         cfg = RunConfig(lambda1=1.0, lambda2=1.0)
         rows = run_sweep("n_images", [8, 256], layers, cfg)
         _, w, a_fp, fam, bw, ba = layers[0]
-        manual = quantize_layer(
-            w, a_fp[:8], fam, bw, ba, cfg, eval_batch=a_fp
-        )
+        manual = pipeline.LayerRun(w, a_fp[:8], fam, bw, ba, a_fp).result(cfg)
         assert rows[0]["mse_final_mean"] == manual.mse["final"]
         full = quantize_layer(w, a_fp, fam, bw, ba, cfg)
         assert rows[1]["mse_final_mean"] == full.mse["final"]
@@ -1157,6 +1191,36 @@ class TestSweep:
             run_sweep("n_images", [64, 200], layers, RunConfig())
         assert call_counts["per_tensor"] == 0  # rejected before any layer ran
         run_sweep("n_images", [64], layers, RunConfig())
+
+    def test_n_images_of_the_full_batch_is_a_plain_run(self, monkeypatch, call_counts):
+        # a value equal to N passes no eval batch: one activation
+        # quantization and one right-hand side per layer, and the row is
+        # the plain run's, bit for bit
+        layers = _chain(22, 48)
+        rhs_calls, quantized = [], []
+        real_rhs, real_quantize = pipeline.correction_rhs, pipeline.quantize_with_scheme
+
+        def counted_rhs(*args):
+            rhs_calls.append(args)
+            return real_rhs(*args)
+
+        def recorded(x, params, **kwargs):
+            quantized.append(kwargs)
+            return real_quantize(x, params, **kwargs)
+
+        monkeypatch.setattr(pipeline, "correction_rhs", counted_rhs)
+        monkeypatch.setattr(pipeline, "quantize_with_scheme", recorded)
+        cfg = RunConfig(lambda1=1.0, lambda2=1.0)
+        rows = run_sweep("n_images", [48], layers, cfg)
+        count = len(layers)
+        assert len(rhs_calls) == count
+        assert quantized.count({"codes": False}) == count
+        assert call_counts["per_tensor"] == count
+        plain = [
+            quantize_layer(w, a_fp, fam, bw, ba, cfg, layer_id=layer_id)
+            for layer_id, w, a_fp, fam, bw, ba in layers
+        ]
+        assert rows[0]["mse_final_mean"] == float(np.mean([r.mse["final"] for r in plain]))
 
     def test_n_images_checked_before_any_layer(self, call_counts):
         rng = np.random.default_rng(21)

@@ -49,6 +49,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^layer dims must be >= 1, got \(\("):
             SynthSpec(seed=0, dims=dims, nonlinearities=nonlinearities)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_seed_checked_at_the_spec(self, seed):
+        # not inside numpy when the first layer is generated
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            SynthSpec(seed=seed, dims=((4, 8),))
+
+    @pytest.mark.parametrize("n_samples", [2.5, 4.0, True, -3])
+    def test_n_samples_checked_at_the_spec(self, n_samples):
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer >= 2, got "):
+            SynthSpec(seed=0, dims=((4, 8),), n_samples=n_samples)
+
+    @pytest.mark.parametrize("dims", [((4, 8.0),), ((2.5, 4),), ((4, True),)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match=r"^layer dims must be >= 1, got \(\(.*integer"):
+            SynthSpec(seed=0, dims=dims)
+
+    def test_numpy_integers_generate_the_same_layer(self):
+        plain = SynthSpec(seed=7, dims=((4, 8),), n_samples=17)
+        numpy_ints = SynthSpec(
+            seed=np.int64(7), dims=((np.int32(4), np.int64(8)),), n_samples=np.uint16(17)
+        )
+        for got, want in zip(generate_layer(numpy_ints, 0), generate_layer(plain, 0)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestGeneration:
     def test_deterministic_in_seed(self):

@@ -1491,6 +1491,19 @@ class TestMomentCache:
         monkeypatch.setattr(LayerMomentCache, "block", faulty)
         assert not suite_proxy_fidelity().passed
 
+    def test_verify_proxy_suite_checks_the_start_proxy(self, monkeypatch):
+        # the suite scores the per-row start proxy init_rounding builds on a
+        # block of rows, so a 1% fault in it fails the suite
+        assert suite_proxy_fidelity().passed
+        real = weight_quant.init_rounding
+
+        def faulty(*args):
+            state = real(*args)
+            return state._replace(proxy=state.proxy * 1.01)
+
+        monkeypatch.setattr(weight_quant, "init_rounding", faulty)
+        assert not suite_proxy_fidelity().passed
+
     def test_refinement_starts_from_the_checked_gradient(self, monkeypatch):
         # verify's gradient suite checks proxy_gradient; init_rounding builds
         # refinement's start gradient with it, so a fault there reaches both
